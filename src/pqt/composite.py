@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import DensityOperator, SpectralDecomposition, State, StateVector
-from .measurement import Observable, OutcomeDistribution, PSystem, born_distribution, repeated_measure
+from .measurement import Observable, OutcomeDistribution, PSystem, _inverse_cdf, born_distribution, repeated_measure
 from .tomography import hermitian_basis_ic_set, linear_inversion, project_to_physical
 
 PURITY_PRODUCT_THRESHOLD = 0.95
@@ -111,16 +111,6 @@ def joint_distribution_local_passive(state: State, a_obs: Observable, b_obs: Obs
     return np.outer(marg_a.probabilities, marg_b.probabilities)
 
 
-def _sample_joint(probs: np.ndarray, rng: np.random.Generator, shots: int) -> np.ndarray:
-    """Inverse-CDF sampling over the row-major (a, b) grid, one draw per shot."""
-    flat = probs.reshape(-1)
-    cdf = np.cumsum(flat)
-    draws = rng.random(shots)
-    indices = np.minimum(np.searchsorted(cdf, draws * cdf[-1], side="right"), flat.size - 1)
-    counts = np.bincount(indices, minlength=flat.size)
-    return counts.reshape(probs.shape)
-
-
 def global_joint_sample(
     sys: PSystem,
     a_obs: Observable,
@@ -140,7 +130,9 @@ def global_joint_sample(
     if sys.mode == "quantum" and not ensemble:
         raise ValueError("ensemble required in quantum mode: a single copy collapses on the first shot")
     probs = joint_distribution_global(sys.state, a_obs, b_obs)
-    counts = _sample_joint(probs, sys.rng, shots)
+    # One draw per shot over the row-major (a, b) grid.
+    indices = _inverse_cdf(probs.reshape(-1), sys.rng, shots)
+    counts = np.bincount(indices, minlength=probs.size).reshape(probs.shape)
     return JointFrequencyTable(a_obs.eigenvalues, b_obs.eigenvalues, counts, shots)
 
 

@@ -15,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, parse_config
+from .config import SEED_LIMIT, ConfigError, parse_config, read_integer
 from .runner import list_protocols, run
 
 EXIT_OK = 0
@@ -48,7 +48,7 @@ def _load_config(path: str, seed: int | None = None, mode: str | None = None):
         raise ConfigError("--config", f"cannot read {path!r}: {exc}") from exc
     config = parse_config(text)
     if seed is not None:
-        config.seed = seed
+        config.seed = read_integer(seed, "--seed", 0, SEED_LIMIT)
     if mode is not None:
         config.mode = mode
     return config

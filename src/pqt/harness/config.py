@@ -12,6 +12,7 @@ offending field and the violated constraint.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -31,8 +32,10 @@ from ..hilbert import (
     random_pure_state,
 )
 from ..measurement import Observable
+from ..tomography import MAX_IC_DIMENSION
 
 MODES = ("quantum", "passive")
+SEED_LIMIT = 2**64
 
 # Protocol-specific optional fields accepted on top of the common ones.
 EXTRA_FIELDS = (
@@ -69,6 +72,15 @@ class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"config field {field!r}: {message}")
+
+
+def read_integer(value, field: str, low: int, high: float = math.inf) -> int:
+    """Read an integral number in [low, high); strings, booleans and fractions are refused."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value < high:
+        raise ConfigError(field, f"must be an integer in [{low}, {high}), got {value!r}")
+    return value
 
 
 @dataclass
@@ -130,23 +142,15 @@ def parse_config(text: str) -> ExperimentConfig:
     shape = None
     if "shape" in raw:
         entries = raw["shape"]
-        if not isinstance(entries, list) or not entries or any(int(d) < 2 for d in entries):
-            raise ConfigError("shape", "must be a list of subsystem dimensions >= 2")
-        shape = tuple(int(d) for d in entries)
+        if not isinstance(entries, list) or not entries:
+            raise ConfigError("shape", "must be a non-empty list of subsystem dimensions")
+        shape = tuple(read_integer(d, f"shape[{i}]", 2) for i, d in enumerate(entries))
     elif "dimension" in raw:
-        if int(raw["dimension"]) < 2:
-            raise ConfigError("dimension", "must be >= 2")
-        shape = (int(raw["dimension"]),)
+        shape = (read_integer(raw["dimension"], "dimension", 2),)
 
-    shots = int(raw.get("shots", 10_000))
-    if shots < 1:
-        raise ConfigError("shots", "must be a positive count")
-    trials = int(raw.get("trials", 1))
-    if trials < 1:
-        raise ConfigError("trials", "must be a positive count")
-    seed = int(raw.get("seed", 42))
-    if not 0 <= seed < 2**64:
-        raise ConfigError("seed", "must fit in 64 unsigned bits")
+    shots = read_integer(raw.get("shots", 10_000), "shots", 1)
+    trials = read_integer(raw.get("trials", 1), "trials", 1)
+    seed = read_integer(raw.get("seed", 42), "seed", 0, SEED_LIMIT)
 
     observables = raw.get("observables", [])
     if not isinstance(observables, list):
@@ -172,7 +176,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
     # Validate resolvable pieces eagerly so diagnostics appear before a run.
     if config.initial_state is not None:
-        resolve_state(config.initial_state, shape, field="initial_state")
+        state = resolve_state(config.initial_state, shape, field="initial_state")
+        if config.protocol in ("reconstruct", "discriminate", "clone") and not 2 <= state.dim <= MAX_IC_DIMENSION:
+            field = "shape" if "shape" in raw else "dimension" if "dimension" in raw else "initial_state"
+            raise ConfigError(field, f"state dimension {state.dim} is outside the IC-set range 2..{MAX_IC_DIMENSION}")
     for i, spec in enumerate(config.observables):
         resolve_observable(spec, field=f"observables[{i}]")
     return config

@@ -36,7 +36,7 @@ from ..protocols import (
     simulate_qt_with_pqt,
     teleportation_demo,
 )
-from ..tomography import discriminate, estimate_spectrum, hermitian_basis_ic_set, pauli_ic_set, reconstruct_single_copy
+from ..tomography import discriminate, estimate_spectrum, ic_set_for_dimension, reconstruct_single_copy
 from .config import ConfigError, ExperimentConfig, resolve_observable, resolve_state
 from .report import Report
 from .stats import wilson_interval
@@ -62,11 +62,6 @@ def _observables(config: ExperimentConfig, count: int) -> list[Observable]:
     return [resolve_observable(spec, field=f"observables[{i}]") for i, spec in enumerate(config.observables[:count])]
 
 
-def _ic_for_dim(dim: int):
-    n_qubits = dim.bit_length() - 1
-    return pauli_ic_set(n_qubits) if 2**n_qubits == dim else hermitian_basis_ic_set(dim)
-
-
 def _bipartite_shape(state) -> tuple[int, int]:
     if len(state.shape) != 2:
         raise ConfigError("shape", "this protocol needs a bipartite state (two subsystem dimensions)")
@@ -86,7 +81,7 @@ def _run_repeatability(config: ExperimentConfig) -> Report:
 def _run_reconstruct(config: ExperimentConfig) -> Report:
     state = _initial_state(config)
     sys = PSystem(state, config.mode, _stream(config, "reconstruct"))
-    result = reconstruct_single_copy(sys, _ic_for_dim(state.dim), config.shots)
+    result = reconstruct_single_copy(sys, ic_set_for_dimension(state.dim), config.shots)
     report = Report(_echo(config), config.seed)
     report.add_metric("fidelity", fidelity(state, result.estimate))
     report.add_metric("purity", result.estimate.purity())
@@ -108,7 +103,7 @@ def _run_discriminate(config: ExperimentConfig) -> Report:
     if not all(isinstance(c, StateVector) for c in candidates):
         raise ConfigError("candidates", "candidates must be pure states")
     sys = PSystem(state, config.mode, _stream(config, "discriminate"))
-    index = discriminate(sys, candidates, _ic_for_dim(state.dim), config.shots)
+    index = discriminate(sys, candidates, ic_set_for_dimension(state.dim), config.shots)
     report = Report(_echo(config), config.seed)
     report.verdicts["chosen_index"] = index
     return report

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaincc
 
 
 def tv_distance(p, q) -> float:
@@ -31,6 +30,8 @@ def chi_square_gof(counts, expected) -> tuple[float, float]:
         raise ValueError("no observations")
     if expected.min() <= 0.0:
         raise ValueError("expected counts must be positive")
+    from scipy.special import gammaincc  # imported here so that importing pqt does not load scipy
+
     statistic = float(((counts - expected) ** 2 / expected).sum())
     dof = counts.size - 1
     p_value = float(gammaincc(dof / 2.0, statistic / 2.0))

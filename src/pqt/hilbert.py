@@ -172,10 +172,6 @@ class SpectralDecomposition:
     def __post_init__(self):
         object.__setattr__(self, "projectors", tuple(_freeze(p) for p in self.projectors))
 
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.eigenvalues)
-
     def reconstruct(self) -> np.ndarray:
         """Sum_r a_r P_r."""
         out = np.zeros_like(self.projectors[0])
@@ -319,10 +315,6 @@ def plus_state(n_qubits: int = 1) -> StateVector:
     """Uniform superposition |+>^n."""
     dim = 2**n_qubits
     return StateVector(np.full(dim, 1.0 / np.sqrt(dim), dtype=complex), (2,) * n_qubits)
-
-
-def minus_state() -> StateVector:
-    return StateVector(np.array([1.0, -1.0]) / np.sqrt(2.0))
 
 
 _BELL_AMPLITUDES = {

@@ -13,6 +13,7 @@ uniform draw per shot, taken from the system's Philox stream (see
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,26 +93,43 @@ class OutcomeDistribution:
 
     def sample_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Inverse-CDF sampling: one uniform per shot over the sorted outcomes."""
-        cdf = np.cumsum(self.probabilities)
-        draws = rng.random(n)
-        return np.minimum(np.searchsorted(cdf, draws, side="right"), len(self.eigenvalues) - 1)
+        return _inverse_cdf(self.probabilities, rng, n)
 
     def as_dict(self) -> dict[float, float]:
         return {a: float(p) for a, p in zip(self.eigenvalues, self.probabilities)}
 
 
-@dataclass
+def _inverse_cdf(weights: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw n indices into ``weights``, one uniform per draw scaled by the weight total.
+
+    Philox is counter-based, so n draws at once consume the stream as n single draws do.
+    """
+    cdf = np.cumsum(weights)
+    return np.minimum(np.searchsorted(cdf, rng.random(n) * cdf[-1], side="right"), cdf.size - 1)
+
+
+@dataclass(frozen=True, eq=False)
 class MeasurementRecord:
-    """Outcome log of a run of measurements of one observable."""
+    """Outcome log of a run of measurements of one observable: one eigenvalue index per shot."""
 
     observable: str
-    outcomes: list[float]
+    eigenvalues: tuple[float, ...]
+    indices: np.ndarray
     mode: str
-    shots: int
 
-    def __post_init__(self):
-        if len(self.outcomes) != self.shots:
-            raise ValueError(f"record has {len(self.outcomes)} outcomes for {self.shots} shots")
+    @property
+    def shots(self) -> int:
+        return len(self.indices)
+
+    @property
+    def outcomes(self) -> np.ndarray:
+        """The outcome value of every shot, in order."""
+        return np.asarray(self.eigenvalues)[self.indices]
+
+    def counts(self) -> dict[float, int]:
+        """Shots per observed outcome value, in eigenvalue order."""
+        tally = np.bincount(self.indices, minlength=len(self.eigenvalues))
+        return {value: int(count) for value, count in zip(self.eigenvalues, tally) if count}
 
 
 _MODES = ("quantum", "passive")
@@ -131,7 +149,7 @@ class PSystem:
         self.state = state
         self.mode = mode
         self.rng = rng
-        self.history: list[MeasurementRecord] = []
+        self.history: Counter[str] = Counter()  # shots per observable name
 
     @property
     def dim(self) -> int:
@@ -159,11 +177,7 @@ def born_distribution(obs: Observable, state: State) -> OutcomeDistribution:
     """
     if obs.dim != state.dim:
         raise ValueError(f"dimension mismatch: observable {obs.dim}, state {state.dim}")
-    if isinstance(state, StateVector):
-        psi = state.amplitudes
-        probs = [float(np.vdot(psi, proj @ psi).real) for proj in obs.projectors]
-    else:
-        probs = [float(np.trace(proj @ state.matrix).real) for proj in obs.projectors]
+    probs = [_outcome_probability(state, proj) for proj in obs.projectors]
     return OutcomeDistribution(obs.eigenvalues, np.asarray(probs))
 
 
@@ -207,21 +221,21 @@ def passive_update(state: State, obs: Observable, outcome_index: int) -> State:
     return state
 
 
-def _sample_and_update(sys: PSystem, obs: Observable, dist: OutcomeDistribution) -> float:
-    index = int(dist.sample_indices(sys.rng, 1)[0])
+def _sample_and_update(sys: PSystem, obs: Observable) -> int:
+    """Draw one outcome index from the current state and apply the mode's update rule."""
+    index = int(born_distribution(obs, sys.state).sample_indices(sys.rng, 1)[0])
     if sys.mode == "quantum":
         sys.state = collapse_update(sys.state, obs, index)
     else:
         sys.state = passive_update(sys.state, obs, index)
-    return obs.eigenvalues[index]
+    return index
 
 
 def measure(sys: PSystem, obs: Observable) -> float:
     """Measure once: sample an eigenvalue and apply the mode's update rule."""
-    dist = born_distribution(obs, sys.state)
-    value = _sample_and_update(sys, obs, dist)
-    sys.history.append(MeasurementRecord(obs.name, [value], sys.mode, 1))
-    return value
+    index = _sample_and_update(sys, obs)
+    sys.history[obs.name] += 1
+    return obs.eigenvalues[index]
 
 
 def repeated_measure(sys: PSystem, obs: Observable, n: int) -> MeasurementRecord:
@@ -239,15 +253,10 @@ def repeated_measure(sys: PSystem, obs: Observable, n: int) -> MeasurementRecord
         dist = born_distribution(obs, sys.state)
         indices = dist.sample_indices(sys.rng, n)
         passive_update(sys.state, obs, int(indices[0]))
-        outcomes = [obs.eigenvalues[i] for i in indices]
     else:
-        outcomes = []
-        for _ in range(n):
-            dist = born_distribution(obs, sys.state)
-            outcomes.append(_sample_and_update(sys, obs, dist))
-    record = MeasurementRecord(obs.name, outcomes, sys.mode, n)
-    sys.history.append(record)
-    return record
+        indices = np.fromiter((_sample_and_update(sys, obs) for _ in range(n)), dtype=np.intp, count=n)
+    sys.history[obs.name] += n
+    return MeasurementRecord(obs.name, obs.eigenvalues, indices, sys.mode)
 
 
 def luders_map(rho: DensityOperator, projector: np.ndarray) -> tuple[np.ndarray, float]:

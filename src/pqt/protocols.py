@@ -36,12 +36,13 @@ from .hilbert import (
 from .measurement import (
     Observable,
     PSystem,
+    _inverse_cdf,
     born_distribution,
     collapse_update,
     measure,
     repeated_measure,
 )
-from .tomography import ICSet, hermitian_basis_ic_set, pauli_ic_set, reconstruct_single_copy
+from .tomography import ic_set_for_dimension, pauli_ic_set, reconstruct_single_copy
 
 CLONED_TOL = 1e-9
 PURE_AVERAGE_TOL = 1e-9
@@ -210,13 +211,6 @@ def deutsch_jozsa_verdict(
     return report
 
 
-def _ic_for_dimension(dim: int) -> ICSet:
-    n_qubits = dim.bit_length() - 1
-    if 2**n_qubits == dim:
-        return pauli_ic_set(n_qubits)
-    return hermitian_basis_ic_set(dim)
-
-
 def clone_via_reconstruction(
     sys: PSystem,
     shots: int,
@@ -230,7 +224,7 @@ def clone_via_reconstruction(
     """
     if sys.mode != "passive":
         raise ValueError("cloning by reconstruction requires passive mode")
-    result = reconstruct_single_copy(sys, _ic_for_dimension(sys.dim), shots)
+    result = reconstruct_single_copy(sys, ic_set_for_dimension(sys.dim), shots)
     clone = PSystem(result.estimate, "passive", clone_rng if clone_rng is not None else sys.rng)
     report = ProtocolReport(
         "clone",
@@ -334,11 +328,9 @@ def proper_vs_improper(
     report = ProtocolReport("proper-vs-improper", "passive")
     for trial in range(trials):
         if mixture is not None:
-            cdf = np.cumsum(weights)
-            index = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-            index = min(index, len(mixture) - 1)
+            index = int(_inverse_cdf(weights, rng, 1)[0])
             sys = PSystem(mixture[index][0], "passive", rng)
-            estimate = reconstruct_single_copy(sys, _ic_for_dimension(sys.dim), shots).estimate
+            estimate = reconstruct_single_copy(sys, ic_set_for_dimension(sys.dim), shots).estimate
         else:
             sys = PSystem(purification, "passive", rng)
             estimate = reconstruct_reduced_single_copy(sys, shots)
@@ -395,7 +387,7 @@ def simulate_qt_with_pqt(
     else:
         if len(sys.state.shape) != 2:
             raise ValueError("without a library, only the bipartite (global tomography) case is defined")
-        result = reconstruct_single_copy(sys, _ic_for_dimension(sys.dim), tomography_shots)
+        result = reconstruct_single_copy(sys, ic_set_for_dimension(sys.dim), tomography_shots)
         _, vectors = np.linalg.eigh(result.estimate.matrix)
         estimate_vector = StateVector.normalized(vectors[:, -1], sys.state.shape)
         projected = obs.projectors[outcome_index] @ estimate_vector.amplitudes
@@ -414,7 +406,8 @@ def simulate_qt_with_pqt(
         reference_dist = born_distribution(followup_obs, reference_state)
         reference_indices = reference_dist.sample_indices(sys.rng, followup_shots)
         grid = followup_obs.eigenvalues
-        sim_counts = np.array([simulated.outcomes.count(v) for v in grid], dtype=float)
+        counts = simulated.counts()
+        sim_counts = np.array([counts.get(v, 0) for v in grid], dtype=float)
         ref_counts = np.bincount(reference_indices, minlength=len(grid)).astype(float)
         tv = 0.5 * float(np.abs(sim_counts - ref_counts).sum()) / followup_shots
         report.verdicts["followup_tv"] = tv

@@ -27,6 +27,7 @@ from .measurement import Observable, PSystem, repeated_measure
 
 GRAM_CONDITION_LIMIT = 1e6
 CONFIDENCE_Z = 1.96
+MAX_IC_DIMENSION = 64
 
 
 @dataclass(frozen=True)
@@ -137,14 +138,22 @@ def hermitian_basis_ic_set(dim: int) -> ICSet:
     Orthonormality under the trace inner product makes the dual frame
     rho = I/d + sum <G_k> G_k with the G_k as their own duals.
     """
-    if not 2 <= dim <= 64:
-        raise ValueError("supported range is dimension 2..64")
+    if not 2 <= dim <= MAX_IC_DIMENSION:
+        raise ValueError(f"supported range is dimension 2..{MAX_IC_DIMENSION}")
     observables = []
     duals = []
     for name, matrix in _gell_mann_family(dim):
         observables.append(Observable(name, matrix))
         duals.append(matrix)
     return ICSet(tuple(observables), tuple(duals), np.eye(dim, dtype=complex) / dim)
+
+
+def ic_set_for_dimension(dim: int) -> ICSet:
+    """Pauli strings for a power-of-two dimension, the generalised Gell-Mann basis otherwise."""
+    n_qubits = dim.bit_length() - 1
+    if 2**n_qubits == dim:
+        return pauli_ic_set(n_qubits)
+    return hermitian_basis_ic_set(dim)
 
 
 def estimate_expectations(sys: PSystem, ic: ICSet, shots: int) -> list[ExpectationEstimate]:
@@ -159,11 +168,10 @@ def estimate_expectations(sys: PSystem, ic: ICSet, shots: int) -> list[Expectati
     estimates = []
     for obs in ic.observables:
         record = repeated_measure(sys, obs, shots)
-        outcomes = np.asarray(record.outcomes)
+        outcomes = record.outcomes
         mean = float(outcomes.mean())
         half_width = float(CONFIDENCE_Z * outcomes.std(ddof=0) / np.sqrt(shots))
-        values, counts = np.unique(outcomes, return_counts=True)
-        frequencies = {float(v): float(c) / shots for v, c in zip(values, counts)}
+        frequencies = {value: count / shots for value, count in record.counts().items()}
         estimates.append(ExpectationEstimate(obs.name, mean, half_width, frequencies))
     return estimates
 
@@ -248,4 +256,4 @@ def estimate_spectrum(sys: PSystem, obs: Observable, shots: int) -> list[float]:
     if sys.mode != "passive":
         raise ValueError("spectrum estimation by repetition requires passive mode")
     record = repeated_measure(sys, obs, shots)
-    return sorted(set(record.outcomes))
+    return sorted(record.counts())

@@ -216,6 +216,30 @@ class TestCLI:
         assert main(["run", "--config", str(path), "--mode", "quantum"]) == 2
         assert "passive-only" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("shots", "abc"),
+            ("trials", True),
+            ("trials", 2.7),
+            ("shape", ["x"]),
+            ("shape", [2, 2, 2, 2, 2, 2, 2]),
+        ],
+    )
+    def test_malformed_field_is_named(self, tmp_path, capsys, field, value):
+        config = {"name": "r", "protocol": "reconstruct", "initial_state": "plus", "shots": 10, field: value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("invalid:") and f"'{field}" in err
+
+    def test_negative_seed_flag_rejected(self, capsys):
+        assert main(["run", "--config", str(CONFIG_DIR / "joint-global.json"), "--seed", "-5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid:") and "--seed" in err
+
     def test_list_protocols(self, capsys):
         assert main(["list-protocols"]) == 0
         out = capsys.readouterr().out

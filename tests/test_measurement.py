@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pqt import rng
+from pqt.composite import global_joint_sample, joint_distribution_global
 from pqt.hilbert import (
     DensityOperator,
     PAULI_X,
@@ -20,6 +21,7 @@ from pqt.measurement import (
     Observable,
     OutcomeDistribution,
     PSystem,
+    _inverse_cdf,
     born_distribution,
     collapse_update,
     expectation_variance,
@@ -193,10 +195,10 @@ class TestMeasure:
     def test_history_records(self):
         sys = PSystem(plus_state(), "passive", rng.stream(2, "m"))
         measure(sys, Z)
-        record = sys.history[-1]
-        assert record.observable == "Z"
-        assert record.shots == 1
-        assert record.mode == "passive"
+        assert sys.history == {"Z": 1}
+        record = repeated_measure(sys, Z, 3)
+        assert (record.observable, record.shots, record.mode) == ("Z", 3, "passive")
+        assert sys.history == {"Z": 4}
 
     def test_replace_state_guards_dimension(self):
         sys = PSystem(plus_state(), "passive", rng.stream(3, "m"))
@@ -217,7 +219,7 @@ class TestRepeatedMeasure:
     def test_eigenstate_always_same(self):
         sys = PSystem(basis_state(2, 0), "passive", rng.stream(6, "rep"))
         record = repeated_measure(sys, Z, 7)
-        assert record.outcomes == [1.0] * 7
+        assert record.outcomes.tolist() == [1.0] * 7
 
     def test_passive_frequency_within_binomial_band(self):
         # 3-sigma binomial oracle: p = 1/2, n = 1e5 -> half-width 0.00474.
@@ -235,7 +237,17 @@ class TestRepeatedMeasure:
         batch = repeated_measure(batch_sys, Z, 50).outcomes
         loop_sys = PSystem(plus_state(), "passive", rng.stream(9, "rep/batch"))
         loop = [measure(loop_sys, Z) for _ in range(50)]
-        assert batch == loop
+        assert batch.tolist() == loop
+
+    def test_history_keeps_one_count_per_observable(self):
+        sys = PSystem(plus_state(), "passive", rng.stream(12, "rep/history"))
+        record = repeated_measure(sys, Z, 10**6)
+        repeated_measure(sys, X, 10)
+        assert sys.history == {"Z": 10**6, "X": 10}
+        assert all(type(count) is int for count in sys.history.values())
+        counts = record.counts()
+        assert sum(counts.values()) == 10**6
+        assert counts[1.0] == int(np.sum(record.outcomes == 1.0))
 
     def test_monte_carlo_tv_convergence(self):
         # TV between empirical passive frequencies and the Born
@@ -256,6 +268,25 @@ class TestRepeatedMeasure:
         sys = PSystem(plus_state(), "passive", rng.stream(0, "rep"))
         with pytest.raises(ValueError, match="at least one"):
             repeated_measure(sys, Z, 0)
+
+
+class TestInverseCdf:
+    # Literal draws of the separate samplers the shared one replaced, on fixed streams.
+
+    def test_joint_grid_draws_are_unchanged(self):
+        diagonal = Observable("D", (PAULI_Z + PAULI_X) / np.sqrt(2))
+        probs = joint_distribution_global(bell_state("phi+"), Z, diagonal)
+        indices = _inverse_cdf(probs.reshape(-1), rng.stream(11, "joint"), 16)
+        assert indices.tolist() == [3, 3, 3, 0, 0, 3, 3, 3, 0, 2, 0, 3, 3, 3, 0, 0]
+        sys = PSystem(bell_state("phi+"), "passive", rng.stream(11, "joint"))
+        assert global_joint_sample(sys, Z, diagonal, 1000).counts.tolist() == [[416, 75], [85, 424]]
+
+    def test_mixture_draws_are_unchanged(self):
+        weights = np.array([0.5, 0.25, 0.25])
+        expected = [0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 1, 2, 0, 1, 0, 1]
+        g = rng.stream(3, "mixture")
+        assert [int(_inverse_cdf(weights, g, 1)[0]) for _ in range(16)] == expected
+        assert _inverse_cdf(weights, rng.stream(3, "mixture"), 16).tolist() == expected
 
 
 class TestInstruments:
