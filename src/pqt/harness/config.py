@@ -32,10 +32,12 @@ from ..hilbert import (
     random_pure_state,
 )
 from ..measurement import Observable
+from ..protocols import MAX_ORACLE_BITS, PURE_AVERAGE_TOL
 from ..tomography import MAX_IC_DIMENSION
 
 MODES = ("quantum", "passive")
 SEED_LIMIT = 2**64
+COUNT_LIMIT = 10**9  # exclusive bound on shots, trials and follow-up shots
 
 # Protocol-specific optional fields accepted on top of the common ones.
 EXTRA_FIELDS = (
@@ -64,6 +66,18 @@ _COMMON_FIELDS = (
     "trials",
     "seed",
 )
+
+# What each observable a protocol reads acts on: None for the whole state,
+# 0 or 1 for that subsystem of a bipartite state.
+_OBSERVABLE_TARGETS = {
+    "repeatability": (None,),
+    "spectrum": (None,),
+    "simulate-collapse": (None,),
+    "joint-global": (0, 1),
+    "joint-local": (0, 1),
+    "chsh": (0, 0, 1, 1),
+    "signalling": (0, 1),
+}
 
 
 class ConfigError(ValueError):
@@ -147,9 +161,12 @@ def parse_config(text: str) -> ExperimentConfig:
         shape = tuple(read_integer(d, f"shape[{i}]", 2) for i, d in enumerate(entries))
     elif "dimension" in raw:
         shape = (read_integer(raw["dimension"], "dimension", 2),)
+    if shape is not None and math.prod(shape) > MAX_IC_DIMENSION:
+        field = "shape" if "shape" in raw else "dimension"
+        raise ConfigError(field, f"state dimension {math.prod(shape)} is outside the supported range 2..{MAX_IC_DIMENSION}")
 
-    shots = read_integer(raw.get("shots", 10_000), "shots", 1)
-    trials = read_integer(raw.get("trials", 1), "trials", 1)
+    shots = read_integer(raw.get("shots", 10_000), "shots", 1, COUNT_LIMIT)
+    trials = read_integer(raw.get("trials", 1), "trials", 1, COUNT_LIMIT)
     seed = read_integer(raw.get("seed", 42), "seed", 0, SEED_LIMIT)
 
     observables = raw.get("observables", [])
@@ -160,6 +177,11 @@ def parse_config(text: str) -> ExperimentConfig:
     for key in extras:
         if key not in EXTRA_FIELDS:
             raise ConfigError(key, f"unknown field; protocol extras are {EXTRA_FIELDS}")
+    if "followup_shots" in extras:
+        extras["followup_shots"] = read_integer(extras["followup_shots"], "followup_shots", 1, COUNT_LIMIT)
+    oracle = extras.get("oracle")
+    if isinstance(oracle, dict) and "n" in oracle:
+        oracle["n"] = read_integer(oracle["n"], "oracle.n", 1, MAX_ORACLE_BITS + 1)
 
     config = ExperimentConfig(
         name=raw["name"],
@@ -175,14 +197,33 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
     # Validate resolvable pieces eagerly so diagnostics appear before a run.
+    resolved = [resolve_observable(spec, f"observables[{i}]") for i, spec in enumerate(observables)]
+    followup = None
+    if "followup_observable" in extras:
+        followup = resolve_observable(extras["followup_observable"], "followup_observable")
+    if "mixture" in extras:
+        resolve_mixture(extras["mixture"])
     if config.initial_state is not None:
         state = resolve_state(config.initial_state, shape, field="initial_state")
-        if config.protocol in ("reconstruct", "discriminate", "clone") and not 2 <= state.dim <= MAX_IC_DIMENSION:
-            field = "shape" if "shape" in raw else "dimension" if "dimension" in raw else "initial_state"
-            raise ConfigError(field, f"state dimension {state.dim} is outside the IC-set range 2..{MAX_IC_DIMENSION}")
-    for i, spec in enumerate(config.observables):
-        resolve_observable(spec, field=f"observables[{i}]")
+        targets = _OBSERVABLE_TARGETS.get(config.protocol, ())
+        if config.protocol == "signalling" and extras.get("action", "none") == "none":
+            targets = (1,)
+        for i, (obs, target) in enumerate(zip(resolved, targets)):
+            _check_observable_dimension(f"observables[{i}]", obs, state, target)
+        if config.protocol == "simulate-collapse" and followup is not None:
+            _check_observable_dimension("followup_observable", followup, state, None)
     return config
+
+
+def _check_observable_dimension(field: str, obs: Observable, state: State, target: int | None) -> None:
+    if target is None:
+        dim, part = state.dim, "state"
+    elif len(state.shape) == 2:
+        dim, part = state.shape[target], f"subsystem {'AB'[target]}"
+    else:
+        return  # the runner rejects the non-bipartite shape
+    if obs.dim != dim:
+        raise ConfigError(field, f"observable dimension {obs.dim} does not match the {part} dimension {dim}")
 
 
 def _state_shape(dim: int, shape: tuple[int, ...] | None, field: str) -> tuple[int, ...] | None:
@@ -202,7 +243,7 @@ def resolve_state(spec, shape: tuple[int, ...] | None = None, field: str = "init
                 raise ConfigError(field, "'plus' needs qubit subsystems")
             return plus_state(n_qubits)
         if spec.startswith("basis:"):
-            index = int(spec.split(":", 1)[1])
+            index = _preset_integer(spec, field)
             dim = int(np.prod(shape)) if shape is not None else 2
             if not 0 <= index < dim:
                 raise ConfigError(field, f"basis index {index} out of range for dimension {dim}")
@@ -219,12 +260,14 @@ def resolve_state(spec, shape: tuple[int, ...] | None = None, field: str = "init
             dim = int(np.prod(shape)) if shape is not None else 2
             return maximally_mixed(dim, shape)
         if spec.startswith("random-pure:"):
-            state_seed = int(spec.split(":", 1)[1])
+            state_seed = _preset_integer(spec, field)
             dim = int(np.prod(shape)) if shape is not None else 2
             return random_pure_state(dim, rng.stream(state_seed, "preset/random-pure"), shape)
         raise ConfigError(field, f"unknown state preset {spec!r}")
 
     if isinstance(spec, list):
+        if len(spec) > MAX_IC_DIMENSION:
+            raise ConfigError(field, f"explicit state has {len(spec)} amplitudes, more than {MAX_IC_DIMENSION}")
         try:
             amps = np.array([complex(re, im) for re, im in spec])
         except (TypeError, ValueError) as exc:
@@ -232,18 +275,59 @@ def resolve_state(spec, shape: tuple[int, ...] | None = None, field: str = "init
         norm = float(np.linalg.norm(amps))
         if norm <= 1e-6:
             raise ConfigError(field, "explicit state has (near-)zero norm and cannot be normalized")
-        return StateVector(amps / norm, _state_shape(amps.size, shape, field))
+        try:
+            return StateVector(amps / norm, _state_shape(amps.size, shape, field))
+        except ValueError as exc:
+            raise ConfigError(field, str(exc)) from exc
     raise ConfigError(field, f"cannot interpret {type(spec).__name__} as a state")
+
+
+def _preset_integer(spec: str, field: str) -> int:
+    """The integer after the colon of a preset such as ``"basis:1"``."""
+    try:
+        return int(spec.split(":", 1)[1])
+    except ValueError:
+        raise ConfigError(field, f"preset {spec!r} needs an integer after the colon") from None
+
+
+def resolve_mixture(entries, field: str = "mixture") -> list[tuple[StateVector, float]]:
+    """Turn ``[[state, weight], ...]`` into pure states of one dimension with weights summing to 1."""
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError(field, "must be a non-empty list of [state, weight] pairs")
+    mixture = []
+    for i, entry in enumerate(entries):
+        name = f"{field}[{i}]"
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ConfigError(name, "must be a [state, weight] pair")
+        spec, weight = entry
+        if isinstance(weight, bool) or not isinstance(weight, (int, float)) or not 0.0 <= weight <= 1.0:
+            raise ConfigError(name, f"weight must be a number in [0, 1], got {weight!r}")
+        state = resolve_state(spec, None, field=name)
+        if not isinstance(state, StateVector):
+            raise ConfigError(name, "mixture members must be pure states")
+        if mixture and state.dim != mixture[0][0].dim:
+            raise ConfigError(name, f"dimension {state.dim} differs from the first member's {mixture[0][0].dim}")
+        mixture.append((state, float(weight)))
+    total = math.fsum(weight for _, weight in mixture)
+    if not abs(total - 1.0) <= 1e-9:
+        raise ConfigError(field, f"weights sum to {total!r}, expected 1")
+    average = sum(weight * state.projector() for state, weight in mixture)
+    if np.trace(average @ average).real >= 1.0 - PURE_AVERAGE_TOL:
+        raise ConfigError(field, "the average state is pure: the presentations are indistinguishable")
+    return mixture
 
 
 def _bloch_observable(spec: str, field: str) -> Observable:
     parts = spec.split(":", 1)[1].split(",")
     if len(parts) != 3:
         raise ConfigError(field, "bloch observable needs three components, e.g. 'bloch:1,0,1'")
-    vector = np.array([float(p) for p in parts])
+    try:
+        vector = np.array([float(p) for p in parts])
+    except ValueError:
+        raise ConfigError(field, f"bloch components must be numbers, got {spec!r}") from None
     norm = float(np.linalg.norm(vector))
-    if norm <= 1e-6:
-        raise ConfigError(field, "bloch vector has (near-)zero norm")
+    if not 1e-6 < norm < math.inf:
+        raise ConfigError(field, f"bloch vector needs a finite norm above 1e-6, got {norm!r}")
     x, y, z = vector / norm
     return Observable(spec, x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
 
@@ -273,5 +357,8 @@ def resolve_observable(spec, field: str = "observables[0]") -> Observable:
         if np.abs(matrix - matrix.conj().T).max() > 1e-8:
             raise ConfigError(field, "matrix is not Hermitian (tolerance 1e-8)")
         matrix = (matrix + matrix.conj().T) / 2.0
-        return Observable(str(spec.get("name", field)), matrix)
+        try:
+            return Observable(str(spec.get("name", field)), matrix)
+        except ValueError as exc:
+            raise ConfigError(field, str(exc)) from exc
     raise ConfigError(field, f"cannot interpret {type(spec).__name__} as an observable")

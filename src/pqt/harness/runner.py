@@ -24,7 +24,7 @@ from ..composite import (
     signalling_check,
 )
 from ..hilbert import StateVector, UnitaryOperator, fidelity, random_pure_state
-from ..measurement import Observable, PSystem
+from ..measurement import InsufficientShotsError, Observable, PSystem
 from ..protocols import (
     OracleSpec,
     clone_via_reconstruction,
@@ -37,7 +37,7 @@ from ..protocols import (
     teleportation_demo,
 )
 from ..tomography import discriminate, estimate_spectrum, ic_set_for_dimension, reconstruct_single_copy
-from .config import ConfigError, ExperimentConfig, resolve_observable, resolve_state
+from .config import ConfigError, ExperimentConfig, resolve_mixture, resolve_observable, resolve_state
 from .report import Report
 from .stats import wilson_interval
 
@@ -164,6 +164,9 @@ def _run_chsh(config: ExperimentConfig) -> Report:
 
 def _run_entanglement(config: ExperimentConfig) -> Report:
     state = _initial_state(config)
+    _bipartite_shape(state)
+    if not isinstance(state, StateVector):
+        raise ConfigError("initial_state", "entanglement detection needs a pure state")
     sys = PSystem(state, config.mode, _stream(config, "entanglement"))
     verdict = detect_entanglement_single_copy(sys, config.shots)
     report = Report(_echo(config), config.seed)
@@ -174,6 +177,7 @@ def _run_entanglement(config: ExperimentConfig) -> Report:
 
 def _run_signalling(config: ExperimentConfig) -> Report:
     state = _initial_state(config)
+    _bipartite_shape(state)
     action = config.extras.get("action", "none")
     if action == "none":
         (b_obs,) = _observables(config, 1)
@@ -203,8 +207,8 @@ def _oracle_spec(config: ExperimentConfig) -> OracleSpec:
     if not isinstance(raw, dict) or "n" not in raw or "truth_table" not in raw:
         raise ConfigError("oracle", "expected an object with 'n' and 'truth_table'")
     try:
-        return OracleSpec(int(raw["n"]), tuple(raw["truth_table"]), raw.get("promise"))
-    except ValueError as exc:
+        return OracleSpec(raw["n"], tuple(raw["truth_table"]), raw.get("promise"))
+    except (TypeError, ValueError) as exc:
         raise ConfigError("oracle", str(exc)) from exc
 
 
@@ -276,14 +280,7 @@ def _run_proper_vs_improper(config: ExperimentConfig) -> Report:
     mixture = None
     purification = None
     if "mixture" in config.extras:
-        entries = config.extras["mixture"]
-        mixture = []
-        for i, entry in enumerate(entries):
-            state_spec, weight = entry
-            state = resolve_state(state_spec, None, field=f"mixture[{i}]")
-            if not isinstance(state, StateVector):
-                raise ConfigError(f"mixture[{i}]", "mixture members must be pure states")
-            mixture.append((state, float(weight)))
+        mixture = resolve_mixture(config.extras["mixture"])
     if "purification" in config.extras:
         purification = resolve_state(config.extras["purification"], config.shape, field="purification")
     result = proper_vs_improper(
@@ -328,7 +325,7 @@ def _run_simulate_collapse(config: ExperimentConfig) -> Report:
         library=library,
         tomography_shots=config.shots,
         followup_obs=followup,
-        followup_shots=int(config.extras.get("followup_shots", config.shots)),
+        followup_shots=config.extras.get("followup_shots", config.shots),
     )
     report = Report(_echo(config), config.seed)
     report.verdicts["outcome"] = result.verdicts["outcome"]
@@ -345,7 +342,7 @@ def _run_teleportation(config: ExperimentConfig) -> Report:
             state = resolve_state(config.initial_state, config.shape)
         else:
             state = random_pure_state(2, rng.stream(config.seed, f"{config.name}/teleportation/input/{trial}"))
-        if not isinstance(state, StateVector):
+        if not isinstance(state, StateVector) or state.dim != 2:
             raise ConfigError("initial_state", "teleportation input must be a pure qubit state")
         fidelities.append(teleportation_demo(state, config.mode, stream))
     report = Report(_echo(config), config.seed)
@@ -384,6 +381,9 @@ def run(config: ExperimentConfig) -> Report:
     except KeyError:
         raise ConfigError("protocol", f"unknown protocol {config.protocol!r}") from None
     start = time.perf_counter()
-    report = runner(config)
+    try:
+        report = runner(config)
+    except InsufficientShotsError as exc:
+        raise ConfigError("shots", str(exc)) from exc
     report.wall_clock_seconds = time.perf_counter() - start
     return report

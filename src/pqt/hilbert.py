@@ -62,7 +62,7 @@ class StateVector:
         if amps.size < 2:
             raise ValueError("state vector needs dimension >= 2")
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"state vector is not normalized: |psi|^2 = {norm_sq!r}")
         self.amplitudes = _freeze(amps)
         self.shape = _as_shape(amps.size, shape)
@@ -107,10 +107,10 @@ class DensityOperator:
         mat = np.asarray(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density operator must be a square matrix")
-        if np.abs(mat - mat.conj().T).max() > HERMITIAN_TOL:
-            raise ValueError("density operator is not Hermitian")
+        if not np.abs(mat - mat.conj().T).max() <= HERMITIAN_TOL:
+            raise ValueError("density operator is not Hermitian or not finite")
         trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > NORM_TOL:
+        if not abs(trace - 1.0) <= NORM_TOL:
             raise ValueError(f"density operator has trace {trace!r}, expected 1")
         if float(np.linalg.eigvalsh(mat).min()) < -PSD_TOL:
             raise ValueError("density operator has a negative eigenvalue")
@@ -145,7 +145,7 @@ class UnitaryOperator:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("unitary must be a square matrix")
         defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
-        if defect > UNITARY_TOL:
+        if not defect <= UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (max |U^dag U - I| = {defect:.3e})")
         self.matrix = _freeze(mat)
 
@@ -190,8 +190,8 @@ def spectral_decompose(matrix: np.ndarray, degeneracy_tol: float = DEGENERACY_TO
     mat = np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("expected a square matrix")
-    if np.abs(mat - mat.conj().T).max() > 1e-10:
-        raise ValueError("matrix is not Hermitian")
+    if not np.abs(mat - mat.conj().T).max() <= 1e-10:
+        raise ValueError("matrix is not Hermitian or not finite")
 
     values, vectors = np.linalg.eigh(mat)
     groups: list[list[int]] = [[0]]

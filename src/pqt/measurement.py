@@ -30,6 +30,10 @@ ZERO_PROBABILITY = 1e-12
 RECONSTRUCTION_TOL = 1e-9
 
 
+class InsufficientShotsError(ValueError):
+    """Too few shots for a protocol to reach its decision; more shots would fix it."""
+
+
 class Observable:
     """A named Hermitian matrix with its cached spectral decomposition."""
 

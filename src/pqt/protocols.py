@@ -34,6 +34,7 @@ from .hilbert import (
     tensor,
 )
 from .measurement import (
+    InsufficientShotsError,
     Observable,
     PSystem,
     _inverse_cdf,
@@ -46,6 +47,7 @@ from .tomography import ic_set_for_dimension, pauli_ic_set, reconstruct_single_c
 
 CLONED_TOL = 1e-9
 PURE_AVERAGE_TOL = 1e-9
+MAX_ORACLE_BITS = 5
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,8 @@ class ProtocolReport:
 
 def oracle_unitary(spec: OracleSpec) -> UnitaryOperator:
     """Permutation matrix for |x, y> -> |x, y xor f(x)>."""
-    if spec.n > 5:
-        raise ValueError("oracle construction is limited to 5 input bits")
+    if spec.n > MAX_ORACLE_BITS:
+        raise ValueError(f"oracle construction is limited to {MAX_ORACLE_BITS} input bits")
     dim = 2 ** (spec.n + 1)
     matrix = np.zeros((dim, dim), dtype=complex)
     for x in range(2**spec.n):
@@ -142,7 +144,7 @@ def function_recovery(
             weights = (diag[x << 1], diag[(x << 1) | 1])
             hits = [y for y in (0, 1) if weights[y] >= threshold]
             if len(hits) != 1:
-                raise ValueError(f"insufficient shots: ambiguous decode for input {x} (weights {weights})")
+                raise InsufficientShotsError(f"insufficient shots: ambiguous decode for input {x} (weights {weights})")
             recovered.append(hits[0])
             report.log.append({"x": x, "weight0": float(weights[0]), "weight1": float(weights[1])})
         report.resources = {"oracle_calls": 1, "copies_consumed": 1, "shots_per_observable": shots}

@@ -5,10 +5,15 @@ be interrogated with an informationally complete observable set often
 enough to estimate every expectation value, and the state follows by
 linear inversion.  No ensemble is needed; that is the whole point.
 
-Inversion is expectation-based (the Bloch-vector picture): an IC set
-carries, for every observable, a dual matrix such that
+Inversion is expectation-based (the Bloch-vector picture): an IC set is
+d^2 - 1 traceless observables, orthogonal under the trace inner product
+with Tr(O_j O_k) = norm * delta_jk, so that
 
-    estimate = base + sum_k <O_k> * dual_k.
+    estimate = I/d + sum_k <O_k> * O_k / norm.
+
+The Pauli strings and the generalised Gell-Mann matrices have this
+property by construction (Bertlmann & Krammer, J. Phys. A 41, 235303,
+2008); the tests check it once instead of every build.
 
 Statistical noise can push the raw estimate outside the state set, so a
 Euclidean projection onto the probability simplex of its spectrum
@@ -18,52 +23,27 @@ restores physicality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DensityOperator, StateVector, fidelity, pauli_matrix
-from .measurement import Observable, PSystem, repeated_measure
+from .hilbert import DensityOperator, SpectralDecomposition, StateVector, fidelity, pauli_matrix
+from .measurement import InsufficientShotsError, Observable, PSystem, repeated_measure
 
-GRAM_CONDITION_LIMIT = 1e6
 CONFIDENCE_Z = 1.96
 MAX_IC_DIMENSION = 64
 
 
 @dataclass(frozen=True)
 class ICSet:
-    """An informationally complete observable set with its dual frame."""
+    """Traceless observables with Tr(O_j O_k) = norm * delta_jk, d^2 - 1 of them."""
 
     observables: tuple[Observable, ...]
-    duals: tuple[np.ndarray, ...] = field(repr=False)
-    base: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        dim = self.base.shape[0]
-        if len(self.observables) != len(self.duals):
-            raise ValueError("need one dual matrix per observable")
-        # The observables plus identity must span the d^2-dimensional real
-        # space of Hermitian matrices: the Gram matrix must be well conditioned.
-        basis = [np.eye(dim, dtype=complex)] + [obs.matrix for obs in self.observables]
-        if len(basis) < dim * dim:
-            raise ValueError(f"{len(self.observables)} observables cannot be IC in dimension {dim}")
-        rows = np.stack([m.reshape(-1) for m in basis])
-        gram = (rows.conj() @ rows.T).real
-        eigs = np.linalg.eigvalsh(gram)
-        if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > GRAM_CONDITION_LIMIT:
-            raise ValueError("observable set is not informationally complete (singular Gram matrix)")
-
-        def freeze(matrix):
-            out = np.array(matrix, dtype=complex)
-            out.setflags(write=False)
-            return out
-
-        object.__setattr__(self, "duals", tuple(freeze(d) for d in self.duals))
-        object.__setattr__(self, "base", freeze(self.base))
+    norm: float
 
     @property
     def dim(self) -> int:
-        return self.base.shape[0]
+        return self.observables[0].dim
 
     def __len__(self) -> int:
         return len(self.observables)
@@ -93,23 +73,24 @@ class ReconstructionResult:
 
 
 def pauli_ic_set(n_qubits: int) -> ICSet:
-    """All non-identity Pauli strings on n qubits.
+    """All non-identity Pauli strings on n qubits, with norm 2^n.
 
-    The dual frame is the Bloch expansion rho = 2^-n (I + sum <s_k> s_k).
+    Each string S squares to I, so its outcomes are -1 and +1 with
+    projectors (I - S)/2 and (I + S)/2; no eigendecomposition is needed.
     """
     if not 1 <= n_qubits <= 6:
         raise ValueError("supported range is 1..6 qubits")
     dim = 2**n_qubits
+    identity = np.eye(dim, dtype=complex)
     observables = []
-    duals = []
     for letters in itertools.product("IXYZ", repeat=n_qubits):
         label = "".join(letters)
         if set(label) == {"I"}:
             continue
         matrix = pauli_matrix(label)
-        observables.append(Observable(label, matrix))
-        duals.append(matrix / dim)
-    return ICSet(tuple(observables), tuple(duals), np.eye(dim, dtype=complex) / dim)
+        spectrum = SpectralDecomposition((-1.0, 1.0), ((identity - matrix) / 2, (identity + matrix) / 2))
+        observables.append(Observable.from_decomposition(label, spectrum))
+    return ICSet(tuple(observables), float(dim))
 
 
 def _gell_mann_family(dim: int) -> list[tuple[str, np.ndarray]]:
@@ -133,19 +114,15 @@ def _gell_mann_family(dim: int) -> list[tuple[str, np.ndarray]]:
 
 
 def hermitian_basis_ic_set(dim: int) -> ICSet:
-    """Generalised Gell-Mann basis for arbitrary dimension.
+    """Generalised Gell-Mann basis for arbitrary dimension, with norm 1.
 
-    Orthonormality under the trace inner product makes the dual frame
-    rho = I/d + sum <G_k> G_k with the G_k as their own duals.
+    Orthonormality under the trace inner product gives
+    rho = I/d + sum <G_k> G_k.
     """
     if not 2 <= dim <= MAX_IC_DIMENSION:
         raise ValueError(f"supported range is dimension 2..{MAX_IC_DIMENSION}")
-    observables = []
-    duals = []
-    for name, matrix in _gell_mann_family(dim):
-        observables.append(Observable(name, matrix))
-        duals.append(matrix)
-    return ICSet(tuple(observables), tuple(duals), np.eye(dim, dtype=complex) / dim)
+    observables = tuple(Observable(name, matrix) for name, matrix in _gell_mann_family(dim))
+    return ICSet(observables, 1.0)
 
 
 def ic_set_for_dimension(dim: int) -> ICSet:
@@ -177,7 +154,7 @@ def estimate_expectations(sys: PSystem, ic: ICSet, shots: int) -> list[Expectati
 
 
 def linear_inversion(estimates, ic: ICSet) -> np.ndarray:
-    """Apply the dual frame to estimated expectations.
+    """Invert estimated expectations: I/d + sum_k <O_k> O_k / norm.
 
     ``estimates`` is a sequence aligned with ``ic.observables``, either
     plain means or :class:`ExpectationEstimate` records.  The output has
@@ -186,9 +163,9 @@ def linear_inversion(estimates, ic: ICSet) -> np.ndarray:
     if len(estimates) != len(ic):
         raise ValueError(f"got {len(estimates)} estimates for {len(ic)} observables")
     means = [e.mean if isinstance(e, ExpectationEstimate) else float(e) for e in estimates]
-    out = np.array(ic.base, dtype=complex)
-    for mean, dual in zip(means, ic.duals):
-        out = out + mean * dual
+    out = np.eye(ic.dim, dtype=complex) / ic.dim
+    for mean, obs in zip(means, ic.observables):
+        out = out + mean * (obs.matrix / ic.norm)
     return out
 
 
@@ -242,7 +219,7 @@ def discriminate(sys: PSystem, candidates: list[StateVector], ic: ICSet, shots: 
     scores = np.array([fidelity(c, result.estimate) for c in candidates])
     order = np.argsort(scores)
     if scores[order[-1]] - scores[order[-2]] <= 1e-9:
-        raise ValueError("insufficient shots: candidate fidelities are tied")
+        raise InsufficientShotsError("insufficient shots: candidate fidelities are tied")
     return int(order[-1])
 
 

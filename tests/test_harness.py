@@ -1,8 +1,12 @@
+import copy
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqt.harness import (
     ConfigError,
@@ -224,13 +228,63 @@ class TestCLI:
             ("trials", 2.7),
             ("shape", ["x"]),
             ("shape", [2, 2, 2, 2, 2, 2, 2]),
+            ("followup_shots", "abc"),
+            ("followup_shots", 2.7),
+            ("oracle", {"n": 2.5, "truth_table": [0, 1]}),
         ],
     )
     def test_malformed_field_is_named(self, tmp_path, capsys, field, value):
         config = {"name": "r", "protocol": "reconstruct", "initial_state": "plus", "shots": 10, field: value}
+        self.assert_invalid(tmp_path, capsys, config, field)
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"protocol": "reconstruct", "initial_state": "basis:foo"}, "initial_state"),
+            ({"protocol": "reconstruct", "initial_state": "random-pure:abc"}, "initial_state"),
+            ({"protocol": "reconstruct", "initial_state": [[float("nan"), 0], [1, 0]]}, "initial_state"),
+            ({"protocol": "spectrum", "initial_state": "plus", "observables": ["bloch:a,b,c"]}, "observables[0]"),
+            ({"protocol": "spectrum", "initial_state": "plus", "observables": ["bloch:nan,0,1"]}, "observables[0]"),
+            ({"protocol": "spectrum", "initial_state": "plus", "observables": ["bloch:0,inf,1"]}, "observables[0]"),
+            (
+                {"protocol": "spectrum", "initial_state": "plus", "observables": [{"matrix": [[[1e308, 0]] * 2] * 2}]},
+                "observables[0]",
+            ),
+            ({"protocol": "proper-vs-improper", "mixture": [["basis:0"]]}, "mixture[0]"),
+            ({"protocol": "proper-vs-improper", "mixture": [["basis:0", float("nan")], ["plus", 0.5]]}, "mixture[0]"),
+            ({"protocol": "proper-vs-improper", "mixture": [["plus", "0.5"], ["basis:0", 0.5]]}, "mixture[0]"),
+            ({"protocol": "proper-vs-improper", "mixture": [["plus", 0.5], ["basis:foo", 0.5]]}, "mixture[1]"),
+            ({"protocol": "proper-vs-improper", "mixture": [["plus", 0.5], ["plus", 0.5]]}, "mixture"),
+            ({"protocol": "repeatability", "initial_state": "plus", "observables": ["pauli:ZZ"]}, "observables[0]"),
+            ({"protocol": "spectrum", "initial_state": "bell:phi+", "observables": ["pauli:Z"]}, "observables[0]"),
+            (
+                {"protocol": "simulate-collapse", "initial_state": "plus", "observables": ["pauli:Z"],
+                 "library": "eigenstates", "followup_observable": "pauli:XX"},
+                "followup_observable",
+            ),
+            ({"protocol": "joint-global", "initial_state": "bell:phi+", "observables": ["pauli:Z", "pauli:XX"]}, "observables[1]"),
+        ],
+    )
+    def test_malformed_input_is_named(self, tmp_path, capsys, config, field):
+        self.assert_invalid(tmp_path, capsys, {"name": "bad", "shots": 10, **config}, field)
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"protocol": "signalling", "initial_state": "plus", "observables": ["pauli:Z"]}, "shape"),
+            ({"protocol": "entanglement", "initial_state": "maximally-mixed", "shape": [2, 2]}, "initial_state"),
+            ({"protocol": "teleportation", "initial_state": "random-pure:3", "dimension": 4}, "initial_state"),
+            ({"protocol": "function-recovery", "oracle": {"n": 2, "truth_table": [0, 0, 1, 1]}, "shots": 1}, "shots"),
+        ],
+    )
+    def test_unusable_input_is_named_at_run_time(self, tmp_path, capsys, config, field):
+        self.assert_invalid(tmp_path, capsys, {"name": "bad", "shots": 10, **config}, field, ("run",))
+
+    @staticmethod
+    def assert_invalid(tmp_path, capsys, config, field, commands=("validate", "run")):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
-        for command in ("validate", "run"):
+        for command in commands:
             assert main([command, "--config", str(path)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("invalid:") and f"'{field}" in err
@@ -244,3 +298,71 @@ class TestCLI:
         assert main(["list-protocols"]) == 0
         out = capsys.readouterr().out
         assert set(name for name, _ in list_protocols()) <= set(out.split())
+
+
+# One field of a shipped config is replaced by a small JSON value: the
+# config must be refused with ConfigError or run to a finite report.
+FUZZ_FIELDS = (
+    "shots",
+    "trials",
+    "seed",
+    "dimension",
+    "shape",
+    "followup_shots",
+    "oracle.n",
+    "initial_state",
+    "observables[0]",
+    "mixture[0]",
+)
+FUZZ_PRESETS = (
+    "plus",
+    "maximally-mixed",
+    "basis:1",
+    "basis:foo",
+    "bell:phi+",
+    "random-pure:3",
+    "random-pure:abc",
+    "pauli:X",
+    "pauli:ZZ",
+    "bloch:1,0,1",
+    "bloch:a,b,c",
+    "bloch:nan,0,1",
+    "bloch:1e308,0,0",
+)
+SHIPPED_CONFIGS = [json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))]
+_scalars = st.one_of(
+    st.integers(-2, 20),
+    st.floats(-2, 20),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308]),
+    st.text(max_size=6),
+    st.sampled_from(FUZZ_PRESETS),
+    st.booleans(),
+    st.none(),
+)
+json_values = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+
+
+def _mutate(config: dict, field: str, value) -> dict:
+    config = copy.deepcopy(config)
+    if field == "oracle.n":
+        config["oracle"] = {**config.get("oracle", {}), "n": value}
+    elif field.endswith("[0]"):
+        key = field[: -len("[0]")]
+        config[key] = [value] + config.get(key, [])[1:]
+    else:
+        config[field] = value
+    return config
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"report contains {name}")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(config=st.sampled_from(SHIPPED_CONFIGS), field=st.sampled_from(FUZZ_FIELDS), value=json_values)
+def test_mutated_config_is_refused_or_reports_finite_values(config, field, value):
+    try:
+        report = run(parse_config(json.dumps(_mutate(config, field, value))))
+    except ConfigError:
+        return
+    json.loads(report.to_json(), parse_constant=_refuse_constant)

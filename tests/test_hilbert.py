@@ -43,6 +43,11 @@ class TestStateVector:
         with pytest.raises(ValueError, match="not normalized"):
             StateVector([1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_amplitude(self, bad):
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector([bad, 1.0])
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="does not factor"):
             StateVector([1.0, 0.0], shape=(3,))
@@ -68,6 +73,13 @@ class TestDensityOperator:
         with pytest.raises(ValueError, match="Hermitian"):
             DensityOperator(np.array([[0.5, 0.1], [0.3, 0.5]]))
 
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_rejects_nan_entry(self, entry):
+        matrix = np.eye(2, dtype=complex) / 2
+        matrix[entry] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            DensityOperator(matrix)
+
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
             DensityOperator(np.eye(2))
@@ -85,6 +97,10 @@ class TestUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
             UnitaryOperator(np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+    def test_rejects_nan_entry(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            UnitaryOperator(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_hadamard_is_unitary(self):
         UnitaryOperator(HADAMARD)
@@ -139,6 +155,11 @@ class TestSpectralDecompose:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            spectral_decompose(np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_projector_algebra_on_random_matrices(self):
         # Completeness, orthogonality and reconstruction for random inputs.

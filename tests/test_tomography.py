@@ -14,10 +14,10 @@ from pqt.hilbert import (
     random_hermitian,
     random_pure_state,
     fidelity,
+    pauli_matrix,
 )
 from pqt.measurement import Observable, PSystem, born_distribution
 from pqt.tomography import (
-    ICSet,
     estimate_expectations,
     estimate_spectrum,
     discriminate,
@@ -48,13 +48,30 @@ class TestPauliICSet:
         with pytest.raises(ValueError, match="1..6"):
             pauli_ic_set(7)
 
-    def test_non_ic_set_rejected(self):
-        with pytest.raises(ValueError, match="informationally complete"):
-            ICSet(
-                (Observable("Z", PAULI_Z), Observable("Z2", PAULI_Z), Observable("Z3", PAULI_Z)),
-                (PAULI_Z / 2, PAULI_Z / 2, PAULI_Z / 2),
-                np.eye(2, dtype=complex) / 2,
-            )
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_closed_form_projectors_match_eigensolver(self, n_qubits):
+        # (I - S)/2 and (I + S)/2 against the general eigh path.
+        for obs in pauli_ic_set(n_qubits).observables:
+            reference = Observable(obs.name, pauli_matrix(obs.name))
+            assert obs.eigenvalues == reference.eigenvalues == (-1.0, 1.0)
+            for mine, theirs in zip(obs.projectors, reference.projectors):
+                np.testing.assert_allclose(mine, theirs, rtol=0, atol=1e-14)
+            np.testing.assert_array_equal(obs.matrix, pauli_matrix(obs.name))
+
+
+@pytest.mark.parametrize(
+    "factory, size",
+    [(pauli_ic_set, n) for n in (1, 2, 3)] + [(hermitian_basis_ic_set, d) for d in range(2, 10)],
+)
+def test_every_built_set_is_an_orthogonal_frame(factory, size):
+    # The promise linear inversion relies on: d^2 - 1 traceless observables
+    # with Tr(O_j O_k) = norm * delta_jk.
+    ic = factory(size)
+    assert len(ic) == ic.dim**2 - 1
+    np.testing.assert_allclose([np.trace(obs.matrix) for obs in ic.observables], 0.0, atol=1e-12)
+    rows = np.stack([obs.matrix.reshape(-1) for obs in ic.observables])
+    gram = rows.conj() @ rows.T
+    np.testing.assert_allclose(gram, ic.norm * np.eye(len(ic)), rtol=0, atol=1e-12)
 
 
 class TestHermitianBasisICSet:
