@@ -27,6 +27,7 @@ from ..hilbert import (
     basis_state,
     bell_state,
     maximally_mixed,
+    partial_trace,
     pauli_matrix,
     plus_state,
     random_pure_state,
@@ -203,6 +204,8 @@ def parse_config(text: str) -> ExperimentConfig:
         followup = resolve_observable(extras["followup_observable"], "followup_observable")
     if "mixture" in extras:
         resolve_mixture(extras["mixture"])
+    if "purification" in extras:
+        resolve_purification(extras["purification"], shape)
     if config.initial_state is not None:
         state = resolve_state(config.initial_state, shape, field="initial_state")
         targets = _OBSERVABLE_TARGETS.get(config.protocol, ())
@@ -315,6 +318,16 @@ def resolve_mixture(entries, field: str = "mixture") -> list[tuple[StateVector, 
     if np.trace(average @ average).real >= 1.0 - PURE_AVERAGE_TOL:
         raise ConfigError(field, "the average state is pure: the presentations are indistinguishable")
     return mixture
+
+
+def resolve_purification(spec, shape: tuple[int, ...] | None, field: str = "purification") -> State:
+    """Turn a purification spec into a bipartite state whose subsystem A is mixed."""
+    state = resolve_state(spec, shape, field=field)
+    if len(state.shape) != 2:
+        raise ConfigError(field, f"must be a bipartite state, got shape {state.shape}")
+    if partial_trace(state, keep=0).purity() >= 1.0 - PURE_AVERAGE_TOL:
+        raise ConfigError(field, "the reduced state is pure: the presentations are indistinguishable")
+    return state
 
 
 def _bloch_observable(spec: str, field: str) -> Observable:

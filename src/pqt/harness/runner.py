@@ -37,7 +37,14 @@ from ..protocols import (
     teleportation_demo,
 )
 from ..tomography import discriminate, estimate_spectrum, ic_set_for_dimension, reconstruct_single_copy
-from .config import ConfigError, ExperimentConfig, resolve_mixture, resolve_observable, resolve_state
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    resolve_mixture,
+    resolve_observable,
+    resolve_purification,
+    resolve_state,
+)
 from .report import Report
 from .stats import wilson_interval
 
@@ -282,7 +289,7 @@ def _run_proper_vs_improper(config: ExperimentConfig) -> Report:
     if "mixture" in config.extras:
         mixture = resolve_mixture(config.extras["mixture"])
     if "purification" in config.extras:
-        purification = resolve_state(config.extras["purification"], config.shape, field="purification")
+        purification = resolve_purification(config.extras["purification"], config.shape)
     result = proper_vs_improper(
         config.trials,
         config.shots,

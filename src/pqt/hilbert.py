@@ -29,7 +29,7 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
-_PAULI_BY_LETTER = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+_I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -357,8 +357,28 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
+def pauli_phases(label: str) -> tuple[int, np.ndarray]:
+    """Bit-flip mask and column phases of a Pauli string: S|x> = phase[x] |x ^ x_mask>.
+
+    The first letter acts on the most significant bit, as in the Kronecker
+    product.  phase[x] = i^(#Y) (-1)^popcount(x & z_mask), where X and Y
+    set a bit of x_mask and Y and Z a bit of z_mask (Aaronson & Gottesman,
+    quant-ph/0406196).
+    """
+    if not label or any(ch not in "IXYZ" for ch in label):
+        raise ValueError(f"invalid Pauli label {label!r}; use letters from IXYZ")
+    x_mask = z_mask = 0
+    for ch in label:
+        x_mask = (x_mask << 1) | (ch in "XY")
+        z_mask = (z_mask << 1) | (ch in "YZ")
+    odd = np.bitwise_count(np.arange(2 ** len(label)) & z_mask) & 1
+    return x_mask, _I_POWERS[label.count("Y") % 4] * np.where(odd, -1.0, 1.0)
+
+
 def pauli_matrix(label: str) -> np.ndarray:
     """Tensor product of single-qubit Paulis, e.g. ``"ZX"`` -> Z tensor X."""
-    if not label or any(ch not in _PAULI_BY_LETTER for ch in label):
-        raise ValueError(f"invalid Pauli label {label!r}; use letters from IXYZ")
-    return kron_all(*(_PAULI_BY_LETTER[ch] for ch in label))
+    x_mask, phase = pauli_phases(label)
+    columns = np.arange(phase.size)
+    out = np.zeros((phase.size, phase.size), dtype=complex)
+    out[columns ^ x_mask, columns] = phase
+    return out

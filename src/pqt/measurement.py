@@ -23,6 +23,8 @@ from .hilbert import (
     SpectralDecomposition,
     State,
     StateVector,
+    pauli_matrix,
+    pauli_phases,
     spectral_decompose,
 )
 
@@ -74,8 +76,61 @@ class Observable:
     def projectors(self) -> tuple[np.ndarray, ...]:
         return self.decomposition.projectors
 
+    def outcome_probabilities(self, state: State) -> np.ndarray:
+        """Born probability of each outcome, in eigenvalue order."""
+        return np.asarray([_outcome_probability(state, proj) for proj in self.projectors])
+
     def __repr__(self) -> str:
         return f"Observable({self.name!r}, dim={self.dim})"
+
+
+class PauliString(Observable):
+    """A Pauli string held as its bit-flip mask and column phases: S|x> = phase[x] |x ^ x_mask>.
+
+    Outcomes are -1 and +1 with projectors (I - S)/2 and (I + S)/2.  The
+    matrix, projectors and decomposition are derived on each access and
+    never stored, so a string costs O(d) memory and its Born
+    probabilities (1 -/+ <S>)/2 cost O(d) time.
+    """
+
+    __slots__ = ("x_mask", "phase")
+    eigenvalues = (-1.0, 1.0)
+
+    def __init__(self, label: str):
+        self.name = label
+        self.x_mask, self.phase = pauli_phases(label)
+        self.phase.setflags(write=False)
+
+    @property
+    def dim(self) -> int:
+        return self.phase.size
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Row of the one nonzero entry in each column: x ^ x_mask."""
+        return np.arange(self.phase.size) ^ self.x_mask
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return pauli_matrix(self.name)
+
+    @property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        identity = np.eye(self.dim, dtype=complex)
+        matrix = self.matrix
+        return ((identity - matrix) / 2, (identity + matrix) / 2)
+
+    @property
+    def decomposition(self) -> SpectralDecomposition:
+        return SpectralDecomposition(self.eigenvalues, self.projectors)
+
+    def outcome_probabilities(self, state: State) -> np.ndarray:
+        if isinstance(state, StateVector):
+            amps = state.amplitudes
+            expectation = np.vdot(amps[self.rows], self.phase * amps).real
+        else:
+            expectation = np.sum(self.phase * state.matrix[np.arange(self.dim), self.rows]).real
+        return np.array([(1.0 - expectation) / 2, (1.0 + expectation) / 2])
 
 
 @dataclass(frozen=True)
@@ -181,8 +236,7 @@ def born_distribution(obs: Observable, state: State) -> OutcomeDistribution:
     """
     if obs.dim != state.dim:
         raise ValueError(f"dimension mismatch: observable {obs.dim}, state {state.dim}")
-    probs = [_outcome_probability(state, proj) for proj in obs.projectors]
-    return OutcomeDistribution(obs.eigenvalues, np.asarray(probs))
+    return OutcomeDistribution(obs.eigenvalues, obs.outcome_probabilities(state))
 
 
 def _outcome_probability(state: State, projector: np.ndarray) -> float:
@@ -216,22 +270,26 @@ def passive_update(state: State, obs: Observable, outcome_index: int) -> State:
     The outcome must still be realizable; claiming an impossible outcome
     is an error just as in the collapse rule.
     """
-    probability = _outcome_probability(state, obs.projectors[outcome_index])
+    _require_possible(obs, outcome_index, obs.outcome_probabilities(state)[outcome_index])
+    return state
+
+
+def _require_possible(obs: Observable, outcome_index: int, probability: float) -> None:
     if probability <= ZERO_PROBABILITY:
         raise ValueError(
             f"outcome {obs.eigenvalues[outcome_index]!r} of {obs.name!r} has zero "
             "probability; an impossible outcome was claimed"
         )
-    return state
 
 
 def _sample_and_update(sys: PSystem, obs: Observable) -> int:
     """Draw one outcome index from the current state and apply the mode's update rule."""
-    index = int(born_distribution(obs, sys.state).sample_indices(sys.rng, 1)[0])
+    dist = born_distribution(obs, sys.state)
+    index = int(dist.sample_indices(sys.rng, 1)[0])
     if sys.mode == "quantum":
         sys.state = collapse_update(sys.state, obs, index)
     else:
-        sys.state = passive_update(sys.state, obs, index)
+        _require_possible(obs, index, dist.probabilities[index])
     return index
 
 
@@ -256,7 +314,7 @@ def repeated_measure(sys: PSystem, obs: Observable, n: int) -> MeasurementRecord
     if sys.mode == "passive":
         dist = born_distribution(obs, sys.state)
         indices = dist.sample_indices(sys.rng, n)
-        passive_update(sys.state, obs, int(indices[0]))
+        _require_possible(obs, int(indices[0]), dist.probabilities[indices[0]])
     else:
         indices = np.fromiter((_sample_and_update(sys, obs) for _ in range(n)), dtype=np.intp, count=n)
     sys.history[obs.name] += n

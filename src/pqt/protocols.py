@@ -43,7 +43,7 @@ from .measurement import (
     measure,
     repeated_measure,
 )
-from .tomography import ic_set_for_dimension, pauli_ic_set, reconstruct_single_copy
+from .tomography import ic_set_for_dimension, reconstruct_single_copy
 
 CLONED_TOL = 1e-9
 PURE_AVERAGE_TOL = 1e-9
@@ -136,7 +136,7 @@ def function_recovery(
     if mode == "passive":
         final = evolve(_oracle_input_state(spec), oracle)
         sys = PSystem(final, "passive", rng)
-        result = reconstruct_single_copy(sys, pauli_ic_set(spec.n + 1), shots)
+        result = reconstruct_single_copy(sys, ic_set_for_dimension(sys.dim), shots)
         threshold = 0.25 / n_inputs
         recovered = []
         diag = np.diag(result.estimate.matrix).real

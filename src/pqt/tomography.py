@@ -15,6 +15,13 @@ The Pauli strings and the generalised Gell-Mann matrices have this
 property by construction (Bertlmann & Krammer, J. Phys. A 41, 235303,
 2008); the tests check it once instead of every build.
 
+Pauli frames are held as masks: each string is a
+:class:`~pqt.measurement.PauliString`, a bit-flip mask and d phases with
+S|x> = phase[x] |x ^ x_mask>, whose matrix and projectors are derived
+only on demand.  Its Born probabilities cost O(d), and inversion adds
+its d nonzeros only.  :func:`ic_set_for_dimension` returns one shared,
+immutable frame per dimension.
+
 Statistical noise can push the raw estimate outside the state set, so a
 Euclidean projection onto the probability simplex of its spectrum
 restores physicality.
@@ -22,13 +29,14 @@ restores physicality.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DensityOperator, SpectralDecomposition, StateVector, fidelity, pauli_matrix
-from .measurement import InsufficientShotsError, Observable, PSystem, repeated_measure
+from .hilbert import DensityOperator, StateVector, fidelity
+from .measurement import InsufficientShotsError, Observable, PauliString, PSystem, repeated_measure
 
 CONFIDENCE_Z = 1.96
 MAX_IC_DIMENSION = 64
@@ -75,22 +83,13 @@ class ReconstructionResult:
 def pauli_ic_set(n_qubits: int) -> ICSet:
     """All non-identity Pauli strings on n qubits, with norm 2^n.
 
-    Each string S squares to I, so its outcomes are -1 and +1 with
-    projectors (I - S)/2 and (I + S)/2; no eigendecomposition is needed.
+    Each string is a :class:`PauliString`: a bit-flip mask and d phases,
+    with no dense matrix or projector stored.
     """
     if not 1 <= n_qubits <= 6:
         raise ValueError("supported range is 1..6 qubits")
-    dim = 2**n_qubits
-    identity = np.eye(dim, dtype=complex)
-    observables = []
-    for letters in itertools.product("IXYZ", repeat=n_qubits):
-        label = "".join(letters)
-        if set(label) == {"I"}:
-            continue
-        matrix = pauli_matrix(label)
-        spectrum = SpectralDecomposition((-1.0, 1.0), ((identity - matrix) / 2, (identity + matrix) / 2))
-        observables.append(Observable.from_decomposition(label, spectrum))
-    return ICSet(tuple(observables), float(dim))
+    labels = ("".join(letters) for letters in itertools.product("IXYZ", repeat=n_qubits))
+    return ICSet(tuple(PauliString(label) for label in labels if label.strip("I")), float(2**n_qubits))
 
 
 def _gell_mann_family(dim: int) -> list[tuple[str, np.ndarray]]:
@@ -125,8 +124,13 @@ def hermitian_basis_ic_set(dim: int) -> ICSet:
     return ICSet(observables, 1.0)
 
 
+@functools.lru_cache(maxsize=None)
 def ic_set_for_dimension(dim: int) -> ICSet:
-    """Pauli strings for a power-of-two dimension, the generalised Gell-Mann basis otherwise."""
+    """Pauli strings for a power-of-two dimension, the generalised Gell-Mann basis otherwise.
+
+    Frames are immutable, so each dimension is built once and the same
+    object is returned to every caller.
+    """
     n_qubits = dim.bit_length() - 1
     if 2**n_qubits == dim:
         return pauli_ic_set(n_qubits)
@@ -164,8 +168,13 @@ def linear_inversion(estimates, ic: ICSet) -> np.ndarray:
         raise ValueError(f"got {len(estimates)} estimates for {len(ic)} observables")
     means = [e.mean if isinstance(e, ExpectationEstimate) else float(e) for e in estimates]
     out = np.eye(ic.dim, dtype=complex) / ic.dim
+    columns = np.arange(ic.dim)
     for mean, obs in zip(means, ic.observables):
-        out = out + mean * (obs.matrix / ic.norm)
+        if isinstance(obs, PauliString):
+            # Only the d nonzeros of S change; every other entry would gain +-0.
+            out[obs.rows, columns] += mean * (obs.phase / ic.norm)
+        else:
+            out += mean * (obs.matrix / ic.norm)
     return out
 
 

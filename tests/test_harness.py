@@ -263,6 +263,8 @@ class TestCLI:
                 "followup_observable",
             ),
             ({"protocol": "joint-global", "initial_state": "bell:phi+", "observables": ["pauli:Z", "pauli:XX"]}, "observables[1]"),
+            ({"protocol": "proper-vs-improper", "shape": [2], "purification": "plus"}, "purification"),
+            ({"protocol": "proper-vs-improper", "shape": [2, 2], "purification": "basis:0"}, "purification"),
         ],
     )
     def test_malformed_input_is_named(self, tmp_path, capsys, config, field):

@@ -1,8 +1,15 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqt import rng
+from pqt.harness import parse_config, run
 from pqt.hilbert import (
+    PAULI_I,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -14,14 +21,16 @@ from pqt.hilbert import (
     random_hermitian,
     random_pure_state,
     fidelity,
+    kron_all,
     pauli_matrix,
 )
-from pqt.measurement import Observable, PSystem, born_distribution
+from pqt.measurement import Observable, PauliString, PSystem, born_distribution
 from pqt.tomography import (
     estimate_expectations,
     estimate_spectrum,
     discriminate,
     hermitian_basis_ic_set,
+    ic_set_for_dimension,
     linear_inversion,
     pauli_ic_set,
     project_to_physical,
@@ -57,6 +66,77 @@ class TestPauliICSet:
             for mine, theirs in zip(obs.projectors, reference.projectors):
                 np.testing.assert_allclose(mine, theirs, rtol=0, atol=1e-14)
             np.testing.assert_array_equal(obs.matrix, pauli_matrix(obs.name))
+
+
+def kronecker_pauli(label: str) -> np.ndarray:
+    """A Pauli string as the Kronecker product of its letters."""
+    letters = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+    return kron_all(*(letters[ch] for ch in label))
+
+
+class TestPauliMasks:
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_derived_matrix_equals_kronecker_product(self, n_qubits):
+        for obs in pauli_ic_set(n_qubits).observables:
+            np.testing.assert_array_equal(obs.matrix, kronecker_pauli(obs.name))
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_born_probabilities_match_dense_projectors(self, n_qubits):
+        dim = 2**n_qubits
+        g = rng.stream(n_qubits, "pauli/born")
+        pure = [random_pure_state(dim, g) for _ in range(3)]
+        mixed = [random_density(dim, g) for _ in range(2)] + [random_density(dim, g, rank=2)]
+        identity = np.eye(dim)
+        for obs in pauli_ic_set(n_qubits).observables:
+            matrix = kronecker_pauli(obs.name)
+            projectors = ((identity - matrix) / 2, (identity + matrix) / 2)
+            for psi in pure:
+                dense = [np.vdot(psi.amplitudes, p @ psi.amplitudes).real for p in projectors]
+                np.testing.assert_allclose(born_distribution(obs, psi).probabilities, dense, rtol=0, atol=1e-14)
+            for rho in mixed:
+                dense = [np.trace(p @ rho.matrix).real for p in projectors]
+                np.testing.assert_allclose(born_distribution(obs, rho).probabilities, dense, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+    def test_linear_inversion_equals_dense_sum_bit_for_bit(self, n_qubits):
+        ic = pauli_ic_set(n_qubits)
+        means = [float(m) for m in rng.stream(n_qubits, "pauli/inversion").uniform(-1.0, 1.0, size=len(ic))]
+        dense = np.eye(ic.dim, dtype=complex) / ic.dim
+        for mean, obs in zip(means, ic.observables):
+            dense = dense + mean * (kronecker_pauli(obs.name) / ic.norm)
+        fast = linear_inversion(means, ic)
+        np.testing.assert_array_equal(fast, dense)
+        assert fast.tobytes() == dense.tobytes()
+
+    def test_frames_are_shared(self):
+        assert ic_set_for_dimension(64) is ic_set_for_dimension(64)
+        assert ic_set_for_dimension(3) is ic_set_for_dimension(3)
+
+    def test_six_qubit_frame_build_is_small(self):
+        tracemalloc.start()
+        try:
+            pauli_ic_set(6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_six_qubit_run_stores_no_dense_string(self, monkeypatch):
+        # 4095 dense 64x64 strings with two projectors each would take ~0.8 GB.
+        kron_calls = []
+        real_kron = np.kron
+        monkeypatch.setattr(np, "kron", lambda *args: kron_calls.append(args) or real_kron(*args))
+        ic_set_for_dimension.cache_clear()
+        config = {"name": "r6", "protocol": "reconstruct", "shape": [2] * 6, "initial_state": "random-pure:1", "shots": 10}
+        tracemalloc.start()
+        try:
+            run(parse_config(json.dumps(config)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kron_calls == []
+        assert peak < 32 * 2**20
+        assert all(isinstance(obs, PauliString) for obs in ic_set_for_dimension(64).observables)
 
 
 @pytest.mark.parametrize(
@@ -210,6 +290,47 @@ class TestProjectToPhysical:
         for _ in range(500):
             candidate = random_density(2, g)
             assert np.linalg.norm(candidate.matrix - matrix) >= best - 1e-9
+
+
+def smolin_gambetta_smith(matrix: np.ndarray) -> np.ndarray:
+    """Closest density matrix by the closed form of Smolin, Gambetta and Smith (PRL 108, 070502)."""
+    values, vectors = np.linalg.eigh(matrix)
+    mu, vectors = values[::-1], vectors[:, ::-1]
+    kept, deficit = mu.size, 0.0
+    while mu[kept - 1] + deficit / kept < 0.0:
+        deficit += mu[kept - 1]
+        kept -= 1
+    lam = np.zeros(mu.size)
+    lam[:kept] = mu[:kept] + deficit / kept
+    return (vectors * lam) @ vectors.conj().T
+
+
+@st.composite
+def unit_trace_hermitian(draw) -> np.ndarray:
+    dim = draw(st.integers(2, 8))
+    entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+    parts = np.array(draw(st.lists(entries, min_size=2 * dim * dim, max_size=2 * dim * dim))).reshape(2, dim, dim)
+    g = parts[0] + 1j * parts[1]
+    h = (g + g.conj().T) / 2.0
+    return h + (1.0 - np.trace(h).real) / dim * np.eye(dim)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(matrix=unit_trace_hermitian())
+def test_projection_satisfies_kkt_conditions(matrix):
+    # The minimiser keeps the input's eigenvectors and maps each eigenvalue
+    # l_i to max(l_i + s, 0) for one shift s, with unit trace.
+    out = project_to_physical(matrix).matrix
+    values, vectors = np.linalg.eigh(matrix)
+    in_eigenbasis = vectors.conj().T @ out @ vectors
+    np.testing.assert_allclose(in_eigenbasis - np.diag(np.diag(in_eigenbasis)), 0.0, atol=1e-9)
+    kept = np.diag(in_eigenbasis).real
+    support = kept > 1e-9
+    shift = float(np.mean(kept[support] - values[support]))
+    np.testing.assert_allclose(kept, np.maximum(values + shift, 0.0), atol=1e-9)
+    assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
+    closed_form = smolin_gambetta_smith(matrix)
+    assert np.linalg.norm(out - matrix) <= np.linalg.norm(closed_form - matrix) + 1e-12
 
 
 class TestReconstructSingleCopy:
