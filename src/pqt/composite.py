@@ -11,13 +11,14 @@ local-indistinguishability checks, which are exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hilbert import DensityOperator, SpectralDecomposition, State, StateVector
 from .measurement import Observable, OutcomeDistribution, PSystem, _inverse_cdf, born_distribution, repeated_measure
-from .tomography import hermitian_basis_ic_set, linear_inversion, project_to_physical
+from .tomography import ICSet, hermitian_basis_ic_set, linear_inversion, project_to_physical
 
 PURITY_PRODUCT_THRESHOLD = 0.95
 PURITY_ENTANGLED_THRESHOLD = 0.90
@@ -226,13 +227,16 @@ def reconstruct_reduced_single_copy(sys: PSystem, shots: int) -> DensityOperator
     shape = sys.state.shape
     if len(shape) != 2:
         raise ValueError("expected a bipartite system")
-    ic = hermitian_basis_ic_set(shape[0])
-    means = []
-    for obs in ic.observables:
-        lifted = lift_local(LocalSetting("A", obs), shape)
-        record = repeated_measure(sys, lifted, shots)
-        means.append(float(np.mean(record.outcomes)))
+    ic, lifted = _local_ic_set(shape)
+    means = [float(np.mean(repeated_measure(sys, obs, shots).outcomes)) for obs in lifted]
     return project_to_physical(linear_inversion(means, ic))
+
+
+@functools.lru_cache(maxsize=8)
+def _local_ic_set(shape: tuple[int, int]) -> tuple[ICSet, tuple[Observable, ...]]:
+    """Gell-Mann frame of side A and its lifts to A tensor I, built once per shape (both are immutable)."""
+    ic = hermitian_basis_ic_set(shape[0])
+    return ic, tuple(lift_local(LocalSetting("A", obs), shape) for obs in ic.observables)
 
 
 def detect_entanglement_single_copy(sys: PSystem, shots: int) -> EntanglementVerdict:

@@ -371,14 +371,23 @@ def pauli_phases(label: str) -> tuple[int, np.ndarray]:
     for ch in label:
         x_mask = (x_mask << 1) | (ch in "XY")
         z_mask = (z_mask << 1) | (ch in "YZ")
-    odd = np.bitwise_count(np.arange(2 ** len(label)) & z_mask) & 1
-    return x_mask, _I_POWERS[label.count("Y") % 4] * np.where(odd, -1.0, 1.0)
+    # Parity of x & z_mask by halving xor-folds (np.bitwise_count needs NumPy 2).
+    folded = np.arange(2 ** len(label)) & z_mask
+    shift = 1 << (len(label) - 1).bit_length()
+    while shift > 1:
+        shift >>= 1
+        folded ^= folded >> shift
+    return x_mask, _I_POWERS[label.count("Y") % 4] * np.where(folded & 1, -1.0, 1.0)
 
 
-def pauli_matrix(label: str) -> np.ndarray:
-    """Tensor product of single-qubit Paulis, e.g. ``"ZX"`` -> Z tensor X."""
-    x_mask, phase = pauli_phases(label)
+def pauli_dense(x_mask: int, phase: np.ndarray) -> np.ndarray:
+    """Dense matrix of the Pauli string with the given bit-flip mask and column phases."""
     columns = np.arange(phase.size)
     out = np.zeros((phase.size, phase.size), dtype=complex)
     out[columns ^ x_mask, columns] = phase
     return out
+
+
+def pauli_matrix(label: str) -> np.ndarray:
+    """Tensor product of single-qubit Paulis, e.g. ``"ZX"`` -> Z tensor X."""
+    return pauli_dense(*pauli_phases(label))

@@ -23,7 +23,7 @@ from .hilbert import (
     SpectralDecomposition,
     State,
     StateVector,
-    pauli_matrix,
+    pauli_dense,
     pauli_phases,
     spectral_decompose,
 )
@@ -80,6 +80,14 @@ class Observable:
         """Born probability of each outcome, in eigenvalue order."""
         return np.asarray([_outcome_probability(state, proj) for proj in self.projectors])
 
+    def project(self, outcome_index: int, amplitudes: np.ndarray) -> np.ndarray:
+        """The projector of one outcome applied to a state vector."""
+        return self.projectors[outcome_index] @ amplitudes
+
+    def add_scaled_to(self, out: np.ndarray, coefficient: float, norm: float) -> None:
+        """Add ``coefficient * (matrix / norm)`` to ``out`` in place."""
+        out += coefficient * (self.matrix / norm)
+
     def __repr__(self) -> str:
         return f"Observable({self.name!r}, dim={self.dim})"
 
@@ -89,8 +97,9 @@ class PauliString(Observable):
 
     Outcomes are -1 and +1 with projectors (I - S)/2 and (I + S)/2.  The
     matrix, projectors and decomposition are derived on each access and
-    never stored, so a string costs O(d) memory and its Born
-    probabilities (1 -/+ <S>)/2 cost O(d) time.
+    never stored, so a string costs O(d) memory.  Its Born probabilities
+    (1 -/+ <S>)/2, the projection of a state vector and its term in
+    linear inversion each cost O(d) time.
     """
 
     __slots__ = ("x_mask", "phase")
@@ -112,7 +121,7 @@ class PauliString(Observable):
 
     @property
     def matrix(self) -> np.ndarray:
-        return pauli_matrix(self.name)
+        return pauli_dense(self.x_mask, self.phase)
 
     @property
     def projectors(self) -> tuple[np.ndarray, ...]:
@@ -131,6 +140,16 @@ class PauliString(Observable):
         else:
             expectation = np.sum(self.phase * state.matrix[np.arange(self.dim), self.rows]).real
         return np.array([(1.0 - expectation) / 2, (1.0 + expectation) / 2])
+
+    def project(self, outcome_index: int, amplitudes: np.ndarray) -> np.ndarray:
+        # (psi -/+ S psi) / 2; each entry is the same two-term sum as the dense product.
+        flipped = np.empty_like(amplitudes)
+        flipped[self.rows] = self.phase * amplitudes
+        return (amplitudes - flipped) / 2 if outcome_index == 0 else (amplitudes + flipped) / 2
+
+    def add_scaled_to(self, out: np.ndarray, coefficient: float, norm: float) -> None:
+        # Only the d nonzeros of S change; every other entry would gain +-0.
+        out[self.rows, np.arange(self.dim)] += coefficient * (self.phase / norm)
 
 
 @dataclass(frozen=True)
@@ -251,15 +270,19 @@ def collapse_update(state: State, obs: Observable, outcome_index: int) -> State:
     psi -> P_r psi / |P_r psi|, rho -> P_r rho P_r / Tr(P_r rho P_r).
     Applying it twice with the same outcome is a no-op.
     """
-    projector = obs.projectors[outcome_index]
-    probability = _outcome_probability(state, projector)
+    if isinstance(state, StateVector):
+        projected = obs.project(outcome_index, state.amplitudes)
+        probability = float(np.vdot(state.amplitudes, projected).real)
+    else:
+        projector = obs.projectors[outcome_index]
+        probability = _outcome_probability(state, projector)
     if probability <= ZERO_PROBABILITY:
         raise ValueError(
             f"outcome {obs.eigenvalues[outcome_index]!r} of {obs.name!r} has zero "
             "probability; the post-measurement state is undefined"
         )
     if isinstance(state, StateVector):
-        return StateVector(projector @ state.amplitudes / np.sqrt(probability), state.shape)
+        return StateVector(projected / np.sqrt(probability), state.shape)
     updated = projector @ state.matrix @ projector / probability
     return DensityOperator(updated, state.shape)
 

@@ -124,13 +124,17 @@ def hermitian_basis_ic_set(dim: int) -> ICSet:
     return ICSet(observables, 1.0)
 
 
-@functools.lru_cache(maxsize=None)
 def ic_set_for_dimension(dim: int) -> ICSet:
     """Pauli strings for a power-of-two dimension, the generalised Gell-Mann basis otherwise.
 
     Frames are immutable, so each dimension is built once and the same
     object is returned to every caller.
     """
+    return _shared_ic_set(dim)
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_ic_set(dim: int) -> ICSet:
     n_qubits = dim.bit_length() - 1
     if 2**n_qubits == dim:
         return pauli_ic_set(n_qubits)
@@ -168,13 +172,8 @@ def linear_inversion(estimates, ic: ICSet) -> np.ndarray:
         raise ValueError(f"got {len(estimates)} estimates for {len(ic)} observables")
     means = [e.mean if isinstance(e, ExpectationEstimate) else float(e) for e in estimates]
     out = np.eye(ic.dim, dtype=complex) / ic.dim
-    columns = np.arange(ic.dim)
     for mean, obs in zip(means, ic.observables):
-        if isinstance(obs, PauliString):
-            # Only the d nonzeros of S change; every other entry would gain +-0.
-            out[obs.rows, columns] += mean * (obs.phase / ic.norm)
-        else:
-            out += mean * (obs.matrix / ic.norm)
+        obs.add_scaled_to(out, mean, ic.norm)
     return out
 
 

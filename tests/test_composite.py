@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from pqt import rng
+from pqt import composite, rng
 from pqt.composite import (
     JointFrequencyTable,
     LocalSetting,
@@ -15,6 +15,7 @@ from pqt.composite import (
     joint_distribution_local_passive,
     lift_local,
     local_passive_joint_sample,
+    reconstruct_reduced_single_copy,
     signalling_check,
 )
 from pqt.hilbert import (
@@ -299,6 +300,22 @@ class TestEntanglementDetection:
         sys = PSystem(maximally_mixed(4, (2, 2)), "passive", rng.stream(0, "ent"))
         with pytest.raises(ValueError, match="pure"):
             detect_entanglement_single_copy(sys, 100)
+
+    def test_local_frame_is_built_once_per_shape(self, monkeypatch):
+        # The reduced-state frame and its lifts are immutable, so repeated
+        # trials reuse them instead of rebuilding per call.
+        builds = []
+        real = composite.hermitian_basis_ic_set
+        monkeypatch.setattr(composite, "hermitian_basis_ic_set", lambda dim: builds.append(dim) or real(dim))
+        composite._local_ic_set.cache_clear()
+        estimates = []
+        for _ in range(3):
+            sys = PSystem(bell_state("phi+"), "passive", rng.stream(7, "ent/frame"))
+            estimates.append(reconstruct_reduced_single_copy(sys, 100).matrix)
+        composite._local_ic_set.cache_clear()
+        assert builds == [2]
+        for estimate in estimates[1:]:
+            np.testing.assert_array_equal(estimate, estimates[0])
 
 
 class TestSignalling:

@@ -6,6 +6,7 @@ from pqt.hilbert import (
     DensityOperator,
     HADAMARD,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     StateVector,
     UnitaryOperator,
@@ -302,6 +303,17 @@ def test_pauli_matrix_strings():
     np.testing.assert_allclose(pauli_matrix("ZX"), np.kron(PAULI_Z, PAULI_X))
     with pytest.raises(ValueError, match="invalid Pauli label"):
         pauli_matrix("Q")
+
+
+def test_pauli_matrix_runs_without_numpy2_popcount(monkeypatch):
+    # pyproject allows numpy>=1.24; np.bitwise_count only exists from NumPy 2.0.
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    letters = {"I": np.eye(2), "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+    for label in ("YZXZ", "ZYIXZY"):
+        expected = np.array([[1.0]])
+        for ch in label:
+            expected = np.kron(expected, letters[ch])
+        np.testing.assert_array_equal(pauli_matrix(label), expected)
 
 
 def test_bell_states_are_orthonormal():

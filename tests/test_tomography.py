@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqt import rng
+from pqt import rng, tomography
 from pqt.harness import parse_config, run
 from pqt.hilbert import (
     PAULI_I,
@@ -24,7 +24,7 @@ from pqt.hilbert import (
     kron_all,
     pauli_matrix,
 )
-from pqt.measurement import Observable, PauliString, PSystem, born_distribution
+from pqt.measurement import Observable, PauliString, PSystem, born_distribution, collapse_update
 from pqt.tomography import (
     estimate_expectations,
     estimate_spectrum,
@@ -97,6 +97,23 @@ class TestPauliMasks:
                 dense = [np.trace(p @ rho.matrix).real for p in projectors]
                 np.testing.assert_allclose(born_distribution(obs, rho).probabilities, dense, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_collapse_matches_dense_projectors(self, n_qubits):
+        dim = 2**n_qubits
+        g = rng.stream(n_qubits, "pauli/collapse")
+        states = [random_pure_state(dim, g) for _ in range(3)] + [basis_state(dim, 0)]
+        identity = np.eye(dim)
+        for obs in pauli_ic_set(n_qubits).observables:
+            matrix = kronecker_pauli(obs.name)
+            for index, projector in enumerate(((identity - matrix) / 2, (identity + matrix) / 2)):
+                for psi in states:
+                    projected = projector @ psi.amplitudes
+                    probability = np.vdot(psi.amplitudes, projected).real
+                    if probability <= 1e-12:
+                        continue
+                    collapsed = collapse_update(psi, obs, index)
+                    np.testing.assert_array_equal(collapsed.amplitudes, projected / np.sqrt(probability))
+
     @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
     def test_linear_inversion_equals_dense_sum_bit_for_bit(self, n_qubits):
         ic = pauli_ic_set(n_qubits)
@@ -126,7 +143,7 @@ class TestPauliMasks:
         kron_calls = []
         real_kron = np.kron
         monkeypatch.setattr(np, "kron", lambda *args: kron_calls.append(args) or real_kron(*args))
-        ic_set_for_dimension.cache_clear()
+        tomography._shared_ic_set.cache_clear()
         config = {"name": "r6", "protocol": "reconstruct", "shape": [2] * 6, "initial_state": "random-pure:1", "shots": 10}
         tracemalloc.start()
         try:
