@@ -15,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import SEED_LIMIT, ConfigError, parse_config, read_integer
+from .config import SEED_LIMIT, ConfigError, check_mode, parse_config, read_integer
 from .runner import list_protocols, run
 
 EXIT_OK = 0
@@ -50,6 +50,7 @@ def _load_config(path: str, seed: int | None = None, mode: str | None = None):
     if seed is not None:
         config.seed = read_integer(seed, "--seed", 0, SEED_LIMIT)
     if mode is not None:
+        check_mode(config.protocol, mode, config.extras)
         config.mode = mode
     return config
 
@@ -58,8 +59,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "list-protocols":
-        for name, description in list_protocols():
-            print(f"{name:20s} {description}")
+        for name, spec in list_protocols():
+            modes = ", ".join(spec.modes)
+            if spec.quantum_needs:
+                modes += f" ({spec.quantum_needs})"
+            print(f"{name:20s} {modes:27s} {spec.description}")
         return EXIT_OK
 
     if args.command == "validate":

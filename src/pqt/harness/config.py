@@ -11,6 +11,7 @@ offending field and the violated constraint.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
@@ -151,8 +152,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("protocol", f"unknown protocol {raw['protocol']!r}; known: {known}")
 
     mode = raw.get("mode", "passive")
-    if mode not in MODES:
-        raise ConfigError("mode", f"must be one of {MODES}, got {mode!r}")
+    check_mode(raw["protocol"], mode, raw)
 
     shape = None
     if "shape" in raw:
@@ -218,6 +218,19 @@ def parse_config(text: str) -> ExperimentConfig:
     return config
 
 
+def check_mode(protocol: str, mode, fields: dict) -> None:
+    """Refuse a mode that the protocol cannot run in; ``fields`` holds the config's extras."""
+    from .runner import PROTOCOLS  # late import: runner imports this module
+
+    if mode not in MODES:
+        raise ConfigError("mode", f"must be one of {MODES}, got {mode!r}")
+    spec = PROTOCOLS[protocol][1]
+    if mode not in spec.modes:
+        raise ConfigError("mode", f"protocol {protocol!r} runs in {' or '.join(spec.modes)} mode only, got {mode!r}")
+    if mode == "quantum" and spec.quantum_needs and not fields.get(spec.quantum_needs):
+        raise ConfigError("mode", f"protocol {protocol!r} needs {spec.quantum_needs!r} set to true in quantum mode")
+
+
 def _check_observable_dimension(field: str, obs: Observable, state: State, target: int | None) -> None:
     if target is None:
         dim, part = state.dim, "state"
@@ -273,9 +286,12 @@ def resolve_state(spec, shape: tuple[int, ...] | None = None, field: str = "init
             raise ConfigError(field, f"explicit state has {len(spec)} amplitudes, more than {MAX_IC_DIMENSION}")
         try:
             amps = np.array([complex(re, im) for re, im in spec])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(field, f"explicit state must be a list of [re, im] pairs ({exc})") from exc
-        norm = float(np.linalg.norm(amps))
+        if not np.isfinite(amps).all():
+            raise ConfigError(field, "explicit state amplitudes must be finite")
+        with _checked_arithmetic(field):
+            norm = float(np.linalg.norm(amps))
         if norm <= 1e-6:
             raise ConfigError(field, "explicit state has (near-)zero norm and cannot be normalized")
         try:
@@ -283,6 +299,16 @@ def resolve_state(spec, shape: tuple[int, ...] | None = None, field: str = "init
         except ValueError as exc:
             raise ConfigError(field, str(exc)) from exc
     raise ConfigError(field, f"cannot interpret {type(spec).__name__} as a state")
+
+
+@contextlib.contextmanager
+def _checked_arithmetic(field: str):
+    """Refuse config numbers whose arithmetic overflows, with a ConfigError instead of a numpy warning."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ConfigError(field, f"values are out of range ({exc})") from None
 
 
 def _preset_integer(spec: str, field: str) -> int:
@@ -338,7 +364,8 @@ def _bloch_observable(spec: str, field: str) -> Observable:
         vector = np.array([float(p) for p in parts])
     except ValueError:
         raise ConfigError(field, f"bloch components must be numbers, got {spec!r}") from None
-    norm = float(np.linalg.norm(vector))
+    with _checked_arithmetic(field):
+        norm = float(np.linalg.norm(vector))
     if not 1e-6 < norm < math.inf:
         raise ConfigError(field, f"bloch vector needs a finite norm above 1e-6, got {norm!r}")
     x, y, z = vector / norm
@@ -363,15 +390,18 @@ def resolve_observable(spec, field: str = "observables[0]") -> Observable:
             raise ConfigError(field, "explicit observable needs a 'matrix' entry")
         try:
             matrix = np.array([[complex(re, im) for re, im in row] for row in spec["matrix"]])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(field, f"matrix rows must be lists of [re, im] pairs ({exc})") from exc
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ConfigError(field, "matrix must be square")
-        if np.abs(matrix - matrix.conj().T).max() > 1e-8:
-            raise ConfigError(field, "matrix is not Hermitian (tolerance 1e-8)")
-        matrix = (matrix + matrix.conj().T) / 2.0
-        try:
-            return Observable(str(spec.get("name", field)), matrix)
-        except ValueError as exc:
-            raise ConfigError(field, str(exc)) from exc
+        if not np.isfinite(matrix).all():
+            raise ConfigError(field, "matrix entries must be finite")
+        with _checked_arithmetic(field):
+            if np.abs(matrix - matrix.conj().T).max() > 1e-8:
+                raise ConfigError(field, "matrix is not Hermitian (tolerance 1e-8)")
+            matrix = (matrix + matrix.conj().T) / 2.0
+            try:
+                return Observable(str(spec.get("name", field)), matrix)
+            except ValueError as exc:
+                raise ConfigError(field, str(exc)) from exc
     raise ConfigError(field, f"cannot interpret {type(spec).__name__} as an observable")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -357,27 +358,58 @@ def _run_teleportation(config: ExperimentConfig) -> Report:
     return report
 
 
+class Protocol(NamedTuple):
+    """What ``list-protocols`` prints about a protocol and what ``parse_config`` checks of its mode."""
+
+    description: str
+    modes: tuple[str, ...] = ("passive", "quantum")
+    quantum_needs: str | None = None  # an extra field that must be true in quantum mode
+
+
+PASSIVE_ONLY = ("passive",)
+
 PROTOCOLS = {
-    "chsh": (_run_chsh, "CHSH value from global or local-passive sampling"),
-    "clone": (_run_clone, "copy an unknown state by single-copy readout"),
-    "deutsch-jozsa": (_run_deutsch_jozsa, "constant-vs-balanced verdict, one oracle call"),
-    "discriminate": (_run_discriminate, "identify which candidate state a single copy is in"),
-    "entanglement": (_run_entanglement, "product-vs-entangled from local measurements on one copy"),
-    "function-recovery": (_run_function_recovery, "recover a full truth table from the post-oracle state"),
-    "joint-global": (_run_joint_global, "joint outcome table from one global device"),
-    "joint-local": (_run_joint_local, "joint outcome table from independent local passive devices"),
-    "no-cloning": (_run_no_cloning, "inner-product obstruction to unitary cloning"),
-    "proper-vs-improper": (_run_proper_vs_improper, "tell a classical ensemble from an entangled marginal"),
-    "reconstruct": (_run_reconstruct, "single-copy state reconstruction"),
-    "repeatability": (_run_repeatability, "agreement rate of immediate repeated measurements"),
-    "signalling": (_run_signalling, "B-side marginal with and without an A-side action"),
-    "simulate-collapse": (_run_simulate_collapse, "make passive measurements look collapsed by swapping"),
-    "spectrum": (_run_spectrum, "recover an observable's spectrum by repetition"),
-    "teleportation": (_run_teleportation, "teleportation fidelity under either update rule"),
+    "chsh": (_run_chsh, Protocol("CHSH value from global or local-passive sampling")),
+    "clone": (_run_clone, Protocol("copy an unknown state by single-copy readout", PASSIVE_ONLY)),
+    "deutsch-jozsa": (_run_deutsch_jozsa, Protocol("constant-vs-balanced verdict, one oracle call")),
+    "discriminate": (
+        _run_discriminate,
+        Protocol("identify which candidate state a single copy is in", PASSIVE_ONLY),
+    ),
+    "entanglement": (
+        _run_entanglement,
+        Protocol("product-vs-entangled from local measurements on one copy", PASSIVE_ONLY),
+    ),
+    "function-recovery": (
+        _run_function_recovery,
+        Protocol("recover a full truth table from the post-oracle state"),
+    ),
+    "joint-global": (
+        _run_joint_global,
+        Protocol("joint outcome table from one global device", quantum_needs="ensemble"),
+    ),
+    "joint-local": (
+        _run_joint_local,
+        Protocol("joint outcome table from independent local passive devices", PASSIVE_ONLY),
+    ),
+    "no-cloning": (_run_no_cloning, Protocol("inner-product obstruction to unitary cloning")),
+    "proper-vs-improper": (
+        _run_proper_vs_improper,
+        Protocol("tell a classical ensemble from an entangled marginal"),
+    ),
+    "reconstruct": (_run_reconstruct, Protocol("single-copy state reconstruction", PASSIVE_ONLY)),
+    "repeatability": (_run_repeatability, Protocol("agreement rate of immediate repeated measurements")),
+    "signalling": (_run_signalling, Protocol("B-side marginal with and without an A-side action")),
+    "simulate-collapse": (
+        _run_simulate_collapse,
+        Protocol("make passive measurements look collapsed by swapping", PASSIVE_ONLY),
+    ),
+    "spectrum": (_run_spectrum, Protocol("recover an observable's spectrum by repetition", PASSIVE_ONLY)),
+    "teleportation": (_run_teleportation, Protocol("teleportation fidelity under either update rule")),
 }
 
 
-def list_protocols() -> list[tuple[str, str]]:
+def list_protocols() -> list[tuple[str, Protocol]]:
     return [(name, PROTOCOLS[name][1]) for name in sorted(PROTOCOLS)]
 
 

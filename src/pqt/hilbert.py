@@ -10,6 +10,7 @@ marked read-only) and every operation here is a pure function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -42,7 +43,7 @@ def _as_shape(dim: int, shape: Sequence[int] | None) -> tuple[int, ...]:
     if shape is None:
         return (dim,)
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != dim:
+    if math.prod(shape) != dim:
         raise ValueError(f"shape {shape} does not factor dimension {dim}")
     return shape
 
@@ -66,6 +67,17 @@ class StateVector:
             raise ValueError(f"state vector is not normalized: |psi|^2 = {norm_sq!r}")
         self.amplitudes = _freeze(amps)
         self.shape = _as_shape(amps.size, shape)
+
+    @classmethod
+    def _unchecked(cls, amplitudes: np.ndarray, shape: tuple[int, ...]) -> "StateVector":
+        """Wrap amplitudes that an invariant-preserving operation derived from a valid state.
+
+        No check runs: the caller guarantees unit norm and a matching shape.
+        """
+        state = cls.__new__(cls)
+        state.amplitudes = _freeze(amplitudes)
+        state.shape = shape
+        return state
 
     @classmethod
     def normalized(cls, amplitudes: Sequence[complex], shape: Sequence[int] | None = None) -> "StateVector":
@@ -116,6 +128,17 @@ class DensityOperator:
             raise ValueError("density operator has a negative eigenvalue")
         self.matrix = _freeze(mat)
         self.shape = _as_shape(mat.shape[0], shape)
+
+    @classmethod
+    def _unchecked(cls, matrix: np.ndarray, shape: tuple[int, ...]) -> "DensityOperator":
+        """Wrap a matrix that an invariant-preserving operation derived from a valid state.
+
+        No check runs: the caller guarantees a Hermitian, unit-trace, PSD matrix and a matching shape.
+        """
+        state = cls.__new__(cls)
+        state.matrix = _freeze(matrix)
+        state.shape = shape
+        return state
 
     @property
     def dim(self) -> int:
@@ -257,7 +280,8 @@ def partial_trace(state: State, keep: int) -> DensityOperator:
     col = [row[i] if i != keep else chr(ord("a") + n) for i in range(n)]
     spec = "".join(row) + "".join(col) + "->" + row[keep] + col[keep]
     reduced = np.einsum(spec, tensor_form)
-    return DensityOperator(reduced, (dims[keep],))
+    # A partial trace of a valid state is a valid state: no re-validation.
+    return DensityOperator._unchecked(reduced, (dims[keep],))
 
 
 def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:

@@ -182,8 +182,19 @@ def _inverse_cdf(weights: np.ndarray, rng: np.random.Generator, n: int) -> np.nd
 
     Philox is counter-based, so n draws at once consume the stream as n single draws do.
     """
+    return _cdf_index(weights, rng.random(n))
+
+
+def _cdf_index(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The index into ``weights`` that each given uniform in [0, 1) selects by inverse CDF.
+
+    ``uniforms`` is scaled by the weight total in place, so that n draws hold
+    no second array of n floats; pass an array that is not read again.
+    """
     cdf = np.cumsum(weights)
-    return np.minimum(np.searchsorted(cdf, rng.random(n) * cdf[-1], side="right"), cdf.size - 1)
+    uniforms *= cdf[-1]
+    indices = np.searchsorted(cdf, uniforms, side="right")
+    return np.minimum(indices, cdf.size - 1, out=indices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,15 +287,12 @@ def collapse_update(state: State, obs: Observable, outcome_index: int) -> State:
     else:
         projector = obs.projectors[outcome_index]
         probability = _outcome_probability(state, projector)
-    if probability <= ZERO_PROBABILITY:
-        raise ValueError(
-            f"outcome {obs.eigenvalues[outcome_index]!r} of {obs.name!r} has zero "
-            "probability; the post-measurement state is undefined"
-        )
+    _require_possible(obs, outcome_index, probability, "quantum")
+    # Normalised by its own probability, the projection is a state again: no re-validation.
     if isinstance(state, StateVector):
-        return StateVector(projected / np.sqrt(probability), state.shape)
+        return StateVector._unchecked(projected / np.sqrt(probability), state.shape)
     updated = projector @ state.matrix @ projector / probability
-    return DensityOperator(updated, state.shape)
+    return DensityOperator._unchecked(updated, state.shape)
 
 
 def passive_update(state: State, obs: Observable, outcome_index: int) -> State:
@@ -297,11 +305,18 @@ def passive_update(state: State, obs: Observable, outcome_index: int) -> State:
     return state
 
 
-def _require_possible(obs: Observable, outcome_index: int, probability: float) -> None:
+_ZERO_PROBABILITY_CONSEQUENCE = {
+    "quantum": "the post-measurement state is undefined",
+    "passive": "an impossible outcome was claimed",
+}
+
+
+def _require_possible(obs: Observable, outcome_index: int, probability: float, mode: str = "passive") -> None:
+    """Refuse an outcome of zero probability: neither update rule can follow it."""
     if probability <= ZERO_PROBABILITY:
         raise ValueError(
             f"outcome {obs.eigenvalues[outcome_index]!r} of {obs.name!r} has zero "
-            "probability; an impossible outcome was claimed"
+            f"probability; {_ZERO_PROBABILITY_CONSEQUENCE[mode]}"
         )
 
 

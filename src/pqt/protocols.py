@@ -9,6 +9,7 @@ rule pays in measurement repetitions on a single system.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +38,9 @@ from .measurement import (
     InsufficientShotsError,
     Observable,
     PSystem,
+    _cdf_index,
     _inverse_cdf,
+    _require_possible,
     born_distribution,
     collapse_update,
     measure,
@@ -104,6 +107,7 @@ def oracle_unitary(spec: OracleSpec) -> UnitaryOperator:
     return UnitaryOperator(matrix)
 
 
+@functools.cache
 def _basis_index_observable(dim: int) -> Observable:
     """Computational-basis readout: eigenvalue k on |k>."""
     return Observable("basis-index", np.diag(np.arange(dim, dtype=float)).astype(complex))
@@ -127,7 +131,9 @@ def function_recovery(
     weight 2^-n on |x, f(x)> and none on |x, 1 - f(x)>, so a diagonal
     weight above a quarter of that margin decides each bit.  Quantum
     mode learns one (x, f(x)) pair per collapse and needs a fresh copy
-    and oracle call per attempt until every input has been seen.
+    and oracle call per attempt until every input has been seen.  Every
+    fresh copy is in the same post-oracle state, so its readout
+    distribution is computed once and each call draws one outcome from it.
     """
     oracle = oracle_unitary(spec)
     n_inputs = 2**spec.n
@@ -154,12 +160,14 @@ def function_recovery(
     if mode != "quantum":
         raise ValueError(f"unknown mode {mode!r}")
     readout = _basis_index_observable(2 ** (spec.n + 1))
+    dist = born_distribution(readout, evolve(_oracle_input_state(spec), oracle))
     seen: dict[int, int] = {}
     calls = 0
     while len(seen) < n_inputs:
         calls += 1
-        sys = PSystem(evolve(_oracle_input_state(spec), oracle), "quantum", rng)
-        index = int(round(measure(sys, readout)))
+        # One draw per call, as measure() on a fresh copy takes it.
+        index = int(dist.sample_indices(rng, 1)[0])
+        _require_possible(readout, index, dist.probabilities[index], "quantum")
         x, y = index >> 1, index & 1
         seen[x] = y
         report.log.append({"call": calls, "x": x, "f_x": y})
@@ -421,6 +429,7 @@ _BELL_ORDER = ("phi+", "phi-", "psi+", "psi-")
 _CORRECTIONS = (PAULI_I, PAULI_Z, PAULI_X, PAULI_Z @ PAULI_X)
 
 
+@functools.cache
 def _bell_basis_observable() -> Observable:
     projectors = tuple(np.kron(bell_state(name).projector(), PAULI_I) for name in _BELL_ORDER)
     return Observable.from_decomposition(
@@ -437,7 +446,8 @@ def teleportation_demo(input_state: StateVector, mode: str, rng: np.random.Gener
     sampled but nothing collapses; applying the correction anyway leaves
     Bob's marginal at I/2, so the fidelity is 1/2 for every pure input.
     The returned value averages the per-outcome fidelities analytically;
-    one concrete run is also sampled so the protocol actually executes.
+    one concrete outcome is also drawn from the Bell distribution the
+    average uses, so the protocol actually executes.
     """
     if input_state.dim != 2:
         raise ValueError("teleportation input must be a single qubit")
@@ -447,8 +457,8 @@ def teleportation_demo(input_state: StateVector, mode: str, rng: np.random.Gener
     bell_obs = _bell_basis_observable()
     dist = born_distribution(bell_obs, three_qubit)
 
-    sys = PSystem(three_qubit, mode, rng)
-    measure(sys, bell_obs)
+    drawn = int(dist.sample_indices(rng, 1)[0])
+    _require_possible(bell_obs, drawn, dist.probabilities[drawn], mode)
 
     average = 0.0
     for k, probability in enumerate(dist.probabilities):
@@ -476,6 +486,12 @@ def repeatability_experiment(
     the second outcome repeat the first, so the rate is exactly 1.
     Passive mode reuses one system throughout; the pair outcomes are
     independent draws, so the rate converges to sum_r p(a_r)^2.
+
+    Neither mode builds a system per trial.  The second outcome's
+    distribution depends only on the first outcome, so quantum mode
+    collapses once per distinct first outcome and draws every trial's
+    pair from these distributions.  Both modes take one uniform per
+    measurement in trial order, as a measure-by-measure loop would.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -488,10 +504,22 @@ def repeatability_experiment(
         indices = dist.sample_indices(sys.rng, 2 * trials)
         agreements = int(np.sum(indices[0::2] == indices[1::2]))
     elif mode == "quantum":
+        first = born_distribution(obs, state).probabilities
+        uniforms = rng.random(2 * trials).reshape(trials, 2)
+        firsts = _cdf_index(first, uniforms[:, 0])
+        _require_all_possible(obs, firsts, first[firsts])
         agreements = 0
-        for _ in range(trials):
-            sys = PSystem(state, "quantum", rng)
-            agreements += measure(sys, obs) == measure(sys, obs)
+        for k in np.flatnonzero(np.bincount(firsts, minlength=first.size)):
+            after = born_distribution(obs, collapse_update(state, obs, int(k))).probabilities
+            seconds = _cdf_index(after, uniforms[firsts == k, 1])
+            _require_all_possible(obs, seconds, after[seconds])
+            agreements += int(np.count_nonzero(seconds == k))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return agreements / trials
+
+
+def _require_all_possible(obs: Observable, indices: np.ndarray, probabilities: np.ndarray) -> None:
+    """Refuse drawn outcomes of zero probability, as collapsing on each of them would."""
+    least = int(np.argmin(probabilities))
+    _require_possible(obs, int(indices[least]), probabilities[least], "quantum")

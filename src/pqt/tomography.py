@@ -64,7 +64,6 @@ class ExpectationEstimate:
     observable: str
     mean: float
     half_width: float
-    frequencies: dict[float, float]
 
 
 @dataclass
@@ -152,12 +151,10 @@ def estimate_expectations(sys: PSystem, ic: ICSet, shots: int) -> list[Expectati
         raise ValueError("single-copy estimation requires passive mode")
     estimates = []
     for obs in ic.observables:
-        record = repeated_measure(sys, obs, shots)
-        outcomes = record.outcomes
+        outcomes = repeated_measure(sys, obs, shots).outcomes
         mean = float(outcomes.mean())
         half_width = float(CONFIDENCE_Z * outcomes.std(ddof=0) / np.sqrt(shots))
-        frequencies = {value: count / shots for value, count in record.counts().items()}
-        estimates.append(ExpectationEstimate(obs.name, mean, half_width, frequencies))
+        estimates.append(ExpectationEstimate(obs.name, mean, half_width))
     return estimates
 
 

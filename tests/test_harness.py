@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -213,12 +214,34 @@ class TestCLI:
         assert main(["validate", "--config", "/nonexistent.json"]) == 1
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
-        # joint-local refuses quantum mode at run time: exit code 2.
-        config = json.loads((CONFIG_DIR / "joint-local.json").read_text())
-        path = tmp_path / "quantum-local.json"
+        # Without a library, collapse simulation needs a bipartite state; it finds out at run time: exit code 2.
+        config = {"name": "sim", "protocol": "simulate-collapse", "initial_state": "plus", "observables": ["pauli:Z"]}
+        path = tmp_path / "no-library.json"
         path.write_text(json.dumps(config))
-        assert main(["run", "--config", str(path), "--mode", "quantum"]) == 2
-        assert "passive-only" in capsys.readouterr().err
+        assert main(["run", "--config", str(path)]) == 2
+        assert "bipartite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["reconstruct", "clone", "joint-local", "joint-global"])
+    def test_mode_flag_is_checked_like_the_config(self, capsys, name):
+        assert main(["run", "--config", str(CONFIG_DIR / f"{name}.json"), "--mode", "quantum"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid:") and "'mode'" in err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"protocol": "spectrum", "initial_state": "plus", "observables": [{"matrix": [[[1e308, 0]] * 2] * 2}]},
+            {"protocol": "reconstruct", "initial_state": [[1e308, 0], [1e308, 0]]},
+        ],
+    )
+    def test_overflowing_input_prints_one_line(self, tmp_path, capsys, config):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"name": "huge", **config}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for command in ("validate", "run"):
+                assert main([command, "--config", str(path)]) == 1
+                assert capsys.readouterr().err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "field, value",
@@ -265,6 +288,23 @@ class TestCLI:
             ({"protocol": "joint-global", "initial_state": "bell:phi+", "observables": ["pauli:Z", "pauli:XX"]}, "observables[1]"),
             ({"protocol": "proper-vs-improper", "shape": [2], "purification": "plus"}, "purification"),
             ({"protocol": "proper-vs-improper", "shape": [2, 2], "purification": "basis:0"}, "purification"),
+            ({"protocol": "reconstruct", "mode": "quantum", "initial_state": "plus"}, "mode"),
+            ({"protocol": "clone", "mode": "quantum", "initial_state": "plus"}, "mode"),
+            (
+                {"protocol": "joint-local", "mode": "quantum", "initial_state": "bell:phi+",
+                 "observables": ["pauli:Z", "pauli:Z"]},
+                "mode",
+            ),
+            (
+                {"protocol": "joint-global", "mode": "quantum", "initial_state": "bell:phi+",
+                 "observables": ["pauli:Z", "pauli:Z"]},
+                "mode",
+            ),
+            ({"protocol": "reconstruct", "initial_state": [[1e308, 0], [1e308, 0]]}, "initial_state"),
+            (
+                {"protocol": "spectrum", "initial_state": "plus", "observables": ["bloch:1e308,1e308,0"]},
+                "observables[0]",
+            ),
         ],
     )
     def test_malformed_input_is_named(self, tmp_path, capsys, config, field):

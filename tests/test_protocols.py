@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -7,17 +8,30 @@ from pqt import rng
 from pqt.composite import LocalSetting, lift_local
 from pqt.hilbert import (
     DensityOperator,
+    PAULI_I,
     PAULI_X,
     PAULI_Z,
+    SpectralDecomposition,
+    StateVector,
     UnitaryOperator,
     basis_state,
     bell_state,
+    evolve,
     fidelity,
+    maximally_mixed,
     partial_trace,
     plus_state,
     random_pure_state,
+    tensor,
 )
-from pqt.measurement import Observable, PSystem, born_distribution, measure, repeated_measure
+from pqt.measurement import (
+    Observable,
+    PSystem,
+    born_distribution,
+    collapse_update,
+    measure,
+    repeated_measure,
+)
 from pqt.protocols import (
     OracleSpec,
     clone_via_reconstruction,
@@ -325,3 +339,110 @@ class TestRepeatability:
         expected = float((born_distribution(obs, psi).probabilities ** 2).sum())
         rate = repeatability_experiment(psi, obs, "passive", 20_000, g)
         assert rate == pytest.approx(expected, abs=0.015)
+
+
+# The collapse-side loops as they were written trial by trial, one PSystem
+# and one measure() per shot.  The batched versions must return equal
+# results and leave the generator at the same position.
+
+
+def reference_quantum_repeatability(state, obs, trials, gen):
+    agreements = 0
+    for _ in range(trials):
+        sys = PSystem(state, "quantum", gen)
+        agreements += measure(sys, obs) == measure(sys, obs)
+    return agreements / trials
+
+
+def reference_quantum_function_recovery(spec, gen):
+    oracle = oracle_unitary(spec)
+    readout = Observable("basis-index", np.diag(np.arange(2 ** (spec.n + 1), dtype=float)).astype(complex))
+    seen, log, calls = {}, [], 0
+    while len(seen) < 2**spec.n:
+        calls += 1
+        start = tensor(plus_state(spec.n), basis_state(2, 0, (2,)))
+        sys = PSystem(evolve(start, oracle), "quantum", gen)
+        index = int(round(measure(sys, readout)))
+        x, y = index >> 1, index & 1
+        seen[x] = y
+        log.append({"call": calls, "x": x, "f_x": y})
+    return calls, log, tuple(seen[x] for x in range(2**spec.n))
+
+
+def reference_teleportation(input_state, mode, gen):
+    order = ("phi+", "phi-", "psi+", "psi-")
+    corrections = (PAULI_I, PAULI_Z, PAULI_X, PAULI_Z @ PAULI_X)
+    projectors = tuple(np.kron(bell_state(name).projector(), PAULI_I) for name in order)
+    bell_obs = Observable.from_decomposition("bell-basis-12", SpectralDecomposition((0.0, 1.0, 2.0, 3.0), projectors))
+    three_qubit = tensor(input_state, bell_state("phi+"))
+    dist = born_distribution(bell_obs, three_qubit)
+    measure(PSystem(three_qubit, mode, gen), bell_obs)
+    average = 0.0
+    for k, probability in enumerate(dist.probabilities):
+        if probability <= 1e-12:
+            continue
+        branch = collapse_update(three_qubit, bell_obs, k) if mode == "quantum" else three_qubit
+        bob = partial_trace(branch, keep=2)
+        corrected = corrections[k] @ bob.matrix @ corrections[k].conj().T
+        average += probability * float(np.vdot(input_state.amplitudes, corrected @ input_state.amplitudes).real)
+    return average
+
+
+def _position(gen):
+    """The generator's full state (key, counter, buffer) as comparable text."""
+    return json.dumps(gen.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+class _ZeroUniforms:
+    """Stands in for a generator whose every uniform draw is 0.0."""
+
+    def random(self, n):
+        return np.zeros(n)
+
+
+class TestCollapseLoopsMatchReference:
+    @staticmethod
+    def degenerate_qutrit_observable():
+        basis, _ = np.linalg.qr(rng.stream(5, "eq/basis").normal(size=(3, 3)))
+        return Observable("D", (basis * np.array([-1.0, 1.0, 1.0])) @ basis.T)
+
+    @pytest.mark.parametrize("case", ["bloch-qubit", "maximally-mixed", "degenerate-qutrit"])
+    def test_quantum_repeatability(self, case):
+        if case == "bloch-qubit":
+            state = random_pure_state(2, rng.stream(1, "eq/state"))
+            obs = Observable("bloch", (0.6 * PAULI_X + 0.8 * PAULI_Z))
+        elif case == "maximally-mixed":
+            state, obs = maximally_mixed(2), Z
+        else:
+            state, obs = random_pure_state(3, rng.stream(2, "eq/state")), self.degenerate_qutrit_observable()
+        expected_gen, actual_gen = rng.stream(7, "eq/rep"), rng.stream(7, "eq/rep")
+        expected = reference_quantum_repeatability(state, obs, 300, expected_gen)
+        assert repeatability_experiment(state, obs, "quantum", 300, actual_gen) == expected
+        assert _position(actual_gen) == _position(expected_gen)
+
+    def test_quantum_repeatability_rejects_a_drawn_impossible_outcome(self):
+        # A zero uniform lands on the first outcome (Z = -1), whose weight 1e-13 is below ZERO_PROBABILITY.
+        state = StateVector([np.sqrt(1.0 - 1e-13), np.sqrt(1e-13)])
+        with pytest.raises(ValueError, match="zero probability"):
+            reference_quantum_repeatability(state, Z, 3, _ZeroUniforms())
+        with pytest.raises(ValueError, match="zero probability"):
+            repeatability_experiment(state, Z, "quantum", 3, _ZeroUniforms())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_quantum_function_recovery(self, seed):
+        spec = OracleSpec(3, (0, 1, 1, 0, 1, 0, 0, 1))
+        expected_gen, actual_gen = rng.stream(seed, "eq/oracle"), rng.stream(seed, "eq/oracle")
+        calls, log, table = reference_quantum_function_recovery(spec, expected_gen)
+        report = function_recovery(spec, "quantum", actual_gen)
+        assert report.resources["oracle_calls"] == calls
+        assert report.log == log
+        assert report.verdicts["truth_table"] == table
+        assert _position(actual_gen) == _position(expected_gen)
+
+    @pytest.mark.parametrize("mode", ["quantum", "passive"])
+    def test_teleportation(self, mode):
+        for i in range(10):
+            state = random_pure_state(2, rng.stream(i, "eq/tele/in"))
+            expected_gen, actual_gen = rng.stream(i, "eq/tele"), rng.stream(i, "eq/tele")
+            assert teleportation_demo(state, mode, actual_gen) == reference_teleportation(state, mode, expected_gen)
+            assert _position(actual_gen) == _position(expected_gen)
