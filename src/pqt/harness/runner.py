@@ -372,18 +372,12 @@ PROTOCOLS = {
     "chsh": (_run_chsh, Protocol("CHSH value from global or local-passive sampling")),
     "clone": (_run_clone, Protocol("copy an unknown state by single-copy readout", PASSIVE_ONLY)),
     "deutsch-jozsa": (_run_deutsch_jozsa, Protocol("constant-vs-balanced verdict, one oracle call")),
-    "discriminate": (
-        _run_discriminate,
-        Protocol("identify which candidate state a single copy is in", PASSIVE_ONLY),
-    ),
+    "discriminate": (_run_discriminate, Protocol("identify which candidate state a single copy is in", PASSIVE_ONLY)),
     "entanglement": (
         _run_entanglement,
         Protocol("product-vs-entangled from local measurements on one copy", PASSIVE_ONLY),
     ),
-    "function-recovery": (
-        _run_function_recovery,
-        Protocol("recover a full truth table from the post-oracle state"),
-    ),
+    "function-recovery": (_run_function_recovery, Protocol("recover a full truth table from the post-oracle state")),
     "joint-global": (
         _run_joint_global,
         Protocol("joint outcome table from one global device", quantum_needs="ensemble"),
@@ -393,10 +387,7 @@ PROTOCOLS = {
         Protocol("joint outcome table from independent local passive devices", PASSIVE_ONLY),
     ),
     "no-cloning": (_run_no_cloning, Protocol("inner-product obstruction to unitary cloning")),
-    "proper-vs-improper": (
-        _run_proper_vs_improper,
-        Protocol("tell a classical ensemble from an entangled marginal"),
-    ),
+    "proper-vs-improper": (_run_proper_vs_improper, Protocol("tell a classical ensemble from an entangled marginal")),
     "reconstruct": (_run_reconstruct, Protocol("single-copy state reconstruction", PASSIVE_ONLY)),
     "repeatability": (_run_repeatability, Protocol("agreement rate of immediate repeated measurements")),
     "signalling": (_run_signalling, Protocol("B-side marginal with and without an A-side action")),
