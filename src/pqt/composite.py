@@ -17,7 +17,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import DensityOperator, SpectralDecomposition, State, StateVector
-from .measurement import Observable, OutcomeDistribution, PSystem, _inverse_cdf, born_distribution, repeated_measure
+from .measurement import (
+    Observable,
+    OutcomeDistribution,
+    PSystem,
+    _cdf_counts,
+    _cdf_index,
+    _skipped_ahead,
+    _uniform_chunks,
+    born_distribution,
+    repeated_measure,
+)
 from .tomography import ICSet, hermitian_basis_ic_set, linear_inversion, project_to_physical
 
 PURITY_PRODUCT_THRESHOLD = 0.95
@@ -132,8 +142,7 @@ def global_joint_sample(
         raise ValueError("ensemble required in quantum mode: a single copy collapses on the first shot")
     probs = joint_distribution_global(sys.state, a_obs, b_obs)
     # One draw per shot over the row-major (a, b) grid.
-    indices = _inverse_cdf(probs.reshape(-1), sys.rng, shots)
-    counts = np.bincount(indices, minlength=probs.size).reshape(probs.shape)
+    counts = _cdf_counts(probs.reshape(-1), sys.rng, shots).reshape(probs.shape)
     return JointFrequencyTable(a_obs.eigenvalues, b_obs.eigenvalues, counts, shots)
 
 
@@ -149,6 +158,11 @@ def local_passive_joint_sample(
     independently, from I tensor B: without collapse the first local
     measurement cannot steer the second, so the empirical table
     factorises into the marginals in expectation.
+
+    Side A takes the stream's next ``shots`` uniforms and side B the
+    ``shots`` after them.  Both sides are drawn chunk by chunk, B from a
+    copy of the stream skipped ahead past A's draws, and the stream ends
+    where B's copy ends.
     """
     if sys.mode != "passive":
         raise ValueError(
@@ -160,11 +174,16 @@ def local_passive_joint_sample(
     shape = sys.state.shape
     marg_a = born_distribution(lift_local(a_setting, shape), sys.state)
     marg_b = born_distribution(lift_local(b_setting, shape), sys.state)
-    a_indices = marg_a.sample_indices(sys.rng, shots)
-    b_indices = marg_b.sample_indices(sys.rng, shots)
     n_a, n_b = len(marg_a.eigenvalues), len(marg_b.eigenvalues)
-    counts = np.bincount(a_indices * n_b + b_indices, minlength=n_a * n_b).reshape(n_a, n_b)
-    return JointFrequencyTable(marg_a.eigenvalues, marg_b.eigenvalues, counts, shots)
+    b_rng = _skipped_ahead(sys.rng, shots)
+    counts = np.zeros(n_a * n_b, dtype=np.int64)
+    for a_uniforms, b_uniforms in zip(_uniform_chunks(sys.rng, shots), _uniform_chunks(b_rng, shots)):
+        pairs = _cdf_index(marg_a.probabilities, a_uniforms)
+        pairs *= n_b
+        pairs += _cdf_index(marg_b.probabilities, b_uniforms)
+        counts += np.bincount(pairs, minlength=n_a * n_b)
+    sys.rng.bit_generator.state = b_rng.bit_generator.state
+    return JointFrequencyTable(marg_a.eigenvalues, marg_b.eigenvalues, counts.reshape(n_a, n_b), shots)
 
 
 def correlator(table: JointFrequencyTable) -> float:

@@ -25,6 +25,7 @@ from ..hilbert import (
     PAULI_Z,
     State,
     StateVector,
+    UnitaryOperator,
     basis_state,
     bell_state,
     maximally_mixed,
@@ -68,6 +69,8 @@ _COMMON_FIELDS = (
     "trials",
     "seed",
 )
+
+_CNOT = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
 
 # What each observable a protocol reads acts on: None for the whole state,
 # 0 or 1 for that subsystem of a bipartite state.
@@ -206,6 +209,8 @@ def parse_config(text: str) -> ExperimentConfig:
         resolve_mixture(extras["mixture"])
     if "purification" in extras:
         resolve_purification(extras["purification"], shape)
+    if config.protocol == "no-cloning":
+        resolve_cloning_test(extras)
     if config.initial_state is not None:
         state = resolve_state(config.initial_state, shape, field="initial_state")
         targets = _OBSERVABLE_TARGETS.get(config.protocol, ())
@@ -354,6 +359,45 @@ def resolve_purification(spec, shape: tuple[int, ...] | None, field: str = "puri
     if partial_trace(state, keep=0).purity() >= 1.0 - PURE_AVERAGE_TOL:
         raise ConfigError(field, "the reduced state is pure: the presentations are indistinguishable")
     return state
+
+
+def resolve_cloning_test(extras: dict) -> tuple[StateVector, StateVector, UnitaryOperator]:
+    """The two test states of a ``no-cloning`` config and its candidate cloning unitary."""
+    specs = extras.get("candidates")
+    if not isinstance(specs, list) or len(specs) != 2:
+        raise ConfigError("candidates", "need exactly two test states")
+    states = []
+    for i, spec in enumerate(specs):
+        state = resolve_state(spec, None, field=f"candidates[{i}]")
+        if not isinstance(state, StateVector):
+            raise ConfigError(f"candidates[{i}]", "test states must be pure")
+        states.append(state)
+    psi, phi = states
+    if phi.dim != psi.dim:
+        raise ConfigError("candidates[1]", f"dimension {phi.dim} differs from the first test state's {psi.dim}")
+    return psi, phi, resolve_unitary(extras.get("unitary", "cnot"), psi.dim)
+
+
+def resolve_unitary(spec, dim: int, field: str = "unitary") -> UnitaryOperator:
+    """Turn ``"cnot"`` or a row-major matrix of ``[re, im]`` pairs into a unitary on two copies of C^dim."""
+    if spec == "cnot":
+        if dim != 2:
+            raise ConfigError(field, "the 'cnot' preset needs qubit test states")
+        return UnitaryOperator(np.array(_CNOT, dtype=complex))
+    try:
+        matrix = np.array([[complex(re, im) for re, im in row] for row in spec])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(field, f"must be 'cnot' or matrix rows of [re, im] pairs ({exc})") from exc
+    side = dim * dim
+    if matrix.shape != (side, side):
+        raise ConfigError(field, f"must be {side} x {side}, acting on two copies of the test states; got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise ConfigError(field, "matrix entries must be finite")
+    with _checked_arithmetic(field):
+        try:
+            return UnitaryOperator(matrix)
+        except ValueError as exc:
+            raise ConfigError(field, str(exc)) from exc
 
 
 def _bloch_observable(spec: str, field: str) -> Observable:

@@ -24,7 +24,7 @@ from ..composite import (
     local_passive_joint_sample,
     signalling_check,
 )
-from ..hilbert import StateVector, UnitaryOperator, fidelity, random_pure_state
+from ..hilbert import StateVector, fidelity, random_pure_state
 from ..measurement import InsufficientShotsError, Observable, PSystem
 from ..protocols import (
     OracleSpec,
@@ -41,6 +41,7 @@ from ..tomography import discriminate, estimate_spectrum, ic_set_for_dimension, 
 from .config import (
     ConfigError,
     ExperimentConfig,
+    resolve_cloning_test,
     resolve_mixture,
     resolve_observable,
     resolve_purification,
@@ -260,21 +261,7 @@ def _run_clone(config: ExperimentConfig) -> Report:
 
 
 def _run_no_cloning(config: ExperimentConfig) -> Report:
-    specs = config.extras.get("candidates")
-    if not specs or len(specs) != 2:
-        raise ConfigError("candidates", "need exactly two test states")
-    psi = resolve_state(specs[0], None, field="candidates[0]")
-    phi = resolve_state(specs[1], None, field="candidates[1]")
-    unitary_spec = config.extras.get("unitary", "cnot")
-    if unitary_spec == "cnot":
-        if psi.dim != 2:
-            raise ConfigError("unitary", "the 'cnot' preset needs qubit test states")
-        candidate = UnitaryOperator(
-            np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-        )
-    else:
-        matrix = np.array([[complex(re, im) for re, im in row] for row in unitary_spec])
-        candidate = UnitaryOperator(matrix)
+    psi, phi, candidate = resolve_cloning_test(config.extras)
     result = no_cloning_check(candidate, (psi, phi))
     report = Report(_echo(config), config.seed)
     report.add_metric("fidelity_first", result.fidelity_first)

@@ -213,8 +213,11 @@ def spectral_decompose(matrix: np.ndarray, degeneracy_tol: float = DEGENERACY_TO
     mat = np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("expected a square matrix")
+    # Finiteness first: inf - inf in the Hermiticity test would warn.
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix entries are not finite")
     if not np.abs(mat - mat.conj().T).max() <= 1e-10:
-        raise ValueError("matrix is not Hermitian or not finite")
+        raise ValueError("matrix is not Hermitian")
 
     values, vectors = np.linalg.eigh(mat)
     groups: list[list[int]] = [[0]]

@@ -8,7 +8,11 @@ untouched, so the very same system can be measured again and again.
 
 Outcome sampling is inverse-CDF over the ascending outcome list with one
 uniform draw per shot, taken from the system's Philox stream (see
-:mod:`pqt.rng`); the platform-default RNG is never used.
+:mod:`pqt.rng`); the platform-default RNG is never used.  Callers that
+only need tallies draw ``SAMPLE_CHUNK`` uniforms at a time into one
+reused buffer and count them, so memory does not grow with the shot
+count; chunked draws still take one uniform per shot in stream order,
+so they give the same outcomes as one large draw.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .hilbert import (
 
 ZERO_PROBABILITY = 1e-12
 RECONSTRUCTION_TOL = 1e-9
+SAMPLE_CHUNK = 2**16  # uniforms drawn at once by the counting samplers
 
 
 class InsufficientShotsError(ValueError):
@@ -193,8 +198,62 @@ def _cdf_index(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """
     cdf = np.cumsum(weights)
     uniforms *= cdf[-1]
+    if cdf.size == 2:
+        # searchsorted(side="right") clipped to the last index is one comparison with cdf[0].
+        return np.greater_equal(uniforms, cdf[0], out=np.empty(uniforms.shape, np.intp))
     indices = np.searchsorted(cdf, uniforms, side="right")
     return np.minimum(indices, cdf.size - 1, out=indices)
+
+
+def _cdf_counts(weights: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+    """How often each index into ``weights`` is drawn in n inverse-CDF draws.
+
+    Equal to ``np.bincount(_inverse_cdf(weights, rng, n), minlength=len(weights))``
+    and leaves ``rng`` at the same position, but holds one chunk of uniforms at a time.
+    """
+    cdf = np.cumsum(weights)
+    # at_least[j]: draws whose index is j or more, i.e. whose scaled uniform reaches cdf[j - 1].
+    at_least = np.zeros(cdf.size + 1, dtype=np.int64)
+    at_least[0] = n
+    for uniforms in _uniform_chunks(rng, n):
+        uniforms *= cdf[-1]
+        for j, edge in enumerate(cdf[:-1], start=1):
+            at_least[j] += np.count_nonzero(uniforms >= edge)
+    return at_least[:-1] - at_least[1:]
+
+
+def _uniform_chunks(rng: np.random.Generator, n: int):
+    """Yield n uniforms from ``rng`` in stream order, ``SAMPLE_CHUNK`` at a time.
+
+    Every chunk is a view of one reused buffer, overwritten by the next chunk.
+    """
+    buffer = np.empty(min(n, SAMPLE_CHUNK))
+    for start in range(0, n, SAMPLE_CHUNK):
+        chunk = buffer[: min(SAMPLE_CHUNK, n - start)]
+        rng.random(out=chunk)
+        yield chunk
+
+
+def _skipped_ahead(rng: np.random.Generator, n: int) -> np.random.Generator:
+    """A copy of a Philox generator whose next draw is the one ``rng`` would make after n more.
+
+    Philox draws come in blocks of four per counter value: the copy uses up the
+    block ``rng`` has started, jumps whole blocks with ``advance`` and burns the rest.
+    """
+    state = rng.bit_generator.state
+    bit_generator = np.random.Philox(key=0)
+    bit_generator.state = state
+    burned = min(n, 4 - state["buffer_pos"])
+    bit_generator.random_raw(burned)
+    rest = n - burned
+    if rest // 4:
+        bit_generator.advance(rest // 4)
+        # advance() also clears the cached half of a 64-bit draw; keep the original's.
+        moved = bit_generator.state
+        moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
+        bit_generator.state = moved
+    bit_generator.random_raw(rest % 4)
+    return np.random.Generator(bit_generator)
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,6 +379,12 @@ def _require_possible(obs: Observable, outcome_index: int, probability: float, m
         )
 
 
+def _require_all_possible(obs: Observable, indices: np.ndarray, probabilities: np.ndarray, mode: str) -> None:
+    """Refuse drawn outcomes of zero probability, as updating on each of them in turn would."""
+    least = int(np.argmin(probabilities))
+    _require_possible(obs, int(indices[least]), probabilities[least], mode)
+
+
 def _sample_and_update(sys: PSystem, obs: Observable) -> int:
     """Draw one outcome index from the current state and apply the mode's update rule."""
     dist = born_distribution(obs, sys.state)
@@ -352,7 +417,8 @@ def repeated_measure(sys: PSystem, obs: Observable, n: int) -> MeasurementRecord
     if sys.mode == "passive":
         dist = born_distribution(obs, sys.state)
         indices = dist.sample_indices(sys.rng, n)
-        _require_possible(obs, int(indices[0]), dist.probabilities[indices[0]])
+        if dist.probabilities.min() <= ZERO_PROBABILITY:
+            _require_all_possible(obs, indices, dist.probabilities[indices], "passive")
     else:
         indices = np.fromiter((_sample_and_update(sys, obs) for _ in range(n)), dtype=np.intp, count=n)
     sys.history[obs.name] += n

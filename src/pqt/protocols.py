@@ -38,9 +38,12 @@ from .measurement import (
     InsufficientShotsError,
     Observable,
     PSystem,
+    _cdf_counts,
     _cdf_index,
     _inverse_cdf,
+    _require_all_possible,
     _require_possible,
+    _uniform_chunks,
     born_distribution,
     collapse_update,
     measure,
@@ -414,11 +417,9 @@ def simulate_qt_with_pqt(
         simulated = repeated_measure(sys, followup_obs, followup_shots)
         reference_state = collapse_update(state_before, obs, outcome_index)
         reference_dist = born_distribution(followup_obs, reference_state)
-        reference_indices = reference_dist.sample_indices(sys.rng, followup_shots)
-        grid = followup_obs.eigenvalues
+        ref_counts = _cdf_counts(reference_dist.probabilities, sys.rng, followup_shots).astype(float)
         counts = simulated.counts()
-        sim_counts = np.array([counts.get(v, 0) for v in grid], dtype=float)
-        ref_counts = np.bincount(reference_indices, minlength=len(grid)).astype(float)
+        sim_counts = np.array([counts.get(v, 0) for v in followup_obs.eigenvalues], dtype=float)
         tv = 0.5 * float(np.abs(sim_counts - ref_counts).sum()) / followup_shots
         report.verdicts["followup_tv"] = tv
         report.resources["reference_copies_consumed"] = followup_shots
@@ -497,29 +498,24 @@ def repeatability_experiment(
         raise ValueError("need at least one trial")
     if mode == "passive":
         # The state never updates, so the 2 * trials outcomes are i.i.d.
-        # draws from one Born distribution; batch sampling consumes the
-        # stream exactly as the measure-by-measure loop would.
-        sys = PSystem(state, "passive", rng)
-        dist = born_distribution(obs, sys.state)
-        indices = dist.sample_indices(sys.rng, 2 * trials)
-        agreements = int(np.sum(indices[0::2] == indices[1::2]))
+        # draws from one Born distribution.  Chunks hold whole pairs, as
+        # SAMPLE_CHUNK is even.
+        probabilities = born_distribution(obs, state).probabilities
+        agreements = 0
+        for uniforms in _uniform_chunks(rng, 2 * trials):
+            indices = _cdf_index(probabilities, uniforms)
+            agreements += int(np.count_nonzero(indices[0::2] == indices[1::2]))
     elif mode == "quantum":
         first = born_distribution(obs, state).probabilities
         uniforms = rng.random(2 * trials).reshape(trials, 2)
         firsts = _cdf_index(first, uniforms[:, 0])
-        _require_all_possible(obs, firsts, first[firsts])
+        _require_all_possible(obs, firsts, first[firsts], "quantum")
         agreements = 0
         for k in np.flatnonzero(np.bincount(firsts, minlength=first.size)):
             after = born_distribution(obs, collapse_update(state, obs, int(k))).probabilities
             seconds = _cdf_index(after, uniforms[firsts == k, 1])
-            _require_all_possible(obs, seconds, after[seconds])
+            _require_all_possible(obs, seconds, after[seconds], "quantum")
             agreements += int(np.count_nonzero(seconds == k))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return agreements / trials
-
-
-def _require_all_possible(obs: Observable, indices: np.ndarray, probabilities: np.ndarray) -> None:
-    """Refuse drawn outcomes of zero probability, as collapsing on each of them would."""
-    least = int(np.argmin(probabilities))
-    _require_possible(obs, int(indices[least]), probabilities[least], "quantum")

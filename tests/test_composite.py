@@ -1,4 +1,6 @@
 import itertools
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,10 +30,11 @@ from pqt.hilbert import (
     maximally_mixed,
     partial_trace,
     plus_state,
+    random_hermitian,
     random_pure_state,
     tensor,
 )
-from pqt.measurement import Observable, PSystem, born_distribution
+from pqt.measurement import SAMPLE_CHUNK, Observable, PSystem, born_distribution
 
 Z = Observable("Z", PAULI_Z)
 X = Observable("X", PAULI_X)
@@ -196,6 +199,87 @@ class TestLocalPassiveJointSample:
         tv_a = 0.5 * np.abs(table.empirical().sum(axis=1) - marg_a).sum()
         tv_b = 0.5 * np.abs(table.empirical().sum(axis=0) - marg_b).sum()
         assert tv_a <= 5.0 / np.sqrt(n) and tv_b <= 5.0 / np.sqrt(n)
+
+
+# local_passive_joint_sample as written before chunked sampling: all of
+# side A's uniforms, then all of side B's, each indexed by searchsorted.
+# The chunked version must give equal counts and leave the generator at
+# the same position.
+
+
+def reference_local_passive_counts(sys, a_setting, b_setting, shots):
+    shape = sys.state.shape
+    marg_a = born_distribution(lift_local(a_setting, shape), sys.state).probabilities
+    marg_b = born_distribution(lift_local(b_setting, shape), sys.state).probabilities
+    a_indices = one_shot_indices(marg_a, sys.rng.random(shots))
+    b_indices = one_shot_indices(marg_b, sys.rng.random(shots))
+    counts = np.bincount(a_indices * marg_b.size + b_indices, minlength=marg_a.size * marg_b.size)
+    return counts.reshape(marg_a.size, marg_b.size)
+
+
+def one_shot_indices(weights, uniforms):
+    cdf = np.cumsum(weights)
+    return np.minimum(np.searchsorted(cdf, uniforms * cdf[-1], side="right"), cdf.size - 1)
+
+
+def position(gen):
+    """The generator's full state (key, counter, buffer) as comparable text."""
+    return json.dumps(gen.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+class TestChunkedSamplingMatchesOneShot:
+    @pytest.mark.parametrize("shots", [1, 3, 5, SAMPLE_CHUNK + 3, 3 * SAMPLE_CHUNK + 1])
+    def test_local_passive_joint_sample(self, shots):
+        # Three outcomes on side A, two on side B, from every start position in a 4-draw Philox block.
+        g = rng.stream(shots, "chunk/inputs")
+        state = random_pure_state(6, g, (3, 2))
+        a_setting = LocalSetting("A", Observable("HA", random_hermitian(3, g)))
+        b_setting = LocalSetting("B", Observable("HB", random_hermitian(2, g)))
+        for skip in range(4):
+            expected_gen, actual_gen = rng.stream(skip, "chunk/draws"), rng.stream(skip, "chunk/draws")
+            expected_gen.random(skip)
+            actual_gen.random(skip)
+            expected = reference_local_passive_counts(PSystem(state, "passive", expected_gen), a_setting, b_setting, shots)
+            table = local_passive_joint_sample(PSystem(state, "passive", actual_gen), a_setting, b_setting, shots)
+            assert table.counts.tolist() == expected.tolist()
+            assert position(actual_gen) == position(expected_gen)
+
+    def test_local_passive_chsh_on_one_shared_stream(self):
+        # The four correlators take consecutive stretches of one stream.
+        shots = SAMPLE_CHUNK + 3
+        state = random_pure_state(4, rng.stream(2, "chunk/chsh"), (2, 2))
+        b1, b2 = TestCHSH.B1, TestCHSH.B2
+        expected_gen, actual_gen = rng.stream(3, "chunk/chsh"), rng.stream(3, "chunk/chsh")
+
+        def estimate(a_obs, b_obs):
+            sys = PSystem(state, "passive", expected_gen)
+            counts = reference_local_passive_counts(sys, LocalSetting("A", a_obs), LocalSetting("B", b_obs), shots)
+            return correlator(JointFrequencyTable(a_obs.eigenvalues, b_obs.eigenvalues, counts, shots))
+
+        expected = estimate(Z, b1) + estimate(Z, b2) + estimate(X, b1) - estimate(X, b2)
+        assert chsh_value(state, (Z, X), (b1, b2), "local-passive", shots, actual_gen) == expected
+        assert position(actual_gen) == position(expected_gen)
+
+
+class TestFlatMemory:
+    @pytest.mark.parametrize("sampler", ["local-passive", "global"])
+    def test_peak_does_not_grow_with_shots(self, sampler):
+        b_obs = Observable("B", (PAULI_Z + PAULI_X) / np.sqrt(2))
+        state = random_pure_state(4, rng.stream(1, "flat/state"), (2, 2))
+        peaks = {}
+        for shots in (10**5, 10**7):
+            sys = PSystem(state, "passive", rng.stream(shots, "flat"))
+            tracemalloc.start()
+            try:
+                if sampler == "global":
+                    global_joint_sample(sys, Z, b_obs, shots)
+                else:
+                    local_passive_joint_sample(sys, LocalSetting("A", Z), LocalSetting("B", b_obs), shots)
+                peaks[shots] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[10**7] < 8_000_000
+        assert peaks[10**7] - peaks[10**5] < 1_000_000
 
 
 class TestCorrelator:

@@ -175,6 +175,15 @@ def test_every_protocol_reachable_from_documented_config():
         assert report.payload()["config"]["protocol"] == protocol
 
 
+# The CNOT matrix with one entry of 1e308: finite, but U^dag U overflows.
+HUGE_UNITARY = [
+    [[1e308, 0], [0, 0], [0, 0], [0, 0]],
+    [[0, 0], [1, 0], [0, 0], [0, 0]],
+    [[0, 0], [0, 0], [0, 0], [1, 0]],
+    [[0, 0], [0, 0], [1, 0], [0, 0]],
+]
+
+
 class TestCLI:
     def test_run_json(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -232,6 +241,7 @@ class TestCLI:
         [
             {"protocol": "spectrum", "initial_state": "plus", "observables": [{"matrix": [[[1e308, 0]] * 2] * 2}]},
             {"protocol": "reconstruct", "initial_state": [[1e308, 0], [1e308, 0]]},
+            {"protocol": "no-cloning", "candidates": ["basis:0", "plus"], "unitary": HUGE_UNITARY},
         ],
     )
     def test_overflowing_input_prints_one_line(self, tmp_path, capsys, config):
@@ -305,6 +315,8 @@ class TestCLI:
                 {"protocol": "spectrum", "initial_state": "plus", "observables": ["bloch:1e308,1e308,0"]},
                 "observables[0]",
             ),
+            ({"protocol": "no-cloning", "candidates": ["basis:0", "plus"], "unitary": [[1, 2]]}, "unitary"),
+            ({"protocol": "no-cloning", "candidates": ["basis:0", "plus"], "unitary": HUGE_UNITARY}, "unitary"),
         ],
     )
     def test_malformed_input_is_named(self, tmp_path, capsys, config, field):

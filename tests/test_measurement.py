@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,11 @@ from pqt.measurement import (
     Observable,
     OutcomeDistribution,
     PSystem,
+    SAMPLE_CHUNK,
+    _cdf_counts,
+    _cdf_index,
     _inverse_cdf,
+    _skipped_ahead,
     born_distribution,
     collapse_update,
     expectation_variance,
@@ -264,6 +270,16 @@ class TestRepeatedMeasure:
             tv = 0.5 * np.abs(empirical - dist.probabilities).sum()
             assert tv <= 5.0 / np.sqrt(n)
 
+    def test_passive_rejects_a_later_impossible_draw(self):
+        # The second uniform, 0.0, lands on Z = -1, whose weight 1e-13 is below ZERO_PROBABILITY.
+        state = StateVector([np.sqrt(1.0 - 1e-13), np.sqrt(1e-13)])
+        loop_sys = PSystem(state, "passive", GivenUniforms([0.5, 0.0]))
+        assert measure(loop_sys, Z) == 1.0
+        with pytest.raises(ValueError, match="zero probability"):
+            measure(loop_sys, Z)
+        with pytest.raises(ValueError, match="zero probability"):
+            repeated_measure(PSystem(state, "passive", GivenUniforms([0.5, 0.0])), Z, 2)
+
     def test_needs_positive_count(self):
         sys = PSystem(plus_state(), "passive", rng.stream(0, "rep"))
         with pytest.raises(ValueError, match="at least one"):
@@ -287,6 +303,87 @@ class TestInverseCdf:
         g = rng.stream(3, "mixture")
         assert [int(_inverse_cdf(weights, g, 1)[0]) for _ in range(16)] == expected
         assert _inverse_cdf(weights, rng.stream(3, "mixture"), 16).tolist() == expected
+
+
+def one_shot_indices(weights, uniforms):
+    """The inverse-CDF index kernel as written before its two-outcome comparison."""
+    cdf = np.cumsum(weights)
+    return np.minimum(np.searchsorted(cdf, uniforms * cdf[-1], side="right"), cdf.size - 1)
+
+
+class TestCdfIndex:
+    @pytest.mark.parametrize("weights", [[0.25, 0.75], [0.0, 1.0], [1.0, 0.0], [0.5, 0.0, 0.25, 0.25]])
+    def test_ties_and_zero_weights_match_searchsorted(self, weights):
+        # 0.25, 0.5 and 0.75 land exactly on interior CDF edges (u * total == cdf[j], cdf[0] included).
+        uniforms = np.array([0.0, 0.25, np.nextafter(0.25, 0), 0.5, 0.75, np.nextafter(1.0, 0)])
+        expected = one_shot_indices(weights, uniforms)
+        assert _cdf_index(np.array(weights), uniforms.copy()).tolist() == expected.tolist()
+        counts = _cdf_counts(np.array(weights), GivenUniforms(uniforms), uniforms.size)
+        assert counts.tolist() == np.bincount(expected, minlength=len(weights)).tolist()
+
+
+class TestCdfCounts:
+    @pytest.mark.parametrize("n", [1, 3, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 10**5 + 3])
+    @pytest.mark.parametrize("k", [2, 3, 4, 16, 64])
+    def test_equals_bincount_of_one_large_draw(self, n, k):
+        for zero in (None, 0, k // 2, k - 1):
+            weights = rng.stream(k, "counts/weights").random(k)
+            if zero is not None:
+                weights[zero] = 0.0
+            weights /= weights.sum()
+            expected_gen, actual_gen = rng.stream(n, "counts"), rng.stream(n, "counts")
+            expected_gen.random(5)
+            actual_gen.random(5)
+            expected = np.bincount(_inverse_cdf(weights, expected_gen, n), minlength=k)
+            assert _cdf_counts(weights, actual_gen, n).tolist() == expected.tolist()
+            assert position(actual_gen) == position(expected_gen)
+
+
+class TestSkippedAhead:
+    def test_reproduces_the_rest_of_one_large_draw(self):
+        for start in range(9):
+            for n in (*range(13), *range(400, 404)):
+                full, gen = rng.stream(start, "ahead"), rng.stream(start, "ahead")
+                full.random(start)
+                gen.random(start)
+                before = position(gen)
+                expected = full.random(420)
+                ahead = _skipped_ahead(gen, n)
+                assert ahead.random(420 - n).tolist() == expected[n:].tolist()
+                assert position(ahead) == position(full)
+                assert position(gen) == before
+
+    def test_keeps_a_cached_half_draw(self):
+        full, gen = rng.stream(1, "ahead/half"), rng.stream(1, "ahead/half")
+        full.integers(10, dtype=np.uint32)
+        gen.integers(10, dtype=np.uint32)
+        assert gen.bit_generator.state["has_uint32"] == 1
+        expected = full.random(420)
+        ahead = _skipped_ahead(gen, 401)
+        assert ahead.random(19).tolist() == expected[401:].tolist()
+        assert position(ahead) == position(full)
+
+
+def position(gen):
+    """The generator's full state (key, counter, buffer) as comparable text."""
+    return json.dumps(gen.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+class GivenUniforms:
+    """Stands in for a generator that hands out the given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.used = 0
+
+    def random(self, n=None, out=None):
+        size = n if out is None else out.size
+        drawn = self.values[self.used : self.used + size]
+        self.used += size
+        if out is None:
+            return drawn.copy()
+        out[...] = drawn
+        return out
 
 
 class TestInstruments:

@@ -21,6 +21,7 @@ from pqt.hilbert import (
     maximally_mixed,
     partial_trace,
     plus_state,
+    random_hermitian,
     random_pure_state,
     tensor,
 )
@@ -330,6 +331,21 @@ class TestRepeatability:
         sys = PSystem(plus_state(), "passive", rng.stream(11, "rep/eq"))
         manual = sum(measure(sys, Z) == measure(sys, Z) for _ in range(trials)) / trials
         assert rate == manual
+
+    @pytest.mark.parametrize("trials", [1, 2**15 + 3, 3 * 2**15 + 1])
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_passive_chunks_match_one_shot_reference(self, dim, trials):
+        # The one-shot code before chunked sampling: all 2 * trials uniforms, indexed by searchsorted.
+        g = rng.stream(dim, "rep/chunk")
+        state = random_pure_state(dim, g)
+        obs = Observable("H", random_hermitian(dim, g))
+        expected_gen, actual_gen = rng.stream(trials, "rep/chunk/draws"), rng.stream(trials, "rep/chunk/draws")
+        cdf = np.cumsum(born_distribution(obs, state).probabilities)
+        uniforms = expected_gen.random(2 * trials) * cdf[-1]
+        indices = np.minimum(np.searchsorted(cdf, uniforms, side="right"), cdf.size - 1)
+        expected = int(np.sum(indices[0::2] == indices[1::2])) / trials
+        assert repeatability_experiment(state, obs, "passive", trials, actual_gen) == expected
+        assert _position(actual_gen) == _position(expected_gen)
 
     def test_passive_rate_converges_to_sum_of_squares(self):
         # General oracle: rate -> sum_r p(a_r)^2 for a biased qutrit state.
