@@ -26,9 +26,8 @@ from .measurement import (
     _skipped_ahead,
     _uniform_chunks,
     born_distribution,
-    repeated_measure,
 )
-from .tomography import ICSet, hermitian_basis_ic_set, linear_inversion, project_to_physical
+from .tomography import ICSet, _frame_estimate, _frame_table, hermitian_basis_ic_set
 
 PURITY_PRODUCT_THRESHOLD = 0.95
 PURITY_ENTANGLED_THRESHOLD = 0.90
@@ -247,8 +246,7 @@ def reconstruct_reduced_single_copy(sys: PSystem, shots: int) -> DensityOperator
     if len(shape) != 2:
         raise ValueError("expected a bipartite system")
     ic, lifted = _local_ic_set(shape)
-    means = [float(np.mean(repeated_measure(sys, obs, shots).outcomes)) for obs in lifted]
-    return project_to_physical(linear_inversion(means, ic))
+    return _frame_estimate(sys, ic, _frame_table(lifted, sys.state), shots)
 
 
 @functools.lru_cache(maxsize=8)

@@ -72,18 +72,6 @@ _COMMON_FIELDS = (
 
 _CNOT = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
 
-# What each observable a protocol reads acts on: None for the whole state,
-# 0 or 1 for that subsystem of a bipartite state.
-_OBSERVABLE_TARGETS = {
-    "repeatability": (None,),
-    "spectrum": (None,),
-    "simulate-collapse": (None,),
-    "joint-global": (0, 1),
-    "joint-local": (0, 1),
-    "chsh": (0, 0, 1, 1),
-    "signalling": (0, 1),
-}
-
 
 class ConfigError(ValueError):
     """A configuration field violated a constraint."""
@@ -202,6 +190,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
     # Validate resolvable pieces eagerly so diagnostics appear before a run.
     resolved = [resolve_observable(spec, f"observables[{i}]") for i, spec in enumerate(observables)]
+    targets, kind, state_required = _protocol_needs(config.protocol, extras)
+    if len(resolved) < len(targets):
+        raise ConfigError(
+            "observables", f"protocol {config.protocol!r} needs {len(targets)} observable(s), got {len(resolved)}"
+        )
+    if state_required and config.initial_state is None:
+        raise ConfigError("initial_state", f"protocol {config.protocol!r} requires an initial state")
     followup = None
     if "followup_observable" in extras:
         followup = resolve_observable(extras["followup_observable"], "followup_observable")
@@ -213,9 +208,8 @@ def parse_config(text: str) -> ExperimentConfig:
         resolve_cloning_test(extras)
     if config.initial_state is not None:
         state = resolve_state(config.initial_state, shape, field="initial_state")
-        targets = _OBSERVABLE_TARGETS.get(config.protocol, ())
-        if config.protocol == "signalling" and extras.get("action", "none") == "none":
-            targets = (1,)
+        if kind is not None:
+            _check_state_kind(config.protocol, kind, state)
         for i, (obs, target) in enumerate(zip(resolved, targets)):
             _check_observable_dimension(f"observables[{i}]", obs, state, target)
         if config.protocol == "simulate-collapse" and followup is not None:
@@ -236,13 +230,36 @@ def check_mode(protocol: str, mode, fields: dict) -> None:
         raise ConfigError("mode", f"protocol {protocol!r} needs {spec.quantum_needs!r} set to true in quantum mode")
 
 
+def _protocol_needs(protocol: str, extras: dict) -> tuple[tuple[int | None, ...], str | None, bool]:
+    """What a protocol's runner reads: observable targets, the kind of initial state and whether one is required."""
+    from .runner import PROTOCOLS  # late import: runner imports this module
+
+    spec = PROTOCOLS[protocol][1]
+    targets, kind = spec.observables, spec.state
+    if protocol == "signalling" and extras.get("action", "none") == "none":
+        targets = (1,)  # only B's marginal is compared
+    if protocol == "simulate-collapse" and extras.get("library") != "eigenstates":
+        kind = "bipartite"  # the replacement comes from a global reconstruction
+    return targets, kind, kind is not None and spec.state_required
+
+
+def _check_state_kind(protocol: str, kind: str, state: State) -> None:
+    if kind in ("bipartite", "pure bipartite") and len(state.shape) != 2:
+        reason = " without an eigenstate 'library'" if protocol == "simulate-collapse" else ""
+        raise ConfigError(
+            "shape", f"protocol {protocol!r}{reason} needs a bipartite state (two subsystem dimensions), got {state.shape}"
+        )
+    if kind.startswith("pure") and not isinstance(state, StateVector):
+        raise ConfigError("initial_state", f"protocol {protocol!r} needs a pure state")
+    if kind == "pure qubit" and state.dim != 2:
+        raise ConfigError("initial_state", f"protocol {protocol!r} needs a qubit state, got dimension {state.dim}")
+
+
 def _check_observable_dimension(field: str, obs: Observable, state: State, target: int | None) -> None:
     if target is None:
         dim, part = state.dim, "state"
-    elif len(state.shape) == 2:
-        dim, part = state.shape[target], f"subsystem {'AB'[target]}"
     else:
-        return  # the runner rejects the non-bipartite shape
+        dim, part = state.shape[target], f"subsystem {'AB'[target]}"
     if obs.dim != dim:
         raise ConfigError(field, f"observable dimension {obs.dim} does not match the {part} dimension {dim}")
 

@@ -60,21 +60,11 @@ def _stream(config: ExperimentConfig, purpose: str) -> np.random.Generator:
 
 
 def _initial_state(config: ExperimentConfig):
-    if config.initial_state is None:
-        raise ConfigError("initial_state", f"protocol {config.protocol!r} requires an initial state")
     return resolve_state(config.initial_state, config.shape)
 
 
 def _observables(config: ExperimentConfig, count: int) -> list[Observable]:
-    if len(config.observables) < count:
-        raise ConfigError("observables", f"protocol {config.protocol!r} needs {count} observable(s)")
     return [resolve_observable(spec, field=f"observables[{i}]") for i, spec in enumerate(config.observables[:count])]
-
-
-def _bipartite_shape(state) -> tuple[int, int]:
-    if len(state.shape) != 2:
-        raise ConfigError("shape", "this protocol needs a bipartite state (two subsystem dimensions)")
-    return state.shape
 
 
 def _run_repeatability(config: ExperimentConfig) -> Report:
@@ -144,7 +134,6 @@ def _joint_report(config: ExperimentConfig, table) -> Report:
 
 def _run_joint_global(config: ExperimentConfig) -> Report:
     state = _initial_state(config)
-    _bipartite_shape(state)
     a_obs, b_obs = _observables(config, 2)
     sys = PSystem(state, config.mode, _stream(config, "joint-global"))
     table = global_joint_sample(sys, a_obs, b_obs, config.shots, ensemble=bool(config.extras.get("ensemble", False)))
@@ -153,7 +142,6 @@ def _run_joint_global(config: ExperimentConfig) -> Report:
 
 def _run_joint_local(config: ExperimentConfig) -> Report:
     state = _initial_state(config)
-    _bipartite_shape(state)
     a_obs, b_obs = _observables(config, 2)
     sys = PSystem(state, config.mode, _stream(config, "joint-local"))
     table = local_passive_joint_sample(sys, LocalSetting("A", a_obs), LocalSetting("B", b_obs), config.shots)
@@ -162,7 +150,6 @@ def _run_joint_local(config: ExperimentConfig) -> Report:
 
 def _run_chsh(config: ExperimentConfig) -> Report:
     state = _initial_state(config)
-    _bipartite_shape(state)
     a1, a2, b1, b2 = _observables(config, 4)
     source = config.extras.get("source", "global")
     value = chsh_value(state, (a1, a2), (b1, b2), source, config.shots, _stream(config, "chsh"))
@@ -173,9 +160,6 @@ def _run_chsh(config: ExperimentConfig) -> Report:
 
 def _run_entanglement(config: ExperimentConfig) -> Report:
     state = _initial_state(config)
-    _bipartite_shape(state)
-    if not isinstance(state, StateVector):
-        raise ConfigError("initial_state", "entanglement detection needs a pure state")
     sys = PSystem(state, config.mode, _stream(config, "entanglement"))
     verdict = detect_entanglement_single_copy(sys, config.shots)
     report = Report(_echo(config), config.seed)
@@ -186,7 +170,6 @@ def _run_entanglement(config: ExperimentConfig) -> Report:
 
 def _run_signalling(config: ExperimentConfig) -> Report:
     state = _initial_state(config)
-    _bipartite_shape(state)
     action = config.extras.get("action", "none")
     if action == "none":
         (b_obs,) = _observables(config, 1)
@@ -337,8 +320,6 @@ def _run_teleportation(config: ExperimentConfig) -> Report:
             state = resolve_state(config.initial_state, config.shape)
         else:
             state = random_pure_state(2, rng.stream(config.seed, f"{config.name}/teleportation/input/{trial}"))
-        if not isinstance(state, StateVector) or state.dim != 2:
-            raise ConfigError("initial_state", "teleportation input must be a pure qubit state")
         fidelities.append(teleportation_demo(state, config.mode, stream))
     report = Report(_echo(config), config.seed)
     report.add_metric("average_fidelity", float(np.mean(fidelities)))
@@ -346,44 +327,76 @@ def _run_teleportation(config: ExperimentConfig) -> Report:
 
 
 class Protocol(NamedTuple):
-    """What ``list-protocols`` prints about a protocol and what ``parse_config`` checks of its mode."""
+    """What ``list-protocols`` prints about a protocol and what ``parse_config`` checks of its config."""
 
     description: str
     modes: tuple[str, ...] = ("passive", "quantum")
     quantum_needs: str | None = None  # an extra field that must be true in quantum mode
+    # What each observable the runner reads acts on: None for the whole state, 0 or 1 for that subsystem.
+    observables: tuple[int | None, ...] = ()
+    # The initial state the runner reads, if any: "any", "bipartite", "pure bipartite" or "pure qubit".
+    state: str | None = None
+    state_required: bool = True
 
 
 PASSIVE_ONLY = ("passive",)
 
 PROTOCOLS = {
-    "chsh": (_run_chsh, Protocol("CHSH value from global or local-passive sampling")),
-    "clone": (_run_clone, Protocol("copy an unknown state by single-copy readout", PASSIVE_ONLY)),
+    "chsh": (
+        _run_chsh,
+        Protocol("CHSH value from global or local-passive sampling", observables=(0, 0, 1, 1), state="bipartite"),
+    ),
+    "clone": (_run_clone, Protocol("copy an unknown state by single-copy readout", PASSIVE_ONLY, state="any")),
     "deutsch-jozsa": (_run_deutsch_jozsa, Protocol("constant-vs-balanced verdict, one oracle call")),
-    "discriminate": (_run_discriminate, Protocol("identify which candidate state a single copy is in", PASSIVE_ONLY)),
+    "discriminate": (
+        _run_discriminate,
+        Protocol("identify which candidate state a single copy is in", PASSIVE_ONLY, state="any"),
+    ),
     "entanglement": (
         _run_entanglement,
-        Protocol("product-vs-entangled from local measurements on one copy", PASSIVE_ONLY),
+        Protocol("product-vs-entangled from local measurements on one copy", PASSIVE_ONLY, state="pure bipartite"),
     ),
     "function-recovery": (_run_function_recovery, Protocol("recover a full truth table from the post-oracle state")),
     "joint-global": (
         _run_joint_global,
-        Protocol("joint outcome table from one global device", quantum_needs="ensemble"),
+        Protocol(
+            "joint outcome table from one global device", quantum_needs="ensemble", observables=(0, 1), state="bipartite"
+        ),
     ),
     "joint-local": (
         _run_joint_local,
-        Protocol("joint outcome table from independent local passive devices", PASSIVE_ONLY),
+        Protocol(
+            "joint outcome table from independent local passive devices",
+            PASSIVE_ONLY,
+            observables=(0, 1),
+            state="bipartite",
+        ),
     ),
     "no-cloning": (_run_no_cloning, Protocol("inner-product obstruction to unitary cloning")),
     "proper-vs-improper": (_run_proper_vs_improper, Protocol("tell a classical ensemble from an entangled marginal")),
-    "reconstruct": (_run_reconstruct, Protocol("single-copy state reconstruction", PASSIVE_ONLY)),
-    "repeatability": (_run_repeatability, Protocol("agreement rate of immediate repeated measurements")),
-    "signalling": (_run_signalling, Protocol("B-side marginal with and without an A-side action")),
+    "reconstruct": (_run_reconstruct, Protocol("single-copy state reconstruction", PASSIVE_ONLY, state="any")),
+    "repeatability": (
+        _run_repeatability,
+        Protocol("agreement rate of immediate repeated measurements", observables=(None,), state="any"),
+    ),
+    # With "action": "none" only the B-side observable is read (config._protocol_needs).
+    "signalling": (
+        _run_signalling,
+        Protocol("B-side marginal with and without an A-side action", observables=(0, 1), state="bipartite"),
+    ),
+    # Without an eigenstate "library" the state must be bipartite (config._protocol_needs).
     "simulate-collapse": (
         _run_simulate_collapse,
-        Protocol("make passive measurements look collapsed by swapping", PASSIVE_ONLY),
+        Protocol("make passive measurements look collapsed by swapping", PASSIVE_ONLY, observables=(None,), state="any"),
     ),
-    "spectrum": (_run_spectrum, Protocol("recover an observable's spectrum by repetition", PASSIVE_ONLY)),
-    "teleportation": (_run_teleportation, Protocol("teleportation fidelity under either update rule")),
+    "spectrum": (
+        _run_spectrum,
+        Protocol("recover an observable's spectrum by repetition", PASSIVE_ONLY, observables=(None,), state="any"),
+    ),
+    "teleportation": (
+        _run_teleportation,
+        Protocol("teleportation fidelity under either update rule", state="pure qubit", state_required=False),
+    ),
 }
 
 

@@ -119,8 +119,11 @@ class DensityOperator:
         mat = np.asarray(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density operator must be a square matrix")
+        # Finiteness first: inf - inf in the Hermiticity test would warn.
+        if not np.isfinite(mat).all():
+            raise ValueError("density operator entries are not finite")
         if not np.abs(mat - mat.conj().T).max() <= HERMITIAN_TOL:
-            raise ValueError("density operator is not Hermitian or not finite")
+            raise ValueError("density operator is not Hermitian")
         trace = complex(np.trace(mat))
         if not abs(trace - 1.0) <= NORM_TOL:
             raise ValueError(f"density operator has trace {trace!r}, expected 1")
@@ -167,6 +170,9 @@ class UnitaryOperator:
         mat = np.asarray(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("unitary must be a square matrix")
+        # Finiteness first: inf * 0 in U^dag U would warn.
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix is not unitary (entries are not finite)")
         defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
         if not defect <= UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (max |U^dag U - I| = {defect:.3e})")

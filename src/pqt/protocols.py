@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .composite import reconstruct_reduced_single_copy
+from .composite import _local_ic_set
 from .hilbert import (
     DensityOperator,
     HADAMARD,
@@ -49,7 +49,7 @@ from .measurement import (
     measure,
     repeated_measure,
 )
-from .tomography import ic_set_for_dimension, reconstruct_single_copy
+from .tomography import _frame_estimate, _frame_table, ic_set_for_dimension, reconstruct_single_copy
 
 CLONED_TOL = 1e-9
 PURE_AVERAGE_TOL = 1e-9
@@ -337,17 +337,24 @@ def proper_vs_improper(
         raise ValueError("average state is pure: the presentations are indistinguishable")
     midpoint = (1.0 + average_purity) / 2.0
 
+    # Every trial measures one of a few fixed states: their Born rows are computed once.
+    if mixture is not None:
+        ic = ic_set_for_dimension(mixture[0][0].dim)
+        tables = [_frame_table(ic.observables, state) for state, _ in mixture]
+    else:
+        ic, lifted = _local_ic_set(purification.shape)
+        table = _frame_table(lifted, purification)
+
     purities = []
     report = ProtocolReport("proper-vs-improper", "passive")
     for trial in range(trials):
         if mixture is not None:
             index = int(_inverse_cdf(weights, rng, 1)[0])
             sys = PSystem(mixture[index][0], "passive", rng)
-            estimate = reconstruct_single_copy(sys, ic_set_for_dimension(sys.dim), shots).estimate
+            table = tables[index]
         else:
             sys = PSystem(purification, "passive", rng)
-            estimate = reconstruct_reduced_single_copy(sys, shots)
-        purity = estimate.purity()
+        purity = _frame_estimate(sys, ic, table, shots).purity()
         purities.append(purity)
         report.log.append(
             {"trial": trial, "purity": purity, "verdict": "proper" if purity >= midpoint else "improper"}

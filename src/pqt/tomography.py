@@ -22,6 +22,14 @@ only on demand.  Its Born probabilities cost O(d), and inversion adds
 its d nonzeros only.  :func:`ic_set_for_dimension` returns one shared,
 immutable frame per dimension.
 
+Every observable of a frame is sampled by one row-wise sampler: the
+frame's Born rows on the state are computed and checked once, then
+blocks of about ``SAMPLE_CHUNK`` uniforms, ``shots`` to a row, are
+turned into outcome values against each row's CDF edges, and each row's
+mean and spread are read off.  Philox is counter-based, so the stream
+is consumed exactly as one ``repeated_measure`` per observable would
+consume it, and the numbers are the same.
+
 Statistical noise can push the raw estimate outside the state set, so a
 Euclidean projection onto the probability simplex of its spectrum
 restores physicality.
@@ -35,8 +43,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DensityOperator, StateVector, fidelity
-from .measurement import InsufficientShotsError, Observable, PauliString, PSystem, repeated_measure
+from .hilbert import DensityOperator, State, StateVector, fidelity
+from .measurement import (
+    SAMPLE_CHUNK,
+    ZERO_PROBABILITY,
+    InsufficientShotsError,
+    Observable,
+    OutcomeDistribution,
+    PauliString,
+    PSystem,
+    _require_all_possible,
+    repeated_measure,
+)
 
 CONFIDENCE_Z = 1.96
 MAX_IC_DIMENSION = 64
@@ -149,13 +167,109 @@ def estimate_expectations(sys: PSystem, ic: ICSet, shots: int) -> list[Expectati
     """
     if sys.mode != "passive":
         raise ValueError("single-copy estimation requires passive mode")
-    estimates = []
-    for obs in ic.observables:
-        outcomes = repeated_measure(sys, obs, shots).outcomes
-        mean = float(outcomes.mean())
-        half_width = float(CONFIDENCE_Z * outcomes.std(ddof=0) / np.sqrt(shots))
-        estimates.append(ExpectationEstimate(obs.name, mean, half_width))
-    return estimates
+    means, spreads = _sample_frame(sys, _frame_table(ic.observables, sys.state), shots, spread=True)
+    half_widths = CONFIDENCE_Z * spreads / np.sqrt(shots)
+    return [
+        ExpectationEstimate(obs.name, float(mean), float(half_width))
+        for obs, mean, half_width in zip(ic.observables, means, half_widths)
+    ]
+
+
+@dataclass(frozen=True)
+class _FrameTable:
+    """The Born distributions of every observable of a frame on one state, one padded row each.
+
+    A row with fewer outcomes than the widest is padded with zero
+    probability, a CDF edge of +inf and a value that is never selected.
+    """
+
+    observables: tuple[Observable, ...]
+    probabilities: np.ndarray  # (k, m), negative roundoff clipped to zero
+    totals: np.ndarray  # (k, 1) CDF total of each row
+    edges: np.ndarray  # (k, m - 1) interior CDF edges
+    values: np.ndarray  # (m,) outcome values shared by every row, or (k * m,) row-major
+    offsets: np.ndarray | None  # (k, 1) start of each row in ``values``; None when they are shared
+    risky: np.ndarray  # (k,) rows with an outcome of probability <= ZERO_PROBABILITY
+
+
+def _frame_table(observables: tuple[Observable, ...], state: State) -> _FrameTable:
+    """Born probabilities of every observable on ``state``, checked as :class:`OutcomeDistribution` checks them."""
+    if observables[0].dim != state.dim:
+        raise ValueError(f"dimension mismatch: observable {observables[0].dim}, state {state.dim}")
+    sizes = np.array([len(obs.eigenvalues) for obs in observables])
+    columns = np.arange(max(2, sizes.max()))
+    real = columns < sizes[:, None]
+    raw = np.zeros(real.shape)
+    values = np.zeros(real.shape)
+    for row, obs in enumerate(observables):
+        raw[row, : sizes[row]] = obs.outcome_probabilities(state)
+        values[row, : sizes[row]] = obs.eigenvalues
+    probabilities = np.clip(raw, 0.0, None)
+    bad = (raw.min(axis=1) < -ZERO_PROBABILITY) | (np.abs(probabilities.sum(axis=1) - 1.0) > 1e-10)
+    if bad.any():
+        row = int(np.argmax(bad))
+        # The first failing row, in frame order, raises the error a single distribution would.
+        OutcomeDistribution(observables[row].eigenvalues, raw[row, : sizes[row]])
+    cdf = np.cumsum(probabilities, axis=1)
+    totals = np.take_along_axis(cdf, sizes[:, None] - 1, axis=1)
+    # searchsorted(side="right") clipped to a row's last index counts the edges before its last one.
+    edges = np.where(columns[:-1] < sizes[:, None] - 1, cdf[:, :-1], np.inf)
+    risky = np.where(real, probabilities, np.inf).min(axis=1) <= ZERO_PROBABILITY
+    if all(obs.eigenvalues == observables[0].eigenvalues for obs in observables):
+        values, offsets = values[0], None
+    else:
+        values, offsets = values.reshape(-1), np.arange(0, values.size, columns.size)[:, None]
+    return _FrameTable(observables, probabilities, totals, edges, values, offsets, risky)
+
+
+def _sample_frame(sys: PSystem, table: _FrameTable, shots: int, spread: bool = False):
+    """Mean (and, with ``spread``, population standard deviation) of ``shots`` passive draws of every row.
+
+    Rows are drawn in frame order, ``shots`` uniforms each, as one
+    ``repeated_measure`` per observable would draw them: a block of rows
+    takes one ``(rows, shots)`` draw of about ``SAMPLE_CHUNK`` uniforms,
+    and Philox consumes its stream the same way either way.  One buffer
+    holds each block's uniforms and then its outcome values; the index
+    array lives only in between.
+    """
+    if shots < 1:
+        raise ValueError("need at least one shot")
+    count, width = table.probabilities.shape
+    means = np.empty(count)
+    spreads = np.empty(count) if spread else None
+    step = max(1, SAMPLE_CHUNK // shots)
+    buffer = np.empty((min(step, count), shots))
+    for start in range(0, count, step):
+        block = slice(start, min(count, start + step))
+        uniforms = buffer[: block.stop - start]
+        sys.rng.random(out=uniforms)
+        uniforms *= table.totals[block]
+        indices = np.greater_equal(uniforms, table.edges[block, :1], out=np.empty(uniforms.shape, np.intp))
+        for column in range(1, width - 1):
+            indices += uniforms >= table.edges[block, column : column + 1]
+        for row in start + np.flatnonzero(table.risky[block]):
+            drawn = indices[row - start]
+            _require_all_possible(table.observables[row], drawn, table.probabilities[row][drawn], "passive")
+        if table.offsets is not None:
+            indices += table.offsets[block]
+        values = np.take(table.values, indices, out=uniforms, mode="wrap")  # every index is in range
+        del indices
+        means[block] = values.mean(axis=1)
+        if spread:
+            spreads[block] = values.std(axis=1)
+        for obs in table.observables[block]:
+            sys.history[obs.name] += shots
+    return means, spreads
+
+
+def _frame_estimate(sys: PSystem, ic: ICSet, table: _FrameTable, shots: int) -> DensityOperator:
+    """Sample every row of ``table`` on ``sys``, invert with the frame ``ic`` and restore physicality.
+
+    ``table`` holds the Born rows of ``ic``'s observables, or of their
+    lifts to a larger space (a reduced-state reconstruction).
+    """
+    means, _ = _sample_frame(sys, table, shots)
+    return project_to_physical(linear_inversion(means, ic))
 
 
 def linear_inversion(estimates, ic: ICSet) -> np.ndarray:

@@ -223,12 +223,12 @@ class TestCLI:
         assert main(["validate", "--config", "/nonexistent.json"]) == 1
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
-        # Without a library, collapse simulation needs a bipartite state; it finds out at run time: exit code 2.
-        config = {"name": "sim", "protocol": "simulate-collapse", "initial_state": "plus", "observables": ["pauli:Z"]}
-        path = tmp_path / "no-library.json"
+        # Ray-equal candidates are found out by the discrimination itself, at run time: exit code 2.
+        config = {"name": "d", "protocol": "discriminate", "initial_state": "plus", "candidates": ["plus", "plus"]}
+        path = tmp_path / "ray-equal.json"
         path.write_text(json.dumps(config))
         assert main(["run", "--config", str(path)]) == 2
-        assert "bipartite" in capsys.readouterr().err
+        assert "ray-equal" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["reconstruct", "clone", "joint-local", "joint-global"])
     def test_mode_flag_is_checked_like_the_config(self, capsys, name):
@@ -317,6 +317,16 @@ class TestCLI:
             ),
             ({"protocol": "no-cloning", "candidates": ["basis:0", "plus"], "unitary": [[1, 2]]}, "unitary"),
             ({"protocol": "no-cloning", "candidates": ["basis:0", "plus"], "unitary": HUGE_UNITARY}, "unitary"),
+            ({"protocol": "repeatability", "initial_state": "plus", "observables": []}, "observables"),
+            ({"protocol": "chsh", "initial_state": "bell:phi+", "observables": ["pauli:Z"]}, "observables"),
+            ({"protocol": "spectrum", "initial_state": "plus"}, "observables"),
+            ({"protocol": "reconstruct"}, "initial_state"),
+            ({"protocol": "entanglement", "initial_state": "plus"}, "shape"),
+            ({"protocol": "signalling", "initial_state": "plus", "observables": ["pauli:Z"]}, "shape"),
+            ({"protocol": "teleportation", "initial_state": "bell:phi+"}, "initial_state"),
+            ({"protocol": "simulate-collapse", "initial_state": "plus", "observables": ["pauli:Z"]}, "shape"),
+            ({"protocol": "entanglement", "initial_state": "maximally-mixed", "shape": [2, 2]}, "initial_state"),
+            ({"protocol": "teleportation", "initial_state": "random-pure:3", "dimension": 4}, "initial_state"),
         ],
     )
     def test_malformed_input_is_named(self, tmp_path, capsys, config, field):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,16 @@ class TestDensityOperator:
         with pytest.raises(ValueError, match="not finite"):
             DensityOperator(matrix)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_non_finite_entry_raises_without_a_warning(self, bad, entry):
+        matrix = np.eye(2, dtype=complex) / 2
+        matrix[entry] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                DensityOperator(matrix)
+
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
             DensityOperator(np.eye(2))
@@ -102,6 +114,16 @@ class TestUnitary:
     def test_rejects_nan_entry(self):
         with pytest.raises(ValueError, match="not unitary"):
             UnitaryOperator(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_non_finite_entry_raises_without_a_warning(self, bad, entry):
+        matrix = np.eye(2, dtype=complex)
+        matrix[entry] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not unitary.*not finite"):
+                UnitaryOperator(matrix)
 
     def test_hadamard_is_unitary(self):
         UnitaryOperator(HADAMARD)

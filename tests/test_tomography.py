@@ -13,6 +13,7 @@ from pqt.hilbert import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    StateVector,
     basis_state,
     bell_state,
     maximally_mixed,
@@ -24,8 +25,19 @@ from pqt.hilbert import (
     kron_all,
     pauli_matrix,
 )
-from pqt.measurement import Observable, PauliString, PSystem, born_distribution, collapse_update
+from pqt.composite import _local_ic_set
+from pqt.measurement import (
+    Observable,
+    PauliString,
+    PSystem,
+    _inverse_cdf,
+    born_distribution,
+    collapse_update,
+    repeated_measure,
+)
+from pqt.protocols import proper_vs_improper
 from pqt.tomography import (
+    CONFIDENCE_Z,
     estimate_expectations,
     estimate_spectrum,
     discriminate,
@@ -438,3 +450,159 @@ class TestEstimateSpectrum:
             sys = PSystem(psi, "passive", g)
             values = estimate_spectrum(sys, obs, 1000)
             np.testing.assert_allclose(values, np.linalg.eigvalsh(matrix), atol=1e-12)
+
+
+# The estimation loop as it was written observable by observable, one
+# repeated_measure per observable.  The row-wise frame sampler must return
+# equal numbers and leave the system's history and generator as it did.
+
+
+def reference_estimates(sys, observables, shots):
+    estimates = []
+    for obs in observables:
+        outcomes = repeated_measure(sys, obs, shots).outcomes
+        half_width = float(CONFIDENCE_Z * outcomes.std(ddof=0) / np.sqrt(shots))
+        estimates.append((obs.name, float(outcomes.mean()), half_width))
+    return estimates
+
+
+def reference_frame_estimate(sys, ic, observables, shots):
+    means = [mean for _, mean, _ in reference_estimates(sys, observables, shots)]
+    return project_to_physical(linear_inversion(means, ic))
+
+
+def reference_proper_vs_improper(trials, shots, gen, mixture=None, purification=None):
+    purities = []
+    for _ in range(trials):
+        if mixture is not None:
+            weights = np.array([w for _, w in mixture], dtype=float)
+            state = mixture[int(_inverse_cdf(weights, gen, 1)[0])][0]
+            ic = ic_set_for_dimension(state.dim)
+            estimate = reference_frame_estimate(PSystem(state, "passive", gen), ic, ic.observables, shots)
+        else:
+            ic, lifted = _local_ic_set(purification.shape)
+            estimate = reference_frame_estimate(PSystem(purification, "passive", gen), ic, lifted, shots)
+        purities.append(estimate.purity())
+    return purities
+
+
+def _position(gen):
+    """The generator's full state (key, counter, buffer) as comparable text."""
+    return json.dumps(gen.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+class _ZeroUniforms:
+    """Stands in for a generator whose every uniform draw is 0.0."""
+
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.zeros(size)
+        out[...] = 0.0
+        return out
+
+
+FRAMES = {
+    "pauli-1": lambda: pauli_ic_set(1),
+    "pauli-2": lambda: pauli_ic_set(2),
+    "pauli-3": lambda: pauli_ic_set(3),
+    "gell-mann-3": lambda: hermitian_basis_ic_set(3),
+}
+# 5000 shots put 13 rows in a block: 15 and 63 rows are not multiples of it.
+SHOTS = (1, 7, 5000, 2**16 - 1, 2**16, 2**16 + 1)
+
+
+class TestFrameSamplerMatchesReference:
+    @staticmethod
+    def assert_same_run(state, ic, shots, seed):
+        expected_sys = PSystem(state, "passive", rng.stream(seed, "eq/frame"))
+        actual_sys = PSystem(state, "passive", rng.stream(seed, "eq/frame"))
+        expected = reference_estimates(expected_sys, ic.observables, shots)
+        actual = [(e.observable, e.mean, e.half_width) for e in estimate_expectations(actual_sys, ic, shots)]
+        assert actual == expected
+        assert actual_sys.history == expected_sys.history
+        assert _position(actual_sys.rng) == _position(expected_sys.rng)
+
+    @pytest.mark.parametrize("shots", SHOTS)
+    @pytest.mark.parametrize("frame", FRAMES)
+    def test_estimates_equal_the_per_observable_loop(self, frame, shots):
+        ic = FRAMES[frame]()
+        self.assert_same_run(random_pure_state(ic.dim, rng.stream(shots, f"eq/{frame}")), ic, shots, seed=shots)
+
+    @pytest.mark.parametrize("frame", FRAMES)
+    def test_mixed_state(self, frame):
+        ic = FRAMES[frame]()
+        self.assert_same_run(random_density(ic.dim, rng.stream(1, f"eq/mixed/{frame}")), ic, 5000, seed=1)
+
+    @pytest.mark.parametrize("frame", FRAMES)
+    def test_rows_with_a_zero_probability_outcome(self, frame):
+        # A basis state gives every diagonal observable an outcome of probability zero.
+        ic = FRAMES[frame]()
+        self.assert_same_run(basis_state(ic.dim, ic.dim - 1), ic, 5000, seed=2)
+
+    @pytest.mark.parametrize("frame", FRAMES)
+    def test_a_drawn_zero_probability_outcome_raises_in_both(self, frame):
+        # A zero uniform draws the first outcome, whose weight 1e-13 is below ZERO_PROBABILITY.
+        ic = FRAMES[frame]()
+        amplitudes = np.zeros(ic.dim)
+        amplitudes[:2] = np.sqrt(1.0 - 1e-13), np.sqrt(1e-13)
+        state = StateVector(amplitudes)
+        errors = []
+        for estimate in (reference_estimates, lambda sys, obs, shots: estimate_expectations(sys, ic, shots)):
+            with pytest.raises(ValueError, match="zero probability") as caught:
+                estimate(PSystem(state, "passive", _ZeroUniforms()), ic.observables, 3)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("shots", SHOTS)
+    def test_lifted_qutrit_frame_of_a_reduced_reconstruction(self, shots):
+        # Side A of a 3x3 system: lifted Gell-Mann rows with three and with two outcomes.
+        from pqt.composite import reconstruct_reduced_single_copy
+
+        state = random_pure_state(9, rng.stream(shots, "eq/lifted/state"), (3, 3))
+        ic, lifted = _local_ic_set((3, 3))
+        assert {len(obs.eigenvalues) for obs in lifted} == {2, 3}
+        expected_sys = PSystem(state, "passive", rng.stream(shots, "eq/lifted"))
+        actual_sys = PSystem(state, "passive", rng.stream(shots, "eq/lifted"))
+        expected = reference_frame_estimate(expected_sys, ic, lifted, shots)
+        actual = reconstruct_reduced_single_copy(actual_sys, shots)
+        assert actual.matrix.tobytes() == expected.matrix.tobytes()
+        assert actual_sys.history == expected_sys.history
+        assert _position(actual_sys.rng) == _position(expected_sys.rng)
+
+    @pytest.mark.parametrize("presentation", ["mixture", "purification"])
+    def test_proper_vs_improper(self, presentation):
+        if presentation == "mixture":
+            kwargs = {"mixture": [(basis_state(2, 0), 0.3), (plus_state(), 0.5), (basis_state(2, 1), 0.2)]}
+        else:
+            kwargs = {"purification": random_pure_state(6, rng.stream(1, "eq/purification"), (3, 2))}
+        expected_gen, actual_gen = rng.stream(3, "eq/pvi"), rng.stream(3, "eq/pvi")
+        expected = reference_proper_vs_improper(40, 500, expected_gen, **kwargs)
+        report = proper_vs_improper(40, 500, actual_gen, **kwargs)
+        assert [entry["purity"] for entry in report.log] == expected
+        assert _position(actual_gen) == _position(expected_gen)
+
+
+class TestFrameSamplerMemory:
+    def test_two_qubits_at_a_million_shots(self):
+        # One 10^6-shot row per block; the per-observable loop peaked at 22.9 MB.
+        state = random_pure_state(4, rng.stream(1, "mem/state"))
+        sys = PSystem(state, "passive", rng.stream(1, "mem"))
+        tracemalloc.start()
+        try:
+            estimate_expectations(sys, pauli_ic_set(2), 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
+    def test_six_qubits_at_a_thousand_shots(self):
+        state = random_pure_state(64, rng.stream(2, "mem/state"))
+        sys = PSystem(state, "passive", rng.stream(2, "mem"))
+        ic = pauli_ic_set(6)
+        tracemalloc.start()
+        try:
+            estimate_expectations(sys, ic, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
