@@ -32,6 +32,8 @@ from .tomography import ICSet, _frame_estimate, _frame_table, hermitian_basis_ic
 PURITY_PRODUCT_THRESHOLD = 0.95
 PURITY_ENTANGLED_THRESHOLD = 0.90
 DICHOTOMIC_TOL = 1e-9
+CHSH_SOURCES = ("global", "local-passive")
+SIGNALLING_ACTIONS = ("none", "passive-measure", "quantum-measure-nonselective")
 
 
 @dataclass(frozen=True)
@@ -210,8 +212,8 @@ def chsh_value(
     local marginals.  Each correlator runs on a fresh passive system
     sharing the provided stream.
     """
-    if source not in ("global", "local-passive"):
-        raise ValueError(f"unknown source {source!r}; expected 'global' or 'local-passive'")
+    if source not in CHSH_SOURCES:
+        raise ValueError(f"unknown source {source!r}; expected one of {CHSH_SOURCES}")
     a1, a2 = alice
     b1, b2 = bob
 
@@ -298,9 +300,8 @@ def signalling_check(
     sum_r (P_r tensor I) rho (P_r tensor I), whose B marginal agrees up
     to roundoff.
     """
-    actions = ("none", "passive-measure", "quantum-measure-nonselective")
-    if action not in actions:
-        raise ValueError(f"unknown action {action!r}; expected one of {actions}")
+    if action not in SIGNALLING_ACTIONS:
+        raise ValueError(f"unknown action {action!r}; expected one of {SIGNALLING_ACTIONS}")
     if action != "none" and a_obs is None:
         raise ValueError(f"action {action!r} needs an observable on side A")
     shape = state.shape

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .. import rng
+from ..composite import CHSH_SOURCES, SIGNALLING_ACTIONS
 from ..hilbert import (
     PAULI_X,
     PAULI_Y,
@@ -35,7 +36,7 @@ from ..hilbert import (
     random_pure_state,
 )
 from ..measurement import Observable
-from ..protocols import MAX_ORACLE_BITS, PURE_AVERAGE_TOL
+from ..protocols import MAX_ORACLE_BITS, PURE_AVERAGE_TOL, OracleSpec
 from ..tomography import MAX_IC_DIMENSION
 
 MODES = ("quantum", "passive")
@@ -56,6 +57,14 @@ EXTRA_FIELDS = (
     "unitary",
     "followup_shots",
 )
+
+# Protocol extras that take one of a few JSON values (booleans are not numbers here).
+CHOICES = {
+    "source": CHSH_SOURCES,
+    "action": SIGNALLING_ACTIONS,
+    "ensemble": (True, False),
+    "library": ("eigenstates",),
+}
 
 _COMMON_FIELDS = (
     "name",
@@ -90,9 +99,24 @@ def read_integer(value, field: str, low: int, high: float = math.inf) -> int:
     return value
 
 
+@dataclass(frozen=True, eq=False)
+class Inputs:
+    """A config's states, observables and oracle as ``parse_config`` resolved them; None where absent."""
+
+    state: State | None = None
+    observables: tuple[Observable, ...] = ()
+    followup: Observable | None = None
+    mixture: tuple[tuple[StateVector, float], ...] | None = None
+    purification: State | None = None
+    candidates: tuple[StateVector, ...] | None = None
+    unitary: UnitaryOperator | None = None
+    oracle: OracleSpec | None = None
+    library: dict[int, StateVector] | None = None
+
+
 @dataclass
 class ExperimentConfig:
-    """A validated experiment description (raw values, JSON-serializable)."""
+    """A validated experiment description: raw values (JSON-serializable) and the inputs resolved from them."""
 
     name: str
     protocol: str
@@ -104,6 +128,7 @@ class ExperimentConfig:
     trials: int = 1
     seed: int = 42
     extras: dict = dataclass_field(default_factory=dict)
+    inputs: Inputs = dataclass_field(default_factory=Inputs, compare=False, repr=False)
 
     def to_json(self) -> str:
         payload = {
@@ -171,11 +196,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(key, f"unknown field; protocol extras are {EXTRA_FIELDS}")
     if "followup_shots" in extras:
         extras["followup_shots"] = read_integer(extras["followup_shots"], "followup_shots", 1, COUNT_LIMIT)
-    oracle = extras.get("oracle")
-    if isinstance(oracle, dict) and "n" in oracle:
-        oracle["n"] = read_integer(oracle["n"], "oracle.n", 1, MAX_ORACLE_BITS + 1)
+    for key, choices in CHOICES.items():
+        if key in extras and not any(type(extras[key]) is type(c) and extras[key] == c for c in choices):
+            raise ConfigError(key, f"must be one of {json.dumps(choices)}, got {json.dumps(extras[key])}")
+    inputs = _resolve_inputs(raw["protocol"], shape, raw.get("initial_state"), observables, extras)
 
-    config = ExperimentConfig(
+    return ExperimentConfig(
         name=raw["name"],
         protocol=raw["protocol"],
         mode=mode,
@@ -186,35 +212,8 @@ def parse_config(text: str) -> ExperimentConfig:
         trials=trials,
         seed=seed,
         extras=extras,
+        inputs=inputs,
     )
-
-    # Validate resolvable pieces eagerly so diagnostics appear before a run.
-    resolved = [resolve_observable(spec, f"observables[{i}]") for i, spec in enumerate(observables)]
-    targets, kind, state_required = _protocol_needs(config.protocol, extras)
-    if len(resolved) < len(targets):
-        raise ConfigError(
-            "observables", f"protocol {config.protocol!r} needs {len(targets)} observable(s), got {len(resolved)}"
-        )
-    if state_required and config.initial_state is None:
-        raise ConfigError("initial_state", f"protocol {config.protocol!r} requires an initial state")
-    followup = None
-    if "followup_observable" in extras:
-        followup = resolve_observable(extras["followup_observable"], "followup_observable")
-    if "mixture" in extras:
-        resolve_mixture(extras["mixture"])
-    if "purification" in extras:
-        resolve_purification(extras["purification"], shape)
-    if config.protocol == "no-cloning":
-        resolve_cloning_test(extras)
-    if config.initial_state is not None:
-        state = resolve_state(config.initial_state, shape, field="initial_state")
-        if kind is not None:
-            _check_state_kind(config.protocol, kind, state)
-        for i, (obs, target) in enumerate(zip(resolved, targets)):
-            _check_observable_dimension(f"observables[{i}]", obs, state, target)
-        if config.protocol == "simulate-collapse" and followup is not None:
-            _check_observable_dimension("followup_observable", followup, state, None)
-    return config
 
 
 def check_mode(protocol: str, mode, fields: dict) -> None:
@@ -230,17 +229,59 @@ def check_mode(protocol: str, mode, fields: dict) -> None:
         raise ConfigError("mode", f"protocol {protocol!r} needs {spec.quantum_needs!r} set to true in quantum mode")
 
 
-def _protocol_needs(protocol: str, extras: dict) -> tuple[tuple[int | None, ...], str | None, bool]:
-    """What a protocol's runner reads: observable targets, the kind of initial state and whether one is required."""
+def _resolve_inputs(protocol: str, shape: tuple[int, ...] | None, initial_state, observables: list, extras: dict) -> Inputs:
+    """Resolve every input of a config once, refusing any that its protocol's runner could not use."""
     from .runner import PROTOCOLS  # late import: runner imports this module
 
     spec = PROTOCOLS[protocol][1]
+    for key in spec.requires:
+        if key not in extras:
+            raise ConfigError(key, f"protocol {protocol!r} requires this field")
+    if protocol == "proper-vs-improper" and ("mixture" in extras) == ("purification" in extras):
+        raise ConfigError("mixture", f"protocol {protocol!r} needs exactly one of 'mixture' and 'purification'")
+
+    resolved = tuple(resolve_observable(obs, f"observables[{i}]") for i, obs in enumerate(observables))
     targets, kind = spec.observables, spec.state
     if protocol == "signalling" and extras.get("action", "none") == "none":
         targets = (1,)  # only B's marginal is compared
-    if protocol == "simulate-collapse" and extras.get("library") != "eigenstates":
+    if protocol == "simulate-collapse" and "library" not in extras:
         kind = "bipartite"  # the replacement comes from a global reconstruction
-    return targets, kind, kind is not None and spec.state_required
+    if len(resolved) < len(targets):
+        raise ConfigError("observables", f"protocol {protocol!r} needs {len(targets)} observable(s), got {len(resolved)}")
+    if kind is not None and spec.state_required and initial_state is None:
+        raise ConfigError("initial_state", f"protocol {protocol!r} requires an initial state")
+    followup = None
+    if "followup_observable" in extras:
+        followup = resolve_observable(extras["followup_observable"], "followup_observable")
+    state = None
+    if initial_state is not None:
+        state = resolve_state(initial_state, shape, field="initial_state")
+        if kind is not None:
+            _check_state_kind(protocol, kind, state)
+        for i, (obs, target) in enumerate(zip(resolved, targets)):
+            _check_observable_dimension(f"observables[{i}]", obs, state, target)
+        if protocol == "simulate-collapse" and followup is not None:
+            _check_observable_dimension("followup_observable", followup, state, None)
+
+    candidates = unitary = library = None
+    if protocol == "discriminate":
+        candidates = resolve_candidates(extras["candidates"], shape, dim=state.dim)
+    if protocol == "no-cloning":
+        candidates = resolve_candidates(extras["candidates"], None, count=2)
+        unitary = resolve_unitary(extras.get("unitary", "cnot"), candidates[0].dim)
+    if protocol == "simulate-collapse" and "library" in extras:
+        library = _eigenstate_library(resolved[0])
+    return Inputs(
+        state=state,
+        observables=resolved,
+        followup=followup,
+        mixture=resolve_mixture(extras["mixture"]) if "mixture" in extras else None,
+        purification=resolve_purification(extras["purification"], shape) if "purification" in extras else None,
+        candidates=candidates,
+        unitary=unitary,
+        oracle=resolve_oracle(extras["oracle"], protocol == "deutsch-jozsa") if "oracle" in extras else None,
+        library=library,
+    )
 
 
 def _check_state_kind(protocol: str, kind: str, state: State) -> None:
@@ -341,7 +382,7 @@ def _preset_integer(spec: str, field: str) -> int:
         raise ConfigError(field, f"preset {spec!r} needs an integer after the colon") from None
 
 
-def resolve_mixture(entries, field: str = "mixture") -> list[tuple[StateVector, float]]:
+def resolve_mixture(entries, field: str = "mixture") -> tuple[tuple[StateVector, float], ...]:
     """Turn ``[[state, weight], ...]`` into pure states of one dimension with weights summing to 1."""
     if not isinstance(entries, list) or not entries:
         raise ConfigError(field, "must be a non-empty list of [state, weight] pairs")
@@ -365,7 +406,7 @@ def resolve_mixture(entries, field: str = "mixture") -> list[tuple[StateVector, 
     average = sum(weight * state.projector() for state, weight in mixture)
     if np.trace(average @ average).real >= 1.0 - PURE_AVERAGE_TOL:
         raise ConfigError(field, "the average state is pure: the presentations are indistinguishable")
-    return mixture
+    return tuple(mixture)
 
 
 def resolve_purification(spec, shape: tuple[int, ...] | None, field: str = "purification") -> State:
@@ -378,21 +419,52 @@ def resolve_purification(spec, shape: tuple[int, ...] | None, field: str = "puri
     return state
 
 
-def resolve_cloning_test(extras: dict) -> tuple[StateVector, StateVector, UnitaryOperator]:
-    """The two test states of a ``no-cloning`` config and its candidate cloning unitary."""
-    specs = extras.get("candidates")
-    if not isinstance(specs, list) or len(specs) != 2:
-        raise ConfigError("candidates", "need exactly two test states")
+def resolve_candidates(
+    specs, shape: tuple[int, ...] | None, dim: int | None = None, count: int | None = None
+) -> tuple[StateVector, ...]:
+    """Turn ``candidates`` into ``count`` (default: two or more) pure states of dimension ``dim`` (default: the first's)."""
+    expected = f"exactly {count}" if count else "at least two"
+    if not isinstance(specs, list) or len(specs) < 2 or count not in (None, len(specs)):
+        raise ConfigError("candidates", f"need {expected} states")
     states = []
     for i, spec in enumerate(specs):
-        state = resolve_state(spec, None, field=f"candidates[{i}]")
+        field = f"candidates[{i}]"
+        state = resolve_state(spec, shape, field=field)
         if not isinstance(state, StateVector):
-            raise ConfigError(f"candidates[{i}]", "test states must be pure")
+            raise ConfigError(field, "candidates must be pure states")
+        dim = dim or state.dim
+        if state.dim != dim:
+            raise ConfigError(field, f"dimension {state.dim} differs from the expected {dim}")
         states.append(state)
-    psi, phi = states
-    if phi.dim != psi.dim:
-        raise ConfigError("candidates[1]", f"dimension {phi.dim} differs from the first test state's {psi.dim}")
-    return psi, phi, resolve_unitary(extras.get("unitary", "cnot"), psi.dim)
+    return tuple(states)
+
+
+def resolve_oracle(spec, promise_required: bool = False) -> OracleSpec:
+    """Turn ``{"n": ..., "truth_table": [bits], "promise": ...}`` into an OracleSpec."""
+    if not isinstance(spec, dict) or "n" not in spec or "truth_table" not in spec:
+        raise ConfigError("oracle", "expected an object with 'n' and 'truth_table'")
+    n = spec["n"] = read_integer(spec["n"], "oracle.n", 1, MAX_ORACLE_BITS + 1)
+    table = spec["truth_table"]
+    if not isinstance(table, list) or len(table) != 2**n:
+        raise ConfigError("oracle.truth_table", f"must be a list of {2**n} bits for n = {n}, got {table!r}")
+    bits = tuple(read_integer(b, f"oracle.truth_table[{i}]", 0, 2) for i, b in enumerate(table))
+    if promise_required and spec.get("promise") is None:
+        raise ConfigError("oracle.promise", "the promise must be declared: 'constant' or 'balanced'")
+    try:
+        return OracleSpec(n, bits, spec.get("promise"))
+    except ValueError as exc:  # every other check passed: the promise is unknown or contradicts the table
+        raise ConfigError("oracle.promise", str(exc)) from exc
+
+
+def _eigenstate_library(obs: Observable) -> dict[int, StateVector]:
+    """The eigenstate that replaces the system after each outcome of a non-degenerate observable."""
+    library = {}
+    for index, projector in enumerate(obs.projectors):
+        values, vectors = np.linalg.eigh(projector)
+        if int(round(values.sum())) != 1:
+            raise ConfigError("library", "eigenstate library needs a non-degenerate observable")
+        library[index] = StateVector.normalized(vectors[:, -1])
+    return library
 
 
 def resolve_unitary(spec, dim: int, field: str = "unitary") -> UnitaryOperator:

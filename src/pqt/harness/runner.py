@@ -1,6 +1,6 @@
 """Protocol dispatch: one runner per experiment type.
 
-Each runner resolves the config's states and observables, derives its
+Each runner reads the inputs ``parse_config`` resolved, derives its
 random streams from the root seed (stream path = config name plus a
 component suffix, see :mod:`pqt.rng`) and assembles a deterministic
 :class:`~pqt.harness.report.Report`.  Identical (config, seed) pairs
@@ -17,17 +17,18 @@ import numpy as np
 
 from .. import rng
 from ..composite import (
+    DICHOTOMIC_TOL,
     LocalSetting,
     chsh_value,
+    correlator,
     detect_entanglement_single_copy,
     global_joint_sample,
     local_passive_joint_sample,
     signalling_check,
 )
-from ..hilbert import StateVector, fidelity, random_pure_state
-from ..measurement import InsufficientShotsError, Observable, PSystem
+from ..hilbert import fidelity, random_pure_state
+from ..measurement import InsufficientShotsError, PSystem
 from ..protocols import (
-    OracleSpec,
     clone_via_reconstruction,
     deutsch_jozsa_verdict,
     function_recovery,
@@ -38,15 +39,7 @@ from ..protocols import (
     teleportation_demo,
 )
 from ..tomography import discriminate, estimate_spectrum, ic_set_for_dimension, reconstruct_single_copy
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    resolve_cloning_test,
-    resolve_mixture,
-    resolve_observable,
-    resolve_purification,
-    resolve_state,
-)
+from .config import ConfigError, ExperimentConfig
 from .report import Report
 from .stats import wilson_interval
 
@@ -59,17 +52,8 @@ def _stream(config: ExperimentConfig, purpose: str) -> np.random.Generator:
     return rng.stream(config.seed, f"{config.name}/{purpose}")
 
 
-def _initial_state(config: ExperimentConfig):
-    return resolve_state(config.initial_state, config.shape)
-
-
-def _observables(config: ExperimentConfig, count: int) -> list[Observable]:
-    return [resolve_observable(spec, field=f"observables[{i}]") for i, spec in enumerate(config.observables[:count])]
-
-
 def _run_repeatability(config: ExperimentConfig) -> Report:
-    state = _initial_state(config)
-    (obs,) = _observables(config, 1)
+    state, obs = config.inputs.state, config.inputs.observables[0]
     rate = repeatability_experiment(state, obs, config.mode, config.trials, _stream(config, "repeatability"))
     report = Report(_echo(config), config.seed)
     low, high = wilson_interval(int(round(rate * config.trials)), config.trials)
@@ -78,7 +62,7 @@ def _run_repeatability(config: ExperimentConfig) -> Report:
 
 
 def _run_reconstruct(config: ExperimentConfig) -> Report:
-    state = _initial_state(config)
+    state = config.inputs.state
     sys = PSystem(state, config.mode, _stream(config, "reconstruct"))
     result = reconstruct_single_copy(sys, ic_set_for_dimension(state.dim), config.shots)
     report = Report(_echo(config), config.seed)
@@ -94,25 +78,17 @@ def _run_reconstruct(config: ExperimentConfig) -> Report:
 
 
 def _run_discriminate(config: ExperimentConfig) -> Report:
-    state = _initial_state(config)
-    specs = config.extras.get("candidates")
-    if not specs or len(specs) < 2:
-        raise ConfigError("candidates", "need at least two candidate states")
-    candidates = [resolve_state(s, config.shape, field=f"candidates[{i}]") for i, s in enumerate(specs)]
-    if not all(isinstance(c, StateVector) for c in candidates):
-        raise ConfigError("candidates", "candidates must be pure states")
+    state = config.inputs.state
     sys = PSystem(state, config.mode, _stream(config, "discriminate"))
-    index = discriminate(sys, candidates, ic_set_for_dimension(state.dim), config.shots)
+    index = discriminate(sys, config.inputs.candidates, ic_set_for_dimension(state.dim), config.shots)
     report = Report(_echo(config), config.seed)
     report.verdicts["chosen_index"] = index
     return report
 
 
 def _run_spectrum(config: ExperimentConfig) -> Report:
-    state = _initial_state(config)
-    (obs,) = _observables(config, 1)
-    sys = PSystem(state, config.mode, _stream(config, "spectrum"))
-    values = estimate_spectrum(sys, obs, config.shots)
+    sys = PSystem(config.inputs.state, config.mode, _stream(config, "spectrum"))
+    values = estimate_spectrum(sys, config.inputs.observables[0], config.shots)
     report = Report(_echo(config), config.seed)
     report.add_table("spectrum", ["eigenvalue"], [[v] for v in values])
     report.verdicts["n_distinct"] = len(values)
@@ -122,45 +98,36 @@ def _run_spectrum(config: ExperimentConfig) -> Report:
 def _joint_report(config: ExperimentConfig, table) -> Report:
     report = Report(_echo(config), config.seed)
     report.add_table("joint_counts", ["a", "b", "count"], [list(row) for row in table.rows()])
-    dichotomic = all(
-        min(abs(v - 1.0), abs(v + 1.0)) <= 1e-9 for v in (*table.a_values, *table.b_values)
-    )
-    if dichotomic:
-        from ..composite import correlator
-
+    if all(min(abs(v - 1.0), abs(v + 1.0)) <= DICHOTOMIC_TOL for v in (*table.a_values, *table.b_values)):
         report.add_metric("correlator", correlator(table), 1.0 / np.sqrt(table.shots))
     return report
 
 
 def _run_joint_global(config: ExperimentConfig) -> Report:
-    state = _initial_state(config)
-    a_obs, b_obs = _observables(config, 2)
-    sys = PSystem(state, config.mode, _stream(config, "joint-global"))
-    table = global_joint_sample(sys, a_obs, b_obs, config.shots, ensemble=bool(config.extras.get("ensemble", False)))
+    a_obs, b_obs = config.inputs.observables[:2]
+    sys = PSystem(config.inputs.state, config.mode, _stream(config, "joint-global"))
+    table = global_joint_sample(sys, a_obs, b_obs, config.shots, ensemble=config.extras.get("ensemble", False))
     return _joint_report(config, table)
 
 
 def _run_joint_local(config: ExperimentConfig) -> Report:
-    state = _initial_state(config)
-    a_obs, b_obs = _observables(config, 2)
-    sys = PSystem(state, config.mode, _stream(config, "joint-local"))
+    a_obs, b_obs = config.inputs.observables[:2]
+    sys = PSystem(config.inputs.state, config.mode, _stream(config, "joint-local"))
     table = local_passive_joint_sample(sys, LocalSetting("A", a_obs), LocalSetting("B", b_obs), config.shots)
     return _joint_report(config, table)
 
 
 def _run_chsh(config: ExperimentConfig) -> Report:
-    state = _initial_state(config)
-    a1, a2, b1, b2 = _observables(config, 4)
+    a1, a2, b1, b2 = config.inputs.observables[:4]
     source = config.extras.get("source", "global")
-    value = chsh_value(state, (a1, a2), (b1, b2), source, config.shots, _stream(config, "chsh"))
+    value = chsh_value(config.inputs.state, (a1, a2), (b1, b2), source, config.shots, _stream(config, "chsh"))
     report = Report(_echo(config), config.seed)
     report.add_metric("chsh_s", value, 4.0 / np.sqrt(config.shots))
     return report
 
 
 def _run_entanglement(config: ExperimentConfig) -> Report:
-    state = _initial_state(config)
-    sys = PSystem(state, config.mode, _stream(config, "entanglement"))
+    sys = PSystem(config.inputs.state, config.mode, _stream(config, "entanglement"))
     verdict = detect_entanglement_single_copy(sys, config.shots)
     report = Report(_echo(config), config.seed)
     report.add_metric("purity", verdict.purity)
@@ -169,14 +136,10 @@ def _run_entanglement(config: ExperimentConfig) -> Report:
 
 
 def _run_signalling(config: ExperimentConfig) -> Report:
-    state = _initial_state(config)
     action = config.extras.get("action", "none")
-    if action == "none":
-        (b_obs,) = _observables(config, 1)
-        a_obs = None
-    else:
-        a_obs, b_obs = _observables(config, 2)
-    result = signalling_check(state, action, b_obs, a_obs)
+    observables = config.inputs.observables
+    a_obs, b_obs = (None, observables[0]) if action == "none" else observables[:2]
+    result = signalling_check(config.inputs.state, action, b_obs, a_obs)
     report = Report(_echo(config), config.seed)
     report.add_metric("tv_distance", result.tv_distance)
     report.add_table(
@@ -194,18 +157,8 @@ def _run_signalling(config: ExperimentConfig) -> Report:
     return report
 
 
-def _oracle_spec(config: ExperimentConfig) -> OracleSpec:
-    raw = config.extras.get("oracle")
-    if not isinstance(raw, dict) or "n" not in raw or "truth_table" not in raw:
-        raise ConfigError("oracle", "expected an object with 'n' and 'truth_table'")
-    try:
-        return OracleSpec(raw["n"], tuple(raw["truth_table"]), raw.get("promise"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("oracle", str(exc)) from exc
-
-
 def _run_function_recovery(config: ExperimentConfig) -> Report:
-    spec = _oracle_spec(config)
+    spec = config.inputs.oracle
     report = Report(_echo(config), config.seed)
     if config.mode == "passive":
         result = function_recovery(spec, "passive", _stream(config, "function-recovery"), config.shots)
@@ -224,8 +177,7 @@ def _run_function_recovery(config: ExperimentConfig) -> Report:
 
 
 def _run_deutsch_jozsa(config: ExperimentConfig) -> Report:
-    spec = _oracle_spec(config)
-    result = deutsch_jozsa_verdict(spec, config.mode, _stream(config, "deutsch-jozsa"), config.shots)
+    result = deutsch_jozsa_verdict(config.inputs.oracle, config.mode, _stream(config, "deutsch-jozsa"), config.shots)
     report = Report(_echo(config), config.seed)
     report.add_metric("oracle_calls", result.resources["oracle_calls"])
     report.verdicts["verdict"] = result.verdicts["verdict"]
@@ -233,7 +185,7 @@ def _run_deutsch_jozsa(config: ExperimentConfig) -> Report:
 
 
 def _run_clone(config: ExperimentConfig) -> Report:
-    state = _initial_state(config)
+    state = config.inputs.state
     sys = PSystem(state, config.mode, _stream(config, "clone"))
     clone, result = clone_via_reconstruction(sys, config.shots)
     report = Report(_echo(config), config.seed)
@@ -244,8 +196,7 @@ def _run_clone(config: ExperimentConfig) -> Report:
 
 
 def _run_no_cloning(config: ExperimentConfig) -> Report:
-    psi, phi, candidate = resolve_cloning_test(config.extras)
-    result = no_cloning_check(candidate, (psi, phi))
+    result = no_cloning_check(config.inputs.unitary, config.inputs.candidates)
     report = Report(_echo(config), config.seed)
     report.add_metric("fidelity_first", result.fidelity_first)
     report.add_metric("fidelity_second", result.fidelity_second)
@@ -255,18 +206,12 @@ def _run_no_cloning(config: ExperimentConfig) -> Report:
 
 
 def _run_proper_vs_improper(config: ExperimentConfig) -> Report:
-    mixture = None
-    purification = None
-    if "mixture" in config.extras:
-        mixture = resolve_mixture(config.extras["mixture"])
-    if "purification" in config.extras:
-        purification = resolve_purification(config.extras["purification"], config.shape)
     result = proper_vs_improper(
         config.trials,
         config.shots,
         _stream(config, "proper-vs-improper"),
-        mixture=mixture,
-        purification=purification,
+        mixture=config.inputs.mixture,
+        purification=config.inputs.purification,
     )
     report = Report(_echo(config), config.seed)
     report.add_metric("mean_purity", result.verdicts["mean_purity"])
@@ -279,30 +224,14 @@ def _run_proper_vs_improper(config: ExperimentConfig) -> Report:
     return report
 
 
-def _eigenstate_library(obs: Observable) -> dict[int, StateVector]:
-    library = {}
-    for index, projector in enumerate(obs.projectors):
-        values, vectors = np.linalg.eigh(projector)
-        if int(round(values.sum())) != 1:
-            raise ConfigError("library", "eigenstate library needs a non-degenerate observable")
-        library[index] = StateVector.normalized(vectors[:, -1])
-    return library
-
-
 def _run_simulate_collapse(config: ExperimentConfig) -> Report:
-    state = _initial_state(config)
-    (obs,) = _observables(config, 1)
-    sys = PSystem(state, config.mode, _stream(config, "simulate-collapse"))
-    library = _eigenstate_library(obs) if config.extras.get("library") == "eigenstates" else None
-    followup = None
-    if "followup_observable" in config.extras:
-        followup = resolve_observable(config.extras["followup_observable"], field="followup_observable")
+    sys = PSystem(config.inputs.state, config.mode, _stream(config, "simulate-collapse"))
     result = simulate_qt_with_pqt(
         sys,
-        obs,
-        library=library,
+        config.inputs.observables[0],
+        library=config.inputs.library,
         tomography_shots=config.shots,
-        followup_obs=followup,
+        followup_obs=config.inputs.followup,
         followup_shots=config.extras.get("followup_shots", config.shots),
     )
     report = Report(_echo(config), config.seed)
@@ -316,9 +245,8 @@ def _run_teleportation(config: ExperimentConfig) -> Report:
     stream = _stream(config, "teleportation")
     fidelities = []
     for trial in range(config.trials):
-        if config.initial_state is not None:
-            state = resolve_state(config.initial_state, config.shape)
-        else:
+        state = config.inputs.state
+        if state is None:
             state = random_pure_state(2, rng.stream(config.seed, f"{config.name}/teleportation/input/{trial}"))
         fidelities.append(teleportation_demo(state, config.mode, stream))
     report = Report(_echo(config), config.seed)
@@ -332,6 +260,7 @@ class Protocol(NamedTuple):
     description: str
     modes: tuple[str, ...] = ("passive", "quantum")
     quantum_needs: str | None = None  # an extra field that must be true in quantum mode
+    requires: tuple[str, ...] = ()  # extra fields the runner reads and has no default for
     # What each observable the runner reads acts on: None for the whole state, 0 or 1 for that subsystem.
     observables: tuple[int | None, ...] = ()
     # The initial state the runner reads, if any: "any", "bipartite", "pure bipartite" or "pure qubit".
@@ -347,16 +276,21 @@ PROTOCOLS = {
         Protocol("CHSH value from global or local-passive sampling", observables=(0, 0, 1, 1), state="bipartite"),
     ),
     "clone": (_run_clone, Protocol("copy an unknown state by single-copy readout", PASSIVE_ONLY, state="any")),
-    "deutsch-jozsa": (_run_deutsch_jozsa, Protocol("constant-vs-balanced verdict, one oracle call")),
+    "deutsch-jozsa": (_run_deutsch_jozsa, Protocol("constant-vs-balanced verdict, one oracle call", requires=("oracle",))),
     "discriminate": (
         _run_discriminate,
-        Protocol("identify which candidate state a single copy is in", PASSIVE_ONLY, state="any"),
+        Protocol(
+            "identify which candidate state a single copy is in", PASSIVE_ONLY, requires=("candidates",), state="any"
+        ),
     ),
     "entanglement": (
         _run_entanglement,
         Protocol("product-vs-entangled from local measurements on one copy", PASSIVE_ONLY, state="pure bipartite"),
     ),
-    "function-recovery": (_run_function_recovery, Protocol("recover a full truth table from the post-oracle state")),
+    "function-recovery": (
+        _run_function_recovery,
+        Protocol("recover a full truth table from the post-oracle state", requires=("oracle",)),
+    ),
     "joint-global": (
         _run_joint_global,
         Protocol(
@@ -372,19 +306,20 @@ PROTOCOLS = {
             state="bipartite",
         ),
     ),
-    "no-cloning": (_run_no_cloning, Protocol("inner-product obstruction to unitary cloning")),
+    "no-cloning": (_run_no_cloning, Protocol("inner-product obstruction to unitary cloning", requires=("candidates",))),
+    # Exactly one of "mixture" and "purification" (config._resolve_inputs).
     "proper-vs-improper": (_run_proper_vs_improper, Protocol("tell a classical ensemble from an entangled marginal")),
     "reconstruct": (_run_reconstruct, Protocol("single-copy state reconstruction", PASSIVE_ONLY, state="any")),
     "repeatability": (
         _run_repeatability,
         Protocol("agreement rate of immediate repeated measurements", observables=(None,), state="any"),
     ),
-    # With "action": "none" only the B-side observable is read (config._protocol_needs).
+    # With "action": "none" only the B-side observable is read (config._resolve_inputs).
     "signalling": (
         _run_signalling,
         Protocol("B-side marginal with and without an A-side action", observables=(0, 1), state="bipartite"),
     ),
-    # Without an eigenstate "library" the state must be bipartite (config._protocol_needs).
+    # Without an eigenstate "library" the state must be bipartite (config._resolve_inputs).
     "simulate-collapse": (
         _run_simulate_collapse,
         Protocol("make passive measurements look collapsed by swapping", PASSIVE_ONLY, observables=(None,), state="any"),

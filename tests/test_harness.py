@@ -18,6 +18,7 @@ from pqt.harness import (
     tv_distance,
     wilson_interval,
 )
+from pqt.harness import config as config_module, runner as runner_module
 from pqt.harness.cli import main
 from pqt.harness.config import resolve_state
 from pqt.harness.runner import PROTOCOLS
@@ -175,6 +176,26 @@ def test_every_protocol_reachable_from_documented_config():
         assert report.payload()["config"]["protocol"] == protocol
 
 
+def test_run_resolves_no_input(monkeypatch):
+    configs = [parse_config(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an input was resolved during the run")
+
+    for name in [name for name in vars(config_module) if name.startswith("resolve_")]:
+        monkeypatch.setattr(config_module, name, refuse)
+        monkeypatch.setattr(runner_module, name, refuse, raising=False)
+    for config in configs:
+        run(config)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda path: path.stem)
+def test_resolved_inputs_survive_a_run(path):
+    config = parse_config(path.read_text())
+    assert (config.inputs.state is None) == (config.initial_state is None)
+    assert run(config).to_json() == run(config).to_json()
+
+
 # The CNOT matrix with one entry of 1e308: finite, but U^dag U overflows.
 HUGE_UNITARY = [
     [[1e308, 0], [0, 0], [0, 0], [0, 0]],
@@ -327,6 +348,65 @@ class TestCLI:
             ({"protocol": "simulate-collapse", "initial_state": "plus", "observables": ["pauli:Z"]}, "shape"),
             ({"protocol": "entanglement", "initial_state": "maximally-mixed", "shape": [2, 2]}, "initial_state"),
             ({"protocol": "teleportation", "initial_state": "random-pure:3", "dimension": 4}, "initial_state"),
+            ({"protocol": "proper-vs-improper"}, "mixture"),
+            (
+                {"protocol": "proper-vs-improper", "mixture": [["basis:0", 0.5], ["plus", 0.5]], "shape": [2, 2],
+                 "purification": "bell:phi+"},
+                "mixture",
+            ),
+            ({"protocol": "discriminate", "initial_state": "plus", "candidates": ["bell:phi+", "plus"]}, "candidates[0]"),
+            ({"protocol": "discriminate", "initial_state": "plus"}, "candidates"),
+            ({"protocol": "discriminate", "initial_state": "plus", "candidates": ["plus"]}, "candidates"),
+            (
+                {"protocol": "discriminate", "initial_state": "plus", "candidates": ["maximally-mixed", "plus"]},
+                "candidates[0]",
+            ),
+            ({"protocol": "deutsch-jozsa", "mode": "quantum", "oracle": {"n": 1, "truth_table": [0, 1]}}, "oracle.promise"),
+            ({"protocol": "deutsch-jozsa", "oracle": {"n": 1, "truth_table": [0, 1]}}, "oracle.promise"),
+            ({"protocol": "deutsch-jozsa"}, "oracle"),
+            ({"protocol": "function-recovery"}, "oracle"),
+            ({"protocol": "function-recovery", "oracle": {"n": 2, "truth_table": [0, 1]}}, "oracle.truth_table"),
+            (
+                {"protocol": "deutsch-jozsa", "oracle": {"n": 1, "truth_table": [0, 1], "promise": "maybe"}},
+                "oracle.promise",
+            ),
+            (
+                {"protocol": "deutsch-jozsa", "oracle": {"n": 1, "truth_table": [0, 0], "promise": "balanced"}},
+                "oracle.promise",
+            ),
+            ({"protocol": "function-recovery", "oracle": {"n": 1, "truth_table": [0.7, 0]}}, "oracle.truth_table[0]"),
+            ({"protocol": "function-recovery", "oracle": {"n": 1, "truth_table": [0, "1"]}}, "oracle.truth_table[1]"),
+            ({"protocol": "function-recovery", "oracle": {"n": 1, "truth_table": [True, 0]}}, "oracle.truth_table[0]"),
+            (
+                {"protocol": "simulate-collapse", "initial_state": "bell:phi+", "observables": ["pauli:ZI"],
+                 "library": "eigenstates"},
+                "library",
+            ),
+            (
+                {"protocol": "simulate-collapse", "initial_state": "bell:phi+", "observables": ["pauli:ZZ"],
+                 "library": "eigenvectors"},
+                "library",
+            ),
+            (
+                {"protocol": "joint-global", "mode": "quantum", "ensemble": "no", "initial_state": "bell:phi+",
+                 "observables": ["pauli:Z", "pauli:Z"]},
+                "ensemble",
+            ),
+            (
+                {"protocol": "joint-global", "ensemble": 1, "initial_state": "bell:phi+",
+                 "observables": ["pauli:Z", "pauli:Z"]},
+                "ensemble",
+            ),
+            (
+                {"protocol": "chsh", "source": "local", "initial_state": "bell:phi+",
+                 "observables": ["pauli:Z", "pauli:X", "pauli:Z", "pauli:X"]},
+                "source",
+            ),
+            (
+                {"protocol": "signalling", "action": "measure", "initial_state": "bell:phi+",
+                 "observables": ["pauli:Z", "pauli:Z"]},
+                "action",
+            ),
         ],
     )
     def test_malformed_input_is_named(self, tmp_path, capsys, config, field):
@@ -349,9 +429,11 @@ class TestCLI:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
         for command in commands:
-            assert main([command, "--config", str(path)]) == 1
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([command, "--config", str(path)]) == 1
             err = capsys.readouterr().err
-            assert err.startswith("invalid:") and f"'{field}" in err
+            assert err.startswith("invalid:") and err.count("\n") == 1 and f"'{field}" in err
 
     def test_negative_seed_flag_rejected(self, capsys):
         assert main(["run", "--config", str(CONFIG_DIR / "joint-global.json"), "--seed", "-5"]) == 1
