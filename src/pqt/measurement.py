@@ -182,6 +182,19 @@ class OutcomeDistribution:
         return {a: float(p) for a, p in zip(self.eigenvalues, self.probabilities)}
 
 
+def _checked_rows(raw: np.ndarray) -> np.ndarray:
+    """Rows of Born probabilities, clipped at 0, after the checks :class:`OutcomeDistribution` makes of each.
+
+    The first failing row raises the error its own distribution would;
+    zeros padding a row's end change none of the checks.
+    """
+    probabilities = np.clip(raw, 0.0, None)
+    bad = (raw.min(axis=1) < -ZERO_PROBABILITY) | (np.abs(probabilities.sum(axis=1) - 1.0) > 1e-10)
+    if bad.any():
+        OutcomeDistribution((), raw[int(np.argmax(bad))])
+    return probabilities
+
+
 def _inverse_cdf(weights: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw n indices into ``weights``, one uniform per draw scaled by the weight total.
 
@@ -239,6 +252,8 @@ def _skipped_ahead(rng: np.random.Generator, n: int) -> np.random.Generator:
 
     Philox draws come in blocks of four per counter value: the copy uses up the
     block ``rng`` has started, jumps whole blocks with ``advance`` and burns the rest.
+    The last block it enters is burned, not jumped, so the copy's buffer holds
+    that block just as after n single draws, and its full state matches.
     """
     state = rng.bit_generator.state
     bit_generator = np.random.Philox(key=0)
@@ -246,13 +261,14 @@ def _skipped_ahead(rng: np.random.Generator, n: int) -> np.random.Generator:
     burned = min(n, 4 - state["buffer_pos"])
     bit_generator.random_raw(burned)
     rest = n - burned
-    if rest // 4:
-        bit_generator.advance(rest // 4)
+    jumped = max(rest - 1, 0) // 4
+    if jumped:
+        bit_generator.advance(jumped)
         # advance() also clears the cached half of a 64-bit draw; keep the original's.
         moved = bit_generator.state
         moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
         bit_generator.state = moved
-    bit_generator.random_raw(rest % 4)
+    bit_generator.random_raw(rest - 4 * jumped)
     return np.random.Generator(bit_generator)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .hilbert import (
     PAULI_I,
     PAULI_X,
     PAULI_Z,
-    SpectralDecomposition,
     State,
     StateVector,
     UnitaryOperator,
@@ -35,14 +35,16 @@ from .hilbert import (
     tensor,
 )
 from .measurement import (
+    ZERO_PROBABILITY,
     InsufficientShotsError,
     Observable,
     PSystem,
     _cdf_counts,
     _cdf_index,
+    _checked_rows,
     _inverse_cdf,
     _require_all_possible,
-    _require_possible,
+    _skipped_ahead,
     _uniform_chunks,
     born_distribution,
     collapse_update,
@@ -54,6 +56,7 @@ from .tomography import _frame_estimate, _frame_table, ic_set_for_dimension, rec
 CLONED_TOL = 1e-9
 PURE_AVERAGE_TOL = 1e-9
 MAX_ORACLE_BITS = 5
+ORACLE_DRAW_BLOCK = 64  # uniforms quantum function recovery draws at once
 
 
 @dataclass(frozen=True)
@@ -163,17 +166,23 @@ def function_recovery(
     if mode != "quantum":
         raise ValueError(f"unknown mode {mode!r}")
     readout = _basis_index_observable(2 ** (spec.n + 1))
-    dist = born_distribution(readout, evolve(_oracle_input_state(spec), oracle))
+    probabilities = born_distribution(readout, evolve(_oracle_input_state(spec), oracle)).probabilities
+    # One draw per call, as measure() on a fresh copy takes it.  Draws come in
+    # blocks from a copy of rng; rng then moves past exactly the draws used.
+    draws = _skipped_ahead(rng, 0)
     seen: dict[int, int] = {}
-    calls = 0
+    used: list[int] = []
     while len(seen) < n_inputs:
-        calls += 1
-        # One draw per call, as measure() on a fresh copy takes it.
-        index = int(dist.sample_indices(rng, 1)[0])
-        _require_possible(readout, index, dist.probabilities[index], "quantum")
-        x, y = index >> 1, index & 1
-        seen[x] = y
-        report.log.append({"call": calls, "x": x, "f_x": y})
+        for index in _cdf_index(probabilities, draws.random(ORACLE_DRAW_BLOCK)).tolist():
+            used.append(index)
+            x, y = index >> 1, index & 1
+            seen[x] = y
+            report.log.append({"call": len(used), "x": x, "f_x": y})
+            if len(seen) == n_inputs:
+                break
+    _require_all_possible(readout, np.array(used), probabilities[used], "quantum")
+    rng.bit_generator.state = _skipped_ahead(rng, len(used)).bit_generator.state
+    calls = len(used)
     report.resources = {"oracle_calls": calls, "copies_consumed": calls, "shots_per_observable": 1}
     report.verdicts["truth_table"] = tuple(seen[x] for x in range(n_inputs))
     return report
@@ -434,15 +443,60 @@ def simulate_qt_with_pqt(
 
 
 _BELL_ORDER = ("phi+", "phi-", "psi+", "psi-")
-_CORRECTIONS = (PAULI_I, PAULI_Z, PAULI_X, PAULI_Z @ PAULI_X)
+_CORRECTIONS = np.stack((PAULI_I, PAULI_Z, PAULI_X, PAULI_Z @ PAULI_X))
+_BELL_BRAS = np.array([bell_state(name).amplitudes for name in _BELL_ORDER]).conj()  # row k: <bell_k| on qubits 1-2
+_SHARED_PAIR = bell_state("phi+").amplitudes.reshape(2, 2)  # qubit 2 by qubit 3
 
 
-@functools.cache
-def _bell_basis_observable() -> Observable:
-    projectors = tuple(np.kron(bell_state(name).projector(), PAULI_I) for name in _BELL_ORDER)
-    return Observable.from_decomposition(
-        "bell-basis-12", SpectralDecomposition((0.0, 1.0, 2.0, 3.0), projectors)
-    )
+class _Readout(NamedTuple):
+    """What a zero-probability error names of a measurement: ``_require_all_possible`` reads only these."""
+
+    name: str
+    eigenvalues: tuple[float, ...]
+
+
+_BELL_READOUT = _Readout("bell-basis-12", (0.0, 1.0, 2.0, 3.0))
+
+
+def teleportation_fidelities(inputs: np.ndarray, mode: str, rng: np.random.Generator) -> np.ndarray:
+    """Teleport each row of a ``(T, 2)`` array of qubit amplitudes; return each row's mean fidelity.
+
+    Row t's 3-qubit state is a ``(4, 2)`` block, Alice's qubits 1-2 by
+    Bob's qubit 3.  Bell outcome k leaves Bob in <bell_k| block, whose
+    squared norm is the outcome's Born probability.  One Bell outcome is
+    drawn per row, one uniform each in row order, as ``teleportation_demo``
+    on each row in turn would draw them.  Quantum mode: each branch's
+    Bob state is his conditional state, normalised.  Passive mode:
+    nothing collapses, so every branch keeps Bob's marginal of the
+    unchanged block.  Each branch's fidelity is taken after its Pauli
+    correction and weighted by its probability.
+    """
+    if mode not in ("quantum", "passive"):
+        raise ValueError(f"unknown mode {mode!r}")
+    rows = len(inputs)
+    block = (inputs[:, :, None, None] * _SHARED_PAIR).reshape(rows, 4, 2)
+    conditional = _BELL_BRAS @ block
+    raw = np.einsum("tkb,tkb->tk", conditional.conj(), conditional).real
+    probabilities = _checked_rows(raw)
+
+    cdf = np.cumsum(probabilities, axis=1)
+    scaled = rng.random(rows) * cdf[:, -1]
+    # searchsorted(side="right") clipped to the last index counts the edges before the last one.
+    drawn = np.count_nonzero(cdf[:, :-1] <= scaled[:, None], axis=1)
+    _require_all_possible(_BELL_READOUT, drawn, probabilities[np.arange(rows), drawn], mode)
+
+    possible = probabilities > ZERO_PROBABILITY
+    if mode == "quantum":
+        # Impossible branches are divided by 1, not 0, and left out of the sum below.
+        branches = (conditional / np.sqrt(np.where(possible, probabilities, 1.0))[:, :, None])[:, :, None, :]
+    else:
+        branches = block[:, None, :, :]
+    # <psi| C_k, then its overlap with each pure term of Bob's branch state: one
+    # term after a collapse, and Alice's four rows of the block in passive mode.
+    corrected_bras = np.einsum("tc,kcb->tkb", inputs.conj(), _CORRECTIONS)
+    overlaps = branches @ corrected_bras[:, :, :, None]
+    branch_fidelities = np.sum(np.abs(overlaps[..., 0]) ** 2, axis=2)
+    return np.sum(np.where(possible, probabilities * branch_fidelities, 0.0), axis=1)
 
 
 def teleportation_demo(input_state: StateVector, mode: str, rng: np.random.Generator) -> float:
@@ -461,24 +515,7 @@ def teleportation_demo(input_state: StateVector, mode: str, rng: np.random.Gener
         raise ValueError("teleportation input must be a single qubit")
     if mode not in ("quantum", "passive"):
         raise ValueError(f"unknown mode {mode!r}")
-    three_qubit = tensor(input_state, bell_state("phi+"))
-    bell_obs = _bell_basis_observable()
-    dist = born_distribution(bell_obs, three_qubit)
-
-    drawn = int(dist.sample_indices(rng, 1)[0])
-    _require_possible(bell_obs, drawn, dist.probabilities[drawn], mode)
-
-    average = 0.0
-    for k, probability in enumerate(dist.probabilities):
-        if probability <= 1e-12:
-            continue
-        branch = collapse_update(three_qubit, bell_obs, k) if mode == "quantum" else three_qubit
-        bob = partial_trace(branch, keep=2)
-        correction = _CORRECTIONS[k]
-        corrected = correction @ bob.matrix @ correction.conj().T
-        branch_fidelity = float(np.vdot(input_state.amplitudes, corrected @ input_state.amplitudes).real)
-        average += probability * branch_fidelity
-    return average
+    return float(teleportation_fidelities(input_state.amplitudes[None], mode, rng)[0])
 
 
 def repeatability_experiment(

@@ -49,9 +49,9 @@ from .measurement import (
     ZERO_PROBABILITY,
     InsufficientShotsError,
     Observable,
-    OutcomeDistribution,
     PauliString,
     PSystem,
+    _checked_rows,
     _require_all_possible,
     repeated_measure,
 )
@@ -204,12 +204,7 @@ def _frame_table(observables: tuple[Observable, ...], state: State) -> _FrameTab
     for row, obs in enumerate(observables):
         raw[row, : sizes[row]] = obs.outcome_probabilities(state)
         values[row, : sizes[row]] = obs.eigenvalues
-    probabilities = np.clip(raw, 0.0, None)
-    bad = (raw.min(axis=1) < -ZERO_PROBABILITY) | (np.abs(probabilities.sum(axis=1) - 1.0) > 1e-10)
-    if bad.any():
-        row = int(np.argmax(bad))
-        # The first failing row, in frame order, raises the error a single distribution would.
-        OutcomeDistribution(observables[row].eigenvalues, raw[row, : sizes[row]])
+    probabilities = _checked_rows(raw)
     cdf = np.cumsum(probabilities, axis=1)
     totals = np.take_along_axis(cdf, sizes[:, None] - 1, axis=1)
     # searchsorted(side="right") clipped to a row's last index counts the edges before its last one.

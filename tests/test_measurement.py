@@ -353,6 +353,13 @@ class TestSkippedAhead:
                 assert position(ahead) == position(full)
                 assert position(gen) == before
 
+    def test_lands_where_single_draws_do(self):
+        # The whole state, buffer included, also when n ends a block of four.
+        for start in range(5):
+            for n in (*range(13), *range(400, 405)):
+                gen = _drawn(rng.stream(start, "ahead"), start)
+                assert position(_skipped_ahead(gen, n)) == position(_drawn(rng.stream(start, "ahead"), start + n))
+
     def test_keeps_a_cached_half_draw(self):
         full, gen = rng.stream(1, "ahead/half"), rng.stream(1, "ahead/half")
         full.integers(10, dtype=np.uint32)
@@ -362,6 +369,13 @@ class TestSkippedAhead:
         ahead = _skipped_ahead(gen, 401)
         assert ahead.random(19).tolist() == expected[401:].tolist()
         assert position(ahead) == position(full)
+
+
+def _drawn(gen, n):
+    """``gen`` after n single uniform draws."""
+    for _ in range(n):
+        gen.random()
+    return gen
 
 
 def position(gen):

@@ -1,10 +1,16 @@
 import itertools
 import json
+import sys
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from pqt import rng
+from pqt.harness import parse_config, run
+from pqt.harness import runner as runner_module
+from pqt.harness.report import Report
 from pqt.composite import LocalSetting, lift_local
 from pqt.hilbert import (
     DensityOperator,
@@ -34,6 +40,7 @@ from pqt.measurement import (
     repeated_measure,
 )
 from pqt.protocols import (
+    ORACLE_DRAW_BLOCK,
     OracleSpec,
     clone_via_reconstruction,
     deutsch_jozsa_verdict,
@@ -45,6 +52,7 @@ from pqt.protocols import (
     repeatability_experiment,
     simulate_qt_with_pqt,
     teleportation_demo,
+    teleportation_fidelities,
 )
 
 Z = Observable("Z", PAULI_Z)
@@ -309,6 +317,15 @@ class TestTeleportation:
         with pytest.raises(ValueError, match="single qubit"):
             teleportation_demo(basis_state(4, 0), "quantum", rng.stream(2, "tele"))
 
+    @pytest.mark.parametrize("mode, match", [("quantum", "probabilities sum to"), ("collapse", "unknown mode")])
+    def test_refuses_before_any_draw(self, mode, match):
+        # The second row is not normalised, so its Bell probabilities sum to 2.
+        gen = rng.stream(3, "tele/refused")
+        before = _position(gen)
+        with pytest.raises(ValueError, match=match):
+            teleportation_fidelities(np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex), mode, gen)
+        assert _position(gen) == before
+
 
 class TestRepeatability:
     def test_quantum_rate_exactly_one(self):
@@ -455,10 +472,123 @@ class TestCollapseLoopsMatchReference:
         assert report.verdicts["truth_table"] == table
         assert _position(actual_gen) == _position(expected_gen)
 
+    def test_quantum_function_recovery_twice_on_one_stream(self):
+        spec = OracleSpec(2, (0, 1, 1, 1))
+        expected_gen, actual_gen = rng.stream(9, "eq/oracle/shared"), rng.stream(9, "eq/oracle/shared")
+        for _ in range(2):
+            calls, log, table = reference_quantum_function_recovery(spec, expected_gen)
+            report = function_recovery(spec, "quantum", actual_gen)
+            assert (report.resources["oracle_calls"], report.log, report.verdicts["truth_table"]) == (calls, log, table)
+            assert _position(actual_gen) == _position(expected_gen)
+
+    # Seeds at which the last new input arrives as the last draw of the first
+    # block, and as the first draw of the second.
+    @pytest.mark.parametrize("seed, calls", [(25, ORACLE_DRAW_BLOCK), (28, ORACLE_DRAW_BLOCK + 1)])
+    def test_quantum_function_recovery_at_a_block_edge(self, seed, calls):
+        spec = OracleSpec(4, (0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1))
+        expected_gen, actual_gen = rng.stream(seed, "eq/oracle/block"), rng.stream(seed, "eq/oracle/block")
+        expected = reference_quantum_function_recovery(spec, expected_gen)
+        assert expected[0] == calls
+        report = function_recovery(spec, "quantum", actual_gen)
+        assert (report.resources["oracle_calls"], report.log, report.verdicts["truth_table"]) == expected
+        assert _position(actual_gen) == _position(expected_gen)
+
     @pytest.mark.parametrize("mode", ["quantum", "passive"])
     def test_teleportation(self, mode):
-        for i in range(10):
+        # Vectorised sums and BLAS dot products round differently: up to 8.9e-16 apart over 2000 inputs.
+        for i in range(200):
             state = random_pure_state(2, rng.stream(i, "eq/tele/in"))
             expected_gen, actual_gen = rng.stream(i, "eq/tele"), rng.stream(i, "eq/tele")
-            assert teleportation_demo(state, mode, actual_gen) == reference_teleportation(state, mode, expected_gen)
+            actual = teleportation_demo(state, mode, actual_gen)
+            assert abs(actual - reference_teleportation(state, mode, expected_gen)) <= 2e-15
             assert _position(actual_gen) == _position(expected_gen)
+
+
+def reference_run_teleportation(config):
+    """The teleportation runner as it was, one trial at a time; returns the report and the shared stream."""
+    stream = rng.stream(config.seed, f"{config.name}/teleportation")
+    fidelities = []
+    for trial in range(config.trials):
+        state = config.inputs.state
+        if state is None:
+            state = random_pure_state(2, rng.stream(config.seed, f"{config.name}/teleportation/input/{trial}"))
+        fidelities.append(reference_teleportation(state, config.mode, stream))
+    report = Report(json.loads(config.to_json()), config.seed)
+    report.add_metric("average_fidelity", float(np.mean(fidelities)))
+    return report, stream
+
+
+def teleportation_config(mode, trials, initial_state=None):
+    config = {"name": "tele", "protocol": "teleportation", "mode": mode, "trials": trials, "seed": 4}
+    if initial_state is not None:
+        config["initial_state"] = initial_state
+    return parse_config(json.dumps(config))
+
+
+def run_capturing_streams(monkeypatch, config):
+    """Run ``config`` and return its report with every stream the runner derived, by purpose."""
+    streams = {}
+    real_stream = runner_module._stream
+
+    def recording(config, purpose):
+        streams[purpose] = real_stream(config, purpose)
+        return streams[purpose]
+
+    monkeypatch.setattr(runner_module, "_stream", recording)
+    return run(config), streams
+
+
+B = runner_module.TELEPORTATION_BLOCK
+
+
+class TestTeleportationRunner:
+    # A block of 8 covers every edge case cheaply.  At the shipped block size the
+    # one-trial-at-a-time reference is slow: only the longest run, on per-trial inputs.
+    @pytest.mark.parametrize(
+        "block, mode, initial_state",
+        [(8, mode, state) for mode in ("quantum", "passive") for state in (None, "random-pure:3")]
+        + [(B, mode, None) for mode in ("quantum", "passive")],
+    )
+    def test_blocks_match_the_trial_loop(self, monkeypatch, block, mode, initial_state):
+        monkeypatch.setattr(runner_module, "TELEPORTATION_BLOCK", block)
+        counts = (1, block - 1, block, block + 1, 2 * block + 3) if block < B else (2 * block + 3,)
+        for trials in counts:
+            config = teleportation_config(mode, trials, initial_state)
+            expected, expected_stream = reference_run_teleportation(config)
+            actual, streams = run_capturing_streams(monkeypatch, config)
+            assert actual.to_json() == expected.to_json()
+            assert _position(streams["teleportation"]) == _position(expected_stream)
+
+    def test_quantum_run_builds_no_state_per_trial(self, monkeypatch):
+        names = ("partial_trace", "collapse_update", "tensor", "born_distribution")
+        calls = Counter()
+        for module in [module for name, module in sys.modules.items() if name.split(".")[0] == "pqt"]:
+            for name in names:
+                if hasattr(module, name):
+                    real = getattr(module, name)
+
+                    def counted(*args, _real=real, _name=name, **kwargs):
+                        calls[_name] += 1
+                        return _real(*args, **kwargs)
+
+                    monkeypatch.setattr(module, name, counted)
+        run(teleportation_config("quantum", 1))
+        one_trial = dict(calls)
+        calls.clear()
+        run(teleportation_config("quantum", 2 * B + 3))
+        assert dict(calls) == one_trial
+
+    def test_memory_stays_flat_in_trials(self):
+        run(teleportation_config("quantum", 1))
+        peaks = []
+        for trials in (2 * B + 3, 8 * B + 3):
+            config = teleportation_config("quantum", trials)
+            tracemalloc.start()
+            try:
+                run(config)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        # Keeping one float per trial would add about 240 KB here; the blocks add about 1 KB.
+        assert peaks[1] - peaks[0] <= 64 * 2**10
