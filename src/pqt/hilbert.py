@@ -390,6 +390,18 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
+def _odd_parity(values: np.ndarray, n_bits: int) -> np.ndarray:
+    """Whether each entry has an odd number of set bits among its low ``n_bits``; folds ``values`` in place.
+
+    Parity by halving xor-folds (np.bitwise_count needs NumPy 2).
+    """
+    shift = 1 << (n_bits - 1).bit_length()
+    while shift > 1:
+        shift >>= 1
+        values ^= values >> shift
+    return (values & 1).astype(bool)
+
+
 def pauli_phases(label: str) -> tuple[int, np.ndarray]:
     """Bit-flip mask and column phases of a Pauli string: S|x> = phase[x] |x ^ x_mask>.
 
@@ -404,13 +416,27 @@ def pauli_phases(label: str) -> tuple[int, np.ndarray]:
     for ch in label:
         x_mask = (x_mask << 1) | (ch in "XY")
         z_mask = (z_mask << 1) | (ch in "YZ")
-    # Parity of x & z_mask by halving xor-folds (np.bitwise_count needs NumPy 2).
-    folded = np.arange(2 ** len(label)) & z_mask
-    shift = 1 << (len(label) - 1).bit_length()
-    while shift > 1:
-        shift >>= 1
-        folded ^= folded >> shift
-    return x_mask, _I_POWERS[label.count("Y") % 4] * np.where(folded & 1, -1.0, 1.0)
+    odd = _odd_parity(np.arange(2 ** len(label)) & z_mask, len(label))
+    return x_mask, _I_POWERS[label.count("Y") % 4] * np.where(odd, -1.0, 1.0)
+
+
+def pauli_frame_phases(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bit-flip masks and column phases of every non-identity Pauli string on n qubits, in label order.
+
+    Row k - 1 is the string whose letters are the base-4 digits of k
+    (I, X, Y, Z = 0..3, first letter most significant), as
+    ``itertools.product("IXYZ", repeat=n)`` lists them.  Each row equals
+    :func:`pauli_phases` of its label, bit for bit.
+    """
+    index = np.arange(1, 4**n_qubits)
+    digits = (index[:, None] >> (2 * np.arange(n_qubits - 1, -1, -1))) & 3
+    weights = 1 << np.arange(n_qubits - 1, -1, -1)
+    x_masks = ((digits == 1) | (digits == 2)) @ weights
+    z_masks = (digits >= 2) @ weights
+    y_counts = np.count_nonzero(digits == 2, axis=1)
+    # Masks are below 2^6, so the (k, d) fold runs on bytes.
+    odd = _odd_parity(np.arange(2**n_qubits, dtype=np.uint8) & z_masks[:, None].astype(np.uint8), n_qubits)
+    return x_masks, np.asarray(_I_POWERS)[y_counts % 4, None] * np.where(odd, -1.0, 1.0)
 
 
 def pauli_dense(x_mask: int, phase: np.ndarray) -> np.ndarray:

@@ -101,28 +101,34 @@ class PauliString(Observable):
     """A Pauli string held as its bit-flip mask and column phases: S|x> = phase[x] |x ^ x_mask>.
 
     Outcomes are -1 and +1 with projectors (I - S)/2 and (I + S)/2.  The
-    matrix, projectors and decomposition are derived on each access and
-    never stored, so a string costs O(d) memory.  Its Born probabilities
-    (1 -/+ <S>)/2, the projection of a state vector and its term in
-    linear inversion each cost O(d) time.
+    string stores ``phase`` and ``rows`` (the row x ^ x_mask of each
+    column's one nonzero), O(d) memory; a string of a Pauli frame holds
+    row views of the frame's ``(k, d)`` arrays.  The matrix, projectors
+    and decomposition are derived on each access and never stored.  Its
+    Born probabilities (1 -/+ <S>)/2, the projection of a state vector
+    and its term in linear inversion each cost O(d) time.
     """
 
-    __slots__ = ("x_mask", "phase")
+    __slots__ = ("x_mask", "phase", "rows")
     eigenvalues = (-1.0, 1.0)
 
     def __init__(self, label: str):
-        self.name = label
-        self.x_mask, self.phase = pauli_phases(label)
-        self.phase.setflags(write=False)
+        x_mask, phase = pauli_phases(label)
+        rows = np.arange(phase.size) ^ x_mask
+        phase.setflags(write=False)
+        rows.setflags(write=False)
+        self.name, self.x_mask, self.phase, self.rows = label, x_mask, phase, rows
+
+    @classmethod
+    def _frame_row(cls, label: str, x_mask: int, phase: np.ndarray, rows: np.ndarray) -> "PauliString":
+        """A string whose ``phase`` and ``rows`` are given read-only rows of a frame, taken as they are."""
+        obs = cls.__new__(cls)
+        obs.name, obs.x_mask, obs.phase, obs.rows = label, x_mask, phase, rows
+        return obs
 
     @property
     def dim(self) -> int:
         return self.phase.size
-
-    @property
-    def rows(self) -> np.ndarray:
-        """Row of the one nonzero entry in each column: x ^ x_mask."""
-        return np.arange(self.phase.size) ^ self.x_mask
 
     @property
     def matrix(self) -> np.ndarray:
@@ -138,12 +144,15 @@ class PauliString(Observable):
     def decomposition(self) -> SpectralDecomposition:
         return SpectralDecomposition(self.eigenvalues, self.projectors)
 
-    def outcome_probabilities(self, state: State) -> np.ndarray:
+    def expectation(self, state: State) -> float:
+        """<S> on ``state``: one O(d) product with the stored rows and phases."""
         if isinstance(state, StateVector):
             amps = state.amplitudes
-            expectation = np.vdot(amps[self.rows], self.phase * amps).real
-        else:
-            expectation = np.sum(self.phase * state.matrix[np.arange(self.dim), self.rows]).real
+            return np.vdot(amps[self.rows], self.phase * amps).real
+        return np.sum(self.phase * state.matrix[np.arange(self.dim), self.rows]).real
+
+    def outcome_probabilities(self, state: State) -> np.ndarray:
+        expectation = self.expectation(state)
         return np.array([(1.0 - expectation) / 2, (1.0 + expectation) / 2])
 
     def project(self, outcome_index: int, amplitudes: np.ndarray) -> np.ndarray:

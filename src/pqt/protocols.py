@@ -124,6 +124,18 @@ def _oracle_input_state(spec: OracleSpec) -> StateVector:
     return tensor(plus_state(spec.n), basis_state(2, 0, (2,)))
 
 
+@functools.lru_cache(maxsize=32)
+def _post_oracle_readout(spec: OracleSpec) -> tuple[Observable, np.ndarray]:
+    """The computational-basis readout and its (read-only) Born probabilities on the post-oracle state.
+
+    Every fresh copy given one oracle call is in this state, so the
+    distribution depends on the oracle alone and is computed once per oracle.
+    """
+    readout = _basis_index_observable(2 ** (spec.n + 1))
+    final = evolve(_oracle_input_state(spec), oracle_unitary(spec))
+    return readout, born_distribution(readout, final).probabilities
+
+
 def function_recovery(
     spec: OracleSpec,
     mode: str,
@@ -139,14 +151,14 @@ def function_recovery(
     mode learns one (x, f(x)) pair per collapse and needs a fresh copy
     and oracle call per attempt until every input has been seen.  Every
     fresh copy is in the same post-oracle state, so its readout
-    distribution is computed once and each call draws one outcome from it.
+    distribution is computed once per oracle and each call draws one
+    outcome from it.
     """
-    oracle = oracle_unitary(spec)
     n_inputs = 2**spec.n
     report = ProtocolReport("function-recovery", mode)
 
     if mode == "passive":
-        final = evolve(_oracle_input_state(spec), oracle)
+        final = evolve(_oracle_input_state(spec), oracle_unitary(spec))
         sys = PSystem(final, "passive", rng)
         result = reconstruct_single_copy(sys, ic_set_for_dimension(sys.dim), shots)
         threshold = 0.25 / n_inputs
@@ -165,8 +177,7 @@ def function_recovery(
 
     if mode != "quantum":
         raise ValueError(f"unknown mode {mode!r}")
-    readout = _basis_index_observable(2 ** (spec.n + 1))
-    probabilities = born_distribution(readout, evolve(_oracle_input_state(spec), oracle)).probabilities
+    readout, probabilities = _post_oracle_readout(spec)
     # One draw per call, as measure() on a fresh copy takes it.  Draws come in
     # blocks from a copy of rng; rng then moves past exactly the draws used.
     draws = _skipped_ahead(rng, 0)

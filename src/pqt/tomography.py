@@ -15,12 +15,19 @@ The Pauli strings and the generalised Gell-Mann matrices have this
 property by construction (Bertlmann & Krammer, J. Phys. A 41, 235303,
 2008); the tests check it once instead of every build.
 
-Pauli frames are held as masks: each string is a
-:class:`~pqt.measurement.PauliString`, a bit-flip mask and d phases with
-S|x> = phase[x] |x ^ x_mask>, whose matrix and projectors are derived
-only on demand.  Its Born probabilities cost O(d), and inversion adds
-its d nonzeros only.  :func:`ic_set_for_dimension` returns one shared,
-immutable frame per dimension.
+Pauli frames are held as arrays: a :class:`PauliFrame` builds the
+bit-flip masks and the ``(k, d)`` phases, S|x> = phase[x] |x ^ x_mask>,
+of all k = 4^n - 1 strings with whole-array operations, and stores the
+``(k, d)`` rows x ^ x_mask once.  Each string is a
+:class:`~pqt.measurement.PauliString` holding row views of those
+arrays; its matrix and projectors are derived only on demand, and its
+Born probabilities cost O(d).  Linear inversion is grouped by
+``x_mask``: strings sharing a mask write the same d entries, so one
+fancy-indexed add per rank within the groups adds 2^n strings at once,
+with the bits of the string-by-string sum.  Other frames (Gell-Mann,
+lifted) add one dense term per observable.
+:func:`ic_set_for_dimension` returns one shared, immutable frame per
+dimension.
 
 Every observable of a frame is sampled by one row-wise sampler: the
 frame's Born rows on the state are computed and checked once, then
@@ -39,11 +46,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import DensityOperator, State, StateVector, fidelity
+from .hilbert import DensityOperator, State, StateVector, fidelity, pauli_frame_phases
 from .measurement import (
     SAMPLE_CHUNK,
     ZERO_PROBABILITY,
@@ -51,9 +58,10 @@ from .measurement import (
     Observable,
     PauliString,
     PSystem,
+    _cdf_counts,
     _checked_rows,
     _require_all_possible,
-    repeated_measure,
+    born_distribution,
 )
 
 CONFIDENCE_Z = 1.96
@@ -73,6 +81,33 @@ class ICSet:
 
     def __len__(self) -> int:
         return len(self.observables)
+
+    def add_terms(self, out: np.ndarray, means) -> None:
+        """Add sum_k means[k] * O_k / norm to ``out`` in place, one observable at a time in frame order."""
+        for mean, obs in zip(means, self.observables):
+            obs.add_scaled_to(out, mean, self.norm)
+
+
+@dataclass(frozen=True, eq=False)
+class PauliFrame(ICSet):
+    """The non-identity Pauli strings on n qubits, held as ``(k, d)`` arrays whose rows the strings view.
+
+    Strings that share an ``x_mask`` write the same d entries in linear
+    inversion, each entry taking their terms in label order.  Round r of
+    ``rounds`` holds the r-th string of every such group, so one
+    fancy-indexed ``+=`` per round adds a whole round: 2^n rounds instead
+    of 4^n - 1 string-by-string adds, with the same bits.
+    """
+
+    phase: np.ndarray = field(repr=False)  # (k, d) column phases, one string per row
+    rows: np.ndarray = field(repr=False)  # (k, d) row of each column's nonzero: x ^ x_mask
+    rounds: tuple[np.ndarray, ...] = field(repr=False)  # string indices of each inversion round
+
+    def add_terms(self, out: np.ndarray, means) -> None:
+        means = np.asarray(means, dtype=float)
+        columns = np.arange(self.dim)
+        for members in self.rounds:
+            out[self.rows[members], columns] += means[members, None] * (self.phase[members] / self.norm)
 
 
 @dataclass
@@ -97,16 +132,31 @@ class ReconstructionResult:
             raise ValueError(f"raw estimate has trace {trace!r}, expected 1")
 
 
-def pauli_ic_set(n_qubits: int) -> ICSet:
+def pauli_ic_set(n_qubits: int) -> PauliFrame:
     """All non-identity Pauli strings on n qubits, with norm 2^n.
 
-    Each string is a :class:`PauliString`: a bit-flip mask and d phases,
-    with no dense matrix or projector stored.
+    The masks and phases of every string are built as whole arrays; each
+    string is a :class:`PauliString` holding row views of them, with no
+    dense matrix or projector stored.
     """
     if not 1 <= n_qubits <= 6:
         raise ValueError("supported range is 1..6 qubits")
     labels = ("".join(letters) for letters in itertools.product("IXYZ", repeat=n_qubits))
-    return ICSet(tuple(PauliString(label) for label in labels if label.strip("I")), float(2**n_qubits))
+    next(labels)  # the identity
+    x_masks, phase = pauli_frame_phases(n_qubits)
+    rows = np.arange(phase.shape[1]) ^ x_masks[:, None]
+    phase.setflags(write=False)
+    rows.setflags(write=False)
+    strings = map(PauliString._frame_row, labels, x_masks.tolist(), phase, rows)
+    return PauliFrame(tuple(strings), float(2**n_qubits), phase, rows, _inversion_rounds(x_masks))
+
+
+def _inversion_rounds(x_masks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Indices of the strings of rank r within their ``x_mask`` group (in frame order), for each r."""
+    order = np.argsort(x_masks, kind="stable")
+    starts = np.flatnonzero(np.diff(x_masks[order], prepend=-1))
+    rank = np.arange(order.size) - np.repeat(starts, np.diff(starts, append=order.size))
+    return tuple(order[rank == r] for r in range(rank.max() + 1))
 
 
 def _gell_mann_family(dim: int) -> list[tuple[str, np.ndarray]]:
@@ -199,11 +249,17 @@ def _frame_table(observables: tuple[Observable, ...], state: State) -> _FrameTab
     sizes = np.array([len(obs.eigenvalues) for obs in observables])
     columns = np.arange(max(2, sizes.max()))
     real = columns < sizes[:, None]
-    raw = np.zeros(real.shape)
-    values = np.zeros(real.shape)
-    for row, obs in enumerate(observables):
-        raw[row, : sizes[row]] = obs.outcome_probabilities(state)
-        values[row, : sizes[row]] = obs.eigenvalues
+    if all(isinstance(obs, PauliString) for obs in observables):
+        # Each row is (1 -/+ <S>)/2, as PauliString.outcome_probabilities computes it.
+        expectations = np.array([obs.expectation(state) for obs in observables])
+        raw = np.stack(((1.0 - expectations) / 2, (1.0 + expectations) / 2), axis=1)
+        values = np.broadcast_to(PauliString.eigenvalues, raw.shape)
+    else:
+        raw = np.zeros(real.shape)
+        values = np.zeros(real.shape)
+        for row, obs in enumerate(observables):
+            raw[row, : sizes[row]] = obs.outcome_probabilities(state)
+            values[row, : sizes[row]] = obs.eigenvalues
     probabilities = _checked_rows(raw)
     cdf = np.cumsum(probabilities, axis=1)
     totals = np.take_along_axis(cdf, sizes[:, None] - 1, axis=1)
@@ -278,8 +334,7 @@ def linear_inversion(estimates, ic: ICSet) -> np.ndarray:
         raise ValueError(f"got {len(estimates)} estimates for {len(ic)} observables")
     means = [e.mean if isinstance(e, ExpectationEstimate) else float(e) for e in estimates]
     out = np.eye(ic.dim, dtype=complex) / ic.dim
-    for mean, obs in zip(means, ic.observables):
-        obs.add_scaled_to(out, mean, ic.norm)
+    ic.add_terms(out, means)
     return out
 
 
@@ -342,9 +397,16 @@ def estimate_spectrum(sys: PSystem, obs: Observable, shots: int) -> list[float]:
 
     With full overlap between the state and every eigenspace this
     recovers the whole spectrum; an eigenvalue of Born weight p is
-    missed with probability (1 - p)^shots.
+    missed with probability (1 - p)^shots.  The shots are drawn as
+    ``repeated_measure`` draws them, but only counted, so memory does
+    not grow with ``shots``.
     """
     if sys.mode != "passive":
         raise ValueError("spectrum estimation by repetition requires passive mode")
-    record = repeated_measure(sys, obs, shots)
-    return sorted(record.counts())
+    if shots < 1:
+        raise ValueError("need at least one shot")
+    dist = born_distribution(obs, sys.state)
+    drawn = np.flatnonzero(_cdf_counts(dist.probabilities, sys.rng, shots))
+    _require_all_possible(obs, drawn, dist.probabilities[drawn], "passive")
+    sys.history[obs.name] += shots
+    return sorted(obs.eigenvalues[index] for index in drawn.tolist())

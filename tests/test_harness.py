@@ -1,4 +1,5 @@
 import copy
+import enum
 import json
 import math
 import warnings
@@ -21,6 +22,7 @@ from pqt.harness import (
 from pqt.harness import config as config_module, runner as runner_module
 from pqt.harness.cli import main
 from pqt.harness.config import resolve_state
+from pqt.harness.report import Report
 from pqt.harness.runner import PROTOCOLS
 from pqt.hilbert import plus_state
 
@@ -163,6 +165,96 @@ class TestRun:
         report = run(parse_config((CONFIG_DIR / "chsh.json").read_text()))
         (metric,) = report.metrics
         assert metric["value"] == pytest.approx(2 * np.sqrt(2), abs=0.05)
+
+
+def _report(config=None, metrics=(), tables=None, verdicts=None) -> Report:
+    report = Report(config if config is not None else {}, 7, list(metrics), verdicts=verdicts or {})
+    for name, (columns, rows) in (tables or {}).items():
+        report.add_table(name, columns, rows)
+    return report
+
+
+def _canonical(value):
+    """Reference canonical form: floats rounded to 12 significant digits, containers normalised."""
+    if isinstance(value, (bool, int, str)) or value is None:
+        return value
+    if isinstance(value, (float, np.floating)):
+        return float(f"{float(value):.12g}")
+    if isinstance(value, (complex, np.complexfloating)):
+        return [_canonical(value.real), _canonical(value.imag)]
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, dict):
+        return {str(k): _canonical(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_canonical(v) for v in value]
+    raise TypeError(f"cannot serialize {type(value).__name__} into a report")
+
+
+def _dumped(report: Report) -> str:
+    """The report as ``json`` writes the reference canonical form of its fields."""
+    fields = {
+        "config": report.config,
+        "seed": report.seed,
+        "metrics": report.metrics,
+        "tables": {name: {"columns": t.columns, "rows": t.rows} for name, t in report.tables.items()},
+        "verdicts": report.verdicts,
+    }
+    return json.dumps(_canonical(fields), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class TestReportJson:
+    """``to_json`` writes in one pass what ``json.dumps`` writes of the canonical payload."""
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            _report(),
+            _report({"a": [], "b": {}, "c": ()}, tables={"empty": (["x", "y"], []), "none": ([], [])}),
+            _report({1: "int key", 2.5: "float key", None: "none key", True: "bool key", (1, 2): "tuple key"}),
+            _report(
+                {"ints": [np.int64(-3), np.int8(2), np.uint16(7), 10**20, _Level.HIGH]},
+                metrics=[{"name": "f", "value": np.float32(0.1), "uncertainty": np.float64(1 / 3)}],
+            ),
+            _report({"complex": [1 + 2j, np.complex128(-0.5 - 0.25j), np.complex64(1j)], "flags": [True, False, None]}),
+            _report({"name": "Ψ-état 名前", "ψ": "\u00e9\n\"quoted\"\t"}, verdicts={"ünïcode": "ok"}),
+            _report({"zeros": [-0.0, 0.0, 1e-300, -1e-300, 5e-324]}),
+            _report({"scale": [1e-5, 1e-4, 1e11, 1e12, 1.5e13, 123456789012345.0, 1e16, 1.7976931348623157e308]}),
+            _report({"rounding": [1 / 3, 2 / 3, 999999999999.5, 0.1 + 0.2, 100.0, -7.0]}),
+            _report({"arrays": np.arange(3), "matrix": np.array([[1.5, 2.0], [3.0, 4.0]])}),
+            _report(tables={"t": (["label", "mean"], [["XY", 0.25], ["ZZ", np.float64(-1.0)]])}),
+        ],
+    )
+    def test_equals_json_dumps_of_the_payload(self, report):
+        assert report.to_json() == _dumped(report)
+        assert report.payload() == json.loads(_dumped(report))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+    def test_any_finite_floats(self, values):
+        report = _report({"values": values})
+        assert report.to_json() == _dumped(report)
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, np.float64(np.nan), complex(1.0, math.inf), [1.0, [math.nan]]]
+    )
+    def test_non_finite_values_raise(self, bad):
+        report = _report(metrics=[{"name": "bad", "value": bad, "uncertainty": None}])
+        with pytest.raises(ValueError):
+            _dumped(report)
+        with pytest.raises(ValueError):
+            report.to_json()
+
+    def test_unsupported_values_raise(self):
+        report = _report({"obj": object()})
+        with pytest.raises(TypeError):
+            _dumped(report)
+        with pytest.raises(TypeError):
+            report.to_json()
 
 
 def test_every_protocol_reachable_from_documented_config():

@@ -110,6 +110,27 @@ class TestFunctionRecovery:
         assert report.resources["oracle_calls"] >= 4  # coupon collector floor
         assert report.resources["copies_consumed"] == report.resources["oracle_calls"]
 
+    def test_quantum_runner_builds_the_oracle_once_per_run(self, monkeypatch):
+        from pqt import protocols
+
+        builds = []
+        real = protocols.oracle_unitary
+        monkeypatch.setattr(protocols, "oracle_unitary", lambda spec: builds.append(spec) or real(spec))
+        protocols._post_oracle_readout.cache_clear()
+        config = {
+            "name": "fr-once",
+            "protocol": "function-recovery",
+            "mode": "quantum",
+            "oracle": {"n": 2, "truth_table": [1, 0, 0, 1]},
+            "trials": 30,
+        }
+        try:
+            report = run(parse_config(json.dumps(config)))
+        finally:
+            protocols._post_oracle_readout.cache_clear()
+        assert report.verdicts["truth_table"] == [1, 0, 0, 1]
+        assert builds == [OracleSpec(2, (1, 0, 0, 1))]
+
     def test_tiny_shot_budget_reports_ambiguity(self):
         with pytest.raises(ValueError, match="insufficient shots"):
             function_recovery(OracleSpec(2, (0, 0, 1, 1)), "passive", rng.stream(0, "fr/ambig"), shots=2)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 
@@ -25,7 +26,7 @@ from pqt.hilbert import (
     kron_all,
     pauli_matrix,
 )
-from pqt.composite import _local_ic_set
+from pqt.composite import LocalSetting, _local_ic_set, lift_local
 from pqt.measurement import (
     Observable,
     PauliString,
@@ -38,6 +39,8 @@ from pqt.measurement import (
 from pqt.protocols import proper_vs_improper
 from pqt.tomography import (
     CONFIDENCE_Z,
+    ICSet,
+    _frame_table,
     estimate_expectations,
     estimate_spectrum,
     discriminate,
@@ -126,7 +129,7 @@ class TestPauliMasks:
                     collapsed = collapse_update(psi, obs, index)
                     np.testing.assert_array_equal(collapsed.amplitudes, projected / np.sqrt(probability))
 
-    @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5, 6])
     def test_linear_inversion_equals_dense_sum_bit_for_bit(self, n_qubits):
         ic = pauli_ic_set(n_qubits)
         means = [float(m) for m in rng.stream(n_qubits, "pauli/inversion").uniform(-1.0, 1.0, size=len(ic))]
@@ -136,6 +139,42 @@ class TestPauliMasks:
         fast = linear_inversion(means, ic)
         np.testing.assert_array_equal(fast, dense)
         assert fast.tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("frame", ["gell-mann-3", "lifted-pauli-1"])
+    def test_dense_frames_invert_as_the_dense_sum(self, frame):
+        if frame == "gell-mann-3":
+            ic = hermitian_basis_ic_set(3)
+        else:
+            # Lifted Pauli strings are dense observables: the frame takes the default, one-by-one path.
+            ic = ICSet(tuple(lift_local(LocalSetting("A", obs), (2, 3)) for obs in pauli_ic_set(1).observables), 2.0)
+        means = [float(m) for m in rng.stream(ic.dim, "dense/inversion").uniform(-1.0, 1.0, size=len(ic))]
+        dense = np.eye(ic.dim, dtype=complex) / ic.dim
+        for mean, obs in zip(means, ic.observables):
+            dense = dense + mean * (obs.matrix / ic.norm)
+        assert linear_inversion(means, ic).tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5, 6])
+    def test_array_built_frame_equals_strings_built_from_labels(self, n_qubits):
+        labels = ["".join(letters) for letters in itertools.product("IXYZ", repeat=n_qubits)][1:]
+        ic = pauli_ic_set(n_qubits)
+        assert [obs.name for obs in ic.observables] == labels
+        for obs, label in zip(ic.observables, labels):
+            reference = PauliString(label)
+            assert obs.x_mask == reference.x_mask
+            assert obs.phase.dtype == reference.phase.dtype and obs.phase.tobytes() == reference.phase.tobytes()
+            assert obs.rows.dtype == reference.rows.dtype and obs.rows.tobytes() == reference.rows.tobytes()
+            assert not obs.phase.flags.writeable and not obs.rows.flags.writeable
+
+    @pytest.mark.parametrize("n_qubits", [1, 3, 6])
+    def test_frame_born_rows_equal_each_strings_probabilities(self, n_qubits):
+        dim = 2**n_qubits
+        g = rng.stream(n_qubits, "pauli/frame-rows")
+        ic = pauli_ic_set(n_qubits)
+        for state in (random_pure_state(dim, g), random_density(dim, g), random_density(dim, g, rank=2)):
+            table = _frame_table(ic.observables, state)
+            expected = np.stack([obs.outcome_probabilities(state) for obs in ic.observables])
+            assert table.probabilities.tobytes() == np.clip(expected, 0.0, None).tobytes()
+            assert table.values.tolist() == [-1.0, 1.0] and table.offsets is None
 
     def test_frames_are_shared(self):
         assert ic_set_for_dimension(64) is ic_set_for_dimension(64)
@@ -435,6 +474,42 @@ class TestEstimateSpectrum:
         sys = PSystem(basis_state(2, 0), "passive", rng.stream(5, "spec"))
         values = estimate_spectrum(sys, Observable("Z", PAULI_Z), 500)
         assert values == [1.0]
+
+    def test_shots_are_drawn_as_repeated_measure_draws_them(self):
+        state = random_pure_state(3, rng.stream(6, "spec/state"))
+        obs = Observable("H", random_hermitian(3, rng.stream(6, "spec/obs")))
+        expected_sys = PSystem(state, "passive", rng.stream(6, "spec"))
+        actual_sys = PSystem(state, "passive", rng.stream(6, "spec"))
+        expected = sorted(repeated_measure(expected_sys, obs, 20).counts())
+        assert estimate_spectrum(actual_sys, obs, 20) == expected
+        assert actual_sys.history == expected_sys.history
+        assert _position(actual_sys.rng) == _position(expected_sys.rng)
+
+    def test_a_drawn_zero_probability_outcome_raises_as_repeated_measure_does(self):
+        # A zero uniform draws the first outcome (-1 on |1>), whose weight 1e-13 is below ZERO_PROBABILITY.
+        state = StateVector(np.array([np.sqrt(1.0 - 1e-13), np.sqrt(1e-13)]))
+        obs = Observable("Z", PAULI_Z)
+        errors = []
+        for estimate in (repeated_measure, estimate_spectrum):
+            with pytest.raises(ValueError, match="zero probability") as caught:
+                estimate(PSystem(state, "passive", _ZeroUniforms()), obs, 3)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+
+    def test_memory_does_not_grow_with_shots(self):
+        obs = Observable("H", random_hermitian(3, rng.stream(7, "spec/obs")))
+        state = random_pure_state(3, rng.stream(7, "spec/state"))
+        peaks = []
+        for shots in (10**5, 4 * 10**6):
+            sys = PSystem(state, "passive", rng.stream(7, "spec"))
+            tracemalloc.start()
+            try:
+                estimate_spectrum(sys, obs, shots)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 2**20
 
     def test_random_qutrit_matches_eigensolver(self):
         # Full-overlap state: every eigenvalue has weight >= 0.1, so 1000
