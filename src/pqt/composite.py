@@ -23,6 +23,7 @@ from .measurement import (
     PSystem,
     _cdf_counts,
     _cdf_index,
+    _cdf_table,
     _skipped_ahead,
     _uniform_chunks,
     born_distribution,
@@ -143,7 +144,7 @@ def global_joint_sample(
         raise ValueError("ensemble required in quantum mode: a single copy collapses on the first shot")
     probs = joint_distribution_global(sys.state, a_obs, b_obs)
     # One draw per shot over the row-major (a, b) grid.
-    counts = _cdf_counts(probs.reshape(-1), sys.rng, shots).reshape(probs.shape)
+    counts = _cdf_counts(_cdf_table(probs.reshape(1, -1)), sys.rng, shots).reshape(probs.shape)
     return JointFrequencyTable(a_obs.eigenvalues, b_obs.eigenvalues, counts, shots)
 
 
@@ -179,9 +180,9 @@ def local_passive_joint_sample(
     b_rng = _skipped_ahead(sys.rng, shots)
     counts = np.zeros(n_a * n_b, dtype=np.int64)
     for a_uniforms, b_uniforms in zip(_uniform_chunks(sys.rng, shots), _uniform_chunks(b_rng, shots)):
-        pairs = _cdf_index(marg_a.probabilities, a_uniforms)
+        pairs = _cdf_index(marg_a.cdf, a_uniforms)
         pairs *= n_b
-        pairs += _cdf_index(marg_b.probabilities, b_uniforms)
+        pairs += _cdf_index(marg_b.cdf, b_uniforms)
         counts += np.bincount(pairs, minlength=n_a * n_b)
     sys.rng.bit_generator.state = b_rng.bit_generator.state
     return JointFrequencyTable(marg_a.eigenvalues, marg_b.eigenvalues, counts.reshape(n_a, n_b), shots)

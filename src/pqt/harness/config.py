@@ -35,7 +35,7 @@ from ..hilbert import (
     plus_state,
     random_pure_state,
 )
-from ..measurement import Observable
+from ..measurement import PROBABILITY_SUM_TOL, Observable
 from ..protocols import MAX_ORACLE_BITS, PURE_AVERAGE_TOL, OracleSpec
 from ..tomography import MAX_IC_DIMENSION
 
@@ -401,7 +401,7 @@ def resolve_mixture(entries, field: str = "mixture") -> tuple[tuple[StateVector,
             raise ConfigError(name, f"dimension {state.dim} differs from the first member's {mixture[0][0].dim}")
         mixture.append((state, float(weight)))
     total = math.fsum(weight for _, weight in mixture)
-    if not abs(total - 1.0) <= 1e-9:
+    if not abs(total - 1.0) <= PROBABILITY_SUM_TOL:
         raise ConfigError(field, f"weights sum to {total!r}, expected 1")
     average = sum(weight * state.projector() for state, weight in mixture)
     if np.trace(average @ average).real >= 1.0 - PURE_AVERAGE_TOL:

@@ -6,19 +6,19 @@ observed outcome projects the state (collapse); in ``"passive"`` mode
 outcomes occur with the same Born probabilities but the state is left
 untouched, so the very same system can be measured again and again.
 
-Outcome sampling is inverse-CDF over the ascending outcome list with one
-uniform draw per shot, taken from the system's Philox stream (see
-:mod:`pqt.rng`); the platform-default RNG is never used.  Callers that
-only need tallies draw ``SAMPLE_CHUNK`` uniforms at a time into one
-reused buffer and count them, so memory does not grow with the shot
-count; chunked draws still take one uniform per shot in stream order,
-so they give the same outcomes as one large draw.
+Outcome sampling is inverse-CDF with one uniform per shot from the
+system's Philox stream (see :mod:`pqt.rng`), never the platform default.
+Every draw goes through one table and two kernels: ``_cdf_table`` checks
+rows of outcome probabilities once and keeps their CDF edges,
+``_cdf_index`` turns uniforms into outcome indices, and ``_cdf_counts``
+tallies draws ``SAMPLE_CHUNK`` uniforms at a time in one reused buffer,
+so memory does not grow with the shot count; chunks keep stream order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,9 @@ from .hilbert import (
 
 ZERO_PROBABILITY = 1e-12
 RECONSTRUCTION_TOL = 1e-9
+PROBABILITY_SUM_TOL = 1e-10
 SAMPLE_CHUNK = 2**16  # uniforms drawn at once by the counting samplers
+SEARCH_PER_EDGE = 1024  # a one-row draw with fewer uniforms per edge takes searchsorted
 
 
 class InsufficientShotsError(ValueError):
@@ -166,82 +168,88 @@ class PauliString(Observable):
         out[self.rows, np.arange(self.dim)] += coefficient * (self.phase / norm)
 
 
+@dataclass(frozen=True, eq=False)
+class _CdfTable:
+    """Checked outcome probabilities, one distribution per row, and the CDF edges the kernels read."""
+
+    probabilities: np.ndarray  # (k, m), read-only, negative roundoff clipped to zero
+    totals: np.ndarray  # (k, 1) CDF total of each row
+    edges: np.ndarray  # (k, max(m, 2) - 1) interior CDF edges, +inf (reached by no draw) past a row's last
+    risky: np.ndarray  # (k,) rows with an outcome of probability <= ZERO_PROBABILITY
+
+    def __getitem__(self, rows: slice) -> "_CdfTable":
+        return _CdfTable(self.probabilities[rows], self.totals[rows], self.edges[rows], self.risky[rows])
+
+
+def _cdf_table(raw: np.ndarray, sizes: np.ndarray | None = None) -> _CdfTable:
+    """The table of a ``(k, m)`` array whose row i holds ``sizes[i]`` outcome probabilities (all m by default), then zeros.
+
+    The first row with a negative or non-finite entry, or with a sum
+    further than ``PROBABILITY_SUM_TOL`` from 1, raises.
+    """
+    probabilities = np.clip(raw, 0.0, None)
+    sums, lowest = probabilities.sum(axis=1), raw.min(axis=1)
+    bad = ~((lowest >= -ZERO_PROBABILITY) & (np.abs(sums - 1.0) <= PROBABILITY_SUM_TOL))  # NaN fails both
+    if bad.any():
+        row = int(np.argmax(bad))
+        if lowest[row] < -ZERO_PROBABILITY:
+            raise ValueError(f"negative outcome probability {lowest[row]!r}")
+        raise ValueError(f"probabilities sum to {sums[row]!r}, expected 1")
+    probabilities.setflags(write=False)
+    sizes = raw.shape[1] if sizes is None else sizes[:, None]
+    columns = np.arange(max(raw.shape[1], 2))
+    cdf = np.cumsum(probabilities, axis=1)  # padding adds zeros: the last column holds each row's total
+    edges = np.where(columns[:-1] < sizes - 1, cdf[:, : columns.size - 1], np.inf)
+    risky = np.where(columns[: raw.shape[1]] < sizes, probabilities, np.inf).min(axis=1) <= ZERO_PROBABILITY
+    return _CdfTable(probabilities, cdf[:, -1:], edges, risky)
+
+
+def _cdf_index(table: _CdfTable, uniforms: np.ndarray) -> np.ndarray:
+    """The outcome each uniform in [0, 1) selects: how many interior edges of its row it reaches, scaled.
+
+    ``uniforms`` holds as many draws for each row of ``table``, row after
+    row; it is scaled in place (pass an array not read again) and the
+    indices take its shape.  The input's shape alone picks the method.
+    """
+    rows, width = table.edges.shape
+    scaled = uniforms.reshape(rows, -1)
+    scaled *= table.totals
+    if rows == 1 and scaled.shape[1] < SEARCH_PER_EDGE * (width - 1):
+        indices = np.searchsorted(table.edges[0], scaled, side="right")
+    else:
+        indices = np.greater_equal(scaled, table.edges[:, :1], out=np.empty(scaled.shape, np.intp))
+        for column in range(1, width):
+            indices += scaled >= table.edges[:, column : column + 1]
+    return indices.reshape(uniforms.shape)
+
+
+def _cdf_counts(table: _CdfTable, rng: np.random.Generator, n: int) -> np.ndarray:
+    """How often each outcome of a one-row ``table`` is drawn in n draws from ``rng``, one chunk at a time."""
+    counts = np.zeros(table.probabilities.shape[1], dtype=np.int64)
+    for uniforms in _uniform_chunks(rng, n):
+        counts += np.bincount(_cdf_index(table, uniforms), minlength=counts.size)
+    return counts
+
+
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Born probabilities over the distinct outcomes of one observable."""
 
     eigenvalues: tuple[float, ...]
     probabilities: np.ndarray
+    cdf: _CdfTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        probs = np.asarray(self.probabilities, dtype=float)
-        if probs.min() < -ZERO_PROBABILITY:
-            raise ValueError(f"negative outcome probability {probs.min()!r}")
-        probs = np.clip(probs, 0.0, None)
-        if abs(probs.sum() - 1.0) > 1e-10:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, expected 1")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probabilities", probs)
+        cdf = _cdf_table(np.asarray(self.probabilities, dtype=float)[None])
+        object.__setattr__(self, "cdf", cdf)
+        object.__setattr__(self, "probabilities", cdf.probabilities[0])
 
     def sample_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Inverse-CDF sampling: one uniform per shot over the sorted outcomes."""
-        return _inverse_cdf(self.probabilities, rng, n)
+        return _cdf_index(self.cdf, rng.random(n))
 
     def as_dict(self) -> dict[float, float]:
         return {a: float(p) for a, p in zip(self.eigenvalues, self.probabilities)}
-
-
-def _checked_rows(raw: np.ndarray) -> np.ndarray:
-    """Rows of Born probabilities, clipped at 0, after the checks :class:`OutcomeDistribution` makes of each.
-
-    The first failing row raises the error its own distribution would;
-    zeros padding a row's end change none of the checks.
-    """
-    probabilities = np.clip(raw, 0.0, None)
-    bad = (raw.min(axis=1) < -ZERO_PROBABILITY) | (np.abs(probabilities.sum(axis=1) - 1.0) > 1e-10)
-    if bad.any():
-        OutcomeDistribution((), raw[int(np.argmax(bad))])
-    return probabilities
-
-
-def _inverse_cdf(weights: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n indices into ``weights``, one uniform per draw scaled by the weight total.
-
-    Philox is counter-based, so n draws at once consume the stream as n single draws do.
-    """
-    return _cdf_index(weights, rng.random(n))
-
-
-def _cdf_index(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """The index into ``weights`` that each given uniform in [0, 1) selects by inverse CDF.
-
-    ``uniforms`` is scaled by the weight total in place, so that n draws hold
-    no second array of n floats; pass an array that is not read again.
-    """
-    cdf = np.cumsum(weights)
-    uniforms *= cdf[-1]
-    if cdf.size == 2:
-        # searchsorted(side="right") clipped to the last index is one comparison with cdf[0].
-        return np.greater_equal(uniforms, cdf[0], out=np.empty(uniforms.shape, np.intp))
-    indices = np.searchsorted(cdf, uniforms, side="right")
-    return np.minimum(indices, cdf.size - 1, out=indices)
-
-
-def _cdf_counts(weights: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
-    """How often each index into ``weights`` is drawn in n inverse-CDF draws.
-
-    Equal to ``np.bincount(_inverse_cdf(weights, rng, n), minlength=len(weights))``
-    and leaves ``rng`` at the same position, but holds one chunk of uniforms at a time.
-    """
-    cdf = np.cumsum(weights)
-    # at_least[j]: draws whose index is j or more, i.e. whose scaled uniform reaches cdf[j - 1].
-    at_least = np.zeros(cdf.size + 1, dtype=np.int64)
-    at_least[0] = n
-    for uniforms in _uniform_chunks(rng, n):
-        uniforms *= cdf[-1]
-        for j, edge in enumerate(cdf[:-1], start=1):
-            at_least[j] += np.count_nonzero(uniforms >= edge)
-    return at_least[:-1] - at_least[1:]
 
 
 def _uniform_chunks(rng: np.random.Generator, n: int):
@@ -442,7 +450,7 @@ def repeated_measure(sys: PSystem, obs: Observable, n: int) -> MeasurementRecord
     if sys.mode == "passive":
         dist = born_distribution(obs, sys.state)
         indices = dist.sample_indices(sys.rng, n)
-        if dist.probabilities.min() <= ZERO_PROBABILITY:
+        if dist.cdf.risky[0]:
             _require_all_possible(obs, indices, dist.probabilities[indices], "passive")
     else:
         indices = np.fromiter((_sample_and_update(sys, obs) for _ in range(n)), dtype=np.intp, count=n)

@@ -35,16 +35,16 @@ from .hilbert import (
     tensor,
 )
 from .measurement import (
+    PROBABILITY_SUM_TOL,
     ZERO_PROBABILITY,
     InsufficientShotsError,
     Observable,
+    OutcomeDistribution,
     PSystem,
     _cdf_counts,
     _cdf_index,
-    _checked_rows,
-    _inverse_cdf,
+    _cdf_table,
     _require_all_possible,
-    _skipped_ahead,
     _uniform_chunks,
     born_distribution,
     collapse_update,
@@ -125,15 +125,15 @@ def _oracle_input_state(spec: OracleSpec) -> StateVector:
 
 
 @functools.lru_cache(maxsize=32)
-def _post_oracle_readout(spec: OracleSpec) -> tuple[Observable, np.ndarray]:
-    """The computational-basis readout and its (read-only) Born probabilities on the post-oracle state.
+def _post_oracle_readout(spec: OracleSpec) -> tuple[Observable, OutcomeDistribution]:
+    """The computational-basis readout and its (immutable) Born distribution on the post-oracle state.
 
     Every fresh copy given one oracle call is in this state, so the
     distribution depends on the oracle alone and is computed once per oracle.
     """
     readout = _basis_index_observable(2 ** (spec.n + 1))
     final = evolve(_oracle_input_state(spec), oracle_unitary(spec))
-    return readout, born_distribution(readout, final).probabilities
+    return readout, born_distribution(readout, final)
 
 
 def function_recovery(
@@ -177,22 +177,23 @@ def function_recovery(
 
     if mode != "quantum":
         raise ValueError(f"unknown mode {mode!r}")
-    readout, probabilities = _post_oracle_readout(spec)
+    readout, dist = _post_oracle_readout(spec)
     # One draw per call, as measure() on a fresh copy takes it.  Draws come in
-    # blocks from a copy of rng; rng then moves past exactly the draws used.
-    draws = _skipped_ahead(rng, 0)
+    # blocks; rng is then reset and draws again exactly the uniforms used.
+    start = rng.bit_generator.state
     seen: dict[int, int] = {}
     used: list[int] = []
     while len(seen) < n_inputs:
-        for index in _cdf_index(probabilities, draws.random(ORACLE_DRAW_BLOCK)).tolist():
+        for index in _cdf_index(dist.cdf, rng.random(ORACLE_DRAW_BLOCK)).tolist():
             used.append(index)
             x, y = index >> 1, index & 1
             seen[x] = y
             report.log.append({"call": len(used), "x": x, "f_x": y})
             if len(seen) == n_inputs:
                 break
-    _require_all_possible(readout, np.array(used), probabilities[used], "quantum")
-    rng.bit_generator.state = _skipped_ahead(rng, len(used)).bit_generator.state
+    rng.bit_generator.state = start
+    rng.random(len(used))
+    _require_all_possible(readout, np.array(used), dist.probabilities[used], "quantum")
     calls = len(used)
     report.resources = {"oracle_calls": calls, "copies_consumed": calls, "shots_per_observable": 1}
     report.verdicts["truth_table"] = tuple(seen[x] for x in range(n_inputs))
@@ -343,8 +344,9 @@ def proper_vs_improper(
 
     if mixture is not None:
         weights = np.array([w for _, w in mixture], dtype=float)
-        if weights.min() < 0.0 or abs(weights.sum() - 1.0) > 1e-9:
+        if weights.min() < 0.0 or abs(weights.sum() - 1.0) > PROBABILITY_SUM_TOL:
             raise ValueError("mixture weights must be non-negative and sum to 1")
+        members = _cdf_table(weights[None])
         average = sum(w * state.projector() for (state, _), w in zip(mixture, weights))
         average = DensityOperator(average)
     else:
@@ -369,7 +371,7 @@ def proper_vs_improper(
     report = ProtocolReport("proper-vs-improper", "passive")
     for trial in range(trials):
         if mixture is not None:
-            index = int(_inverse_cdf(weights, rng, 1)[0])
+            index = int(_cdf_index(members, rng.random(1))[0])
             sys = PSystem(mixture[index][0], "passive", rng)
             table = tables[index]
         else:
@@ -444,7 +446,7 @@ def simulate_qt_with_pqt(
         simulated = repeated_measure(sys, followup_obs, followup_shots)
         reference_state = collapse_update(state_before, obs, outcome_index)
         reference_dist = born_distribution(followup_obs, reference_state)
-        ref_counts = _cdf_counts(reference_dist.probabilities, sys.rng, followup_shots).astype(float)
+        ref_counts = _cdf_counts(reference_dist.cdf, sys.rng, followup_shots).astype(float)
         counts = simulated.counts()
         sim_counts = np.array([counts.get(v, 0) for v in followup_obs.eigenvalues], dtype=float)
         tv = 0.5 * float(np.abs(sim_counts - ref_counts).sum()) / followup_shots
@@ -488,12 +490,9 @@ def teleportation_fidelities(inputs: np.ndarray, mode: str, rng: np.random.Gener
     block = (inputs[:, :, None, None] * _SHARED_PAIR).reshape(rows, 4, 2)
     conditional = _BELL_BRAS @ block
     raw = np.einsum("tkb,tkb->tk", conditional.conj(), conditional).real
-    probabilities = _checked_rows(raw)
-
-    cdf = np.cumsum(probabilities, axis=1)
-    scaled = rng.random(rows) * cdf[:, -1]
-    # searchsorted(side="right") clipped to the last index counts the edges before the last one.
-    drawn = np.count_nonzero(cdf[:, :-1] <= scaled[:, None], axis=1)
+    table = _cdf_table(raw)
+    probabilities = table.probabilities
+    drawn = _cdf_index(table, rng.random(rows))
     _require_all_possible(_BELL_READOUT, drawn, probabilities[np.arange(rows), drawn], mode)
 
     possible = probabilities > ZERO_PROBABILITY
@@ -547,30 +546,32 @@ def repeatability_experiment(
     distribution depends only on the first outcome, so quantum mode
     collapses once per distinct first outcome and draws every trial's
     pair from these distributions.  Both modes take one uniform per
-    measurement in trial order, as a measure-by-measure loop would.
+    measurement in trial order, as a measure-by-measure loop would, in
+    even chunks of ``SAMPLE_CHUNK``: memory does not grow with ``trials``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if mode == "passive":
         # The state never updates, so the 2 * trials outcomes are i.i.d.
-        # draws from one Born distribution.  Chunks hold whole pairs, as
-        # SAMPLE_CHUNK is even.
-        probabilities = born_distribution(obs, state).probabilities
+        # draws from one Born distribution.
+        cdf = born_distribution(obs, state).cdf
         agreements = 0
         for uniforms in _uniform_chunks(rng, 2 * trials):
-            indices = _cdf_index(probabilities, uniforms)
+            indices = _cdf_index(cdf, uniforms)
             agreements += int(np.count_nonzero(indices[0::2] == indices[1::2]))
     elif mode == "quantum":
-        first = born_distribution(obs, state).probabilities
-        uniforms = rng.random(2 * trials).reshape(trials, 2)
-        firsts = _cdf_index(first, uniforms[:, 0])
-        _require_all_possible(obs, firsts, first[firsts], "quantum")
+        first = born_distribution(obs, state)
+        after: dict[int, OutcomeDistribution] = {}  # kept across chunks, one per first outcome seen
         agreements = 0
-        for k in np.flatnonzero(np.bincount(firsts, minlength=first.size)):
-            after = born_distribution(obs, collapse_update(state, obs, int(k))).probabilities
-            seconds = _cdf_index(after, uniforms[firsts == k, 1])
-            _require_all_possible(obs, seconds, after[seconds], "quantum")
-            agreements += int(np.count_nonzero(seconds == k))
+        for uniforms in _uniform_chunks(rng, 2 * trials):
+            firsts = _cdf_index(first.cdf, uniforms[0::2])
+            _require_all_possible(obs, firsts, first.probabilities[firsts], "quantum")
+            for k in np.flatnonzero(np.bincount(firsts, minlength=first.probabilities.size)).tolist():
+                if k not in after:
+                    after[k] = born_distribution(obs, collapse_update(state, obs, k))
+                seconds = _cdf_index(after[k].cdf, uniforms[1::2][firsts == k])
+                _require_all_possible(obs, seconds, after[k].probabilities[seconds], "quantum")
+                agreements += int(np.count_nonzero(seconds == k))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return agreements / trials

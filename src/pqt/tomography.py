@@ -30,12 +30,11 @@ lifted) add one dense term per observable.
 dimension.
 
 Every observable of a frame is sampled by one row-wise sampler: the
-frame's Born rows on the state are computed and checked once, then
-blocks of about ``SAMPLE_CHUNK`` uniforms, ``shots`` to a row, are
-turned into outcome values against each row's CDF edges, and each row's
-mean and spread are read off.  Philox is counter-based, so the stream
-is consumed exactly as one ``repeated_measure`` per observable would
-consume it, and the numbers are the same.
+frame's Born rows on the state are checked once into one CDF table (see
+:mod:`pqt.measurement`), then blocks of about ``SAMPLE_CHUNK`` uniforms,
+``shots`` to a row, are turned into outcome values, and each row's mean
+and spread are read off.  The stream is consumed exactly as one
+``repeated_measure`` per observable would consume it.
 
 Statistical noise can push the raw estimate outside the state set, so a
 Euclidean projection onto the probability simplex of its spectrum
@@ -53,13 +52,14 @@ import numpy as np
 from .hilbert import DensityOperator, State, StateVector, fidelity, pauli_frame_phases
 from .measurement import (
     SAMPLE_CHUNK,
-    ZERO_PROBABILITY,
     InsufficientShotsError,
     Observable,
     PauliString,
     PSystem,
     _cdf_counts,
-    _checked_rows,
+    _cdf_index,
+    _cdf_table,
+    _CdfTable,
     _require_all_possible,
     born_distribution,
 )
@@ -227,50 +227,38 @@ def estimate_expectations(sys: PSystem, ic: ICSet, shots: int) -> list[Expectati
 
 @dataclass(frozen=True)
 class _FrameTable:
-    """The Born distributions of every observable of a frame on one state, one padded row each.
+    """The Born distributions of every observable of a frame on one state, one row each.
 
-    A row with fewer outcomes than the widest is padded with zero
-    probability, a CDF edge of +inf and a value that is never selected.
+    A row with fewer outcomes than the widest is padded with a value that is never selected.
     """
 
     observables: tuple[Observable, ...]
-    probabilities: np.ndarray  # (k, m), negative roundoff clipped to zero
-    totals: np.ndarray  # (k, 1) CDF total of each row
-    edges: np.ndarray  # (k, m - 1) interior CDF edges
+    cdf: _CdfTable
     values: np.ndarray  # (m,) outcome values shared by every row, or (k * m,) row-major
     offsets: np.ndarray | None  # (k, 1) start of each row in ``values``; None when they are shared
-    risky: np.ndarray  # (k,) rows with an outcome of probability <= ZERO_PROBABILITY
 
 
 def _frame_table(observables: tuple[Observable, ...], state: State) -> _FrameTable:
-    """Born probabilities of every observable on ``state``, checked as :class:`OutcomeDistribution` checks them."""
+    """Born probabilities of every observable on ``state``, checked once as :class:`OutcomeDistribution` checks them."""
     if observables[0].dim != state.dim:
         raise ValueError(f"dimension mismatch: observable {observables[0].dim}, state {state.dim}")
     sizes = np.array([len(obs.eigenvalues) for obs in observables])
-    columns = np.arange(max(2, sizes.max()))
-    real = columns < sizes[:, None]
     if all(isinstance(obs, PauliString) for obs in observables):
         # Each row is (1 -/+ <S>)/2, as PauliString.outcome_probabilities computes it.
         expectations = np.array([obs.expectation(state) for obs in observables])
         raw = np.stack(((1.0 - expectations) / 2, (1.0 + expectations) / 2), axis=1)
         values = np.broadcast_to(PauliString.eigenvalues, raw.shape)
     else:
-        raw = np.zeros(real.shape)
-        values = np.zeros(real.shape)
+        raw = np.zeros((sizes.size, sizes.max()))
+        values = np.zeros(raw.shape)
         for row, obs in enumerate(observables):
             raw[row, : sizes[row]] = obs.outcome_probabilities(state)
             values[row, : sizes[row]] = obs.eigenvalues
-    probabilities = _checked_rows(raw)
-    cdf = np.cumsum(probabilities, axis=1)
-    totals = np.take_along_axis(cdf, sizes[:, None] - 1, axis=1)
-    # searchsorted(side="right") clipped to a row's last index counts the edges before its last one.
-    edges = np.where(columns[:-1] < sizes[:, None] - 1, cdf[:, :-1], np.inf)
-    risky = np.where(real, probabilities, np.inf).min(axis=1) <= ZERO_PROBABILITY
     if all(obs.eigenvalues == observables[0].eigenvalues for obs in observables):
         values, offsets = values[0], None
     else:
-        values, offsets = values.reshape(-1), np.arange(0, values.size, columns.size)[:, None]
-    return _FrameTable(observables, probabilities, totals, edges, values, offsets, risky)
+        values, offsets = values.reshape(-1), np.arange(0, values.size, raw.shape[1])[:, None]
+    return _FrameTable(observables, _cdf_table(raw, sizes), values, offsets)
 
 
 def _sample_frame(sys: PSystem, table: _FrameTable, shots: int, spread: bool = False):
@@ -281,11 +269,11 @@ def _sample_frame(sys: PSystem, table: _FrameTable, shots: int, spread: bool = F
     takes one ``(rows, shots)`` draw of about ``SAMPLE_CHUNK`` uniforms,
     and Philox consumes its stream the same way either way.  One buffer
     holds each block's uniforms and then its outcome values; the index
-    array lives only in between.
+    array lives only in between.  The spread reuses the block's mean.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
-    count, width = table.probabilities.shape
+    count = len(table.observables)
     means = np.empty(count)
     spreads = np.empty(count) if spread else None
     step = max(1, SAMPLE_CHUNK // shots)
@@ -294,20 +282,21 @@ def _sample_frame(sys: PSystem, table: _FrameTable, shots: int, spread: bool = F
         block = slice(start, min(count, start + step))
         uniforms = buffer[: block.stop - start]
         sys.rng.random(out=uniforms)
-        uniforms *= table.totals[block]
-        indices = np.greater_equal(uniforms, table.edges[block, :1], out=np.empty(uniforms.shape, np.intp))
-        for column in range(1, width - 1):
-            indices += uniforms >= table.edges[block, column : column + 1]
-        for row in start + np.flatnonzero(table.risky[block]):
+        indices = _cdf_index(table.cdf[block], uniforms)
+        for row in start + np.flatnonzero(table.cdf.risky[block]):
             drawn = indices[row - start]
-            _require_all_possible(table.observables[row], drawn, table.probabilities[row][drawn], "passive")
+            _require_all_possible(table.observables[row], drawn, table.cdf.probabilities[row][drawn], "passive")
         if table.offsets is not None:
             indices += table.offsets[block]
         values = np.take(table.values, indices, out=uniforms, mode="wrap")  # every index is in range
         del indices
-        means[block] = values.mean(axis=1)
+        block_means = values.sum(axis=1, keepdims=True) / shots
+        means[block] = block_means[:, 0]
         if spread:
-            spreads[block] = values.std(axis=1)
+            # np.std's own steps (numpy's _var, then sqrt), so the spread has its bits.
+            values -= block_means
+            np.square(values, out=values)
+            spreads[block] = np.sqrt(values.sum(axis=1) / shots)
         for obs in table.observables[block]:
             sys.history[obs.name] += shots
     return means, spreads
@@ -406,7 +395,7 @@ def estimate_spectrum(sys: PSystem, obs: Observable, shots: int) -> list[float]:
     if shots < 1:
         raise ValueError("need at least one shot")
     dist = born_distribution(obs, sys.state)
-    drawn = np.flatnonzero(_cdf_counts(dist.probabilities, sys.rng, shots))
+    drawn = np.flatnonzero(_cdf_counts(dist.cdf, sys.rng, shots))
     _require_all_possible(obs, drawn, dist.probabilities[drawn], "passive")
     sys.history[obs.name] += shots
     return sorted(obs.eigenvalues[index] for index in drawn.tolist())

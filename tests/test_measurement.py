@@ -24,9 +24,10 @@ from pqt.measurement import (
     OutcomeDistribution,
     PSystem,
     SAMPLE_CHUNK,
+    SEARCH_PER_EDGE,
     _cdf_counts,
     _cdf_index,
-    _inverse_cdf,
+    _cdf_table,
     _skipped_ahead,
     born_distribution,
     collapse_update,
@@ -64,6 +65,14 @@ class TestOutcomeDistribution:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="sum"):
             OutcomeDistribution((0.0, 1.0), np.array([0.3, 0.3]))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_probability(self, entry):
+        with pytest.raises(ValueError, match="sum to|negative"):
+            OutcomeDistribution((0.0, 1.0), np.array([entry, 1.0]))
+        # The same row inside a table of several, as the frame sampler and teleportation build them.
+        with pytest.raises(ValueError, match="sum to|negative"):
+            _cdf_table(np.array([[0.5, 0.5], [entry, 1.0], [1.0, 0.0]]))
 
     def test_clips_dust_to_zero(self):
         dist = OutcomeDistribution((0.0, 1.0), np.array([-1e-13, 1.0 + 1e-13]))
@@ -292,7 +301,7 @@ class TestInverseCdf:
     def test_joint_grid_draws_are_unchanged(self):
         diagonal = Observable("D", (PAULI_Z + PAULI_X) / np.sqrt(2))
         probs = joint_distribution_global(bell_state("phi+"), Z, diagonal)
-        indices = _inverse_cdf(probs.reshape(-1), rng.stream(11, "joint"), 16)
+        indices = inverse_cdf(probs.reshape(-1), rng.stream(11, "joint"), 16)
         assert indices.tolist() == [3, 3, 3, 0, 0, 3, 3, 3, 0, 2, 0, 3, 3, 3, 0, 0]
         sys = PSystem(bell_state("phi+"), "passive", rng.stream(11, "joint"))
         assert global_joint_sample(sys, Z, diagonal, 1000).counts.tolist() == [[416, 75], [85, 424]]
@@ -301,8 +310,13 @@ class TestInverseCdf:
         weights = np.array([0.5, 0.25, 0.25])
         expected = [0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 1, 2, 0, 1, 0, 1]
         g = rng.stream(3, "mixture")
-        assert [int(_inverse_cdf(weights, g, 1)[0]) for _ in range(16)] == expected
-        assert _inverse_cdf(weights, rng.stream(3, "mixture"), 16).tolist() == expected
+        assert [int(inverse_cdf(weights, g, 1)[0]) for _ in range(16)] == expected
+        assert inverse_cdf(weights, rng.stream(3, "mixture"), 16).tolist() == expected
+
+
+def inverse_cdf(weights, gen, n):
+    """n inverse-CDF draws from ``gen`` over one row of weights."""
+    return _cdf_index(_cdf_table(np.asarray(weights)[None]), gen.random(n))
 
 
 def one_shot_indices(weights, uniforms):
@@ -311,15 +325,42 @@ def one_shot_indices(weights, uniforms):
     return np.minimum(np.searchsorted(cdf, uniforms * cdf[-1], side="right"), cdf.size - 1)
 
 
+# Weight rows whose CDF edges are all multiples of 1/64 and whose totals are 1,
+# so that the uniforms j/64 land exactly on edges.
+EXACT_WEIGHTS = {
+    "2": [0.25, 0.75],
+    "2-zero-first": [0.0, 1.0],
+    "2-zero-last": [1.0, 0.0],
+    "3": [0.25, 0.0, 0.75],
+    "4": [0.5, 0.0, 0.25, 0.25],
+    "16": [1 / 8, 0, 1 / 16, 1 / 16, 0, 0, 1 / 4, 1 / 8, 1 / 16, 1 / 16, 0, 1 / 8, 1 / 16, 0, 0, 1 / 16],
+    "64": [1 / 32, 0.0] * 32,
+}
+EDGE_UNIFORMS = np.concatenate((np.arange(64) / 64, np.nextafter(np.arange(1, 65) / 64, 0)))
+
+
 class TestCdfIndex:
-    @pytest.mark.parametrize("weights", [[0.25, 0.75], [0.0, 1.0], [1.0, 0.0], [0.5, 0.0, 0.25, 0.25]])
-    def test_ties_and_zero_weights_match_searchsorted(self, weights):
-        # 0.25, 0.5 and 0.75 land exactly on interior CDF edges (u * total == cdf[j], cdf[0] included).
-        uniforms = np.array([0.0, 0.25, np.nextafter(0.25, 0), 0.5, 0.75, np.nextafter(1.0, 0)])
-        expected = one_shot_indices(weights, uniforms)
-        assert _cdf_index(np.array(weights), uniforms.copy()).tolist() == expected.tolist()
-        counts = _cdf_counts(np.array(weights), GivenUniforms(uniforms), uniforms.size)
-        assert counts.tolist() == np.bincount(expected, minlength=len(weights)).tolist()
+    # "few" uniforms per row take searchsorted on one row of 3 or more
+    # outcomes, "many" take the edge loop; padded rows always take the loop.
+    @pytest.mark.parametrize("n", [EDGE_UNIFORMS.size, SEARCH_PER_EDGE * 63], ids=["few", "many"])
+    @pytest.mark.parametrize(
+        "rows",
+        [[name] for name in EXACT_WEIGHTS] + [["2", "4", "3", "16", "2-zero-last"]],
+        ids=[*EXACT_WEIGHTS, "padded"],
+    )
+    def test_ties_and_zero_weights_match_searchsorted(self, rows, n):
+        weights = [EXACT_WEIGHTS[name] for name in rows]
+        sizes = np.array([len(row) for row in weights])
+        raw = np.zeros((len(weights), sizes.max()))
+        for i, row in enumerate(weights):
+            raw[i, : sizes[i]] = row
+        uniforms = np.resize(EDGE_UNIFORMS, (len(weights), n))
+        expected = np.array([one_shot_indices(row, u) for row, u in zip(weights, uniforms)])
+        table = _cdf_table(raw, sizes)
+        assert _cdf_index(table, uniforms.copy()).tolist() == expected.tolist()
+        if len(weights) == 1:
+            counts = _cdf_counts(table, GivenUniforms(uniforms[0]), n)
+            assert counts.tolist() == np.bincount(expected[0], minlength=sizes[0]).tolist()
 
 
 class TestCdfCounts:
@@ -334,8 +375,8 @@ class TestCdfCounts:
             expected_gen, actual_gen = rng.stream(n, "counts"), rng.stream(n, "counts")
             expected_gen.random(5)
             actual_gen.random(5)
-            expected = np.bincount(_inverse_cdf(weights, expected_gen, n), minlength=k)
-            assert _cdf_counts(weights, actual_gen, n).tolist() == expected.tolist()
+            expected = np.bincount(one_shot_indices(weights, expected_gen.random(n)), minlength=k)
+            assert _cdf_counts(_cdf_table(weights[None]), actual_gen, n).tolist() == expected.tolist()
             assert position(actual_gen) == position(expected_gen)
 
 

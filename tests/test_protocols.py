@@ -385,6 +385,20 @@ class TestRepeatability:
         assert repeatability_experiment(state, obs, "passive", trials, actual_gen) == expected
         assert _position(actual_gen) == _position(expected_gen)
 
+    def test_quantum_memory_does_not_grow_with_trials(self):
+        state = random_pure_state(2, rng.stream(1, "rep/flat/state"))
+        obs = Observable("bloch", 0.6 * PAULI_X + 0.8 * PAULI_Z)
+        peaks = {}
+        for trials in (10**5, 4 * 10**6):
+            gen = rng.stream(trials, "rep/flat")
+            tracemalloc.start()
+            try:
+                repeatability_experiment(state, obs, "quantum", trials, gen)
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4 * 10**6] - peaks[10**5] < 1_000_000
+
     def test_passive_rate_converges_to_sum_of_squares(self):
         # General oracle: rate -> sum_r p(a_r)^2 for a biased qutrit state.
         g = rng.stream(3, "rep/sum")
@@ -450,8 +464,11 @@ def _position(gen):
 class _ZeroUniforms:
     """Stands in for a generator whose every uniform draw is 0.0."""
 
-    def random(self, n):
-        return np.zeros(n)
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.zeros(size)
+        out[...] = 0.0
+        return out
 
 
 class TestCollapseLoopsMatchReference:

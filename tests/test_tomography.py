@@ -31,7 +31,8 @@ from pqt.measurement import (
     Observable,
     PauliString,
     PSystem,
-    _inverse_cdf,
+    _cdf_index,
+    _cdf_table,
     born_distribution,
     collapse_update,
     repeated_measure,
@@ -41,6 +42,7 @@ from pqt.tomography import (
     CONFIDENCE_Z,
     ICSet,
     _frame_table,
+    _sample_frame,
     estimate_expectations,
     estimate_spectrum,
     discriminate,
@@ -173,7 +175,7 @@ class TestPauliMasks:
         for state in (random_pure_state(dim, g), random_density(dim, g), random_density(dim, g, rank=2)):
             table = _frame_table(ic.observables, state)
             expected = np.stack([obs.outcome_probabilities(state) for obs in ic.observables])
-            assert table.probabilities.tobytes() == np.clip(expected, 0.0, None).tobytes()
+            assert table.cdf.probabilities.tobytes() == np.clip(expected, 0.0, None).tobytes()
             assert table.values.tolist() == [-1.0, 1.0] and table.offsets is None
 
     def test_frames_are_shared(self):
@@ -551,7 +553,7 @@ def reference_proper_vs_improper(trials, shots, gen, mixture=None, purification=
     for _ in range(trials):
         if mixture is not None:
             weights = np.array([w for _, w in mixture], dtype=float)
-            state = mixture[int(_inverse_cdf(weights, gen, 1)[0])][0]
+            state = mixture[int(_cdf_index(_cdf_table(weights[None]), gen.random(1))[0])][0]
             ic = ic_set_for_dimension(state.dim)
             estimate = reference_frame_estimate(PSystem(state, "passive", gen), ic, ic.observables, shots)
         else:
@@ -655,6 +657,21 @@ class TestFrameSamplerMatchesReference:
         report = proper_vs_improper(40, 500, actual_gen, **kwargs)
         assert [entry["purity"] for entry in report.log] == expected
         assert _position(actual_gen) == _position(expected_gen)
+
+
+class TestFrameSpread:
+    # Blocks of (3, 1), (15, 7), (13, 5000) and (11, 5000), (1, 2**16 + 1) rows by shots.
+    @pytest.mark.parametrize(
+        "frame, shots", [("pauli-1", 1), ("pauli-2", 7), ("pauli-3", 5000), ("gell-mann-3", 2**16 + 1)]
+    )
+    def test_spread_is_np_std_bit_for_bit(self, frame, shots):
+        ic = FRAMES[frame]()
+        state = random_pure_state(ic.dim, rng.stream(shots, f"spread/{frame}"))
+        expected_sys = PSystem(state, "passive", rng.stream(shots, "spread"))
+        actual_sys = PSystem(state, "passive", rng.stream(shots, "spread"))
+        expected = np.array([np.std(repeated_measure(expected_sys, obs, shots).outcomes) for obs in ic.observables])
+        _, spreads = _sample_frame(actual_sys, _frame_table(ic.observables, state), shots, spread=True)
+        assert spreads.tobytes() == expected.tobytes()
 
 
 class TestFrameSamplerMemory:
