@@ -22,7 +22,6 @@ from .measurement import (
     OutcomeDistribution,
     PSystem,
     _cdf_counts,
-    _cdf_index,
     _cdf_table,
     _skipped_ahead,
     _uniform_chunks,
@@ -144,7 +143,7 @@ def global_joint_sample(
         raise ValueError("ensemble required in quantum mode: a single copy collapses on the first shot")
     probs = joint_distribution_global(sys.state, a_obs, b_obs)
     # One draw per shot over the row-major (a, b) grid.
-    counts = _cdf_counts(_cdf_table(probs.reshape(1, -1)), sys.rng, shots).reshape(probs.shape)
+    counts = _cdf_counts(_cdf_table(probs.reshape(1, -1)), sys.rng, shots)[0].reshape(probs.shape)
     return JointFrequencyTable(a_obs.eigenvalues, b_obs.eigenvalues, counts, shots)
 
 
@@ -176,16 +175,21 @@ def local_passive_joint_sample(
     shape = sys.state.shape
     marg_a = born_distribution(lift_local(a_setting, shape), sys.state)
     marg_b = born_distribution(lift_local(b_setting, shape), sys.state)
-    n_a, n_b = len(marg_a.eigenvalues), len(marg_b.eigenvalues)
+    a_edges, b_edges = marg_a.cdf.edges[0], marg_b.cdf.edges[0]
+    # reached[i, j]: shots whose A draw reaches A's interior edge i - 1 and whose B draw reaches
+    # B's edge j - 1, where every draw reaches edge -1 and none the edge past the last.
+    reached = np.zeros((a_edges.size + 2, b_edges.size + 2), dtype=np.int64)
     b_rng = _skipped_ahead(sys.rng, shots)
-    counts = np.zeros(n_a * n_b, dtype=np.int64)
     for a_uniforms, b_uniforms in zip(_uniform_chunks(sys.rng, shots), _uniform_chunks(b_rng, shots)):
-        pairs = _cdf_index(marg_a.cdf, a_uniforms)
-        pairs *= n_b
-        pairs += _cdf_index(marg_b.cdf, b_uniforms)
-        counts += np.bincount(pairs, minlength=n_a * n_b)
+        a_hits = a_uniforms * marg_a.cdf.totals[0] >= a_edges[:, None]
+        b_hits = b_uniforms * marg_b.cdf.totals[0] >= b_edges[:, None]
+        reached[0, :-1] += [b_uniforms.size, *map(np.count_nonzero, b_hits)]
+        for i, hits in enumerate(a_hits, 1):
+            reached[i, :-1] += [np.count_nonzero(hits), *(np.count_nonzero(hits & b) for b in b_hits)]
+    counts = reached[:-1, :-1] - reached[1:, :-1] - reached[:-1, 1:] + reached[1:, 1:]
     sys.rng.bit_generator.state = b_rng.bit_generator.state
-    return JointFrequencyTable(marg_a.eigenvalues, marg_b.eigenvalues, counts.reshape(n_a, n_b), shots)
+    n_a, n_b = len(marg_a.eigenvalues), len(marg_b.eigenvalues)
+    return JointFrequencyTable(marg_a.eigenvalues, marg_b.eigenvalues, counts[:n_a, :n_b], shots)
 
 
 def correlator(table: JointFrequencyTable) -> float:

@@ -9,10 +9,10 @@ untouched, so the very same system can be measured again and again.
 Outcome sampling is inverse-CDF with one uniform per shot from the
 system's Philox stream (see :mod:`pqt.rng`), never the platform default.
 Every draw goes through one table and two kernels: ``_cdf_table`` checks
-rows of outcome probabilities once and keeps their CDF edges,
-``_cdf_index`` turns uniforms into outcome indices, and ``_cdf_counts``
-tallies draws ``SAMPLE_CHUNK`` uniforms at a time in one reused buffer,
-so memory does not grow with the shot count; chunks keep stream order.
+rows of outcome probabilities once and keeps their CDF edges, ``_cdf_index``
+turns uniforms into per-shot outcome indices, and ``_cdf_counts`` counts
+outcomes from CDF-edge crossings with no per-shot index, ``SAMPLE_CHUNK``
+uniforms at a time in stream order, so memory does not grow with the shot count.
 """
 
 from __future__ import annotations
@@ -177,9 +177,6 @@ class _CdfTable:
     edges: np.ndarray  # (k, max(m, 2) - 1) interior CDF edges, +inf (reached by no draw) past a row's last
     risky: np.ndarray  # (k,) rows with an outcome of probability <= ZERO_PROBABILITY
 
-    def __getitem__(self, rows: slice) -> "_CdfTable":
-        return _CdfTable(self.probabilities[rows], self.totals[rows], self.edges[rows], self.risky[rows])
-
 
 def _cdf_table(raw: np.ndarray, sizes: np.ndarray | None = None) -> _CdfTable:
     """The table of a ``(k, m)`` array whose row i holds ``sizes[i]`` outcome probabilities (all m by default), then zeros.
@@ -224,11 +221,26 @@ def _cdf_index(table: _CdfTable, uniforms: np.ndarray) -> np.ndarray:
 
 
 def _cdf_counts(table: _CdfTable, rng: np.random.Generator, n: int) -> np.ndarray:
-    """How often each outcome of a one-row ``table`` is drawn in n draws from ``rng``, one chunk at a time."""
-    counts = np.zeros(table.probabilities.shape[1], dtype=np.int64)
-    for uniforms in _uniform_chunks(rng, n):
-        counts += np.bincount(_cdf_index(table, uniforms), minlength=counts.size)
-    return counts
+    """How often each outcome of every row of ``table`` is drawn in n draws from ``rng``: a ``(k, m)`` array.
+
+    Rows take n uniforms each, in stream order: in blocks of rows of at most ``SAMPLE_CHUNK``
+    uniforms, or a chunk at a time for a longer row.  A scaled uniform reaches a prefix of its
+    row's interior edges, so an outcome's count is the difference of the counts of draws that
+    reach its two edges: the per-draw indices of ``_cdf_index`` are never built.
+    """
+    rows, width = table.edges.shape
+    reached = np.zeros((rows, width + 2), dtype=np.int64)  # draws reaching each interior edge, between n and 0
+    reached[:, 0] = n
+    step = max(1, SAMPLE_CHUNK // n)  # rows per block
+    for start in range(0, rows, step):
+        block = slice(start, min(rows, start + step))
+        for uniforms in _uniform_chunks(rng, (block.stop - start) * n):
+            scaled = uniforms.reshape(block.stop - start, -1)
+            scaled *= table.totals[block]
+            axis = 1 if len(scaled) > 1 else None  # on one row, the whole-array count is several times faster
+            for column in range(width):
+                reached[block, column + 1] += np.count_nonzero(scaled >= table.edges[block, column : column + 1], axis)
+    return (reached[:, :-1] - reached[:, 1:])[:, : table.probabilities.shape[1]]
 
 
 @dataclass(frozen=True)
@@ -240,7 +252,10 @@ class OutcomeDistribution:
     cdf: _CdfTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cdf = _cdf_table(np.asarray(self.probabilities, dtype=float)[None])
+        probabilities = np.asarray(self.probabilities, dtype=float)
+        if probabilities.shape != (len(self.eigenvalues),):
+            raise ValueError(f"got {probabilities.size} probabilities for {len(self.eigenvalues)} eigenvalues")
+        cdf = _cdf_table(probabilities[None])
         object.__setattr__(self, "cdf", cdf)
         object.__setattr__(self, "probabilities", cdf.probabilities[0])
 
@@ -456,6 +471,23 @@ def repeated_measure(sys: PSystem, obs: Observable, n: int) -> MeasurementRecord
         indices = np.fromiter((_sample_and_update(sys, obs) for _ in range(n)), dtype=np.intp, count=n)
     sys.history[obs.name] += n
     return MeasurementRecord(obs.name, obs.eigenvalues, indices, sys.mode)
+
+
+def _passive_counts(sys: PSystem, observables: tuple[Observable, ...], table: _CdfTable, n: int) -> np.ndarray:
+    """``(k, m)`` outcome counts of n passive measurements of each ``observables[i]``, Born row i of ``table``.
+
+    Stream, history and the refusal of a drawn zero-probability outcome are those of
+    one ``repeated_measure`` per observable in turn; memory does not grow with n.
+    """
+    if n < 1:
+        raise ValueError("need at least one shot")
+    counts = _cdf_counts(table, sys.rng, n)
+    for row in np.flatnonzero(table.risky).tolist():
+        drawn = np.flatnonzero(counts[row])
+        _require_all_possible(observables[row], drawn, table.probabilities[row, drawn], "passive")
+    for obs in observables:
+        sys.history[obs.name] += n
+    return counts
 
 
 def luders_map(rho: DensityOperator, projector: np.ndarray) -> tuple[np.ndarray, float]:

@@ -44,12 +44,12 @@ from .measurement import (
     _cdf_counts,
     _cdf_index,
     _cdf_table,
+    _passive_counts,
     _require_all_possible,
     _uniform_chunks,
     born_distribution,
     collapse_update,
     measure,
-    repeated_measure,
 )
 from .tomography import _frame_estimate, _frame_table, ic_set_for_dimension, reconstruct_single_copy
 
@@ -443,12 +443,10 @@ def simulate_qt_with_pqt(
     sys.replace_state(replacement)
 
     if followup_obs is not None and followup_shots > 0:
-        simulated = repeated_measure(sys, followup_obs, followup_shots)
-        reference_state = collapse_update(state_before, obs, outcome_index)
-        reference_dist = born_distribution(followup_obs, reference_state)
-        ref_counts = _cdf_counts(reference_dist.cdf, sys.rng, followup_shots).astype(float)
-        counts = simulated.counts()
-        sim_counts = np.array([counts.get(v, 0) for v in followup_obs.eigenvalues], dtype=float)
+        simulated = born_distribution(followup_obs, sys.state).cdf
+        sim_counts = _passive_counts(sys, (followup_obs,), simulated, followup_shots)
+        reference = born_distribution(followup_obs, collapse_update(state_before, obs, outcome_index)).cdf
+        ref_counts = _cdf_counts(reference, sys.rng, followup_shots)
         tv = 0.5 * float(np.abs(sim_counts - ref_counts).sum()) / followup_shots
         report.verdicts["followup_tv"] = tv
         report.resources["reference_copies_consumed"] = followup_shots
@@ -554,10 +552,12 @@ def repeatability_experiment(
     if mode == "passive":
         # The state never updates, so the 2 * trials outcomes are i.i.d.
         # draws from one Born distribution.
-        cdf = born_distribution(obs, state).cdf
+        dist = born_distribution(obs, state)
         agreements = 0
         for uniforms in _uniform_chunks(rng, 2 * trials):
-            indices = _cdf_index(cdf, uniforms)
+            indices = _cdf_index(dist.cdf, uniforms)
+            if dist.cdf.risky[0]:
+                _require_all_possible(obs, indices, dist.probabilities[indices], "passive")
             agreements += int(np.count_nonzero(indices[0::2] == indices[1::2]))
     elif mode == "quantum":
         first = born_distribution(obs, state)

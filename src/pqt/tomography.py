@@ -31,10 +31,11 @@ dimension.
 
 Every observable of a frame is sampled by one row-wise sampler: the
 frame's Born rows on the state are checked once into one CDF table (see
-:mod:`pqt.measurement`), then blocks of about ``SAMPLE_CHUNK`` uniforms,
-``shots`` to a row, are turned into outcome values, and each row's mean
-and spread are read off.  The stream is consumed exactly as one
-``repeated_measure`` per observable would consume it.
+:mod:`pqt.measurement`), the counting kernel draws ``shots`` uniforms
+per row and keeps only each row's outcome counts, and each row's mean
+and spread are computed from its counts.  The stream is consumed exactly
+as one ``repeated_measure`` per observable would consume it, and memory
+does not grow with ``shots``.
 
 Statistical noise can push the raw estimate outside the state set, so a
 Euclidean projection onto the probability simplex of its spectrum
@@ -51,16 +52,13 @@ import numpy as np
 
 from .hilbert import DensityOperator, State, StateVector, fidelity, pauli_frame_phases
 from .measurement import (
-    SAMPLE_CHUNK,
     InsufficientShotsError,
     Observable,
     PauliString,
     PSystem,
-    _cdf_counts,
-    _cdf_index,
     _cdf_table,
     _CdfTable,
-    _require_all_possible,
+    _passive_counts,
     born_distribution,
 )
 
@@ -217,7 +215,7 @@ def estimate_expectations(sys: PSystem, ic: ICSet, shots: int) -> list[Expectati
     """
     if sys.mode != "passive":
         raise ValueError("single-copy estimation requires passive mode")
-    means, spreads = _sample_frame(sys, _frame_table(ic.observables, sys.state), shots, spread=True)
+    means, spreads = _sample_frame(sys, _frame_table(ic.observables, sys.state), shots)
     half_widths = CONFIDENCE_Z * spreads / np.sqrt(shots)
     return [
         ExpectationEstimate(obs.name, float(mean), float(half_width))
@@ -229,13 +227,13 @@ def estimate_expectations(sys: PSystem, ic: ICSet, shots: int) -> list[Expectati
 class _FrameTable:
     """The Born distributions of every observable of a frame on one state, one row each.
 
-    A row with fewer outcomes than the widest is padded with a value that is never selected.
+    A row with fewer outcomes than the widest is padded with zero weight and
+    value: the padding is never drawn, so it adds nothing to a row's sums.
     """
 
     observables: tuple[Observable, ...]
     cdf: _CdfTable
-    values: np.ndarray  # (m,) outcome values shared by every row, or (k * m,) row-major
-    offsets: np.ndarray | None  # (k, 1) start of each row in ``values``; None when they are shared
+    values: np.ndarray  # (k, m) outcome values of each row
 
 
 def _frame_table(observables: tuple[Observable, ...], state: State) -> _FrameTable:
@@ -254,52 +252,21 @@ def _frame_table(observables: tuple[Observable, ...], state: State) -> _FrameTab
         for row, obs in enumerate(observables):
             raw[row, : sizes[row]] = obs.outcome_probabilities(state)
             values[row, : sizes[row]] = obs.eigenvalues
-    if all(obs.eigenvalues == observables[0].eigenvalues for obs in observables):
-        values, offsets = values[0], None
-    else:
-        values, offsets = values.reshape(-1), np.arange(0, values.size, raw.shape[1])[:, None]
-    return _FrameTable(observables, _cdf_table(raw, sizes), values, offsets)
+    return _FrameTable(observables, _cdf_table(raw, sizes), values)
 
 
-def _sample_frame(sys: PSystem, table: _FrameTable, shots: int, spread: bool = False):
-    """Mean (and, with ``spread``, population standard deviation) of ``shots`` passive draws of every row.
+def _sample_frame(sys: PSystem, table: _FrameTable, shots: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population standard deviation of ``shots`` passive draws of every row.
 
-    Rows are drawn in frame order, ``shots`` uniforms each, as one
-    ``repeated_measure`` per observable would draw them: a block of rows
-    takes one ``(rows, shots)`` draw of about ``SAMPLE_CHUNK`` uniforms,
-    and Philox consumes its stream the same way either way.  One buffer
-    holds each block's uniforms and then its outcome values; the index
-    array lives only in between.  The spread reuses the block's mean.
+    Rows are drawn and counted by ``_passive_counts`` in frame order.  From the counts
+    c_j of a row's values v_j, mean = sum_j c_j v_j / shots and spread =
+    sqrt(sum_j c_j (v_j - mean)^2 / shots).  A Pauli mean is exact, so it equals
+    ``np.mean`` of the outcomes; other means and the spreads can differ from
+    ``np.mean`` and ``np.std`` in the last bits, as their sums run in another order.
     """
-    if shots < 1:
-        raise ValueError("need at least one shot")
-    count = len(table.observables)
-    means = np.empty(count)
-    spreads = np.empty(count) if spread else None
-    step = max(1, SAMPLE_CHUNK // shots)
-    buffer = np.empty((min(step, count), shots))
-    for start in range(0, count, step):
-        block = slice(start, min(count, start + step))
-        uniforms = buffer[: block.stop - start]
-        sys.rng.random(out=uniforms)
-        indices = _cdf_index(table.cdf[block], uniforms)
-        for row in start + np.flatnonzero(table.cdf.risky[block]):
-            drawn = indices[row - start]
-            _require_all_possible(table.observables[row], drawn, table.cdf.probabilities[row][drawn], "passive")
-        if table.offsets is not None:
-            indices += table.offsets[block]
-        values = np.take(table.values, indices, out=uniforms, mode="wrap")  # every index is in range
-        del indices
-        block_means = values.sum(axis=1, keepdims=True) / shots
-        means[block] = block_means[:, 0]
-        if spread:
-            # np.std's own steps (numpy's _var, then sqrt), so the spread has its bits.
-            values -= block_means
-            np.square(values, out=values)
-            spreads[block] = np.sqrt(values.sum(axis=1) / shots)
-        for obs in table.observables[block]:
-            sys.history[obs.name] += shots
-    return means, spreads
+    counts = _passive_counts(sys, table.observables, table.cdf, shots)
+    means = (counts * table.values).sum(axis=1) / shots
+    return means, np.sqrt((counts * (table.values - means[:, None]) ** 2).sum(axis=1) / shots)
 
 
 def _frame_estimate(sys: PSystem, ic: ICSet, table: _FrameTable, shots: int) -> DensityOperator:
@@ -392,10 +359,5 @@ def estimate_spectrum(sys: PSystem, obs: Observable, shots: int) -> list[float]:
     """
     if sys.mode != "passive":
         raise ValueError("spectrum estimation by repetition requires passive mode")
-    if shots < 1:
-        raise ValueError("need at least one shot")
-    dist = born_distribution(obs, sys.state)
-    drawn = np.flatnonzero(_cdf_counts(dist.cdf, sys.rng, shots))
-    _require_all_possible(obs, drawn, dist.probabilities[drawn], "passive")
-    sys.history[obs.name] += shots
+    drawn = np.flatnonzero(_passive_counts(sys, (obs,), born_distribution(obs, sys.state).cdf, shots)[0])
     return sorted(obs.eigenvalues[index] for index in drawn.tolist())

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqt import rng
 from pqt.composite import global_joint_sample, joint_distribution_global
@@ -73,6 +75,12 @@ class TestOutcomeDistribution:
         # The same row inside a table of several, as the frame sampler and teleportation build them.
         with pytest.raises(ValueError, match="sum to|negative"):
             _cdf_table(np.array([[0.5, 0.5], [entry, 1.0], [1.0, 0.0]]))
+
+    def test_rejects_a_probability_count_other_than_the_eigenvalue_count(self):
+        with pytest.raises(ValueError, match="3 probabilities for 2 eigenvalues"):
+            OutcomeDistribution((0.0, 1.0), np.array([0.2, 0.3, 0.5]))
+        with pytest.raises(ValueError, match="1 probabilities for 2 eigenvalues"):
+            OutcomeDistribution((0.0, 1.0), np.array([1.0]))
 
     def test_clips_dust_to_zero(self):
         dist = OutcomeDistribution((0.0, 1.0), np.array([-1e-13, 1.0 + 1e-13]))
@@ -360,7 +368,7 @@ class TestCdfIndex:
         assert _cdf_index(table, uniforms.copy()).tolist() == expected.tolist()
         if len(weights) == 1:
             counts = _cdf_counts(table, GivenUniforms(uniforms[0]), n)
-            assert counts.tolist() == np.bincount(expected[0], minlength=sizes[0]).tolist()
+            assert counts.tolist() == [np.bincount(expected[0], minlength=sizes[0]).tolist()]
 
 
 class TestCdfCounts:
@@ -376,8 +384,38 @@ class TestCdfCounts:
             expected_gen.random(5)
             actual_gen.random(5)
             expected = np.bincount(one_shot_indices(weights, expected_gen.random(n)), minlength=k)
-            assert _cdf_counts(_cdf_table(weights[None]), actual_gen, n).tolist() == expected.tolist()
+            assert _cdf_counts(_cdf_table(weights[None]), actual_gen, n).tolist() == [expected.tolist()]
             assert position(actual_gen) == position(expected_gen)
+
+
+@st.composite
+def cdf_tables(draw):
+    """Rows of 1 to 5 outcomes, padded to the widest, with zero weights and so tied edges among them."""
+    weight = st.one_of(st.sampled_from([0.0, 0.0, 0.125, 0.5]), st.floats(0.01, 1.0))
+    rows = draw(st.lists(st.lists(weight, min_size=1, max_size=5).filter(any), min_size=1, max_size=5))
+    sizes = np.array([len(row) for row in rows])
+    raw = np.zeros((len(rows), sizes.max()))
+    for i, row in enumerate(rows):
+        raw[i, : sizes[i]] = np.array(row) / sum(row)
+    return raw, sizes
+
+
+class TestCdfCountsProperty:
+    # With a few rows, SAMPLE_CHUNK // 3 shots make multi-row blocks, and SAMPLE_CHUNK + 1 splits a row.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        table=cdf_tables(),
+        n=st.sampled_from([1, 2, 1000, SAMPLE_CHUNK // 3, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_counts_equal_bincount_of_the_index_kernel_over_one_large_draw(self, table, n, seed):
+        raw, sizes = table
+        cdf = _cdf_table(raw, sizes)
+        expected_gen, actual_gen = rng.stream(seed, "counts/property"), rng.stream(seed, "counts/property")
+        indices = _cdf_index(cdf, expected_gen.random(len(raw) * n)).reshape(len(raw), n)
+        expected = [np.bincount(row, minlength=raw.shape[1]).tolist() for row in indices]
+        assert _cdf_counts(cdf, actual_gen, n).tolist() == expected
+        assert position(actual_gen) == position(expected_gen)
 
 
 class TestSkippedAhead:

@@ -311,6 +311,41 @@ class TestSimulateCollapse:
         )
         assert report.verdicts["followup_tv"] <= 0.02
 
+    def test_followup_draws_as_repeated_measure_does(self):
+        library = self.library_for_z()
+        expected_sys = PSystem(plus_state(), "passive", rng.stream(5, "sim/followup"))
+        actual_sys = PSystem(plus_state(), "passive", rng.stream(5, "sim/followup"))
+        report = simulate_qt_with_pqt(actual_sys, Z, library=library, followup_obs=X, followup_shots=1000)
+        # The follow-up as written with a record of every shot, then a fresh-copy reference.
+        index = Z.eigenvalues.index(measure(expected_sys, Z))
+        expected_sys.replace_state(library[index])
+        simulated = np.bincount(repeated_measure(expected_sys, X, 1000).indices, minlength=2)
+        reference_dist = born_distribution(X, collapse_update(plus_state(), Z, index))
+        reference = np.bincount(reference_dist.sample_indices(expected_sys.rng, 1000), minlength=2)
+        assert report.verdicts["followup_tv"] == 0.5 * float(np.abs(simulated - reference).sum()) / 1000
+        assert actual_sys.history == expected_sys.history
+        assert _position(actual_sys.rng) == _position(expected_sys.rng)
+
+    def test_followup_rejects_a_drawn_impossible_outcome(self):
+        # Every uniform is 0.0: Z on |+> gives -1, and the follow-up's zero uniforms draw
+        # Z = -1 again on the replacement, whose weight there, 1e-13, is below ZERO_PROBABILITY.
+        tilted = StateVector([np.sqrt(1.0 - 1e-13), np.sqrt(1e-13)])
+        sys = PSystem(plus_state(), "passive", _ZeroUniforms())
+        with pytest.raises(ValueError, match="outcome -1.0 of 'Z' has zero probability"):
+            simulate_qt_with_pqt(sys, Z, library={0: tilted, 1: tilted}, followup_obs=Z, followup_shots=3)
+
+    def test_followup_memory_does_not_grow_with_shots(self):
+        peaks = {}
+        for shots in (10**5, 4 * 10**6):
+            sys = PSystem(plus_state(), "passive", rng.stream(3, "sim/flat"))
+            tracemalloc.start()
+            try:
+                simulate_qt_with_pqt(sys, Z, library=self.library_for_z(), followup_obs=X, followup_shots=shots)
+                peaks[shots] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4 * 10**6] - peaks[10**5] < 1_000_000
+
     def test_quantum_system_rejected(self):
         sys = PSystem(plus_state(), "quantum", rng.stream(2, "sim"))
         with pytest.raises(ValueError, match="passive"):
@@ -398,6 +433,15 @@ class TestRepeatability:
             finally:
                 tracemalloc.stop()
         assert peaks[4 * 10**6] - peaks[10**5] < 1_000_000
+
+    def test_passive_rejects_a_drawn_impossible_outcome_as_measure_does(self):
+        # A zero uniform lands on the first outcome (Z = -1), whose weight 1e-13 is below ZERO_PROBABILITY.
+        state = StateVector([np.sqrt(1.0 - 1e-13), np.sqrt(1e-13)])
+        with pytest.raises(ValueError, match="zero probability") as expected:
+            measure(PSystem(state, "passive", _ZeroUniforms()), Z)
+        with pytest.raises(ValueError, match="zero probability") as caught:
+            repeatability_experiment(state, Z, "passive", 3, _ZeroUniforms())
+        assert str(caught.value) == str(expected.value)
 
     def test_passive_rate_converges_to_sum_of_squares(self):
         # General oracle: rate -> sum_r p(a_r)^2 for a biased qutrit state.

@@ -176,7 +176,7 @@ class TestPauliMasks:
             table = _frame_table(ic.observables, state)
             expected = np.stack([obs.outcome_probabilities(state) for obs in ic.observables])
             assert table.cdf.probabilities.tobytes() == np.clip(expected, 0.0, None).tobytes()
-            assert table.values.tolist() == [-1.0, 1.0] and table.offsets is None
+            assert table.values.tolist() == [[-1.0, 1.0]] * len(ic)
 
     def test_frames_are_shared(self):
         assert ic_set_for_dimension(64) is ic_set_for_dimension(64)
@@ -529,17 +529,25 @@ class TestEstimateSpectrum:
             np.testing.assert_allclose(values, np.linalg.eigvalsh(matrix), atol=1e-12)
 
 
-# The estimation loop as it was written observable by observable, one
-# repeated_measure per observable.  The row-wise frame sampler must return
-# equal numbers and leave the system's history and generator as it did.
+# The estimation loop written observable by observable: one repeated_measure
+# per observable, its indices counted with np.bincount and the counts put
+# through the mean and spread formulas.  The row-wise frame sampler must
+# return equal numbers and leave the system's history and generator as it did.
+
+
+def count_moments(record, shots):
+    """Mean and population spread of one record's outcomes, from its outcome counts."""
+    counts = np.bincount(record.indices, minlength=len(record.eigenvalues))
+    values = np.asarray(record.eigenvalues)
+    mean = (counts * values).sum() / shots
+    return mean, np.sqrt((counts * (values - mean) ** 2).sum() / shots)
 
 
 def reference_estimates(sys, observables, shots):
     estimates = []
     for obs in observables:
-        outcomes = repeated_measure(sys, obs, shots).outcomes
-        half_width = float(CONFIDENCE_Z * outcomes.std(ddof=0) / np.sqrt(shots))
-        estimates.append((obs.name, float(outcomes.mean()), half_width))
+        mean, spread = count_moments(repeated_measure(sys, obs, shots), shots)
+        estimates.append((obs.name, float(mean), float(CONFIDENCE_Z * spread / np.sqrt(shots))))
     return estimates
 
 
@@ -598,6 +606,14 @@ class TestFrameSamplerMatchesReference:
         assert actual == expected
         assert actual_sys.history == expected_sys.history
         assert _position(actual_sys.rng) == _position(expected_sys.rng)
+        # Against the mean of the outcomes themselves: a Pauli mean is a sum of +-1, exact either way.
+        outcomes_sys = PSystem(state, "passive", rng.stream(seed, "eq/frame"))
+        for obs, (_, mean, _) in zip(ic.observables, actual):
+            outcomes = repeated_measure(outcomes_sys, obs, shots).outcomes
+            if isinstance(obs, PauliString):
+                assert mean == np.mean(outcomes)
+            else:
+                assert abs(mean - np.mean(outcomes)) <= 1e-15
 
     @pytest.mark.parametrize("shots", SHOTS)
     @pytest.mark.parametrize("frame", FRAMES)
@@ -664,14 +680,18 @@ class TestFrameSpread:
     @pytest.mark.parametrize(
         "frame, shots", [("pauli-1", 1), ("pauli-2", 7), ("pauli-3", 5000), ("gell-mann-3", 2**16 + 1)]
     )
-    def test_spread_is_np_std_bit_for_bit(self, frame, shots):
+    def test_spread_is_the_count_formula_bit_for_bit_and_np_std_within_4_ulp(self, frame, shots):
         ic = FRAMES[frame]()
         state = random_pure_state(ic.dim, rng.stream(shots, f"spread/{frame}"))
         expected_sys = PSystem(state, "passive", rng.stream(shots, "spread"))
         actual_sys = PSystem(state, "passive", rng.stream(shots, "spread"))
-        expected = np.array([np.std(repeated_measure(expected_sys, obs, shots).outcomes) for obs in ic.observables])
-        _, spreads = _sample_frame(actual_sys, _frame_table(ic.observables, state), shots, spread=True)
+        records = [repeated_measure(expected_sys, obs, shots) for obs in ic.observables]
+        expected = np.array([count_moments(record, shots)[1] for record in records])
+        _, spreads = _sample_frame(actual_sys, _frame_table(ic.observables, state), shots)
         assert spreads.tobytes() == expected.tobytes()
+        assert _position(actual_sys.rng) == _position(expected_sys.rng)
+        np_std = np.array([np.std(record.outcomes) for record in records])
+        assert np.all(np.abs(spreads - np_std) <= 4 * np.spacing(np_std))
 
 
 class TestFrameSamplerMemory:
@@ -686,6 +706,20 @@ class TestFrameSamplerMemory:
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2**20
+
+    def test_one_qubit_memory_does_not_grow_with_shots(self):
+        state = random_pure_state(2, rng.stream(3, "mem/state"))
+        peaks = []
+        for shots in (10**5, 4 * 10**6):
+            sys = PSystem(state, "passive", rng.stream(3, "mem"))
+            tracemalloc.start()
+            try:
+                estimate_expectations(sys, pauli_ic_set(1), shots)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 2**20
 
     def test_six_qubits_at_a_thousand_shots(self):
         state = random_pure_state(64, rng.stream(2, "mem/state"))
