@@ -3,15 +3,18 @@
 A local observable acts on one subsystem only and is lifted to the full
 space as A tensor I (or I tensor B).  Without collapse, two local
 passive measurements cannot become correlated, so their joint table is
-sampled from the product of the marginals; joint outcome probabilities
+the product of the marginals; joint outcome probabilities
 Tr[(P_a tensor Q_b) rho] are only accessible to a single global device.
-Both samplers have analytic counterparts used by the no-signalling and
-local-indistinguishability checks, which are exact.
+Both devices are sampled the same way, from their analytic table: one
+uniform per shot over the row-major (a, b) grid.  The analytic tables
+also serve the no-signalling and local-indistinguishability checks,
+which are exact.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +26,8 @@ from .measurement import (
     PSystem,
     _cdf_counts,
     _cdf_table,
-    _skipped_ahead,
-    _uniform_chunks,
+    _Readout,
+    _require_all_possible,
     born_distribution,
 )
 from .tomography import ICSet, _frame_estimate, _frame_table, hermitian_basis_ic_set
@@ -136,15 +139,15 @@ def global_joint_sample(
     quantum mode every shot collapses the state, so gathering statistics
     needs a fresh copy per shot; pass ``ensemble=True`` to consume
     copies of the current state (the system itself is not touched).
+    A drawn (a, b) cell of probability <= ``ZERO_PROBABILITY`` is refused.
     """
     if len(sys.state.shape) != 2:
         raise ValueError("global joint sampling needs a bipartite system")
     if sys.mode == "quantum" and not ensemble:
         raise ValueError("ensemble required in quantum mode: a single copy collapses on the first shot")
     probs = joint_distribution_global(sys.state, a_obs, b_obs)
-    # One draw per shot over the row-major (a, b) grid.
-    counts = _cdf_counts(_cdf_table(probs.reshape(1, -1)), sys.rng, shots)[0].reshape(probs.shape)
-    return JointFrequencyTable(a_obs.eigenvalues, b_obs.eigenvalues, counts, shots)
+    cells = _Readout(f"{a_obs.name}x{b_obs.name}", tuple(itertools.product(a_obs.eigenvalues, b_obs.eigenvalues)))
+    return _joint_sample(sys, a_obs, b_obs, probs, shots, [(cells, probs)])
 
 
 def local_passive_joint_sample(
@@ -155,15 +158,13 @@ def local_passive_joint_sample(
 ) -> JointFrequencyTable:
     """Sample two local passive measurements per shot, independently.
 
-    Outcome a is drawn from the Born distribution of A tensor I and b,
-    independently, from I tensor B: without collapse the first local
-    measurement cannot steer the second, so the empirical table
-    factorises into the marginals in expectation.
-
-    Side A takes the stream's next ``shots`` uniforms and side B the
-    ``shots`` after them.  Both sides are drawn chunk by chunk, B from a
-    copy of the stream skipped ahead past A's draws, and the stream ends
-    where B's copy ends.
+    Without collapse the first local measurement cannot steer the
+    second, so each shot's (a, b) pair is drawn, with one uniform over
+    the row-major grid, from the product of the Born distributions of
+    A tensor I and I tensor B (the table of
+    ``joint_distribution_local_passive``).  A drawn pair is refused when
+    either side's outcome has probability <= ``ZERO_PROBABILITY``, as
+    measuring that lifted observable alone would refuse it.
     """
     if sys.mode != "passive":
         raise ValueError(
@@ -173,23 +174,33 @@ def local_passive_joint_sample(
     if a_setting.side != "A" or b_setting.side != "B":
         raise ValueError("expected one setting for side A and one for side B")
     shape = sys.state.shape
-    marg_a = born_distribution(lift_local(a_setting, shape), sys.state)
-    marg_b = born_distribution(lift_local(b_setting, shape), sys.state)
-    a_edges, b_edges = marg_a.cdf.edges[0], marg_b.cdf.edges[0]
-    # reached[i, j]: shots whose A draw reaches A's interior edge i - 1 and whose B draw reaches
-    # B's edge j - 1, where every draw reaches edge -1 and none the edge past the last.
-    reached = np.zeros((a_edges.size + 2, b_edges.size + 2), dtype=np.int64)
-    b_rng = _skipped_ahead(sys.rng, shots)
-    for a_uniforms, b_uniforms in zip(_uniform_chunks(sys.rng, shots), _uniform_chunks(b_rng, shots)):
-        a_hits = a_uniforms * marg_a.cdf.totals[0] >= a_edges[:, None]
-        b_hits = b_uniforms * marg_b.cdf.totals[0] >= b_edges[:, None]
-        reached[0, :-1] += [b_uniforms.size, *map(np.count_nonzero, b_hits)]
-        for i, hits in enumerate(a_hits, 1):
-            reached[i, :-1] += [np.count_nonzero(hits), *(np.count_nonzero(hits & b) for b in b_hits)]
-    counts = reached[:-1, :-1] - reached[1:, :-1] - reached[:-1, 1:] + reached[1:, 1:]
-    sys.rng.bit_generator.state = b_rng.bit_generator.state
-    n_a, n_b = len(marg_a.eigenvalues), len(marg_b.eigenvalues)
-    return JointFrequencyTable(marg_a.eigenvalues, marg_b.eigenvalues, counts[:n_a, :n_b], shots)
+    lifted_a, lifted_b = lift_local(a_setting, shape), lift_local(b_setting, shape)
+    marg_a = born_distribution(lifted_a, sys.state).probabilities
+    marg_b = born_distribution(lifted_b, sys.state).probabilities
+    guards = [(lifted_a, marg_a[:, None]), (lifted_b, marg_b[None, :])]
+    return _joint_sample(sys, lifted_a, lifted_b, np.outer(marg_a, marg_b), shots, guards)
+
+
+def _joint_sample(
+    sys: PSystem, a_obs: Observable, b_obs: Observable, probs: np.ndarray, shots: int, guards: list
+) -> JointFrequencyTable:
+    """Count ``shots`` draws from the joint table ``probs``, one uniform per shot over the row-major (a, b) grid.
+
+    Only when some cell has probability <= ``ZERO_PROBABILITY`` are the
+    drawn cells checked, against each guard: a readout and its outcome
+    probabilities laid over the grid (the whole grid for a global
+    device's cells, a column for side A's outcomes, a row for side B's).
+    """
+    if shots < 1:
+        raise ValueError("need at least one shot")
+    table = _cdf_table(probs.reshape(1, -1))
+    counts = _cdf_counts(table, sys.rng, shots)[0]
+    if table.risky[0]:
+        for readout, probabilities in guards:
+            outcome_of_cell = np.broadcast_to(np.arange(probabilities.size).reshape(probabilities.shape), probs.shape)
+            drawn = outcome_of_cell.ravel()[np.flatnonzero(counts)]
+            _require_all_possible(readout, drawn, probabilities.ravel()[drawn], sys.mode)
+    return JointFrequencyTable(a_obs.eigenvalues, b_obs.eigenvalues, counts.reshape(probs.shape), shots)
 
 
 def correlator(table: JointFrequencyTable) -> float:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -279,31 +280,6 @@ def _uniform_chunks(rng: np.random.Generator, n: int):
         yield chunk
 
 
-def _skipped_ahead(rng: np.random.Generator, n: int) -> np.random.Generator:
-    """A copy of a Philox generator whose next draw is the one ``rng`` would make after n more.
-
-    Philox draws come in blocks of four per counter value: the copy uses up the
-    block ``rng`` has started, jumps whole blocks with ``advance`` and burns the rest.
-    The last block it enters is burned, not jumped, so the copy's buffer holds
-    that block just as after n single draws, and its full state matches.
-    """
-    state = rng.bit_generator.state
-    bit_generator = np.random.Philox(key=0)
-    bit_generator.state = state
-    burned = min(n, 4 - state["buffer_pos"])
-    bit_generator.random_raw(burned)
-    rest = n - burned
-    jumped = max(rest - 1, 0) // 4
-    if jumped:
-        bit_generator.advance(jumped)
-        # advance() also clears the cached half of a 64-bit draw; keep the original's.
-        moved = bit_generator.state
-        moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
-        bit_generator.state = moved
-    bit_generator.random_raw(rest - 4 * jumped)
-    return np.random.Generator(bit_generator)
-
-
 @dataclass(frozen=True, eq=False)
 class MeasurementRecord:
     """Outcome log of a run of measurements of one observable: one eigenvalue index per shot."""
@@ -418,7 +394,14 @@ _ZERO_PROBABILITY_CONSEQUENCE = {
 }
 
 
-def _require_possible(obs: Observable, outcome_index: int, probability: float, mode: str = "passive") -> None:
+class _Readout(NamedTuple):
+    """What a zero-probability error names of a measurement: ``_require_all_possible`` reads only these."""
+
+    name: str
+    eigenvalues: tuple
+
+
+def _require_possible(obs: Observable | _Readout, outcome_index: int, probability: float, mode: str = "passive") -> None:
     """Refuse an outcome of zero probability: neither update rule can follow it."""
     if probability <= ZERO_PROBABILITY:
         raise ValueError(
@@ -427,7 +410,7 @@ def _require_possible(obs: Observable, outcome_index: int, probability: float, m
         )
 
 
-def _require_all_possible(obs: Observable, indices: np.ndarray, probabilities: np.ndarray, mode: str) -> None:
+def _require_all_possible(obs: Observable | _Readout, indices: np.ndarray, probabilities: np.ndarray, mode: str) -> None:
     """Refuse drawn outcomes of zero probability, as updating on each of them in turn would."""
     least = int(np.argmin(probabilities))
     _require_possible(obs, int(indices[least]), probabilities[least], mode)

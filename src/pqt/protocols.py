@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +44,7 @@ from .measurement import (
     _cdf_index,
     _cdf_table,
     _passive_counts,
+    _Readout,
     _require_all_possible,
     _uniform_chunks,
     born_distribution,
@@ -457,13 +457,6 @@ _BELL_ORDER = ("phi+", "phi-", "psi+", "psi-")
 _CORRECTIONS = np.stack((PAULI_I, PAULI_Z, PAULI_X, PAULI_Z @ PAULI_X))
 _BELL_BRAS = np.array([bell_state(name).amplitudes for name in _BELL_ORDER]).conj()  # row k: <bell_k| on qubits 1-2
 _SHARED_PAIR = bell_state("phi+").amplitudes.reshape(2, 2)  # qubit 2 by qubit 3
-
-
-class _Readout(NamedTuple):
-    """What a zero-probability error names of a measurement: ``_require_all_possible`` reads only these."""
-
-    name: str
-    eigenvalues: tuple[float, ...]
 
 
 _BELL_READOUT = _Readout("bell-basis-12", (0.0, 1.0, 2.0, 3.0))

@@ -189,17 +189,13 @@ def hermitian_basis_ic_set(dim: int) -> ICSet:
     return ICSet(observables, 1.0)
 
 
+@functools.lru_cache(maxsize=8)
 def ic_set_for_dimension(dim: int) -> ICSet:
     """Pauli strings for a power-of-two dimension, the generalised Gell-Mann basis otherwise.
 
     Frames are immutable, so each dimension is built once and the same
     object is returned to every caller.
     """
-    return _shared_ic_set(dim)
-
-
-@functools.lru_cache(maxsize=8)
-def _shared_ic_set(dim: int) -> ICSet:
     n_qubits = dim.bit_length() - 1
     if 2**n_qubits == dim:
         return pauli_ic_set(n_qubits)
@@ -302,6 +298,8 @@ def project_to_physical(matrix: np.ndarray) -> DensityOperator:
     shift and clip), and rebuild with the original eigenvectors.
     """
     mat = np.asarray(matrix, dtype=complex)
+    if not np.isfinite(mat).all():
+        raise ValueError("density operator entries are not finite")
     mat = (mat + mat.conj().T) / 2.0
     trace = float(np.trace(mat).real)
     if abs(trace - 1.0) > 0.1:
@@ -317,7 +315,9 @@ def project_to_physical(matrix: np.ndarray) -> DensityOperator:
     shift = (1.0 - cumulative[k - 1]) / k
     projected = np.clip(values + shift, 0.0, None)
     rebuilt = (vectors * projected) @ vectors.conj().T
-    return DensityOperator(rebuilt)
+    # A state by construction, so no re-check: the spectrum is clipped non-negative with sum 1,
+    # and V diag(p) V^dag with unitary V is Hermitian and unit-trace up to rounding.
+    return DensityOperator._unchecked(rebuilt, (mat.shape[0],))
 
 
 def reconstruct_single_copy(sys: PSystem, ic: ICSet, shots: int) -> ReconstructionResult:

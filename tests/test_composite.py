@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -34,7 +35,7 @@ from pqt.hilbert import (
     random_pure_state,
     tensor,
 )
-from pqt.measurement import SAMPLE_CHUNK, Observable, PSystem, born_distribution
+from pqt.measurement import SAMPLE_CHUNK, Observable, PSystem, born_distribution, measure
 
 Z = Observable("Z", PAULI_Z)
 X = Observable("X", PAULI_X)
@@ -154,6 +155,65 @@ class TestGlobalJointSample:
         assert tv <= 5.0 / np.sqrt(n)
 
 
+class _ZeroUniforms:
+    """Stands in for a generator whose every uniform draw is 0.0."""
+
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.zeros(size)
+        out[...] = 0.0
+        return out
+
+
+def nearly_zero(weight):
+    """(sqrt(1 - w), sqrt(w)): Z = -1 has probability w."""
+    return StateVector([np.sqrt(1.0 - weight), np.sqrt(weight)])
+
+
+@pytest.mark.parametrize("sampler", ["local-passive", "global"])
+def test_joint_samplers_need_at_least_one_shot(sampler):
+    sys = PSystem(bell_state("phi+"), "passive", rng.stream(0, "joint/none"))
+    with pytest.raises(ValueError, match="at least one shot"):
+        if sampler == "global":
+            global_joint_sample(sys, Z, Z, 0)
+        else:
+            local_passive_joint_sample(sys, LocalSetting("A", Z), LocalSetting("B", Z), 0)
+
+
+class TestJointSamplersRefuseImpossibleDraws:
+    # A uniform of 0.0 selects the first cell of nonzero weight in the row-major (a, b) grid.
+
+    @pytest.mark.parametrize(
+        "mode, consequence",
+        [("passive", "an impossible outcome was claimed"), ("quantum", "the post-measurement state is undefined")],
+    )
+    def test_global_device_refuses_a_drawn_cell_of_zero_probability(self, mode, consequence):
+        sys = PSystem(tensor(nearly_zero(1e-13), basis_state(2, 0)), mode, _ZeroUniforms())
+        message = f"outcome (-1.0, 1.0) of 'ZxZ' has zero probability; {consequence}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            global_joint_sample(sys, Z, Z, 3, ensemble=True)
+
+    @pytest.mark.parametrize("side, lifted_name", [("A", "ZxI"), ("B", "IxZ")])
+    def test_local_devices_refuse_as_measuring_the_lifted_observable_does(self, side, lifted_name):
+        halves = (nearly_zero(1e-13), basis_state(2, 0))
+        state = tensor(*(halves if side == "A" else halves[::-1]))
+        with pytest.raises(ValueError) as lifted:
+            measure(PSystem(state, "passive", _ZeroUniforms()), lift_local(LocalSetting(side, Z), (2, 2)))
+        assert str(lifted.value).startswith(f"outcome -1.0 of '{lifted_name}' has zero probability")
+        sys = PSystem(state, "passive", _ZeroUniforms())
+        with pytest.raises(ValueError, match=f"^{re.escape(str(lifted.value))}$"):
+            local_passive_joint_sample(sys, LocalSetting("A", Z), LocalSetting("B", Z), 3)
+
+    def test_local_pair_of_two_possible_outcomes_is_legal_however_unlikely(self):
+        # Each side's -1 has probability 1e-7: their product, 1e-14, is no side's outcome.
+        state = tensor(nearly_zero(1e-7), nearly_zero(1e-7))
+        sys = PSystem(state, "passive", _ZeroUniforms())
+        table = local_passive_joint_sample(sys, LocalSetting("A", Z), LocalSetting("B", Z), 3)
+        assert table.counts.tolist() == [[3, 0], [0, 0]]
+        with pytest.raises(ValueError, match=re.escape("outcome (-1.0, -1.0) of 'ZxZ' has zero probability")):
+            global_joint_sample(PSystem(state, "passive", _ZeroUniforms()), Z, Z, 3)
+
+
 class TestLocalPassiveJointSample:
     def test_bell_zz_uncorrelated(self):
         # Independent-marginal model: all four cells 1/4, correlator ~ 0.
@@ -201,20 +261,18 @@ class TestLocalPassiveJointSample:
         assert tv_a <= 5.0 / np.sqrt(n) and tv_b <= 5.0 / np.sqrt(n)
 
 
-# local_passive_joint_sample as written before chunked sampling: all of
-# side A's uniforms, then all of side B's, each indexed by searchsorted.
-# The chunked version must give equal counts and leave the generator at
-# the same position.
+# Local passive pairs drawn in one piece: one uniform per shot over the
+# row-major grid of the product of the two marginals, indexed by
+# searchsorted.  The chunked sampler must give equal counts and leave the
+# generator at the same position.
 
 
 def reference_local_passive_counts(sys, a_setting, b_setting, shots):
     shape = sys.state.shape
     marg_a = born_distribution(lift_local(a_setting, shape), sys.state).probabilities
     marg_b = born_distribution(lift_local(b_setting, shape), sys.state).probabilities
-    a_indices = one_shot_indices(marg_a, sys.rng.random(shots))
-    b_indices = one_shot_indices(marg_b, sys.rng.random(shots))
-    counts = np.bincount(a_indices * marg_b.size + b_indices, minlength=marg_a.size * marg_b.size)
-    return counts.reshape(marg_a.size, marg_b.size)
+    indices = one_shot_indices(np.outer(marg_a, marg_b).ravel(), sys.rng.random(shots))
+    return np.bincount(indices, minlength=marg_a.size * marg_b.size).reshape(marg_a.size, marg_b.size)
 
 
 def one_shot_indices(weights, uniforms):

@@ -37,7 +37,7 @@ def test_report_matches_golden(path):
 # the counting kernels: the frame sampler, the joint tables and repeatability.
 PASSIVE_SAMPLING_SEED_1 = {
     "reconstruct-2q": "c0bb55fbb0e75debe85757d33971a9b3e47f1485ba7342393cdbbd38e2e30c2a",
-    "joint-local-2q": "ca9563c28c666265a8d10efbbe66d3b852aeb595d88f1b4f634d404e89a1c32b",
+    "joint-local-2q": "5e4678d046dde560bdb7395d2ab2a2252e43ac00e7b2af2318c269df94e06fe0",
     "chsh-global": "caaf7f3c3b97577e513562281a467a172265b8a8dd1dcbd338399d83f9b06c88",
     "repeatability-passive-d4": "c4968d23635fbfe7fa1b18bf2bcce00c5721ff65ae9e47117fd85783586c5452",
 }

@@ -30,7 +30,6 @@ from pqt.measurement import (
     _cdf_counts,
     _cdf_index,
     _cdf_table,
-    _skipped_ahead,
     born_distribution,
     collapse_update,
     expectation_variance,
@@ -416,45 +415,6 @@ class TestCdfCountsProperty:
         expected = [np.bincount(row, minlength=raw.shape[1]).tolist() for row in indices]
         assert _cdf_counts(cdf, actual_gen, n).tolist() == expected
         assert position(actual_gen) == position(expected_gen)
-
-
-class TestSkippedAhead:
-    def test_reproduces_the_rest_of_one_large_draw(self):
-        for start in range(9):
-            for n in (*range(13), *range(400, 404)):
-                full, gen = rng.stream(start, "ahead"), rng.stream(start, "ahead")
-                full.random(start)
-                gen.random(start)
-                before = position(gen)
-                expected = full.random(420)
-                ahead = _skipped_ahead(gen, n)
-                assert ahead.random(420 - n).tolist() == expected[n:].tolist()
-                assert position(ahead) == position(full)
-                assert position(gen) == before
-
-    def test_lands_where_single_draws_do(self):
-        # The whole state, buffer included, also when n ends a block of four.
-        for start in range(5):
-            for n in (*range(13), *range(400, 405)):
-                gen = _drawn(rng.stream(start, "ahead"), start)
-                assert position(_skipped_ahead(gen, n)) == position(_drawn(rng.stream(start, "ahead"), start + n))
-
-    def test_keeps_a_cached_half_draw(self):
-        full, gen = rng.stream(1, "ahead/half"), rng.stream(1, "ahead/half")
-        full.integers(10, dtype=np.uint32)
-        gen.integers(10, dtype=np.uint32)
-        assert gen.bit_generator.state["has_uint32"] == 1
-        expected = full.random(420)
-        ahead = _skipped_ahead(gen, 401)
-        assert ahead.random(19).tolist() == expected[401:].tolist()
-        assert position(ahead) == position(full)
-
-
-def _drawn(gen, n):
-    """``gen`` after n single uniform draws."""
-    for _ in range(n):
-        gen.random()
-    return gen
 
 
 def position(gen):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pqt import rng, tomography
 from pqt.harness import parse_config, run
 from pqt.hilbert import (
+    DensityOperator,
     PAULI_I,
     PAULI_X,
     PAULI_Y,
@@ -196,7 +197,7 @@ class TestPauliMasks:
         kron_calls = []
         real_kron = np.kron
         monkeypatch.setattr(np, "kron", lambda *args: kron_calls.append(args) or real_kron(*args))
-        tomography._shared_ic_set.cache_clear()
+        tomography.ic_set_for_dimension.cache_clear()
         config = {"name": "r6", "protocol": "reconstruct", "shape": [2] * 6, "initial_state": "random-pure:1", "shots": 10}
         tracemalloc.start()
         try:
@@ -339,6 +340,29 @@ class TestProjectToPhysical:
     def test_trace_far_from_one_rejected(self):
         with pytest.raises(ValueError, match="trace"):
             project_to_physical(np.diag([2.0, 0.5]).astype(complex))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_input_rejected_before_any_arithmetic(self, entry, monkeypatch):
+        # Refused on entry with the constructor's message, not by the result's own check.
+        monkeypatch.setattr(np.linalg, "eigh", lambda _: pytest.fail("a non-finite matrix reached eigh"))
+        matrix = np.eye(2, dtype=complex) / 2
+        matrix[0, 1] = entry
+        with pytest.raises(ValueError, match="^density operator entries are not finite$"):
+            project_to_physical(matrix)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 32, 64])
+    def test_output_passes_every_check_of_the_constructor(self, dim):
+        # The result is wrapped unchecked: it must be a state all the same, also from inputs far outside the cone.
+        g = rng.stream(dim, "proj/checked")
+        negative = 0
+        for trial in range(50):
+            matrix = random_density(dim, g).matrix + (0.01, 0.3, 3.0)[trial % 3] * random_hermitian(dim, g)
+            matrix += (1.0 - np.trace(matrix).real) / dim * np.eye(dim)
+            negative += np.linalg.eigvalsh(matrix).min() < 0.0
+            out = project_to_physical(matrix)
+            assert out.shape == (dim,)
+            DensityOperator(out.matrix)
+        assert negative >= 15
 
     def test_idempotent_and_trace_preserving(self):
         g = rng.stream(7, "proj/idem")
