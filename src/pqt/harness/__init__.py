@@ -3,13 +3,12 @@
 from .config import ConfigError, ExperimentConfig, parse_config
 from .report import Report
 from .runner import list_protocols, run
-from .stats import chi_square_gof, tv_distance, wilson_interval
+from .stats import tv_distance, wilson_interval
 
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "Report",
-    "chi_square_gof",
     "list_protocols",
     "parse_config",
     "run",

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .config import SEED_LIMIT, ConfigError, check_mode, parse_config, read_integer
-from .runner import list_protocols, run
+from .runner import PROTOCOLS, list_protocols, run
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -50,7 +50,7 @@ def _load_config(path: str, seed: int | None = None, mode: str | None = None):
     if seed is not None:
         config.seed = read_integer(seed, "--seed", 0, SEED_LIMIT)
     if mode is not None:
-        check_mode(config.protocol, mode, config.extras)
+        check_mode(config.protocol, PROTOCOLS[config.protocol][1], mode, config.extras)
         config.mode = mode
     return config
 

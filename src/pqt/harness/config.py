@@ -14,7 +14,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -101,7 +101,8 @@ def read_integer(value, field: str, low: int, high: float = math.inf) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Inputs:
-    """A config's states, observables and oracle as ``parse_config`` resolved them; None where absent."""
+    """A config's inputs as ``parse_config`` resolved them: states, observables and oracle (None where absent)
+    and the protocol settings, with their defaults where the config leaves them out."""
 
     state: State | None = None
     observables: tuple[Observable, ...] = ()
@@ -112,6 +113,10 @@ class Inputs:
     unitary: UnitaryOperator | None = None
     oracle: OracleSpec | None = None
     library: dict[int, StateVector] | None = None
+    source: str = "global"
+    action: str = "none"
+    ensemble: bool = False
+    followup_shots: int = 0  # parse_config sets the config's shots when the field is absent
 
 
 @dataclass
@@ -167,8 +172,9 @@ def parse_config(text: str) -> ExperimentConfig:
         known = ", ".join(sorted(PROTOCOLS))
         raise ConfigError("protocol", f"unknown protocol {raw['protocol']!r}; known: {known}")
 
+    spec = PROTOCOLS[raw["protocol"]][1]
     mode = raw.get("mode", "passive")
-    check_mode(raw["protocol"], mode, raw)
+    check_mode(raw["protocol"], spec, mode, raw)
 
     shape = None
     if "shape" in raw:
@@ -199,7 +205,7 @@ def parse_config(text: str) -> ExperimentConfig:
     for key, choices in CHOICES.items():
         if key in extras and not any(type(extras[key]) is type(c) and extras[key] == c for c in choices):
             raise ConfigError(key, f"must be one of {json.dumps(choices)}, got {json.dumps(extras[key])}")
-    inputs = _resolve_inputs(raw["protocol"], shape, raw.get("initial_state"), observables, extras)
+    inputs = _resolve_inputs(raw["protocol"], spec, shape, raw.get("initial_state"), observables, extras, shots)
 
     return ExperimentConfig(
         name=raw["name"],
@@ -216,24 +222,24 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
-def check_mode(protocol: str, mode, fields: dict) -> None:
-    """Refuse a mode that the protocol cannot run in; ``fields`` holds the config's extras."""
-    from .runner import PROTOCOLS  # late import: runner imports this module
-
+def check_mode(protocol: str, spec, mode, fields: dict) -> None:
+    """Refuse a mode that the protocol (``spec`` is its ``runner.Protocol``) cannot run in; ``fields`` holds its extras."""
     if mode not in MODES:
         raise ConfigError("mode", f"must be one of {MODES}, got {mode!r}")
-    spec = PROTOCOLS[protocol][1]
     if mode not in spec.modes:
         raise ConfigError("mode", f"protocol {protocol!r} runs in {' or '.join(spec.modes)} mode only, got {mode!r}")
     if mode == "quantum" and spec.quantum_needs and not fields.get(spec.quantum_needs):
         raise ConfigError("mode", f"protocol {protocol!r} needs {spec.quantum_needs!r} set to true in quantum mode")
 
 
-def _resolve_inputs(protocol: str, shape: tuple[int, ...] | None, initial_state, observables: list, extras: dict) -> Inputs:
+def _resolve_inputs(
+    protocol: str, spec, shape: tuple[int, ...] | None, initial_state, observables: list, extras: dict, shots: int
+) -> Inputs:
     """Resolve every input of a config once, refusing any that its protocol's runner could not use."""
-    from .runner import PROTOCOLS  # late import: runner imports this module
-
-    spec = PROTOCOLS[protocol][1]
+    settings = Inputs(
+        **{key: extras[key] for key in ("source", "action", "ensemble") if key in extras},
+        followup_shots=extras.get("followup_shots", shots),
+    )
     for key in spec.requires:
         if key not in extras:
             raise ConfigError(key, f"protocol {protocol!r} requires this field")
@@ -242,7 +248,7 @@ def _resolve_inputs(protocol: str, shape: tuple[int, ...] | None, initial_state,
 
     resolved = tuple(resolve_observable(obs, f"observables[{i}]") for i, obs in enumerate(observables))
     targets, kind = spec.observables, spec.state
-    if protocol == "signalling" and extras.get("action", "none") == "none":
+    if protocol == "signalling" and settings.action == "none":
         targets = (1,)  # only B's marginal is compared
     if protocol == "simulate-collapse" and "library" not in extras:
         kind = "bipartite"  # the replacement comes from a global reconstruction
@@ -271,7 +277,8 @@ def _resolve_inputs(protocol: str, shape: tuple[int, ...] | None, initial_state,
         unitary = resolve_unitary(extras.get("unitary", "cnot"), candidates[0].dim)
     if protocol == "simulate-collapse" and "library" in extras:
         library = _eigenstate_library(resolved[0])
-    return Inputs(
+    return replace(
+        settings,
         state=state,
         observables=resolved,
         followup=followup,
@@ -303,14 +310,6 @@ def _check_observable_dimension(field: str, obs: Observable, state: State, targe
         dim, part = state.shape[target], f"subsystem {'AB'[target]}"
     if obs.dim != dim:
         raise ConfigError(field, f"observable dimension {obs.dim} does not match the {part} dimension {dim}")
-
-
-def _state_shape(dim: int, shape: tuple[int, ...] | None, field: str) -> tuple[int, ...] | None:
-    if shape is None:
-        return None
-    if int(np.prod(shape)) != dim:
-        raise ConfigError(field, f"shape {shape} does not match the state dimension {dim}")
-    return shape
 
 
 def resolve_state(spec, shape: tuple[int, ...] | None = None, field: str = "initial_state") -> State:
@@ -358,7 +357,7 @@ def resolve_state(spec, shape: tuple[int, ...] | None = None, field: str = "init
         if norm <= 1e-6:
             raise ConfigError(field, "explicit state has (near-)zero norm and cannot be normalized")
         try:
-            return StateVector(amps / norm, _state_shape(amps.size, shape, field))
+            return StateVector(amps / norm, shape)
         except ValueError as exc:
             raise ConfigError(field, str(exc)) from exc
     raise ConfigError(field, f"cannot interpret {type(spec).__name__} as a state")

@@ -1,10 +1,12 @@
 """Protocol dispatch: one runner per experiment type.
 
-Each runner reads the inputs ``parse_config`` resolved, derives its
-random streams from the root seed (stream path = config name plus a
-component suffix, see :mod:`pqt.rng`) and assembles a deterministic
-:class:`~pqt.harness.report.Report`.  Identical (config, seed) pairs
-produce byte-identical serialized reports.
+``run`` builds the :class:`~pqt.harness.report.Report` and the
+protocol's random stream, path ``"{name}/{protocol}"`` under the root
+seed (see :mod:`pqt.rng`), and hands both to the protocol's runner.  A
+runner reads only the inputs ``parse_config`` resolved and fills the
+report; one that needs a stream per trial derives it under the same
+path.  Identical (config, seed) pairs produce byte-identical serialized
+reports.
 """
 
 from __future__ import annotations
@@ -46,28 +48,21 @@ from .stats import wilson_interval
 TELEPORTATION_BLOCK = SAMPLE_CHUNK // 64  # teleportation trials evaluated together
 
 
-def _echo(config: ExperimentConfig) -> dict:
-    return json.loads(config.to_json())
-
-
 def _stream(config: ExperimentConfig, purpose: str) -> np.random.Generator:
     return rng.stream(config.seed, f"{config.name}/{purpose}")
 
 
-def _run_repeatability(config: ExperimentConfig) -> Report:
+def _run_repeatability(config: ExperimentConfig, report: Report, stream: np.random.Generator) -> None:
     state, obs = config.inputs.state, config.inputs.observables[0]
-    rate = repeatability_experiment(state, obs, config.mode, config.trials, _stream(config, "repeatability"))
-    report = Report(_echo(config), config.seed)
+    rate = repeatability_experiment(state, obs, config.mode, config.trials, stream)
     low, high = wilson_interval(int(round(rate * config.trials)), config.trials)
     report.add_metric("agreement_rate", rate, (high - low) / 2)
-    return report
 
 
-def _run_reconstruct(config: ExperimentConfig) -> Report:
+def _run_reconstruct(config: ExperimentConfig, report: Report, stream: np.random.Generator) -> None:
     state = config.inputs.state
-    sys = PSystem(state, config.mode, _stream(config, "reconstruct"))
+    sys = PSystem(state, config.mode, stream)
     result = reconstruct_single_copy(sys, ic_set_for_dimension(state.dim), config.shots)
-    report = Report(_echo(config), config.seed)
     report.add_metric("fidelity", fidelity(state, result.estimate))
     report.add_metric("purity", result.estimate.purity())
     report.add_table(
@@ -76,73 +71,60 @@ def _run_reconstruct(config: ExperimentConfig) -> Report:
         [[e.observable, e.mean, e.half_width] for e in result.diagnostics],
     )
     report.verdicts["state_unchanged"] = sys.state is state
-    return report
 
 
-def _run_discriminate(config: ExperimentConfig) -> Report:
+def _run_discriminate(config: ExperimentConfig, report: Report, stream: np.random.Generator) -> None:
     state = config.inputs.state
-    sys = PSystem(state, config.mode, _stream(config, "discriminate"))
+    sys = PSystem(state, config.mode, stream)
     index = discriminate(sys, config.inputs.candidates, ic_set_for_dimension(state.dim), config.shots)
-    report = Report(_echo(config), config.seed)
     report.verdicts["chosen_index"] = index
-    return report
 
 
-def _run_spectrum(config: ExperimentConfig) -> Report:
-    sys = PSystem(config.inputs.state, config.mode, _stream(config, "spectrum"))
+def _run_spectrum(config: ExperimentConfig, report: Report, stream: np.random.Generator) -> None:
+    sys = PSystem(config.inputs.state, config.mode, stream)
     values = estimate_spectrum(sys, config.inputs.observables[0], config.shots)
-    report = Report(_echo(config), config.seed)
     report.add_table("spectrum", ["eigenvalue"], [[v] for v in values])
     report.verdicts["n_distinct"] = len(values)
-    return report
 
 
-def _joint_report(config: ExperimentConfig, table) -> Report:
-    report = Report(_echo(config), config.seed)
+def _add_joint_table(report: Report, table) -> None:
     report.add_table("joint_counts", ["a", "b", "count"], [list(row) for row in table.rows()])
     if all(min(abs(v - 1.0), abs(v + 1.0)) <= DICHOTOMIC_TOL for v in (*table.a_values, *table.b_values)):
         report.add_metric("correlator", correlator(table), 1.0 / np.sqrt(table.shots))
-    return report
 
 
-def _run_joint_global(config: ExperimentConfig) -> Report:
+def _run_joint_global(config: ExperimentConfig, report: Report, stream: np.random.Generator) -> None:
     a_obs, b_obs = config.inputs.observables[:2]
-    sys = PSystem(config.inputs.state, config.mode, _stream(config, "joint-global"))
-    table = global_joint_sample(sys, a_obs, b_obs, config.shots, ensemble=config.extras.get("ensemble", False))
-    return _joint_report(config, table)
+    sys = PSystem(config.inputs.state, config.mode, stream)
+    table = global_joint_sample(sys, a_obs, b_obs, config.shots, ensemble=config.inputs.ensemble)
+    _add_joint_table(report, table)
 
 
-def _run_joint_local(config: ExperimentConfig) -> Report:
+def _run_joint_local(config: ExperimentConfig, report: Report, stream: np.random.Generator) -> None:
     a_obs, b_obs = config.inputs.observables[:2]
-    sys = PSystem(config.inputs.state, config.mode, _stream(config, "joint-local"))
+    sys = PSystem(config.inputs.state, config.mode, stream)
     table = local_passive_joint_sample(sys, LocalSetting("A", a_obs), LocalSetting("B", b_obs), config.shots)
-    return _joint_report(config, table)
+    _add_joint_table(report, table)
 
 
-def _run_chsh(config: ExperimentConfig) -> Report:
+def _run_chsh(config: ExperimentConfig, report: Report, stream: np.random.Generator) -> None:
     a1, a2, b1, b2 = config.inputs.observables[:4]
-    source = config.extras.get("source", "global")
-    value = chsh_value(config.inputs.state, (a1, a2), (b1, b2), source, config.shots, _stream(config, "chsh"))
-    report = Report(_echo(config), config.seed)
+    value = chsh_value(config.inputs.state, (a1, a2), (b1, b2), config.inputs.source, config.shots, stream)
     report.add_metric("chsh_s", value, 4.0 / np.sqrt(config.shots))
-    return report
 
 
-def _run_entanglement(config: ExperimentConfig) -> Report:
-    sys = PSystem(config.inputs.state, config.mode, _stream(config, "entanglement"))
+def _run_entanglement(config: ExperimentConfig, report: Report, stream: np.random.Generator) -> None:
+    sys = PSystem(config.inputs.state, config.mode, stream)
     verdict = detect_entanglement_single_copy(sys, config.shots)
-    report = Report(_echo(config), config.seed)
     report.add_metric("purity", verdict.purity)
     report.verdicts["verdict"] = verdict.verdict
-    return report
 
 
-def _run_signalling(config: ExperimentConfig) -> Report:
-    action = config.extras.get("action", "none")
+def _run_signalling(config: ExperimentConfig, report: Report, stream: np.random.Generator) -> None:
+    action = config.inputs.action
     observables = config.inputs.observables
     a_obs, b_obs = (None, observables[0]) if action == "none" else observables[:2]
     result = signalling_check(config.inputs.state, action, b_obs, a_obs)
-    report = Report(_echo(config), config.seed)
     report.add_metric("tv_distance", result.tv_distance)
     report.add_table(
         "marginals",
@@ -156,66 +138,56 @@ def _run_signalling(config: ExperimentConfig) -> Report:
             )
         ],
     )
-    return report
 
 
-def _run_function_recovery(config: ExperimentConfig) -> Report:
+def _run_function_recovery(config: ExperimentConfig, report: Report, stream: np.random.Generator) -> None:
     spec = config.inputs.oracle
-    report = Report(_echo(config), config.seed)
     if config.mode == "passive":
-        result = function_recovery(spec, "passive", _stream(config, "function-recovery"), config.shots)
+        result = function_recovery(spec, "passive", stream, config.shots)
         report.add_metric("oracle_calls", result.resources["oracle_calls"])
         report.verdicts["truth_table"] = list(result.verdicts["truth_table"])
-        return report
+        return
     calls = []
     table = None
     for trial in range(config.trials):
-        result = function_recovery(spec, "quantum", _stream(config, f"function-recovery/{trial}"), 1)
+        result = function_recovery(spec, "quantum", _stream(config, f"{config.protocol}/{trial}"), 1)
         calls.append(result.resources["oracle_calls"])
         table = result.verdicts["truth_table"]
     report.add_metric("oracle_calls_mean", float(np.mean(calls)), float(np.std(calls) / np.sqrt(len(calls))))
     report.verdicts["truth_table"] = list(table)
-    return report
 
 
-def _run_deutsch_jozsa(config: ExperimentConfig) -> Report:
-    result = deutsch_jozsa_verdict(config.inputs.oracle, config.mode, _stream(config, "deutsch-jozsa"), config.shots)
-    report = Report(_echo(config), config.seed)
+def _run_deutsch_jozsa(config: ExperimentConfig, report: Report, stream: np.random.Generator) -> None:
+    result = deutsch_jozsa_verdict(config.inputs.oracle, config.mode, stream, config.shots)
     report.add_metric("oracle_calls", result.resources["oracle_calls"])
     report.verdicts["verdict"] = result.verdicts["verdict"]
-    return report
 
 
-def _run_clone(config: ExperimentConfig) -> Report:
+def _run_clone(config: ExperimentConfig, report: Report, stream: np.random.Generator) -> None:
     state = config.inputs.state
-    sys = PSystem(state, config.mode, _stream(config, "clone"))
+    sys = PSystem(state, config.mode, stream)
     clone, result = clone_via_reconstruction(sys, config.shots)
-    report = Report(_echo(config), config.seed)
     report.add_metric("clone_fidelity", result.fidelities["clone"])
     report.verdicts["original_unchanged"] = sys.state is state
     report.verdicts["clone_dim"] = clone.dim
-    return report
 
 
-def _run_no_cloning(config: ExperimentConfig) -> Report:
+def _run_no_cloning(config: ExperimentConfig, report: Report, stream: np.random.Generator) -> None:
     result = no_cloning_check(config.inputs.unitary, config.inputs.candidates)
-    report = Report(_echo(config), config.seed)
     report.add_metric("fidelity_first", result.fidelity_first)
     report.add_metric("fidelity_second", result.fidelity_second)
     report.add_metric("obstruction", result.obstruction)
     report.verdicts["clones_both"] = result.clones_both
-    return report
 
 
-def _run_proper_vs_improper(config: ExperimentConfig) -> Report:
+def _run_proper_vs_improper(config: ExperimentConfig, report: Report, stream: np.random.Generator) -> None:
     result = proper_vs_improper(
         config.trials,
         config.shots,
-        _stream(config, "proper-vs-improper"),
+        stream,
         mixture=config.inputs.mixture,
         purification=config.inputs.purification,
     )
-    report = Report(_echo(config), config.seed)
     report.add_metric("mean_purity", result.verdicts["mean_purity"])
     report.verdicts["verdict"] = result.verdicts["verdict"]
     report.add_table(
@@ -223,40 +195,34 @@ def _run_proper_vs_improper(config: ExperimentConfig) -> Report:
         ["trial", "purity", "verdict"],
         [[entry["trial"], entry["purity"], entry["verdict"]] for entry in result.log],
     )
-    return report
 
 
-def _run_simulate_collapse(config: ExperimentConfig) -> Report:
-    sys = PSystem(config.inputs.state, config.mode, _stream(config, "simulate-collapse"))
+def _run_simulate_collapse(config: ExperimentConfig, report: Report, stream: np.random.Generator) -> None:
+    sys = PSystem(config.inputs.state, config.mode, stream)
     result = simulate_qt_with_pqt(
         sys,
         config.inputs.observables[0],
         library=config.inputs.library,
         tomography_shots=config.shots,
         followup_obs=config.inputs.followup,
-        followup_shots=config.extras.get("followup_shots", config.shots),
+        followup_shots=config.inputs.followup_shots,
     )
-    report = Report(_echo(config), config.seed)
     report.verdicts["outcome"] = result.verdicts["outcome"]
     if "followup_tv" in result.verdicts:
         report.add_metric("followup_tv", result.verdicts["followup_tv"])
-    return report
 
 
-def _run_teleportation(config: ExperimentConfig) -> Report:
-    stream = _stream(config, "teleportation")
+def _run_teleportation(config: ExperimentConfig, report: Report, stream: np.random.Generator) -> None:
     total = 0.0
     for start in range(0, config.trials, TELEPORTATION_BLOCK):
         trials = range(start, min(start + TELEPORTATION_BLOCK, config.trials))
         if config.inputs.state is None:
-            paths = (f"{config.name}/teleportation/input/{trial}" for trial in trials)
-            inputs = np.array([random_pure_state(2, rng.stream(config.seed, path)).amplitudes for path in paths])
+            streams = (_stream(config, f"{config.protocol}/input/{trial}") for trial in trials)
+            inputs = np.array([random_pure_state(2, gen).amplitudes for gen in streams])
         else:
             inputs = np.broadcast_to(config.inputs.state.amplitudes, (len(trials), 2))
         total += float(teleportation_fidelities(inputs, config.mode, stream).sum())
-    report = Report(_echo(config), config.seed)
     report.add_metric("average_fidelity", total / config.trials)
-    return report
 
 
 class Protocol(NamedTuple):
@@ -265,7 +231,7 @@ class Protocol(NamedTuple):
     description: str
     modes: tuple[str, ...] = ("passive", "quantum")
     quantum_needs: str | None = None  # an extra field that must be true in quantum mode
-    requires: tuple[str, ...] = ()  # extra fields the runner reads and has no default for
+    requires: tuple[str, ...] = ()  # extra fields the protocol needs and that have no default
     # What each observable the runner reads acts on: None for the whole state, 0 or 1 for that subsystem.
     observables: tuple[int | None, ...] = ()
     # The initial state the runner reads, if any: "any", "bipartite", "pure bipartite" or "pure qubit".
@@ -345,14 +311,15 @@ def list_protocols() -> list[tuple[str, Protocol]]:
 
 
 def run(config: ExperimentConfig) -> Report:
-    """Dispatch a validated config to its protocol runner."""
+    """Run a validated config: its protocol's runner fills one report from the stream ``{name}/{protocol}``."""
     try:
         runner, _ = PROTOCOLS[config.protocol]
     except KeyError:
         raise ConfigError("protocol", f"unknown protocol {config.protocol!r}") from None
     start = time.perf_counter()
+    report = Report(json.loads(config.to_json()), config.seed)
     try:
-        report = runner(config)
+        runner(config, report, _stream(config, config.protocol))
     except InsufficientShotsError as exc:
         raise ConfigError("shots", str(exc)) from exc
     report.wall_clock_seconds = time.perf_counter() - start

@@ -14,30 +14,6 @@ def tv_distance(p, q) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
-def chi_square_gof(counts, expected) -> tuple[float, float]:
-    """Pearson goodness-of-fit statistic and its p-value.
-
-    ``expected`` are expected counts (not probabilities) and must be
-    positive; degrees of freedom are len(counts) - 1.
-    """
-    counts = np.asarray(counts, dtype=float).reshape(-1)
-    expected = np.asarray(expected, dtype=float).reshape(-1)
-    if counts.size != expected.size:
-        raise ValueError(f"length mismatch: {counts.size} vs {expected.size}")
-    if counts.size < 2:
-        raise ValueError("need at least two categories")
-    if counts.sum() <= 0:
-        raise ValueError("no observations")
-    if expected.min() <= 0.0:
-        raise ValueError("expected counts must be positive")
-    from scipy.special import gammaincc  # imported here so that importing pqt does not load scipy
-
-    statistic = float(((counts - expected) ** 2 / expected).sum())
-    dof = counts.size - 1
-    p_value = float(gammaincc(dof / 2.0, statistic / 2.0))
-    return statistic, p_value
-
-
 def wilson_interval(successes: int, total: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if total <= 0:

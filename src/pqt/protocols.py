@@ -165,12 +165,12 @@ def function_recovery(
         recovered = []
         diag = np.diag(result.estimate.matrix).real
         for x in range(n_inputs):
-            weights = (diag[x << 1], diag[(x << 1) | 1])
+            weights = (float(diag[x << 1]), float(diag[(x << 1) | 1]))
             hits = [y for y in (0, 1) if weights[y] >= threshold]
             if len(hits) != 1:
                 raise InsufficientShotsError(f"insufficient shots: ambiguous decode for input {x} (weights {weights})")
             recovered.append(hits[0])
-            report.log.append({"x": x, "weight0": float(weights[0]), "weight1": float(weights[1])})
+            report.log.append({"x": x, "weight0": weights[0], "weight1": weights[1]})
         report.resources = {"oracle_calls": 1, "copies_consumed": 1, "shots_per_observable": shots}
         report.verdicts["truth_table"] = tuple(recovered)
         return report
@@ -447,6 +447,9 @@ def simulate_qt_with_pqt(
         sim_counts = _passive_counts(sys, (followup_obs,), simulated, followup_shots)
         reference = born_distribution(followup_obs, collapse_update(state_before, obs, outcome_index)).cdf
         ref_counts = _cdf_counts(reference, sys.rng, followup_shots)
+        if reference.risky[0]:
+            drawn = np.flatnonzero(ref_counts[0])
+            _require_all_possible(followup_obs, drawn, reference.probabilities[0, drawn], "quantum")
         tv = 0.5 * float(np.abs(sim_counts - ref_counts).sum()) / followup_shots
         report.verdicts["followup_tv"] = tv
         report.resources["reference_copies_consumed"] = followup_shots

@@ -43,12 +43,38 @@ PASSIVE_SAMPLING_SEED_1 = {
 }
 
 
-def test_passive_sampling_reports_at_seed_1_are_unchanged():
+# sha256 of the per-trial reports of the benchmark's protocol-loops workload at
+# seed 1: quantum repeatability, quantum function recovery (one stream per trial),
+# both proper-vs-improper presentations and quantum teleportation (one input
+# stream per trial).  No golden covers these runs or their sub-stream paths.
+PROTOCOL_LOOPS_SEED_1 = {
+    "repeatability-quantum": "10dda750fbc75fc89b5d40e4d451481dec26e2a6f2673c5be7336d39b12ab8ca",
+    "function-recovery-quantum": "b4642ea0639afb4e8a8e76e546141badb58933509207679fd3f9e3a4ee7ce008",
+    "proper-vs-improper-mixture": "7637ea95add14076e6ead39ac1e305f4f1c03d258692a35be9072944057d621f",
+    "proper-vs-improper-purification": "dd1432d0e9f5bc3a7d215a4105ffeedabf8fffd76e5b450d864227d3d9e06cd1",
+    "teleportation-quantum": "7c178e3d6a9efdcef760c47637076ef8eba0247952cc6747bfbc933e7639ed13",
+}
+
+
+def _workloads():
     spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    hashes = {
+    return workloads
+
+
+def _report_hashes(configs) -> dict[str, str]:
+    return {
         config["name"]: hashlib.sha256(run(parse_config(json.dumps(config))).to_json().encode()).hexdigest()
-        for config in workloads.build("passive-sampling", 1)
+        for config in configs
     }
-    assert hashes == PASSIVE_SAMPLING_SEED_1
+
+
+def test_passive_sampling_reports_at_seed_1_are_unchanged():
+    assert _report_hashes(_workloads().build("passive-sampling", 1)) == PASSIVE_SAMPLING_SEED_1
+
+
+def test_protocol_loops_per_trial_reports_at_seed_1_are_unchanged():
+    workloads = _workloads()
+    per_trial = workloads.build("protocol-loops", 1)[len(workloads.SHIPPED_CONFIGS) :]
+    assert _report_hashes(per_trial) == PROTOCOL_LOOPS_SEED_1

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from pqt.harness import (
     ConfigError,
-    chi_square_gof,
     list_protocols,
     parse_config,
     run,
@@ -70,22 +69,6 @@ class TestStats:
             wilson_interval(0, 0)
         with pytest.raises(ValueError, match="out of range"):
             wilson_interval(5, 4)
-
-    def test_chi_square_null_case(self):
-        statistic, p_value = chi_square_gof([10, 10, 10, 10], [10, 10, 10, 10])
-        assert statistic == 0.0
-        assert p_value == pytest.approx(1.0)
-
-    def test_chi_square_known_quantile(self):
-        # chi2(1 dof) at 3.841459 leaves 5% in the upper tail.
-        _, p_value = chi_square_gof([50 + 9.8, 50 - 9.8], [50, 50])
-        assert p_value == pytest.approx(0.05, abs=2e-3)
-
-    def test_chi_square_errors(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            chi_square_gof([1, 2], [1, 2, 3])
-        with pytest.raises(ValueError, match="no observations"):
-            chi_square_gof([0, 0], [1, 1])
 
 
 class TestParseConfig:
@@ -268,17 +251,41 @@ def test_every_protocol_reachable_from_documented_config():
         assert report.payload()["config"]["protocol"] == protocol
 
 
+class _Unreadable:
+    """Stands in for ``config.extras``: any read of it fails."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a runner read config.extras")
+
+    __getattr__ = __getitem__ = __contains__ = __iter__ = __len__ = __bool__ = _refuse
+
+
 def test_run_resolves_no_input(monkeypatch):
     configs = [parse_config(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))]
+    expected = [run(config).to_json() for config in configs]
 
     def refuse(*args, **kwargs):
         raise AssertionError("an input was resolved during the run")
 
+    def without_extras(runner):
+        def wrapped(config, report, stream):
+            blind = copy.copy(config)
+            blind.extras = _Unreadable()
+            runner(blind, report, stream)
+
+        return wrapped
+
     for name in [name for name in vars(config_module) if name.startswith("resolve_")]:
         monkeypatch.setattr(config_module, name, refuse)
         monkeypatch.setattr(runner_module, name, refuse, raising=False)
-    for config in configs:
-        run(config)
+    for protocol, (runner, spec) in list(PROTOCOLS.items()):
+        monkeypatch.setitem(PROTOCOLS, protocol, (without_extras(runner), spec))
+    assert [run(config).to_json() for config in configs] == expected
+
+
+def test_settings_default_when_the_config_leaves_them_out():
+    inputs = parse_config(EXAMPLE).inputs
+    assert (inputs.source, inputs.action, inputs.ensemble, inputs.followup_shots) == ("global", "none", False, 1)
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda path: path.stem)
@@ -531,6 +538,19 @@ class TestCLI:
         assert main(["run", "--config", str(CONFIG_DIR / "joint-global.json"), "--seed", "-5"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("invalid:") and "--seed" in err
+
+    def test_shape_mismatch_names_the_field_once(self, tmp_path, capsys):
+        config = {
+            "name": "bad",
+            "protocol": "repeatability",
+            "shape": [2],
+            "initial_state": [[1, 0], [0, 0], [0, 0]],
+            "observables": ["pauli:Z"],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.count("config field 'initial_state'") == 1
 
     def test_list_protocols(self, capsys):
         assert main(["list-protocols"]) == 0

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -134,6 +135,21 @@ class TestFunctionRecovery:
     def test_tiny_shot_budget_reports_ambiguity(self):
         with pytest.raises(ValueError, match="insufficient shots"):
             function_recovery(OracleSpec(2, (0, 0, 1, 1)), "passive", rng.stream(0, "fr/ambig"), shots=2)
+
+    def test_ambiguous_decode_names_the_weights_as_plain_floats(self):
+        config = {
+            "name": "fr5",
+            "protocol": "function-recovery",
+            "mode": "passive",
+            "oracle": {"n": 5, "truth_table": [0, 1] * 16},
+            "shots": 10,
+        }
+        with pytest.raises(ValueError) as caught:
+            run(parse_config(json.dumps(config)))
+        assert str(caught.value) == (
+            "config field 'shots': insufficient shots: ambiguous decode for input 4 "
+            "(weights (0.031117195863547577, 0.008793263946164996))"
+        )
 
     def test_quantum_mean_calls_near_coupon_collector(self):
         # Analytic expectation 4 * H_4 = 25/3; Monte Carlo mean over 200
@@ -333,6 +349,20 @@ class TestSimulateCollapse:
         sys = PSystem(plus_state(), "passive", _ZeroUniforms())
         with pytest.raises(ValueError, match="outcome -1.0 of 'Z' has zero probability"):
             simulate_qt_with_pqt(sys, Z, library={0: tilted, 1: tilted}, followup_obs=Z, followup_shots=3)
+
+    def test_followup_reference_rejects_a_drawn_impossible_outcome(self):
+        # Every uniform is 0.0: Z on |+> gives -1, so the library puts |0> in place and the
+        # fresh-copy reference collapses to |1>.  There the follow-up's outcome -1 has weight
+        # about 1e-13, below ZERO_PROBABILITY; on a quantum copy measure() refuses it.
+        v = np.array([6.3e-7, -1.0]) / np.hypot(6.3e-7, 1.0)
+        tilt = Observable("tilt", v[0] * PAULI_X + v[1] * PAULI_Z)
+        library = {0: basis_state(2, 0), 1: basis_state(2, 1)}
+        refusal = re.escape(f"outcome {tilt.eigenvalues[0]!r} of 'tilt' has zero probability; the post-measurement")
+        with pytest.raises(ValueError, match=refusal):
+            measure(PSystem(collapse_update(plus_state(), Z, 0), "quantum", _ZeroUniforms()), tilt)
+        sys = PSystem(plus_state(), "passive", _ZeroUniforms())
+        with pytest.raises(ValueError, match=refusal):
+            simulate_qt_with_pqt(sys, Z, library=library, followup_obs=tilt, followup_shots=3)
 
     def test_followup_memory_does_not_grow_with_shots(self):
         peaks = {}
