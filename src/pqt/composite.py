@@ -26,8 +26,8 @@ from .measurement import (
     PSystem,
     _cdf_counts,
     _cdf_table,
+    _LocalPair,
     _Readout,
-    _require_all_possible,
     born_distribution,
 )
 from .tomography import ICSet, _frame_estimate, _frame_table, hermitian_basis_ic_set
@@ -139,7 +139,6 @@ def global_joint_sample(
     quantum mode every shot collapses the state, so gathering statistics
     needs a fresh copy per shot; pass ``ensemble=True`` to consume
     copies of the current state (the system itself is not touched).
-    A drawn (a, b) cell of probability <= ``ZERO_PROBABILITY`` is refused.
     """
     if len(sys.state.shape) != 2:
         raise ValueError("global joint sampling needs a bipartite system")
@@ -147,7 +146,7 @@ def global_joint_sample(
         raise ValueError("ensemble required in quantum mode: a single copy collapses on the first shot")
     probs = joint_distribution_global(sys.state, a_obs, b_obs)
     cells = _Readout(f"{a_obs.name}x{b_obs.name}", tuple(itertools.product(a_obs.eigenvalues, b_obs.eigenvalues)))
-    return _joint_sample(sys, a_obs, b_obs, probs, shots, [(cells, probs)])
+    return _joint_sample(sys, a_obs, b_obs, probs, shots, (cells,))
 
 
 def local_passive_joint_sample(
@@ -162,9 +161,8 @@ def local_passive_joint_sample(
     second, so each shot's (a, b) pair is drawn, with one uniform over
     the row-major grid, from the product of the Born distributions of
     A tensor I and I tensor B (the table of
-    ``joint_distribution_local_passive``).  A drawn pair is refused when
-    either side's outcome has probability <= ``ZERO_PROBABILITY``, as
-    measuring that lifted observable alone would refuse it.
+    ``joint_distribution_local_passive``).  A drawn pair is refused as
+    measuring the lifted observable of either side alone would refuse it.
     """
     if sys.mode != "passive":
         raise ValueError(
@@ -177,29 +175,20 @@ def local_passive_joint_sample(
     lifted_a, lifted_b = lift_local(a_setting, shape), lift_local(b_setting, shape)
     marg_a = born_distribution(lifted_a, sys.state).probabilities
     marg_b = born_distribution(lifted_b, sys.state).probabilities
-    guards = [(lifted_a, marg_a[:, None]), (lifted_b, marg_b[None, :])]
-    return _joint_sample(sys, lifted_a, lifted_b, np.outer(marg_a, marg_b), shots, guards)
+    pair = _LocalPair((lifted_a, lifted_b), (marg_a, marg_b))
+    return _joint_sample(sys, lifted_a, lifted_b, np.outer(marg_a, marg_b), shots, pair)
 
 
 def _joint_sample(
-    sys: PSystem, a_obs: Observable, b_obs: Observable, probs: np.ndarray, shots: int, guards: list
+    sys: PSystem, a_obs: Observable, b_obs: Observable, probs: np.ndarray, shots: int, readouts
 ) -> JointFrequencyTable:
     """Count ``shots`` draws from the joint table ``probs``, one uniform per shot over the row-major (a, b) grid.
 
-    Only when some cell has probability <= ``ZERO_PROBABILITY`` are the
-    drawn cells checked, against each guard: a readout and its outcome
-    probabilities laid over the grid (the whole grid for a global
-    device's cells, a column for side A's outcomes, a row for side B's).
+    ``readouts`` names the cells (a global device) or is the ``_LocalPair`` of the two local sides.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
-    table = _cdf_table(probs.reshape(1, -1))
-    counts = _cdf_counts(table, sys.rng, shots)[0]
-    if table.risky[0]:
-        for readout, probabilities in guards:
-            outcome_of_cell = np.broadcast_to(np.arange(probabilities.size).reshape(probabilities.shape), probs.shape)
-            drawn = outcome_of_cell.ravel()[np.flatnonzero(counts)]
-            _require_all_possible(readout, drawn, probabilities.ravel()[drawn], sys.mode)
+    counts = _cdf_counts(_cdf_table(probs.reshape(1, -1)), sys.rng, shots, readouts, sys.mode)[0]
     return JointFrequencyTable(a_obs.eigenvalues, b_obs.eigenvalues, counts.reshape(probs.shape), shots)
 
 

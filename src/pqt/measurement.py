@@ -13,6 +13,14 @@ rows of outcome probabilities once and keeps their CDF edges, ``_cdf_index``
 turns uniforms into per-shot outcome indices, and ``_cdf_counts`` counts
 outcomes from CDF-edge crossings with no per-shot index, ``SAMPLE_CHUNK``
 uniforms at a time in stream order, so memory does not grow with the shot count.
+
+Both modes keep the Born rule, so both kernels refuse a drawn outcome of
+probability <= ``ZERO_PROBABILITY``, naming the least probable one of the first
+such row: "outcome a of 'name' has zero probability; the post-measurement state
+is undefined" (quantum) or "...; an impossible outcome was claimed" (passive).
+Only such rows are checked.  A local passive pair (``_LocalPair``) is refused on a
+side's marginal, not their product, as measuring that side alone would.  A proper
+mixture's member draw, a preparation and no outcome, refuses nothing.
 """
 
 from __future__ import annotations
@@ -176,7 +184,7 @@ class _CdfTable:
     probabilities: np.ndarray  # (k, m), read-only, negative roundoff clipped to zero
     totals: np.ndarray  # (k, 1) CDF total of each row
     edges: np.ndarray  # (k, max(m, 2) - 1) interior CDF edges, +inf (reached by no draw) past a row's last
-    risky: np.ndarray  # (k,) rows with an outcome of probability <= ZERO_PROBABILITY
+    risky: np.ndarray  # indices of the rows with an outcome of probability <= ZERO_PROBABILITY
 
 
 def _cdf_table(raw: np.ndarray, sizes: np.ndarray | None = None) -> _CdfTable:
@@ -199,15 +207,16 @@ def _cdf_table(raw: np.ndarray, sizes: np.ndarray | None = None) -> _CdfTable:
     cdf = np.cumsum(probabilities, axis=1)  # padding adds zeros: the last column holds each row's total
     edges = np.where(columns[:-1] < sizes - 1, cdf[:, : columns.size - 1], np.inf)
     risky = np.where(columns[: raw.shape[1]] < sizes, probabilities, np.inf).min(axis=1) <= ZERO_PROBABILITY
-    return _CdfTable(probabilities, cdf[:, -1:], edges, risky)
+    return _CdfTable(probabilities, cdf[:, -1:], edges, np.flatnonzero(risky))
 
 
-def _cdf_index(table: _CdfTable, uniforms: np.ndarray) -> np.ndarray:
+def _cdf_index(table: _CdfTable, uniforms: np.ndarray, readouts, mode: str | None) -> np.ndarray:
     """The outcome each uniform in [0, 1) selects: how many interior edges of its row it reaches, scaled.
 
     ``uniforms`` holds as many draws for each row of ``table``, row after
     row; it is scaled in place (pass an array not read again) and the
     indices take its shape.  The input's shape alone picks the method.
+    A drawn impossible outcome is refused, naming ``readouts[row]`` and ``mode`` (None: no refusal).
     """
     rows, width = table.edges.shape
     scaled = uniforms.reshape(rows, -1)
@@ -218,16 +227,21 @@ def _cdf_index(table: _CdfTable, uniforms: np.ndarray) -> np.ndarray:
         indices = np.greater_equal(scaled, table.edges[:, :1], out=np.empty(scaled.shape, np.intp))
         for column in range(1, width):
             indices += scaled >= table.edges[:, column : column + 1]
+    if table.risky.size and readouts is not None:
+        drawn = indices[table.risky]
+        probabilities = np.take_along_axis(table.probabilities[table.risky], drawn, axis=1)
+        _refuse_drawn(readouts, table.risky, probabilities, mode, drawn)
     return indices.reshape(uniforms.shape)
 
 
-def _cdf_counts(table: _CdfTable, rng: np.random.Generator, n: int) -> np.ndarray:
+def _cdf_counts(table: _CdfTable, rng: np.random.Generator, n: int, readouts, mode: str | None) -> np.ndarray:
     """How often each outcome of every row of ``table`` is drawn in n draws from ``rng``: a ``(k, m)`` array.
 
     Rows take n uniforms each, in stream order: in blocks of rows of at most ``SAMPLE_CHUNK``
     uniforms, or a chunk at a time for a longer row.  A scaled uniform reaches a prefix of its
     row's interior edges, so an outcome's count is the difference of the counts of draws that
-    reach its two edges: the per-draw indices of ``_cdf_index`` are never built.
+    reach its two edges: the per-draw indices of ``_cdf_index`` are never built.  A drawn
+    outcome is refused as ``_cdf_index`` refuses it, or as a ``_LocalPair`` refuses its cell.
     """
     rows, width = table.edges.shape
     reached = np.zeros((rows, width + 2), dtype=np.int64)  # draws reaching each interior edge, between n and 0
@@ -241,7 +255,15 @@ def _cdf_counts(table: _CdfTable, rng: np.random.Generator, n: int) -> np.ndarra
             axis = 1 if len(scaled) > 1 else None  # on one row, the whole-array count is several times faster
             for column in range(width):
                 reached[block, column + 1] += np.count_nonzero(scaled >= table.edges[block, column : column + 1], axis)
-    return (reached[:, :-1] - reached[:, 1:])[:, : table.probabilities.shape[1]]
+    counts = (reached[:, :-1] - reached[:, 1:])[:, : table.probabilities.shape[1]]
+    if table.risky.size and isinstance(readouts, _LocalPair):
+        cells = counts.reshape(readouts.marginals[0].size, -1) > 0
+        for readout, marginal, drawn in zip(readouts.sides, readouts.marginals, (cells.any(1), cells.any(0))):
+            _refuse_drawn((readout,), (0,), np.where(drawn, marginal, np.inf)[None], mode)
+    elif table.risky.size and readouts is not None:
+        drawn = np.where(counts[table.risky] > 0, table.probabilities[table.risky], np.inf)
+        _refuse_drawn(readouts, table.risky, drawn, mode)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -260,9 +282,9 @@ class OutcomeDistribution:
         object.__setattr__(self, "cdf", cdf)
         object.__setattr__(self, "probabilities", cdf.probabilities[0])
 
-    def sample_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Inverse-CDF sampling: one uniform per shot over the sorted outcomes."""
-        return _cdf_index(self.cdf, rng.random(n))
+    def sample_indices(self, rng: np.random.Generator, n: int, readout, mode: str) -> np.ndarray:
+        """One uniform per shot over the sorted outcomes of ``readout``, measured in ``mode``."""
+        return _cdf_index(self.cdf, rng.random(n), (readout,), mode)
 
     def as_dict(self) -> dict[float, float]:
         return {a: float(p) for a, p in zip(self.eigenvalues, self.probabilities)}
@@ -384,7 +406,7 @@ def passive_update(state: State, obs: Observable, outcome_index: int) -> State:
     The outcome must still be realizable; claiming an impossible outcome
     is an error just as in the collapse rule.
     """
-    _require_possible(obs, outcome_index, obs.outcome_probabilities(state)[outcome_index])
+    _require_possible(obs, outcome_index, obs.outcome_probabilities(state)[outcome_index], "passive")
     return state
 
 
@@ -395,13 +417,20 @@ _ZERO_PROBABILITY_CONSEQUENCE = {
 
 
 class _Readout(NamedTuple):
-    """What a zero-probability error names of a measurement: ``_require_all_possible`` reads only these."""
+    """What a zero-probability error names of a measurement: ``_require_possible`` reads only these."""
 
     name: str
     eigenvalues: tuple
 
 
-def _require_possible(obs: Observable | _Readout, outcome_index: int, probability: float, mode: str = "passive") -> None:
+class _LocalPair(NamedTuple):
+    """Readout of local (a, b) pairs over the row-major grid: a cell is refused on side A's, then B's marginal."""
+
+    sides: tuple[Observable, Observable]
+    marginals: tuple[np.ndarray, np.ndarray]
+
+
+def _require_possible(obs: Observable | _Readout, outcome_index: int, probability: float, mode: str) -> None:
     """Refuse an outcome of zero probability: neither update rule can follow it."""
     if probability <= ZERO_PROBABILITY:
         raise ValueError(
@@ -410,20 +439,24 @@ def _require_possible(obs: Observable | _Readout, outcome_index: int, probabilit
         )
 
 
-def _require_all_possible(obs: Observable | _Readout, indices: np.ndarray, probabilities: np.ndarray, mode: str) -> None:
-    """Refuse drawn outcomes of zero probability, as updating on each of them in turn would."""
-    least = int(np.argmin(probabilities))
-    _require_possible(obs, int(indices[least]), probabilities[least], mode)
+def _refuse_drawn(readouts, rows, probabilities: np.ndarray, mode: str, outcomes: np.ndarray | None = None) -> None:
+    """Refuse the least probable drawn outcome, the first among equals, of the first row that drew an impossible one.
+
+    ``probabilities[i, j]`` is the probability of draw j in row ``rows[i]``, +inf for no draw,
+    and ``outcomes[i, j]`` (j by default) its outcome.
+    """
+    offending = np.flatnonzero(probabilities.min(axis=1, initial=np.inf) <= ZERO_PROBABILITY)
+    if offending.size:
+        i = offending[0]
+        j = int(np.argmin(probabilities[i]))
+        _require_possible(readouts[rows[i]], j if outcomes is None else int(outcomes[i, j]), probabilities[i, j], mode)
 
 
 def _sample_and_update(sys: PSystem, obs: Observable) -> int:
     """Draw one outcome index from the current state and apply the mode's update rule."""
-    dist = born_distribution(obs, sys.state)
-    index = int(dist.sample_indices(sys.rng, 1)[0])
+    index = int(born_distribution(obs, sys.state).sample_indices(sys.rng, 1, obs, sys.mode)[0])
     if sys.mode == "quantum":
         sys.state = collapse_update(sys.state, obs, index)
-    else:
-        _require_possible(obs, index, dist.probabilities[index])
     return index
 
 
@@ -446,10 +479,7 @@ def repeated_measure(sys: PSystem, obs: Observable, n: int) -> MeasurementRecord
     if n < 1:
         raise ValueError("need at least one shot")
     if sys.mode == "passive":
-        dist = born_distribution(obs, sys.state)
-        indices = dist.sample_indices(sys.rng, n)
-        if dist.cdf.risky[0]:
-            _require_all_possible(obs, indices, dist.probabilities[indices], "passive")
+        indices = born_distribution(obs, sys.state).sample_indices(sys.rng, n, obs, "passive")
     else:
         indices = np.fromiter((_sample_and_update(sys, obs) for _ in range(n)), dtype=np.intp, count=n)
     sys.history[obs.name] += n
@@ -464,10 +494,7 @@ def _passive_counts(sys: PSystem, observables: tuple[Observable, ...], table: _C
     """
     if n < 1:
         raise ValueError("need at least one shot")
-    counts = _cdf_counts(table, sys.rng, n)
-    for row in np.flatnonzero(table.risky).tolist():
-        drawn = np.flatnonzero(counts[row])
-        _require_all_possible(observables[row], drawn, table.probabilities[row, drawn], "passive")
+    counts = _cdf_counts(table, sys.rng, n, observables, "passive")
     for obs in observables:
         sys.history[obs.name] += n
     return counts

@@ -45,7 +45,6 @@ from .measurement import (
     _cdf_table,
     _passive_counts,
     _Readout,
-    _require_all_possible,
     _uniform_chunks,
     born_distribution,
     collapse_update,
@@ -184,7 +183,7 @@ def function_recovery(
     seen: dict[int, int] = {}
     used: list[int] = []
     while len(seen) < n_inputs:
-        for index in _cdf_index(dist.cdf, rng.random(ORACLE_DRAW_BLOCK)).tolist():
+        for index in _cdf_index(dist.cdf, rng.random(ORACLE_DRAW_BLOCK), (readout,), "quantum").tolist():
             used.append(index)
             x, y = index >> 1, index & 1
             seen[x] = y
@@ -193,7 +192,6 @@ def function_recovery(
                 break
     rng.bit_generator.state = start
     rng.random(len(used))
-    _require_all_possible(readout, np.array(used), dist.probabilities[used], "quantum")
     calls = len(used)
     report.resources = {"oracle_calls": calls, "copies_consumed": calls, "shots_per_observable": 1}
     report.verdicts["truth_table"] = tuple(seen[x] for x in range(n_inputs))
@@ -371,7 +369,7 @@ def proper_vs_improper(
     report = ProtocolReport("proper-vs-improper", "passive")
     for trial in range(trials):
         if mixture is not None:
-            index = int(_cdf_index(members, rng.random(1))[0])
+            index = int(_cdf_index(members, rng.random(1), readouts=None, mode=None)[0])
             sys = PSystem(mixture[index][0], "passive", rng)
             table = tables[index]
         else:
@@ -446,10 +444,7 @@ def simulate_qt_with_pqt(
         simulated = born_distribution(followup_obs, sys.state).cdf
         sim_counts = _passive_counts(sys, (followup_obs,), simulated, followup_shots)
         reference = born_distribution(followup_obs, collapse_update(state_before, obs, outcome_index)).cdf
-        ref_counts = _cdf_counts(reference, sys.rng, followup_shots)
-        if reference.risky[0]:
-            drawn = np.flatnonzero(ref_counts[0])
-            _require_all_possible(followup_obs, drawn, reference.probabilities[0, drawn], "quantum")
+        ref_counts = _cdf_counts(reference, sys.rng, followup_shots, (followup_obs,), "quantum")
         tv = 0.5 * float(np.abs(sim_counts - ref_counts).sum()) / followup_shots
         report.verdicts["followup_tv"] = tv
         report.resources["reference_copies_consumed"] = followup_shots
@@ -460,8 +455,6 @@ _BELL_ORDER = ("phi+", "phi-", "psi+", "psi-")
 _CORRECTIONS = np.stack((PAULI_I, PAULI_Z, PAULI_X, PAULI_Z @ PAULI_X))
 _BELL_BRAS = np.array([bell_state(name).amplitudes for name in _BELL_ORDER]).conj()  # row k: <bell_k| on qubits 1-2
 _SHARED_PAIR = bell_state("phi+").amplitudes.reshape(2, 2)  # qubit 2 by qubit 3
-
-
 _BELL_READOUT = _Readout("bell-basis-12", (0.0, 1.0, 2.0, 3.0))
 
 
@@ -485,9 +478,8 @@ def teleportation_fidelities(inputs: np.ndarray, mode: str, rng: np.random.Gener
     conditional = _BELL_BRAS @ block
     raw = np.einsum("tkb,tkb->tk", conditional.conj(), conditional).real
     table = _cdf_table(raw)
+    _cdf_index(table, rng.random(rows), (_BELL_READOUT,) * rows, mode)
     probabilities = table.probabilities
-    drawn = _cdf_index(table, rng.random(rows))
-    _require_all_possible(_BELL_READOUT, drawn, probabilities[np.arange(rows), drawn], mode)
 
     possible = probabilities > ZERO_PROBABILITY
     if mode == "quantum":
@@ -545,29 +537,20 @@ def repeatability_experiment(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if mode == "passive":
-        # The state never updates, so the 2 * trials outcomes are i.i.d.
-        # draws from one Born distribution.
-        dist = born_distribution(obs, state)
-        agreements = 0
-        for uniforms in _uniform_chunks(rng, 2 * trials):
-            indices = _cdf_index(dist.cdf, uniforms)
-            if dist.cdf.risky[0]:
-                _require_all_possible(obs, indices, dist.probabilities[indices], "passive")
+    if mode not in ("quantum", "passive"):
+        raise ValueError(f"unknown mode {mode!r}")
+    first = born_distribution(obs, state)
+    after: dict[int, OutcomeDistribution] = {}  # quantum mode: kept across chunks, one per first outcome seen
+    agreements = 0
+    for uniforms in _uniform_chunks(rng, 2 * trials):
+        if mode == "passive":  # the state never updates: the 2 * trials outcomes are i.i.d. Born draws
+            indices = _cdf_index(first.cdf, uniforms, (obs,), mode)
             agreements += int(np.count_nonzero(indices[0::2] == indices[1::2]))
-    elif mode == "quantum":
-        first = born_distribution(obs, state)
-        after: dict[int, OutcomeDistribution] = {}  # kept across chunks, one per first outcome seen
-        agreements = 0
-        for uniforms in _uniform_chunks(rng, 2 * trials):
-            firsts = _cdf_index(first.cdf, uniforms[0::2])
-            _require_all_possible(obs, firsts, first.probabilities[firsts], "quantum")
+        else:
+            firsts = _cdf_index(first.cdf, uniforms[0::2], (obs,), mode)
             for k in np.flatnonzero(np.bincount(firsts, minlength=first.probabilities.size)).tolist():
                 if k not in after:
                     after[k] = born_distribution(obs, collapse_update(state, obs, k))
-                seconds = _cdf_index(after[k].cdf, uniforms[1::2][firsts == k])
-                _require_all_possible(obs, seconds, after[k].probabilities[seconds], "quantum")
+                seconds = _cdf_index(after[k].cdf, uniforms[1::2][firsts == k], (obs,), mode)
                 agreements += int(np.count_nonzero(seconds == k))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     return agreements / trials

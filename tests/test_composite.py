@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import _ZeroUniforms
 
 from pqt import composite, rng
 from pqt.composite import (
@@ -153,16 +154,6 @@ class TestGlobalJointSample:
         product = np.outer(empirical.sum(axis=1), empirical.sum(axis=0))
         tv = 0.5 * np.abs(empirical - product).sum()
         assert tv <= 5.0 / np.sqrt(n)
-
-
-class _ZeroUniforms:
-    """Stands in for a generator whose every uniform draw is 0.0."""
-
-    def random(self, size=None, out=None):
-        if out is None:
-            return np.zeros(size)
-        out[...] = 0.0
-        return out
 
 
 def nearly_zero(weight):

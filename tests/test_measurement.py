@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import GivenUniforms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,7 @@ from pqt.measurement import (
     _cdf_counts,
     _cdf_index,
     _cdf_table,
+    _Readout,
     born_distribution,
     collapse_update,
     expectation_variance,
@@ -87,7 +89,7 @@ class TestOutcomeDistribution:
 
     def test_zero_probability_outcomes_never_sampled(self):
         dist = OutcomeDistribution((0.0, 1.0, 2.0), np.array([0.5, 0.0, 0.5]))
-        indices = dist.sample_indices(rng.stream(0, "dist/zero"), 10_000)
+        indices = dist.sample_indices(rng.stream(0, "dist/zero"), 10_000, _Readout("D", dist.eigenvalues), "passive")
         assert 1 not in set(indices.tolist())
 
 
@@ -323,7 +325,7 @@ class TestInverseCdf:
 
 def inverse_cdf(weights, gen, n):
     """n inverse-CDF draws from ``gen`` over one row of weights."""
-    return _cdf_index(_cdf_table(np.asarray(weights)[None]), gen.random(n))
+    return _cdf_index(_cdf_table(np.asarray(weights)[None]), gen.random(n), None, None)
 
 
 def one_shot_indices(weights, uniforms):
@@ -364,9 +366,9 @@ class TestCdfIndex:
         uniforms = np.resize(EDGE_UNIFORMS, (len(weights), n))
         expected = np.array([one_shot_indices(row, u) for row, u in zip(weights, uniforms)])
         table = _cdf_table(raw, sizes)
-        assert _cdf_index(table, uniforms.copy()).tolist() == expected.tolist()
+        assert _cdf_index(table, uniforms.copy(), None, None).tolist() == expected.tolist()
         if len(weights) == 1:
-            counts = _cdf_counts(table, GivenUniforms(uniforms[0]), n)
+            counts = _cdf_counts(table, GivenUniforms(uniforms[0]), n, None, None)
             assert counts.tolist() == [np.bincount(expected[0], minlength=sizes[0]).tolist()]
 
 
@@ -383,7 +385,7 @@ class TestCdfCounts:
             expected_gen.random(5)
             actual_gen.random(5)
             expected = np.bincount(one_shot_indices(weights, expected_gen.random(n)), minlength=k)
-            assert _cdf_counts(_cdf_table(weights[None]), actual_gen, n).tolist() == [expected.tolist()]
+            assert _cdf_counts(_cdf_table(weights[None]), actual_gen, n, None, None).tolist() == [expected.tolist()]
             assert position(actual_gen) == position(expected_gen)
 
 
@@ -411,32 +413,15 @@ class TestCdfCountsProperty:
         raw, sizes = table
         cdf = _cdf_table(raw, sizes)
         expected_gen, actual_gen = rng.stream(seed, "counts/property"), rng.stream(seed, "counts/property")
-        indices = _cdf_index(cdf, expected_gen.random(len(raw) * n)).reshape(len(raw), n)
+        indices = _cdf_index(cdf, expected_gen.random(len(raw) * n), None, None).reshape(len(raw), n)
         expected = [np.bincount(row, minlength=raw.shape[1]).tolist() for row in indices]
-        assert _cdf_counts(cdf, actual_gen, n).tolist() == expected
+        assert _cdf_counts(cdf, actual_gen, n, None, None).tolist() == expected
         assert position(actual_gen) == position(expected_gen)
 
 
 def position(gen):
     """The generator's full state (key, counter, buffer) as comparable text."""
     return json.dumps(gen.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
-
-
-class GivenUniforms:
-    """Stands in for a generator that hands out the given uniforms in order."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-        self.used = 0
-
-    def random(self, n=None, out=None):
-        size = n if out is None else out.size
-        drawn = self.values[self.used : self.used + size]
-        self.used += size
-        if out is None:
-            return drawn.copy()
-        out[...] = drawn
-        return out
 
 
 class TestInstruments:

@@ -7,6 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import _ZeroUniforms
 
 from pqt import rng
 from pqt.harness import parse_config, run
@@ -337,7 +338,7 @@ class TestSimulateCollapse:
         expected_sys.replace_state(library[index])
         simulated = np.bincount(repeated_measure(expected_sys, X, 1000).indices, minlength=2)
         reference_dist = born_distribution(X, collapse_update(plus_state(), Z, index))
-        reference = np.bincount(reference_dist.sample_indices(expected_sys.rng, 1000), minlength=2)
+        reference = np.bincount(reference_dist.sample_indices(expected_sys.rng, 1000, X, "quantum"), minlength=2)
         assert report.verdicts["followup_tv"] == 0.5 * float(np.abs(simulated - reference).sum()) / 1000
         assert actual_sys.history == expected_sys.history
         assert _position(actual_sys.rng) == _position(expected_sys.rng)
@@ -533,16 +534,6 @@ def reference_teleportation(input_state, mode, gen):
 def _position(gen):
     """The generator's full state (key, counter, buffer) as comparable text."""
     return json.dumps(gen.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
-
-
-class _ZeroUniforms:
-    """Stands in for a generator whose every uniform draw is 0.0."""
-
-    def random(self, size=None, out=None):
-        if out is None:
-            return np.zeros(size)
-        out[...] = 0.0
-        return out
 
 
 class TestCollapseLoopsMatchReference:

@@ -1,0 +1,334 @@
+"""The one impossible-draw rule: the sampling kernels refuse a drawn outcome of zero probability.
+
+Both modes keep the Born rule, so a drawn outcome of probability <= ZERO_PROBABILITY is an
+error in both.  These tests walk every entry point that draws, through the library and
+through ``run``, pin which outcome the message names, and check that no module outside
+``pqt.measurement`` applies the rule by hand.
+"""
+
+import ast
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+from conftest import GivenUniforms, _ZeroUniforms
+
+import pqt
+from pqt import measurement, protocols, rng
+from pqt.composite import LocalSetting, global_joint_sample, local_passive_joint_sample
+from pqt.harness import parse_config, run
+from pqt.harness import runner as runner_module
+from pqt.hilbert import PAULI_Z, StateVector, basis_state, random_pure_state, tensor
+from pqt.measurement import (
+    ZERO_PROBABILITY,
+    Observable,
+    PSystem,
+    _cdf_counts,
+    _cdf_index,
+    _cdf_table,
+    _Readout,
+    measure,
+    repeated_measure,
+)
+from pqt.protocols import (
+    _BELL_BRAS,
+    _SHARED_PAIR,
+    OracleSpec,
+    _post_oracle_readout,
+    repeatability_experiment,
+)
+from pqt.tomography import (
+    _frame_table,
+    estimate_expectations,
+    estimate_spectrum,
+    ic_set_for_dimension,
+    pauli_ic_set,
+    reconstruct_single_copy,
+)
+
+Z = Observable("Z", PAULI_Z)
+WEIGHT = 1e-13  # below ZERO_PROBABILITY
+TILTED = [np.sqrt(1.0 - WEIGHT), np.sqrt(WEIGHT)]  # Z = -1, the first outcome, has probability 1e-13
+CONSEQUENCE = {"quantum": "the post-measurement state is undefined", "passive": "an impossible outcome was claimed"}
+
+
+def refusal(value, name, mode):
+    return f"outcome {value!r} of {name!r} has zero probability; {CONSEQUENCE[mode]}"
+
+
+def tilted():
+    return StateVector(TILTED)
+
+
+def tilted_pair():
+    """Side A tilted, side B in |0>: the global cell (-1, +1) and side A's -1 have probability 1e-13."""
+    return tensor(tilted(), basis_state(2, 0))
+
+
+# Every uniform is 0.0, which draws the first outcome of nonzero weight: Z = -1 on the tilted
+# qubit, and the (-1, +1) cell on the tilted pair.
+LIBRARY_CASES = {
+    "measure/passive": (lambda: measure(PSystem(tilted(), "passive", _ZeroUniforms()), Z), refusal(-1.0, "Z", "passive")),
+    "measure/quantum": (lambda: measure(PSystem(tilted(), "quantum", _ZeroUniforms()), Z), refusal(-1.0, "Z", "quantum")),
+    "repeated_measure/passive": (
+        lambda: repeated_measure(PSystem(tilted(), "passive", _ZeroUniforms()), Z, 3),
+        refusal(-1.0, "Z", "passive"),
+    ),
+    "repeated_measure/quantum": (
+        lambda: repeated_measure(PSystem(tilted(), "quantum", _ZeroUniforms()), Z, 3),
+        refusal(-1.0, "Z", "quantum"),
+    ),
+    "estimate_expectations": (
+        lambda: estimate_expectations(PSystem(tilted(), "passive", _ZeroUniforms()), pauli_ic_set(1), 3),
+        refusal(-1.0, "Z", "passive"),
+    ),
+    "reconstruct_single_copy": (
+        lambda: reconstruct_single_copy(PSystem(tilted(), "passive", _ZeroUniforms()), ic_set_for_dimension(2), 3),
+        refusal(-1.0, "Z", "passive"),
+    ),
+    "estimate_spectrum": (
+        lambda: estimate_spectrum(PSystem(tilted(), "passive", _ZeroUniforms()), Z, 3),
+        refusal(-1.0, "Z", "passive"),
+    ),
+    "global_joint_sample/passive": (
+        lambda: global_joint_sample(PSystem(tilted_pair(), "passive", _ZeroUniforms()), Z, Z, 3),
+        refusal((-1.0, 1.0), "ZxZ", "passive"),
+    ),
+    "global_joint_sample/quantum": (
+        lambda: global_joint_sample(PSystem(tilted_pair(), "quantum", _ZeroUniforms()), Z, Z, 3, ensemble=True),
+        refusal((-1.0, 1.0), "ZxZ", "quantum"),
+    ),
+    "local_passive_joint_sample": (
+        lambda: local_passive_joint_sample(
+            PSystem(tilted_pair(), "passive", _ZeroUniforms()), LocalSetting("A", Z), LocalSetting("B", Z), 3
+        ),
+        refusal(-1.0, "ZxI", "passive"),
+    ),
+    "repeatability_experiment/passive": (
+        lambda: repeatability_experiment(tilted(), Z, "passive", 3, _ZeroUniforms()),
+        refusal(-1.0, "Z", "passive"),
+    ),
+    "repeatability_experiment/quantum": (
+        lambda: repeatability_experiment(tilted(), Z, "quantum", 3, _ZeroUniforms()),
+        refusal(-1.0, "Z", "quantum"),
+    ),
+}
+
+QUBIT = {"initial_state": [[amplitude, 0.0] for amplitude in TILTED]}
+PAIR = {"shape": [2, 2], "initial_state": [[TILTED[0], 0.0], [0.0, 0.0], [TILTED[1], 0.0], [0.0, 0.0]]}
+RUN_CASES = {
+    "repeatability/passive": (
+        {"protocol": "repeatability", "mode": "passive", "observables": ["pauli:Z"], "trials": 3, **QUBIT},
+        refusal(-1.0, "Z", "passive"),
+    ),
+    "repeatability/quantum": (
+        {"protocol": "repeatability", "mode": "quantum", "observables": ["pauli:Z"], "trials": 3, **QUBIT},
+        refusal(-1.0, "Z", "quantum"),
+    ),
+    "reconstruct": ({"protocol": "reconstruct", "mode": "passive", **QUBIT}, refusal(-1.0, "Z", "passive")),
+    "spectrum": (
+        {"protocol": "spectrum", "mode": "passive", "observables": ["pauli:Z"], **QUBIT},
+        refusal(-1.0, "Z", "passive"),
+    ),
+    "simulate-collapse": (
+        {
+            "protocol": "simulate-collapse",
+            "mode": "passive",
+            "observables": ["pauli:Z"],
+            "library": "eigenstates",
+            "followup_observable": "pauli:X",
+            "followup_shots": 3,
+            **QUBIT,
+        },
+        refusal(-1.0, "Z", "passive"),
+    ),
+    "joint-global/passive": (
+        {"protocol": "joint-global", "mode": "passive", "observables": ["pauli:Z", "pauli:Z"], **PAIR},
+        refusal((-1.0, 1.0), "ZxZ", "passive"),
+    ),
+    "joint-global/quantum": (
+        {"protocol": "joint-global", "mode": "quantum", "ensemble": True, "observables": ["pauli:Z", "pauli:Z"], **PAIR},
+        refusal((-1.0, 1.0), "ZxZ", "quantum"),
+    ),
+    "joint-local": (
+        {"protocol": "joint-local", "mode": "passive", "observables": ["pauli:Z", "pauli:Z"], **PAIR},
+        refusal(-1.0, "ZxI", "passive"),
+    ),
+    "chsh/global": (
+        {"protocol": "chsh", "mode": "passive", "source": "global", "observables": ["pauli:Z", "pauli:X"] * 2, **PAIR},
+        refusal((-1.0, 1.0), "ZxZ", "passive"),
+    ),
+    "chsh/local-passive": (
+        {
+            "protocol": "chsh",
+            "mode": "passive",
+            "source": "local-passive",
+            "observables": ["pauli:Z", "pauli:X"] * 2,
+            **PAIR,
+        },
+        refusal(-1.0, "ZxI", "passive"),
+    ),
+}
+
+
+def no_update(*args):
+    raise AssertionError("an impossible outcome reached the collapse rule: its draw did not refuse it")
+
+
+class TestEveryDrawRefusesAnImpossibleOutcome:
+    @pytest.mark.parametrize("case", [*LIBRARY_CASES, *(f"run/{name}" for name in RUN_CASES)])
+    def test_entry_point_refuses_with_the_exact_message(self, case, monkeypatch):
+        # The draw itself refuses: the collapse rule, which checks a claimed outcome, is never reached.
+        monkeypatch.setattr(measurement, "collapse_update", no_update)
+        monkeypatch.setattr(protocols, "collapse_update", no_update)
+        if case.startswith("run/"):
+            fields, message = RUN_CASES[case[len("run/") :]]
+            config = parse_config(json.dumps({"name": "walk", "shots": 3, "seed": 1, **fields}))
+            monkeypatch.setattr(runner_module, "_stream", lambda config, purpose: _ZeroUniforms())
+            draw = lambda: run(config)  # noqa: E731
+        else:
+            draw, message = LIBRARY_CASES[case]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            draw()
+
+    def test_teleportation_cannot_draw_an_impossible_bell_outcome(self):
+        # Every Bell outcome has probability 1/4 up to rounding, whatever the input.
+        gen = rng.stream(0, "refusal/teleportation")
+        inputs = np.array([random_pure_state(2, gen).amplitudes for _ in range(2000)] + [TILTED, [1.0, 0.0], [0.0, 1.0]])
+        conditional = _BELL_BRAS @ (inputs[:, :, None, None] * _SHARED_PAIR).reshape(len(inputs), 4, 2)
+        probabilities = np.einsum("tkb,tkb->tk", conditional.conj(), conditional).real
+        assert np.abs(probabilities - 0.25).max() <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_function_recovery_cannot_draw_an_impossible_readout(self, n):
+        # Each readout outcome weighs exactly 0 or, up to rounding, 2^-n >= 1/32, and an exactly-zero
+        # outcome has no width in the CDF: no uniform, edges included, draws it.
+        gen = rng.stream(n, "refusal/oracle")
+        for _ in range(3):
+            readout, dist = _post_oracle_readout(OracleSpec(n, tuple(gen.integers(0, 2, 2**n).tolist())))
+            possible = dist.probabilities > 0.0
+            assert np.allclose(dist.probabilities[possible], 2.0**-n, rtol=1e-15, atol=0.0)
+            edges = np.cumsum(dist.probabilities)
+            uniforms = np.concatenate(([0.0], edges[:-1], np.nextafter(edges, 0.0))) / edges[-1]
+            drawn = _cdf_index(dist.cdf, np.clip(uniforms, 0.0, np.nextafter(1.0, 0.0)), (readout,), "quantum")
+            assert possible[drawn].all()
+
+
+class TestWhichOutcomeIsNamed:
+    @pytest.mark.parametrize(
+        "weight, offending, named",
+        [
+            # (sqrt(1 - 1e-13))^2 + 1e-13 rounds below 1, so IZ's -1 keeps a weight of 5.6e-17.
+            (1e-13, ["IZ", "ZI", "ZZ"], "IZ"),
+            # With weight 2^-43 the amplitudes square to exactly 1: IZ's -1 weighs 0 and is never drawn.
+            (2.0**-43, ["ZI", "ZZ"], "ZI"),
+        ],
+    )
+    def test_first_offending_row_in_frame_order(self, weight, offending, named):
+        state = tensor(StateVector([np.sqrt(1.0 - weight), np.sqrt(weight)]), basis_state(2, 0))
+        ic = pauli_ic_set(2)
+        table = _frame_table(ic.observables, state)
+        drawn_first = table.cdf.probabilities[:, 0]  # a zero uniform draws -1 unless its weight is exactly 0
+        assert [obs.name for obs, p in zip(ic.observables, drawn_first) if 0.0 < p <= ZERO_PROBABILITY] == offending
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal(-1.0, named, 'passive'))}$"):
+            estimate_expectations(PSystem(state, "passive", _ZeroUniforms()), ic, 3)
+
+    def test_least_probable_drawn_outcome_of_a_row(self):
+        # Outcome 0 (2e-13) is drawn first, outcome 2 (1e-13) second: the less probable one is named.
+        weights = np.array([[2e-13, 1.0 - 3e-13, 1e-13]])
+        readout = _Readout("D", (0.0, 1.0, 2.0))
+        message = f"^{re.escape(refusal(2.0, 'D', 'passive'))}$"
+        with pytest.raises(ValueError, match=message):
+            _cdf_index(_cdf_table(weights), np.array([0.0, np.nextafter(1.0, 0.0)]), (readout,), "passive")
+        with pytest.raises(ValueError, match=message):
+            _cdf_counts(_cdf_table(weights), GivenUniforms([0.0, np.nextafter(1.0, 0.0)]), 2, (readout,), "passive")
+
+    def test_a_mixture_member_of_tiny_weight_stays_drawable(self):
+        # A proper mixture's member draw prepares a state: it is no outcome and refuses nothing.
+        members = _cdf_table(np.array([[1e-13, 1.0 - 1e-13]]))
+        assert _cdf_index(members, np.zeros(1), readouts=None, mode=None).tolist() == [0]
+
+
+SOURCE = Path(pqt.__file__).parent
+REFUSAL_NAMES = {"risky", "_require_possible", "_require_all_possible"}
+KERNELS = {"_cdf_index": 2, "_cdf_counts": 3, "sample_indices": 2}  # position of the readouts argument
+
+
+def parsed_sources():
+    for path in sorted([*SOURCE.glob("*.py"), *SOURCE.glob("harness/*.py")]):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        yield path.relative_to(SOURCE).as_posix(), tree, parents
+
+
+def enclosing_function(node, parents):
+    while node in parents:
+        node = parents[node]
+        if isinstance(node, ast.FunctionDef):
+            return node.name
+    return None
+
+
+def identifiers(node):
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return {alias.name for alias in node.names}
+    if isinstance(node, ast.FunctionDef):
+        return {node.name}
+    return set()
+
+
+def called_name(call):
+    return call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+
+
+class TestTheRuleLivesInTheSampler:
+    def test_only_measurement_names_the_refusal_helpers(self):
+        found = {
+            (module, name)
+            for module, tree, _ in parsed_sources()
+            for node in ast.walk(tree)
+            for name in identifiers(node) & REFUSAL_NAMES
+        }
+        assert found and {module for module, _ in found} == {"measurement.py"}
+
+    def test_searchsorted_only_in_the_index_kernel(self):
+        places = [
+            (module, enclosing_function(node, parents))
+            for module, tree, parents in parsed_sources()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "searchsorted"
+        ]
+        assert places == [("measurement.py", "_cdf_index")]
+
+    def test_the_only_unrefused_draw_is_the_mixture_member(self):
+        unrefused, draws = [], 0
+        for module, tree, parents in parsed_sources():
+            for call in ast.walk(tree):
+                if not isinstance(call, ast.Call) or called_name(call) not in KERNELS:
+                    continue
+                draws += 1
+                position = KERNELS[called_name(call)]
+                keywords = {keyword.arg: keyword.value for keyword in call.keywords}
+                readouts = call.args[position] if len(call.args) > position else keywords.get("readouts", keywords.get("readout"))
+                assert readouts is not None, f"{module}: a draw names no readout"
+                if isinstance(readouts, ast.Constant) and readouts.value is None:
+                    unrefused.append((module, enclosing_function(call, parents)))
+        assert draws > 10
+        assert unrefused == [("protocols.py", "proper_vs_improper")]
+
+    def test_both_kernels_refuse(self):
+        kernels = {
+            node.name: {called_name(call) for call in ast.walk(node) if isinstance(call, ast.Call)}
+            for module, tree, _ in parsed_sources()
+            if module == "measurement.py"
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+        }
+        assert "_refuse_drawn" in kernels["_cdf_index"]
+        assert "_refuse_drawn" in kernels["_cdf_counts"]

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import _ZeroUniforms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -585,7 +586,7 @@ def reference_proper_vs_improper(trials, shots, gen, mixture=None, purification=
     for _ in range(trials):
         if mixture is not None:
             weights = np.array([w for _, w in mixture], dtype=float)
-            state = mixture[int(_cdf_index(_cdf_table(weights[None]), gen.random(1))[0])][0]
+            state = mixture[int(_cdf_index(_cdf_table(weights[None]), gen.random(1), None, None)[0])][0]
             ic = ic_set_for_dimension(state.dim)
             estimate = reference_frame_estimate(PSystem(state, "passive", gen), ic, ic.observables, shots)
         else:
@@ -598,16 +599,6 @@ def reference_proper_vs_improper(trials, shots, gen, mixture=None, purification=
 def _position(gen):
     """The generator's full state (key, counter, buffer) as comparable text."""
     return json.dumps(gen.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
-
-
-class _ZeroUniforms:
-    """Stands in for a generator whose every uniform draw is 0.0."""
-
-    def random(self, size=None, out=None):
-        if out is None:
-            return np.zeros(size)
-        out[...] = 0.0
-        return out
 
 
 FRAMES = {
