@@ -5,10 +5,10 @@ space as A tensor I (or I tensor B).  Without collapse, two local
 passive measurements cannot become correlated, so their joint table is
 the product of the marginals; joint outcome probabilities
 Tr[(P_a tensor Q_b) rho] are only accessible to a single global device.
-Both devices are sampled the same way, from their analytic table: one
-uniform per shot over the row-major (a, b) grid.  The analytic tables
-also serve the no-signalling and local-indistinguishability checks,
-which are exact.
+Both devices are sampled the same way, from their analytic table: the
+counts of all shots over the row-major (a, b) grid are one multinomial
+draw.  The analytic tables also serve the no-signalling and
+local-indistinguishability checks, which are exact.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .measurement import (
     PSystem,
     _cdf_counts,
     _cdf_table,
-    _LocalPair,
+    _PairReadout,
     _Readout,
     born_distribution,
 )
@@ -158,8 +158,8 @@ def local_passive_joint_sample(
     """Sample two local passive measurements per shot, independently.
 
     Without collapse the first local measurement cannot steer the
-    second, so each shot's (a, b) pair is drawn, with one uniform over
-    the row-major grid, from the product of the Born distributions of
+    second, so the shots' (a, b) pairs are counted over the row-major
+    grid of the product of the Born distributions of
     A tensor I and I tensor B (the table of
     ``joint_distribution_local_passive``).  A drawn pair is refused as
     measuring the lifted observable of either side alone would refuse it.
@@ -175,16 +175,16 @@ def local_passive_joint_sample(
     lifted_a, lifted_b = lift_local(a_setting, shape), lift_local(b_setting, shape)
     marg_a = born_distribution(lifted_a, sys.state).probabilities
     marg_b = born_distribution(lifted_b, sys.state).probabilities
-    pair = _LocalPair((lifted_a, lifted_b), (marg_a, marg_b))
+    pair = _PairReadout((lifted_a, lifted_b), marg_a, marg_b)
     return _joint_sample(sys, lifted_a, lifted_b, np.outer(marg_a, marg_b), shots, pair)
 
 
 def _joint_sample(
     sys: PSystem, a_obs: Observable, b_obs: Observable, probs: np.ndarray, shots: int, readouts
 ) -> JointFrequencyTable:
-    """Count ``shots`` draws from the joint table ``probs``, one uniform per shot over the row-major (a, b) grid.
+    """Count ``shots`` draws from the joint table ``probs`` over the row-major (a, b) grid.
 
-    ``readouts`` names the cells (a global device) or is the ``_LocalPair`` of the two local sides.
+    ``readouts`` names the cells (a global device) or is the ``_PairReadout`` of the two local sides.
     """
     if shots < 1:
         raise ValueError("need at least one shot")

@@ -29,7 +29,7 @@ from ..composite import (
     signalling_check,
 )
 from ..hilbert import fidelity, random_pure_state
-from ..measurement import SAMPLE_CHUNK, InsufficientShotsError, PSystem
+from ..measurement import InsufficientShotsError, PSystem
 from ..protocols import (
     clone_via_reconstruction,
     deutsch_jozsa_verdict,
@@ -45,7 +45,7 @@ from .config import ConfigError, ExperimentConfig
 from .report import Report
 from .stats import wilson_interval
 
-TELEPORTATION_BLOCK = SAMPLE_CHUNK // 64  # teleportation trials evaluated together
+TELEPORTATION_BLOCK = 1024  # teleportation trials evaluated together
 
 
 def _stream(config: ExperimentConfig, purpose: str) -> np.random.Generator:

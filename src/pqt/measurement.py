@@ -6,21 +6,22 @@ observed outcome projects the state (collapse); in ``"passive"`` mode
 outcomes occur with the same Born probabilities but the state is left
 untouched, so the very same system can be measured again and again.
 
-Outcome sampling is inverse-CDF with one uniform per shot from the
-system's Philox stream (see :mod:`pqt.rng`), never the platform default.
-Every draw goes through one table and two kernels: ``_cdf_table`` checks
-rows of outcome probabilities once and keeps their CDF edges, ``_cdf_index``
-turns uniforms into per-shot outcome indices, and ``_cdf_counts`` counts
-outcomes from CDF-edge crossings with no per-shot index, ``SAMPLE_CHUNK``
-uniforms at a time in stream order, so memory does not grow with the shot count.
+Outcomes are drawn from the system's Philox stream (see :mod:`pqt.rng`),
+never the platform default.  Every draw goes through one table and two
+kernels: ``_cdf_table`` checks rows of outcome probabilities once and keeps
+their CDF edges, ``_cdf_index`` turns one uniform per shot into that shot's
+outcome index by inverse CDF, and ``_cdf_counts`` draws the outcome counts of
+n shots of every row at once, as Multinomial(n, row), with one
+``Generator.multinomial`` call: neither its time nor its memory grows with n.
 
 Both modes keep the Born rule, so both kernels refuse a drawn outcome of
 probability <= ``ZERO_PROBABILITY``, naming the least probable one of the first
 such row: "outcome a of 'name' has zero probability; the post-measurement state
 is undefined" (quantum) or "...; an impossible outcome was claimed" (passive).
-Only such rows are checked.  A local passive pair (``_LocalPair``) is refused on a
-side's marginal, not their product, as measuring that side alone would.  A proper
-mixture's member draw, a preparation and no outcome, refuses nothing.
+Only such rows are checked.  A drawn pair of outcomes (``_PairReadout``) is
+refused on the first's probability, then on the second's given the first, not
+on their product.  A proper mixture's member draw, a preparation and no
+outcome, refuses nothing.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .hilbert import (
 ZERO_PROBABILITY = 1e-12
 RECONSTRUCTION_TOL = 1e-9
 PROBABILITY_SUM_TOL = 1e-10
-SAMPLE_CHUNK = 2**16  # uniforms drawn at once by the counting samplers
 SEARCH_PER_EDGE = 1024  # a one-row draw with fewer uniforms per edge takes searchsorted
 
 
@@ -179,7 +179,7 @@ class PauliString(Observable):
 
 @dataclass(frozen=True, eq=False)
 class _CdfTable:
-    """Checked outcome probabilities, one distribution per row, and the CDF edges the kernels read."""
+    """Checked outcome probabilities, one distribution per row, and the CDF edges the index kernel reads."""
 
     probabilities: np.ndarray  # (k, m), read-only, negative roundoff clipped to zero
     totals: np.ndarray  # (k, 1) CDF total of each row
@@ -237,29 +237,24 @@ def _cdf_index(table: _CdfTable, uniforms: np.ndarray, readouts, mode: str | Non
 def _cdf_counts(table: _CdfTable, rng: np.random.Generator, n: int, readouts, mode: str | None) -> np.ndarray:
     """How often each outcome of every row of ``table`` is drawn in n draws from ``rng``: a ``(k, m)`` array.
 
-    Rows take n uniforms each, in stream order: in blocks of rows of at most ``SAMPLE_CHUNK``
-    uniforms, or a chunk at a time for a longer row.  A scaled uniform reaches a prefix of its
-    row's interior edges, so an outcome's count is the difference of the counts of draws that
-    reach its two edges: the per-draw indices of ``_cdf_index`` are never built.  A drawn
-    outcome is refused as ``_cdf_index`` refuses it, or as a ``_LocalPair`` refuses its cell.
+    The counts of n independent Born draws are Multinomial(n, row), which one
+    ``rng.multinomial`` call draws for every row, in row order, by sequential binomials.
+    numpy leaves a row's rounding remainder on its last column; where that column has no
+    weight (padding, or an impossible outcome), the remainder moves to the row's last
+    outcome of positive weight.  A drawn outcome is refused as ``_cdf_index`` refuses it,
+    or as a ``_PairReadout`` refuses its cell.
     """
-    rows, width = table.edges.shape
-    reached = np.zeros((rows, width + 2), dtype=np.int64)  # draws reaching each interior edge, between n and 0
-    reached[:, 0] = n
-    step = max(1, SAMPLE_CHUNK // n)  # rows per block
-    for start in range(0, rows, step):
-        block = slice(start, min(rows, start + step))
-        for uniforms in _uniform_chunks(rng, (block.stop - start) * n):
-            scaled = uniforms.reshape(block.stop - start, -1)
-            scaled *= table.totals[block]
-            axis = 1 if len(scaled) > 1 else None  # on one row, the whole-array count is several times faster
-            for column in range(width):
-                reached[block, column + 1] += np.count_nonzero(scaled >= table.edges[block, column : column + 1], axis)
-    counts = (reached[:, :-1] - reached[:, 1:])[:, : table.probabilities.shape[1]]
-    if table.risky.size and isinstance(readouts, _LocalPair):
-        cells = counts.reshape(readouts.marginals[0].size, -1) > 0
-        for readout, marginal, drawn in zip(readouts.sides, readouts.marginals, (cells.any(1), cells.any(0))):
-            _refuse_drawn((readout,), (0,), np.where(drawn, marginal, np.inf)[None], mode)
+    counts = rng.multinomial(n, table.probabilities / table.totals)  # rows checked to 1e-10, numpy wants 1e-12
+    stray = np.flatnonzero((counts[:, -1] > 0) & (table.probabilities[:, -1] == 0.0))
+    last = table.probabilities.shape[1] - 1 - np.argmax(table.probabilities[stray, ::-1] > 0.0, axis=1)
+    counts[stray, last] += counts[stray, -1]
+    counts[stray, -1] = 0
+    if table.risky.size and isinstance(readouts, _PairReadout):
+        cells = counts.reshape(readouts.first.size, -1) > 0
+        first = np.where(cells.any(axis=1), readouts.first, np.inf)
+        second = np.where(cells, readouts.second, np.inf).min(axis=0)  # each drawn b's least p(b | a) over drawn a
+        _refuse_drawn(readouts.sides[:1], (0,), first[None], mode)
+        _refuse_drawn(readouts.sides[1:], (0,), second[None], mode)
     elif table.risky.size and readouts is not None:
         drawn = np.where(counts[table.risky] > 0, table.probabilities[table.risky], np.inf)
         _refuse_drawn(readouts, table.risky, drawn, mode)
@@ -288,18 +283,6 @@ class OutcomeDistribution:
 
     def as_dict(self) -> dict[float, float]:
         return {a: float(p) for a, p in zip(self.eigenvalues, self.probabilities)}
-
-
-def _uniform_chunks(rng: np.random.Generator, n: int):
-    """Yield n uniforms from ``rng`` in stream order, ``SAMPLE_CHUNK`` at a time.
-
-    Every chunk is a view of one reused buffer, overwritten by the next chunk.
-    """
-    buffer = np.empty(min(n, SAMPLE_CHUNK))
-    for start in range(0, n, SAMPLE_CHUNK):
-        chunk = buffer[: min(SAMPLE_CHUNK, n - start)]
-        rng.random(out=chunk)
-        yield chunk
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,11 +406,15 @@ class _Readout(NamedTuple):
     eigenvalues: tuple
 
 
-class _LocalPair(NamedTuple):
-    """Readout of local (a, b) pairs over the row-major grid: a cell is refused on side A's, then B's marginal."""
+class _PairReadout(NamedTuple):
+    """Readout of (a, b) pairs over the row-major grid: a drawn cell is refused on p(a), then on p(b | a).
+
+    ``second`` is p(b) of each b (independent sides) or a ``(ka, kb)`` array of p(b | a).
+    """
 
     sides: tuple[Observable, Observable]
-    marginals: tuple[np.ndarray, np.ndarray]
+    first: np.ndarray
+    second: np.ndarray
 
 
 def _require_possible(obs: Observable | _Readout, outcome_index: int, probability: float, mode: str) -> None:
@@ -489,8 +476,8 @@ def repeated_measure(sys: PSystem, obs: Observable, n: int) -> MeasurementRecord
 def _passive_counts(sys: PSystem, observables: tuple[Observable, ...], table: _CdfTable, n: int) -> np.ndarray:
     """``(k, m)`` outcome counts of n passive measurements of each ``observables[i]``, Born row i of ``table``.
 
-    Stream, history and the refusal of a drawn zero-probability outcome are those of
-    one ``repeated_measure`` per observable in turn; memory does not grow with n.
+    History and the refusal of a drawn zero-probability outcome are those of one
+    ``repeated_measure`` per observable in turn; the counts are one multinomial draw.
     """
     if n < 1:
         raise ValueError("need at least one shot")

@@ -44,8 +44,8 @@ from .measurement import (
     _cdf_index,
     _cdf_table,
     _passive_counts,
+    _PairReadout,
     _Readout,
-    _uniform_chunks,
     born_distribution,
     collapse_update,
     measure,
@@ -337,6 +337,8 @@ def proper_vs_improper(
     verdict thresholds the mean estimated purity at the midpoint between
     1 and the purity of the shared average state.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     if (mixture is None) == (purification is None):
         raise ValueError("provide exactly one presentation: a mixture or a purification")
 
@@ -530,27 +532,27 @@ def repeatability_experiment(
 
     Neither mode builds a system per trial.  The second outcome's
     distribution depends only on the first outcome, so quantum mode
-    collapses once per distinct first outcome and draws every trial's
-    pair from these distributions.  Both modes take one uniform per
-    measurement in trial order, as a measure-by-measure loop would, in
-    even chunks of ``SAMPLE_CHUNK``: memory does not grow with ``trials``.
+    collapses once per possible first outcome, and the counts of all
+    trials' (first, second) pairs are one multinomial draw over the k^2
+    cells p(a) p(b | a): memory does not grow with ``trials``.  The
+    agreements are the diagonal cells.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if mode not in ("quantum", "passive"):
         raise ValueError(f"unknown mode {mode!r}")
-    first = born_distribution(obs, state)
-    after: dict[int, OutcomeDistribution] = {}  # quantum mode: kept across chunks, one per first outcome seen
-    agreements = 0
-    for uniforms in _uniform_chunks(rng, 2 * trials):
-        if mode == "passive":  # the state never updates: the 2 * trials outcomes are i.i.d. Born draws
-            indices = _cdf_index(first.cdf, uniforms, (obs,), mode)
-            agreements += int(np.count_nonzero(indices[0::2] == indices[1::2]))
-        else:
-            firsts = _cdf_index(first.cdf, uniforms[0::2], (obs,), mode)
-            for k in np.flatnonzero(np.bincount(firsts, minlength=first.probabilities.size)).tolist():
-                if k not in after:
-                    after[k] = born_distribution(obs, collapse_update(state, obs, k))
-                seconds = _cdf_index(after[k].cdf, uniforms[1::2][firsts == k], (obs,), mode)
-                agreements += int(np.count_nonzero(seconds == k))
-    return agreements / trials
+    first = born_distribution(obs, state).probabilities
+    if mode == "passive":  # the state never updates: the pair's outcomes are independent Born draws
+        second = first
+    else:  # an impossible first outcome keeps its weight on its diagonal cell, where its draw is refused
+        second = np.array(
+            [
+                born_distribution(obs, collapse_update(state, obs, a)).probabilities
+                if p > ZERO_PROBABILITY
+                else np.eye(first.size)[a]
+                for a, p in enumerate(first)
+            ]
+        )
+    cells = (first[:, None] * second).reshape(1, -1)
+    counts = _cdf_counts(_cdf_table(cells), rng, trials, _PairReadout((obs, obs), first, second), mode)
+    return int(np.trace(counts.reshape(first.size, -1))) / trials

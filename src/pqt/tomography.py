@@ -31,11 +31,10 @@ dimension.
 
 Every observable of a frame is sampled by one row-wise sampler: the
 frame's Born rows on the state are checked once into one CDF table (see
-:mod:`pqt.measurement`), the counting kernel draws ``shots`` uniforms
-per row and keeps only each row's outcome counts, and each row's mean
-and spread are computed from its counts.  The stream is consumed exactly
-as one ``repeated_measure`` per observable would consume it, and memory
-does not grow with ``shots``.
+:mod:`pqt.measurement`), the counting kernel draws every row's outcome
+counts of ``shots`` measurements in one multinomial draw, and each row's
+mean and spread are computed from its counts.  Neither time nor memory
+grows with ``shots``.
 
 Statistical noise can push the raw estimate outside the state set, so a
 Euclidean projection onto the probability simplex of its spectrum
@@ -353,9 +352,9 @@ def estimate_spectrum(sys: PSystem, obs: Observable, shots: int) -> list[float]:
 
     With full overlap between the state and every eigenspace this
     recovers the whole spectrum; an eigenvalue of Born weight p is
-    missed with probability (1 - p)^shots.  The shots are drawn as
-    ``repeated_measure`` draws them, but only counted, so memory does
-    not grow with ``shots``.
+    missed with probability (1 - p)^shots.  Only the shots' outcome
+    counts are drawn, as one multinomial draw, so neither time nor
+    memory grows with ``shots``.
     """
     if sys.mode != "passive":
         raise ValueError("spectrum estimation by repetition requires passive mode")

@@ -1,10 +1,22 @@
 """Test stand-ins shared by several test modules."""
 
+import json
+
 import numpy as np
+
+
+def _first_possible_outcome(n, pvals):
+    """All n draws of each row on its first outcome of positive weight, the one an all-zero uniform stream selects."""
+    pvals = np.asarray(pvals, dtype=float)
+    counts = np.zeros(pvals.shape, dtype=np.int64)
+    np.put_along_axis(counts, np.argmax(pvals > 0.0, axis=-1)[..., None], n, axis=-1)
+    return counts
 
 
 class GivenUniforms:
     """Stands in for a generator that hands out the given uniforms in order."""
+
+    multinomial = staticmethod(_first_possible_outcome)
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
@@ -23,8 +35,21 @@ class GivenUniforms:
 class _ZeroUniforms:
     """Stands in for a generator whose every uniform draw is 0.0."""
 
+    multinomial = staticmethod(_first_possible_outcome)
+
     def random(self, size=None, out=None):
         if out is None:
             return np.zeros(size)
         out[...] = 0.0
         return out
+
+
+def position(gen):
+    """The generator's full state (key, counter, buffer) as comparable text."""
+    return json.dumps(gen.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+def philox_position(gen):
+    """The Philox block counter and the position within its buffer of four 64-bit words."""
+    state = gen.bit_generator.state
+    return state["state"]["counter"].tolist(), state["buffer_pos"]

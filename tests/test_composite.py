@@ -1,11 +1,10 @@
 import itertools
-import json
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import _ZeroUniforms
+from conftest import _ZeroUniforms, philox_position, position
 
 from pqt import composite, rng
 from pqt.composite import (
@@ -36,7 +35,7 @@ from pqt.hilbert import (
     random_pure_state,
     tensor,
 )
-from pqt.measurement import SAMPLE_CHUNK, Observable, PSystem, born_distribution, measure
+from pqt.measurement import Observable, PSystem, born_distribution, measure
 
 Z = Observable("Z", PAULI_Z)
 X = Observable("X", PAULI_X)
@@ -252,32 +251,21 @@ class TestLocalPassiveJointSample:
         assert tv_a <= 5.0 / np.sqrt(n) and tv_b <= 5.0 / np.sqrt(n)
 
 
-# Local passive pairs drawn in one piece: one uniform per shot over the
-# row-major grid of the product of the two marginals, indexed by
-# searchsorted.  The chunked sampler must give equal counts and leave the
-# generator at the same position.
+# Local passive pairs are counted in one piece: one multinomial draw of all
+# shots over the row-major grid of the product of the two marginals, each row
+# divided by its CDF total as the counting kernel divides it.
 
 
 def reference_local_passive_counts(sys, a_setting, b_setting, shots):
     shape = sys.state.shape
     marg_a = born_distribution(lift_local(a_setting, shape), sys.state).probabilities
     marg_b = born_distribution(lift_local(b_setting, shape), sys.state).probabilities
-    indices = one_shot_indices(np.outer(marg_a, marg_b).ravel(), sys.rng.random(shots))
-    return np.bincount(indices, minlength=marg_a.size * marg_b.size).reshape(marg_a.size, marg_b.size)
+    cells = np.outer(marg_a, marg_b).ravel()
+    return sys.rng.multinomial(shots, cells / np.cumsum(cells)[-1]).reshape(marg_a.size, marg_b.size)
 
 
-def one_shot_indices(weights, uniforms):
-    cdf = np.cumsum(weights)
-    return np.minimum(np.searchsorted(cdf, uniforms * cdf[-1], side="right"), cdf.size - 1)
-
-
-def position(gen):
-    """The generator's full state (key, counter, buffer) as comparable text."""
-    return json.dumps(gen.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
-
-
-class TestChunkedSamplingMatchesOneShot:
-    @pytest.mark.parametrize("shots", [1, 3, 5, SAMPLE_CHUNK + 3, 3 * SAMPLE_CHUNK + 1])
+class TestJointSamplingIsOneMultinomialDraw:
+    @pytest.mark.parametrize("shots", [1, 3, 5, 10**5 + 3, 10**7])
     def test_local_passive_joint_sample(self, shots):
         # Three outcomes on side A, two on side B, from every start position in a 4-draw Philox block.
         g = rng.stream(shots, "chunk/inputs")
@@ -293,9 +281,19 @@ class TestChunkedSamplingMatchesOneShot:
             assert table.counts.tolist() == expected.tolist()
             assert position(actual_gen) == position(expected_gen)
 
+    def test_counts_and_stream_position_are_pinned(self):
+        g = rng.stream(0, "chunk/inputs")
+        state = random_pure_state(6, g, (3, 2))
+        a_setting = LocalSetting("A", Observable("HA", random_hermitian(3, g)))
+        b_setting = LocalSetting("B", Observable("HB", random_hermitian(2, g)))
+        gen = rng.stream(5, "chunk/pinned")
+        table = local_passive_joint_sample(PSystem(state, "passive", gen), a_setting, b_setting, 10**6)
+        assert table.counts.tolist() == [[186051, 292664], [144792, 227129], [58240, 91124]]
+        assert philox_position(gen) == ([4, 0, 0, 0], 2)
+
     def test_local_passive_chsh_on_one_shared_stream(self):
         # The four correlators take consecutive stretches of one stream.
-        shots = SAMPLE_CHUNK + 3
+        shots = 10**5 + 3
         state = random_pure_state(4, rng.stream(2, "chunk/chsh"), (2, 2))
         b1, b2 = TestCHSH.B1, TestCHSH.B2
         expected_gen, actual_gen = rng.stream(3, "chunk/chsh"), rng.stream(3, "chunk/chsh")

@@ -34,12 +34,12 @@ def test_report_matches_golden(path):
 
 # sha256 of the reports of the benchmark's passive-sampling workload at seed 1.
 # No golden covers these high-shot runs, and every one of them goes through
-# the counting kernels: the frame sampler, the joint tables and repeatability.
+# the counting kernel: the frame sampler, the joint tables and repeatability.
 PASSIVE_SAMPLING_SEED_1 = {
-    "reconstruct-2q": "c0bb55fbb0e75debe85757d33971a9b3e47f1485ba7342393cdbbd38e2e30c2a",
-    "joint-local-2q": "5e4678d046dde560bdb7395d2ab2a2252e43ac00e7b2af2318c269df94e06fe0",
-    "chsh-global": "caaf7f3c3b97577e513562281a467a172265b8a8dd1dcbd338399d83f9b06c88",
-    "repeatability-passive-d4": "c4968d23635fbfe7fa1b18bf2bcce00c5721ff65ae9e47117fd85783586c5452",
+    "reconstruct-2q": "d98fdef6d99cd8e924cbbc171d96902c3222200060d820d15880a560c9df0a5b",
+    "joint-local-2q": "a1ff576fdc828f88e0554c7822a4bcad08875a4ed63371f7c8b44af9633b21a5",
+    "chsh-global": "43286ed661f71236ace19f9e7436e9f5dedab0cbab9a70d11939cc29953341e3",
+    "repeatability-passive-d4": "d56be9df7533dfeff6f91a135a96e1acdb2dc322343d7b51f6d5417f571a8c69",
 }
 
 
@@ -50,9 +50,16 @@ PASSIVE_SAMPLING_SEED_1 = {
 PROTOCOL_LOOPS_SEED_1 = {
     "repeatability-quantum": "10dda750fbc75fc89b5d40e4d451481dec26e2a6f2673c5be7336d39b12ab8ca",
     "function-recovery-quantum": "b4642ea0639afb4e8a8e76e546141badb58933509207679fd3f9e3a4ee7ce008",
-    "proper-vs-improper-mixture": "7637ea95add14076e6ead39ac1e305f4f1c03d258692a35be9072944057d621f",
-    "proper-vs-improper-purification": "dd1432d0e9f5bc3a7d215a4105ffeedabf8fffd76e5b450d864227d3d9e06cd1",
+    "proper-vs-improper-mixture": "aa7da83e38737db3a7eb54fa466dd77c0d97044a047dd249d65a2913b018a0de",
+    "proper-vs-improper-purification": "8e68bd6343fe62761ca9eae82f943528d8c5bd7d05d8ee3ff0b1d70dc8e2d82f",
     "teleportation-quantum": "7c178e3d6a9efdcef760c47637076ef8eba0247952cc6747bfbc933e7639ed13",
+}
+
+
+# sha256 of the benchmark's reconstruct-6q report at seed 1: the largest count
+# table, 4095 Pauli rows of 1000 shots, which no golden covers.
+RECONSTRUCT_6Q_SEED_1 = {
+    "reconstruct-6q": "72a8eb7f60e068a42ff3a35d8ea5520354054849a7b397876413686a61c07857",
 }
 
 
@@ -72,6 +79,10 @@ def _report_hashes(configs) -> dict[str, str]:
 
 def test_passive_sampling_reports_at_seed_1_are_unchanged():
     assert _report_hashes(_workloads().build("passive-sampling", 1)) == PASSIVE_SAMPLING_SEED_1
+
+
+def test_reconstruct_6q_report_at_seed_1_is_unchanged():
+    assert _report_hashes(_workloads().build("reconstruct-6q", 1)) == RECONSTRUCT_6Q_SEED_1
 
 
 def test_protocol_loops_per_trial_reports_at_seed_1_are_unchanged():

@@ -1,13 +1,17 @@
-import json
-
 import numpy as np
 import pytest
-from conftest import GivenUniforms
+from conftest import GivenUniforms, _first_possible_outcome, philox_position, position
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqt import rng
-from pqt.composite import global_joint_sample, joint_distribution_global
+from pqt.composite import (
+    LocalSetting,
+    global_joint_sample,
+    joint_distribution_global,
+    local_passive_joint_sample,
+    reconstruct_reduced_single_copy,
+)
 from pqt.hilbert import (
     DensityOperator,
     PAULI_X,
@@ -26,7 +30,6 @@ from pqt.measurement import (
     Observable,
     OutcomeDistribution,
     PSystem,
-    SAMPLE_CHUNK,
     SEARCH_PER_EDGE,
     _cdf_counts,
     _cdf_index,
@@ -42,6 +45,8 @@ from pqt.measurement import (
     passive_update,
     repeated_measure,
 )
+from pqt.protocols import repeatability_experiment, simulate_qt_with_pqt
+from pqt.tomography import estimate_expectations, estimate_spectrum, pauli_ic_set
 
 Z = Observable("Z", PAULI_Z)
 X = Observable("X", PAULI_X)
@@ -308,12 +313,13 @@ class TestInverseCdf:
     # Literal draws of the separate samplers the shared one replaced, on fixed streams.
 
     def test_joint_grid_draws_are_unchanged(self):
+        # The joint table's counts are one multinomial draw, not a tally of these per-shot indices.
         diagonal = Observable("D", (PAULI_Z + PAULI_X) / np.sqrt(2))
         probs = joint_distribution_global(bell_state("phi+"), Z, diagonal)
         indices = inverse_cdf(probs.reshape(-1), rng.stream(11, "joint"), 16)
         assert indices.tolist() == [3, 3, 3, 0, 0, 3, 3, 3, 0, 2, 0, 3, 3, 3, 0, 0]
         sys = PSystem(bell_state("phi+"), "passive", rng.stream(11, "joint"))
-        assert global_joint_sample(sys, Z, diagonal, 1000).counts.tolist() == [[416, 75], [85, 424]]
+        assert global_joint_sample(sys, Z, diagonal, 1000).counts.tolist() == [[448, 67], [69, 416]]
 
     def test_mixture_draws_are_unchanged(self):
         weights = np.array([0.5, 0.25, 0.25])
@@ -365,17 +371,31 @@ class TestCdfIndex:
             raw[i, : sizes[i]] = row
         uniforms = np.resize(EDGE_UNIFORMS, (len(weights), n))
         expected = np.array([one_shot_indices(row, u) for row, u in zip(weights, uniforms)])
-        table = _cdf_table(raw, sizes)
-        assert _cdf_index(table, uniforms.copy(), None, None).tolist() == expected.tolist()
-        if len(weights) == 1:
-            counts = _cdf_counts(table, GivenUniforms(uniforms[0]), n, None, None)
-            assert counts.tolist() == [np.bincount(expected[0], minlength=sizes[0]).tolist()]
+        assert _cdf_index(_cdf_table(raw, sizes), uniforms.copy(), None, None).tolist() == expected.tolist()
+
+
+def multinomial_reference(gen, n, raw):
+    """n draws of every row of ``raw`` from ``gen``, each row divided by its CDF total as the counting kernel does."""
+    return gen.multinomial(n, raw / np.cumsum(raw, axis=1)[:, -1:])
+
+
+# Rows of 3, 2, 4, 1 and 3 outcomes padded to 4, with zero weights inside rows.
+PADDED_RAW = np.array(
+    [
+        [0.25, 0.0, 0.75, 0.0],
+        [0.5, 0.5, 0.0, 0.0],
+        [0.1, 0.2, 0.3, 0.4],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.6, 0.4, 0.0],
+    ]
+)
+PADDED_SIZES = np.array([3, 2, 4, 1, 3])
 
 
 class TestCdfCounts:
-    @pytest.mark.parametrize("n", [1, 3, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 10**5 + 3])
+    @pytest.mark.parametrize("n", [1, 3, 2**16 + 1, 10**5 + 3, 10**7])
     @pytest.mark.parametrize("k", [2, 3, 4, 16, 64])
-    def test_equals_bincount_of_one_large_draw(self, n, k):
+    def test_is_one_multinomial_draw(self, n, k):
         for zero in (None, 0, k // 2, k - 1):
             weights = rng.stream(k, "counts/weights").random(k)
             if zero is not None:
@@ -384,14 +404,36 @@ class TestCdfCounts:
             expected_gen, actual_gen = rng.stream(n, "counts"), rng.stream(n, "counts")
             expected_gen.random(5)
             actual_gen.random(5)
-            expected = np.bincount(one_shot_indices(weights, expected_gen.random(n)), minlength=k)
-            assert _cdf_counts(_cdf_table(weights[None]), actual_gen, n, None, None).tolist() == [expected.tolist()]
+            expected = multinomial_reference(expected_gen, n, weights[None])
+            assert _cdf_counts(_cdf_table(weights[None]), actual_gen, n, None, None).tolist() == expected.tolist()
             assert position(actual_gen) == position(expected_gen)
+
+    def test_counts_and_stream_position_are_pinned(self):
+        gen = rng.stream(7, "counts/pinned")
+        assert _cdf_counts(_cdf_table(PADDED_RAW, PADDED_SIZES), gen, 10**6, None, None).tolist() == [
+            [249722, 0, 750278, 0],
+            [499434, 500566, 0, 0],
+            [100068, 199685, 299920, 400327],
+            [1000000, 0, 0, 0],
+            [0, 599888, 400112, 0],
+        ]
+        assert philox_position(gen) == ([5, 0, 0, 0], 2)
+
+    def test_a_remainder_on_a_weightless_last_column_moves_to_the_last_possible_outcome(self):
+        # numpy leaves a row's rounding remainder on its last column; this stand-in leaves one draw there.
+        class RemainderOnLastColumn:
+            def multinomial(self, n, pvals):
+                counts = _first_possible_outcome(n - 1, pvals)
+                counts[:, -1] += 1
+                return counts
+
+        counts = _cdf_counts(_cdf_table(PADDED_RAW, PADDED_SIZES), RemainderOnLastColumn(), 5, None, None)
+        assert counts.tolist() == [[4, 0, 1, 0], [4, 1, 0, 0], [4, 0, 0, 1], [5, 0, 0, 0], [0, 4, 1, 0]]
 
 
 @st.composite
 def cdf_tables(draw):
-    """Rows of 1 to 5 outcomes, padded to the widest, with zero weights and so tied edges among them."""
+    """Rows of 1 to 5 outcomes, padded to the widest, with zero weights among them."""
     weight = st.one_of(st.sampled_from([0.0, 0.0, 0.125, 0.5]), st.floats(0.01, 1.0))
     rows = draw(st.lists(st.lists(weight, min_size=1, max_size=5).filter(any), min_size=1, max_size=5))
     sizes = np.array([len(row) for row in rows])
@@ -402,26 +444,60 @@ def cdf_tables(draw):
 
 
 class TestCdfCountsProperty:
-    # With a few rows, SAMPLE_CHUNK // 3 shots make multi-row blocks, and SAMPLE_CHUNK + 1 splits a row.
     @settings(max_examples=60, deadline=None)
-    @given(
-        table=cdf_tables(),
-        n=st.sampled_from([1, 2, 1000, SAMPLE_CHUNK // 3, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_counts_equal_bincount_of_the_index_kernel_over_one_large_draw(self, table, n, seed):
+    @given(table=cdf_tables(), n=st.sampled_from([1, 2, 1000, 10**5 + 1, 10**7]), seed=st.integers(0, 2**32 - 1))
+    def test_counts_are_the_multinomial_draw_and_only_possible_outcomes_are_counted(self, table, n, seed):
         raw, sizes = table
-        cdf = _cdf_table(raw, sizes)
         expected_gen, actual_gen = rng.stream(seed, "counts/property"), rng.stream(seed, "counts/property")
-        indices = _cdf_index(cdf, expected_gen.random(len(raw) * n), None, None).reshape(len(raw), n)
-        expected = [np.bincount(row, minlength=raw.shape[1]).tolist() for row in indices]
-        assert _cdf_counts(cdf, actual_gen, n, None, None).tolist() == expected
+        counts = _cdf_counts(_cdf_table(raw, sizes), actual_gen, n, None, None)
+        assert counts.tolist() == multinomial_reference(expected_gen, n, raw).tolist()
         assert position(actual_gen) == position(expected_gen)
+        assert (counts.sum(axis=1) == n).all()
+        assert not counts[raw == 0.0].any()
 
 
-def position(gen):
-    """The generator's full state (key, counter, buffer) as comparable text."""
-    return json.dumps(gen.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+def wilson_hilferty(df, z):
+    """The chi-square quantile of ``df`` degrees of freedom at standard normal deviate z (Wilson & Hilferty, 1931)."""
+    return df * (1.0 - 2.0 / (9.0 * df) + z * np.sqrt(2.0 / (9.0 * df))) ** 3
+
+
+Z_BOUND = 4.5  # a deviate this far out in either tail has probability 7e-6
+
+
+def pearson(counts, expected):
+    """Pearson's statistic over the possible outcomes of every row, and its degrees of freedom."""
+    possible = expected > 0.0
+    statistic = ((counts - expected)[possible] ** 2 / expected[possible]).sum()
+    return float(statistic), int((possible.sum(axis=1) - 1).sum())
+
+
+class TestCdfCountsDistribution:
+    # Counts summed over seeds are multinomial with large expected counts, so Pearson's
+    # statistic is chi-square with (outcomes - 1) degrees of freedom per row.  Once every
+    # n p is large, so is the sum of each draw's statistic over the seeds.
+    SEEDS = 300
+
+    @pytest.mark.parametrize("n", [1, 10, 1000, 10**5, 10**7])
+    def test_pearson_statistic_within_wilson_hilferty_bounds(self, n):
+        table = _cdf_table(PADDED_RAW, PADDED_SIZES)
+        total = np.zeros(PADDED_RAW.shape, dtype=np.int64)
+        per_draw, per_draw_df = 0.0, 0
+        for seed in range(self.SEEDS):
+            counts = _cdf_counts(table, rng.stream(seed, "counts/distribution"), n, None, None)
+            assert not counts[PADDED_RAW == 0.0].any()  # no padded column or zero-weight outcome holds a count
+            assert (counts.sum(axis=1) == n).all()
+            total += counts
+            statistic, df = pearson(counts, n * PADDED_RAW)
+            per_draw, per_draw_df = per_draw + statistic, per_draw_df + df
+        statistic, df = pearson(total, self.SEEDS * n * PADDED_RAW)
+        assert wilson_hilferty(df, -Z_BOUND) <= statistic <= wilson_hilferty(df, Z_BOUND)
+        if n * PADDED_RAW[PADDED_RAW > 0.0].min() >= 50:
+            assert wilson_hilferty(per_draw_df, -Z_BOUND) <= per_draw <= wilson_hilferty(per_draw_df, Z_BOUND)
+
+    def test_wilson_hilferty_matches_tabulated_quantiles(self):
+        # chi-square 0.999 quantiles (z = 3.0902): 16.266 at 3 df, 149.449 at 100 df.
+        assert wilson_hilferty(3, 3.0902) == pytest.approx(16.266, rel=0.02)
+        assert wilson_hilferty(100, 3.0902) == pytest.approx(149.449, rel=0.001)
 
 
 class TestInstruments:
@@ -564,3 +640,58 @@ class TestExpectationVariance:
             _, var_b = expectation_variance(Observable("B", b), psi)
             commutator_mean = np.vdot(psi.amplitudes, (a @ b - b @ a) @ psi.amplitudes)
             assert np.sqrt(var_a * var_b) >= 0.5 * abs(commutator_mean) - 1e-10
+
+
+class CountsOnly:
+    """Stands in for a generator that draws counts and refuses to hand out a uniform after the first ``uniforms``."""
+
+    def __init__(self, seed, uniforms=0):
+        self.generator = rng.stream(seed, "counts-only")
+        self.uniforms = uniforms
+
+    def multinomial(self, n, pvals):
+        return self.generator.multinomial(n, pvals)
+
+    def random(self, size=None, out=None):
+        wanted = np.size(out) if out is not None else (1 if size is None else int(np.prod(size)))
+        if wanted > self.uniforms:
+            raise AssertionError("a count path drew a uniform")
+        self.uniforms -= wanted
+        return self.generator.random(size, out=out)
+
+
+def qubit_pair():
+    return random_pure_state(4, rng.stream(0, "counts-only/state"), (2, 2))
+
+
+COUNT_PATHS = {
+    "pauli-frame": lambda: estimate_expectations(PSystem(qubit_pair(), "passive", CountsOnly(1)), pauli_ic_set(2), 10**6),
+    "lifted-gell-mann-frame": lambda: reconstruct_reduced_single_copy(
+        PSystem(random_pure_state(9, rng.stream(1, "counts-only/qutrits"), (3, 3)), "passive", CountsOnly(2)), 10**6
+    ),
+    "estimate_spectrum": lambda: estimate_spectrum(PSystem(plus_state(), "passive", CountsOnly(3)), Z, 10**6),
+    "global_joint_sample": lambda: global_joint_sample(PSystem(qubit_pair(), "passive", CountsOnly(4)), Z, X, 10**6),
+    "local_passive_joint_sample": lambda: local_passive_joint_sample(
+        PSystem(qubit_pair(), "passive", CountsOnly(5)), LocalSetting("A", Z), LocalSetting("B", X), 10**6
+    ),
+    "repeatability/passive": lambda: repeatability_experiment(plus_state(), X, "passive", 10**6, CountsOnly(6)),
+    "repeatability/quantum": lambda: repeatability_experiment(plus_state(), Z, "quantum", 10**6, CountsOnly(7)),
+    # The passive measurement itself takes its one uniform; the follow-up and its reference take none.
+    "simulate-collapse-followup": lambda: simulate_qt_with_pqt(
+        PSystem(plus_state(), "passive", CountsOnly(8, uniforms=1)),
+        Z,
+        library={0: basis_state(2, 1), 1: basis_state(2, 0)},
+        followup_obs=X,
+        followup_shots=10**6,
+    ),
+}
+
+
+class TestCountPathsDrawNoUniforms:
+    @pytest.mark.parametrize("path", COUNT_PATHS)
+    def test_counts_come_from_the_multinomial_draw_alone(self, path):
+        COUNT_PATHS[path]()
+
+    def test_the_stand_in_refuses_a_uniform(self):
+        with pytest.raises(AssertionError, match="drew a uniform"):
+            repeated_measure(PSystem(plus_state(), "passive", CountsOnly(9)), Z, 3)

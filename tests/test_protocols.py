@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import _ZeroUniforms
+from conftest import _ZeroUniforms, philox_position, position
 
 from pqt import rng
 from pqt.harness import parse_config, run
@@ -148,8 +148,8 @@ class TestFunctionRecovery:
         with pytest.raises(ValueError) as caught:
             run(parse_config(json.dumps(config)))
         assert str(caught.value) == (
-            "config field 'shots': insufficient shots: ambiguous decode for input 4 "
-            "(weights (0.031117195863547577, 0.008793263946164996))"
+            "config field 'shots': insufficient shots: ambiguous decode for input 5 "
+            "(weights (0.01465207367840951, 0.02599259836492773))"
         )
 
     def test_quantum_mean_calls_near_coupon_collector(self):
@@ -287,6 +287,15 @@ class TestProperVsImproper:
         with pytest.raises(ValueError, match="exactly one"):
             proper_vs_improper(5, 100, rng.stream(0, "pvi"))
 
+    @pytest.mark.parametrize("presentation", ["mixture", "purification"])
+    def test_zero_trials_refused_before_any_draw(self, presentation):
+        kwargs = {"mixture": self.MIXTURE} if presentation == "mixture" else {"purification": purify(self.average())}
+        gen = rng.stream(0, "pvi/none")
+        before = position(gen)
+        with pytest.raises(ValueError, match="^need at least one trial$"):
+            proper_vs_improper(0, 100, gen, **kwargs)
+        assert position(gen) == before
+
     def test_bad_weights_rejected(self):
         bad = [(basis_state(2, 0), 0.7), (plus_state(), 0.7)]
         with pytest.raises(ValueError, match="sum to 1"):
@@ -328,20 +337,19 @@ class TestSimulateCollapse:
         )
         assert report.verdicts["followup_tv"] <= 0.02
 
-    def test_followup_draws_as_repeated_measure_does(self):
+    def test_followup_is_two_multinomial_draws(self):
         library = self.library_for_z()
         expected_sys = PSystem(plus_state(), "passive", rng.stream(5, "sim/followup"))
         actual_sys = PSystem(plus_state(), "passive", rng.stream(5, "sim/followup"))
         report = simulate_qt_with_pqt(actual_sys, Z, library=library, followup_obs=X, followup_shots=1000)
-        # The follow-up as written with a record of every shot, then a fresh-copy reference.
+        # One measure(), then the counts of the replaced system and of a fresh-copy reference.
         index = Z.eigenvalues.index(measure(expected_sys, Z))
-        expected_sys.replace_state(library[index])
-        simulated = np.bincount(repeated_measure(expected_sys, X, 1000).indices, minlength=2)
+        simulated = multinomial_counts(expected_sys.rng, 1000, born_distribution(X, library[index]).probabilities)
         reference_dist = born_distribution(X, collapse_update(plus_state(), Z, index))
-        reference = np.bincount(reference_dist.sample_indices(expected_sys.rng, 1000, X, "quantum"), minlength=2)
+        reference = multinomial_counts(expected_sys.rng, 1000, reference_dist.probabilities)
         assert report.verdicts["followup_tv"] == 0.5 * float(np.abs(simulated - reference).sum()) / 1000
-        assert actual_sys.history == expected_sys.history
-        assert _position(actual_sys.rng) == _position(expected_sys.rng)
+        assert actual_sys.history == Counter({"Z": 1, "X": 1000})
+        assert position(actual_sys.rng) == position(expected_sys.rng)
 
     def test_followup_rejects_a_drawn_impossible_outcome(self):
         # Every uniform is 0.0: Z on |+> gives -1, and the follow-up's zero uniforms draw
@@ -408,10 +416,10 @@ class TestTeleportation:
     def test_refuses_before_any_draw(self, mode, match):
         # The second row is not normalised, so its Bell probabilities sum to 2.
         gen = rng.stream(3, "tele/refused")
-        before = _position(gen)
+        before = position(gen)
         with pytest.raises(ValueError, match=match):
             teleportation_fidelities(np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex), mode, gen)
-        assert _position(gen) == before
+        assert position(gen) == before
 
 
 class TestRepeatability:
@@ -429,27 +437,23 @@ class TestRepeatability:
         rate = repeatability_experiment(basis_state(2, 0), Z, "passive", 500, rng.stream(1, "rep/det"))
         assert rate == 1.0
 
-    def test_passive_batch_path_matches_measure_loop(self):
-        trials = 200
-        rate = repeatability_experiment(plus_state(), Z, "passive", trials, rng.stream(11, "rep/eq"))
-        sys = PSystem(plus_state(), "passive", rng.stream(11, "rep/eq"))
-        manual = sum(measure(sys, Z) == measure(sys, Z) for _ in range(trials)) / trials
-        assert rate == manual
+    def test_passive_rate_is_pinned(self):
+        gen = rng.stream(11, "rep/eq")
+        assert repeatability_experiment(plus_state(), Z, "passive", 200, gen) == 0.55
+        assert philox_position(gen) == ([2, 0, 0, 0], 4)
 
-    @pytest.mark.parametrize("trials", [1, 2**15 + 3, 3 * 2**15 + 1])
+    @pytest.mark.parametrize("trials", [1, 10**5 + 3, 10**7])
     @pytest.mark.parametrize("dim", [2, 4])
-    def test_passive_chunks_match_one_shot_reference(self, dim, trials):
-        # The one-shot code before chunked sampling: all 2 * trials uniforms, indexed by searchsorted.
+    def test_passive_is_one_multinomial_draw_over_the_pair_cells(self, dim, trials):
+        # The pair's outcomes are independent: cell (a, b) has probability p(a) p(b), and agreements are the diagonal.
         g = rng.stream(dim, "rep/chunk")
         state = random_pure_state(dim, g)
         obs = Observable("H", random_hermitian(dim, g))
         expected_gen, actual_gen = rng.stream(trials, "rep/chunk/draws"), rng.stream(trials, "rep/chunk/draws")
-        cdf = np.cumsum(born_distribution(obs, state).probabilities)
-        uniforms = expected_gen.random(2 * trials) * cdf[-1]
-        indices = np.minimum(np.searchsorted(cdf, uniforms, side="right"), cdf.size - 1)
-        expected = int(np.sum(indices[0::2] == indices[1::2])) / trials
+        p = born_distribution(obs, state).probabilities
+        expected = int(np.trace(multinomial_counts(expected_gen, trials, np.outer(p, p)))) / trials
         assert repeatability_experiment(state, obs, "passive", trials, actual_gen) == expected
-        assert _position(actual_gen) == _position(expected_gen)
+        assert position(actual_gen) == position(expected_gen)
 
     def test_quantum_memory_does_not_grow_with_trials(self):
         state = random_pure_state(2, rng.stream(1, "rep/flat/state"))
@@ -531,9 +535,16 @@ def reference_teleportation(input_state, mode, gen):
     return average
 
 
-def _position(gen):
-    """The generator's full state (key, counter, buffer) as comparable text."""
-    return json.dumps(gen.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+def multinomial_counts(gen, n, probabilities):
+    """n draws from ``gen`` over the row-major cells of ``probabilities``, divided by their CDF total as sampled."""
+    cells = np.asarray(probabilities).ravel()
+    return gen.multinomial(n, cells / np.cumsum(cells)[-1]).reshape(np.shape(probabilities))
+
+
+def quantum_pair_cells(state, obs):
+    """p(a) p(b | a) over (first, second) outcome pairs, p(b | a) from the state the first outcome collapsed to."""
+    first = born_distribution(obs, state).probabilities
+    return np.array([p * born_distribution(obs, collapse_update(state, obs, a)).probabilities for a, p in enumerate(first)])
 
 
 class TestCollapseLoopsMatchReference:
@@ -551,10 +562,13 @@ class TestCollapseLoopsMatchReference:
             state, obs = maximally_mixed(2), Z
         else:
             state, obs = random_pure_state(3, rng.stream(2, "eq/state")), self.degenerate_qutrit_observable()
+        # The trial loop agrees every time, as the one multinomial draw over the pair cells does.
+        assert reference_quantum_repeatability(state, obs, 300, rng.stream(7, "eq/rep/loop")) == 1.0
         expected_gen, actual_gen = rng.stream(7, "eq/rep"), rng.stream(7, "eq/rep")
-        expected = reference_quantum_repeatability(state, obs, 300, expected_gen)
-        assert repeatability_experiment(state, obs, "quantum", 300, actual_gen) == expected
-        assert _position(actual_gen) == _position(expected_gen)
+        counts = multinomial_counts(expected_gen, 300, quantum_pair_cells(state, obs))
+        assert int(np.trace(counts)) == counts.sum() == 300
+        assert repeatability_experiment(state, obs, "quantum", 300, actual_gen) == 1.0
+        assert position(actual_gen) == position(expected_gen)
 
     def test_quantum_repeatability_rejects_a_drawn_impossible_outcome(self):
         # A zero uniform lands on the first outcome (Z = -1), whose weight 1e-13 is below ZERO_PROBABILITY.
@@ -573,7 +587,7 @@ class TestCollapseLoopsMatchReference:
         assert report.resources["oracle_calls"] == calls
         assert report.log == log
         assert report.verdicts["truth_table"] == table
-        assert _position(actual_gen) == _position(expected_gen)
+        assert position(actual_gen) == position(expected_gen)
 
     def test_quantum_function_recovery_twice_on_one_stream(self):
         spec = OracleSpec(2, (0, 1, 1, 1))
@@ -582,7 +596,7 @@ class TestCollapseLoopsMatchReference:
             calls, log, table = reference_quantum_function_recovery(spec, expected_gen)
             report = function_recovery(spec, "quantum", actual_gen)
             assert (report.resources["oracle_calls"], report.log, report.verdicts["truth_table"]) == (calls, log, table)
-            assert _position(actual_gen) == _position(expected_gen)
+            assert position(actual_gen) == position(expected_gen)
 
     # Seeds at which the last new input arrives as the last draw of the first
     # block, and as the first draw of the second.
@@ -594,7 +608,7 @@ class TestCollapseLoopsMatchReference:
         assert expected[0] == calls
         report = function_recovery(spec, "quantum", actual_gen)
         assert (report.resources["oracle_calls"], report.log, report.verdicts["truth_table"]) == expected
-        assert _position(actual_gen) == _position(expected_gen)
+        assert position(actual_gen) == position(expected_gen)
 
     @pytest.mark.parametrize("mode", ["quantum", "passive"])
     def test_teleportation(self, mode):
@@ -604,7 +618,7 @@ class TestCollapseLoopsMatchReference:
             expected_gen, actual_gen = rng.stream(i, "eq/tele"), rng.stream(i, "eq/tele")
             actual = teleportation_demo(state, mode, actual_gen)
             assert abs(actual - reference_teleportation(state, mode, expected_gen)) <= 2e-15
-            assert _position(actual_gen) == _position(expected_gen)
+            assert position(actual_gen) == position(expected_gen)
 
 
 def reference_run_teleportation(config):
@@ -660,7 +674,7 @@ class TestTeleportationRunner:
             expected, expected_stream = reference_run_teleportation(config)
             actual, streams = run_capturing_streams(monkeypatch, config)
             assert actual.to_json() == expected.to_json()
-            assert _position(streams["teleportation"]) == _position(expected_stream)
+            assert position(streams["teleportation"]) == position(expected_stream)
 
     def test_quantum_run_builds_no_state_per_trial(self, monkeypatch):
         names = ("partial_trace", "collapse_update", "tensor", "born_distribution")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import GivenUniforms, _ZeroUniforms
+from conftest import _ZeroUniforms
 
 import pqt
 from pqt import measurement, protocols, rng
@@ -29,6 +29,7 @@ from pqt.measurement import (
     _cdf_index,
     _cdf_table,
     _Readout,
+    collapse_update,
     measure,
     repeated_measure,
 )
@@ -173,16 +174,19 @@ RUN_CASES = {
 }
 
 
-def no_update(*args):
-    raise AssertionError("an impossible outcome reached the collapse rule: its draw did not refuse it")
+def collapse_of_a_possible_outcome(state, obs, outcome_index):
+    """The collapse rule, which must never be handed an impossible outcome: its draw should have refused it."""
+    if obs.outcome_probabilities(state)[outcome_index] <= ZERO_PROBABILITY:
+        raise AssertionError("an impossible outcome reached the collapse rule: its draw did not refuse it")
+    return collapse_update(state, obs, outcome_index)
 
 
 class TestEveryDrawRefusesAnImpossibleOutcome:
     @pytest.mark.parametrize("case", [*LIBRARY_CASES, *(f"run/{name}" for name in RUN_CASES)])
     def test_entry_point_refuses_with_the_exact_message(self, case, monkeypatch):
         # The draw itself refuses: the collapse rule, which checks a claimed outcome, is never reached.
-        monkeypatch.setattr(measurement, "collapse_update", no_update)
-        monkeypatch.setattr(protocols, "collapse_update", no_update)
+        monkeypatch.setattr(measurement, "collapse_update", collapse_of_a_possible_outcome)
+        monkeypatch.setattr(protocols, "collapse_update", collapse_of_a_possible_outcome)
         if case.startswith("run/"):
             fields, message = RUN_CASES[case[len("run/") :]]
             config = parse_config(json.dumps({"name": "walk", "shots": 3, "seed": 1, **fields}))
@@ -242,8 +246,13 @@ class TestWhichOutcomeIsNamed:
         message = f"^{re.escape(refusal(2.0, 'D', 'passive'))}$"
         with pytest.raises(ValueError, match=message):
             _cdf_index(_cdf_table(weights), np.array([0.0, np.nextafter(1.0, 0.0)]), (readout,), "passive")
+
+        class OneDrawOfEachEnd:
+            def multinomial(self, n, pvals):
+                return np.array([[1, 0, 1]])
+
         with pytest.raises(ValueError, match=message):
-            _cdf_counts(_cdf_table(weights), GivenUniforms([0.0, np.nextafter(1.0, 0.0)]), 2, (readout,), "passive")
+            _cdf_counts(_cdf_table(weights), OneDrawOfEachEnd(), 2, (readout,), "passive")
 
     def test_a_mixture_member_of_tiny_weight_stays_drawable(self):
         # A proper mixture's member draw prepares a state: it is no outcome and refuses nothing.
@@ -254,6 +263,8 @@ class TestWhichOutcomeIsNamed:
 SOURCE = Path(pqt.__file__).parent
 REFUSAL_NAMES = {"risky", "_require_possible", "_require_all_possible"}
 KERNELS = {"_cdf_index": 2, "_cdf_counts": 3, "sample_indices": 2}  # position of the readouts argument
+# The draw each kernel makes, or the table field it alone reads, and that kernel.
+DRAWS = {"searchsorted": "_cdf_index", "edges": "_cdf_index", "multinomial": "_cdf_counts"}
 
 
 def parsed_sources():
@@ -297,14 +308,16 @@ class TestTheRuleLivesInTheSampler:
         }
         assert found and {module for module, _ in found} == {"measurement.py"}
 
-    def test_searchsorted_only_in_the_index_kernel(self):
-        places = [
+    @pytest.mark.parametrize("attribute", DRAWS)
+    def test_each_draw_lives_in_its_kernel_alone(self, attribute):
+        # searchsorted and every CDF-edge comparison in the index kernel, the multinomial draw in the counting kernel.
+        places = {
             (module, enclosing_function(node, parents))
             for module, tree, parents in parsed_sources()
             for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "searchsorted"
-        ]
-        assert places == [("measurement.py", "_cdf_index")]
+            if isinstance(node, ast.Attribute) and node.attr == attribute
+        }
+        assert places == {("measurement.py", DRAWS[attribute])}
 
     def test_the_only_unrefused_draw_is_the_mixture_member(self):
         unrefused, draws = [], 0
@@ -319,7 +332,7 @@ class TestTheRuleLivesInTheSampler:
                 assert readouts is not None, f"{module}: a draw names no readout"
                 if isinstance(readouts, ast.Constant) and readouts.value is None:
                     unrefused.append((module, enclosing_function(call, parents)))
-        assert draws > 10
+        assert draws >= 10
         assert unrefused == [("protocols.py", "proper_vs_improper")]
 
     def test_both_kernels_refuse(self):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import _ZeroUniforms
+from conftest import _ZeroUniforms, position
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -502,15 +502,15 @@ class TestEstimateSpectrum:
         values = estimate_spectrum(sys, Observable("Z", PAULI_Z), 500)
         assert values == [1.0]
 
-    def test_shots_are_drawn_as_repeated_measure_draws_them(self):
+    def test_shots_are_one_multinomial_draw(self):
         state = random_pure_state(3, rng.stream(6, "spec/state"))
         obs = Observable("H", random_hermitian(3, rng.stream(6, "spec/obs")))
-        expected_sys = PSystem(state, "passive", rng.stream(6, "spec"))
+        expected_gen = rng.stream(6, "spec")
         actual_sys = PSystem(state, "passive", rng.stream(6, "spec"))
-        expected = sorted(repeated_measure(expected_sys, obs, 20).counts())
-        assert estimate_spectrum(actual_sys, obs, 20) == expected
-        assert actual_sys.history == expected_sys.history
-        assert _position(actual_sys.rng) == _position(expected_sys.rng)
+        (counts,) = reference_counts(expected_gen, [obs], state, 20)
+        assert estimate_spectrum(actual_sys, obs, 20) == [obs.eigenvalues[i] for i in np.flatnonzero(counts)]
+        assert actual_sys.history == {"H": 20}
+        assert position(actual_sys.rng) == position(expected_gen)
 
     def test_a_drawn_zero_probability_outcome_raises_as_repeated_measure_does(self):
         # A zero uniform draws the first outcome (-1 on |1>), whose weight 1e-13 is below ZERO_PROBABILITY.
@@ -554,24 +554,34 @@ class TestEstimateSpectrum:
             np.testing.assert_allclose(values, np.linalg.eigvalsh(matrix), atol=1e-12)
 
 
-# The estimation loop written observable by observable: one repeated_measure
-# per observable, its indices counted with np.bincount and the counts put
-# through the mean and spread formulas.  The row-wise frame sampler must
-# return equal numbers and leave the system's history and generator as it did.
+# The estimation written out: each observable's Born row, padded with zeros to
+# the widest, and one multinomial draw of every row's outcome counts, put
+# through the mean and spread formulas.  The row-wise frame sampler must return
+# equal numbers and leave the system's history and generator as this does.
 
 
-def count_moments(record, shots):
-    """Mean and population spread of one record's outcomes, from its outcome counts."""
-    counts = np.bincount(record.indices, minlength=len(record.eigenvalues))
-    values = np.asarray(record.eigenvalues)
+def reference_counts(gen, observables, state, shots):
+    """Outcome counts of ``shots`` Born draws of each observable, each row divided by its CDF total as sampled."""
+    rows = [born_distribution(obs, state).probabilities for obs in observables]
+    raw = np.zeros((len(rows), max(row.size for row in rows)))
+    for i, row in enumerate(rows):
+        raw[i, : row.size] = row
+    counts = gen.multinomial(shots, raw / np.cumsum(raw, axis=1)[:, -1:])
+    return [row_counts[: row.size] for row_counts, row in zip(counts, rows)]
+
+
+def count_moments(counts, values, shots):
+    """Mean and population spread of outcomes from their counts."""
+    values = np.asarray(values)
     mean = (counts * values).sum() / shots
     return mean, np.sqrt((counts * (values - mean) ** 2).sum() / shots)
 
 
 def reference_estimates(sys, observables, shots):
     estimates = []
-    for obs in observables:
-        mean, spread = count_moments(repeated_measure(sys, obs, shots), shots)
+    for obs, counts in zip(observables, reference_counts(sys.rng, observables, sys.state, shots)):
+        mean, spread = count_moments(counts, obs.eigenvalues, shots)
+        sys.history[obs.name] += shots
         estimates.append((obs.name, float(mean), float(CONFIDENCE_Z * spread / np.sqrt(shots))))
     return estimates
 
@@ -596,19 +606,13 @@ def reference_proper_vs_improper(trials, shots, gen, mixture=None, purification=
     return purities
 
 
-def _position(gen):
-    """The generator's full state (key, counter, buffer) as comparable text."""
-    return json.dumps(gen.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
-
-
 FRAMES = {
     "pauli-1": lambda: pauli_ic_set(1),
     "pauli-2": lambda: pauli_ic_set(2),
     "pauli-3": lambda: pauli_ic_set(3),
     "gell-mann-3": lambda: hermitian_basis_ic_set(3),
 }
-# 5000 shots put 13 rows in a block: 15 and 63 rows are not multiples of it.
-SHOTS = (1, 7, 5000, 2**16 - 1, 2**16, 2**16 + 1)
+SHOTS = (1, 7, 5000, 2**16 + 1, 10**7)
 
 
 class TestFrameSamplerMatchesReference:
@@ -620,15 +624,7 @@ class TestFrameSamplerMatchesReference:
         actual = [(e.observable, e.mean, e.half_width) for e in estimate_expectations(actual_sys, ic, shots)]
         assert actual == expected
         assert actual_sys.history == expected_sys.history
-        assert _position(actual_sys.rng) == _position(expected_sys.rng)
-        # Against the mean of the outcomes themselves: a Pauli mean is a sum of +-1, exact either way.
-        outcomes_sys = PSystem(state, "passive", rng.stream(seed, "eq/frame"))
-        for obs, (_, mean, _) in zip(ic.observables, actual):
-            outcomes = repeated_measure(outcomes_sys, obs, shots).outcomes
-            if isinstance(obs, PauliString):
-                assert mean == np.mean(outcomes)
-            else:
-                assert abs(mean - np.mean(outcomes)) <= 1e-15
+        assert position(actual_sys.rng) == position(expected_sys.rng)
 
     @pytest.mark.parametrize("shots", SHOTS)
     @pytest.mark.parametrize("frame", FRAMES)
@@ -648,14 +644,19 @@ class TestFrameSamplerMatchesReference:
         self.assert_same_run(basis_state(ic.dim, ic.dim - 1), ic, 5000, seed=2)
 
     @pytest.mark.parametrize("frame", FRAMES)
-    def test_a_drawn_zero_probability_outcome_raises_in_both(self, frame):
-        # A zero uniform draws the first outcome, whose weight 1e-13 is below ZERO_PROBABILITY.
+    def test_a_drawn_zero_probability_outcome_raises_as_repeated_measure_does(self, frame):
+        # An all-zero stream draws the first outcome of positive weight, here 1e-13, below ZERO_PROBABILITY.
         ic = FRAMES[frame]()
         amplitudes = np.zeros(ic.dim)
         amplitudes[:2] = np.sqrt(1.0 - 1e-13), np.sqrt(1e-13)
         state = StateVector(amplitudes)
+
+        def measure_each(sys, observables, shots):
+            for obs in observables:
+                repeated_measure(sys, obs, shots)
+
         errors = []
-        for estimate in (reference_estimates, lambda sys, obs, shots: estimate_expectations(sys, ic, shots)):
+        for estimate in (measure_each, lambda sys, obs, shots: estimate_expectations(sys, ic, shots)):
             with pytest.raises(ValueError, match="zero probability") as caught:
                 estimate(PSystem(state, "passive", _ZeroUniforms()), ic.observables, 3)
             errors.append(str(caught.value))
@@ -675,7 +676,7 @@ class TestFrameSamplerMatchesReference:
         actual = reconstruct_reduced_single_copy(actual_sys, shots)
         assert actual.matrix.tobytes() == expected.matrix.tobytes()
         assert actual_sys.history == expected_sys.history
-        assert _position(actual_sys.rng) == _position(expected_sys.rng)
+        assert position(actual_sys.rng) == position(expected_sys.rng)
 
     @pytest.mark.parametrize("presentation", ["mixture", "purification"])
     def test_proper_vs_improper(self, presentation):
@@ -687,25 +688,30 @@ class TestFrameSamplerMatchesReference:
         expected = reference_proper_vs_improper(40, 500, expected_gen, **kwargs)
         report = proper_vs_improper(40, 500, actual_gen, **kwargs)
         assert [entry["purity"] for entry in report.log] == expected
-        assert _position(actual_gen) == _position(expected_gen)
+        assert position(actual_gen) == position(expected_gen)
 
 
-class TestFrameSpread:
-    # Blocks of (3, 1), (15, 7), (13, 5000) and (11, 5000), (1, 2**16 + 1) rows by shots.
+class TestFrameMoments:
     @pytest.mark.parametrize(
         "frame, shots", [("pauli-1", 1), ("pauli-2", 7), ("pauli-3", 5000), ("gell-mann-3", 2**16 + 1)]
     )
-    def test_spread_is_the_count_formula_bit_for_bit_and_np_std_within_4_ulp(self, frame, shots):
+    def test_moments_are_the_count_formulas_bit_for_bit_and_np_mean_and_std_of_the_outcomes(self, frame, shots):
         ic = FRAMES[frame]()
         state = random_pure_state(ic.dim, rng.stream(shots, f"spread/{frame}"))
-        expected_sys = PSystem(state, "passive", rng.stream(shots, "spread"))
+        expected_gen = rng.stream(shots, "spread")
         actual_sys = PSystem(state, "passive", rng.stream(shots, "spread"))
-        records = [repeated_measure(expected_sys, obs, shots) for obs in ic.observables]
-        expected = np.array([count_moments(record, shots)[1] for record in records])
-        _, spreads = _sample_frame(actual_sys, _frame_table(ic.observables, state), shots)
-        assert spreads.tobytes() == expected.tobytes()
-        assert _position(actual_sys.rng) == _position(expected_sys.rng)
-        np_std = np.array([np.std(record.outcomes) for record in records])
+        counts = reference_counts(expected_gen, ic.observables, state, shots)
+        expected = np.array([count_moments(c, obs.eigenvalues, shots) for c, obs in zip(counts, ic.observables)])
+        means, spreads = _sample_frame(actual_sys, _frame_table(ic.observables, state), shots)
+        assert means.tobytes() == expected[:, 0].tobytes()
+        assert spreads.tobytes() == expected[:, 1].tobytes()
+        assert position(actual_sys.rng) == position(expected_gen)
+        # Against the outcomes the counts stand for: a Pauli mean is a sum of +-1, exact either way.
+        outcomes = [np.repeat(obs.eigenvalues, c) for c, obs in zip(counts, ic.observables)]
+        np_mean, np_std = np.array([np.mean(o) for o in outcomes]), np.array([np.std(o) for o in outcomes])
+        if frame.startswith("pauli"):
+            assert means.tobytes() == np_mean.tobytes()
+        assert np.all(np.abs(means - np_mean) <= 1e-15)
         assert np.all(np.abs(spreads - np_std) <= 4 * np.spacing(np_std))
 
 
