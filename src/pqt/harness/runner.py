@@ -279,7 +279,10 @@ PROTOCOLS = {
     ),
     "no-cloning": (_run_no_cloning, Protocol("inner-product obstruction to unitary cloning", requires=("candidates",))),
     # Exactly one of "mixture" and "purification" (config._resolve_inputs).
-    "proper-vs-improper": (_run_proper_vs_improper, Protocol("tell a classical ensemble from an entangled marginal")),
+    "proper-vs-improper": (
+        _run_proper_vs_improper,
+        Protocol("tell a classical ensemble from an entangled marginal", PASSIVE_ONLY),
+    ),
     "reconstruct": (_run_reconstruct, Protocol("single-copy state reconstruction", PASSIVE_ONLY, state="any")),
     "repeatability": (
         _run_repeatability,

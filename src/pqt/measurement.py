@@ -100,10 +100,6 @@ class Observable:
         """The projector of one outcome applied to a state vector."""
         return self.projectors[outcome_index] @ amplitudes
 
-    def add_scaled_to(self, out: np.ndarray, coefficient: float, norm: float) -> None:
-        """Add ``coefficient * (matrix / norm)`` to ``out`` in place."""
-        out += coefficient * (self.matrix / norm)
-
     def __repr__(self) -> str:
         return f"Observable({self.name!r}, dim={self.dim})"
 
@@ -116,8 +112,8 @@ class PauliString(Observable):
     column's one nonzero), O(d) memory; a string of a Pauli frame holds
     row views of the frame's ``(k, d)`` arrays.  The matrix, projectors
     and decomposition are derived on each access and never stored.  Its
-    Born probabilities (1 -/+ <S>)/2, the projection of a state vector
-    and its term in linear inversion each cost O(d) time.
+    Born probabilities (1 -/+ <S>)/2 and the projection of a state vector
+    each cost O(d) time.
     """
 
     __slots__ = ("x_mask", "phase", "rows")
@@ -171,10 +167,6 @@ class PauliString(Observable):
         flipped = np.empty_like(amplitudes)
         flipped[self.rows] = self.phase * amplitudes
         return (amplitudes - flipped) / 2 if outcome_index == 0 else (amplitudes + flipped) / 2
-
-    def add_scaled_to(self, out: np.ndarray, coefficient: float, norm: float) -> None:
-        # Only the d nonzeros of S change; every other entry would gain +-0.
-        out[self.rows, np.arange(self.dim)] += coefficient * (self.phase / norm)
 
 
 @dataclass(frozen=True, eq=False)

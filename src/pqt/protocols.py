@@ -50,12 +50,13 @@ from .measurement import (
     collapse_update,
     measure,
 )
-from .tomography import _frame_estimate, _frame_table, ic_set_for_dimension, reconstruct_single_copy
+from .tomography import _frame_purities, _frame_table, ic_set_for_dimension, reconstruct_single_copy
 
 CLONED_TOL = 1e-9
 PURE_AVERAGE_TOL = 1e-9
 MAX_ORACLE_BITS = 5
 ORACLE_DRAW_BLOCK = 64  # uniforms quantum function recovery draws at once
+_TRIAL_BLOCK_ENTRIES = 2**18  # count and density entries proper_vs_improper holds per block of trials
 
 
 @dataclass(frozen=True)
@@ -336,9 +337,18 @@ def proper_vs_improper(
     purification and always finds the same mixed reduced state.  The
     verdict thresholds the mean estimated purity at the midpoint between
     1 and the purity of the shared average state.
+
+    Trials run together, a block at a time.  Every member is drawn first,
+    one uniform per trial; then one multinomial draw counts the frame rows
+    of every trial in the block, in trial order, and the block's estimates
+    are inverted and projected as one ``(T, d, d)`` stack.  The block size
+    bounds memory and never changes the stream: a multinomial draw takes
+    its rows in order.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if shots < 1:
+        raise ValueError("need at least one shot")
     if (mixture is None) == (purification is None):
         raise ValueError("provide exactly one presentation: a mixture or a purification")
 
@@ -359,29 +369,29 @@ def proper_vs_improper(
         raise ValueError("average state is pure: the presentations are indistinguishable")
     midpoint = (1.0 + average_purity) / 2.0
 
-    # Every trial measures one of a few fixed states: their Born rows are computed once.
+    # Every trial measures one of a few fixed states: their Born rows are computed once, k per state.
     if mixture is not None:
         ic = ic_set_for_dimension(mixture[0][0].dim)
-        tables = [_frame_table(ic.observables, state) for state, _ in mixture]
+        observables = ic.observables
+        table = _frame_table(observables, *(state for state, _ in mixture))
+        drawn = _cdf_index(members, rng.random(trials), readouts=None, mode=None)
     else:
-        ic, lifted = _local_ic_set(purification.shape)
-        table = _frame_table(lifted, purification)
+        ic, observables = _local_ic_set(purification.shape)
+        table = _frame_table(observables, purification)
+        drawn = np.zeros(trials, dtype=np.intp)
 
-    purities = []
+    block = max(1, _TRIAL_BLOCK_ENTRIES // (table.values.size + ic.dim**2))
+    purities = np.empty(trials)
+    for start in range(0, trials, block):
+        states = drawn[start : start + block]
+        counts = _cdf_counts(table.rows_of(states), rng, shots, observables * states.size, "passive")
+        purities[start : start + block] = _frame_purities(counts, table.values, ic, shots)
+
     report = ProtocolReport("proper-vs-improper", "passive")
-    for trial in range(trials):
-        if mixture is not None:
-            index = int(_cdf_index(members, rng.random(1), readouts=None, mode=None)[0])
-            sys = PSystem(mixture[index][0], "passive", rng)
-            table = tables[index]
-        else:
-            sys = PSystem(purification, "passive", rng)
-        purity = _frame_estimate(sys, ic, table, shots).purity()
-        purities.append(purity)
-        report.log.append(
-            {"trial": trial, "purity": purity, "verdict": "proper" if purity >= midpoint else "improper"}
-        )
-
+    report.log = [
+        {"trial": trial, "purity": purity, "verdict": "proper" if purity >= midpoint else "improper"}
+        for trial, purity in enumerate(purities.tolist())
+    ]
     mean_purity = float(np.mean(purities))
     report.resources = {"trials": trials, "systems_used": trials, "shots_per_observable": shots}
     report.verdicts = {

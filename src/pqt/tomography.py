@@ -25,7 +25,9 @@ Born probabilities cost O(d).  Linear inversion is grouped by
 ``x_mask``: strings sharing a mask write the same d entries, so one
 fancy-indexed add per rank within the groups adds 2^n strings at once,
 with the bits of the string-by-string sum.  Other frames (Gell-Mann,
-lifted) add one dense term per observable.
+lifted) add one dense term per observable.  Both add to a stack of
+matrices at once, one per row of a ``(T, k)`` array of means, and a
+single reconstruction is a stack of one.
 :func:`ic_set_for_dimension` returns one shared, immutable frame per
 dimension.
 
@@ -38,7 +40,8 @@ grows with ``shots``.
 
 Statistical noise can push the raw estimate outside the state set, so a
 Euclidean projection onto the probability simplex of its spectrum
-restores physicality.
+restores physicality.  The projection, too, takes a ``(T, d, d)`` stack:
+one batched ``eigh`` and a simplex search over every spectrum at once.
 """
 
 from __future__ import annotations
@@ -79,10 +82,13 @@ class ICSet:
     def __len__(self) -> int:
         return len(self.observables)
 
-    def add_terms(self, out: np.ndarray, means) -> None:
-        """Add sum_k means[k] * O_k / norm to ``out`` in place, one observable at a time in frame order."""
-        for mean, obs in zip(means, self.observables):
-            obs.add_scaled_to(out, mean, self.norm)
+    def add_terms(self, out: np.ndarray, means: np.ndarray) -> None:
+        """Add sum_k means[..., k] * O_k / norm to each matrix of the ``(..., d, d)`` stack ``out``, in place.
+
+        One observable at a time, in frame order.
+        """
+        for k, obs in enumerate(self.observables):
+            out += means[..., k, None, None] * (obs.matrix / self.norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,11 +106,10 @@ class PauliFrame(ICSet):
     rows: np.ndarray = field(repr=False)  # (k, d) row of each column's nonzero: x ^ x_mask
     rounds: tuple[np.ndarray, ...] = field(repr=False)  # string indices of each inversion round
 
-    def add_terms(self, out: np.ndarray, means) -> None:
-        means = np.asarray(means, dtype=float)
+    def add_terms(self, out: np.ndarray, means: np.ndarray) -> None:
         columns = np.arange(self.dim)
         for members in self.rounds:
-            out[self.rows[members], columns] += means[members, None] * (self.phase[members] / self.norm)
+            out[..., self.rows[members], columns] += means[..., members, None] * (self.phase[members] / self.norm)
 
 
 @dataclass
@@ -220,34 +225,52 @@ def estimate_expectations(sys: PSystem, ic: ICSet, shots: int) -> list[Expectati
 
 @dataclass(frozen=True)
 class _FrameTable:
-    """The Born distributions of every observable of a frame on one state, one row each.
+    """The Born distributions of every observable of a frame on one or more states, one row each.
 
-    A row with fewer outcomes than the widest is padded with zero weight and
-    value: the padding is never drawn, so it adds nothing to a row's sums.
+    The k rows of state s are rows s*k to s*k + k - 1 of ``cdf``.  A row with
+    fewer outcomes than the widest is padded with zero weight and value: the
+    padding is never drawn, so it adds nothing to a row's sums.
     """
 
     observables: tuple[Observable, ...]
     cdf: _CdfTable
-    values: np.ndarray  # (k, m) outcome values of each row
+    values: np.ndarray  # (k, m) outcome values of each observable, the same on every state
+    sizes: np.ndarray  # (k,) outcomes of each observable
+
+    def rows_of(self, states: np.ndarray) -> _CdfTable:
+        """The k rows of each of ``states`` (indices of the table's states, repeats allowed), state after state."""
+        k = self.sizes.size
+        rows = (states[:, None] * k + np.arange(k)).ravel()
+        return _cdf_table(self.cdf.probabilities[rows], np.tile(self.sizes, states.size))
 
 
-def _frame_table(observables: tuple[Observable, ...], state: State) -> _FrameTable:
-    """Born probabilities of every observable on ``state``, checked once as :class:`OutcomeDistribution` checks them."""
-    if observables[0].dim != state.dim:
-        raise ValueError(f"dimension mismatch: observable {observables[0].dim}, state {state.dim}")
+def _frame_table(observables: tuple[Observable, ...], *states: State) -> _FrameTable:
+    """Born probabilities of every observable on each state in turn.
+
+    Rows are checked once, as :class:`OutcomeDistribution` checks them.
+    """
+    for state in states:
+        if observables[0].dim != state.dim:
+            raise ValueError(f"dimension mismatch: observable {observables[0].dim}, state {state.dim}")
     sizes = np.array([len(obs.eigenvalues) for obs in observables])
     if all(isinstance(obs, PauliString) for obs in observables):
         # Each row is (1 -/+ <S>)/2, as PauliString.outcome_probabilities computes it.
-        expectations = np.array([obs.expectation(state) for obs in observables])
+        expectations = np.array([obs.expectation(state) for state in states for obs in observables])
         raw = np.stack(((1.0 - expectations) / 2, (1.0 + expectations) / 2), axis=1)
-        values = np.broadcast_to(PauliString.eigenvalues, raw.shape)
+        values = np.broadcast_to(PauliString.eigenvalues, (sizes.size, 2))
     else:
-        raw = np.zeros((sizes.size, sizes.max()))
-        values = np.zeros(raw.shape)
+        raw = np.zeros((len(states) * sizes.size, sizes.max()))
+        values = np.zeros((sizes.size, sizes.max()))
         for row, obs in enumerate(observables):
-            raw[row, : sizes[row]] = obs.outcome_probabilities(state)
             values[row, : sizes[row]] = obs.eigenvalues
-    return _FrameTable(observables, _cdf_table(raw, sizes), values)
+            for s, state in enumerate(states):
+                raw[s * sizes.size + row, : sizes[row]] = obs.outcome_probabilities(state)
+    return _FrameTable(observables, _cdf_table(raw, np.tile(sizes, len(states))), values, sizes)
+
+
+def _frame_means(counts: np.ndarray, values: np.ndarray, shots: int) -> np.ndarray:
+    """The mean outcome of each row of ``shots`` draws from its counts c_j of values v_j: sum_j c_j v_j / shots."""
+    return (counts * values).sum(axis=-1) / shots
 
 
 def _sample_frame(sys: PSystem, table: _FrameTable, shots: int) -> tuple[np.ndarray, np.ndarray]:
@@ -260,7 +283,7 @@ def _sample_frame(sys: PSystem, table: _FrameTable, shots: int) -> tuple[np.ndar
     ``np.mean`` and ``np.std`` in the last bits, as their sums run in another order.
     """
     counts = _passive_counts(sys, table.observables, table.cdf, shots)
-    means = (counts * table.values).sum(axis=1) / shots
+    means = _frame_means(counts, table.values, shots)
     return means, np.sqrt((counts * (table.values - means[:, None]) ** 2).sum(axis=1) / shots)
 
 
@@ -274,6 +297,26 @@ def _frame_estimate(sys: PSystem, ic: ICSet, table: _FrameTable, shots: int) -> 
     return project_to_physical(linear_inversion(means, ic))
 
 
+def _frame_purities(counts: np.ndarray, values: np.ndarray, ic: ICSet, shots: int) -> np.ndarray:
+    """Purity Tr(rho^2) of the physical estimate of each trial, from ``(T * k, m)`` counts of ``shots`` draws per row.
+
+    Trial t holds rows t*k to t*k + k - 1, one per observable of ``ic``
+    with the outcome values of that row of ``values``.  Each trial's
+    estimate is the one ``_frame_estimate`` makes from its counts, and each
+    purity is :meth:`DensityOperator.purity` of it, bit for bit.
+    """
+    means = _frame_means(counts.reshape(-1, *values.shape), values, shots)
+    estimates = _projection_stack(_inversion_stack(means, ic))
+    return np.trace(estimates @ estimates, axis1=-2, axis2=-1).real
+
+
+def _inversion_stack(means: np.ndarray, ic: ICSet) -> np.ndarray:
+    """I/d + sum_k means[..., k] O_k / norm for each row of a ``(..., k)`` array of means: a ``(..., d, d)`` stack."""
+    out = np.broadcast_to(np.eye(ic.dim, dtype=complex) / ic.dim, (*means.shape[:-1], ic.dim, ic.dim)).copy()
+    ic.add_terms(out, means)
+    return out
+
+
 def linear_inversion(estimates, ic: ICSet) -> np.ndarray:
     """Invert estimated expectations: I/d + sum_k <O_k> O_k / norm.
 
@@ -283,40 +326,43 @@ def linear_inversion(estimates, ic: ICSet) -> np.ndarray:
     """
     if len(estimates) != len(ic):
         raise ValueError(f"got {len(estimates)} estimates for {len(ic)} observables")
-    means = [e.mean if isinstance(e, ExpectationEstimate) else float(e) for e in estimates]
-    out = np.eye(ic.dim, dtype=complex) / ic.dim
-    ic.add_terms(out, means)
-    return out
+    means = np.array([e.mean if isinstance(e, ExpectationEstimate) else float(e) for e in estimates])
+    return _inversion_stack(means, ic)
+
+
+def _projection_stack(matrices: np.ndarray) -> np.ndarray:
+    """The closest density operator in Frobenius norm to each matrix of a ``(..., d, d)`` stack.
+
+    Eigendecompose, project each spectrum onto the probability simplex
+    (sort descending, keep the largest k with u_k + (1 - sum_{i<=k} u_i)/k > 0,
+    shift and clip), and rebuild with the original eigenvectors.  The first
+    matrix with a non-finite entry, or with a trace further than 0.1 from 1, raises.
+    """
+    mats = np.asarray(matrices, dtype=complex)
+    if not np.isfinite(mats).all():
+        raise ValueError("density operator entries are not finite")
+    mats = (mats + mats.conj().swapaxes(-1, -2)) / 2.0
+    traces = np.trace(mats, axis1=-2, axis2=-1).real
+    far = np.abs(traces - 1.0) > 0.1
+    if far.any():
+        raise ValueError(f"trace {float(traces[far].flat[0])!r} is too far from 1 to project")
+
+    values, vectors = np.linalg.eigh(mats)
+    descending = values[..., ::-1]  # eigh sorts ascending
+    cumulative = np.cumsum(descending, axis=-1)
+    kept = descending + (1.0 - cumulative) / np.arange(1, descending.shape[-1] + 1) > 0.0
+    k = descending.shape[-1] - np.argmax(kept[..., ::-1], axis=-1)[..., None]  # the largest k that is kept
+    shift = (1.0 - np.take_along_axis(cumulative, k - 1, axis=-1)) / k
+    projected = np.clip(values + shift, 0.0, None)
+    return (vectors * projected[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
 
 
 def project_to_physical(matrix: np.ndarray) -> DensityOperator:
-    """Closest density operator in Frobenius norm.
-
-    Eigendecompose, project the spectrum onto the probability simplex
-    (sort descending, keep the largest k with u_k + (1 - sum_{i<=k} u_i)/k > 0,
-    shift and clip), and rebuild with the original eigenvectors.
-    """
-    mat = np.asarray(matrix, dtype=complex)
-    if not np.isfinite(mat).all():
-        raise ValueError("density operator entries are not finite")
-    mat = (mat + mat.conj().T) / 2.0
-    trace = float(np.trace(mat).real)
-    if abs(trace - 1.0) > 0.1:
-        raise ValueError(f"trace {trace!r} is too far from 1 to project")
-
-    values, vectors = np.linalg.eigh(mat)
-    descending = np.sort(values)[::-1]
-    cumulative = np.cumsum(descending)
-    k = 0
-    for i in range(descending.size):
-        if descending[i] + (1.0 - cumulative[i]) / (i + 1) > 0.0:
-            k = i + 1
-    shift = (1.0 - cumulative[k - 1]) / k
-    projected = np.clip(values + shift, 0.0, None)
-    rebuilt = (vectors * projected) @ vectors.conj().T
+    """Closest density operator in Frobenius norm: ``_projection_stack`` of one matrix."""
+    rebuilt = _projection_stack(matrix)
     # A state by construction, so no re-check: the spectrum is clipped non-negative with sum 1,
     # and V diag(p) V^dag with unitary V is Hermitian and unit-trace up to rounding.
-    return DensityOperator._unchecked(rebuilt, (mat.shape[0],))
+    return DensityOperator._unchecked(rebuilt, (rebuilt.shape[0],))
 
 
 def reconstruct_single_copy(sys: PSystem, ic: ICSet, shots: int) -> ReconstructionResult:

@@ -50,7 +50,7 @@ PASSIVE_SAMPLING_SEED_1 = {
 PROTOCOL_LOOPS_SEED_1 = {
     "repeatability-quantum": "10dda750fbc75fc89b5d40e4d451481dec26e2a6f2673c5be7336d39b12ab8ca",
     "function-recovery-quantum": "b4642ea0639afb4e8a8e76e546141badb58933509207679fd3f9e3a4ee7ce008",
-    "proper-vs-improper-mixture": "aa7da83e38737db3a7eb54fa466dd77c0d97044a047dd249d65a2913b018a0de",
+    "proper-vs-improper-mixture": "36c9b1c95788ebc15478c19302e1fb95f9cde88ed4af1bc93289a6e4fac8814c",
     "proper-vs-improper-purification": "8e68bd6343fe62761ca9eae82f943528d8c5bd7d05d8ee3ff0b1d70dc8e2d82f",
     "teleportation-quantum": "7c178e3d6a9efdcef760c47637076ef8eba0247952cc6747bfbc933e7639ed13",
 }

@@ -350,7 +350,7 @@ class TestCLI:
         assert main(["run", "--config", str(path)]) == 2
         assert "ray-equal" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["reconstruct", "clone", "joint-local", "joint-global"])
+    @pytest.mark.parametrize("name", ["reconstruct", "clone", "joint-local", "joint-global", "proper-vs-improper"])
     def test_mode_flag_is_checked_like_the_config(self, capsys, name):
         assert main(["run", "--config", str(CONFIG_DIR / f"{name}.json"), "--mode", "quantum"]) == 1
         err = capsys.readouterr().err
@@ -420,6 +420,12 @@ class TestCLI:
             ({"protocol": "proper-vs-improper", "shape": [2, 2], "purification": "basis:0"}, "purification"),
             ({"protocol": "reconstruct", "mode": "quantum", "initial_state": "plus"}, "mode"),
             ({"protocol": "clone", "mode": "quantum", "initial_state": "plus"}, "mode"),
+            # One copy under collapse cannot show a mixture's member: the single-copy protocol is passive only.
+            (
+                {"protocol": "proper-vs-improper", "mode": "quantum", "mixture": [["basis:0", 0.5], ["plus", 0.5]],
+                 "trials": 3, "seed": 1},
+                "mode",
+            ),
             (
                 {"protocol": "joint-local", "mode": "quantum", "initial_state": "bell:phi+",
                  "observables": ["pauli:Z", "pauli:Z"]},

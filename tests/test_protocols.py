@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import _ZeroUniforms, philox_position, position
 
-from pqt import rng
+from pqt import protocols, rng
 from pqt.harness import parse_config, run
 from pqt.harness import runner as runner_module
 from pqt.harness.report import Report
@@ -300,6 +300,49 @@ class TestProperVsImproper:
         bad = [(basis_state(2, 0), 0.7), (plus_state(), 0.7)]
         with pytest.raises(ValueError, match="sum to 1"):
             proper_vs_improper(5, 100, rng.stream(0, "pvi"), mixture=bad)
+
+    @pytest.mark.parametrize("presentation", ["mixture", "purification"])
+    def test_block_size_changes_neither_the_log_nor_the_stream(self, presentation, monkeypatch):
+        if presentation == "mixture":
+            g = rng.stream(1, "pvi/blocks/mixture")
+            kwargs = {"mixture": [(random_pure_state(4, g), 0.4), (random_pure_state(4, g), 0.6)]}
+            per_trial = 15 * 2 + 4 * 4  # a 2-qubit Pauli frame's count entries, then its density entries
+        else:
+            kwargs = {"purification": random_pure_state(6, rng.stream(1, "pvi/blocks/purification"), (3, 2))}
+            per_trial = 8 * 3 + 3 * 3  # side A's 8 lifted Gell-Mann rows, padded to 3 outcomes, then 3 x 3
+        trials, draws = 40, []
+        counts = protocols._cdf_counts
+        monkeypatch.setattr(protocols, "_cdf_counts", lambda *args: draws.append(1) or counts(*args))
+        runs = []
+        for block in (None, 1, 7):
+            if block is not None:
+                monkeypatch.setattr(protocols, "_TRIAL_BLOCK_ENTRIES", block * per_trial)
+            draws.clear()
+            gen = rng.stream(4, f"pvi/blocks/{presentation}")
+            report = proper_vs_improper(trials, 300, gen, **kwargs)
+            assert len(draws) == (1 if block is None else -(-trials // block))
+            runs.append((report.log, report.verdicts, position(gen)))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_memory_is_bounded_in_trials(self):
+        # A block holds 63 x 2 count entries and 8 x 8 density entries per trial of a 3-qubit frame.
+        g = rng.stream(2, "pvi/memory")
+        mixture = [(random_pure_state(8, g), 0.5), (random_pure_state(8, g), 0.5)]
+        trials = protocols._TRIAL_BLOCK_ENTRIES // (63 * 2 + 8 * 8) + 1  # one full block and one trial more
+        proper_vs_improper(1, 1, rng.stream(0, "pvi/memory/warm-up"), mixture=mixture)
+        peaks = []
+        for count in (trials, 4 * trials):
+            tracemalloc.start()
+            try:
+                proper_vs_improper(count, 1, rng.stream(0, "pvi/memory"), mixture=mixture)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        one_trials_stacks = 63 * 2 * 8 + 8 * 8 * 16  # int64 counts and a complex density matrix, in bytes
+        log_entry = 320  # a log dict and its purity, plus the trial's member index and purity in arrays
+        assert peaks[1] - peaks[0] <= 3 * trials * log_entry
+        assert log_entry < one_trials_stacks / 4
 
 
 class TestSimulateCollapse:

@@ -44,6 +44,8 @@ from pqt.tomography import (
     CONFIDENCE_Z,
     ICSet,
     _frame_table,
+    _inversion_stack,
+    _projection_stack,
     _sample_frame,
     estimate_expectations,
     estimate_spectrum,
@@ -156,6 +158,15 @@ class TestPauliMasks:
         for mean, obs in zip(means, ic.observables):
             dense = dense + mean * (obs.matrix / ic.norm)
         assert linear_inversion(means, ic).tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("frame", ["pauli-1", "pauli-3", "pauli-6", "gell-mann-3"])
+    def test_a_stack_of_means_inverts_as_each_row_alone_bit_for_bit(self, frame):
+        ic = pauli_ic_set(int(frame[-1])) if frame.startswith("pauli") else hermitian_basis_ic_set(3)
+        means = rng.stream(7, f"inversion/stack/{frame}").uniform(-1.0, 1.0, size=(4, len(ic)))
+        stack = _inversion_stack(means, ic)
+        assert stack.shape == (4, ic.dim, ic.dim)
+        for row, matrix in zip(means, stack):
+            assert matrix.tobytes() == linear_inversion(row.tolist(), ic).tobytes()
 
     @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5, 6])
     def test_array_built_frame_equals_strings_built_from_labels(self, n_qubits):
@@ -376,6 +387,23 @@ class TestProjectToPhysical:
             again = project_to_physical(out.matrix)
             np.testing.assert_allclose(again.matrix, out.matrix, atol=1e-10)
 
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_a_stack_projects_as_each_matrix_alone_bit_for_bit(self, dim):
+        g = rng.stream(dim, "proj/stack")
+        matrices = []
+        for trial in range(12 if dim < 64 else 3):
+            matrix = random_density(dim, g).matrix + (0.01, 0.3, 3.0)[trial % 3] * random_hermitian(dim, g)
+            matrices.append(matrix + (1.0 - np.trace(matrix).real) / dim * np.eye(dim))
+        stack = np.array(matrices)
+        assert (np.linalg.eigvalsh(stack).min(axis=-1) < 0.0).sum() >= len(matrices) // 3
+        for matrix, projected in zip(matrices, _projection_stack(stack)):
+            assert projected.tobytes() == project_to_physical(matrix).matrix.tobytes()
+
+    def test_the_first_matrix_of_a_stack_far_from_unit_trace_is_named(self):
+        stack = np.array([np.eye(2) / 2, np.diag([2.0, 0.5]), np.diag([3.0, 0.5])]).astype(complex)
+        with pytest.raises(ValueError, match=r"^trace 2\.5 is too far from 1 to project$"):
+            _projection_stack(stack)
+
     def test_closest_in_frobenius_norm_spot_check(self):
         # Grid search over qubit density matrices cannot beat the projection.
         g = rng.stream(8, "proj/grid")
@@ -592,11 +620,14 @@ def reference_frame_estimate(sys, ic, observables, shots):
 
 
 def reference_proper_vs_improper(trials, shots, gen, mixture=None, purification=None):
+    """Per-trial frame estimates; a mixture's members are all drawn first, one uniform per trial."""
+    if mixture is not None:
+        weights = np.array([w for _, w in mixture], dtype=float)
+        members = _cdf_index(_cdf_table(weights[None]), gen.random(trials), None, None).tolist()
     purities = []
-    for _ in range(trials):
+    for trial in range(trials):
         if mixture is not None:
-            weights = np.array([w for _, w in mixture], dtype=float)
-            state = mixture[int(_cdf_index(_cdf_table(weights[None]), gen.random(1), None, None)[0])][0]
+            state = mixture[members[trial]][0]
             ic = ic_set_for_dimension(state.dim)
             estimate = reference_frame_estimate(PSystem(state, "passive", gen), ic, ic.observables, shots)
         else:

@@ -6,13 +6,17 @@ report's JSON with sha256.  The map from ``"{workload}/{seed}/{index}"`` and
 ``"configs/{file}"`` to those hashes is serialised with sorted keys and
 hashed again; the script prints the number of reports and the first 16 hex
 digits of that hash.  Two trees that print the same line produce the same
-reports byte for byte.
+reports byte for byte.  With ``--each``, one ``key sha256`` line per report
+comes first, in key order, so that ``diff`` of two trees' outputs names the
+reports that moved.
 
     python tools/report_digest.py
+    python tools/report_digest.py --each > digest.txt
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -46,8 +50,14 @@ def report_hashes() -> dict[str, str]:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description="Digest of every benchmark and shipped-config report.")
+    parser.add_argument("--each", action="store_true", help="print one 'key sha256' line per report first")
+    args = parser.parse_args()
     start = time.perf_counter()
     hashes = report_hashes()
+    if args.each:
+        for key in sorted(hashes):
+            print(key, hashes[key])
     digest = _sha256(json.dumps(hashes, sort_keys=True))[:16]
     print(f"{len(hashes)} reports, digest {digest}")
     print(f"wall clock: {time.perf_counter() - start:.1f}s", file=sys.stderr)
