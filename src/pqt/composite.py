@@ -27,10 +27,11 @@ from .measurement import (
     _cdf_counts,
     _cdf_table,
     _PairReadout,
+    _passive_counts,
     _Readout,
     born_distribution,
 )
-from .tomography import ICSet, _frame_estimate, _frame_table, hermitian_basis_ic_set
+from .tomography import ICSet, _frame_estimates, _frame_table, hermitian_basis_ic_set
 
 PURITY_PRODUCT_THRESHOLD = 0.95
 PURITY_ENTANGLED_THRESHOLD = 0.90
@@ -57,16 +58,8 @@ class JointFrequencyTable:
 
     a_values: tuple[float, ...]
     b_values: tuple[float, ...]
-    counts: np.ndarray = field(repr=False)
+    counts: np.ndarray = field(repr=False)  # (len(a_values), len(b_values)) integers summing to shots
     shots: int
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=int)
-        if counts.shape != (len(self.a_values), len(self.b_values)):
-            raise ValueError("counts shape does not match outcome grids")
-        if int(counts.sum()) != self.shots:
-            raise ValueError(f"counts sum to {counts.sum()}, expected {self.shots} shots")
-        self.counts = counts
 
     def empirical(self) -> np.ndarray:
         return self.counts / self.shots
@@ -192,11 +185,16 @@ def _joint_sample(
     return JointFrequencyTable(a_obs.eigenvalues, b_obs.eigenvalues, counts.reshape(probs.shape), shots)
 
 
+def non_dichotomic(values) -> list[float]:
+    """The values further than ``DICHOTOMIC_TOL`` from both +1 and -1."""
+    return [value for value in values if min(abs(value - 1.0), abs(value + 1.0)) > DICHOTOMIC_TOL]
+
+
 def correlator(table: JointFrequencyTable) -> float:
     """E(a, b) = sum a.b.count / shots for dichotomic (+-1) outcomes."""
-    for value in (*table.a_values, *table.b_values):
-        if min(abs(value - 1.0), abs(value + 1.0)) > DICHOTOMIC_TOL:
-            raise ValueError(f"correlator needs +-1 outcomes, got {value!r}")
+    offending = non_dichotomic((*table.a_values, *table.b_values))
+    if offending:
+        raise ValueError(f"correlator needs +-1 outcomes, got {offending[0]!r}")
     a = np.asarray(table.a_values)
     b = np.asarray(table.b_values)
     return float(np.einsum("i,j,ij->", a, b, table.empirical()))
@@ -253,7 +251,9 @@ def reconstruct_reduced_single_copy(sys: PSystem, shots: int) -> DensityOperator
     if len(shape) != 2:
         raise ValueError("expected a bipartite system")
     ic, lifted = _local_ic_set(shape)
-    return _frame_estimate(sys, ic, _frame_table(lifted, sys.state), shots)
+    table = _frame_table(lifted, sys.state)
+    estimate = _frame_estimates(_passive_counts(sys, lifted, table.cdf, shots), table.values, ic, shots)[0]
+    return DensityOperator._unchecked(estimate, (ic.dim,))
 
 
 @functools.lru_cache(maxsize=8)
@@ -325,7 +325,7 @@ def signalling_check(
         updated = np.zeros_like(matrix)
         for projector in lifted_a.projectors:
             updated = updated + projector @ matrix @ projector
-        with_action = born_distribution(lifted_b, DensityOperator(updated, shape))
+        with_action = born_distribution(lifted_b, DensityOperator._unchecked(updated, shape))  # a state
 
     tv = 0.5 * float(np.abs(without.probabilities - with_action.probabilities).sum())
     return SignallingReport(without, with_action, tv)

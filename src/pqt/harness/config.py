@@ -12,6 +12,7 @@ offending field and the violated constraint.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 import numpy as np
 
 from .. import rng
-from ..composite import CHSH_SOURCES, SIGNALLING_ACTIONS
+from ..composite import CHSH_SOURCES, SIGNALLING_ACTIONS, non_dichotomic
 from ..hilbert import (
     PAULI_X,
     PAULI_Y,
@@ -254,6 +255,11 @@ def _resolve_inputs(
         kind = "bipartite"  # the replacement comes from a global reconstruction
     if len(resolved) < len(targets):
         raise ConfigError("observables", f"protocol {protocol!r} needs {len(targets)} observable(s), got {len(resolved)}")
+    if protocol == "chsh":
+        for i, obs in enumerate(resolved[: len(targets)]):
+            offending = non_dichotomic(obs.eigenvalues)
+            if offending:
+                raise ConfigError(f"observables[{i}]", f"a CHSH correlator needs +-1 outcomes, got {offending[0]!r}")
     if kind is not None and spec.state_required and initial_state is None:
         raise ConfigError("initial_state", f"protocol {protocol!r} requires an initial state")
     followup = None
@@ -272,6 +278,9 @@ def _resolve_inputs(
     candidates = unitary = library = None
     if protocol == "discriminate":
         candidates = resolve_candidates(extras["candidates"], shape, dim=state.dim)
+        for i, j in itertools.combinations(range(len(candidates)), 2):
+            if candidates[i].ray_equal(candidates[j]):
+                raise ConfigError(f"candidates[{j}]", f"is ray-equal to candidates[{i}]; candidates must be distinct")
     if protocol == "no-cloning":
         candidates = resolve_candidates(extras["candidates"], None, count=2)
         unitary = resolve_unitary(extras.get("unitary", "cnot"), candidates[0].dim)

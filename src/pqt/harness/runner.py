@@ -19,13 +19,13 @@ import numpy as np
 
 from .. import rng
 from ..composite import (
-    DICHOTOMIC_TOL,
     LocalSetting,
     chsh_value,
     correlator,
     detect_entanglement_single_copy,
     global_joint_sample,
     local_passive_joint_sample,
+    non_dichotomic,
     signalling_check,
 )
 from ..hilbert import fidelity, random_pure_state
@@ -89,7 +89,7 @@ def _run_spectrum(config: ExperimentConfig, report: Report, stream: np.random.Ge
 
 def _add_joint_table(report: Report, table) -> None:
     report.add_table("joint_counts", ["a", "b", "count"], [list(row) for row in table.rows()])
-    if all(min(abs(v - 1.0), abs(v + 1.0)) <= DICHOTOMIC_TOL for v in (*table.a_values, *table.b_values)):
+    if not non_dichotomic((*table.a_values, *table.b_values)):
         report.add_metric("correlator", correlator(table), 1.0 / np.sqrt(table.shots))
 
 

@@ -323,12 +323,12 @@ def fidelity(x: State, y: State) -> float:
 
 
 def evolve(state: State, unitary: UnitaryOperator) -> State:
-    """Apply a unitary map: psi -> U psi, rho -> U rho U^dag."""
+    """Apply a unitary map: psi -> U psi, rho -> U rho U^dag.  The image of a state is a state: no re-validation."""
     if unitary.dim != state.dim:
         raise ValueError(f"dimension mismatch: state {state.dim}, unitary {unitary.dim}")
     if isinstance(state, StateVector):
-        return StateVector(unitary.matrix @ state.amplitudes, state.shape)
-    return DensityOperator(unitary.matrix @ state.matrix @ unitary.matrix.conj().T, state.shape)
+        return StateVector._unchecked(unitary.matrix @ state.amplitudes, state.shape)
+    return DensityOperator._unchecked(unitary.matrix @ state.matrix @ unitary.matrix.conj().T, state.shape)
 
 
 # ---------------------------------------------------------------------------

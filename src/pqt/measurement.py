@@ -8,20 +8,23 @@ untouched, so the very same system can be measured again and again.
 
 Outcomes are drawn from the system's Philox stream (see :mod:`pqt.rng`),
 never the platform default.  Every draw goes through one table and two
-kernels: ``_cdf_table`` checks rows of outcome probabilities once and keeps
-their CDF edges, ``_cdf_index`` turns one uniform per shot into that shot's
-outcome index by inverse CDF, and ``_cdf_counts`` draws the outcome counts of
-n shots of every row at once, as Multinomial(n, row), with one
-``Generator.multinomial`` call: neither its time nor its memory grows with n.
+kernels: ``_cdf_table`` checks rows of outcome probabilities once, where they
+enter, and keeps each row's CDF total; ``_CdfTable.gather`` slices checked rows
+into a new table without checking them again.  ``_cdf_index`` derives each
+row's CDF edges and turns one uniform per shot into that shot's outcome index
+by inverse CDF, and ``_cdf_counts`` draws the outcome counts of n shots of
+every row at once, as Multinomial(n, row), with one ``Generator.multinomial``
+call: neither its time nor its memory grows with n.
 
 Both modes keep the Born rule, so both kernels refuse a drawn outcome of
 probability <= ``ZERO_PROBABILITY``, naming the least probable one of the first
 such row: "outcome a of 'name' has zero probability; the post-measurement state
 is undefined" (quantum) or "...; an impossible outcome was claimed" (passive).
-Only such rows are checked.  A drawn pair of outcomes (``_PairReadout``) is
-refused on the first's probability, then on the second's given the first, not
-on their product.  A proper mixture's member draw, a preparation and no
-outcome, refuses nothing.
+An outcome of weight exactly zero has no width in the CDF and is never drawn, so
+only rows with an outcome of weight in (0, ``ZERO_PROBABILITY``] are checked.  A
+drawn pair of outcomes (``_PairReadout``) is refused on the first's probability,
+then on the second's given the first, not on their product.  A proper
+mixture's member draw, a preparation and no outcome, refuses nothing.
 """
 
 from __future__ import annotations
@@ -171,16 +174,19 @@ class PauliString(Observable):
 
 @dataclass(frozen=True, eq=False)
 class _CdfTable:
-    """Checked outcome probabilities, one distribution per row, and the CDF edges the index kernel reads."""
+    """Checked outcome probabilities, one distribution per row (zero-weight padding is never drawn), and row totals."""
 
-    probabilities: np.ndarray  # (k, m), read-only, negative roundoff clipped to zero
+    probabilities: np.ndarray  # (k, m), negative roundoff clipped to zero
     totals: np.ndarray  # (k, 1) CDF total of each row
-    edges: np.ndarray  # (k, max(m, 2) - 1) interior CDF edges, +inf (reached by no draw) past a row's last
-    risky: np.ndarray  # indices of the rows with an outcome of probability <= ZERO_PROBABILITY
+    risky: np.ndarray  # (k,) whether a row has a drawable outcome of probability <= ZERO_PROBABILITY
+
+    def gather(self, rows: np.ndarray) -> "_CdfTable":
+        """The table of the given rows (repeats allowed), in order: checked rows are only sliced, never re-checked."""
+        return _CdfTable(self.probabilities[rows], self.totals[rows], self.risky[rows])
 
 
-def _cdf_table(raw: np.ndarray, sizes: np.ndarray | None = None) -> _CdfTable:
-    """The table of a ``(k, m)`` array whose row i holds ``sizes[i]`` outcome probabilities (all m by default), then zeros.
+def _cdf_table(raw: np.ndarray) -> _CdfTable:
+    """The table of a ``(k, m)`` array of outcome probabilities, one distribution per row.
 
     The first row with a negative or non-finite entry, or with a sum
     further than ``PROBABILITY_SUM_TOL`` from 1, raises.
@@ -194,12 +200,8 @@ def _cdf_table(raw: np.ndarray, sizes: np.ndarray | None = None) -> _CdfTable:
             raise ValueError(f"negative outcome probability {lowest[row]!r}")
         raise ValueError(f"probabilities sum to {sums[row]!r}, expected 1")
     probabilities.setflags(write=False)
-    sizes = raw.shape[1] if sizes is None else sizes[:, None]
-    columns = np.arange(max(raw.shape[1], 2))
-    cdf = np.cumsum(probabilities, axis=1)  # padding adds zeros: the last column holds each row's total
-    edges = np.where(columns[:-1] < sizes - 1, cdf[:, : columns.size - 1], np.inf)
-    risky = np.where(columns[: raw.shape[1]] < sizes, probabilities, np.inf).min(axis=1) <= ZERO_PROBABILITY
-    return _CdfTable(probabilities, cdf[:, -1:], edges, np.flatnonzero(risky))
+    risky = ((probabilities > 0.0) & (probabilities <= ZERO_PROBABILITY)).any(axis=1)
+    return _CdfTable(probabilities, np.cumsum(probabilities, axis=1)[:, -1:], risky)
 
 
 def _cdf_index(table: _CdfTable, uniforms: np.ndarray, readouts, mode: str | None) -> np.ndarray:
@@ -210,19 +212,22 @@ def _cdf_index(table: _CdfTable, uniforms: np.ndarray, readouts, mode: str | Non
     indices take its shape.  The input's shape alone picks the method.
     A drawn impossible outcome is refused, naming ``readouts[row]`` and ``mode`` (None: no refusal).
     """
-    rows, width = table.edges.shape
+    rows, outcomes = table.probabilities.shape
+    # The interior edges of each row, then its total: a scaled uniform stays below its total,
+    # so neither the last column nor a padded one (which repeats the total) is ever reached.
+    edges = np.cumsum(table.probabilities, axis=1)
     scaled = uniforms.reshape(rows, -1)
     scaled *= table.totals
-    if rows == 1 and scaled.shape[1] < SEARCH_PER_EDGE * (width - 1):
-        indices = np.searchsorted(table.edges[0], scaled, side="right")
+    if rows == 1 and scaled.shape[1] < SEARCH_PER_EDGE * (outcomes - 2):
+        indices = np.searchsorted(edges[0], scaled, side="right")
     else:
-        indices = np.greater_equal(scaled, table.edges[:, :1], out=np.empty(scaled.shape, np.intp))
-        for column in range(1, width):
-            indices += scaled >= table.edges[:, column : column + 1]
-    if table.risky.size and readouts is not None:
+        indices = np.greater_equal(scaled, edges[:, :1], out=np.empty(scaled.shape, np.intp))
+        for column in range(1, outcomes - 1):
+            indices += scaled >= edges[:, column : column + 1]
+    if readouts is not None and table.risky.any():
         drawn = indices[table.risky]
         probabilities = np.take_along_axis(table.probabilities[table.risky], drawn, axis=1)
-        _refuse_drawn(readouts, table.risky, probabilities, mode, drawn)
+        _refuse_drawn(readouts, np.flatnonzero(table.risky), probabilities, mode, drawn)
     return indices.reshape(uniforms.shape)
 
 
@@ -241,15 +246,15 @@ def _cdf_counts(table: _CdfTable, rng: np.random.Generator, n: int, readouts, mo
     last = table.probabilities.shape[1] - 1 - np.argmax(table.probabilities[stray, ::-1] > 0.0, axis=1)
     counts[stray, last] += counts[stray, -1]
     counts[stray, -1] = 0
-    if table.risky.size and isinstance(readouts, _PairReadout):
+    if isinstance(readouts, _PairReadout) and table.risky.any():
         cells = counts.reshape(readouts.first.size, -1) > 0
         first = np.where(cells.any(axis=1), readouts.first, np.inf)
         second = np.where(cells, readouts.second, np.inf).min(axis=0)  # each drawn b's least p(b | a) over drawn a
         _refuse_drawn(readouts.sides[:1], (0,), first[None], mode)
         _refuse_drawn(readouts.sides[1:], (0,), second[None], mode)
-    elif table.risky.size and readouts is not None:
+    elif readouts is not None and table.risky.any():
         drawn = np.where(counts[table.risky] > 0, table.probabilities[table.risky], np.inf)
-        _refuse_drawn(readouts, table.risky, drawn, mode)
+        _refuse_drawn(readouts, np.flatnonzero(table.risky), drawn, mode)
     return counts
 
 
@@ -513,7 +518,7 @@ def nonlinearity_witness(
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("blend weight must lie strictly between 0 and 1")
-    blend = DensityOperator(lam * rho1.matrix + (1.0 - lam) * rho2.matrix, rho1.shape)
+    blend = DensityOperator._unchecked(lam * rho1.matrix + (1.0 - lam) * rho2.matrix, rho1.shape)  # a state
     lhs, _ = p_instrument_map(blend, projector)
     map1, _ = p_instrument_map(rho1, projector)
     map2, _ = p_instrument_map(rho2, projector)

@@ -50,7 +50,7 @@ from .measurement import (
     collapse_update,
     measure,
 )
-from .tomography import _frame_purities, _frame_table, ic_set_for_dimension, reconstruct_single_copy
+from .tomography import _frame_estimates, _frame_table, ic_set_for_dimension, reconstruct_single_copy
 
 CLONED_TOL = 1e-9
 PURE_AVERAGE_TOL = 1e-9
@@ -94,11 +94,6 @@ class ProtocolReport:
     verdicts: dict[str, object] = field(default_factory=dict)
     fidelities: dict[str, float] = field(default_factory=dict)
     log: list[dict] = field(default_factory=list)
-
-    def __post_init__(self):
-        for key, count in self.resources.items():
-            if int(count) != count or count < 0:
-                raise ValueError(f"resource {key!r} must be an exact non-negative count")
 
 
 def oracle_unitary(spec: OracleSpec) -> UnitaryOperator:
@@ -358,7 +353,7 @@ def proper_vs_improper(
             raise ValueError("mixture weights must be non-negative and sum to 1")
         members = _cdf_table(weights[None])
         average = sum(w * state.projector() for (state, _), w in zip(mixture, weights))
-        average = DensityOperator(average)
+        average = DensityOperator._unchecked(average, (average.shape[0],))  # a convex sum of states
     else:
         if len(purification.shape) != 2:
             raise ValueError("purification must be bipartite")
@@ -385,7 +380,9 @@ def proper_vs_improper(
     for start in range(0, trials, block):
         states = drawn[start : start + block]
         counts = _cdf_counts(table.rows_of(states), rng, shots, observables * states.size, "passive")
-        purities[start : start + block] = _frame_purities(counts, table.values, ic, shots)
+        estimates = _frame_estimates(counts, table.values, ic, shots)
+        purities[start : start + block] = np.trace(estimates @ estimates, axis1=-2, axis2=-1).real
+        del counts, estimates  # neither outlives its block
 
     report = ProtocolReport("proper-vs-improper", "passive")
     report.log = [
@@ -446,7 +443,7 @@ def simulate_qt_with_pqt(
         norm = float(np.linalg.norm(projected))
         if norm**2 <= 1e-12:
             raise ValueError("reconstruction failure: the observed outcome has no weight in the estimate")
-        replacement = StateVector(projected / norm, sys.state.shape)
+        replacement = StateVector._unchecked(projected / norm, sys.state.shape)  # normalised by its own norm
         report.resources = {"copies_consumed": 1, "shots_per_observable": tomography_shots}
         report.fidelities["reconstruction_overlap"] = fidelity(state_before, result.estimate)
 

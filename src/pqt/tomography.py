@@ -32,11 +32,15 @@ single reconstruction is a stack of one.
 dimension.
 
 Every observable of a frame is sampled by one row-wise sampler: the
-frame's Born rows on the state are checked once into one CDF table (see
+frame's Born rows on each state are checked once into one CDF table (see
 :mod:`pqt.measurement`), the counting kernel draws every row's outcome
 counts of ``shots`` measurements in one multinomial draw, and each row's
 mean and spread are computed from its counts.  Neither time nor memory
-grows with ``shots``.
+grows with ``shots``.  Rows for a block of trials are gathered from the
+checked table, never checked again.  Counts become estimates by one path,
+``_frame_estimates``: a ``(T, d, d)`` stack of physical estimates, of which
+a reduced-state reconstruction takes its one slice and proper-vs-improper
+each slice's purity.
 
 Statistical noise can push the raw estimate outside the state set, so a
 Euclidean projection onto the probability simplex of its spectrum
@@ -124,14 +128,9 @@ class ExpectationEstimate:
 @dataclass
 class ReconstructionResult:
     estimate: DensityOperator
-    raw_estimate: np.ndarray
+    raw_estimate: np.ndarray  # unit trace by construction (see linear_inversion)
     shots_per_observable: int
     diagnostics: list[ExpectationEstimate]
-
-    def __post_init__(self):
-        trace = complex(np.trace(self.raw_estimate))
-        if abs(trace - 1.0) > 1e-10:
-            raise ValueError(f"raw estimate has trace {trace!r}, expected 1")
 
 
 def pauli_ic_set(n_qubits: int) -> PauliFrame:
@@ -235,13 +234,11 @@ class _FrameTable:
     observables: tuple[Observable, ...]
     cdf: _CdfTable
     values: np.ndarray  # (k, m) outcome values of each observable, the same on every state
-    sizes: np.ndarray  # (k,) outcomes of each observable
 
     def rows_of(self, states: np.ndarray) -> _CdfTable:
         """The k rows of each of ``states`` (indices of the table's states, repeats allowed), state after state."""
-        k = self.sizes.size
-        rows = (states[:, None] * k + np.arange(k)).ravel()
-        return _cdf_table(self.cdf.probabilities[rows], np.tile(self.sizes, states.size))
+        k = len(self.observables)
+        return self.cdf.gather((states[:, None] * k + np.arange(k)).ravel())
 
 
 def _frame_table(observables: tuple[Observable, ...], *states: State) -> _FrameTable:
@@ -265,7 +262,7 @@ def _frame_table(observables: tuple[Observable, ...], *states: State) -> _FrameT
             values[row, : sizes[row]] = obs.eigenvalues
             for s, state in enumerate(states):
                 raw[s * sizes.size + row, : sizes[row]] = obs.outcome_probabilities(state)
-    return _FrameTable(observables, _cdf_table(raw, np.tile(sizes, len(states))), values, sizes)
+    return _FrameTable(observables, _cdf_table(raw), values)
 
 
 def _frame_means(counts: np.ndarray, values: np.ndarray, shots: int) -> np.ndarray:
@@ -287,27 +284,16 @@ def _sample_frame(sys: PSystem, table: _FrameTable, shots: int) -> tuple[np.ndar
     return means, np.sqrt((counts * (table.values - means[:, None]) ** 2).sum(axis=1) / shots)
 
 
-def _frame_estimate(sys: PSystem, ic: ICSet, table: _FrameTable, shots: int) -> DensityOperator:
-    """Sample every row of ``table`` on ``sys``, invert with the frame ``ic`` and restore physicality.
+def _frame_estimates(counts: np.ndarray, values: np.ndarray, ic: ICSet, shots: int) -> np.ndarray:
+    """The physical estimate of each trial, a ``(T, d, d)`` stack, from ``(T * k, m)`` counts of ``shots`` per row.
 
-    ``table`` holds the Born rows of ``ic``'s observables, or of their
-    lifts to a larger space (a reduced-state reconstruction).
-    """
-    means, _ = _sample_frame(sys, table, shots)
-    return project_to_physical(linear_inversion(means, ic))
-
-
-def _frame_purities(counts: np.ndarray, values: np.ndarray, ic: ICSet, shots: int) -> np.ndarray:
-    """Purity Tr(rho^2) of the physical estimate of each trial, from ``(T * k, m)`` counts of ``shots`` draws per row.
-
-    Trial t holds rows t*k to t*k + k - 1, one per observable of ``ic``
-    with the outcome values of that row of ``values``.  Each trial's
-    estimate is the one ``_frame_estimate`` makes from its counts, and each
-    purity is :meth:`DensityOperator.purity` of it, bit for bit.
+    Trial t holds rows t*k to t*k + k - 1, one per observable of ``ic`` (or
+    of its lift to a larger space) with the outcome values of that row of
+    ``values``.  Each estimate is ``project_to_physical(linear_inversion(means, ic))``
+    of its trial's means, bit for bit.
     """
     means = _frame_means(counts.reshape(-1, *values.shape), values, shots)
-    estimates = _projection_stack(_inversion_stack(means, ic))
-    return np.trace(estimates @ estimates, axis1=-2, axis2=-1).real
+    return _projection_stack(_inversion_stack(means, ic))
 
 
 def _inversion_stack(means: np.ndarray, ic: ICSet) -> np.ndarray:

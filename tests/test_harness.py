@@ -302,6 +302,10 @@ HUGE_UNITARY = [
     [[0, 0], [0, 0], [0, 0], [1, 0]],
     [[0, 0], [0, 0], [1, 0], [0, 0]],
 ]
+# H tensor I with entries rounded to +-0.70710678118: max |U^dag U - I| = 1.85e-11, within UNITARY_TOL.
+_H = 0.70710678118
+NEAR_H_TENSOR_I = [[_H, 0, _H, 0], [0, _H, 0, _H], [_H, 0, -_H, 0], [0, _H, 0, -_H]]
+PROJECTOR_ON_0 = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]  # outcomes 0 and 1, not +-1
 
 
 class TestCLI:
@@ -342,13 +346,45 @@ class TestCLI:
     def test_missing_file_is_validation_error(self, capsys):
         assert main(["validate", "--config", "/nonexistent.json"]) == 1
 
-    def test_runtime_error_exit_code(self, tmp_path, capsys):
-        # Ray-equal candidates are found out by the discrimination itself, at run time: exit code 2.
-        config = {"name": "d", "protocol": "discriminate", "initial_state": "plus", "candidates": ["plus", "plus"]}
-        path = tmp_path / "ray-equal.json"
-        path.write_text(json.dumps(config))
-        assert main(["run", "--config", str(path)]) == 2
-        assert "ray-equal" in capsys.readouterr().err
+    def test_runtime_error_exit_code(self, monkeypatch, capsys):
+        # An error raised while a validated config runs is a runtime error: exit code 2.
+        def fail(*args):
+            raise ValueError("candidates 0 and 1 are ray-equal")
+
+        monkeypatch.setattr(runner_module, "discriminate", fail)
+        assert main(["run", "--config", str(CONFIG_DIR / "discriminate.json")]) == 2
+        assert "error while running 'discriminate': candidates 0 and 1 are ray-equal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            (
+                {"protocol": "discriminate", "initial_state": "basis:0", "candidates": ["basis:0", "basis:0"]},
+                "candidates[1]",
+            ),
+            (
+                {"protocol": "chsh", "initial_state": "bell:phi+",
+                 "observables": ["pauli:Z", "pauli:X", {"matrix": PROJECTOR_ON_0}, "bloch:-1,0,1"]},
+                "observables[2]",
+            ),
+            # U psi is normalised to UNITARY_TOL, not to NORM_TOL: evolve takes it as the state it is.
+            (
+                {"protocol": "no-cloning", "candidates": ["basis:0", "plus"],
+                 "unitary": [[[x, 0] for x in row] for row in NEAR_H_TENSOR_I]},
+                None,
+            ),
+        ],
+        ids=["ray-equal-candidates", "non-dichotomic-chsh-observable", "near-unitary-no-cloning"],
+    )
+    def test_a_validated_config_runs_without_a_runtime_error(self, tmp_path, capsys, config, field):
+        # Each config is refused by validate, naming its field, or it runs: never exit code 2.
+        if field is not None:
+            self.assert_invalid(tmp_path, capsys, {"name": "v", "shots": 1000, **config}, field)
+            return
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"name": "v", **config}))
+        assert main(["validate", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path)]) == 0
 
     @pytest.mark.parametrize("name", ["reconstruct", "clone", "joint-local", "joint-global", "proper-vs-improper"])
     def test_mode_flag_is_checked_like_the_config(self, capsys, name):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from conftest import GivenUniforms, _first_possible_outcome, philox_position, position
@@ -308,6 +310,15 @@ class TestRepeatedMeasure:
         with pytest.raises(ValueError, match="at least one"):
             repeated_measure(sys, Z, 0)
 
+    def test_one_outcome_observable(self):
+        # The identity has one outcome: its Born row is [1.0], with no interior CDF edge.
+        identity = Observable("I", np.eye(2))
+        for mode in ("quantum", "passive"):
+            sys = PSystem(plus_state(), mode, rng.stream(13, "rep/one-outcome"))
+            assert Counter(measure(sys, identity) for _ in range(5000)) == {1.0: 5000}
+        record = repeated_measure(PSystem(plus_state(), "passive", rng.stream(13, "rep/one-outcome")), identity, 5000)
+        assert record.counts() == {1.0: 5000}
+
 
 class TestInverseCdf:
     # Literal draws of the separate samplers the shared one replaced, on fixed streams.
@@ -343,6 +354,7 @@ def one_shot_indices(weights, uniforms):
 # Weight rows whose CDF edges are all multiples of 1/64 and whose totals are 1,
 # so that the uniforms j/64 land exactly on edges.
 EXACT_WEIGHTS = {
+    "1": [1.0],
     "2": [0.25, 0.75],
     "2-zero-first": [0.0, 1.0],
     "2-zero-last": [1.0, 0.0],
@@ -357,6 +369,7 @@ EDGE_UNIFORMS = np.concatenate((np.arange(64) / 64, np.nextafter(np.arange(1, 65
 class TestCdfIndex:
     # "few" uniforms per row take searchsorted on one row of 3 or more
     # outcomes, "many" take the edge loop; padded rows always take the loop.
+    # A one-outcome row has interior edges of width 0: every uniform draws outcome 0.
     @pytest.mark.parametrize("n", [EDGE_UNIFORMS.size, SEARCH_PER_EDGE * 63], ids=["few", "many"])
     @pytest.mark.parametrize(
         "rows",
@@ -365,13 +378,12 @@ class TestCdfIndex:
     )
     def test_ties_and_zero_weights_match_searchsorted(self, rows, n):
         weights = [EXACT_WEIGHTS[name] for name in rows]
-        sizes = np.array([len(row) for row in weights])
-        raw = np.zeros((len(weights), sizes.max()))
+        raw = np.zeros((len(weights), max(len(row) for row in weights)))
         for i, row in enumerate(weights):
-            raw[i, : sizes[i]] = row
+            raw[i, : len(row)] = row
         uniforms = np.resize(EDGE_UNIFORMS, (len(weights), n))
         expected = np.array([one_shot_indices(row, u) for row, u in zip(weights, uniforms)])
-        assert _cdf_index(_cdf_table(raw, sizes), uniforms.copy(), None, None).tolist() == expected.tolist()
+        assert _cdf_index(_cdf_table(raw), uniforms.copy(), None, None).tolist() == expected.tolist()
 
 
 def multinomial_reference(gen, n, raw):
@@ -379,7 +391,7 @@ def multinomial_reference(gen, n, raw):
     return gen.multinomial(n, raw / np.cumsum(raw, axis=1)[:, -1:])
 
 
-# Rows of 3, 2, 4, 1 and 3 outcomes padded to 4, with zero weights inside rows.
+# Rows of 3, 2, 4, 1 and 3 outcomes padded with zero weight to 4, with zero weights inside rows.
 PADDED_RAW = np.array(
     [
         [0.25, 0.0, 0.75, 0.0],
@@ -389,7 +401,6 @@ PADDED_RAW = np.array(
         [0.0, 0.6, 0.4, 0.0],
     ]
 )
-PADDED_SIZES = np.array([3, 2, 4, 1, 3])
 
 
 class TestCdfCounts:
@@ -410,7 +421,7 @@ class TestCdfCounts:
 
     def test_counts_and_stream_position_are_pinned(self):
         gen = rng.stream(7, "counts/pinned")
-        assert _cdf_counts(_cdf_table(PADDED_RAW, PADDED_SIZES), gen, 10**6, None, None).tolist() == [
+        assert _cdf_counts(_cdf_table(PADDED_RAW), gen, 10**6, None, None).tolist() == [
             [249722, 0, 750278, 0],
             [499434, 500566, 0, 0],
             [100068, 199685, 299920, 400327],
@@ -427,7 +438,7 @@ class TestCdfCounts:
                 counts[:, -1] += 1
                 return counts
 
-        counts = _cdf_counts(_cdf_table(PADDED_RAW, PADDED_SIZES), RemainderOnLastColumn(), 5, None, None)
+        counts = _cdf_counts(_cdf_table(PADDED_RAW), RemainderOnLastColumn(), 5, None, None)
         assert counts.tolist() == [[4, 0, 1, 0], [4, 1, 0, 0], [4, 0, 0, 1], [5, 0, 0, 0], [0, 4, 1, 0]]
 
 
@@ -436,20 +447,18 @@ def cdf_tables(draw):
     """Rows of 1 to 5 outcomes, padded to the widest, with zero weights among them."""
     weight = st.one_of(st.sampled_from([0.0, 0.0, 0.125, 0.5]), st.floats(0.01, 1.0))
     rows = draw(st.lists(st.lists(weight, min_size=1, max_size=5).filter(any), min_size=1, max_size=5))
-    sizes = np.array([len(row) for row in rows])
-    raw = np.zeros((len(rows), sizes.max()))
+    raw = np.zeros((len(rows), max(len(row) for row in rows)))
     for i, row in enumerate(rows):
-        raw[i, : sizes[i]] = np.array(row) / sum(row)
-    return raw, sizes
+        raw[i, : len(row)] = np.array(row) / sum(row)
+    return raw
 
 
 class TestCdfCountsProperty:
     @settings(max_examples=60, deadline=None)
-    @given(table=cdf_tables(), n=st.sampled_from([1, 2, 1000, 10**5 + 1, 10**7]), seed=st.integers(0, 2**32 - 1))
-    def test_counts_are_the_multinomial_draw_and_only_possible_outcomes_are_counted(self, table, n, seed):
-        raw, sizes = table
+    @given(raw=cdf_tables(), n=st.sampled_from([1, 2, 1000, 10**5 + 1, 10**7]), seed=st.integers(0, 2**32 - 1))
+    def test_counts_are_the_multinomial_draw_and_only_possible_outcomes_are_counted(self, raw, n, seed):
         expected_gen, actual_gen = rng.stream(seed, "counts/property"), rng.stream(seed, "counts/property")
-        counts = _cdf_counts(_cdf_table(raw, sizes), actual_gen, n, None, None)
+        counts = _cdf_counts(_cdf_table(raw), actual_gen, n, None, None)
         assert counts.tolist() == multinomial_reference(expected_gen, n, raw).tolist()
         assert position(actual_gen) == position(expected_gen)
         assert (counts.sum(axis=1) == n).all()
@@ -479,7 +488,7 @@ class TestCdfCountsDistribution:
 
     @pytest.mark.parametrize("n", [1, 10, 1000, 10**5, 10**7])
     def test_pearson_statistic_within_wilson_hilferty_bounds(self, n):
-        table = _cdf_table(PADDED_RAW, PADDED_SIZES)
+        table = _cdf_table(PADDED_RAW)
         total = np.zeros(PADDED_RAW.shape, dtype=np.int64)
         per_draw, per_draw_df = 0.0, 0
         for seed in range(self.SEEDS):

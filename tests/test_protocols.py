@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import _ZeroUniforms, philox_position, position
 
-from pqt import protocols, rng
+from pqt import measurement, protocols, rng, tomography
 from pqt.harness import parse_config, run
 from pqt.harness import runner as runner_module
 from pqt.harness.report import Report
@@ -323,6 +323,23 @@ class TestProperVsImproper:
             assert len(draws) == (1 if block is None else -(-trials // block))
             runs.append((report.log, report.verdicts, position(gen)))
         assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("presentation", ["mixture", "purification"])
+    def test_rows_are_checked_once_whatever_the_block_count(self, presentation, monkeypatch):
+        # Born rows are checked where they enter; a block of trials only slices the checked table.
+        kwargs = {"mixture": self.MIXTURE} if presentation == "mixture" else {"purification": purify(self.average())}
+        per_trial = 3 * 2 + 2 * 2  # a qubit frame's count entries, then its density entries
+        checks = []
+        for module in (measurement, tomography, protocols):
+            check = module._cdf_table
+            monkeypatch.setattr(module, "_cdf_table", lambda raw, check=check: checks.append(1) or check(raw))
+        calls = []
+        for block in (20, 5):  # 20 trials in one block, then in four
+            monkeypatch.setattr(protocols, "_TRIAL_BLOCK_ENTRIES", block * per_trial)
+            checks.clear()
+            proper_vs_improper(20, 100, rng.stream(5, f"pvi/checks/{presentation}"), **kwargs)
+            calls.append(len(checks))
+        assert calls[0] == calls[1]
 
     def test_memory_is_bounded_in_trials(self):
         # A block holds 63 x 2 count entries and 8 x 8 density entries per trial of a 3-qubit frame.

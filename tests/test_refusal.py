@@ -263,7 +263,7 @@ class TestWhichOutcomeIsNamed:
 SOURCE = Path(pqt.__file__).parent
 REFUSAL_NAMES = {"risky", "_require_possible", "_require_all_possible"}
 KERNELS = {"_cdf_index": 2, "_cdf_counts": 3, "sample_indices": 2}  # position of the readouts argument
-# The draw each kernel makes, or the table field it alone reads, and that kernel.
+# The draw each kernel makes, or the CDF edges the index kernel alone derives, and that kernel.
 DRAWS = {"searchsorted": "_cdf_index", "edges": "_cdf_index", "multinomial": "_cdf_counts"}
 
 
@@ -308,16 +308,16 @@ class TestTheRuleLivesInTheSampler:
         }
         assert found and {module for module, _ in found} == {"measurement.py"}
 
-    @pytest.mark.parametrize("attribute", DRAWS)
-    def test_each_draw_lives_in_its_kernel_alone(self, attribute):
+    @pytest.mark.parametrize("name", DRAWS)
+    def test_each_draw_lives_in_its_kernel_alone(self, name):
         # searchsorted and every CDF-edge comparison in the index kernel, the multinomial draw in the counting kernel.
         places = {
             (module, enclosing_function(node, parents))
             for module, tree, parents in parsed_sources()
             for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == attribute
+            if isinstance(node, (ast.Name, ast.Attribute)) and name in identifiers(node)
         }
-        assert places == {("measurement.py", DRAWS[attribute])}
+        assert places == {("measurement.py", DRAWS[name])}
 
     def test_the_only_unrefused_draw_is_the_mixture_member(self):
         unrefused, draws = [], 0
