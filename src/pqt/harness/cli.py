@@ -38,13 +38,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     validate_parser = sub.add_parser("validate", help="validate a config without running it")
     validate_parser.add_argument("--config", required=True, help="path to a JSON config file")
+    validate_parser.set_defaults(seed=None, mode=None)
     return parser
 
 
 def _load_config(path: str, seed: int | None = None, mode: str | None = None):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("--config", f"cannot read {path!r}: {exc}") from exc
     config = parse_config(text)
     if seed is not None:
@@ -66,20 +67,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:20s} {modes:27s} {spec.description}")
         return EXIT_OK
 
-    if args.command == "validate":
-        try:
-            config = _load_config(args.config)
-        except ConfigError as exc:
-            print(f"invalid: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        print(f"ok: {config.name!r} ({config.protocol})")
-        return EXIT_OK
-
     try:
         config = _load_config(args.config, args.seed, args.mode)
     except ConfigError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    if args.command == "validate":
+        print(f"ok: {config.name!r} ({config.protocol})")
+        return EXIT_OK
 
     try:
         report = run(config)
@@ -92,7 +87,11 @@ def main(argv: list[str] | None = None) -> int:
 
     rendered = report.to_json() if args.fmt == "json" else report.to_csv()
     if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
+        try:
+            Path(args.out).write_text(rendered, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write report to {args.out!r}: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
     else:
         sys.stdout.write(rendered)
     print(f"wall clock: {report.wall_clock_seconds:.3f}s", file=sys.stderr)

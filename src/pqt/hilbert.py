@@ -6,6 +6,11 @@ small (d <= 64); everything favours clarity over scale.
 
 All types are immutable after construction (the wrapped arrays are
 marked read-only) and every operation here is a pure function.
+
+Validation runs once, where data enters: a value type's constructor
+checks what enters (the presets here and the config resolvers are the
+entry points), and an operation that derives a value from checked ones
+wraps it with ``_unchecked`` and never checks it again.
 """
 
 from __future__ import annotations
@@ -48,7 +53,25 @@ def _as_shape(dim: int, shape: Sequence[int] | None) -> tuple[int, ...]:
     return shape
 
 
-class StateVector:
+class _Value:
+    """Base of the value types: one way to wrap what an operation derived from checked values."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _unchecked(cls, array: np.ndarray, *rest):
+        """Fill the slots, in order, with ``array`` frozen as the constructor freezes it and ``rest``; no check runs."""
+        value = cls.__new__(cls)
+        for name, item in zip(cls.__slots__, (_freeze(array), *rest)):
+            setattr(value, name, item)
+        return value
+
+    def __repr__(self) -> str:
+        shape = f", shape={self.shape}" if hasattr(self, "shape") else ""
+        return f"{type(self).__name__}(dim={self.dim}{shape})"
+
+
+class StateVector(_Value):
     """A unit vector in C^d with an optional tensor factorisation.
 
     ``shape`` lists the subsystem dimensions; their product is d.  Global
@@ -69,24 +92,15 @@ class StateVector:
         self.shape = _as_shape(amps.size, shape)
 
     @classmethod
-    def _unchecked(cls, amplitudes: np.ndarray, shape: tuple[int, ...]) -> "StateVector":
-        """Wrap amplitudes that an invariant-preserving operation derived from a valid state.
-
-        No check runs: the caller guarantees unit norm and a matching shape.
-        """
-        state = cls.__new__(cls)
-        state.amplitudes = _freeze(amplitudes)
-        state.shape = shape
-        return state
-
-    @classmethod
     def normalized(cls, amplitudes: Sequence[complex], shape: Sequence[int] | None = None) -> "StateVector":
-        """Build a state from an unnormalized amplitude list."""
+        """Build a state from an unnormalized amplitude list; the quotient is not checked again."""
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        if amps.size < 2:
+            raise ValueError("state vector needs dimension >= 2")
         norm = float(np.linalg.norm(amps))
-        if norm <= 0.0:
-            raise ValueError("cannot normalize a zero vector")
-        return cls(amps / norm, shape)
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"cannot normalize a vector of norm {norm!r}")
+        return cls._unchecked(amps / norm, _as_shape(amps.size, shape))
 
     @property
     def dim(self) -> int:
@@ -97,20 +111,17 @@ class StateVector:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
     def to_density(self) -> "DensityOperator":
-        return DensityOperator(self.projector(), self.shape)
+        return DensityOperator._unchecked(self.projector(), self.shape)
 
     def ray_equal(self, other: "StateVector") -> bool:
         """True when both vectors describe the same ray (|<phi|psi>|^2 = 1)."""
         return fidelity(self, other) >= 1.0 - RAY_TOL
 
     def with_shape(self, shape: Sequence[int]) -> "StateVector":
-        return StateVector(self.amplitudes, shape)
-
-    def __repr__(self) -> str:
-        return f"StateVector(dim={self.dim}, shape={self.shape})"
+        return StateVector._unchecked(self.amplitudes, _as_shape(self.dim, shape))
 
 
-class DensityOperator:
+class DensityOperator(_Value):
     """A positive semidefinite, unit-trace Hermitian matrix."""
 
     __slots__ = ("matrix", "shape")
@@ -132,17 +143,6 @@ class DensityOperator:
         self.matrix = _freeze(mat)
         self.shape = _as_shape(mat.shape[0], shape)
 
-    @classmethod
-    def _unchecked(cls, matrix: np.ndarray, shape: tuple[int, ...]) -> "DensityOperator":
-        """Wrap a matrix that an invariant-preserving operation derived from a valid state.
-
-        No check runs: the caller guarantees a Hermitian, unit-trace, PSD matrix and a matching shape.
-        """
-        state = cls.__new__(cls)
-        state.matrix = _freeze(matrix)
-        state.shape = shape
-        return state
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -152,16 +152,13 @@ class DensityOperator:
         return float(np.trace(self.matrix @ self.matrix).real)
 
     def with_shape(self, shape: Sequence[int]) -> "DensityOperator":
-        return DensityOperator(self.matrix, shape)
-
-    def __repr__(self) -> str:
-        return f"DensityOperator(dim={self.dim}, shape={self.shape})"
+        return DensityOperator._unchecked(self.matrix, _as_shape(self.dim, shape))
 
 
 State = Union[StateVector, DensityOperator]
 
 
-class UnitaryOperator:
+class UnitaryOperator(_Value):
     """A d x d matrix with U^dag U = I within entrywise tolerance."""
 
     __slots__ = ("matrix",)
@@ -181,9 +178,6 @@ class UnitaryOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def __repr__(self) -> str:
-        return f"UnitaryOperator(dim={self.dim})"
 
 
 @dataclass(frozen=True)
@@ -249,11 +243,11 @@ def tensor(a, b):
     concatenation of the operand shapes.
     """
     if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(np.kron(a.amplitudes, b.amplitudes), a.shape + b.shape)
+        return StateVector._unchecked(np.kron(a.amplitudes, b.amplitudes), a.shape + b.shape)
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        return DensityOperator(np.kron(a.matrix, b.matrix), a.shape + b.shape)
+        return DensityOperator._unchecked(np.kron(a.matrix, b.matrix), a.shape + b.shape)
     if isinstance(a, UnitaryOperator) and isinstance(b, UnitaryOperator):
-        return UnitaryOperator(np.kron(a.matrix, b.matrix))
+        return UnitaryOperator._unchecked(np.kron(a.matrix, b.matrix))
     if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
         return np.kron(a, b)
     raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
@@ -380,9 +374,11 @@ def random_pure_state(dim: int, rng: np.random.Generator, shape: Sequence[int] |
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
     """Random mixed state: normalized Wishart matrix of the given rank."""
     rank = dim if rank is None else rank
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     mat = g @ g.conj().T
-    return DensityOperator(mat / np.trace(mat).real)
+    return DensityOperator._unchecked(mat / np.trace(mat).real, (dim,))
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -105,7 +105,7 @@ def oracle_unitary(spec: OracleSpec) -> UnitaryOperator:
     for x in range(2**spec.n):
         for y in (0, 1):
             matrix[(x << 1) | (y ^ spec.truth_table[x]), (x << 1) | y] = 1.0
-    return UnitaryOperator(matrix)
+    return UnitaryOperator._unchecked(matrix)  # a permutation matrix
 
 
 @functools.cache
@@ -223,8 +223,8 @@ def deutsch_jozsa_verdict(
         raise ValueError(f"unknown mode {mode!r}")
     n = spec.n
     start = basis_state(2 ** (n + 1), 1, (2,) * (n + 1))
-    hadamard_all = UnitaryOperator(kron_all(*([HADAMARD] * (n + 1))))
-    hadamard_first = UnitaryOperator(kron_all(*([HADAMARD] * n), PAULI_I))
+    hadamard_all = UnitaryOperator._unchecked(kron_all(*([HADAMARD] * (n + 1))))
+    hadamard_first = UnitaryOperator._unchecked(kron_all(*([HADAMARD] * n), PAULI_I))
     state = evolve(evolve(evolve(start, hadamard_all), oracle_unitary(spec)), hadamard_first)
 
     first_register = Observable(

@@ -1,8 +1,12 @@
-"""Test stand-ins shared by several test modules."""
+"""Test stand-ins and source-parse helpers shared by several test modules."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
+
+import pqt
 
 
 def _first_possible_outcome(n, pvals):
@@ -53,3 +57,26 @@ def philox_position(gen):
     """The Philox block counter and the position within its buffer of four 64-bit words."""
     state = gen.bit_generator.state
     return state["state"]["counter"].tolist(), state["buffer_pos"]
+
+
+SOURCE = Path(pqt.__file__).parent
+
+
+def parsed_sources():
+    """(module path, AST, child-to-parent map) for each module of ``pqt`` and ``pqt.harness``."""
+    for path in sorted([*SOURCE.glob("*.py"), *SOURCE.glob("harness/*.py")]):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        yield path.relative_to(SOURCE).as_posix(), tree, parents
+
+
+def enclosing_function(node, parents):
+    while node in parents:
+        node = parents[node]
+        if isinstance(node, ast.FunctionDef):
+            return node.name
+    return None
+
+
+def called_name(call):
+    return call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)

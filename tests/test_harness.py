@@ -346,6 +346,24 @@ class TestCLI:
     def test_missing_file_is_validation_error(self, capsys):
         assert main(["validate", "--config", "/nonexistent.json"]) == 1
 
+    @pytest.mark.parametrize(
+        "case, commands, code, message",
+        [
+            ("unwritable-out", ("run",), 2, "error: cannot write report to {out!r}: "),
+            ("non-utf8-config", ("validate", "run"), 1, "invalid: config field '--config': cannot read {config!r}: "),
+        ],
+        ids=["unwritable-out", "non-utf8-config"],
+    )
+    def test_a_file_error_prints_one_line(self, tmp_path, capsys, case, commands, code, message):
+        config, out = str(CONFIG_DIR / "clone.json"), str(tmp_path / "no-such-dir" / "r.json")
+        if case == "non-utf8-config":
+            config, out = str(tmp_path / "latin1.json"), str(tmp_path / "r.json")
+            Path(config).write_bytes(b'{"name": "\xff", "protocol": "clone"}')
+        for command in commands:
+            assert main([command, "--config", config, *(["--out", out] if command == "run" else [])]) == code
+            err = capsys.readouterr().err
+            assert err.startswith(message.format(config=config, out=out)) and err.count("\n") == 1
+
     def test_runtime_error_exit_code(self, monkeypatch, capsys):
         # An error raised while a validated config runs is a runtime error: exit code 2.
         def fail(*args):

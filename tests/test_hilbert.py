@@ -1,7 +1,9 @@
+import ast
 import warnings
 
 import numpy as np
 import pytest
+from conftest import called_name, enclosing_function, parsed_sources
 
 from pqt import rng
 from pqt.hilbert import (
@@ -319,6 +321,77 @@ class TestEvolve:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             evolve(basis_state(2, 0), UnitaryOperator(np.eye(4)))
+
+
+# Admitted at UNITARY_TOL, not at NORM_TOL: the state U|0> has |psi|^2 = 0.9999999999814809.
+_H = 0.70710678118
+_C = np.sqrt((1 + 0.9e-10) / 2)  # a unitary defect of 9.0e-11, whose Kronecker square has 1.8e-10
+
+
+def near_h():
+    return UnitaryOperator([[_H, _H], [_H, -_H]])
+
+
+def near_h_state():
+    return evolve(basis_state(2, 0), near_h())
+
+
+class TestDerivedValuesAreNotCheckedAgain:
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            lambda: tensor(near_h_state(), basis_state(2, 0)),
+            lambda: near_h_state().with_shape((2,)),
+            lambda: near_h_state().to_density(),
+            lambda: evolve(basis_state(2, 0).to_density(), near_h()).with_shape((2,)),
+            lambda: tensor(*[UnitaryOperator([[_C, _C], [_C, -_C]])] * 2),
+        ],
+        ids=["tensor-state", "state-with-shape", "to-density", "density-with-shape", "tensor-unitary"],
+    )
+    def test_a_value_derived_from_an_accepted_one_is_returned(self, derive):
+        assert derive().dim in (2, 4)
+
+    @pytest.mark.parametrize("state", [basis_state(4, 0), maximally_mixed(4)], ids=["vector", "density"])
+    def test_with_shape_still_checks_the_shape(self, state):
+        with pytest.raises(ValueError, match="does not factor"):
+            state.with_shape((3,))
+
+    def test_derived_values_keep_the_constructor_bytes(self):
+        psi = StateVector(np.array([3.0, 4.0j]) / 5.0, (2,))
+        assert psi.with_shape((2,)).amplitudes.tobytes() == StateVector(psi.amplitudes).amplitudes.tobytes()
+        assert not psi.to_density().matrix.flags.writeable
+        assert repr(tensor(psi, psi)) == "StateVector(dim=4, shape=(2, 2))"
+        assert repr(near_h()) == "UnitaryOperator(dim=2)"
+
+    @pytest.mark.parametrize("amplitudes", [[np.inf, 1.0], [np.nan, 1.0], [0.0, 0.0]], ids=["inf", "nan", "zero"])
+    def test_normalized_refuses_a_norm_not_finite_and_positive_without_a_warning(self, amplitudes):
+        with pytest.raises(ValueError, match="norm"):
+            StateVector.normalized(amplitudes)
+
+    def test_random_density_refuses_rank_zero_without_a_warning(self):
+        with pytest.raises(ValueError, match="rank"):
+            random_density(2, rng.stream(0, "rank"), rank=0)
+
+
+VALUE_TYPES = {"StateVector", "DensityOperator", "UnitaryOperator"}
+# Where data enters: the presets and the config resolvers.  Everything else derives and wraps with _unchecked.
+ENTRY_POINTS = {
+    *(("hilbert.py", preset) for preset in ("basis_state", "plus_state", "bell_state", "maximally_mixed")),
+    ("harness/config.py", "resolve_state"),
+    ("harness/config.py", "resolve_unitary"),
+}
+
+
+def test_value_type_constructors_run_only_where_data_enters():
+    # Observable is out of scope: its constructor computes the spectral decomposition.
+    places = {
+        (module, enclosing_function(call, parents))
+        for module, tree, parents in parsed_sources()
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and (called_name(call) in VALUE_TYPES or (module == "hilbert.py" and called_name(call) == "cls"))
+    }
+    assert places == ENTRY_POINTS
 
 
 def test_pauli_matrix_strings():

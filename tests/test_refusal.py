@@ -9,13 +9,11 @@ through ``run``, pin which outcome the message names, and check that no module o
 import ast
 import json
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import _ZeroUniforms
+from conftest import _ZeroUniforms, called_name, enclosing_function, parsed_sources
 
-import pqt
 from pqt import measurement, protocols, rng
 from pqt.composite import LocalSetting, global_joint_sample, local_passive_joint_sample
 from pqt.harness import parse_config, run
@@ -260,26 +258,10 @@ class TestWhichOutcomeIsNamed:
         assert _cdf_index(members, np.zeros(1), readouts=None, mode=None).tolist() == [0]
 
 
-SOURCE = Path(pqt.__file__).parent
 REFUSAL_NAMES = {"risky", "_require_possible", "_require_all_possible"}
 KERNELS = {"_cdf_index": 2, "_cdf_counts": 3, "sample_indices": 2}  # position of the readouts argument
 # The draw each kernel makes, or the CDF edges the index kernel alone derives, and that kernel.
 DRAWS = {"searchsorted": "_cdf_index", "edges": "_cdf_index", "multinomial": "_cdf_counts"}
-
-
-def parsed_sources():
-    for path in sorted([*SOURCE.glob("*.py"), *SOURCE.glob("harness/*.py")]):
-        tree = ast.parse(path.read_text())
-        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-        yield path.relative_to(SOURCE).as_posix(), tree, parents
-
-
-def enclosing_function(node, parents):
-    while node in parents:
-        node = parents[node]
-        if isinstance(node, ast.FunctionDef):
-            return node.name
-    return None
 
 
 def identifiers(node):
@@ -292,10 +274,6 @@ def identifiers(node):
     if isinstance(node, ast.FunctionDef):
         return {node.name}
     return set()
-
-
-def called_name(call):
-    return call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
 
 
 class TestTheRuleLivesInTheSampler:
