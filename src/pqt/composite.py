@@ -252,15 +252,15 @@ def reconstruct_reduced_single_copy(sys: PSystem, shots: int) -> DensityOperator
         raise ValueError("expected a bipartite system")
     ic, lifted = _local_ic_set(shape)
     table = _frame_table(lifted, sys.state)
-    estimate = _frame_estimates(_passive_counts(sys, lifted, table.cdf, shots), table.values, ic, shots)[0]
-    return DensityOperator._unchecked(estimate, (ic.dim,))
+    counts = _passive_counts(sys, table.readouts, lifted.names, table.cdf, shots)
+    return DensityOperator._unchecked(_frame_estimates(counts, lifted.values, ic, shots)[0], (ic.dim,))
 
 
 @functools.lru_cache(maxsize=8)
-def _local_ic_set(shape: tuple[int, int]) -> tuple[ICSet, tuple[Observable, ...]]:
-    """Gell-Mann frame of side A and its lifts to A tensor I, built once per shape (both are immutable)."""
+def _local_ic_set(shape: tuple[int, int]) -> tuple[ICSet, ICSet]:
+    """Gell-Mann frame of side A and its lift to A tensor I, built once per shape (both are immutable)."""
     ic = hermitian_basis_ic_set(shape[0])
-    return ic, tuple(lift_local(LocalSetting("A", obs), shape) for obs in ic.observables)
+    return ic, ICSet(tuple(lift_local(LocalSetting("A", obs), shape) for obs in ic.observables), ic.norm * shape[1])
 
 
 def detect_entanglement_single_copy(sys: PSystem, shots: int) -> EntanglementVerdict:

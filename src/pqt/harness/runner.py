@@ -62,14 +62,12 @@ def _run_repeatability(config: ExperimentConfig, report: Report, stream: np.rand
 def _run_reconstruct(config: ExperimentConfig, report: Report, stream: np.random.Generator) -> None:
     state = config.inputs.state
     sys = PSystem(state, config.mode, stream)
-    result = reconstruct_single_copy(sys, ic_set_for_dimension(state.dim), config.shots)
+    ic = ic_set_for_dimension(state.dim)
+    result = reconstruct_single_copy(sys, ic, config.shots)
     report.add_metric("fidelity", fidelity(state, result.estimate))
     report.add_metric("purity", result.estimate.purity())
-    report.add_table(
-        "expectations",
-        ["observable", "mean", "half_width"],
-        [[e.observable, e.mean, e.half_width] for e in result.diagnostics],
-    )
+    rows = zip(ic.names, result.means.tolist(), result.half_widths.tolist())
+    report.add_table("expectations", ["observable", "mean", "half_width"], [list(row) for row in rows])
     report.verdicts["state_unchanged"] = sys.state is state
 
 

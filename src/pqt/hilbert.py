@@ -435,14 +435,10 @@ def pauli_frame_phases(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return x_masks, np.asarray(_I_POWERS)[y_counts % 4, None] * np.where(odd, -1.0, 1.0)
 
 
-def pauli_dense(x_mask: int, phase: np.ndarray) -> np.ndarray:
-    """Dense matrix of the Pauli string with the given bit-flip mask and column phases."""
+def pauli_matrix(label: str) -> np.ndarray:
+    """Tensor product of single-qubit Paulis, e.g. ``"ZX"`` -> Z tensor X."""
+    x_mask, phase = pauli_phases(label)
     columns = np.arange(phase.size)
     out = np.zeros((phase.size, phase.size), dtype=complex)
     out[columns ^ x_mask, columns] = phase
     return out
-
-
-def pauli_matrix(label: str) -> np.ndarray:
-    """Tensor product of single-qubit Paulis, e.g. ``"ZX"`` -> Z tensor X."""
-    return pauli_dense(*pauli_phases(label))

@@ -25,6 +25,9 @@ only rows with an outcome of weight in (0, ``ZERO_PROBABILITY``] are checked.  A
 drawn pair of outcomes (``_PairReadout``) is refused on the first's probability,
 then on the second's given the first, not on their product.  A proper
 mixture's member draw, a preparation and no outcome, refuses nothing.
+The rows of a frame (see :mod:`pqt.tomography`) have no observable
+objects: ``_FrameReadouts`` makes a row's readout from the frame's names
+and outcome values only when a refusal names that row.
 """
 
 from __future__ import annotations
@@ -40,8 +43,6 @@ from .hilbert import (
     SpectralDecomposition,
     State,
     StateVector,
-    pauli_dense,
-    pauli_phases,
     spectral_decompose,
 )
 
@@ -99,77 +100,8 @@ class Observable:
         """Born probability of each outcome, in eigenvalue order."""
         return np.asarray([_outcome_probability(state, proj) for proj in self.projectors])
 
-    def project(self, outcome_index: int, amplitudes: np.ndarray) -> np.ndarray:
-        """The projector of one outcome applied to a state vector."""
-        return self.projectors[outcome_index] @ amplitudes
-
     def __repr__(self) -> str:
         return f"Observable({self.name!r}, dim={self.dim})"
-
-
-class PauliString(Observable):
-    """A Pauli string held as its bit-flip mask and column phases: S|x> = phase[x] |x ^ x_mask>.
-
-    Outcomes are -1 and +1 with projectors (I - S)/2 and (I + S)/2.  The
-    string stores ``phase`` and ``rows`` (the row x ^ x_mask of each
-    column's one nonzero), O(d) memory; a string of a Pauli frame holds
-    row views of the frame's ``(k, d)`` arrays.  The matrix, projectors
-    and decomposition are derived on each access and never stored.  Its
-    Born probabilities (1 -/+ <S>)/2 and the projection of a state vector
-    each cost O(d) time.
-    """
-
-    __slots__ = ("x_mask", "phase", "rows")
-    eigenvalues = (-1.0, 1.0)
-
-    def __init__(self, label: str):
-        x_mask, phase = pauli_phases(label)
-        rows = np.arange(phase.size) ^ x_mask
-        phase.setflags(write=False)
-        rows.setflags(write=False)
-        self.name, self.x_mask, self.phase, self.rows = label, x_mask, phase, rows
-
-    @classmethod
-    def _frame_row(cls, label: str, x_mask: int, phase: np.ndarray, rows: np.ndarray) -> "PauliString":
-        """A string whose ``phase`` and ``rows`` are given read-only rows of a frame, taken as they are."""
-        obs = cls.__new__(cls)
-        obs.name, obs.x_mask, obs.phase, obs.rows = label, x_mask, phase, rows
-        return obs
-
-    @property
-    def dim(self) -> int:
-        return self.phase.size
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return pauli_dense(self.x_mask, self.phase)
-
-    @property
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        identity = np.eye(self.dim, dtype=complex)
-        matrix = self.matrix
-        return ((identity - matrix) / 2, (identity + matrix) / 2)
-
-    @property
-    def decomposition(self) -> SpectralDecomposition:
-        return SpectralDecomposition(self.eigenvalues, self.projectors)
-
-    def expectation(self, state: State) -> float:
-        """<S> on ``state``: one O(d) product with the stored rows and phases."""
-        if isinstance(state, StateVector):
-            amps = state.amplitudes
-            return np.vdot(amps[self.rows], self.phase * amps).real
-        return np.sum(self.phase * state.matrix[np.arange(self.dim), self.rows]).real
-
-    def outcome_probabilities(self, state: State) -> np.ndarray:
-        expectation = self.expectation(state)
-        return np.array([(1.0 - expectation) / 2, (1.0 + expectation) / 2])
-
-    def project(self, outcome_index: int, amplitudes: np.ndarray) -> np.ndarray:
-        # (psi -/+ S psi) / 2; each entry is the same two-term sum as the dense product.
-        flipped = np.empty_like(amplitudes)
-        flipped[self.rows] = self.phase * amplitudes
-        return (amplitudes - flipped) / 2 if outcome_index == 0 else (amplitudes + flipped) / 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,11 +298,11 @@ def collapse_update(state: State, obs: Observable, outcome_index: int) -> State:
     psi -> P_r psi / |P_r psi|, rho -> P_r rho P_r / Tr(P_r rho P_r).
     Applying it twice with the same outcome is a no-op.
     """
+    projector = obs.projectors[outcome_index]
     if isinstance(state, StateVector):
-        projected = obs.project(outcome_index, state.amplitudes)
+        projected = projector @ state.amplitudes
         probability = float(np.vdot(state.amplitudes, projected).real)
     else:
-        projector = obs.projectors[outcome_index]
         probability = _outcome_probability(state, projector)
     _require_possible(obs, outcome_index, probability, "quantum")
     # Normalised by its own probability, the projection is a state again: no re-validation.
@@ -412,6 +344,22 @@ class _PairReadout(NamedTuple):
     sides: tuple[Observable, Observable]
     first: np.ndarray
     second: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class _FrameReadouts:
+    """The readouts of a frame's k Born rows, each made only when a refusal names it.
+
+    Row r names readout r % k, so a table that gathers blocks of the k rows,
+    state after state, names each row by its own observable.
+    """
+
+    names: tuple[str, ...]
+    values: np.ndarray  # (k, m) outcome values of each row, zero-padded past its own outcomes
+
+    def __getitem__(self, row: int) -> _Readout:
+        row %= len(self.names)
+        return _Readout(self.names[row], tuple(self.values[row].tolist()))
 
 
 def _require_possible(obs: Observable | _Readout, outcome_index: int, probability: float, mode: str) -> None:
@@ -470,17 +418,17 @@ def repeated_measure(sys: PSystem, obs: Observable, n: int) -> MeasurementRecord
     return MeasurementRecord(obs.name, obs.eigenvalues, indices, sys.mode)
 
 
-def _passive_counts(sys: PSystem, observables: tuple[Observable, ...], table: _CdfTable, n: int) -> np.ndarray:
-    """``(k, m)`` outcome counts of n passive measurements of each ``observables[i]``, Born row i of ``table``.
+def _passive_counts(sys: PSystem, readouts, names: tuple[str, ...], table: _CdfTable, n: int) -> np.ndarray:
+    """``(k, m)`` outcome counts of n passive measurements of each observable ``names[i]``, Born row i of ``table``.
 
-    History and the refusal of a drawn zero-probability outcome are those of one
-    ``repeated_measure`` per observable in turn; the counts are one multinomial draw.
+    History and the refusal of a drawn zero-probability outcome, named by
+    ``readouts[i]``, are those of one ``repeated_measure`` per observable in
+    turn; the counts are one multinomial draw.  The names are distinct.
     """
     if n < 1:
         raise ValueError("need at least one shot")
-    counts = _cdf_counts(table, sys.rng, n, observables, "passive")
-    for obs in observables:
-        sys.history[obs.name] += n
+    counts = _cdf_counts(table, sys.rng, n, readouts, "passive")
+    sys.history.update(dict.fromkeys(names, n))
     return counts
 
 

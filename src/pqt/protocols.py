@@ -367,20 +367,20 @@ def proper_vs_improper(
     # Every trial measures one of a few fixed states: their Born rows are computed once, k per state.
     if mixture is not None:
         ic = ic_set_for_dimension(mixture[0][0].dim)
-        observables = ic.observables
-        table = _frame_table(observables, *(state for state, _ in mixture))
+        table = _frame_table(ic, *(state for state, _ in mixture))
         drawn = _cdf_index(members, rng.random(trials), readouts=None, mode=None)
     else:
-        ic, observables = _local_ic_set(purification.shape)
-        table = _frame_table(observables, purification)
+        ic, lifted = _local_ic_set(purification.shape)
+        table = _frame_table(lifted, purification)
         drawn = np.zeros(trials, dtype=np.intp)
 
-    block = max(1, _TRIAL_BLOCK_ENTRIES // (table.values.size + ic.dim**2))
+    values, readouts = table.frame.values, table.readouts  # gathered row r names readout r % k
+    block = max(1, _TRIAL_BLOCK_ENTRIES // (values.size + ic.dim**2))
     purities = np.empty(trials)
     for start in range(0, trials, block):
         states = drawn[start : start + block]
-        counts = _cdf_counts(table.rows_of(states), rng, shots, observables * states.size, "passive")
-        estimates = _frame_estimates(counts, table.values, ic, shots)
+        counts = _cdf_counts(table.rows_of(states), rng, shots, readouts, "passive")
+        estimates = _frame_estimates(counts, values, ic, shots)
         purities[start : start + block] = np.trace(estimates @ estimates, axis1=-2, axis2=-1).real
         del counts, estimates  # neither outlives its block
 
@@ -451,7 +451,7 @@ def simulate_qt_with_pqt(
 
     if followup_obs is not None and followup_shots > 0:
         simulated = born_distribution(followup_obs, sys.state).cdf
-        sim_counts = _passive_counts(sys, (followup_obs,), simulated, followup_shots)
+        sim_counts = _passive_counts(sys, (followup_obs,), (followup_obs.name,), simulated, followup_shots)
         reference = born_distribution(followup_obs, collapse_update(state_before, obs, outcome_index)).cdf
         ref_counts = _cdf_counts(reference, sys.rng, followup_shots, (followup_obs,), "quantum")
         tv = 0.5 * float(np.abs(sim_counts - ref_counts).sum()) / followup_shots

@@ -15,21 +15,26 @@ The Pauli strings and the generalised Gell-Mann matrices have this
 property by construction (Bertlmann & Krammer, J. Phys. A 41, 235303,
 2008); the tests check it once instead of every build.
 
+A frame is a dense :class:`ICSet` (Gell-Mann, or a frame lifted to
+A tensor I) or a :class:`PauliFrame`, and every layer reads it through
+one interface: ``names``, ``dim``, ``norm`` and ``len``, the ``(k, m)``
+outcome ``values``, its ``(k, m)`` Born rows on a state
+(``born_rows``), and ``add_terms`` for inversion.  Estimates come back
+as ``(k,)`` arrays of means and half-widths aligned with ``names``.
+
 Pauli frames are held as arrays: a :class:`PauliFrame` builds the
 bit-flip masks and the ``(k, d)`` phases, S|x> = phase[x] |x ^ x_mask>,
 of all k = 4^n - 1 strings with whole-array operations, and stores the
-``(k, d)`` rows x ^ x_mask once.  Each string is a
-:class:`~pqt.measurement.PauliString` holding row views of those
-arrays; its matrix and projectors are derived only on demand, and its
-Born probabilities cost O(d).  Linear inversion is grouped by
+``(k, d)`` rows x ^ x_mask once.  No string has an object, a matrix or a
+projector of its own: the Born rows of every string on a state are one
+array expression, O(d) per string.  Linear inversion is grouped by
 ``x_mask``: strings sharing a mask write the same d entries, so one
 fancy-indexed add per rank within the groups adds 2^n strings at once,
-with the bits of the string-by-string sum.  Other frames (Gell-Mann,
-lifted) add one dense term per observable.  Both add to a stack of
-matrices at once, one per row of a ``(T, k)`` array of means, and a
-single reconstruction is a stack of one.
-:func:`ic_set_for_dimension` returns one shared, immutable frame per
-dimension.
+with the bits of the string-by-string sum.  Dense frames add one dense
+term per observable.  Both add to a stack of matrices at once, one per
+row of a ``(T, k)`` array of means, and a single reconstruction is a
+stack of one.  :func:`ic_set_for_dimension` returns one shared,
+immutable frame per dimension.
 
 Every observable of a frame is sampled by one row-wise sampler: the
 frame's Born rows on each state are checked once into one CDF table (see
@@ -60,24 +65,40 @@ from .hilbert import DensityOperator, State, StateVector, fidelity, pauli_frame_
 from .measurement import (
     InsufficientShotsError,
     Observable,
-    PauliString,
     PSystem,
     _cdf_table,
     _CdfTable,
+    _FrameReadouts,
     _passive_counts,
     born_distribution,
 )
 
 CONFIDENCE_Z = 1.96
 MAX_IC_DIMENSION = 64
+_BORN_BLOCK_ENTRIES = 2**14  # (strings, d) entries each temporary of PauliFrame.born_rows holds at most
+_PAULI_VALUES = np.array([-1.0, 1.0])  # the outcomes of every Pauli string
+_PAULI_VALUES.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ICSet:
-    """Traceless observables with Tr(O_j O_k) = norm * delta_jk, d^2 - 1 of them."""
+    """Dense traceless observables with Tr(O_j O_k) = norm * delta_jk: a Gell-Mann frame or its lift to A tensor I."""
 
     observables: tuple[Observable, ...]
     norm: float
+    values: np.ndarray = field(init=False, repr=False)  # (k, m) outcome values, each row zero-padded to the widest
+
+    def __post_init__(self):
+        sizes = [len(obs.eigenvalues) for obs in self.observables]
+        values = np.zeros((len(sizes), max(sizes)))
+        for row, obs in enumerate(self.observables):
+            values[row, : sizes[row]] = obs.eigenvalues
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(obs.name for obs in self.observables)
 
     @property
     def dim(self) -> int:
@@ -85,6 +106,13 @@ class ICSet:
 
     def __len__(self) -> int:
         return len(self.observables)
+
+    def born_rows(self, state: State) -> np.ndarray:
+        """The ``(k, m)`` Born probabilities of every observable on ``state``, padded as ``values`` is."""
+        rows = np.zeros(self.values.shape)
+        for row, obs in enumerate(self.observables):
+            rows[row, : len(obs.eigenvalues)] = obs.outcome_probabilities(state)
+        return rows
 
     def add_terms(self, out: np.ndarray, means: np.ndarray) -> None:
         """Add sum_k means[..., k] * O_k / norm to each matrix of the ``(..., d, d)`` stack ``out``, in place.
@@ -96,9 +124,10 @@ class ICSet:
 
 
 @dataclass(frozen=True, eq=False)
-class PauliFrame(ICSet):
-    """The non-identity Pauli strings on n qubits, held as ``(k, d)`` arrays whose rows the strings view.
+class PauliFrame:
+    """The non-identity Pauli strings on n qubits as ``(k, d)`` arrays, one string per row: S|x> = phase[x] |x ^ x_mask>.
 
+    A string's outcomes are -1 and +1, with Born probabilities (1 -/+ <S>)/2.
     Strings that share an ``x_mask`` write the same d entries in linear
     inversion, each entry taking their terms in label order.  Round r of
     ``rounds`` holds the r-th string of every such group, so one
@@ -106,9 +135,43 @@ class PauliFrame(ICSet):
     of 4^n - 1 string-by-string adds, with the same bits.
     """
 
+    names: tuple[str, ...]
+    norm: float
     phase: np.ndarray = field(repr=False)  # (k, d) column phases, one string per row
     rows: np.ndarray = field(repr=False)  # (k, d) row of each column's nonzero: x ^ x_mask
     rounds: tuple[np.ndarray, ...] = field(repr=False)  # string indices of each inversion round
+
+    @property
+    def dim(self) -> int:
+        return self.phase.shape[1]
+
+    def __len__(self) -> int:
+        return self.phase.shape[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        return np.broadcast_to(_PAULI_VALUES, (len(self), 2))
+
+    def born_rows(self, state: State) -> np.ndarray:
+        """The ``(k, 2)`` Born probabilities (1 -/+ <S>)/2 of every string on ``state``, O(d) each.
+
+        <S> = sum_x conj(psi[x ^ x_mask]) phase[x] psi[x] on a state vector, a
+        stack of (1, d) @ (d, 1) products with the bits of ``np.vdot``, and
+        sum_x phase[x] rho[x, x ^ x_mask] on a density operator, with the bits
+        of ``np.sum`` of each string's d terms.  Strings are taken a block at a
+        time, so that no temporary holds more than ``_BORN_BLOCK_ENTRIES`` entries.
+        """
+        expectations = np.empty(len(self))
+        step = max(1, _BORN_BLOCK_ENTRIES // self.dim)
+        for start in range(0, len(self), step):
+            rows, phase = self.rows[start : start + step], self.phase[start : start + step]
+            if isinstance(state, StateVector):
+                bras = state.amplitudes[rows].conj()[:, None, :]
+                block = (bras @ (phase * state.amplitudes)[:, :, None])[:, 0, 0]
+            else:
+                block = (phase * state.matrix[np.arange(self.dim), rows]).sum(axis=1)
+            expectations[start : start + step] = block.real
+        return np.stack(((1.0 - expectations) / 2, (1.0 + expectations) / 2), axis=1)
 
     def add_terms(self, out: np.ndarray, means: np.ndarray) -> None:
         columns = np.arange(self.dim)
@@ -116,13 +179,7 @@ class PauliFrame(ICSet):
             out[..., self.rows[members], columns] += means[..., members, None] * (self.phase[members] / self.norm)
 
 
-@dataclass
-class ExpectationEstimate:
-    """Sample mean of one observable with a normal-approximation half-width."""
-
-    observable: str
-    mean: float
-    half_width: float
+Frame = ICSet | PauliFrame  # a frame: names, dim, norm, len, values, born_rows and add_terms
 
 
 @dataclass
@@ -130,15 +187,15 @@ class ReconstructionResult:
     estimate: DensityOperator
     raw_estimate: np.ndarray  # unit trace by construction (see linear_inversion)
     shots_per_observable: int
-    diagnostics: list[ExpectationEstimate]
+    means: np.ndarray  # (k,) estimated expectation of each observable, in frame order
+    half_widths: np.ndarray  # (k,) normal-approximation half-width of each mean
 
 
 def pauli_ic_set(n_qubits: int) -> PauliFrame:
     """All non-identity Pauli strings on n qubits, with norm 2^n.
 
-    The masks and phases of every string are built as whole arrays; each
-    string is a :class:`PauliString` holding row views of them, with no
-    dense matrix or projector stored.
+    The masks and phases of every string are built as whole arrays; no
+    string has an object, a dense matrix or a projector of its own.
     """
     if not 1 <= n_qubits <= 6:
         raise ValueError("supported range is 1..6 qubits")
@@ -148,8 +205,7 @@ def pauli_ic_set(n_qubits: int) -> PauliFrame:
     rows = np.arange(phase.shape[1]) ^ x_masks[:, None]
     phase.setflags(write=False)
     rows.setflags(write=False)
-    strings = map(PauliString._frame_row, labels, x_masks.tolist(), phase, rows)
-    return PauliFrame(tuple(strings), float(2**n_qubits), phase, rows, _inversion_rounds(x_masks))
+    return PauliFrame(tuple(labels), float(2**n_qubits), phase, rows, _inversion_rounds(x_masks))
 
 
 def _inversion_rounds(x_masks: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -193,33 +249,32 @@ def hermitian_basis_ic_set(dim: int) -> ICSet:
 
 
 @functools.lru_cache(maxsize=8)
-def ic_set_for_dimension(dim: int) -> ICSet:
+def ic_set_for_dimension(dim: int) -> Frame:
     """Pauli strings for a power-of-two dimension, the generalised Gell-Mann basis otherwise.
 
     Frames are immutable, so each dimension is built once and the same
     object is returned to every caller.
     """
+    if not 2 <= dim <= MAX_IC_DIMENSION:
+        raise ValueError(f"supported range is dimension 2..{MAX_IC_DIMENSION}")
     n_qubits = dim.bit_length() - 1
     if 2**n_qubits == dim:
         return pauli_ic_set(n_qubits)
     return hermitian_basis_ic_set(dim)
 
 
-def estimate_expectations(sys: PSystem, ic: ICSet, shots: int) -> list[ExpectationEstimate]:
+def estimate_expectations(sys: PSystem, ic: Frame, shots: int) -> tuple[np.ndarray, np.ndarray]:
     """Estimate every IC expectation by repeated measurement of one system.
 
-    Only valid in passive mode: reusing a single copy requires that
-    measurements leave the state alone.  The system's state is unchanged
-    afterwards.
+    Returns the sample means and their normal-approximation half-widths,
+    two ``(k,)`` arrays aligned with ``ic.names``.  Only valid in passive
+    mode: reusing a single copy requires that measurements leave the state
+    alone.  The system's state is unchanged afterwards.
     """
     if sys.mode != "passive":
         raise ValueError("single-copy estimation requires passive mode")
-    means, spreads = _sample_frame(sys, _frame_table(ic.observables, sys.state), shots)
-    half_widths = CONFIDENCE_Z * spreads / np.sqrt(shots)
-    return [
-        ExpectationEstimate(obs.name, float(mean), float(half_width))
-        for obs, mean, half_width in zip(ic.observables, means, half_widths)
-    ]
+    means, spreads = _sample_frame(sys, _frame_table(ic, sys.state), shots)
+    return means, CONFIDENCE_Z * spreads / np.sqrt(shots)
 
 
 @dataclass(frozen=True)
@@ -231,38 +286,26 @@ class _FrameTable:
     padding is never drawn, so it adds nothing to a row's sums.
     """
 
-    observables: tuple[Observable, ...]
+    frame: Frame
     cdf: _CdfTable
-    values: np.ndarray  # (k, m) outcome values of each observable, the same on every state
+
+    @property
+    def readouts(self) -> _FrameReadouts:
+        """What a refusal names of each row of ``cdf`` or of rows gathered from it by ``rows_of``."""
+        return _FrameReadouts(self.frame.names, self.frame.values)
 
     def rows_of(self, states: np.ndarray) -> _CdfTable:
         """The k rows of each of ``states`` (indices of the table's states, repeats allowed), state after state."""
-        k = len(self.observables)
+        k = len(self.frame)
         return self.cdf.gather((states[:, None] * k + np.arange(k)).ravel())
 
 
-def _frame_table(observables: tuple[Observable, ...], *states: State) -> _FrameTable:
-    """Born probabilities of every observable on each state in turn.
-
-    Rows are checked once, as :class:`OutcomeDistribution` checks them.
-    """
+def _frame_table(frame: Frame, *states: State) -> _FrameTable:
+    """Born probabilities of every observable of ``frame`` on each state in turn, checked once into one table."""
     for state in states:
-        if observables[0].dim != state.dim:
-            raise ValueError(f"dimension mismatch: observable {observables[0].dim}, state {state.dim}")
-    sizes = np.array([len(obs.eigenvalues) for obs in observables])
-    if all(isinstance(obs, PauliString) for obs in observables):
-        # Each row is (1 -/+ <S>)/2, as PauliString.outcome_probabilities computes it.
-        expectations = np.array([obs.expectation(state) for state in states for obs in observables])
-        raw = np.stack(((1.0 - expectations) / 2, (1.0 + expectations) / 2), axis=1)
-        values = np.broadcast_to(PauliString.eigenvalues, (sizes.size, 2))
-    else:
-        raw = np.zeros((len(states) * sizes.size, sizes.max()))
-        values = np.zeros((sizes.size, sizes.max()))
-        for row, obs in enumerate(observables):
-            values[row, : sizes[row]] = obs.eigenvalues
-            for s, state in enumerate(states):
-                raw[s * sizes.size + row, : sizes[row]] = obs.outcome_probabilities(state)
-    return _FrameTable(observables, _cdf_table(raw), values)
+        if frame.dim != state.dim:
+            raise ValueError(f"dimension mismatch: observable {frame.dim}, state {state.dim}")
+    return _FrameTable(frame, _cdf_table(np.concatenate([frame.born_rows(state) for state in states])))
 
 
 def _frame_means(counts: np.ndarray, values: np.ndarray, shots: int) -> np.ndarray:
@@ -279,12 +322,13 @@ def _sample_frame(sys: PSystem, table: _FrameTable, shots: int) -> tuple[np.ndar
     ``np.mean`` of the outcomes; other means and the spreads can differ from
     ``np.mean`` and ``np.std`` in the last bits, as their sums run in another order.
     """
-    counts = _passive_counts(sys, table.observables, table.cdf, shots)
-    means = _frame_means(counts, table.values, shots)
-    return means, np.sqrt((counts * (table.values - means[:, None]) ** 2).sum(axis=1) / shots)
+    values = table.frame.values
+    counts = _passive_counts(sys, table.readouts, table.frame.names, table.cdf, shots)
+    means = _frame_means(counts, values, shots)
+    return means, np.sqrt((counts * (values - means[:, None]) ** 2).sum(axis=1) / shots)
 
 
-def _frame_estimates(counts: np.ndarray, values: np.ndarray, ic: ICSet, shots: int) -> np.ndarray:
+def _frame_estimates(counts: np.ndarray, values: np.ndarray, ic: Frame, shots: int) -> np.ndarray:
     """The physical estimate of each trial, a ``(T, d, d)`` stack, from ``(T * k, m)`` counts of ``shots`` per row.
 
     Trial t holds rows t*k to t*k + k - 1, one per observable of ``ic`` (or
@@ -296,23 +340,23 @@ def _frame_estimates(counts: np.ndarray, values: np.ndarray, ic: ICSet, shots: i
     return _projection_stack(_inversion_stack(means, ic))
 
 
-def _inversion_stack(means: np.ndarray, ic: ICSet) -> np.ndarray:
+def _inversion_stack(means: np.ndarray, ic: Frame) -> np.ndarray:
     """I/d + sum_k means[..., k] O_k / norm for each row of a ``(..., k)`` array of means: a ``(..., d, d)`` stack."""
     out = np.broadcast_to(np.eye(ic.dim, dtype=complex) / ic.dim, (*means.shape[:-1], ic.dim, ic.dim)).copy()
     ic.add_terms(out, means)
     return out
 
 
-def linear_inversion(estimates, ic: ICSet) -> np.ndarray:
+def linear_inversion(means, ic: Frame) -> np.ndarray:
     """Invert estimated expectations: I/d + sum_k <O_k> O_k / norm.
 
-    ``estimates`` is a sequence aligned with ``ic.observables``, either
-    plain means or :class:`ExpectationEstimate` records.  The output has
-    unit trace by construction but may fail positivity.
+    ``means`` holds one estimated expectation per observable, aligned with
+    ``ic.names``.  The output has unit trace by construction but may fail
+    positivity.
     """
-    if len(estimates) != len(ic):
-        raise ValueError(f"got {len(estimates)} estimates for {len(ic)} observables")
-    means = np.array([e.mean if isinstance(e, ExpectationEstimate) else float(e) for e in estimates])
+    means = np.asarray(means, dtype=float)
+    if means.shape != (len(ic),):
+        raise ValueError(f"got {means.size} estimates for {len(ic)} observables")
     return _inversion_stack(means, ic)
 
 
@@ -351,15 +395,14 @@ def project_to_physical(matrix: np.ndarray) -> DensityOperator:
     return DensityOperator._unchecked(rebuilt, (rebuilt.shape[0],))
 
 
-def reconstruct_single_copy(sys: PSystem, ic: ICSet, shots: int) -> ReconstructionResult:
+def reconstruct_single_copy(sys: PSystem, ic: Frame, shots: int) -> ReconstructionResult:
     """Full pipeline: estimate expectations, invert, restore physicality."""
-    diagnostics = estimate_expectations(sys, ic, shots)
-    raw = linear_inversion(diagnostics, ic)
-    estimate = project_to_physical(raw)
-    return ReconstructionResult(estimate, raw, shots, diagnostics)
+    means, half_widths = estimate_expectations(sys, ic, shots)
+    raw = linear_inversion(means, ic)
+    return ReconstructionResult(project_to_physical(raw), raw, shots, means, half_widths)
 
 
-def discriminate(sys: PSystem, candidates: list[StateVector], ic: ICSet, shots: int) -> int:
+def discriminate(sys: PSystem, candidates: list[StateVector], ic: Frame, shots: int) -> int:
     """Identify which candidate the system is in, from the single copy.
 
     Reconstructs and returns the index of the candidate with the highest
@@ -368,6 +411,8 @@ def discriminate(sys: PSystem, candidates: list[StateVector], ic: ICSet, shots: 
     """
     if sys.mode != "passive":
         raise ValueError("single-copy discrimination requires passive mode")
+    if len(candidates) < 2:
+        raise ValueError(f"need at least two candidates, got {len(candidates)}")
     for i, j in itertools.combinations(range(len(candidates)), 2):
         if candidates[i].ray_equal(candidates[j]):
             raise ValueError(f"candidates {i} and {j} are ray-equal")
@@ -390,5 +435,5 @@ def estimate_spectrum(sys: PSystem, obs: Observable, shots: int) -> list[float]:
     """
     if sys.mode != "passive":
         raise ValueError("spectrum estimation by repetition requires passive mode")
-    drawn = np.flatnonzero(_passive_counts(sys, (obs,), born_distribution(obs, sys.state).cdf, shots)[0])
+    drawn = np.flatnonzero(_passive_counts(sys, (obs,), (obs.name,), born_distribution(obs, sys.state).cdf, shots)[0])
     return sorted(obs.eigenvalues[index] for index in drawn.tolist())

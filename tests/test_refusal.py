@@ -13,9 +13,10 @@ import re
 import numpy as np
 import pytest
 from conftest import _ZeroUniforms, called_name, enclosing_function, parsed_sources
+from frame_reference import frame_observables
 
 from pqt import measurement, protocols, rng
-from pqt.composite import LocalSetting, global_joint_sample, local_passive_joint_sample
+from pqt.composite import LocalSetting, _local_ic_set, global_joint_sample, local_passive_joint_sample
 from pqt.harness import parse_config, run
 from pqt.harness import runner as runner_module
 from pqt.hilbert import PAULI_Z, StateVector, basis_state, random_pure_state, tensor
@@ -89,6 +90,10 @@ LIBRARY_CASES = {
     ),
     "estimate_spectrum": (
         lambda: estimate_spectrum(PSystem(tilted(), "passive", _ZeroUniforms()), Z, 3),
+        refusal(-1.0, "Z", "passive"),
+    ),
+    "proper_vs_improper": (
+        lambda: protocols.proper_vs_improper(3, 3, _ZeroUniforms(), mixture=[(tilted(), 0.5), (basis_state(2, 1), 0.5)]),
         refusal(-1.0, "Z", "passive"),
     ),
     "global_joint_sample/passive": (
@@ -219,6 +224,22 @@ class TestEveryDrawRefusesAnImpossibleOutcome:
 
 
 class TestWhichOutcomeIsNamed:
+    @pytest.mark.parametrize("frame", ["pauli-2", "lifted-gell-mann"])
+    def test_a_gathered_row_names_its_own_observable(self, frame):
+        # Blocks of a frame's k rows gathered state after state, as proper_vs_improper gathers them: row r names r % k.
+        if frame == "pauli-2":
+            ic, states = pauli_ic_set(2), (basis_state(4, 0), random_pure_state(4, rng.stream(0, "refusal/rows")))
+        else:
+            _, ic = _local_ic_set((3, 2))
+            states = (random_pure_state(6, rng.stream(1, "refusal/rows"), (3, 2)),)
+        table = _frame_table(ic, *states)
+        readouts = table.readouts
+        observables = frame_observables(ic)
+        for r in range(2 * len(states) * len(ic)):
+            obs = observables[r % len(ic)]
+            assert readouts[r].name == obs.name
+            assert readouts[r].eigenvalues[: len(obs.eigenvalues)] == tuple(obs.eigenvalues)
+
     @pytest.mark.parametrize(
         "weight, offending, named",
         [
@@ -231,9 +252,9 @@ class TestWhichOutcomeIsNamed:
     def test_first_offending_row_in_frame_order(self, weight, offending, named):
         state = tensor(StateVector([np.sqrt(1.0 - weight), np.sqrt(weight)]), basis_state(2, 0))
         ic = pauli_ic_set(2)
-        table = _frame_table(ic.observables, state)
+        table = _frame_table(ic, state)
         drawn_first = table.cdf.probabilities[:, 0]  # a zero uniform draws -1 unless its weight is exactly 0
-        assert [obs.name for obs, p in zip(ic.observables, drawn_first) if 0.0 < p <= ZERO_PROBABILITY] == offending
+        assert [name for name, p in zip(ic.names, drawn_first) if 0.0 < p <= ZERO_PROBABILITY] == offending
         with pytest.raises(ValueError, match=f"^{re.escape(refusal(-1.0, named, 'passive'))}$"):
             estimate_expectations(PSystem(state, "passive", _ZeroUniforms()), ic, 3)
 

@@ -12,12 +12,17 @@ ROOT = Path(__file__).resolve().parent.parent
 HASHES = {"protocol-loops/1/0": "b" * 64, "configs/chsh.json": "a" * 64}
 
 
-@pytest.fixture
-def tool(monkeypatch):
+def load_tool(monkeypatch):
     monkeypatch.setattr(sys, "path", sys.path[:])  # the tool puts src/ and bench/ first on the path
     spec = importlib.util.spec_from_file_location("report_digest", ROOT / "tools" / "report_digest.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def tool(monkeypatch):
+    module = load_tool(monkeypatch)
     monkeypatch.setattr(module, "report_hashes", lambda: dict(HASHES))
     return module
 
@@ -40,3 +45,12 @@ def test_each_lists_every_report_in_key_order_before_the_digest(tool, monkeypatc
         f"protocol-loops/1/0 {'b' * 64}",
         digest_line(),
     ]
+
+
+def test_every_report_keeps_its_bytes(monkeypatch, capsys):
+    # The digest of every benchmark and shipped-config report, pinned.  A change that moves
+    # reports on purpose regenerates the goldens and updates this pin with them.
+    tool = load_tool(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["report_digest.py"])
+    tool.main()
+    assert capsys.readouterr().out.splitlines() == ["98 reports, digest f31036297b86b708"]

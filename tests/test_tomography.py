@@ -1,13 +1,19 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import _ZeroUniforms, position
+from frame_reference import ReferencePauliString, frame_observables
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pqt
 from pqt import rng, tomography
 from pqt.harness import parse_config, run
 from pqt.hilbert import (
@@ -31,12 +37,10 @@ from pqt.hilbert import (
 from pqt.composite import LocalSetting, _local_ic_set, lift_local
 from pqt.measurement import (
     Observable,
-    PauliString,
     PSystem,
     _cdf_index,
     _cdf_table,
     born_distribution,
-    collapse_update,
     repeated_measure,
 )
 from pqt.protocols import proper_vs_improper
@@ -62,15 +66,14 @@ from pqt.tomography import (
 class TestPauliICSet:
     def test_single_qubit_is_xyz(self):
         ic = pauli_ic_set(1)
-        assert [o.name for o in ic.observables] == ["X", "Y", "Z"]
+        assert ic.names == ("X", "Y", "Z")
 
     def test_two_qubits_count(self):
         assert len(pauli_ic_set(2)) == 15
 
     def test_gram_matrix_is_diagonal(self):
         # Direct Gram computation under Tr(AB)/2 for the qubit set.
-        ic = pauli_ic_set(1)
-        mats = [o.matrix for o in ic.observables]
+        mats = dense_matrices(pauli_ic_set(1))
         gram = np.array([[np.trace(a @ b).real / 2 for b in mats] for a in mats])
         np.testing.assert_allclose(gram, np.eye(3), atol=1e-12)
 
@@ -78,15 +81,10 @@ class TestPauliICSet:
         with pytest.raises(ValueError, match="1..6"):
             pauli_ic_set(7)
 
-    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
-    def test_closed_form_projectors_match_eigensolver(self, n_qubits):
-        # (I - S)/2 and (I + S)/2 against the general eigh path.
-        for obs in pauli_ic_set(n_qubits).observables:
-            reference = Observable(obs.name, pauli_matrix(obs.name))
-            assert obs.eigenvalues == reference.eigenvalues == (-1.0, 1.0)
-            for mine, theirs in zip(obs.projectors, reference.projectors):
-                np.testing.assert_allclose(mine, theirs, rtol=0, atol=1e-14)
-            np.testing.assert_array_equal(obs.matrix, pauli_matrix(obs.name))
+    @pytest.mark.parametrize("dim", [1, 65, 128])
+    def test_a_dimension_out_of_range_is_named_as_a_dimension(self, dim):
+        with pytest.raises(ValueError, match=r"^supported range is dimension 2\.\.64$"):
+            ic_set_for_dimension(dim)
 
 
 def kronecker_pauli(label: str) -> np.ndarray:
@@ -95,11 +93,21 @@ def kronecker_pauli(label: str) -> np.ndarray:
     return kron_all(*(letters[ch] for ch in label))
 
 
+def dense_matrices(ic):
+    """The dense matrix of every observable of a frame, in frame order: a Pauli frame's from its own rows and phases."""
+    if isinstance(ic, ICSet):
+        return [obs.matrix for obs in ic.observables]
+    matrices = np.zeros((len(ic), ic.dim, ic.dim), dtype=complex)
+    matrices[np.arange(len(ic))[:, None], ic.rows, np.arange(ic.dim)] = ic.phase
+    return list(matrices)
+
+
 class TestPauliMasks:
     @pytest.mark.parametrize("n_qubits", [1, 2, 3])
     def test_derived_matrix_equals_kronecker_product(self, n_qubits):
-        for obs in pauli_ic_set(n_qubits).observables:
-            np.testing.assert_array_equal(obs.matrix, kronecker_pauli(obs.name))
+        ic = pauli_ic_set(n_qubits)
+        for matrix, name in zip(dense_matrices(ic), ic.names, strict=True):
+            np.testing.assert_array_equal(matrix, kronecker_pauli(name))
 
     @pytest.mark.parametrize("n_qubits", [1, 2, 3])
     def test_born_probabilities_match_dense_projectors(self, n_qubits):
@@ -108,40 +116,25 @@ class TestPauliMasks:
         pure = [random_pure_state(dim, g) for _ in range(3)]
         mixed = [random_density(dim, g) for _ in range(2)] + [random_density(dim, g, rank=2)]
         identity = np.eye(dim)
-        for obs in pauli_ic_set(n_qubits).observables:
-            matrix = kronecker_pauli(obs.name)
+        ic = pauli_ic_set(n_qubits)
+        rows = {id(state): ic.born_rows(state) for state in pure + mixed}
+        for k, name in enumerate(ic.names):
+            matrix = kronecker_pauli(name)
             projectors = ((identity - matrix) / 2, (identity + matrix) / 2)
             for psi in pure:
                 dense = [np.vdot(psi.amplitudes, p @ psi.amplitudes).real for p in projectors]
-                np.testing.assert_allclose(born_distribution(obs, psi).probabilities, dense, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(rows[id(psi)][k], dense, rtol=0, atol=1e-14)
             for rho in mixed:
                 dense = [np.trace(p @ rho.matrix).real for p in projectors]
-                np.testing.assert_allclose(born_distribution(obs, rho).probabilities, dense, rtol=0, atol=1e-14)
-
-    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
-    def test_collapse_matches_dense_projectors(self, n_qubits):
-        dim = 2**n_qubits
-        g = rng.stream(n_qubits, "pauli/collapse")
-        states = [random_pure_state(dim, g) for _ in range(3)] + [basis_state(dim, 0)]
-        identity = np.eye(dim)
-        for obs in pauli_ic_set(n_qubits).observables:
-            matrix = kronecker_pauli(obs.name)
-            for index, projector in enumerate(((identity - matrix) / 2, (identity + matrix) / 2)):
-                for psi in states:
-                    projected = projector @ psi.amplitudes
-                    probability = np.vdot(psi.amplitudes, projected).real
-                    if probability <= 1e-12:
-                        continue
-                    collapsed = collapse_update(psi, obs, index)
-                    np.testing.assert_array_equal(collapsed.amplitudes, projected / np.sqrt(probability))
+                np.testing.assert_allclose(rows[id(rho)][k], dense, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5, 6])
     def test_linear_inversion_equals_dense_sum_bit_for_bit(self, n_qubits):
         ic = pauli_ic_set(n_qubits)
         means = [float(m) for m in rng.stream(n_qubits, "pauli/inversion").uniform(-1.0, 1.0, size=len(ic))]
         dense = np.eye(ic.dim, dtype=complex) / ic.dim
-        for mean, obs in zip(means, ic.observables):
-            dense = dense + mean * (kronecker_pauli(obs.name) / ic.norm)
+        for mean, name in zip(means, ic.names):
+            dense = dense + mean * (kronecker_pauli(name) / ic.norm)
         fast = linear_inversion(means, ic)
         np.testing.assert_array_equal(fast, dense)
         assert fast.tobytes() == dense.tobytes()
@@ -152,7 +145,8 @@ class TestPauliMasks:
             ic = hermitian_basis_ic_set(3)
         else:
             # Lifted Pauli strings are dense observables: the frame takes the default, one-by-one path.
-            ic = ICSet(tuple(lift_local(LocalSetting("A", obs), (2, 3)) for obs in pauli_ic_set(1).observables), 2.0)
+            strings = (Observable(name, pauli_matrix(name)) for name in pauli_ic_set(1).names)
+            ic = ICSet(tuple(lift_local(LocalSetting("A", obs), (2, 3)) for obs in strings), 2.0)
         means = [float(m) for m in rng.stream(ic.dim, "dense/inversion").uniform(-1.0, 1.0, size=len(ic))]
         dense = np.eye(ic.dim, dtype=complex) / ic.dim
         for mean, obs in zip(means, ic.observables):
@@ -172,13 +166,13 @@ class TestPauliMasks:
     def test_array_built_frame_equals_strings_built_from_labels(self, n_qubits):
         labels = ["".join(letters) for letters in itertools.product("IXYZ", repeat=n_qubits)][1:]
         ic = pauli_ic_set(n_qubits)
-        assert [obs.name for obs in ic.observables] == labels
-        for obs, label in zip(ic.observables, labels):
-            reference = PauliString(label)
-            assert obs.x_mask == reference.x_mask
-            assert obs.phase.dtype == reference.phase.dtype and obs.phase.tobytes() == reference.phase.tobytes()
-            assert obs.rows.dtype == reference.rows.dtype and obs.rows.tobytes() == reference.rows.tobytes()
-            assert not obs.phase.flags.writeable and not obs.rows.flags.writeable
+        assert list(ic.names) == labels
+        assert not ic.phase.flags.writeable and not ic.rows.flags.writeable
+        for phase, rows, label in zip(ic.phase, ic.rows, labels):
+            reference = ReferencePauliString(label)
+            assert rows[0] == reference.x_mask
+            assert phase.dtype == reference.phase.dtype and phase.tobytes() == reference.phase.tobytes()
+            assert rows.dtype == reference.rows.dtype and rows.tobytes() == reference.rows.tobytes()
 
     @pytest.mark.parametrize("n_qubits", [1, 3, 6])
     def test_frame_born_rows_equal_each_strings_probabilities(self, n_qubits):
@@ -186,10 +180,17 @@ class TestPauliMasks:
         g = rng.stream(n_qubits, "pauli/frame-rows")
         ic = pauli_ic_set(n_qubits)
         for state in (random_pure_state(dim, g), random_density(dim, g), random_density(dim, g, rank=2)):
-            table = _frame_table(ic.observables, state)
-            expected = np.stack([obs.outcome_probabilities(state) for obs in ic.observables])
+            table = _frame_table(ic, state)
+            expected = np.stack([obs.outcome_probabilities(state) for obs in frame_observables(ic)])
             assert table.cdf.probabilities.tobytes() == np.clip(expected, 0.0, None).tobytes()
-            assert table.values.tolist() == [[-1.0, 1.0]] * len(ic)
+            assert ic.values.tolist() == [[-1.0, 1.0]] * len(ic)
+
+    def test_frame_born_rows_run_without_numpy2_vecdot(self, monkeypatch):
+        # pyproject allows numpy>=1.24; np.vecdot only exists from NumPy 2.0.
+        ic, state = pauli_ic_set(2), random_pure_state(4, rng.stream(0, "pauli/numpy1"))
+        expected = ic.born_rows(state)
+        monkeypatch.delattr(np, "vecdot", raising=False)
+        assert ic.born_rows(state).tobytes() == expected.tobytes()
 
     def test_frames_are_shared(self):
         assert ic_set_for_dimension(64) is ic_set_for_dimension(64)
@@ -219,7 +220,25 @@ class TestPauliMasks:
             tracemalloc.stop()
         assert kron_calls == []
         assert peak < 32 * 2**20
-        assert all(isinstance(obs, PauliString) for obs in ic_set_for_dimension(64).observables)
+        # Every Observable, of any class and by any constructor, passes through Observable.__new__.  CPython
+        # cannot take a patched __new__ back out of a class, so a child process runs with the patch.
+        env = {**os.environ, "PYTHONPATH": str(Path(pqt.__file__).parents[1])}
+        child = subprocess.run(
+            [sys.executable, "-c", COUNT_OBSERVABLES, json.dumps(config)], env=env, capture_output=True, text=True, check=True
+        )
+        assert json.loads(child.stdout) == []
+
+
+COUNT_OBSERVABLES = """
+import json, sys
+from pqt.harness import parse_config, run
+from pqt.measurement import Observable
+
+made = []
+Observable.__new__ = lambda cls, *args, **kwargs: made.append(cls.__name__) or object.__new__(cls)
+run(parse_config(sys.argv[1]))
+print(json.dumps(made))
+"""
 
 
 @pytest.mark.parametrize(
@@ -230,9 +249,10 @@ def test_every_built_set_is_an_orthogonal_frame(factory, size):
     # The promise linear inversion relies on: d^2 - 1 traceless observables
     # with Tr(O_j O_k) = norm * delta_jk.
     ic = factory(size)
-    assert len(ic) == ic.dim**2 - 1
-    np.testing.assert_allclose([np.trace(obs.matrix) for obs in ic.observables], 0.0, atol=1e-12)
-    rows = np.stack([obs.matrix.reshape(-1) for obs in ic.observables])
+    assert len(ic) == len(ic.names) == ic.dim**2 - 1
+    matrices = dense_matrices(ic)
+    np.testing.assert_allclose([np.trace(matrix) for matrix in matrices], 0.0, atol=1e-12)
+    rows = np.stack([matrix.reshape(-1) for matrix in matrices])
     gram = rows.conj() @ rows.T
     np.testing.assert_allclose(gram, ic.norm * np.eye(len(ic)), rtol=0, atol=1e-12)
 
@@ -276,23 +296,22 @@ class TestEstimateExpectations:
 
     def test_deterministic_observable_is_exact(self):
         sys = PSystem(basis_state(2, 0), "passive", rng.stream(1, "est"))
-        estimates = estimate_expectations(sys, pauli_ic_set(1), 100)
-        by_name = {e.observable: e for e in estimates}
-        assert by_name["Z"].mean == 1.0
-        assert by_name["Z"].half_width == 0.0
+        means, half_widths = estimate_expectations(sys, pauli_ic_set(1), 100)
+        assert means[2] == 1.0  # Z
+        assert half_widths[2] == 0.0
 
     def test_plus_state_x_exact(self):
         ic = pauli_ic_set(1)
         sys = PSystem(plus_state(), "passive", rng.stream(2, "est"))
-        estimates = estimate_expectations(sys, ic, 100)
-        assert {e.observable: e.mean for e in estimates}["X"] == 1.0
+        means, _ = estimate_expectations(sys, ic, 100)
+        assert means[ic.names.index("X")] == 1.0
 
     def test_noisy_mean_within_3_sigma(self):
         # Binomial oracle: <Z> estimate on |+> has sd 1/sqrt(n).
         n = 10_000
         sys = PSystem(plus_state(), "passive", rng.stream(42, "est/noise"))
-        estimates = estimate_expectations(sys, pauli_ic_set(1), n)
-        z_mean = {e.observable: e.mean for e in estimates}["Z"]
+        means, _ = estimate_expectations(sys, pauli_ic_set(1), n)
+        z_mean = means[2]
         assert abs(z_mean) <= 3.0 / np.sqrt(n)
 
     def test_state_object_unchanged(self):
@@ -329,7 +348,7 @@ class TestLinearInversion:
             ic = pauli_ic_set(n_qubits)
             for _ in range(3):
                 rho = random_density(2**n_qubits, g)
-                means = [np.trace(o.matrix @ rho.matrix).real for o in ic.observables]
+                means = [np.trace(matrix @ rho.matrix).real for matrix in dense_matrices(ic)]
                 np.testing.assert_allclose(linear_inversion(means, ic), rho.matrix, atol=1e-10)
 
 
@@ -517,6 +536,13 @@ class TestDiscriminate:
         with pytest.raises(ValueError, match="ray-equal"):
             discriminate(sys, candidates, pauli_ic_set(1), 100)
 
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_candidates_rejected(self, count):
+        sys = PSystem(basis_state(2, 0), "passive", rng.stream(3, "disc"))
+        with pytest.raises(ValueError, match=f"^need at least two candidates, got {count}$"):
+            discriminate(sys, [basis_state(2, 0)] * count, pauli_ic_set(1), 100)
+        assert sys.history == {}  # refused before any measurement
+
 
 class TestEstimateSpectrum:
     def test_plus_state_sees_both_outcomes(self):
@@ -629,10 +655,10 @@ def reference_proper_vs_improper(trials, shots, gen, mixture=None, purification=
         if mixture is not None:
             state = mixture[members[trial]][0]
             ic = ic_set_for_dimension(state.dim)
-            estimate = reference_frame_estimate(PSystem(state, "passive", gen), ic, ic.observables, shots)
+            estimate = reference_frame_estimate(PSystem(state, "passive", gen), ic, frame_observables(ic), shots)
         else:
             ic, lifted = _local_ic_set(purification.shape)
-            estimate = reference_frame_estimate(PSystem(purification, "passive", gen), ic, lifted, shots)
+            estimate = reference_frame_estimate(PSystem(purification, "passive", gen), ic, lifted.observables, shots)
         purities.append(estimate.purity())
     return purities
 
@@ -651,8 +677,8 @@ class TestFrameSamplerMatchesReference:
     def assert_same_run(state, ic, shots, seed):
         expected_sys = PSystem(state, "passive", rng.stream(seed, "eq/frame"))
         actual_sys = PSystem(state, "passive", rng.stream(seed, "eq/frame"))
-        expected = reference_estimates(expected_sys, ic.observables, shots)
-        actual = [(e.observable, e.mean, e.half_width) for e in estimate_expectations(actual_sys, ic, shots)]
+        expected = reference_estimates(expected_sys, frame_observables(ic), shots)
+        actual = list(zip(ic.names, *(column.tolist() for column in estimate_expectations(actual_sys, ic, shots))))
         assert actual == expected
         assert actual_sys.history == expected_sys.history
         assert position(actual_sys.rng) == position(expected_sys.rng)
@@ -689,7 +715,7 @@ class TestFrameSamplerMatchesReference:
         errors = []
         for estimate in (measure_each, lambda sys, obs, shots: estimate_expectations(sys, ic, shots)):
             with pytest.raises(ValueError, match="zero probability") as caught:
-                estimate(PSystem(state, "passive", _ZeroUniforms()), ic.observables, 3)
+                estimate(PSystem(state, "passive", _ZeroUniforms()), frame_observables(ic), 3)
             errors.append(str(caught.value))
         assert errors[0] == errors[1]
 
@@ -700,10 +726,10 @@ class TestFrameSamplerMatchesReference:
 
         state = random_pure_state(9, rng.stream(shots, "eq/lifted/state"), (3, 3))
         ic, lifted = _local_ic_set((3, 3))
-        assert {len(obs.eigenvalues) for obs in lifted} == {2, 3}
+        assert {len(obs.eigenvalues) for obs in lifted.observables} == {2, 3}
         expected_sys = PSystem(state, "passive", rng.stream(shots, "eq/lifted"))
         actual_sys = PSystem(state, "passive", rng.stream(shots, "eq/lifted"))
-        expected = reference_frame_estimate(expected_sys, ic, lifted, shots)
+        expected = reference_frame_estimate(expected_sys, ic, lifted.observables, shots)
         actual = reconstruct_reduced_single_copy(actual_sys, shots)
         assert actual.matrix.tobytes() == expected.matrix.tobytes()
         assert actual_sys.history == expected_sys.history
@@ -731,14 +757,15 @@ class TestFrameMoments:
         state = random_pure_state(ic.dim, rng.stream(shots, f"spread/{frame}"))
         expected_gen = rng.stream(shots, "spread")
         actual_sys = PSystem(state, "passive", rng.stream(shots, "spread"))
-        counts = reference_counts(expected_gen, ic.observables, state, shots)
-        expected = np.array([count_moments(c, obs.eigenvalues, shots) for c, obs in zip(counts, ic.observables)])
-        means, spreads = _sample_frame(actual_sys, _frame_table(ic.observables, state), shots)
+        observables = frame_observables(ic)
+        counts = reference_counts(expected_gen, observables, state, shots)
+        expected = np.array([count_moments(c, obs.eigenvalues, shots) for c, obs in zip(counts, observables)])
+        means, spreads = _sample_frame(actual_sys, _frame_table(ic, state), shots)
         assert means.tobytes() == expected[:, 0].tobytes()
         assert spreads.tobytes() == expected[:, 1].tobytes()
         assert position(actual_sys.rng) == position(expected_gen)
         # Against the outcomes the counts stand for: a Pauli mean is a sum of +-1, exact either way.
-        outcomes = [np.repeat(obs.eigenvalues, c) for c, obs in zip(counts, ic.observables)]
+        outcomes = [np.repeat(obs.eigenvalues, c) for c, obs in zip(counts, observables)]
         np_mean, np_std = np.array([np.mean(o) for o in outcomes]), np.array([np.std(o) for o in outcomes])
         if frame.startswith("pauli"):
             assert means.tobytes() == np_mean.tobytes()
