@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .measurement import (
     _Readout,
     born_distribution,
 )
-from .tomography import ICSet, _frame_estimates, _frame_table, hermitian_basis_ic_set
+from .tomography import Frame, _frame_estimates, _frame_table, hermitian_basis_ic_set
 
 PURITY_PRODUCT_THRESHOLD = 0.95
 PURITY_ENTANGLED_THRESHOLD = 0.90
@@ -257,10 +257,18 @@ def reconstruct_reduced_single_copy(sys: PSystem, shots: int) -> DensityOperator
 
 
 @functools.lru_cache(maxsize=8)
-def _local_ic_set(shape: tuple[int, int]) -> tuple[ICSet, ICSet]:
-    """Gell-Mann frame of side A and its lift to A tensor I, built once per shape (both are immutable)."""
+def _local_ic_set(shape: tuple[int, int]) -> tuple[Frame, Frame]:
+    """Gell-Mann frame of side A and its lift to A tensor I, built once per shape (both are immutable).
+
+    (O tensor I)|a b> = phase[a] |rows[a] b>: the lift repeats each column's
+    phase d_B times, and O tensor I has the outcomes and projector
+    coefficients of O.
+    """
     ic = hermitian_basis_ic_set(shape[0])
-    return ic, ICSet(tuple(lift_local(LocalSetting("A", obs), shape) for obs in ic.observables), ic.norm * shape[1])
+    dim_b = shape[1]
+    rows = (ic.rows[:, :, None] * dim_b + np.arange(dim_b)).reshape(len(ic), -1)
+    names = tuple(f"{name}xI" for name in ic.names)
+    return ic, replace(ic, names=names, norm=ic.norm * dim_b, phase=np.repeat(ic.phase, dim_b, axis=1), rows=rows)
 
 
 def detect_entanglement_single_copy(sys: PSystem, shots: int) -> EntanglementVerdict:

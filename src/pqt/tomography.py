@@ -15,26 +15,23 @@ The Pauli strings and the generalised Gell-Mann matrices have this
 property by construction (Bertlmann & Krammer, J. Phys. A 41, 235303,
 2008); the tests check it once instead of every build.
 
-A frame is a dense :class:`ICSet` (Gell-Mann, or a frame lifted to
-A tensor I) or a :class:`PauliFrame`, and every layer reads it through
-one interface: ``names``, ``dim``, ``norm`` and ``len``, the ``(k, m)``
-outcome ``values``, its ``(k, m)`` Born rows on a state
-(``born_rows``), and ``add_terms`` for inversion.  Estimates come back
-as ``(k,)`` arrays of means and half-widths aligned with ``names``.
-
-Pauli frames are held as arrays: a :class:`PauliFrame` builds the
-bit-flip masks and the ``(k, d)`` phases, S|x> = phase[x] |x ^ x_mask>,
-of all k = 4^n - 1 strings with whole-array operations, and stores the
-``(k, d)`` rows x ^ x_mask once.  No string has an object, a matrix or a
-projector of its own: the Born rows of every string on a state are one
-array expression, O(d) per string.  Linear inversion is grouped by
-``x_mask``: strings sharing a mask write the same d entries, so one
-fancy-indexed add per rank within the groups adds 2^n strings at once,
-with the bits of the string-by-string sum.  Dense frames add one dense
-term per observable.  Both add to a stack of matrices at once, one per
-row of a ``(T, k)`` array of means, and a single reconstruction is a
-stack of one.  :func:`ic_set_for_dimension` returns one shared,
-immutable frame per dimension.
+Every frame is one :class:`Frame`: ``(k, d)`` arrays of phases and rows,
+O|x> = phase[x] |rows[x]>, one observable per row, with the ``(k, m)``
+outcome ``values`` and ``names``.  A Pauli string and a generalised
+Gell-Mann matrix both have at most one nonzero per column, and so does a
+frame lifted to A tensor I, so no observable has an object, a dense matrix
+or a projector of its own.  Each has at most three outcomes, so the
+projector onto each is a Lagrange polynomial in O, c0 + c1 O + c2 O^2, and
+its Born probability is c0 + c1 <O> + c2 <O^2>: one array expression per
+block of observables, O(d) each, since O^2 is diagonal with entries
+|phase[x]|^2.  Linear inversion adds term k to the d entries
+(rows[k, x], x) with one unbuffered ``np.add.at`` per block, so every
+entry takes its terms in frame order, with the bits of the dense sum.
+Inversion adds to a stack of matrices at once, one per row of a ``(T, k)``
+array of means, and a single reconstruction is a stack of one.
+:func:`ic_set_for_dimension` returns one shared, immutable frame per
+dimension.  Estimates come back as ``(k,)`` arrays of means and
+half-widths aligned with ``names``.
 
 Every observable of a frame is sampled by one row-wise sampler: the
 frame's Born rows on each state are checked once into one CDF table (see
@@ -75,71 +72,31 @@ from .measurement import (
 
 CONFIDENCE_Z = 1.96
 MAX_IC_DIMENSION = 64
-_BORN_BLOCK_ENTRIES = 2**14  # (strings, d) entries each temporary of PauliFrame.born_rows holds at most
-_PAULI_VALUES = np.array([-1.0, 1.0])  # the outcomes of every Pauli string
-_PAULI_VALUES.setflags(write=False)
+# Entries each temporary of Frame.born_rows and Frame.add_terms holds at most: 64 KiB as complex.  At 2**14 a
+# 6-qubit reconstruction peaked 0.7 MB higher in RSS and ran no faster (numpy 2.4.6, glibc malloc).
+_BORN_BLOCK_ENTRIES = 2**12
 
 
 @dataclass(frozen=True, eq=False)
-class ICSet:
-    """Dense traceless observables with Tr(O_j O_k) = norm * delta_jk: a Gell-Mann frame or its lift to A tensor I."""
+class Frame:
+    """Traceless observables with at most one nonzero per column, one per row of ``(k, d)`` arrays: O|x> = phase[x] |rows[x]>.
 
-    observables: tuple[Observable, ...]
-    norm: float
-    values: np.ndarray = field(init=False, repr=False)  # (k, m) outcome values, each row zero-padded to the widest
-
-    def __post_init__(self):
-        sizes = [len(obs.eigenvalues) for obs in self.observables]
-        values = np.zeros((len(sizes), max(sizes)))
-        for row, obs in enumerate(self.observables):
-            values[row, : sizes[row]] = obs.eigenvalues
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(obs.name for obs in self.observables)
-
-    @property
-    def dim(self) -> int:
-        return self.observables[0].dim
-
-    def __len__(self) -> int:
-        return len(self.observables)
-
-    def born_rows(self, state: State) -> np.ndarray:
-        """The ``(k, m)`` Born probabilities of every observable on ``state``, padded as ``values`` is."""
-        rows = np.zeros(self.values.shape)
-        for row, obs in enumerate(self.observables):
-            rows[row, : len(obs.eigenvalues)] = obs.outcome_probabilities(state)
-        return rows
-
-    def add_terms(self, out: np.ndarray, means: np.ndarray) -> None:
-        """Add sum_k means[..., k] * O_k / norm to each matrix of the ``(..., d, d)`` stack ``out``, in place.
-
-        One observable at a time, in frame order.
-        """
-        for k, obs in enumerate(self.observables):
-            out += means[..., k, None, None] * (obs.matrix / self.norm)
-
-
-@dataclass(frozen=True, eq=False)
-class PauliFrame:
-    """The non-identity Pauli strings on n qubits as ``(k, d)`` arrays, one string per row: S|x> = phase[x] |x ^ x_mask>.
-
-    A string's outcomes are -1 and +1, with Born probabilities (1 -/+ <S>)/2.
-    Strings that share an ``x_mask`` write the same d entries in linear
-    inversion, each entry taking their terms in label order.  Round r of
-    ``rounds`` holds the r-th string of every such group, so one
-    fancy-indexed ``+=`` per round adds a whole round: 2^n rounds instead
-    of 4^n - 1 string-by-string adds, with the same bits.
+    A column with no nonzero has phase 0 and row x.  Each observable has
+    at most three outcomes, so each outcome's projector is a Lagrange
+    polynomial in O: P_j = c0 + c1 O + c2 O^2, with (c0, c1, c2) the
+    ``lagrange`` entries of its row and column.
     """
 
     names: tuple[str, ...]
     norm: float
-    phase: np.ndarray = field(repr=False)  # (k, d) column phases, one string per row
-    rows: np.ndarray = field(repr=False)  # (k, d) row of each column's nonzero: x ^ x_mask
-    rounds: tuple[np.ndarray, ...] = field(repr=False)  # string indices of each inversion round
+    values: np.ndarray = field(repr=False)  # (k, m) outcome values, ascending, each row zero-padded to the widest
+    lagrange: np.ndarray = field(repr=False)  # (3, k, m) coefficients of each outcome's projector, zero on padding
+    phase: np.ndarray = field(repr=False)  # (k, d) column phases, one observable per row
+    rows: np.ndarray = field(repr=False)  # (k, d) row of each column's nonzero
+
+    def __post_init__(self):
+        for array in (self.values, self.lagrange, self.phase, self.rows):
+            array.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -148,38 +105,73 @@ class PauliFrame:
     def __len__(self) -> int:
         return self.phase.shape[0]
 
-    @property
-    def values(self) -> np.ndarray:
-        return np.broadcast_to(_PAULI_VALUES, (len(self), 2))
-
     def born_rows(self, state: State) -> np.ndarray:
-        """The ``(k, 2)`` Born probabilities (1 -/+ <S>)/2 of every string on ``state``, O(d) each.
+        """The ``(k, m)`` Born probabilities c0 + c1 <O> + c2 <O^2> of every observable on ``state``, O(d) each.
 
-        <S> = sum_x conj(psi[x ^ x_mask]) phase[x] psi[x] on a state vector, a
+        <O> = sum_x conj(psi[rows[x]]) phase[x] psi[x] on a state vector, a
         stack of (1, d) @ (d, 1) products with the bits of ``np.vdot``, and
-        sum_x phase[x] rho[x, x ^ x_mask] on a density operator, with the bits
-        of ``np.sum`` of each string's d terms.  Strings are taken a block at a
-        time, so that no temporary holds more than ``_BORN_BLOCK_ENTRIES`` entries.
+        sum_x phase[x] rho[x, rows[x]] on a density operator, with the bits of
+        ``np.sum`` of each observable's d terms.  O^2 is diagonal with entries
+        |phase[x]|^2, so <O^2> weighs the populations |psi[x]|^2 (or rho[x, x]);
+        it is taken only when ``values`` has three columns.  Observables are taken
+        a block at a time, so that no temporary holds more than
+        ``_BORN_BLOCK_ENTRIES`` entries.
         """
-        expectations = np.empty(len(self))
+        squares, vector = self.values.shape[1] > 2, isinstance(state, StateVector)
+        if squares:
+            populations = np.abs(state.amplitudes) ** 2 if vector else state.matrix.diagonal().real
+        moments = np.empty((2, len(self), 1))  # <O> and, for three outcomes, <O^2>
         step = max(1, _BORN_BLOCK_ENTRIES // self.dim)
         for start in range(0, len(self), step):
             rows, phase = self.rows[start : start + step], self.phase[start : start + step]
-            if isinstance(state, StateVector):
+            if vector:
                 bras = state.amplitudes[rows].conj()[:, None, :]
                 block = (bras @ (phase * state.amplitudes)[:, :, None])[:, 0, 0]
             else:
                 block = (phase * state.matrix[np.arange(self.dim), rows]).sum(axis=1)
-            expectations[start : start + step] = block.real
-        return np.stack(((1.0 - expectations) / 2, (1.0 + expectations) / 2), axis=1)
+            moments[0, start : start + step, 0] = block.real
+            if squares:
+                moments[1, start : start + step, 0] = np.abs(phase) ** 2 @ populations
+        c0, c1, c2 = self.lagrange
+        out = c0 + c1 * moments[0]
+        return out + c2 * moments[1] if squares else out
 
     def add_terms(self, out: np.ndarray, means: np.ndarray) -> None:
-        columns = np.arange(self.dim)
-        for members in self.rounds:
-            out[..., self.rows[members], columns] += means[..., members, None] * (self.phase[members] / self.norm)
+        """Add sum_k means[..., k] * O_k / norm to each matrix of the C-contiguous ``(..., d, d)`` stack ``out``, in place.
+
+        Term k adds means[..., k] * phase[k, x] / norm to entry (rows[k, x], x).
+        ``np.add.at`` is unbuffered and adds in index order, so every entry
+        takes its terms in frame order, with the bits of the observable-by-observable
+        dense sum.  Observables are added a block at a time, so that no
+        temporary holds more than ``_BORN_BLOCK_ENTRIES`` entries per matrix.
+        """
+        k, d = self.phase.shape
+        flat, means = out.reshape(-1), means.reshape(-1, k)
+        firsts = np.arange(0, flat.size, d * d)[:, None, None]  # the first entry of each matrix
+        step = max(1, _BORN_BLOCK_ENTRIES // (len(means) * d))
+        for start in range(0, k, step):
+            block = slice(start, start + step)
+            entries = firsts + self.rows[block] * d + np.arange(d)
+            terms = means[:, block, None] * (self.phase[block] / self.norm)
+            np.add.at(flat, entries.ravel(), terms.ravel())  # one-dimensional: numpy's fast path
 
 
-Frame = ICSet | PauliFrame  # a frame: names, dim, norm, len, values, born_rows and add_terms
+def _lagrange(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The ``(3, k, m)`` coefficients of P_j = prod_{i != j} (O - v_i) / (v_j - v_i), over the first ``sizes`` outcomes of each row.
+
+    Each factor multiplies by the reciprocal 1 / (v_j - v_i), so a state with
+    <O> = v_i gives P_j weight exactly 0 when O has two outcomes.
+    """
+    columns = np.arange(values.shape[1])
+    real = columns < sizes[:, None]
+    lagrange = np.stack((real.astype(float), np.zeros(values.shape), np.zeros(values.shape)))
+    for i in columns:
+        factor = real & real[:, i, None] & (columns != i)
+        v = values[:, i, None]
+        scale = 1.0 / np.where(factor, values - v, 1.0)
+        c0, c1, c2 = lagrange
+        lagrange = np.where(factor, np.stack((-v * c0, c0 - v * c1, c1 - v * c2)) * scale, lagrange)
+    return lagrange
 
 
 @dataclass
@@ -191,61 +183,60 @@ class ReconstructionResult:
     half_widths: np.ndarray  # (k,) normal-approximation half-width of each mean
 
 
-def pauli_ic_set(n_qubits: int) -> PauliFrame:
-    """All non-identity Pauli strings on n qubits, with norm 2^n.
+def pauli_ic_set(n_qubits: int) -> Frame:
+    """All non-identity Pauli strings on n qubits, with norm 2^n: S|x> = phase[x] |x ^ x_mask>.
 
     The masks and phases of every string are built as whole arrays; no
-    string has an object, a dense matrix or a projector of its own.
+    string has an object, a dense matrix or a projector of its own.  Every
+    string has outcomes -1 and +1, with Born probabilities (1 -/+ <S>)/2.
     """
     if not 1 <= n_qubits <= 6:
         raise ValueError("supported range is 1..6 qubits")
     labels = ("".join(letters) for letters in itertools.product("IXYZ", repeat=n_qubits))
     next(labels)  # the identity
     x_masks, phase = pauli_frame_phases(n_qubits)
-    rows = np.arange(phase.shape[1]) ^ x_masks[:, None]
-    phase.setflags(write=False)
-    rows.setflags(write=False)
-    return PauliFrame(tuple(labels), float(2**n_qubits), phase, rows, _inversion_rounds(x_masks))
+    values = np.broadcast_to([-1.0, 1.0], (len(x_masks), 2))
+    lagrange = np.broadcast_to(_lagrange(values[:1], np.array([2])), (3, *values.shape))
+    return Frame(tuple(labels), float(2**n_qubits), values, lagrange, phase, np.arange(phase.shape[1]) ^ x_masks[:, None])
 
 
-def _inversion_rounds(x_masks: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Indices of the strings of rank r within their ``x_mask`` group (in frame order), for each r."""
-    order = np.argsort(x_masks, kind="stable")
-    starts = np.flatnonzero(np.diff(x_masks[order], prepend=-1))
-    rank = np.arange(order.size) - np.repeat(starts, np.diff(starts, append=order.size))
-    return tuple(order[rank == r] for r in range(rank.max() + 1))
-
-
-def _gell_mann_family(dim: int) -> list[tuple[str, np.ndarray]]:
-    """Traceless Hermitian basis, orthonormal under Tr(AB)."""
-    out: list[tuple[str, np.ndarray]] = []
-    for k in range(1, dim):
-        for j in range(k):
-            sym = np.zeros((dim, dim), dtype=complex)
-            sym[j, k] = sym[k, j] = 1.0 / np.sqrt(2.0)
-            out.append((f"sym{j}_{k}", sym))
-            anti = np.zeros((dim, dim), dtype=complex)
-            anti[j, k] = -1.0j / np.sqrt(2.0)
-            anti[k, j] = 1.0j / np.sqrt(2.0)
-            out.append((f"anti{j}_{k}", anti))
-    for level in range(1, dim):
-        diag = np.zeros((dim, dim), dtype=complex)
-        diag[np.arange(level), np.arange(level)] = 1.0
-        diag[level, level] = -float(level)
-        out.append((f"diag{level}", diag / np.sqrt(level * (level + 1))))
-    return out
-
-
-def hermitian_basis_ic_set(dim: int) -> ICSet:
+def hermitian_basis_ic_set(dim: int) -> Frame:
     """Generalised Gell-Mann basis for arbitrary dimension, with norm 1.
 
     Orthonormality under the trace inner product gives
-    rho = I/d + sum <G_k> G_k.
+    rho = I/d + sum <G_k> G_k.  For each pair j < k (k outer, j inner),
+    sym_jk = (|j><k| + |k><j|)/sqrt(2) and anti_jk = i(|k><j| - |j><k|)/sqrt(2),
+    with outcomes -1/sqrt(2), 0 (for d >= 3) and 1/sqrt(2); then for each level
+    l, diag_l = (sum_{x<l} |x><x| - l |l><l|)/sqrt(l(l+1)), with outcomes
+    -l/sqrt(l(l+1)), 0 (for l < d - 1) and 1/sqrt(l(l+1)).  Every matrix has at
+    most one nonzero per column, so the frame is built as arrays, with no
+    dense matrix and no eigendecomposition.
     """
     if not 2 <= dim <= MAX_IC_DIMENSION:
         raise ValueError(f"supported range is dimension 2..{MAX_IC_DIMENSION}")
-    observables = tuple(Observable(name, matrix) for name, matrix in _gell_mann_family(dim))
-    return ICSet(observables, 1.0)
+    high, low = np.tril_indices(dim, -1)
+    pairs, columns = np.arange(len(high)), np.arange(dim)
+    sym, anti, diag = 2 * pairs, 2 * pairs + 1, 2 * len(high) + columns[:-1]
+    rows = np.tile(columns, (dim**2 - 1, 1))
+    phase = np.zeros(rows.shape, dtype=complex)
+    for members in (sym, anti):
+        rows[members, low], rows[members, high] = high, low
+    phase[sym, low] = phase[sym, high] = 1.0 / np.sqrt(2.0)
+    phase[anti, low] = 1.0j / np.sqrt(2.0)
+    phase[anti, high] = -1.0j / np.sqrt(2.0)
+    levels = columns[1:, None]
+    scale = np.sqrt(levels * (levels + 1))
+    phase[diag] = np.where(columns < levels, 1.0, np.where(columns == levels, -levels, 0.0)).astype(complex) / scale
+
+    width = min(dim, 3)
+    sizes = np.full(len(rows), width)
+    sizes[diag[-1]] = 2  # diag_{d-1} has no zero outcome
+    values = np.zeros((len(rows), width))
+    values[:, 0], values[np.arange(len(rows)), sizes - 1] = -1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)
+    values[diag, 0], values[diag, sizes[diag] - 1] = phase[diag, columns[1:]].real, phase[diag, 0].real
+    names = [name for j, k in zip(low.tolist(), high.tolist()) for name in (f"sym{j}_{k}", f"anti{j}_{k}")]
+    names += [f"diag{level}" for level in range(1, dim)]
+    return Frame(tuple(names), 1.0, values, _lagrange(values, sizes), phase, rows)
 
 
 @functools.lru_cache(maxsize=8)

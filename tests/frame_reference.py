@@ -1,18 +1,28 @@
-"""A per-string reference for Pauli frames: every string measured on its own.
+"""Dense references for frames: every observable made from its name alone, and measured on its own.
+
+A frame's names say what each observable is: a Pauli label, a generalised
+Gell-Mann name (``symj_k``, ``antij_k``, ``diagl``, whose dense matrices
+``_gell_mann_family`` defines), or a side-A name with ``xI`` appended for its
+lift to A tensor I.  ``frame_matrices`` gives each observable's dense matrix,
+and ``frame_observables`` an object to measure it with, so a test can compare
+the library's whole-frame arrays with the dense definitions.
 
 A :class:`ReferencePauliString` holds one string's bit-flip mask, column
 phases and rows x ^ x_mask, built from ``hilbert.pauli_phases(label)``.  Its
 expectation is one ``np.vdot`` (state vector) or ``np.sum`` (density
 operator) over them, and its Born probabilities are (1 -/+ <S>)/2.  It has
 the ``name``, ``dim``, ``eigenvalues`` and ``outcome_probabilities`` that
-``born_distribution`` and ``repeated_measure`` read, so a test can measure a
-frame string by string and compare the library's whole-frame arrays with it.
+``born_distribution`` and ``repeated_measure`` read.
 """
+
+import functools
+import math
 
 import numpy as np
 
-from pqt.hilbert import StateVector, pauli_phases
-from pqt.tomography import PauliFrame
+from pqt.composite import LocalSetting, lift_local
+from pqt.hilbert import StateVector, pauli_matrix, pauli_phases
+from pqt.measurement import Observable
 
 
 class ReferencePauliString:
@@ -41,8 +51,56 @@ class ReferencePauliString:
         return np.array([(1.0 - expectation) / 2, (1.0 + expectation) / 2])
 
 
+def _gell_mann_family(dim: int) -> list[tuple[str, np.ndarray]]:
+    """Traceless Hermitian basis, orthonormal under Tr(AB)."""
+    out: list[tuple[str, np.ndarray]] = []
+    for k in range(1, dim):
+        for j in range(k):
+            sym = np.zeros((dim, dim), dtype=complex)
+            sym[j, k] = sym[k, j] = 1.0 / np.sqrt(2.0)
+            out.append((f"sym{j}_{k}", sym))
+            anti = np.zeros((dim, dim), dtype=complex)
+            anti[j, k] = -1.0j / np.sqrt(2.0)
+            anti[k, j] = 1.0j / np.sqrt(2.0)
+            out.append((f"anti{j}_{k}", anti))
+    for level in range(1, dim):
+        diag = np.zeros((dim, dim), dtype=complex)
+        diag[np.arange(level), np.arange(level)] = 1.0
+        diag[level, level] = -float(level)
+        out.append((f"diag{level}", diag / np.sqrt(level * (level + 1))))
+    return out
+
+
+@functools.cache
+def _gell_mann_matrices(dim):
+    """The dense generalised Gell-Mann matrices of a dimension, by name."""
+    return dict(_gell_mann_family(dim))
+
+
+def _by_name(ic, pauli, gell_mann, lift):
+    """One reference per observable of ``ic``, in frame order, chosen by its name alone.
+
+    A frame of k observables acts on side A of dimension sqrt(k + 1), which
+    is the whole space unless the names carry the lift suffix ``xI``.
+    """
+    dim_a = math.isqrt(len(ic) + 1)
+    shape = (dim_a, ic.dim // dim_a)
+
+    def reference(name):
+        if name.endswith("xI"):
+            return lift(reference(name[:-2]), shape)
+        if set(name) <= set("IXYZ"):
+            return pauli(name)
+        return gell_mann(name, _gell_mann_matrices(dim_a)[name])
+
+    return [reference(name) for name in ic.names]
+
+
+def frame_matrices(ic):
+    """The dense matrix of every observable of a frame: a Pauli product, a Gell-Mann matrix, or its Kronecker product with I."""
+    return _by_name(ic, pauli_matrix, lambda name, matrix: matrix, lambda matrix, shape: np.kron(matrix, np.eye(shape[1])))
+
+
 def frame_observables(ic):
-    """The observables of a frame one by one: a reference string per Pauli label, or a dense frame's own."""
-    if isinstance(ic, PauliFrame):
-        return [ReferencePauliString(name) for name in ic.names]
-    return list(ic.observables)
+    """Every observable of a frame, measured one by one: a reference string, a dense ``Observable``, or its ``lift_local``."""
+    return _by_name(ic, ReferencePauliString, Observable, lambda obs, shape: lift_local(LocalSetting("A", obs), shape))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import os
@@ -9,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import _ZeroUniforms, position
-from frame_reference import ReferencePauliString, frame_observables
+from frame_reference import ReferencePauliString, frame_matrices, frame_observables
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pqt
-from pqt import rng, tomography
+from pqt import composite, rng, tomography
 from pqt.harness import parse_config, run
 from pqt.hilbert import (
     DensityOperator,
@@ -32,9 +33,8 @@ from pqt.hilbert import (
     random_pure_state,
     fidelity,
     kron_all,
-    pauli_matrix,
 )
-from pqt.composite import LocalSetting, _local_ic_set, lift_local
+from pqt.composite import _local_ic_set
 from pqt.measurement import (
     Observable,
     PSystem,
@@ -46,7 +46,6 @@ from pqt.measurement import (
 from pqt.protocols import proper_vs_improper
 from pqt.tomography import (
     CONFIDENCE_Z,
-    ICSet,
     _frame_table,
     _inversion_stack,
     _projection_stack,
@@ -94,12 +93,50 @@ def kronecker_pauli(label: str) -> np.ndarray:
 
 
 def dense_matrices(ic):
-    """The dense matrix of every observable of a frame, in frame order: a Pauli frame's from its own rows and phases."""
-    if isinstance(ic, ICSet):
-        return [obs.matrix for obs in ic.observables]
+    """The dense matrix of every observable of a frame, in frame order, from its own rows and phases."""
     matrices = np.zeros((len(ic), ic.dim, ic.dim), dtype=complex)
     matrices[np.arange(len(ic))[:, None], ic.rows, np.arange(ic.dim)] = ic.phase
     return list(matrices)
+
+
+GELL_MANN_FRAMES = {
+    **{f"gell-mann-{dim}": functools.partial(hermitian_basis_ic_set, dim) for dim in range(2, 10)},
+    "lifted-gell-mann-3x2": lambda: _local_ic_set((3, 2))[1],
+    "lifted-gell-mann-2x3": lambda: _local_ic_set((2, 3))[1],
+}
+
+
+def dense_sum(means, ic):
+    """I/d + sum_k means[k] O_k / norm over the dense reference matrices, one term at a time in frame order."""
+    dense = np.eye(ic.dim, dtype=complex) / ic.dim
+    for mean, matrix in zip(means, frame_matrices(ic), strict=True):
+        dense = dense + mean * (matrix / ic.norm)
+    return dense
+
+
+@pytest.mark.parametrize("frame", GELL_MANN_FRAMES)
+class TestGellMannFramesEqualTheDenseDefinition:
+    @staticmethod
+    def states(ic):
+        g = rng.stream(ic.dim, "gell-mann/states")
+        return random_pure_state(ic.dim, g), random_density(ic.dim, g), random_density(ic.dim, g, rank=2)
+
+    def test_arrays_are_the_dense_matrices(self, frame):
+        ic = GELL_MANN_FRAMES[frame]()
+        for matrix, expected in zip(dense_matrices(ic), frame_matrices(ic), strict=True):
+            np.testing.assert_array_equal(matrix, expected)  # a Kronecker product with I may sign its zeros
+
+    def test_born_rows_equal_the_dense_projector_probabilities(self, frame):
+        ic = GELL_MANN_FRAMES[frame]()
+        observables = frame_observables(ic)
+        for values, obs in zip(ic.values, observables, strict=True):
+            # Analytic outcome values and eigh's can differ in the last bit (1 of 63 rows at d = 8, 1 of 80 at d = 9).
+            np.testing.assert_allclose(values[: len(obs.eigenvalues)], obs.eigenvalues, rtol=0, atol=1e-12)
+            assert not values[len(obs.eigenvalues) :].any()
+        for state in self.states(ic):
+            for row, obs in zip(ic.born_rows(state), observables, strict=True):
+                np.testing.assert_allclose(row[: len(obs.eigenvalues)], obs.outcome_probabilities(state), rtol=0, atol=1e-14)
+                assert not row[len(obs.eigenvalues) :].any()
 
 
 class TestPauliMasks:
@@ -139,19 +176,15 @@ class TestPauliMasks:
         np.testing.assert_array_equal(fast, dense)
         assert fast.tobytes() == dense.tobytes()
 
-    @pytest.mark.parametrize("frame", ["gell-mann-3", "lifted-pauli-1"])
+    @pytest.mark.parametrize("frame", GELL_MANN_FRAMES)
     def test_dense_frames_invert_as_the_dense_sum(self, frame):
-        if frame == "gell-mann-3":
-            ic = hermitian_basis_ic_set(3)
-        else:
-            # Lifted Pauli strings are dense observables: the frame takes the default, one-by-one path.
-            strings = (Observable(name, pauli_matrix(name)) for name in pauli_ic_set(1).names)
-            ic = ICSet(tuple(lift_local(LocalSetting("A", obs), (2, 3)) for obs in strings), 2.0)
-        means = [float(m) for m in rng.stream(ic.dim, "dense/inversion").uniform(-1.0, 1.0, size=len(ic))]
-        dense = np.eye(ic.dim, dtype=complex) / ic.dim
-        for mean, obs in zip(means, ic.observables):
-            dense = dense + mean * (obs.matrix / ic.norm)
-        assert linear_inversion(means, ic).tobytes() == dense.tobytes()
+        # Singly and as a stack, every entry takes its terms in frame order, as the dense sum does.
+        ic = GELL_MANN_FRAMES[frame]()
+        means = rng.stream(ic.dim, "dense/inversion").uniform(-1.0, 1.0, size=(3, len(ic)))
+        for row, matrix in zip(means, _inversion_stack(means, ic), strict=True):
+            expected = dense_sum(row.tolist(), ic).tobytes()
+            assert linear_inversion(row.tolist(), ic).tobytes() == expected
+            assert matrix.tobytes() == expected
 
     @pytest.mark.parametrize("frame", ["pauli-1", "pauli-3", "pauli-6", "gell-mann-3"])
     def test_a_stack_of_means_inverts_as_each_row_alone_bit_for_bit(self, frame):
@@ -241,6 +274,56 @@ print(json.dumps(made))
 """
 
 
+NUMPY_MA_CHILD = """
+import json, pathlib, sys
+from pqt.harness import parse_config, run
+
+for path in sorted(pathlib.Path(sys.argv[1]).glob("*.json")):
+    run(parse_config(path.read_text(encoding="utf-8")))
+config = {"name": "r5", "protocol": "reconstruct", "dimension": 5, "initial_state": "random-pure:1", "shots": 100}
+run(parse_config(json.dumps(config)))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_runs_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call: about 12 ms and 1 MB that a run would pay once.
+    env = {**os.environ, "PYTHONPATH": str(Path(pqt.__file__).parents[1])}
+    configs = Path(__file__).parents[1] / "configs"
+    child = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_CHILD, str(configs)], env=env, capture_output=True, text=True, check=True
+    )
+    assert child.stdout.split() == ["False"]
+
+
+def frame_bytes(*frames):
+    return sum(array.nbytes for ic in frames for array in (ic.values, ic.lagrange, ic.phase, ic.rows))
+
+
+def test_gell_mann_and_lifted_frames_are_built_as_arrays(monkeypatch):
+    # As dense Observables, d = 63 would hold 3968 matrices of 63 x 63 (252 MB) before any projector.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a frame build made a dense observable")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(Observable, "__init__", refuse)
+    monkeypatch.setattr(composite, "lift_local", refuse)
+    composite._local_ic_set.cache_clear()
+    tracemalloc.start()
+    try:
+        ic = hermitian_basis_ic_set(63)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        side_a, lifted = composite._local_ic_set((8, 8))
+        lifted_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+        composite._local_ic_set.cache_clear()
+    assert peak <= 1.5 * frame_bytes(ic)
+    assert lifted_peak <= 1.5 * frame_bytes(side_a, lifted)
+
+
 @pytest.mark.parametrize(
     "factory, size",
     [(pauli_ic_set, n) for n in (1, 2, 3)] + [(hermitian_basis_ic_set, d) for d in range(2, 10)],
@@ -260,7 +343,7 @@ def test_every_built_set_is_an_orthogonal_frame(factory, size):
 class TestHermitianBasisICSet:
     def test_dimension_two_reduces_to_paulis(self):
         ic = hermitian_basis_ic_set(2)
-        mats = sorted((o.matrix for o in ic.observables), key=lambda m: abs(m[0, 0]))
+        mats = sorted(dense_matrices(ic), key=lambda m: abs(m[0, 0]))
         targets = [PAULI_X / np.sqrt(2), PAULI_Y / np.sqrt(2), PAULI_Z / np.sqrt(2)]
         for mat in mats:
             assert any(np.allclose(mat, t, atol=1e-12) or np.allclose(mat, -t, atol=1e-12) for t in targets)
@@ -270,7 +353,7 @@ class TestHermitianBasisICSet:
 
     def test_orthonormal_under_trace(self):
         ic = hermitian_basis_ic_set(4)
-        mats = [o.matrix for o in ic.observables]
+        mats = dense_matrices(ic)
         for i, a in enumerate(mats):
             assert abs(np.trace(a)) < 1e-12
             for j, b in enumerate(mats):
@@ -284,7 +367,7 @@ class TestHermitianBasisICSet:
             g = rng.stream(dim, "ic/roundtrip")
             for _ in range(3):
                 rho = random_density(dim, g)
-                means = [np.trace(obs.matrix @ rho.matrix).real for obs in ic.observables]
+                means = [np.trace(matrix @ rho.matrix).real for matrix in dense_matrices(ic)]
                 np.testing.assert_allclose(linear_inversion(means, ic), rho.matrix, atol=1e-12)
 
 
@@ -658,7 +741,7 @@ def reference_proper_vs_improper(trials, shots, gen, mixture=None, purification=
             estimate = reference_frame_estimate(PSystem(state, "passive", gen), ic, frame_observables(ic), shots)
         else:
             ic, lifted = _local_ic_set(purification.shape)
-            estimate = reference_frame_estimate(PSystem(purification, "passive", gen), ic, lifted.observables, shots)
+            estimate = reference_frame_estimate(PSystem(purification, "passive", gen), ic, frame_observables(lifted), shots)
         purities.append(estimate.purity())
     return purities
 
@@ -726,10 +809,10 @@ class TestFrameSamplerMatchesReference:
 
         state = random_pure_state(9, rng.stream(shots, "eq/lifted/state"), (3, 3))
         ic, lifted = _local_ic_set((3, 3))
-        assert {len(obs.eigenvalues) for obs in lifted.observables} == {2, 3}
+        assert {len(obs.eigenvalues) for obs in frame_observables(lifted)} == {2, 3}
         expected_sys = PSystem(state, "passive", rng.stream(shots, "eq/lifted"))
         actual_sys = PSystem(state, "passive", rng.stream(shots, "eq/lifted"))
-        expected = reference_frame_estimate(expected_sys, ic, lifted.observables, shots)
+        expected = reference_frame_estimate(expected_sys, ic, frame_observables(lifted), shots)
         actual = reconstruct_reduced_single_copy(actual_sys, shots)
         assert actual.matrix.tobytes() == expected.matrix.tobytes()
         assert actual_sys.history == expected_sys.history
