@@ -4,9 +4,9 @@
 protocol's random stream, path ``"{name}/{protocol}"`` under the root
 seed (see :mod:`pqt.rng`), and hands both to the protocol's runner.  A
 runner reads only the inputs ``parse_config`` resolved and fills the
-report; one that needs a stream per trial derives it under the same
-path.  Identical (config, seed) pairs produce byte-identical serialized
-reports.
+report.  Teleportation's random inputs alone draw from a second stream,
+``"{name}/teleportation/input"``; no run opens a stream per trial.
+Identical (config, seed) pairs produce byte-identical serialized reports.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ from ..composite import (
     non_dichotomic,
     signalling_check,
 )
-from ..hilbert import fidelity, random_pure_state
+from ..hilbert import fidelity
 from ..measurement import InsufficientShotsError, PSystem
 from ..protocols import (
+    _quantum_recovery,
     clone_via_reconstruction,
     deutsch_jozsa_verdict,
     function_recovery,
@@ -145,12 +146,7 @@ def _run_function_recovery(config: ExperimentConfig, report: Report, stream: np.
         report.add_metric("oracle_calls", result.resources["oracle_calls"])
         report.verdicts["truth_table"] = list(result.verdicts["truth_table"])
         return
-    calls = []
-    table = None
-    for trial in range(config.trials):
-        result = function_recovery(spec, "quantum", _stream(config, f"{config.protocol}/{trial}"), 1)
-        calls.append(result.resources["oracle_calls"])
-        table = result.verdicts["truth_table"]
+    calls, table = _quantum_recovery(spec, stream, config.trials)
     report.add_metric("oracle_calls_mean", float(np.mean(calls)), float(np.std(calls) / np.sqrt(len(calls))))
     report.verdicts["truth_table"] = list(table)
 
@@ -211,15 +207,17 @@ def _run_simulate_collapse(config: ExperimentConfig, report: Report, stream: np.
 
 
 def _run_teleportation(config: ExperimentConfig, report: Report, stream: np.random.Generator) -> None:
-    total = 0.0
+    state, total = config.inputs.state, 0.0
+    inputs = _stream(config, f"{config.protocol}/input") if state is None else None
     for start in range(0, config.trials, TELEPORTATION_BLOCK):
-        trials = range(start, min(start + TELEPORTATION_BLOCK, config.trials))
-        if config.inputs.state is None:
-            streams = (_stream(config, f"{config.protocol}/input/{trial}") for trial in trials)
-            inputs = np.array([random_pure_state(2, gen).amplitudes for gen in streams])
+        rows = min(TELEPORTATION_BLOCK, config.trials - start)
+        if state is None:  # row t: the real and imaginary parts random_pure_state(2, inputs) draws for input t
+            parts = inputs.normal(size=(rows, 2, 2))
+            amplitudes = parts[:, 0] + 1j * parts[:, 1]
+            amplitudes /= np.linalg.norm(amplitudes, axis=1, keepdims=True)
         else:
-            inputs = np.broadcast_to(config.inputs.state.amplitudes, (len(trials), 2))
-        total += float(teleportation_fidelities(inputs, config.mode, stream).sum())
+            amplitudes = np.broadcast_to(state.amplitudes, (rows, 2))
+        total += float(teleportation_fidelities(amplitudes, config.mode, stream).sum())
     report.add_metric("average_fidelity", total / config.trials)
 
 

@@ -144,10 +144,8 @@ def function_recovery(
     weight 2^-n on |x, f(x)> and none on |x, 1 - f(x)>, so a diagonal
     weight above a quarter of that margin decides each bit.  Quantum
     mode learns one (x, f(x)) pair per collapse and needs a fresh copy
-    and oracle call per attempt until every input has been seen.  Every
-    fresh copy is in the same post-oracle state, so its readout
-    distribution is computed once per oracle and each call draws one
-    outcome from it.
+    and oracle call per attempt until every input has been seen: it is
+    ``_quantum_recovery`` at one trial.
     """
     n_inputs = 2**spec.n
     report = ProtocolReport("function-recovery", mode)
@@ -165,33 +163,37 @@ def function_recovery(
             if len(hits) != 1:
                 raise InsufficientShotsError(f"insufficient shots: ambiguous decode for input {x} (weights {weights})")
             recovered.append(hits[0])
-            report.log.append({"x": x, "weight0": weights[0], "weight1": weights[1]})
         report.resources = {"oracle_calls": 1, "copies_consumed": 1, "shots_per_observable": shots}
         report.verdicts["truth_table"] = tuple(recovered)
         return report
 
     if mode != "quantum":
         raise ValueError(f"unknown mode {mode!r}")
-    readout, dist = _post_oracle_readout(spec)
-    # One draw per call, as measure() on a fresh copy takes it.  Draws come in
-    # blocks; rng is then reset and draws again exactly the uniforms used.
-    start = rng.bit_generator.state
-    seen: dict[int, int] = {}
-    used: list[int] = []
-    while len(seen) < n_inputs:
-        for index in _cdf_index(dist.cdf, rng.random(ORACLE_DRAW_BLOCK), (readout,), "quantum").tolist():
-            used.append(index)
-            x, y = index >> 1, index & 1
-            seen[x] = y
-            report.log.append({"call": len(used), "x": x, "f_x": y})
-            if len(seen) == n_inputs:
-                break
-    rng.bit_generator.state = start
-    rng.random(len(used))
-    calls = len(used)
+    (calls,), table = _quantum_recovery(spec, rng, 1)
     report.resources = {"oracle_calls": calls, "copies_consumed": calls, "shots_per_observable": 1}
-    report.verdicts["truth_table"] = tuple(seen[x] for x in range(n_inputs))
+    report.verdicts["truth_table"] = table
     return report
+
+
+def _quantum_recovery(spec: OracleSpec, rng: np.random.Generator, trials: int) -> tuple[list[int], tuple[int, ...]]:
+    """Run ``trials`` quantum recoveries in turn on ``rng``; return each one's calls and the last truth table.
+
+    Each call draws one readout of a fresh post-oracle copy, whose
+    distribution is computed once per oracle, in blocks of
+    ``ORACLE_DRAW_BLOCK`` draws; a trial closes at the call that shows its
+    last unseen input, and the next trial starts at the next draw.
+    """
+    readout, dist = _post_oracle_readout(spec)
+    calls, seen = [0], {}
+    while True:
+        for index in _cdf_index(dist.cdf, rng.random(ORACLE_DRAW_BLOCK), (readout,), "quantum").tolist():
+            calls[-1] += 1
+            seen[index >> 1] = index & 1
+            if len(seen) == 2**spec.n:
+                if len(calls) == trials:
+                    return calls, tuple(seen[x] for x in range(len(seen)))
+                calls.append(0)
+                seen = {}
 
 
 def deutsch_jozsa_verdict(
@@ -518,8 +520,6 @@ def teleportation_demo(input_state: StateVector, mode: str, rng: np.random.Gener
     """
     if input_state.dim != 2:
         raise ValueError("teleportation input must be a single qubit")
-    if mode not in ("quantum", "passive"):
-        raise ValueError(f"unknown mode {mode!r}")
     return float(teleportation_fidelities(input_state.amplitudes[None], mode, rng)[0])
 
 

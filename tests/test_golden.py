@@ -44,16 +44,56 @@ PASSIVE_SAMPLING_SEED_1 = {
 
 
 # sha256 of the per-trial reports of the benchmark's protocol-loops workload at
-# seed 1: quantum repeatability, quantum function recovery (one stream per trial),
-# both proper-vs-improper presentations and quantum teleportation (one input
-# stream per trial).  No golden covers these runs or their sub-stream paths.
+# seed 1: quantum repeatability, quantum function recovery (every trial on the
+# protocol stream), both proper-vs-improper presentations and quantum
+# teleportation (every input from one input stream).  No golden covers these runs.
 PROTOCOL_LOOPS_SEED_1 = {
     "repeatability-quantum": "10dda750fbc75fc89b5d40e4d451481dec26e2a6f2673c5be7336d39b12ab8ca",
-    "function-recovery-quantum": "b4642ea0639afb4e8a8e76e546141badb58933509207679fd3f9e3a4ee7ce008",
+    "function-recovery-quantum": "05bf6a1bb0cb2e5da5aed784f0a2015558f1fbf09601df58858d3871fbc9b6bf",
     "proper-vs-improper-mixture": "36c9b1c95788ebc15478c19302e1fb95f9cde88ed4af1bc93289a6e4fac8814c",
     "proper-vs-improper-purification": "8e68bd6343fe62761ca9eae82f943528d8c5bd7d05d8ee3ff0b1d70dc8e2d82f",
     "teleportation-quantum": "7c178e3d6a9efdcef760c47637076ef8eba0247952cc6747bfbc933e7639ed13",
 }
+
+
+# sha256 of reports on generalised Gell-Mann frames at seed 1, at dimensions 5 and 3.
+# Neither the goldens nor the benchmark reach such a frame outside the lifted
+# qutrit side of protocol-loops' [3, 3] purification.
+GELL_MANN_SEED_1 = {
+    "reconstruct-d5-mixed": "7c2e56db799d2c3d538f8d9c5b45647b926640af6e69443cab4deb1b188e4bcd",
+    "discriminate-qutrit": "4624c39e9ee2fd7e27f0496bee07468933af43e0f98f7a47960a360b9d59422b",
+    "clone-qutrit": "5e9cdb6515070c23b46ae55a04d4053c0a9d6aeaf4b05ffa89d346e67399275a",
+}
+GELL_MANN_CONFIGS = [
+    {
+        "name": "reconstruct-d5-mixed",
+        "protocol": "reconstruct",
+        "mode": "passive",
+        "dimension": 5,
+        "initial_state": "maximally-mixed",
+        "shots": 1000,
+        "seed": 1,
+    },
+    {
+        "name": "discriminate-qutrit",
+        "protocol": "discriminate",
+        "mode": "passive",
+        "dimension": 3,
+        "initial_state": "random-pure:2",
+        "candidates": ["basis:0", "random-pure:2", "random-pure:5"],
+        "shots": 1000,
+        "seed": 1,
+    },
+    {
+        "name": "clone-qutrit",
+        "protocol": "clone",
+        "mode": "passive",
+        "dimension": 3,
+        "initial_state": "random-pure:2",
+        "shots": 1000,
+        "seed": 1,
+    },
+]
 
 
 # sha256 of the benchmark's reconstruct-6q report at seed 1: the largest count
@@ -89,3 +129,7 @@ def test_protocol_loops_per_trial_reports_at_seed_1_are_unchanged():
     workloads = _workloads()
     per_trial = workloads.build("protocol-loops", 1)[len(workloads.SHIPPED_CONFIGS) :]
     assert _report_hashes(per_trial) == PROTOCOL_LOOPS_SEED_1
+
+
+def test_gell_mann_reports_at_seed_1_are_unchanged():
+    assert _report_hashes(GELL_MANN_CONFIGS) == GELL_MANN_SEED_1

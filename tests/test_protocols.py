@@ -561,19 +561,23 @@ def reference_quantum_repeatability(state, obs, trials, gen):
     return agreements / trials
 
 
+RECOVERY_ORACLES = {
+    3: OracleSpec(3, (0, 1, 1, 0, 1, 0, 0, 1)),
+    4: OracleSpec(4, (0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1)),
+}
+
+
 def reference_quantum_function_recovery(spec, gen):
     oracle = oracle_unitary(spec)
     readout = Observable("basis-index", np.diag(np.arange(2 ** (spec.n + 1), dtype=float)).astype(complex))
-    seen, log, calls = {}, [], 0
+    seen, calls = {}, 0
     while len(seen) < 2**spec.n:
         calls += 1
         start = tensor(plus_state(spec.n), basis_state(2, 0, (2,)))
         sys = PSystem(evolve(start, oracle), "quantum", gen)
         index = int(round(measure(sys, readout)))
-        x, y = index >> 1, index & 1
-        seen[x] = y
-        log.append({"call": calls, "x": x, "f_x": y})
-    return calls, log, tuple(seen[x] for x in range(2**spec.n))
+        seen[index >> 1] = index & 1
+    return calls, tuple(seen[x] for x in range(2**spec.n))
 
 
 def reference_teleportation(input_state, mode, gen):
@@ -638,36 +642,29 @@ class TestCollapseLoopsMatchReference:
         with pytest.raises(ValueError, match="zero probability"):
             repeatability_experiment(state, Z, "quantum", 3, _ZeroUniforms())
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_quantum_function_recovery(self, seed):
-        spec = OracleSpec(3, (0, 1, 1, 0, 1, 0, 0, 1))
-        expected_gen, actual_gen = rng.stream(seed, "eq/oracle"), rng.stream(seed, "eq/oracle")
-        calls, log, table = reference_quantum_function_recovery(spec, expected_gen)
+    # Seeds 25 and 28 on the 4-bit oracle: the first trial's last new input arrives as
+    # the last draw of the first block, and as the first draw of the second.
+    @pytest.mark.parametrize(
+        "bits, seed, path, trials, first_calls",
+        [(3, seed, "eq/oracle", trials, None) for seed in range(4) for trials in (1, 7)]
+        + [(4, 25, "eq/oracle/block", 3, ORACLE_DRAW_BLOCK), (4, 28, "eq/oracle/block", 3, ORACLE_DRAW_BLOCK + 1)],
+    )
+    def test_quantum_function_recovery(self, bits, seed, path, trials, first_calls):
+        spec = RECOVERY_ORACLES[bits]
+        expected_gen = rng.stream(seed, path)
+        walks = [reference_quantum_function_recovery(spec, expected_gen) for _ in range(trials)]
+        calls, table = protocols._quantum_recovery(spec, rng.stream(seed, path), trials)
+        assert calls == [walk_calls for walk_calls, _ in walks]
+        assert table == walks[-1][1]
+        if first_calls is not None:
+            assert calls[0] == first_calls
+        # One trial is function_recovery, which takes whole blocks of uniforms.
+        actual_gen = rng.stream(seed, path)
         report = function_recovery(spec, "quantum", actual_gen)
-        assert report.resources["oracle_calls"] == calls
-        assert report.log == log
-        assert report.verdicts["truth_table"] == table
-        assert position(actual_gen) == position(expected_gen)
-
-    def test_quantum_function_recovery_twice_on_one_stream(self):
-        spec = OracleSpec(2, (0, 1, 1, 1))
-        expected_gen, actual_gen = rng.stream(9, "eq/oracle/shared"), rng.stream(9, "eq/oracle/shared")
-        for _ in range(2):
-            calls, log, table = reference_quantum_function_recovery(spec, expected_gen)
-            report = function_recovery(spec, "quantum", actual_gen)
-            assert (report.resources["oracle_calls"], report.log, report.verdicts["truth_table"]) == (calls, log, table)
-            assert position(actual_gen) == position(expected_gen)
-
-    # Seeds at which the last new input arrives as the last draw of the first
-    # block, and as the first draw of the second.
-    @pytest.mark.parametrize("seed, calls", [(25, ORACLE_DRAW_BLOCK), (28, ORACLE_DRAW_BLOCK + 1)])
-    def test_quantum_function_recovery_at_a_block_edge(self, seed, calls):
-        spec = OracleSpec(4, (0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1))
-        expected_gen, actual_gen = rng.stream(seed, "eq/oracle/block"), rng.stream(seed, "eq/oracle/block")
-        expected = reference_quantum_function_recovery(spec, expected_gen)
-        assert expected[0] == calls
-        report = function_recovery(spec, "quantum", actual_gen)
-        assert (report.resources["oracle_calls"], report.log, report.verdicts["truth_table"]) == expected
+        assert (report.resources["oracle_calls"], report.verdicts["truth_table"]) == walks[0]
+        blocks = -(-walks[0][0] // ORACLE_DRAW_BLOCK)
+        expected_gen = rng.stream(seed, path)
+        expected_gen.random(blocks * ORACLE_DRAW_BLOCK)
         assert position(actual_gen) == position(expected_gen)
 
     @pytest.mark.parametrize("mode", ["quantum", "passive"])
@@ -682,17 +679,16 @@ class TestCollapseLoopsMatchReference:
 
 
 def reference_run_teleportation(config):
-    """The teleportation runner as it was, one trial at a time; returns the report and the shared stream."""
+    """The teleportation runner one trial at a time; returns the report and its protocol and input streams."""
     stream = rng.stream(config.seed, f"{config.name}/teleportation")
+    inputs = rng.stream(config.seed, f"{config.name}/teleportation/input")
     fidelities = []
-    for trial in range(config.trials):
-        state = config.inputs.state
-        if state is None:
-            state = random_pure_state(2, rng.stream(config.seed, f"{config.name}/teleportation/input/{trial}"))
+    for _ in range(config.trials):
+        state = config.inputs.state if config.inputs.state is not None else random_pure_state(2, inputs)
         fidelities.append(reference_teleportation(state, config.mode, stream))
     report = Report(json.loads(config.to_json()), config.seed)
     report.add_metric("average_fidelity", float(np.mean(fidelities)))
-    return report, stream
+    return report, stream, inputs
 
 
 def teleportation_config(mode, trials, initial_state=None):
@@ -731,10 +727,31 @@ class TestTeleportationRunner:
         counts = (1, block - 1, block, block + 1, 2 * block + 3) if block < B else (2 * block + 3,)
         for trials in counts:
             config = teleportation_config(mode, trials, initial_state)
-            expected, expected_stream = reference_run_teleportation(config)
+            expected, expected_stream, expected_inputs = reference_run_teleportation(config)
             actual, streams = run_capturing_streams(monkeypatch, config)
             assert actual.to_json() == expected.to_json()
             assert position(streams["teleportation"]) == position(expected_stream)
+            if initial_state is None:
+                assert position(streams["teleportation/input"]) == position(expected_inputs)
+
+    def test_random_inputs_are_successive_random_pure_states(self, monkeypatch):
+        # Block row t holds the normals the t-th random_pure_state(2, gen) draws; only the
+        # norm is taken row-wise, within a few units in the last place of StateVector.normalized.
+        monkeypatch.setattr(runner_module, "TELEPORTATION_BLOCK", 8)
+        drawn = []
+        real = runner_module.teleportation_fidelities
+
+        def recording(inputs, *args):
+            drawn.append(inputs.copy())
+            return real(inputs, *args)
+
+        monkeypatch.setattr(runner_module, "teleportation_fidelities", recording)
+        config = teleportation_config("passive", 2 * 8 + 3)
+        run(config)
+        gen = rng.stream(config.seed, "tele/teleportation/input")
+        expected = np.array([random_pure_state(2, gen).amplitudes for _ in range(config.trials)])
+        assert [len(block) for block in drawn] == [8, 8, 3]
+        np.testing.assert_allclose(np.concatenate(drawn), expected, rtol=0.0, atol=4 * np.finfo(float).eps)
 
     def test_quantum_run_builds_no_state_per_trial(self, monkeypatch):
         names = ("partial_trace", "collapse_update", "tensor", "born_distribution")
@@ -769,3 +786,56 @@ class TestTeleportationRunner:
             peaks.append(peak)
         # Keeping one float per trial would add about 240 KB here; the blocks add about 1 KB.
         assert peaks[1] - peaks[0] <= 64 * 2**10
+
+
+def function_recovery_config(trials):
+    config = {
+        "name": "fr",
+        "protocol": "function-recovery",
+        "mode": "quantum",
+        "oracle": {"n": 2, "truth_table": [0, 1, 1, 1]},
+        "trials": trials,
+        "seed": 4,
+    }
+    return parse_config(json.dumps(config))
+
+
+class TestStreamsPerRun:
+    # No run opens a stream per trial: the streams are one per purpose, whatever ``trials`` is.
+    @pytest.mark.parametrize(
+        "make_config, counts, purposes",
+        [
+            (lambda trials: teleportation_config("quantum", trials), (1, 2 * B + 3), ["teleportation", "teleportation/input"]),
+            (lambda trials: teleportation_config("passive", trials, "random-pure:3"), (1, 2 * B + 3), ["teleportation"]),
+            (function_recovery_config, (1, 50), ["function-recovery"]),
+        ],
+        ids=["teleportation-random-input", "teleportation-initial-state", "function-recovery-quantum"],
+    )
+    def test_streams_opened_do_not_grow_with_trials(self, monkeypatch, make_config, counts, purposes):
+        paths = []
+        real_stream = rng.stream
+
+        def counting(seed, path=""):
+            paths.append(path)
+            return real_stream(seed, path)
+
+        monkeypatch.setattr(rng, "stream", counting)
+        opened = []
+        for trials in counts:
+            config = make_config(trials)
+            paths.clear()
+            _, streams = run_capturing_streams(monkeypatch, config)
+            assert sorted(streams) == sorted(purposes)
+            assert sorted(paths) == sorted(f"{config.name}/{purpose}" for purpose in purposes)
+            opened.append(len(paths))
+        assert opened[0] == opened[1]
+
+    def test_quantum_function_recovery_walks_every_trial_on_the_protocol_stream(self):
+        config = function_recovery_config(50)
+        gen = rng.stream(config.seed, "fr/function-recovery")
+        walks = [reference_quantum_function_recovery(config.inputs.oracle, gen) for _ in range(config.trials)]
+        calls = [walk_calls for walk_calls, _ in walks]
+        expected = Report(json.loads(config.to_json()), config.seed)
+        expected.add_metric("oracle_calls_mean", float(np.mean(calls)), float(np.std(calls) / np.sqrt(len(calls))))
+        expected.verdicts["truth_table"] = list(walks[-1][1])
+        assert run(config).to_json() == expected.to_json()

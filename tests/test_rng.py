@@ -29,6 +29,23 @@ def test_stream_index_is_stable():
     assert rng.stream_index("rep/repeatability") == 7994510221900058415
 
 
+def test_first_draws_are_pinned():
+    # Frozen values of the generator itself: a change to numpy's Philox or to its
+    # ziggurat normals would shift every golden report, teleportation's inputs included.
+    assert rng.stream(42, "x").random(4).tolist() == [
+        0.06085413231194903,
+        0.9500557667473135,
+        0.620092862633852,
+        0.19294291864609747,
+    ]
+    assert rng.stream(42, "x").normal(size=4).tolist() == [
+        -0.555069938372898,
+        0.36093094384821445,
+        1.7213063590975046,
+        0.5752300149630964,
+    ]
+
+
 def test_batch_draws_match_scalar_draws():
     # The vectorised sampling fast path relies on this equivalence.
     batch = rng.stream(7, "batch").random(32)
