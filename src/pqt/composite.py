@@ -64,12 +64,10 @@ class JointFrequencyTable:
     def empirical(self) -> np.ndarray:
         return self.counts / self.shots
 
-    def rows(self) -> list[tuple[float, float, int]]:
-        return [
-            (a, b, int(self.counts[i, j]))
-            for i, a in enumerate(self.a_values)
-            for j, b in enumerate(self.b_values)
-        ]
+    def columns(self) -> list[list]:
+        """The (a, b, count) table as three columns, one row per cell of ``counts`` in row-major order."""
+        a = [value for value in self.a_values for _ in self.b_values]
+        return [a, list(self.b_values) * len(self.a_values), self.counts.ravel().tolist()]
 
 
 def lift_local(setting: LocalSetting, shape: tuple[int, int]) -> Observable:

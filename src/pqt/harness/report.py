@@ -4,9 +4,14 @@ A report serializes to canonical JSON: keys sorted lexicographically,
 floats written with 12 significant digits, complex numbers as
 ``[re, im]`` pairs.  Identical (config, seed) pairs therefore produce
 byte-identical serializations, which golden-file tests rely on.
-``to_json`` rounds and writes in one recursive pass, with the layout of
+``to_json`` rounds and writes in one pass, with the layout of
 ``json.dumps(..., sort_keys=True, indent=2, allow_nan=False)``; the
-payload is that text read back.
+payload is that text read back.  Config, metrics and verdicts are written
+by one recursive writer.  A table holds its cells as columns and is
+written a column at a time under the same 12-digit rule: each column's
+cell texts come from one pass over it (strings, ints and floats each in
+bulk, any other column cell by cell), and the texts go into the output
+row by row, interleaved with the separators that lay them out.
 
 Wall-clock time is kept on the report object but stays outside the
 canonical serialization (it would break byte-identity); the CLI prints
@@ -19,6 +24,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -45,6 +51,8 @@ _SCALAR_TEXT = {
     np.float64: _float_text,
     int: int.__repr__,
     bool: lambda value: "true" if value else "false",
+    # What iterating a boolean array gives; a table column writes the same through tolist().
+    np.bool_: lambda value: "true" if value else "false",
     type(None): lambda value: "null",
 }
 
@@ -54,8 +62,8 @@ def _write_json(value, indent: str, parts: list[str]) -> None:
 
     Floats are rounded to 12 significant digits (non-finite ones raise
     ``ValueError``), complex numbers become ``[re, im]``, numpy scalars
-    their Python values, dict keys ``str(key)`` in sorted order, and
-    tuples and arrays lists.
+    their Python values, dict keys ``str(key)`` in sorted order, tuples
+    and arrays lists, and a ``Table`` its columns and rows.
     """
     text = _SCALAR_TEXT.get(type(value))
     if text is not None:
@@ -76,6 +84,8 @@ def _write_json(value, indent: str, parts: list[str]) -> None:
         _write_items([_string_text(k) + ": " for k in keys], [by_text[k] for k in keys], "{}", indent, parts)
     elif isinstance(value, (list, tuple, np.ndarray)):
         _write_items(None, value, "[]", indent, parts)
+    elif isinstance(value, Table):
+        _write_table(value, indent, parts)
     else:
         raise TypeError(f"cannot serialize {type(value).__name__} into a report")
 
@@ -99,17 +109,72 @@ def _write_items(keys: list[str] | None, values, brackets: str, indent: str, par
     parts.append("\n" + indent + brackets[1])
 
 
+def _json_text(value, indent: str) -> str:
+    parts: list[str] = []
+    _write_json(value, indent, parts)
+    return "".join(parts)
+
+
+def _float_texts(cells: list) -> list[str]:
+    """``_float_text`` of each cell: one ``%.12g`` pass, the full rule only where that text is not final."""
+    texts = list(map("%.12g".__mod__, cells))
+    # "%.12g" text is final when it has a "." and no exponent; nan and inf have no ".".
+    for i in [i for i, text in enumerate(texts) if "." not in text or "e" in text]:
+        texts[i] = _float_text(cells[i])
+    return texts
+
+
+def _column_texts(cells, indent: str) -> list[str]:
+    """The JSON text of each cell of one column, nested at ``indent``."""
+    if isinstance(cells, np.ndarray):
+        cells = cells.tolist()
+    kinds = set(map(type, cells))
+    if kinds <= {str}:
+        return list(map(_string_text, cells))
+    if kinds <= {int}:
+        return list(map(int.__repr__, cells))
+    if kinds <= {float, np.float64}:
+        return _float_texts(cells)
+    return [_json_text(cell, indent) for cell in cells]
+
+
+def _write_table(table: "Table", indent: str, parts: list[str]) -> None:
+    """Append ``{"columns": [...], "rows": [...]}`` as ``_write_json`` writes it.
+
+    The cell texts go into ``parts`` interleaved with the separators that
+    lay them out, row by row: no text is made per row.
+    """
+    inner = indent + "  "
+    parts.append("{\n" + inner + '"columns": ')
+    _write_json(table.columns, inner, parts)
+    parts.append(",\n" + inner + '"rows": ')
+    if not table.columns or not len(table.cells[0]):
+        parts.append("[]\n" + indent + "}")
+        return
+    row_indent, cell_indent = inner + "  ", inner + "    "
+    texts = [_column_texts(cells, cell_indent) for cells in table.cells]
+    # After each cell but a row's last comes a cell break; after its last, a row break.
+    cell_break = ",\n" + cell_indent
+    row_break = "\n" + row_indent + "],\n" + row_indent + "[\n" + cell_indent
+    interleaved = []
+    for column, after in zip(texts, [cell_break] * (len(texts) - 1) + [row_break]):
+        interleaved += [column, repeat(after)]
+    parts.append("[\n" + row_indent + "[\n" + cell_indent)
+    parts.extend(chain.from_iterable(zip(*interleaved)))
+    parts[-1] = "\n" + row_indent + "]\n" + inner + "]\n" + indent + "}"  # the last row break closes it all
+
+
 @dataclass
 class Table:
-    """A rectangular outcome table with named columns."""
+    """A rectangular outcome table: ``cells[j]`` holds column ``columns[j]``, top row first."""
 
     columns: list[str]
-    rows: list[list]
+    cells: list  # one sequence (list, tuple or array) per column, all of one length
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError(f"row {row!r} does not match columns {self.columns}")
+        lengths = {len(cells) for cells in self.cells}
+        if len(self.cells) != len(self.columns) or len(lengths) > 1:
+            raise ValueError(f"columns {self.columns} do not match cells of lengths {sorted(lengths)}")
 
 
 @dataclass
@@ -126,8 +191,9 @@ class Report:
     def add_metric(self, name: str, value: float, uncertainty: float | None = None) -> None:
         self.metrics.append({"name": name, "value": value, "uncertainty": uncertainty})
 
-    def add_table(self, name: str, columns: list[str], rows: list[list]) -> None:
-        self.tables[name] = Table(columns, rows)
+    def add_table(self, name: str, columns: list[str], cells: list) -> None:
+        """Add a table given as its columns: ``cells[j]`` holds column ``columns[j]``, top row first."""
+        self.tables[name] = Table(columns, cells)
 
     def payload(self) -> dict:
         """The canonical content: what ``to_json`` writes, read back."""
@@ -138,7 +204,7 @@ class Report:
             "config": self.config,
             "seed": self.seed,
             "metrics": self.metrics,
-            "tables": {name: {"columns": table.columns, "rows": table.rows} for name, table in self.tables.items()},
+            "tables": self.tables,
             "verdicts": self.verdicts,
         }
         parts: list[str] = []

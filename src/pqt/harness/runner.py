@@ -67,8 +67,7 @@ def _run_reconstruct(config: ExperimentConfig, report: Report, stream: np.random
     result = reconstruct_single_copy(sys, ic, config.shots)
     report.add_metric("fidelity", fidelity(state, result.estimate))
     report.add_metric("purity", result.estimate.purity())
-    rows = zip(ic.names, result.means.tolist(), result.half_widths.tolist())
-    report.add_table("expectations", ["observable", "mean", "half_width"], [list(row) for row in rows])
+    report.add_table("expectations", ["observable", "mean", "half_width"], [ic.names, result.means, result.half_widths])
     report.verdicts["state_unchanged"] = sys.state is state
 
 
@@ -82,12 +81,12 @@ def _run_discriminate(config: ExperimentConfig, report: Report, stream: np.rando
 def _run_spectrum(config: ExperimentConfig, report: Report, stream: np.random.Generator) -> None:
     sys = PSystem(config.inputs.state, config.mode, stream)
     values = estimate_spectrum(sys, config.inputs.observables[0], config.shots)
-    report.add_table("spectrum", ["eigenvalue"], [[v] for v in values])
+    report.add_table("spectrum", ["eigenvalue"], [values])
     report.verdicts["n_distinct"] = len(values)
 
 
 def _add_joint_table(report: Report, table) -> None:
-    report.add_table("joint_counts", ["a", "b", "count"], [list(row) for row in table.rows()])
+    report.add_table("joint_counts", ["a", "b", "count"], table.columns())
     if not non_dichotomic((*table.a_values, *table.b_values)):
         report.add_metric("correlator", correlator(table), 1.0 / np.sqrt(table.shots))
 
@@ -125,18 +124,8 @@ def _run_signalling(config: ExperimentConfig, report: Report, stream: np.random.
     a_obs, b_obs = (None, observables[0]) if action == "none" else observables[:2]
     result = signalling_check(config.inputs.state, action, b_obs, a_obs)
     report.add_metric("tv_distance", result.tv_distance)
-    report.add_table(
-        "marginals",
-        ["eigenvalue", "p_without", "p_with"],
-        [
-            [v, float(p), float(q)]
-            for v, p, q in zip(
-                result.marginal_without.eigenvalues,
-                result.marginal_without.probabilities,
-                result.marginal_with.probabilities,
-            )
-        ],
-    )
+    cells = [result.marginal_without.eigenvalues, result.marginal_without.probabilities, result.marginal_with.probabilities]
+    report.add_table("marginals", ["eigenvalue", "p_without", "p_with"], cells)
 
 
 def _run_function_recovery(config: ExperimentConfig, report: Report, stream: np.random.Generator) -> None:
@@ -184,11 +173,8 @@ def _run_proper_vs_improper(config: ExperimentConfig, report: Report, stream: np
     )
     report.add_metric("mean_purity", result.verdicts["mean_purity"])
     report.verdicts["verdict"] = result.verdicts["verdict"]
-    report.add_table(
-        "trials",
-        ["trial", "purity", "verdict"],
-        [[entry["trial"], entry["purity"], entry["verdict"]] for entry in result.log],
-    )
+    columns = ["trial", "purity", "verdict"]
+    report.add_table("trials", columns, [[entry[column] for entry in result.log] for column in columns])
 
 
 def _run_simulate_collapse(config: ExperimentConfig, report: Report, stream: np.random.Generator) -> None:

@@ -1,7 +1,10 @@
 import copy
+import csv
 import enum
+import io
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -152,8 +155,8 @@ class TestRun:
 
 def _report(config=None, metrics=(), tables=None, verdicts=None) -> Report:
     report = Report(config if config is not None else {}, 7, list(metrics), verdicts=verdicts or {})
-    for name, (columns, rows) in (tables or {}).items():
-        report.add_table(name, columns, rows)
+    for name, (columns, cells) in (tables or {}).items():
+        report.add_table(name, columns, cells)
     return report
 
 
@@ -161,6 +164,8 @@ def _canonical(value):
     """Reference canonical form: floats rounded to 12 significant digits, containers normalised."""
     if isinstance(value, (bool, int, str)) or value is None:
         return value
+    if isinstance(value, np.bool_):
+        return bool(value)
     if isinstance(value, (float, np.floating)):
         return float(f"{float(value):.12g}")
     if isinstance(value, (complex, np.complexfloating)):
@@ -180,10 +185,27 @@ def _dumped(report: Report) -> str:
         "config": report.config,
         "seed": report.seed,
         "metrics": report.metrics,
-        "tables": {name: {"columns": t.columns, "rows": t.rows} for name, t in report.tables.items()},
+        "tables": {
+            name: {"columns": t.columns, "rows": [list(row) for row in zip(*t.cells)]} for name, t in report.tables.items()
+        },
         "verdicts": report.verdicts,
     }
     return json.dumps(_canonical(fields), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+# Floats at the edges of the 12-digit rule: texts with no "." or with an exponent, extremes, and
+# values just off an integer that round to one (12345678901.04 is written 12345678901.0).
+EDGE_FLOATS = [-0.0, 0.0, 100.0, -7.0, 1e-5, 1e-4, 1e11, 1e12, 1e16, 999999999999.5, 12345678901.04, 5e-324]
+EDGE_FLOATS += [1.7976931348623157e308, 99999999999.99, 0.000099999999999999, 1234567890123.0, 1 / 3, -2.5e-7]
+EDGE_FLOATS += [-value for value in EDGE_FLOATS]
+
+# Values near an integer at every magnitude, with the offsets that decide whether 12 digits keep a ".".
+near_integral_floats = st.builds(
+    lambda digits, scale, offset: digits * 10.0**scale + offset,
+    st.integers(-(10**12), 10**12),
+    st.integers(-12, 20),
+    st.sampled_from([0.0, 1e-12, -1e-9, 1e-6, 0.04, -0.04, 0.5, -0.5]),
+)
 
 
 class _Level(enum.IntEnum):
@@ -197,19 +219,19 @@ class TestReportJson:
         "report",
         [
             _report(),
-            _report({"a": [], "b": {}, "c": ()}, tables={"empty": (["x", "y"], []), "none": ([], [])}),
+            _report({"a": [], "b": {}, "c": ()}, tables={"empty": (["x", "y"], [[], []]), "none": ([], [])}),
             _report({1: "int key", 2.5: "float key", None: "none key", True: "bool key", (1, 2): "tuple key"}),
             _report(
                 {"ints": [np.int64(-3), np.int8(2), np.uint16(7), 10**20, _Level.HIGH]},
                 metrics=[{"name": "f", "value": np.float32(0.1), "uncertainty": np.float64(1 / 3)}],
             ),
-            _report({"complex": [1 + 2j, np.complex128(-0.5 - 0.25j), np.complex64(1j)], "flags": [True, False, None]}),
+            _report({"complex": [1 + 2j, np.complex128(-0.5 - 0.25j), np.complex64(1j)], "flags": [True, False, None, np.True_]}),
             _report({"name": "Ψ-état 名前", "ψ": "\u00e9\n\"quoted\"\t"}, verdicts={"ünïcode": "ok"}),
             _report({"zeros": [-0.0, 0.0, 1e-300, -1e-300, 5e-324]}),
             _report({"scale": [1e-5, 1e-4, 1e11, 1e12, 1.5e13, 123456789012345.0, 1e16, 1.7976931348623157e308]}),
             _report({"rounding": [1 / 3, 2 / 3, 999999999999.5, 0.1 + 0.2, 100.0, -7.0]}),
             _report({"arrays": np.arange(3), "matrix": np.array([[1.5, 2.0], [3.0, 4.0]])}),
-            _report(tables={"t": (["label", "mean"], [["XY", 0.25], ["ZZ", np.float64(-1.0)]])}),
+            _report(tables={"t": (["label", "mean"], [["XY", "ZZ"], [0.25, np.float64(-1.0)]])}),
         ],
     )
     def test_equals_json_dumps_of_the_payload(self, report):
@@ -238,6 +260,94 @@ class TestReportJson:
             _dumped(report)
         with pytest.raises(TypeError):
             report.to_json()
+
+    # Tables are written a column at a time, with the bytes ``json.dumps`` writes of their rows.
+    @pytest.mark.parametrize(
+        "columns, cells",
+        [
+            (["s"], [["XY", "Ψ-é\n\"q\"", ""]]),
+            (["i"], [[0, -3, 10**20]]),
+            (["b", "n"], [[True, False, True], [None, None, None]]),
+            (["f", "f64"], [[0.25, -1.0, 1e-300], [np.float64(0.1), np.float64(-0.0), np.float64(1e300)]]),
+            (["i64", "f32"], [[np.int64(-3), np.int64(2), np.int64(7)], [np.float32(0.1), np.float32(1), np.float32(-2)]]),
+            (["mixed", "enum"], [[1, 2.5, "x"], [_Level.HIGH, 1, False]]),
+            (["nested"], [[1 + 2j, [1.0, [2, None]], {"k": 0.5, 1: "v"}]]),
+            (["a", "b", "c", "d"], [np.array([1.5, 2.0, -0.0]), np.arange(3), np.array([True, False, True]), ("x", "y", "z")]),
+            (["label", "mean", "half_width"], [["ZZZ"], [0.125], [0.0]]),
+            (["x", "y"], [[], []]),
+            (["x", "y"], [np.array([]), ()]),
+            (["edge"], [EDGE_FLOATS]),
+            (["edge", "array"], [[np.float64(value) for value in EDGE_FLOATS], np.array(EDGE_FLOATS)]),
+        ],
+        ids=[
+            "str", "int", "bool-none", "float-float64", "int64-float32", "mixed", "nested",
+            "arrays", "one-row", "empty", "empty-arrays", "edge-floats", "edge-float64",
+        ],
+    )
+    def test_equals_json_dumps_of_the_rows(self, columns, cells):
+        report = _report(tables={"t": (columns, cells), "other": (["k"], [[1]])})
+        assert report.to_json() == _dumped(report)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        values=st.lists(
+            st.one_of(st.floats(allow_nan=False, allow_infinity=False), near_integral_floats), max_size=300
+        )
+    )
+    def test_any_float_column(self, values):
+        report = _report(tables={"t": (["list", "array"], [values, np.array(values, dtype=float)])})
+        assert report.to_json() == _dumped(report)
+
+    @pytest.mark.parametrize(
+        "column",
+        [[math.nan], [1.0, math.inf], [-math.inf, 0.5], [np.float64(np.nan)], np.array([0.0, np.nan]), [1, math.nan]],
+    )
+    def test_non_finite_cells_raise(self, column):
+        report = _report(tables={"t": (["x"], [column])})
+        with pytest.raises(ValueError):
+            _dumped(report)
+        with pytest.raises(ValueError):
+            report.to_json()
+
+    @pytest.mark.parametrize("column", [[object()], [1.0, object()], ["a", object()]])
+    def test_unsupported_cells_raise(self, column):
+        report = _report(tables={"t": (["x"], [column])})
+        with pytest.raises(TypeError):
+            _dumped(report)
+        with pytest.raises(TypeError):
+            report.to_json()
+
+    @pytest.mark.parametrize("columns, cells", [(["x", "y"], [[1, 2], [3]]), (["x", "y"], [[1, 2]]), ([], [[1]])])
+    def test_ragged_tables_are_refused(self, columns, cells):
+        with pytest.raises(ValueError):
+            _report(tables={"t": (columns, cells)})
+
+    def test_memory_of_a_large_table_stays_near_its_text(self):
+        # A 6-qubit reconstruction's expectations table: 4095 labels, means and half-widths.  The
+        # peak is what serialising adds to a run's peak RSS.
+        rng = np.random.default_rng(7)
+        labels = ["".join(label) for label in rng.choice(list("IXYZ"), size=(4095, 6)).tolist()]
+        cells = [labels, rng.uniform(-1.0, 1.0, 4095), rng.uniform(0.0, 0.1, 4095)]
+        report = _report(tables={"expectations": (["observable", "mean", "half_width"], cells)})
+        report.to_json()
+        tracemalloc.start()
+        try:
+            text = report.to_json()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * len(text)
+
+
+def test_csv_holds_the_golden_table_cells_in_order():
+    report = run(parse_config((CONFIG_DIR / "reconstruct-3q.json").read_text()))
+    golden = json.loads((CONFIG_DIR.parent / "tests" / "golden" / "reconstruct-3q.json").read_text())
+    expected = [["table", "row", "column", "value"]]
+    for name, table in sorted(golden["tables"].items()):
+        for i, row in enumerate(table["rows"]):
+            expected += [[name, str(i), column, str(value)] for column, value in zip(table["columns"], row)]
+    assert len(expected) == 1 + 63 * 3
+    assert list(csv.reader(io.StringIO(report.to_csv()))) == expected
 
 
 def test_every_protocol_reachable_from_documented_config():
