@@ -31,7 +31,7 @@ from .measurement import (
     _Readout,
     born_distribution,
 )
-from .tomography import Frame, _frame_estimates, _frame_table, hermitian_basis_ic_set
+from .tomography import Frame, _frame_estimates, _frame_table, _row_dtype, hermitian_basis_ic_set
 
 PURITY_PRODUCT_THRESHOLD = 0.95
 PURITY_ENTANGLED_THRESHOLD = 0.90
@@ -259,14 +259,16 @@ def _local_ic_set(shape: tuple[int, int]) -> tuple[Frame, Frame]:
     """Gell-Mann frame of side A and its lift to A tensor I, built once per shape (both are immutable).
 
     (O tensor I)|a b> = phase[a] |rows[a] b>: the lift repeats each column's
-    phase d_B times, and O tensor I has the outcomes and projector
-    coefficients of O.
+    phase code d_B times, keeps the levels, and O tensor I has the outcomes
+    and projector coefficients of O.  The lifted rows rows[a] d_B + b are
+    computed in the row type of d_A d_B, which holds every one of them.
     """
     ic = hermitian_basis_ic_set(shape[0])
     dim_b = shape[1]
-    rows = (ic.rows[:, :, None] * dim_b + np.arange(dim_b)).reshape(len(ic), -1)
+    dtype = _row_dtype(ic.dim * dim_b)
+    rows = (ic.rows.astype(dtype)[:, :, None] * dtype.type(dim_b) + np.arange(dim_b, dtype=dtype)).reshape(len(ic), -1)
     names = tuple(f"{name}xI" for name in ic.names)
-    return ic, replace(ic, names=names, norm=ic.norm * dim_b, phase=np.repeat(ic.phase, dim_b, axis=1), rows=rows)
+    return ic, replace(ic, names=names, norm=ic.norm * dim_b, codes=np.repeat(ic.codes, dim_b, axis=1), rows=rows)
 
 
 def detect_entanglement_single_copy(sys: PSystem, shots: int) -> EntanglementVerdict:

@@ -15,23 +15,31 @@ The Pauli strings and the generalised Gell-Mann matrices have this
 property by construction (Bertlmann & Krammer, J. Phys. A 41, 235303,
 2008); the tests check it once instead of every build.
 
-Every frame is one :class:`Frame`: ``(k, d)`` arrays of phases and rows,
-O|x> = phase[x] |rows[x]>, one observable per row, with the ``(k, m)``
-outcome ``values`` and ``names``.  A Pauli string and a generalised
-Gell-Mann matrix both have at most one nonzero per column, and so does a
-frame lifted to A tensor I, so no observable has an object, a dense matrix
-or a projector of its own.  Each has at most three outcomes, so the
-projector onto each is a Lagrange polynomial in O, c0 + c1 O + c2 O^2, and
-its Born probability is c0 + c1 <O> + c2 <O^2>: one array expression per
-block of observables, O(d) each, since O^2 is diagonal with entries
-|phase[x]|^2.  Linear inversion adds term k to the d entries
-(rows[k, x], x) with one unbuffered ``np.add.at`` per block, so every
-entry takes its terms in frame order, with the bits of the dense sum.
-Inversion adds to a stack of matrices at once, one per row of a ``(T, k)``
-array of means, and a single reconstruction is a stack of one.
-:func:`ic_set_for_dimension` returns one shared, immutable frame per
+Every frame is one :class:`Frame`: ``(k, d)`` arrays of phase codes and
+rows, O|x> = phase[x] |rows[x]> with phase[x] = levels[codes[x]], one
+observable per row, with the ``(k, m)`` outcome ``values`` and ``names``.
+A Pauli string and a generalised Gell-Mann matrix both have at most one
+nonzero per column, and so does a frame lifted to A tensor I, so no
+observable has an object, a dense matrix or a projector of its own.  Each
+has at most three outcomes, so the projector onto each is a Lagrange
+polynomial in O, c0 + c1 O + c2 O^2, and its Born probability is
+c0 + c1 <O> + c2 <O^2>: one array expression per block of observables,
+O(d) each, since O^2 is diagonal with entries |phase[x]|^2.  Linear
+inversion adds term k to the d entries (rows[k, x], x) with one
+unbuffered ``np.add.at`` per block, so every entry takes its terms in frame
+order, with the bits of the dense sum.  Inversion adds to a stack of matrices at once, one per row
+of a ``(T, k)`` array of means, and a single reconstruction is a stack of
+one.  :func:`ic_set_for_dimension` returns one shared, immutable frame per
 dimension.  Estimates come back as ``(k,)`` arrays of means and
 half-widths aligned with ``names``.
+
+The phases take few values: the eight products i^y (+1 or -1) in a Pauli
+frame, 2d + 2 in a Gell-Mann frame.  So each is a byte code into the
+frame's ``levels``, and rows are bytes up to d = 256: the 6-qubit Pauli
+frame holds 0.52 MB of codes and rows, not 6.3 MB of complex phases and
+``intp`` rows.  Every phase is the same complex number looked up from the
+table, so Born rows and inversions keep their bits.  Entry indices are
+computed in ``intp``, never in the bytes that rows are kept in.
 
 Every observable of a frame is sampled by one row-wise sampler: the
 frame's Born rows on each state are checked once into one CDF table (see
@@ -77,33 +85,42 @@ MAX_IC_DIMENSION = 64
 _BORN_BLOCK_ENTRIES = 2**12
 
 
+def _row_dtype(dim: int) -> np.dtype:
+    """The smallest unsigned type that holds every row index below ``dim``: bytes up to d = 256, then wider."""
+    return np.min_scalar_type(dim - 1)
+
+
 @dataclass(frozen=True, eq=False)
 class Frame:
     """Traceless observables with at most one nonzero per column, one per row of ``(k, d)`` arrays: O|x> = phase[x] |rows[x]>.
 
-    A column with no nonzero has phase 0 and row x.  Each observable has
-    at most three outcomes, so each outcome's projector is a Lagrange
-    polynomial in O: P_j = c0 + c1 O + c2 O^2, with (c0, c1, c2) the
-    ``lagrange`` entries of its row and column.
+    The phases take few distinct values, so a frame holds them as ``levels``
+    and byte ``codes``, phase[x] = levels[codes[x]]; ``rows`` holds bytes up to
+    d = 256 (``_row_dtype``), and every entry index is computed in ``intp``.
+    A column with no nonzero has phase 0 and row x.  Each observable has at
+    most three outcomes, so each outcome's projector is a Lagrange polynomial
+    in O: P_j = c0 + c1 O + c2 O^2, with (c0, c1, c2) the ``lagrange``
+    entries of its row and column.
     """
 
     names: tuple[str, ...]
     norm: float
     values: np.ndarray = field(repr=False)  # (k, m) outcome values, ascending, each row zero-padded to the widest
     lagrange: np.ndarray = field(repr=False)  # (3, k, m) coefficients of each outcome's projector, zero on padding
-    phase: np.ndarray = field(repr=False)  # (k, d) column phases, one observable per row
-    rows: np.ndarray = field(repr=False)  # (k, d) row of each column's nonzero
+    levels: np.ndarray = field(repr=False)  # (n,) complex: the values the column phases take
+    codes: np.ndarray = field(repr=False)  # (k, d) uint8: phase[x] = levels[codes[x]], one observable per row
+    rows: np.ndarray = field(repr=False)  # (k, d) row of each column's nonzero, of type _row_dtype(d)
 
     def __post_init__(self):
-        for array in (self.values, self.lagrange, self.phase, self.rows):
+        for array in (self.values, self.lagrange, self.levels, self.codes, self.rows):
             array.setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return self.phase.shape[1]
+        return self.codes.shape[1]
 
     def __len__(self) -> int:
-        return self.phase.shape[0]
+        return self.codes.shape[0]
 
     def born_rows(self, state: State) -> np.ndarray:
         """The ``(k, m)`` Born probabilities c0 + c1 <O> + c2 <O^2> of every observable on ``state``, O(d) each.
@@ -120,15 +137,19 @@ class Frame:
         squares, vector = self.values.shape[1] > 2, isinstance(state, StateVector)
         if squares:
             populations = np.abs(state.amplitudes) ** 2 if vector else state.matrix.diagonal().real
+        if vector:
+            conj = state.amplitudes.conj()
+        else:
+            entries = state.matrix.ravel()
+            firsts = np.arange(0, entries.size, self.dim)  # entry x * d + rows[x] is rho[x, rows[x]]
         moments = np.empty((2, len(self), 1))  # <O> and, for three outcomes, <O^2>
         step = max(1, _BORN_BLOCK_ENTRIES // self.dim)
         for start in range(0, len(self), step):
-            rows, phase = self.rows[start : start + step], self.phase[start : start + step]
+            rows, phase = self.rows[start : start + step], self.levels.take(self.codes[start : start + step])
             if vector:
-                bras = state.amplitudes[rows].conj()[:, None, :]
-                block = (bras @ (phase * state.amplitudes)[:, :, None])[:, 0, 0]
+                block = (conj.take(rows)[:, None, :] @ (phase * state.amplitudes)[:, :, None])[:, 0, 0]
             else:
-                block = (phase * state.matrix[np.arange(self.dim), rows]).sum(axis=1)
+                block = (phase * entries.take(firsts + rows)).sum(axis=1)
             moments[0, start : start + step, 0] = block.real
             if squares:
                 moments[1, start : start + step, 0] = np.abs(phase) ** 2 @ populations
@@ -139,20 +160,22 @@ class Frame:
     def add_terms(self, out: np.ndarray, means: np.ndarray) -> None:
         """Add sum_k means[..., k] * O_k / norm to each matrix of the C-contiguous ``(..., d, d)`` stack ``out``, in place.
 
-        Term k adds means[..., k] * phase[k, x] / norm to entry (rows[k, x], x).
-        ``np.add.at`` is unbuffered and adds in index order, so every entry
-        takes its terms in frame order, with the bits of the observable-by-observable
-        dense sum.  Observables are added a block at a time, so that no
-        temporary holds more than ``_BORN_BLOCK_ENTRIES`` entries per matrix.
+        Term k adds means[..., k] * phase[k, x] / norm to entry (rows[k, x], x),
+        with phase / norm looked up from levels / norm.  ``np.add.at`` is
+        unbuffered and adds in index order, so every entry takes its terms in
+        frame order, with the bits of the observable-by-observable dense sum.
+        Observables are added a block at a time, so that no temporary holds
+        more than ``_BORN_BLOCK_ENTRIES`` entries per matrix.
         """
-        k, d = self.phase.shape
+        k, d = self.codes.shape
         flat, means = out.reshape(-1), means.reshape(-1, k)
-        firsts = np.arange(0, flat.size, d * d)[:, None, None]  # the first entry of each matrix
+        firsts = np.arange(0, flat.size, d * d)[:, None, None] + np.arange(d)  # entry (0, x) of each matrix
+        scaled = self.levels / self.norm
         step = max(1, _BORN_BLOCK_ENTRIES // (len(means) * d))
         for start in range(0, k, step):
             block = slice(start, start + step)
-            entries = firsts + self.rows[block] * d + np.arange(d)
-            terms = means[:, block, None] * (self.phase[block] / self.norm)
+            entries = firsts + np.multiply(self.rows[block], d, dtype=np.intp)
+            terms = means[:, block, None] * scaled.take(self.codes[block])
             np.add.at(flat, entries.ravel(), terms.ravel())  # one-dimensional: numpy's fast path
 
 
@@ -161,16 +184,22 @@ def _lagrange(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
     Each factor multiplies by the reciprocal 1 / (v_j - v_i), so a state with
     <O> = v_i gives P_j weight exactly 0 when O has two outcomes.
+    Coefficients are multiplied in place, c2 before c1 before c0, so that each
+    update reads the coefficients below it before they change, and no
+    temporary is larger than ``values``.
     """
     columns = np.arange(values.shape[1])
     real = columns < sizes[:, None]
-    lagrange = np.stack((real.astype(float), np.zeros(values.shape), np.zeros(values.shape)))
+    lagrange = np.zeros((3, *values.shape))
+    c0, c1, c2 = lagrange
+    c0[real] = 1.0
     for i in columns:
         factor = real & real[:, i, None] & (columns != i)
         v = values[:, i, None]
         scale = 1.0 / np.where(factor, values - v, 1.0)
-        c0, c1, c2 = lagrange
-        lagrange = np.where(factor, np.stack((-v * c0, c0 - v * c1, c1 - v * c2)) * scale, lagrange)
+        np.copyto(c2, (c1 - v * c2) * scale, where=factor)
+        np.copyto(c1, (c0 - v * c1) * scale, where=factor)
+        np.copyto(c0, -v * c0 * scale, where=factor)
     return lagrange
 
 
@@ -186,18 +215,20 @@ class ReconstructionResult:
 def pauli_ic_set(n_qubits: int) -> Frame:
     """All non-identity Pauli strings on n qubits, with norm 2^n: S|x> = phase[x] |x ^ x_mask>.
 
-    The masks and phases of every string are built as whole arrays; no
+    The masks and phase codes of every string are built as whole arrays; no
     string has an object, a dense matrix or a projector of its own.  Every
     string has outcomes -1 and +1, with Born probabilities (1 -/+ <S>)/2.
     """
     if not 1 <= n_qubits <= 6:
         raise ValueError("supported range is 1..6 qubits")
-    labels = ("".join(letters) for letters in itertools.product("IXYZ", repeat=n_qubits))
-    next(labels)  # the identity
-    x_masks, phase = pauli_frame_phases(n_qubits)
+    labels = [""]
+    for _ in range(n_qubits):
+        labels = [label + letter for label in labels for letter in ("I", "X", "Y", "Z")]
+    x_masks, levels, codes = pauli_frame_phases(n_qubits)
+    rows = np.arange(codes.shape[1], dtype=np.uint8) ^ x_masks.astype(np.uint8)[:, None]
     values = np.broadcast_to([-1.0, 1.0], (len(x_masks), 2))
     lagrange = np.broadcast_to(_lagrange(values[:1], np.array([2])), (3, *values.shape))
-    return Frame(tuple(labels), float(2**n_qubits), values, lagrange, phase, np.arange(phase.shape[1]) ^ x_masks[:, None])
+    return Frame(tuple(labels[1:]), float(2**n_qubits), values, lagrange, levels, codes, rows)
 
 
 def hermitian_basis_ic_set(dim: int) -> Frame:
@@ -210,33 +241,40 @@ def hermitian_basis_ic_set(dim: int) -> Frame:
     l, diag_l = (sum_{x<l} |x><x| - l |l><l|)/sqrt(l(l+1)), with outcomes
     -l/sqrt(l(l+1)), 0 (for l < d - 1) and 1/sqrt(l(l+1)).  Every matrix has at
     most one nonzero per column, so the frame is built as arrays, with no
-    dense matrix and no eigendecomposition.
+    dense matrix and no eigendecomposition.  Its 2d + 2 phase levels are 0,
+    1/sqrt(2), +-i/sqrt(2), then 1/sqrt(l(l+1)) and -l/sqrt(l(l+1)) for each l.
     """
     if not 2 <= dim <= MAX_IC_DIMENSION:
         raise ValueError(f"supported range is dimension 2..{MAX_IC_DIMENSION}")
     high, low = np.tril_indices(dim, -1)
     pairs, columns = np.arange(len(high)), np.arange(dim)
     sym, anti, diag = 2 * pairs, 2 * pairs + 1, 2 * len(high) + columns[:-1]
-    rows = np.tile(columns, (dim**2 - 1, 1))
-    phase = np.zeros(rows.shape, dtype=complex)
-    for members in (sym, anti):
-        rows[members, low], rows[members, high] = high, low
-    phase[sym, low] = phase[sym, high] = 1.0 / np.sqrt(2.0)
-    phase[anti, low] = 1.0j / np.sqrt(2.0)
-    phase[anti, high] = -1.0j / np.sqrt(2.0)
-    levels = columns[1:, None]
-    scale = np.sqrt(levels * (levels + 1))
-    phase[diag] = np.where(columns < levels, 1.0, np.where(columns == levels, -levels, 0.0)).astype(complex) / scale
+    ls = columns[1:]
+    scale = np.sqrt(ls * (ls + 1))
+    plus, minus = np.stack((np.ones(dim - 1), -ls.astype(float))).astype(complex) / scale
 
-    width = min(dim, 3)
-    sizes = np.full(len(rows), width)
-    sizes[diag[-1]] = 2  # diag_{d-1} has no zero outcome
-    values = np.zeros((len(rows), width))
-    values[:, 0], values[np.arange(len(rows)), sizes - 1] = -1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)
-    values[diag, 0], values[diag, sizes[diag] - 1] = phase[diag, columns[1:]].real, phase[diag, 0].real
     names = [name for j, k in zip(low.tolist(), high.tolist()) for name in (f"sym{j}_{k}", f"anti{j}_{k}")]
     names += [f"diag{level}" for level in range(1, dim)]
-    return Frame(tuple(names), 1.0, values, _lagrange(values, sizes), phase, rows)
+
+    # The projector coefficients before the (k, d) arrays: their temporaries are the largest of the build.
+    width = min(dim, 3)
+    sizes = np.full(dim**2 - 1, width)
+    sizes[diag[-1]] = 2  # diag_{d-1} has no zero outcome
+    values = np.zeros((len(sizes), width))
+    values[:, 0], values[np.arange(len(sizes)), sizes - 1] = -1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)
+    values[diag, 0], values[diag, sizes[diag] - 1] = minus.real, plus.real
+    lagrange = _lagrange(values, sizes)
+
+    levels = np.concatenate(([0.0, 1.0 / np.sqrt(2.0), 1.0j / np.sqrt(2.0), -1.0j / np.sqrt(2.0)], plus, minus))
+    codes = np.zeros((len(sizes), dim), dtype=np.uint8)
+    codes[sym, low] = codes[sym, high] = 1
+    codes[anti, low], codes[anti, high] = 2, 3
+    level = ls[:, None]  # diag_l takes plus[l - 1] (code 3 + l) left of column l and minus[l - 1] (code 2 + d + l) at it
+    codes[diag] = np.where(columns < level, 3 + level, np.where(columns == level, 2 + dim + level, 0))
+    rows = np.tile(columns.astype(_row_dtype(dim)), (len(codes), 1))
+    for members in (sym, anti):
+        rows[members, low], rows[members, high] = high, low
+    return Frame(tuple(names), 1.0, values, lagrange, levels, codes, rows)
 
 
 @functools.lru_cache(maxsize=8)

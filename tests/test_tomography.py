@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -93,9 +94,9 @@ def kronecker_pauli(label: str) -> np.ndarray:
 
 
 def dense_matrices(ic):
-    """The dense matrix of every observable of a frame, in frame order, from its own rows and phases."""
+    """The dense matrix of every observable of a frame, in frame order, from its own rows and phase codes."""
     matrices = np.zeros((len(ic), ic.dim, ic.dim), dtype=complex)
-    matrices[np.arange(len(ic))[:, None], ic.rows, np.arange(ic.dim)] = ic.phase
+    matrices[np.arange(len(ic))[:, None], ic.rows, np.arange(ic.dim)] = ic.levels[ic.codes]
     return list(matrices)
 
 
@@ -103,6 +104,8 @@ GELL_MANN_FRAMES = {
     **{f"gell-mann-{dim}": functools.partial(hermitian_basis_ic_set, dim) for dim in range(2, 10)},
     "lifted-gell-mann-3x2": lambda: _local_ic_set((3, 2))[1],
     "lifted-gell-mann-2x3": lambda: _local_ic_set((2, 3))[1],
+    # d = 64: an entry index rows * d reaches 63 * 64, past what the byte rows hold.
+    "lifted-gell-mann-8x8": lambda: _local_ic_set((8, 8))[1],
 }
 
 
@@ -200,12 +203,13 @@ class TestPauliMasks:
         labels = ["".join(letters) for letters in itertools.product("IXYZ", repeat=n_qubits)][1:]
         ic = pauli_ic_set(n_qubits)
         assert list(ic.names) == labels
-        assert not ic.phase.flags.writeable and not ic.rows.flags.writeable
-        for phase, rows, label in zip(ic.phase, ic.rows, labels):
+        assert not ic.levels.flags.writeable and not ic.codes.flags.writeable and not ic.rows.flags.writeable
+        assert ic.codes.dtype == ic.rows.dtype == np.uint8
+        for phase, rows, label in zip(ic.levels[ic.codes], ic.rows, labels):
             reference = ReferencePauliString(label)
             assert rows[0] == reference.x_mask
             assert phase.dtype == reference.phase.dtype and phase.tobytes() == reference.phase.tobytes()
-            assert rows.dtype == reference.rows.dtype and rows.tobytes() == reference.rows.tobytes()
+            np.testing.assert_array_equal(rows, reference.rows)
 
     @pytest.mark.parametrize("n_qubits", [1, 3, 6])
     def test_frame_born_rows_equal_each_strings_probabilities(self, n_qubits):
@@ -230,13 +234,16 @@ class TestPauliMasks:
         assert ic_set_for_dimension(3) is ic_set_for_dimension(3)
 
     def test_six_qubit_frame_build_is_small(self):
+        # 4095 x 64 byte codes and byte rows are 0.52 MB; as complex phases and intp rows they would be 6.3 MB.
         tracemalloc.start()
         try:
-            pauli_ic_set(6)
+            ic = pauli_ic_set(6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak <= 1.5e6
+        assert ic.codes.nbytes + ic.rows.nbytes <= 0.53e6
+        assert not ic.codes.flags.writeable and not ic.rows.flags.writeable
 
     def test_six_qubit_run_stores_no_dense_string(self, monkeypatch):
         # 4095 dense 64x64 strings with two projectors each would take ~0.8 GB.
@@ -297,7 +304,7 @@ def test_runs_leave_numpy_ma_unimported():
 
 
 def frame_bytes(*frames):
-    return sum(array.nbytes for ic in frames for array in (ic.values, ic.lagrange, ic.phase, ic.rows))
+    return sum(array.nbytes for ic in frames for array in (ic.values, ic.lagrange, ic.levels, ic.codes, ic.rows))
 
 
 def test_gell_mann_and_lifted_frames_are_built_as_arrays(monkeypatch):
@@ -322,6 +329,21 @@ def test_gell_mann_and_lifted_frames_are_built_as_arrays(monkeypatch):
         composite._local_ic_set.cache_clear()
     assert peak <= 1.5 * frame_bytes(ic)
     assert lifted_peak <= 1.5 * frame_bytes(side_a, lifted)
+
+
+def test_a_lifted_frame_wider_than_a_byte_reconstructs_as_with_intp_rows(monkeypatch):
+    # d = 400: rows past 255 need a wider type than bytes, and the reduced state must not notice which.
+    ic, lifted = _local_ic_set((2, 200))
+    assert lifted.rows.dtype == np.uint16
+    reference = replace(lifted, rows=(ic.rows.astype(np.intp)[:, :, None] * 200 + np.arange(200)).reshape(len(ic), -1))
+    np.testing.assert_array_equal(lifted.rows, reference.rows)
+    state = random_pure_state(400, rng.stream(0, "lifted/wide/state"), shape=(2, 200))
+    estimates = []
+    for frame in (lifted, reference):
+        monkeypatch.setattr(composite, "_local_ic_set", lambda shape, frame=frame: (ic, frame))
+        system = PSystem(state, "passive", rng.stream(0, "lifted/wide/draws"))
+        estimates.append(composite.reconstruct_reduced_single_copy(system, 200).matrix.tobytes())
+    assert estimates[0] == estimates[1]
 
 
 @pytest.mark.parametrize(
