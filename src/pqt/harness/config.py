@@ -15,7 +15,6 @@ import contextlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from ..hilbert import (
     State,
     StateVector,
     UnitaryOperator,
+    _Record,
     basis_state,
     bell_state,
     maximally_mixed,
@@ -100,41 +100,62 @@ def read_integer(value, field: str, low: int, high: float = math.inf) -> int:
     return value
 
 
-@dataclass(frozen=True, eq=False)
-class Inputs:
+class Inputs(_Record):
     """A config's inputs as ``parse_config`` resolved them: states, observables and oracle (None where absent)
     and the protocol settings, with their defaults where the config leaves them out."""
 
-    state: State | None = None
-    observables: tuple[Observable, ...] = ()
-    followup: Observable | None = None
-    mixture: tuple[tuple[StateVector, float], ...] | None = None
-    purification: State | None = None
-    candidates: tuple[StateVector, ...] | None = None
-    unitary: UnitaryOperator | None = None
-    oracle: OracleSpec | None = None
-    library: dict[int, StateVector] | None = None
-    source: str = "global"
-    action: str = "none"
-    ensemble: bool = False
-    followup_shots: int = 0  # parse_config sets the config's shots when the field is absent
+    __slots__ = ("state", "observables", "followup", "mixture", "purification", "candidates", "unitary", "oracle")
+    __slots__ += ("library", "source", "action", "ensemble", "followup_shots")
+
+    def __init__(
+        self,
+        state: State | None = None,
+        observables: tuple[Observable, ...] = (),
+        followup: Observable | None = None,
+        mixture: tuple[tuple[StateVector, float], ...] | None = None,
+        purification: State | None = None,
+        candidates: tuple[StateVector, ...] | None = None,
+        unitary: UnitaryOperator | None = None,
+        oracle: OracleSpec | None = None,
+        library: dict[int, StateVector] | None = None,
+        source: str = "global",
+        action: str = "none",
+        ensemble: bool = False,
+        followup_shots: int = 0,  # parse_config sets the config's shots when the field is absent
+    ):
+        fields = (state, observables, followup, mixture, purification, candidates, unitary, oracle, library, source)
+        _Record.__init__(self, *fields, action, ensemble, followup_shots)
 
 
-@dataclass
-class ExperimentConfig:
-    """A validated experiment description: raw values (JSON-serializable) and the inputs resolved from them."""
+class ExperimentConfig(_Record):
+    """A validated experiment description: raw values (JSON-serializable) and the inputs resolved from them.
 
-    name: str
-    protocol: str
-    mode: str = "passive"
-    shape: tuple[int, ...] | None = None
-    initial_state: object = None
-    observables: list = dataclass_field(default_factory=list)
-    shots: int = 10_000
-    trials: int = 1
-    seed: int = 42
-    extras: dict = dataclass_field(default_factory=dict)
-    inputs: Inputs = dataclass_field(default_factory=Inputs, compare=False, repr=False)
+    Configs compare by their raw values; ``inputs`` is derived from them and is not compared.
+    """
+
+    __slots__ = ("name", "protocol", "mode", "shape", "initial_state", "observables", "shots", "trials", "seed")
+    __slots__ += ("extras", "inputs")
+
+    def __init__(
+        self,
+        name: str,
+        protocol: str,
+        mode: str = "passive",
+        shape: tuple[int, ...] | None = None,
+        initial_state: object = None,
+        observables: list | None = None,
+        shots: int = 10_000,
+        trials: int = 1,
+        seed: int = 42,
+        extras: dict | None = None,
+        inputs: Inputs | None = None,
+    ):
+        observables, extras = [] if observables is None else observables, {} if extras is None else extras
+        fields = (name, protocol, mode, shape, initial_state, observables, shots, trials, seed, extras)
+        _Record.__init__(self, *fields, Inputs() if inputs is None else inputs)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ExperimentConfig and self._fields()[:-1] == other._fields()[:-1]
 
     def to_json(self) -> str:
         payload = {
@@ -237,10 +258,6 @@ def _resolve_inputs(
     protocol: str, spec, shape: tuple[int, ...] | None, initial_state, observables: list, extras: dict, shots: int
 ) -> Inputs:
     """Resolve every input of a config once, refusing any that its protocol's runner could not use."""
-    settings = Inputs(
-        **{key: extras[key] for key in ("source", "action", "ensemble") if key in extras},
-        followup_shots=extras.get("followup_shots", shots),
-    )
     for key in spec.requires:
         if key not in extras:
             raise ConfigError(key, f"protocol {protocol!r} requires this field")
@@ -249,7 +266,7 @@ def _resolve_inputs(
 
     resolved = tuple(resolve_observable(obs, f"observables[{i}]") for i, obs in enumerate(observables))
     targets, kind = spec.observables, spec.state
-    if protocol == "signalling" and settings.action == "none":
+    if protocol == "signalling" and extras.get("action", "none") == "none":
         targets = (1,)  # only B's marginal is compared
     if protocol == "simulate-collapse" and "library" not in extras:
         kind = "bipartite"  # the replacement comes from a global reconstruction
@@ -286,8 +303,7 @@ def _resolve_inputs(
         unitary = resolve_unitary(extras.get("unitary", "cnot"), candidates[0].dim)
     if protocol == "simulate-collapse" and "library" in extras:
         library = _eigenstate_library(resolved[0])
-    return replace(
-        settings,
+    return Inputs(
         state=state,
         observables=resolved,
         followup=followup,
@@ -297,6 +313,8 @@ def _resolve_inputs(
         unitary=unitary,
         oracle=resolve_oracle(extras["oracle"], protocol == "deutsch-jozsa") if "oracle" in extras else None,
         library=library,
+        followup_shots=extras.get("followup_shots", shots),
+        **{key: extras[key] for key in ("source", "action", "ensemble") if key in extras},
     )
 
 

@@ -23,10 +23,11 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
 from itertools import chain, repeat
 
 import numpy as np
+
+from ..hilbert import _Record
 
 
 _string_text = json.encoder.encode_basestring_ascii
@@ -164,29 +165,36 @@ def _write_table(table: "Table", indent: str, parts: list[str]) -> None:
     parts[-1] = "\n" + row_indent + "]\n" + inner + "]\n" + indent + "}"  # the last row break closes it all
 
 
-@dataclass
-class Table:
+class Table(_Record):
     """A rectangular outcome table: ``cells[j]`` holds column ``columns[j]``, top row first."""
 
-    columns: list[str]
-    cells: list  # one sequence (list, tuple or array) per column, all of one length
+    __slots__ = ("columns", "cells")  # cells: one sequence (list, tuple, range or array) per column, of one length
 
-    def __post_init__(self):
-        lengths = {len(cells) for cells in self.cells}
-        if len(self.cells) != len(self.columns) or len(lengths) > 1:
-            raise ValueError(f"columns {self.columns} do not match cells of lengths {sorted(lengths)}")
+    def __init__(self, columns: list[str], cells: list):
+        lengths = {len(column) for column in cells}
+        if len(cells) != len(columns) or len(lengths) > 1:
+            raise ValueError(f"columns {columns} do not match cells of lengths {sorted(lengths)}")
+        self.columns, self.cells = columns, cells
 
 
-@dataclass
-class Report:
+class Report(_Record):
     """The emitted result of one experiment run."""
 
-    config: dict
-    seed: int
-    metrics: list[dict] = field(default_factory=list)
-    tables: dict[str, Table] = field(default_factory=dict)
-    verdicts: dict = field(default_factory=dict)
-    wall_clock_seconds: float = 0.0
+    __slots__ = ("config", "seed", "metrics", "tables", "verdicts", "wall_clock_seconds")
+
+    def __init__(
+        self,
+        config: dict,
+        seed: int,
+        metrics: list[dict] | None = None,
+        tables: dict[str, Table] | None = None,
+        verdicts: dict | None = None,
+        wall_clock_seconds: float = 0.0,
+    ):
+        self.config, self.seed, self.wall_clock_seconds = config, seed, wall_clock_seconds
+        self.metrics = [] if metrics is None else metrics
+        self.tables = {} if tables is None else tables
+        self.verdicts = {} if verdicts is None else verdicts
 
     def add_metric(self, name: str, value: float, uncertainty: float | None = None) -> None:
         self.metrics.append({"name": name, "value": value, "uncertainty": uncertainty})

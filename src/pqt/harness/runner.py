@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import time
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from ..composite import (
     non_dichotomic,
     signalling_check,
 )
-from ..hilbert import fidelity
+from ..hilbert import _Record, fidelity
 from ..measurement import InsufficientShotsError, PSystem
 from ..protocols import (
     _quantum_recovery,
@@ -173,8 +172,8 @@ def _run_proper_vs_improper(config: ExperimentConfig, report: Report, stream: np
     )
     report.add_metric("mean_purity", result.verdicts["mean_purity"])
     report.verdicts["verdict"] = result.verdicts["verdict"]
-    columns = ["trial", "purity", "verdict"]
-    report.add_table("trials", columns, [[entry[column] for entry in result.log] for column in columns])
+    verdicts = np.where(result.purities >= result.verdicts["threshold"], "proper", "improper").tolist()  # plain str
+    report.add_table("trials", ["trial", "purity", "verdict"], [range(config.trials), result.purities, verdicts])
 
 
 def _run_simulate_collapse(config: ExperimentConfig, report: Report, stream: np.random.Generator) -> None:
@@ -207,18 +206,24 @@ def _run_teleportation(config: ExperimentConfig, report: Report, stream: np.rand
     report.add_metric("average_fidelity", total / config.trials)
 
 
-class Protocol(NamedTuple):
+class Protocol(_Record):
     """What ``list-protocols`` prints about a protocol and what ``parse_config`` checks of its config."""
 
-    description: str
-    modes: tuple[str, ...] = ("passive", "quantum")
-    quantum_needs: str | None = None  # an extra field that must be true in quantum mode
-    requires: tuple[str, ...] = ()  # extra fields the protocol needs and that have no default
-    # What each observable the runner reads acts on: None for the whole state, 0 or 1 for that subsystem.
-    observables: tuple[int | None, ...] = ()
-    # The initial state the runner reads, if any: "any", "bipartite", "pure bipartite" or "pure qubit".
-    state: str | None = None
-    state_required: bool = True
+    __slots__ = ("description", "modes", "quantum_needs", "requires", "observables", "state", "state_required")
+
+    def __init__(
+        self,
+        description: str,
+        modes: tuple[str, ...] = ("passive", "quantum"),
+        quantum_needs: str | None = None,  # an extra field that must be true in quantum mode
+        requires: tuple[str, ...] = (),  # extra fields the protocol needs and that have no default
+        # What each observable the runner reads acts on: None for the whole state, 0 or 1 for that subsystem.
+        observables: tuple[int | None, ...] = (),
+        # The initial state the runner reads, if any: "any", "bipartite", "pure bipartite" or "pure qubit".
+        state: str | None = None,
+        state_required: bool = True,
+    ):
+        _Record.__init__(self, description, modes, quantum_needs, requires, observables, state, state_required)
 
 
 PASSIVE_ONLY = ("passive",)

@@ -16,7 +16,6 @@ wraps it with ``_unchecked`` and never checks it again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -53,7 +52,27 @@ def _as_shape(dim: int, shape: Sequence[int] | None) -> tuple[int, ...]:
     return shape
 
 
-class _Value:
+class _Record:
+    """Base of the records: the constructor fills ``__slots__`` in order, one argument each.
+
+    A record class is a plain class statement, so defining one generates no code at import.
+    Records compare by identity unless they define ``__eq__``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            setattr(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self._fields()!r}"
+
+
+class _Value(_Record):
     """Base of the value types: one way to wrap what an operation derived from checked values."""
 
     __slots__ = ()
@@ -62,8 +81,7 @@ class _Value:
     def _unchecked(cls, array: np.ndarray, *rest):
         """Fill the slots, in order, with ``array`` frozen as the constructor freezes it and ``rest``; no check runs."""
         value = cls.__new__(cls)
-        for name, item in zip(cls.__slots__, (_freeze(array), *rest)):
-            setattr(value, name, item)
+        _Record.__init__(value, _freeze(array), *rest)
         return value
 
     def __repr__(self) -> str:
@@ -180,8 +198,7 @@ class UnitaryOperator(_Value):
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(_Record):
     """Distinct eigenvalues of a Hermitian matrix with their projectors.
 
     Eigenvalues are sorted ascending; eigenvalues closer than the
@@ -189,11 +206,11 @@ class SpectralDecomposition:
     is the sum over the merged eigenspaces.
     """
 
-    eigenvalues: tuple[float, ...]
-    projectors: tuple[np.ndarray, ...] = field(repr=False)
+    __slots__ = ("eigenvalues", "projectors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "projectors", tuple(_freeze(p) for p in self.projectors))
+    def __init__(self, eigenvalues: tuple[float, ...], projectors: tuple[np.ndarray, ...]):
+        self.eigenvalues = eigenvalues
+        self.projectors = tuple(_freeze(p) for p in projectors)
 
     def reconstruct(self) -> np.ndarray:
         """Sum_r a_r P_r."""

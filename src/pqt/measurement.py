@@ -33,8 +33,6 @@ and outcome values only when a refusal names that row.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +41,7 @@ from .hilbert import (
     SpectralDecomposition,
     State,
     StateVector,
+    _Record,
     spectral_decompose,
 )
 
@@ -104,13 +103,14 @@ class Observable:
         return f"Observable({self.name!r}, dim={self.dim})"
 
 
-@dataclass(frozen=True, eq=False)
-class _CdfTable:
-    """Checked outcome probabilities, one distribution per row (zero-weight padding is never drawn), and row totals."""
+class _CdfTable(_Record):
+    """Checked outcome probabilities, one distribution per row (zero-weight padding is never drawn), and row totals.
 
-    probabilities: np.ndarray  # (k, m), negative roundoff clipped to zero
-    totals: np.ndarray  # (k, 1) CDF total of each row
-    risky: np.ndarray  # (k,) whether a row has a drawable outcome of probability <= ZERO_PROBABILITY
+    ``probabilities`` is (k, m), negative roundoff clipped to zero; ``totals`` the (k, 1) CDF total of each row;
+    ``risky`` (k,) whether a row has a drawable outcome of probability <= ZERO_PROBABILITY.
+    """
+
+    __slots__ = ("probabilities", "totals", "risky")
 
     def gather(self, rows: np.ndarray) -> "_CdfTable":
         """The table of the given rows (repeats allowed), in order: checked rows are only sliced, never re-checked."""
@@ -190,21 +190,18 @@ def _cdf_counts(table: _CdfTable, rng: np.random.Generator, n: int, readouts, mo
     return counts
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
+class OutcomeDistribution(_Record):
     """Born probabilities over the distinct outcomes of one observable."""
 
-    eigenvalues: tuple[float, ...]
-    probabilities: np.ndarray
-    cdf: _CdfTable = field(init=False, repr=False, compare=False)
+    __slots__ = ("eigenvalues", "probabilities", "cdf")
 
-    def __post_init__(self):
-        probabilities = np.asarray(self.probabilities, dtype=float)
-        if probabilities.shape != (len(self.eigenvalues),):
-            raise ValueError(f"got {probabilities.size} probabilities for {len(self.eigenvalues)} eigenvalues")
-        cdf = _cdf_table(probabilities[None])
-        object.__setattr__(self, "cdf", cdf)
-        object.__setattr__(self, "probabilities", cdf.probabilities[0])
+    def __init__(self, eigenvalues: tuple[float, ...], probabilities: np.ndarray):
+        probabilities = np.asarray(probabilities, dtype=float)
+        if probabilities.shape != (len(eigenvalues),):
+            raise ValueError(f"got {probabilities.size} probabilities for {len(eigenvalues)} eigenvalues")
+        self.eigenvalues = eigenvalues
+        self.cdf = _cdf_table(probabilities[None])
+        self.probabilities = self.cdf.probabilities[0]
 
     def sample_indices(self, rng: np.random.Generator, n: int, readout, mode: str) -> np.ndarray:
         """One uniform per shot over the sorted outcomes of ``readout``, measured in ``mode``."""
@@ -214,14 +211,11 @@ class OutcomeDistribution:
         return {a: float(p) for a, p in zip(self.eigenvalues, self.probabilities)}
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementRecord:
+class MeasurementRecord(_Record):
     """Outcome log of a run of measurements of one observable: one eigenvalue index per shot."""
 
-    observable: str
-    eigenvalues: tuple[float, ...]
-    indices: np.ndarray
-    mode: str
+    __slots__ = ("observable", "eigenvalues", "indices", "mode")  # name, outcome values, (shots,) indices, mode
+    __init__ = _Record.__init__  # a constructor of its own, which a profiler can wrap for this class alone
 
     @property
     def shots(self) -> int:
@@ -328,34 +322,30 @@ _ZERO_PROBABILITY_CONSEQUENCE = {
 }
 
 
-class _Readout(NamedTuple):
+class _Readout(_Record):
     """What a zero-probability error names of a measurement: ``_require_possible`` reads only these."""
 
-    name: str
-    eigenvalues: tuple
+    __slots__ = ("name", "eigenvalues")  # the observable's name and its outcome values
 
 
-class _PairReadout(NamedTuple):
+class _PairReadout(_Record):
     """Readout of (a, b) pairs over the row-major grid: a drawn cell is refused on p(a), then on p(b | a).
 
-    ``second`` is p(b) of each b (independent sides) or a ``(ka, kb)`` array of p(b | a).
+    ``sides`` holds the two observables, ``first`` p(a) of each a, and ``second``
+    p(b) of each b (independent sides) or a ``(ka, kb)`` array of p(b | a).
     """
 
-    sides: tuple[Observable, Observable]
-    first: np.ndarray
-    second: np.ndarray
+    __slots__ = ("sides", "first", "second")
 
 
-@dataclass(frozen=True, eq=False)
-class _FrameReadouts:
+class _FrameReadouts(_Record):
     """The readouts of a frame's k Born rows, each made only when a refusal names it.
 
     Row r names readout r % k, so a table that gathers blocks of the k rows,
     state after state, names each row by its own observable.
     """
 
-    names: tuple[str, ...]
-    values: np.ndarray  # (k, m) outcome values of each row, zero-padded past its own outcomes
+    __slots__ = ("names", "values")  # k names; (k, m) outcome values of each row, zero-padded past its own outcomes
 
     def __getitem__(self, row: int) -> _Readout:
         row %= len(self.names)

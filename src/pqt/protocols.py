@@ -10,7 +10,6 @@ rule pays in measurement repetitions on a single system.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .hilbert import (
     State,
     StateVector,
     UnitaryOperator,
+    _Record,
     basis_state,
     bell_state,
     evolve,
@@ -59,41 +59,44 @@ ORACLE_DRAW_BLOCK = 64  # uniforms quantum function recovery draws at once
 _TRIAL_BLOCK_ENTRIES = 2**18  # count and density entries proper_vs_improper holds per block of trials
 
 
-@dataclass(frozen=True)
-class OracleSpec:
-    """A boolean function given by its truth table, with an optional promise."""
+class OracleSpec(_Record):
+    """A boolean function given by its truth table, with an optional promise; equal specs compare and hash equal."""
 
-    n: int
-    truth_table: tuple[int, ...]
-    promise: str | None = None
+    __slots__ = ("n", "truth_table", "promise")
 
-    def __post_init__(self):
-        object.__setattr__(self, "truth_table", tuple(int(b) for b in self.truth_table))
-        if self.n < 1:
+    def __init__(self, n: int, truth_table: tuple[int, ...], promise: str | None = None):
+        truth_table = tuple(int(b) for b in truth_table)
+        if n < 1:
             raise ValueError("need at least one input bit")
-        if len(self.truth_table) != 2**self.n:
-            raise ValueError(f"truth table has {len(self.truth_table)} entries, expected {2 ** self.n}")
-        if any(b not in (0, 1) for b in self.truth_table):
+        if len(truth_table) != 2**n:
+            raise ValueError(f"truth table has {len(truth_table)} entries, expected {2 ** n}")
+        if any(b not in (0, 1) for b in truth_table):
             raise ValueError("truth table entries must be bits")
-        if self.promise not in (None, "constant", "balanced"):
-            raise ValueError(f"unknown promise {self.promise!r}")
-        ones = sum(self.truth_table)
-        if self.promise == "constant" and ones not in (0, len(self.truth_table)):
+        if promise not in (None, "constant", "balanced"):
+            raise ValueError(f"unknown promise {promise!r}")
+        ones = sum(truth_table)
+        if promise == "constant" and ones not in (0, len(truth_table)):
             raise ValueError("promise 'constant' contradicts the truth table")
-        if self.promise == "balanced" and ones * 2 != len(self.truth_table):
+        if promise == "balanced" and ones * 2 != len(truth_table):
             raise ValueError("promise 'balanced' contradicts the truth table")
+        self.n, self.truth_table, self.promise = n, truth_table, promise
+
+    def __eq__(self, other) -> bool:
+        return type(other) is OracleSpec and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
-@dataclass
-class ProtocolReport:
+class ProtocolReport(_Record):
     """What a protocol run did and what it cost, with exact resource counts."""
 
-    protocol: str
-    mode: str
-    resources: dict[str, int] = field(default_factory=dict)
-    verdicts: dict[str, object] = field(default_factory=dict)
-    fidelities: dict[str, float] = field(default_factory=dict)
-    log: list[dict] = field(default_factory=list)
+    # purities: proper-vs-improper's estimated purity of each trial, as one array (None in other protocols).
+    __slots__ = ("protocol", "mode", "resources", "verdicts", "fidelities", "log", "purities")
+
+    def __init__(self, protocol: str, mode: str, resources: dict[str, int] | None = None):
+        self.protocol, self.mode, self.resources = protocol, mode, {} if resources is None else resources
+        self.verdicts, self.fidelities, self.log, self.purities = {}, {}, [], None
 
 
 def oracle_unitary(spec: OracleSpec) -> UnitaryOperator:
@@ -265,15 +268,10 @@ def clone_via_reconstruction(
     return clone, report
 
 
-@dataclass
-class NoCloningReport:
+class NoCloningReport(_Record):
     """Inner-product obstruction to unitarily cloning two test states."""
 
-    fidelity_first: float
-    fidelity_second: float
-    overlap: complex
-    obstruction: float
-    clones_both: bool
+    __slots__ = ("fidelity_first", "fidelity_second", "overlap", "obstruction", "clones_both")
 
 
 def no_cloning_check(
@@ -387,6 +385,7 @@ def proper_vs_improper(
         del counts, estimates  # neither outlives its block
 
     report = ProtocolReport("proper-vs-improper", "passive")
+    report.purities = purities
     report.log = [
         {"trial": trial, "purity": purity, "verdict": "proper" if purity >= midpoint else "improper"}
         for trial, purity in enumerate(purities.tolist())

@@ -62,11 +62,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import DensityOperator, State, StateVector, fidelity, pauli_frame_phases
+from .hilbert import DensityOperator, State, StateVector, _Record, fidelity, pauli_frame_phases
 from .measurement import (
     InsufficientShotsError,
     Observable,
@@ -90,8 +89,7 @@ def _row_dtype(dim: int) -> np.dtype:
     return np.min_scalar_type(dim - 1)
 
 
-@dataclass(frozen=True, eq=False)
-class Frame:
+class Frame(_Record):
     """Traceless observables with at most one nonzero per column, one per row of ``(k, d)`` arrays: O|x> = phase[x] |rows[x]>.
 
     The phases take few distinct values, so a frame holds them as ``levels``
@@ -103,16 +101,19 @@ class Frame:
     entries of its row and column.
     """
 
-    names: tuple[str, ...]
-    norm: float
-    values: np.ndarray = field(repr=False)  # (k, m) outcome values, ascending, each row zero-padded to the widest
-    lagrange: np.ndarray = field(repr=False)  # (3, k, m) coefficients of each outcome's projector, zero on padding
-    levels: np.ndarray = field(repr=False)  # (n,) complex: the values the column phases take
-    codes: np.ndarray = field(repr=False)  # (k, d) uint8: phase[x] = levels[codes[x]], one observable per row
-    rows: np.ndarray = field(repr=False)  # (k, d) row of each column's nonzero, of type _row_dtype(d)
+    __slots__ = (
+        "names",
+        "norm",
+        "values",  # (k, m) outcome values, ascending, each row zero-padded to the widest
+        "lagrange",  # (3, k, m) coefficients of each outcome's projector, zero on padding
+        "levels",  # (n,) complex: the values the column phases take
+        "codes",  # (k, d) uint8: phase[x] = levels[codes[x]], one observable per row
+        "rows",  # (k, d) row of each column's nonzero, of type _row_dtype(d)
+    )
 
-    def __post_init__(self):
-        for array in (self.values, self.lagrange, self.levels, self.codes, self.rows):
+    def __init__(self, *fields):
+        _Record.__init__(self, *fields)
+        for array in fields[2:]:  # every array, read-only: a frame is shared by every run that asks for it
             array.setflags(write=False)
 
     @property
@@ -203,13 +204,11 @@ def _lagrange(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return lagrange
 
 
-@dataclass
-class ReconstructionResult:
-    estimate: DensityOperator
-    raw_estimate: np.ndarray  # unit trace by construction (see linear_inversion)
-    shots_per_observable: int
-    means: np.ndarray  # (k,) estimated expectation of each observable, in frame order
-    half_widths: np.ndarray  # (k,) normal-approximation half-width of each mean
+class ReconstructionResult(_Record):
+    """``raw_estimate`` has unit trace by construction (see linear_inversion); ``means`` and ``half_widths`` are
+    (k,): the estimated expectation of each observable, in frame order, and its normal-approximation half-width."""
+
+    __slots__ = ("estimate", "raw_estimate", "shots_per_observable", "means", "half_widths")
 
 
 def pauli_ic_set(n_qubits: int) -> Frame:
@@ -306,8 +305,7 @@ def estimate_expectations(sys: PSystem, ic: Frame, shots: int) -> tuple[np.ndarr
     return means, CONFIDENCE_Z * spreads / np.sqrt(shots)
 
 
-@dataclass(frozen=True)
-class _FrameTable:
+class _FrameTable(_Record):
     """The Born distributions of every observable of a frame on one or more states, one row each.
 
     The k rows of state s are rows s*k to s*k + k - 1 of ``cdf``.  A row with
@@ -315,8 +313,7 @@ class _FrameTable:
     padding is never drawn, so it adds nothing to a row's sums.
     """
 
-    frame: Frame
-    cdf: _CdfTable
+    __slots__ = ("frame", "cdf")
 
     @property
     def readouts(self) -> _FrameReadouts:

@@ -133,6 +133,21 @@ class TestFunctionRecovery:
         assert report.verdicts["truth_table"] == [1, 0, 0, 1]
         assert builds == [OracleSpec(2, (1, 0, 0, 1))]
 
+    def test_equal_specs_share_one_readout_cache_entry(self):
+        from pqt import protocols
+
+        protocols._post_oracle_readout.cache_clear()
+        try:
+            first = protocols._post_oracle_readout(OracleSpec(2, (1, 0, 0, 1), "balanced"))
+            second = protocols._post_oracle_readout(OracleSpec(2, [True, False, 0, 1.0], "balanced"))
+            info = protocols._post_oracle_readout.cache_info()
+        finally:
+            protocols._post_oracle_readout.cache_clear()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert second is first
+        assert OracleSpec(2, (1, 0, 0, 1)) != OracleSpec(2, (1, 0, 0, 1), "balanced")
+        assert len({OracleSpec(1, (0, 1)), OracleSpec(1, (0, 1)), OracleSpec(1, (1, 0))}) == 2
+
     def test_tiny_shot_budget_reports_ambiguity(self):
         with pytest.raises(ValueError, match="insufficient shots"):
             function_recovery(OracleSpec(2, (0, 0, 1, 1)), "passive", rng.stream(0, "fr/ambig"), shots=2)
@@ -272,6 +287,7 @@ class TestProperVsImproper:
         assert report.verdicts["verdict"] == "proper"
         assert report.verdicts["mean_purity"] >= 0.95
         assert all(entry["verdict"] == "proper" for entry in report.log)
+        assert report.purities.tolist() == [entry["purity"] for entry in report.log]  # the runner's table column
 
     def test_improper_verdict(self):
         report = proper_vs_improper(20, 10_000, rng.stream(42, "pvi/i"), purification=purify(self.average()))

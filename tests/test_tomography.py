@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +46,7 @@ from pqt.measurement import (
 from pqt.protocols import proper_vs_improper
 from pqt.tomography import (
     CONFIDENCE_Z,
+    Frame,
     _frame_table,
     _inversion_stack,
     _projection_stack,
@@ -335,7 +335,8 @@ def test_a_lifted_frame_wider_than_a_byte_reconstructs_as_with_intp_rows(monkeyp
     # d = 400: rows past 255 need a wider type than bytes, and the reduced state must not notice which.
     ic, lifted = _local_ic_set((2, 200))
     assert lifted.rows.dtype == np.uint16
-    reference = replace(lifted, rows=(ic.rows.astype(np.intp)[:, :, None] * 200 + np.arange(200)).reshape(len(ic), -1))
+    wide_rows = (ic.rows.astype(np.intp)[:, :, None] * 200 + np.arange(200)).reshape(len(ic), -1)
+    reference = Frame(lifted.names, lifted.norm, lifted.values, lifted.lagrange, lifted.levels, lifted.codes, wide_rows)
     np.testing.assert_array_equal(lifted.rows, reference.rows)
     state = random_pure_state(400, rng.stream(0, "lifted/wide/state"), shape=(2, 200))
     estimates = []
