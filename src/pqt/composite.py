@@ -21,12 +21,10 @@ import numpy as np
 from .hilbert import DensityOperator, SpectralDecomposition, State, StateVector, _Record
 from .measurement import (
     Observable,
-    OutcomeDistribution,
     PSystem,
     _cdf_counts,
     _cdf_table,
     _PairReadout,
-    _passive_counts,
     _Readout,
     born_distribution,
 )
@@ -172,8 +170,6 @@ def _joint_sample(
 
     ``readouts`` names the cells (a global device) or is the ``_PairReadout`` of the two local sides.
     """
-    if shots < 1:
-        raise ValueError("need at least one shot")
     counts = _cdf_counts(_cdf_table(probs.reshape(1, -1)), sys.rng, shots, readouts, sys.mode)[0]
     return JointFrequencyTable(a_obs.eigenvalues, b_obs.eigenvalues, counts.reshape(probs.shape), shots)
 
@@ -242,7 +238,7 @@ def reconstruct_reduced_single_copy(sys: PSystem, shots: int) -> DensityOperator
         raise ValueError("expected a bipartite system")
     ic, lifted = _local_ic_set(shape)
     table = _frame_table(lifted, sys.state)
-    counts = _passive_counts(sys, table.readouts, lifted.names, table.cdf, shots)
+    counts = _cdf_counts(table.cdf, sys.rng, shots, table.readouts, "passive")
     return DensityOperator._unchecked(_frame_estimates(counts, lifted.values, ic, shots)[0], (ic.dim,))
 
 
@@ -315,8 +311,7 @@ def signalling_check(
     without = born_distribution(lifted_b, state)
 
     if action in ("none", "passive-measure"):
-        # No state update in either case: same state, same marginal.
-        with_action = born_distribution(lifted_b, state)
+        with_action = without  # no state update in either case: same state, same marginal
     else:
         lifted_a = lift_local(LocalSetting("A", a_obs), shape)
         matrix = state.projector() if isinstance(state, StateVector) else state.matrix

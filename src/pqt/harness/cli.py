@@ -15,6 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from ..measurement import MODES
 from .config import SEED_LIMIT, ConfigError, check_mode, parse_config, read_integer
 from .runner import PROTOCOLS, list_protocols, run
 
@@ -30,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser = sub.add_parser("run", help="run an experiment config and emit its report")
     run_parser.add_argument("--config", required=True, help="path to a JSON config file")
     run_parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run_parser.add_argument("--mode", choices=("quantum", "passive"), default=None, help="override the mode")
+    run_parser.add_argument("--mode", choices=MODES, default=None, help="override the mode")
     run_parser.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
     run_parser.add_argument("--out", default=None, help="write the report here instead of stdout")
 

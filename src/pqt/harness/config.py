@@ -36,11 +36,10 @@ from ..hilbert import (
     plus_state,
     random_pure_state,
 )
-from ..measurement import PROBABILITY_SUM_TOL, Observable
+from ..measurement import MODES, PROBABILITY_SUM_TOL, Observable
 from ..protocols import MAX_ORACLE_BITS, PURE_AVERAGE_TOL, OracleSpec
 from ..tomography import MAX_IC_DIMENSION
 
-MODES = ("quantum", "passive")
 SEED_LIMIT = 2**64
 COUNT_LIMIT = 10**9  # exclusive bound on shots, trials and follow-up shots
 
@@ -136,24 +135,6 @@ class ExperimentConfig(_Record):
     __slots__ = ("name", "protocol", "mode", "shape", "initial_state", "observables", "shots", "trials", "seed")
     __slots__ += ("extras", "inputs")
 
-    def __init__(
-        self,
-        name: str,
-        protocol: str,
-        mode: str = "passive",
-        shape: tuple[int, ...] | None = None,
-        initial_state: object = None,
-        observables: list | None = None,
-        shots: int = 10_000,
-        trials: int = 1,
-        seed: int = 42,
-        extras: dict | None = None,
-        inputs: Inputs | None = None,
-    ):
-        observables, extras = [] if observables is None else observables, {} if extras is None else extras
-        fields = (name, protocol, mode, shape, initial_state, observables, shots, trials, seed, extras)
-        _Record.__init__(self, *fields, Inputs() if inputs is None else inputs)
-
     def __eq__(self, other) -> bool:
         return type(other) is ExperimentConfig and self._fields()[:-1] == other._fields()[:-1]
 
@@ -229,19 +210,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(key, f"must be one of {json.dumps(choices)}, got {json.dumps(extras[key])}")
     inputs = _resolve_inputs(raw["protocol"], spec, shape, raw.get("initial_state"), observables, extras, shots)
 
-    return ExperimentConfig(
-        name=raw["name"],
-        protocol=raw["protocol"],
-        mode=mode,
-        shape=shape,
-        initial_state=raw.get("initial_state"),
-        observables=observables,
-        shots=shots,
-        trials=trials,
-        seed=seed,
-        extras=extras,
-        inputs=inputs,
-    )
+    fields = (raw["name"], raw["protocol"], mode, shape, raw.get("initial_state"), observables, shots, trials, seed)
+    return ExperimentConfig(*fields, extras, inputs)
 
 
 def check_mode(protocol: str, spec, mode, fields: dict) -> None:

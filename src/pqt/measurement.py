@@ -14,7 +14,9 @@ into a new table without checking them again.  ``_cdf_index`` derives each
 row's CDF edges and turns one uniform per shot into that shot's outcome index
 by inverse CDF, and ``_cdf_counts`` draws the outcome counts of n shots of
 every row at once, as Multinomial(n, row), with one ``Generator.multinomial``
-call: neither its time nor its memory grows with n.
+call: neither its time nor its memory grows with n.  Every count of the
+library goes through ``_cdf_counts``, which refuses fewer than one shot before
+it draws.
 
 Both modes keep the Born rule, so both kernels refuse a drawn outcome of
 probability <= ``ZERO_PROBABILITY``, naming the least probable one of the first
@@ -31,8 +33,6 @@ and outcome values only when a refusal names that row.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 import numpy as np
 
@@ -171,8 +171,10 @@ def _cdf_counts(table: _CdfTable, rng: np.random.Generator, n: int, readouts, mo
     numpy leaves a row's rounding remainder on its last column; where that column has no
     weight (padding, or an impossible outcome), the remainder moves to the row's last
     outcome of positive weight.  A drawn outcome is refused as ``_cdf_index`` refuses it,
-    or as a ``_PairReadout`` refuses its cell.
+    or as a ``_PairReadout`` refuses its cell.  Fewer than one shot is refused before any draw.
     """
+    if n < 1:
+        raise ValueError("need at least one shot")
     counts = rng.multinomial(n, table.probabilities / table.totals)  # rows checked to 1e-10, numpy wants 1e-12
     stray = np.flatnonzero((counts[:, -1] > 0) & (table.probabilities[:, -1] == 0.0))
     last = table.probabilities.shape[1] - 1 - np.argmax(table.probabilities[stray, ::-1] > 0.0, axis=1)
@@ -232,7 +234,7 @@ class MeasurementRecord(_Record):
         return {value: int(count) for value, count in zip(self.eigenvalues, tally) if count}
 
 
-_MODES = ("quantum", "passive")
+MODES = ("quantum", "passive")
 
 
 class PSystem:
@@ -244,12 +246,11 @@ class PSystem:
     """
 
     def __init__(self, state: State, mode: str, rng: np.random.Generator):
-        if mode not in _MODES:
-            raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
         self.state = state
         self.mode = mode
         self.rng = rng
-        self.history: Counter[str] = Counter()  # shots per observable name
 
     @property
     def dim(self) -> int:
@@ -384,9 +385,7 @@ def _sample_and_update(sys: PSystem, obs: Observable) -> int:
 
 def measure(sys: PSystem, obs: Observable) -> float:
     """Measure once: sample an eigenvalue and apply the mode's update rule."""
-    index = _sample_and_update(sys, obs)
-    sys.history[obs.name] += 1
-    return obs.eigenvalues[index]
+    return obs.eigenvalues[_sample_and_update(sys, obs)]
 
 
 def repeated_measure(sys: PSystem, obs: Observable, n: int) -> MeasurementRecord:
@@ -404,22 +403,7 @@ def repeated_measure(sys: PSystem, obs: Observable, n: int) -> MeasurementRecord
         indices = born_distribution(obs, sys.state).sample_indices(sys.rng, n, obs, "passive")
     else:
         indices = np.fromiter((_sample_and_update(sys, obs) for _ in range(n)), dtype=np.intp, count=n)
-    sys.history[obs.name] += n
     return MeasurementRecord(obs.name, obs.eigenvalues, indices, sys.mode)
-
-
-def _passive_counts(sys: PSystem, readouts, names: tuple[str, ...], table: _CdfTable, n: int) -> np.ndarray:
-    """``(k, m)`` outcome counts of n passive measurements of each observable ``names[i]``, Born row i of ``table``.
-
-    History and the refusal of a drawn zero-probability outcome, named by
-    ``readouts[i]``, are those of one ``repeated_measure`` per observable in
-    turn; the counts are one multinomial draw.  The names are distinct.
-    """
-    if n < 1:
-        raise ValueError("need at least one shot")
-    counts = _cdf_counts(table, sys.rng, n, readouts, "passive")
-    sys.history.update(dict.fromkeys(names, n))
-    return counts
 
 
 def luders_map(rho: DensityOperator, projector: np.ndarray) -> tuple[np.ndarray, float]:

@@ -34,6 +34,7 @@ from .hilbert import (
     tensor,
 )
 from .measurement import (
+    MODES,
     PROBABILITY_SUM_TOL,
     ZERO_PROBABILITY,
     InsufficientShotsError,
@@ -43,7 +44,6 @@ from .measurement import (
     _cdf_counts,
     _cdf_index,
     _cdf_table,
-    _passive_counts,
     _PairReadout,
     _Readout,
     born_distribution,
@@ -452,7 +452,7 @@ def simulate_qt_with_pqt(
 
     if followup_obs is not None and followup_shots > 0:
         simulated = born_distribution(followup_obs, sys.state).cdf
-        sim_counts = _passive_counts(sys, (followup_obs,), (followup_obs.name,), simulated, followup_shots)
+        sim_counts = _cdf_counts(simulated, sys.rng, followup_shots, (followup_obs,), "passive")
         reference = born_distribution(followup_obs, collapse_update(state_before, obs, outcome_index)).cdf
         ref_counts = _cdf_counts(reference, sys.rng, followup_shots, (followup_obs,), "quantum")
         tv = 0.5 * float(np.abs(sim_counts - ref_counts).sum()) / followup_shots
@@ -481,7 +481,7 @@ def teleportation_fidelities(inputs: np.ndarray, mode: str, rng: np.random.Gener
     unchanged block.  Each branch's fidelity is taken after its Pauli
     correction and weighted by its probability.
     """
-    if mode not in ("quantum", "passive"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     rows = len(inputs)
     block = (inputs[:, :, None, None] * _SHARED_PAIR).reshape(rows, 4, 2)
@@ -545,7 +545,7 @@ def repeatability_experiment(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if mode not in ("quantum", "passive"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     first = born_distribution(obs, state).probabilities
     if mode == "passive":  # the state never updates: the pair's outcomes are independent Born draws

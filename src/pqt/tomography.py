@@ -70,10 +70,10 @@ from .measurement import (
     InsufficientShotsError,
     Observable,
     PSystem,
+    _cdf_counts,
     _cdf_table,
     _CdfTable,
     _FrameReadouts,
-    _passive_counts,
     born_distribution,
 )
 
@@ -342,14 +342,14 @@ def _frame_means(counts: np.ndarray, values: np.ndarray, shots: int) -> np.ndarr
 def _sample_frame(sys: PSystem, table: _FrameTable, shots: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean and population standard deviation of ``shots`` passive draws of every row.
 
-    Rows are drawn and counted by ``_passive_counts`` in frame order.  From the counts
+    Rows are drawn and counted by ``_cdf_counts`` in frame order.  From the counts
     c_j of a row's values v_j, mean = sum_j c_j v_j / shots and spread =
     sqrt(sum_j c_j (v_j - mean)^2 / shots).  A Pauli mean is exact, so it equals
     ``np.mean`` of the outcomes; other means and the spreads can differ from
     ``np.mean`` and ``np.std`` in the last bits, as their sums run in another order.
     """
     values = table.frame.values
-    counts = _passive_counts(sys, table.readouts, table.frame.names, table.cdf, shots)
+    counts = _cdf_counts(table.cdf, sys.rng, shots, table.readouts, "passive")
     means = _frame_means(counts, values, shots)
     return means, np.sqrt((counts * (values - means[:, None]) ** 2).sum(axis=1) / shots)
 
@@ -461,5 +461,5 @@ def estimate_spectrum(sys: PSystem, obs: Observable, shots: int) -> list[float]:
     """
     if sys.mode != "passive":
         raise ValueError("spectrum estimation by repetition requires passive mode")
-    drawn = np.flatnonzero(_passive_counts(sys, (obs,), (obs.name,), born_distribution(obs, sys.state).cdf, shots)[0])
+    drawn = np.flatnonzero(_cdf_counts(born_distribution(obs, sys.state).cdf, sys.rng, shots, (obs,), "passive")[0])
     return sorted(obs.eigenvalues[index] for index in drawn.tolist())

@@ -35,7 +35,8 @@ from pqt.hilbert import (
     random_pure_state,
     tensor,
 )
-from pqt.measurement import Observable, PSystem, born_distribution, measure
+from pqt.measurement import Observable, PSystem, _cdf_counts, _cdf_table, born_distribution, measure
+from pqt.tomography import estimate_expectations, estimate_spectrum, pauli_ic_set
 
 Z = Observable("Z", PAULI_Z)
 X = Observable("X", PAULI_X)
@@ -160,14 +161,23 @@ def nearly_zero(weight):
     return StateVector([np.sqrt(1.0 - weight), np.sqrt(weight)])
 
 
-@pytest.mark.parametrize("sampler", ["local-passive", "global"])
+# Every count goes through the one counting kernel, which refuses zero shots before it draws.
+ZERO_SHOT_COUNTS = {
+    "local-passive": lambda sys: local_passive_joint_sample(sys, LocalSetting("A", Z), LocalSetting("B", Z), 0),
+    "global": lambda sys: global_joint_sample(sys, Z, Z, 0),
+    "estimate_expectations": lambda sys: estimate_expectations(sys, pauli_ic_set(2), 0),
+    "estimate_spectrum": lambda sys: estimate_spectrum(sys, lift_local(LocalSetting("A", Z), (2, 2)), 0),
+    "reconstruct_reduced_single_copy": lambda sys: reconstruct_reduced_single_copy(sys, 0),
+    "_cdf_counts": lambda sys: _cdf_counts(_cdf_table(np.full((1, 4), 0.25)), sys.rng, 0, None, None),
+}
+
+
+@pytest.mark.parametrize("sampler", ZERO_SHOT_COUNTS)
 def test_joint_samplers_need_at_least_one_shot(sampler):
     sys = PSystem(bell_state("phi+"), "passive", rng.stream(0, "joint/none"))
     with pytest.raises(ValueError, match="at least one shot"):
-        if sampler == "global":
-            global_joint_sample(sys, Z, Z, 0)
-        else:
-            local_passive_joint_sample(sys, LocalSetting("A", Z), LocalSetting("B", Z), 0)
+        ZERO_SHOT_COUNTS[sampler](sys)
+    assert position(sys.rng) == position(rng.stream(0, "joint/none"))
 
 
 class TestJointSamplersRefuseImpossibleDraws:

@@ -23,7 +23,7 @@ from pqt.harness import (
 )
 from pqt.harness import config as config_module, runner as runner_module
 from pqt.harness.cli import main
-from pqt.harness.config import ExperimentConfig, resolve_state
+from pqt.harness.config import Inputs, resolve_state
 from pqt.harness.report import Report
 from pqt.harness.runner import PROTOCOLS
 from pqt.hilbert import plus_state
@@ -129,7 +129,7 @@ class TestParseConfig:
         first, second = parse_config(EXAMPLE), parse_config(EXAMPLE)
         assert first.inputs is not second.inputs and first.inputs.observables[0] is not second.inputs.observables[0]
         assert first == second
-        second.inputs = ExperimentConfig("blank", "repeatability").inputs
+        second.inputs = Inputs()
         assert first == second
         second.seed += 1
         assert first != second

@@ -223,14 +223,6 @@ class TestMeasure:
         sequence_b = [measure(PSystem(plus_state(), "passive", rng.stream(11, f"replay/{i}")), Z) for i in range(8)]
         assert sequence_a == sequence_b
 
-    def test_history_records(self):
-        sys = PSystem(plus_state(), "passive", rng.stream(2, "m"))
-        measure(sys, Z)
-        assert sys.history == {"Z": 1}
-        record = repeated_measure(sys, Z, 3)
-        assert (record.observable, record.shots, record.mode) == ("Z", 3, "passive")
-        assert sys.history == {"Z": 4}
-
     def test_replace_state_guards_dimension(self):
         sys = PSystem(plus_state(), "passive", rng.stream(3, "m"))
         with pytest.raises(ValueError, match="different dimension"):
@@ -270,12 +262,10 @@ class TestRepeatedMeasure:
         loop = [measure(loop_sys, Z) for _ in range(50)]
         assert batch.tolist() == loop
 
-    def test_history_keeps_one_count_per_observable(self):
+    def test_record_counts_match_its_outcomes(self):
         sys = PSystem(plus_state(), "passive", rng.stream(12, "rep/history"))
         record = repeated_measure(sys, Z, 10**6)
-        repeated_measure(sys, X, 10)
-        assert sys.history == {"Z": 10**6, "X": 10}
-        assert all(type(count) is int for count in sys.history.values())
+        assert (record.observable, record.shots, record.mode) == ("Z", 10**6, "passive")
         counts = record.counts()
         assert sum(counts.values()) == 10**6
         assert counts[1.0] == int(np.sum(record.outcomes == 1.0))
