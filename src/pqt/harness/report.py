@@ -8,10 +8,18 @@ byte-identical serializations, which golden-file tests rely on.
 ``json.dumps(..., sort_keys=True, indent=2, allow_nan=False)``; the
 payload is that text read back.  Config, metrics and verdicts are written
 by one recursive writer.  A table holds its cells as columns and is
-written a column at a time under the same 12-digit rule: each column's
-cell texts come from one pass over it (strings, ints and floats each in
-bulk, any other column cell by cell), and the texts go into the output
-row by row, interleaved with the separators that lay them out.
+written a column at a time under the same 12-digit rule: strings and
+ints each in one pass, any other column but floats cell by cell, and the
+texts go into the output row by row, interleaved with the separators
+that lay them out.  A float column is formatted in one ``%`` pass over
+its values; from ``_GROUPED_MIN_CELLS`` (64) cells on, over its distinct
+values only.  Such a column is grouped by each value's 64 bits (so
+``0.0`` and ``-0.0`` stay apart), and each distinct value's text is
+mapped back to every cell that holds it.  Columns built from counts
+repeat: the 4095-cell ``mean`` column of a 6-qubit reconstruction holds a
+few hundred distinct values and is written about six times faster
+grouped.  Shorter columns skip the grouping, whose fixed cost they
+would not win back (see ``_GROUPED_MIN_CELLS``).
 
 Wall-clock time is kept on the report object but stays outside the
 canonical serialization (it would break byte-identity); the CLI prints
@@ -116,18 +124,49 @@ def _json_text(value, indent: str) -> str:
     return "".join(parts)
 
 
-def _float_texts(cells: list) -> list[str]:
+# Float columns this long or longer are grouped by value before formatting.  Measured on a 2-core shared host
+# (numpy 2.4.6, least of 9 rounds), one pass against grouped: at 16 cells grouping lost even with 4 distinct
+# values (7.2 against 10.0 us); at 64 cells it won once at most half the values were distinct (32 distinct:
+# 21.6 against 20.4 us; 10 distinct: 21.7 against 13.4 us), and lost by ~50% where none repeat (22.2 against 33.5).
+_GROUPED_MIN_CELLS = 64
+
+
+def _bulk_float_texts(cells: list) -> list[str]:
     """``_float_text`` of each cell: one ``%.12g`` pass, the full rule only where that text is not final."""
-    texts = list(map("%.12g".__mod__, cells))
+    texts = ("%.12g\x00" * len(cells) % tuple(cells)).split("\x00")
+    texts.pop()  # the empty text after the last separator
     # "%.12g" text is final when it has a "." and no exponent; nan and inf have no ".".
     for i in [i for i, text in enumerate(texts) if "." not in text or "e" in text]:
         texts[i] = _float_text(cells[i])
     return texts
 
 
+def _float_texts(cells) -> list[str]:
+    """``_float_text`` of each cell of a float list or 1-D float64 array, each distinct value formatted once.
+
+    Values are distinct by their 64 bits, so ``0.0`` and ``-0.0`` keep their own texts.
+    """
+    n = len(cells)
+    if n < _GROUPED_MIN_CELLS:
+        return _bulk_float_texts(cells.tolist() if isinstance(cells, np.ndarray) else cells)
+    values = np.asarray(cells, dtype=np.float64)
+    bits = values.view(np.int64)
+    order = bits.argsort()
+    ranked = bits[order]
+    first = np.empty(n, dtype=bool)  # where each run of equal bits starts, in sorted order
+    first[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    inverse = np.empty(n, dtype=np.intp)  # each cell's run
+    inverse[order] = first.cumsum() - 1
+    texts = _bulk_float_texts(values[order[first]].tolist())
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
 def _column_texts(cells, indent: str) -> list[str]:
     """The JSON text of each cell of one column, nested at ``indent``."""
     if isinstance(cells, np.ndarray):
+        if cells.dtype == np.float64 and cells.ndim == 1:
+            return _float_texts(cells)
         cells = cells.tolist()
     kinds = set(map(type, cells))
     if kinds <= {str}:

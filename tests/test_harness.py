@@ -24,7 +24,7 @@ from pqt.harness import (
 from pqt.harness import config as config_module, runner as runner_module
 from pqt.harness.cli import main
 from pqt.harness.config import Inputs, resolve_state
-from pqt.harness.report import Report
+from pqt.harness.report import _GROUPED_MIN_CELLS, Report
 from pqt.harness.runner import PROTOCOLS
 from pqt.hilbert import plus_state
 
@@ -204,11 +204,23 @@ def _dumped(report: Report) -> str:
     return json.dumps(_canonical(fields), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of ``text``, ends kept.
+
+    Two long texts compared as lines fail at once, naming the first line that differs; pytest's diff of
+    the two strings takes ~30 s for a 256-row table, and minutes when hypothesis shrinks a failing column.
+    """
+    return text.splitlines(keepends=True)
+
+
 # Floats at the edges of the 12-digit rule: texts with no "." or with an exponent, extremes, and
 # values just off an integer that round to one (12345678901.04 is written 12345678901.0).
 EDGE_FLOATS = [-0.0, 0.0, 100.0, -7.0, 1e-5, 1e-4, 1e11, 1e12, 1e16, 999999999999.5, 12345678901.04, 5e-324]
 EDGE_FLOATS += [1.7976931348623157e308, 99999999999.99, 0.000099999999999999, 1234567890123.0, 1 / 3, -2.5e-7]
 EDGE_FLOATS += [-value for value in EDGE_FLOATS]
+
+# Long enough to be grouped by value: 0.0 and -0.0 must keep their own texts.
+SIGNED_ZEROS = [0.0, -0.0, 1.0, 1e-7] * _GROUPED_MIN_CELLS
 
 # Values near an integer at every magnitude, with the offsets that decide whether 12 digits keep a ".".
 near_integral_floats = st.builds(
@@ -217,6 +229,21 @@ near_integral_floats = st.builds(
     st.integers(-12, 20),
     st.sampled_from([0.0, 1e-12, -1e-9, 1e-6, 0.04, -0.04, 0.5, -0.5]),
 )
+
+
+@st.composite
+def repeated_float_columns(draw):
+    """A column of up to ~5000 cells drawn from a few values, 0.0 and -0.0 among them, so that values repeat."""
+    pool = [0.0, -0.0] + draw(
+        st.lists(
+            st.one_of(st.floats(allow_nan=False, allow_infinity=False), near_integral_floats, st.sampled_from(EDGE_FLOATS)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    length = draw(st.integers(_GROUPED_MIN_CELLS - 4, _GROUPED_MIN_CELLS + 4) | st.integers(len(pool), 5000))
+    picks = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(len(pool), size=length)
+    return [pool[i] for i in picks[: length - len(pool)].tolist()] + pool  # every pool value at least once
 
 
 class _Level(enum.IntEnum):
@@ -289,29 +316,38 @@ class TestReportJson:
             (["x", "y"], [np.array([]), ()]),
             (["edge"], [EDGE_FLOATS]),
             (["edge", "array"], [[np.float64(value) for value in EDGE_FLOATS], np.array(EDGE_FLOATS)]),
+            (["list", "array"], [SIGNED_ZEROS, np.array(SIGNED_ZEROS)]),
+            # Only 1-D float64 arrays take the grouped path: a 2-D array's cells are its rows, as nested lists.
+            (["pairs"], [np.array(SIGNED_ZEROS).reshape(-1, 2)]),
+            (["f32"], [np.array(SIGNED_ZEROS, dtype=np.float32)]),
         ],
         ids=[
             "str", "int", "bool-none", "float-float64", "int64-float32", "mixed", "nested",
             "arrays", "one-row", "empty", "empty-arrays", "edge-floats", "edge-float64",
+            "long-signed-zeros", "2d-float64", "float32-array",
         ],
     )
     def test_equals_json_dumps_of_the_rows(self, columns, cells):
         report = _report(tables={"t": (columns, cells), "other": (["k"], [[1]])})
-        assert report.to_json() == _dumped(report)
+        assert _lines(report.to_json()) == _lines(_dumped(report))
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         values=st.lists(
             st.one_of(st.floats(allow_nan=False, allow_infinity=False), near_integral_floats), max_size=300
         )
+        | repeated_float_columns()
     )
     def test_any_float_column(self, values):
         report = _report(tables={"t": (["list", "array"], [values, np.array(values, dtype=float)])})
-        assert report.to_json() == _dumped(report)
+        assert _lines(report.to_json()) == _lines(_dumped(report))
 
     @pytest.mark.parametrize(
         "column",
-        [[math.nan], [1.0, math.inf], [-math.inf, 0.5], [np.float64(np.nan)], np.array([0.0, np.nan]), [1, math.nan]],
+        [
+            [math.nan], [1.0, math.inf], [-math.inf, 0.5], [np.float64(np.nan)], np.array([0.0, np.nan]), [1, math.nan],
+            np.array([0.5, 0.25] * 250 + [math.nan, math.inf]),
+        ],
     )
     def test_non_finite_cells_raise(self, column):
         report = _report(tables={"t": (["x"], [column])})
