@@ -1,7 +1,8 @@
 """Bipartite machinery: local vs. global measurements and their statistics.
 
-A local observable acts on one subsystem only and is lifted to the full
-space as A tensor I (or I tensor B).  Without collapse, two local
+A local observable O acts on one subsystem only: O tensor I has the
+statistics of O on the reduced state Tr_B rho, so local statistics are
+read from the reduced states.  Without collapse, two local
 passive measurements cannot become correlated, so their joint table is
 the product of the marginals; joint outcome probabilities
 Tr[(P_a tensor Q_b) rho] are only accessible to a single global device.
@@ -18,7 +19,7 @@ import itertools
 
 import numpy as np
 
-from .hilbert import DensityOperator, SpectralDecomposition, State, StateVector, _Record
+from .hilbert import DensityOperator, SpectralDecomposition, State, StateVector, _Record, partial_trace
 from .measurement import (
     Observable,
     PSystem,
@@ -28,7 +29,7 @@ from .measurement import (
     _Readout,
     born_distribution,
 )
-from .tomography import Frame, _frame_estimates, _frame_table, _row_dtype, hermitian_basis_ic_set
+from .tomography import Frame, hermitian_basis_ic_set, reconstruct_single_copy
 
 PURITY_PRODUCT_THRESHOLD = 0.95
 PURITY_ENTANGLED_THRESHOLD = 0.90
@@ -102,12 +103,25 @@ def joint_distribution_local_passive(state: State, a_obs: Observable, b_obs: Obs
     """Analytic joint table of two independent local passive measurements.
 
     Passive measurements do not correlate the sides, so the table is the
-    product of the two lifted marginals.
+    product of the two local marginals.
+    """
+    return np.outer(*_local_marginals(state, a_obs, b_obs))
+
+
+def _local_marginals(state: State, a_obs: Observable, b_obs: Observable) -> tuple[np.ndarray, np.ndarray]:
+    """Born probabilities of ``a_obs`` on side A and ``b_obs`` on side B, from the two reduced states.
+
+    Refused as ``lift_local`` refuses the two sides: a state that is not
+    bipartite, or an observable of another dimension than its side.
     """
     shape = state.shape
-    marg_a = born_distribution(lift_local(LocalSetting("A", a_obs), shape), state)
-    marg_b = born_distribution(lift_local(LocalSetting("B", b_obs), shape), state)
-    return np.outer(marg_a.probabilities, marg_b.probabilities)
+    if len(shape) != 2:
+        raise ValueError(f"expected a bipartite shape, got {shape}")
+    sides = (a_obs, b_obs)
+    for side, obs, dim in zip("AB", sides, shape):
+        if obs.dim != dim:
+            raise ValueError(f"observable dimension {obs.dim} does not match subsystem {side} ({dim})")
+    return tuple(born_distribution(obs, partial_trace(state, keep)).probabilities for keep, obs in enumerate(sides))
 
 
 def global_joint_sample(
@@ -143,10 +157,9 @@ def local_passive_joint_sample(
 
     Without collapse the first local measurement cannot steer the
     second, so the shots' (a, b) pairs are counted over the row-major
-    grid of the product of the Born distributions of
-    A tensor I and I tensor B (the table of
+    grid of the product of the two local marginals (the table of
     ``joint_distribution_local_passive``).  A drawn pair is refused as
-    measuring the lifted observable of either side alone would refuse it.
+    measuring A tensor I or I tensor B alone would refuse it.
     """
     if sys.mode != "passive":
         raise ValueError(
@@ -155,12 +168,11 @@ def local_passive_joint_sample(
         )
     if a_setting.side != "A" or b_setting.side != "B":
         raise ValueError("expected one setting for side A and one for side B")
-    shape = sys.state.shape
-    lifted_a, lifted_b = lift_local(a_setting, shape), lift_local(b_setting, shape)
-    marg_a = born_distribution(lifted_a, sys.state).probabilities
-    marg_b = born_distribution(lifted_b, sys.state).probabilities
-    pair = _PairReadout((lifted_a, lifted_b), marg_a, marg_b)
-    return _joint_sample(sys, lifted_a, lifted_b, np.outer(marg_a, marg_b), shots, pair)
+    a_obs, b_obs = a_setting.observable, b_setting.observable
+    marg_a, marg_b = _local_marginals(sys.state, a_obs, b_obs)
+    sides = (_Readout(f"{a_obs.name}xI", a_obs.eigenvalues), _Readout(f"Ix{b_obs.name}", b_obs.eigenvalues))
+    pair = _PairReadout(sides, marg_a, marg_b)
+    return _joint_sample(sys, a_obs, b_obs, np.outer(marg_a, marg_b), shots, pair)
 
 
 def _joint_sample(
@@ -227,37 +239,25 @@ class EntanglementVerdict(_Record):
 def reconstruct_reduced_single_copy(sys: PSystem, shots: int) -> DensityOperator:
     """Estimate the reduced state of side A using local measurements only.
 
-    Every observable of an IC set on subsystem A is lifted to A tensor I
-    and measured ``shots`` times on the one passive system; the reduced
-    state follows by linear inversion and physicality projection.
+    Every observable O of side A's Gell-Mann frame is measured as
+    O tensor I, ``shots`` times on the one passive system: its statistics
+    are those of O on the reduced state, which follows by linear inversion
+    and physicality projection.
     """
     if sys.mode != "passive":
         raise ValueError("single-copy reconstruction requires passive mode")
     shape = sys.state.shape
     if len(shape) != 2:
         raise ValueError("expected a bipartite system")
-    ic, lifted = _local_ic_set(shape)
-    table = _frame_table(lifted, sys.state)
-    counts = _cdf_counts(table.cdf, sys.rng, shots, table.readouts, "passive")
-    return DensityOperator._unchecked(_frame_estimates(counts, lifted.values, ic, shots)[0], (ic.dim,))
+    reduced = PSystem(partial_trace(sys.state, 0), "passive", sys.rng)
+    return reconstruct_single_copy(reduced, _local_ic_set(shape[0]), shots).estimate
 
 
 @functools.lru_cache(maxsize=8)
-def _local_ic_set(shape: tuple[int, int]) -> tuple[Frame, Frame]:
-    """Gell-Mann frame of side A and its lift to A tensor I, built once per shape (both are immutable).
-
-    (O tensor I)|a b> = phase[a] |rows[a] b>: the lift repeats each column's
-    phase code d_B times, keeps the levels, and O tensor I has the outcomes
-    and projector coefficients of O.  The lifted rows rows[a] d_B + b are
-    computed in the row type of d_A d_B, which holds every one of them.
-    """
-    ic = hermitian_basis_ic_set(shape[0])
-    dim_b = shape[1]
-    dtype = _row_dtype(ic.dim * dim_b)
-    rows = (ic.rows.astype(dtype)[:, :, None] * dtype.type(dim_b) + np.arange(dim_b, dtype=dtype)).reshape(len(ic), -1)
-    names = tuple(f"{name}xI" for name in ic.names)
-    codes = np.repeat(ic.codes, dim_b, axis=1)
-    return ic, Frame(names, ic.norm * dim_b, ic.values, ic.lagrange, ic.levels, codes, rows)
+def _local_ic_set(dim_a: int) -> Frame:
+    """The Gell-Mann frame of side A, each name suffixed ``xI`` for the A tensor I it is measured as; built once per dimension."""
+    ic = hermitian_basis_ic_set(dim_a)
+    return Frame(tuple(f"{name}xI" for name in ic.names), ic.norm, ic.values, ic.lagrange, ic.levels, ic.codes, ic.rows)
 
 
 def detect_entanglement_single_copy(sys: PSystem, shots: int) -> EntanglementVerdict:

@@ -90,6 +90,13 @@ class ConfigError(ValueError):
         super().__init__(f"config field {field!r}: {message}")
 
 
+def refuse_unknown_keys(spec: dict, known: tuple[str, ...], field: str) -> None:
+    """Refuse the first key of the object ``field`` that is not in ``known``, naming it as ``field.key``."""
+    for key in spec:
+        if key not in known:
+            raise ConfigError(f"{field}.{key}", f"unknown field; expected one of {known}")
+
+
 def read_integer(value, field: str, low: int, high: float = math.inf) -> int:
     """Read an integral number in [low, high); strings, booleans and fractions are refused."""
     if isinstance(value, float) and value.is_integer():
@@ -180,6 +187,8 @@ def parse_config(text: str) -> ExperimentConfig:
     check_mode(raw["protocol"], spec, mode, raw)
 
     shape = None
+    if "shape" in raw and "dimension" in raw:
+        raise ConfigError("dimension", "give 'shape' or 'dimension', not both")
     if "shape" in raw:
         entries = raw["shape"]
         if not isinstance(entries, list) or not entries:
@@ -439,6 +448,7 @@ def resolve_oracle(spec, promise_required: bool = False) -> OracleSpec:
     """Turn ``{"n": ..., "truth_table": [bits], "promise": ...}`` into an OracleSpec."""
     if not isinstance(spec, dict) or "n" not in spec or "truth_table" not in spec:
         raise ConfigError("oracle", "expected an object with 'n' and 'truth_table'")
+    refuse_unknown_keys(spec, ("n", "truth_table", "promise"), "oracle")
     n = spec["n"] = read_integer(spec["n"], "oracle.n", 1, MAX_ORACLE_BITS + 1)
     table = spec["truth_table"]
     if not isinstance(table, list) or len(table) != 2**n:
@@ -515,6 +525,7 @@ def resolve_observable(spec, field: str = "observables[0]") -> Observable:
         raise ConfigError(field, f"unknown observable preset {spec!r}")
 
     if isinstance(spec, dict):
+        refuse_unknown_keys(spec, ("name", "matrix"), field)
         if "matrix" not in spec:
             raise ConfigError(field, "explicit observable needs a 'matrix' entry")
         try:

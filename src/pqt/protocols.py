@@ -370,8 +370,8 @@ def proper_vs_improper(
         table = _frame_table(ic, *(state for state, _ in mixture))
         drawn = _cdf_index(members, rng.random(trials), readouts=None, mode=None)
     else:
-        ic, lifted = _local_ic_set(purification.shape)
-        table = _frame_table(lifted, purification)
+        ic = _local_ic_set(average.dim)
+        table = _frame_table(ic, average)
         drawn = np.zeros(trials, dtype=np.intp)
 
     values, readouts = table.frame.values, table.readouts  # gathered row r names readout r % k

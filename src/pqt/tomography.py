@@ -19,12 +19,11 @@ Every frame is one :class:`Frame`: ``(k, d)`` arrays of phase codes and
 rows, O|x> = phase[x] |rows[x]> with phase[x] = levels[codes[x]], one
 observable per row, with the ``(k, m)`` outcome ``values`` and ``names``.
 A Pauli string and a generalised Gell-Mann matrix both have at most one
-nonzero per column, and so does a frame lifted to A tensor I, so no
-observable has an object, a dense matrix or a projector of its own.  Each
-has at most three outcomes, so the projector onto each is a Lagrange
-polynomial in O, c0 + c1 O + c2 O^2, and its Born probability is
-c0 + c1 <O> + c2 <O^2>: one array expression per block of observables,
-O(d) each, since O^2 is diagonal with entries |phase[x]|^2.  Linear
+nonzero per column, so no observable has an object, a dense matrix or a
+projector of its own.  Each has at most three outcomes, so the projector
+onto each is a Lagrange polynomial in O, c0 + c1 O + c2 O^2, and its Born
+probability is c0 + c1 <O> + c2 <O^2>: one array expression per block of
+observables, O(d) each, since O^2 is diagonal with entries |phase[x]|^2.  Linear
 inversion adds term k to the d entries (rows[k, x], x) with one
 unbuffered ``np.add.at`` per block, so every entry takes its terms in frame
 order, with the bits of the dense sum.  Inversion adds to a stack of matrices at once, one per row
@@ -35,7 +34,7 @@ half-widths aligned with ``names``.
 
 The phases take few values: the eight products i^y (+1 or -1) in a Pauli
 frame, 2d + 2 in a Gell-Mann frame.  So each is a byte code into the
-frame's ``levels``, and rows are bytes up to d = 256: the 6-qubit Pauli
+frame's ``levels``, and rows are bytes, as d <= 64: the 6-qubit Pauli
 frame holds 0.52 MB of codes and rows, not 6.3 MB of complex phases and
 ``intp`` rows.  Every phase is the same complex number looked up from the
 table, so Born rows and inversions keep their bits.  Entry indices are
@@ -47,10 +46,9 @@ frame's Born rows on each state are checked once into one CDF table (see
 counts of ``shots`` measurements in one multinomial draw, and each row's
 mean and spread are computed from its counts.  Neither time nor memory
 grows with ``shots``.  Rows for a block of trials are gathered from the
-checked table, never checked again.  Counts become estimates by one path,
+checked table, never checked again.  The counts of a block of trials become
 ``_frame_estimates``: a ``(T, d, d)`` stack of physical estimates, of which
-a reduced-state reconstruction takes its one slice and proper-vs-improper
-each slice's purity.
+proper-vs-improper takes each slice's purity.
 
 Statistical noise can push the raw estimate outside the state set, so a
 Euclidean projection onto the probability simplex of its spectrum
@@ -84,17 +82,12 @@ MAX_IC_DIMENSION = 64
 _BORN_BLOCK_ENTRIES = 2**12
 
 
-def _row_dtype(dim: int) -> np.dtype:
-    """The smallest unsigned type that holds every row index below ``dim``: bytes up to d = 256, then wider."""
-    return np.min_scalar_type(dim - 1)
-
-
 class Frame(_Record):
     """Traceless observables with at most one nonzero per column, one per row of ``(k, d)`` arrays: O|x> = phase[x] |rows[x]>.
 
     The phases take few distinct values, so a frame holds them as ``levels``
-    and byte ``codes``, phase[x] = levels[codes[x]]; ``rows`` holds bytes up to
-    d = 256 (``_row_dtype``), and every entry index is computed in ``intp``.
+    and byte ``codes``, phase[x] = levels[codes[x]]; ``rows`` holds bytes, and
+    every entry index is computed in ``intp``.
     A column with no nonzero has phase 0 and row x.  Each observable has at
     most three outcomes, so each outcome's projector is a Lagrange polynomial
     in O: P_j = c0 + c1 O + c2 O^2, with (c0, c1, c2) the ``lagrange``
@@ -108,7 +101,7 @@ class Frame(_Record):
         "lagrange",  # (3, k, m) coefficients of each outcome's projector, zero on padding
         "levels",  # (n,) complex: the values the column phases take
         "codes",  # (k, d) uint8: phase[x] = levels[codes[x]], one observable per row
-        "rows",  # (k, d) row of each column's nonzero, of type _row_dtype(d)
+        "rows",  # (k, d) uint8: row of each column's nonzero
     )
 
     def __init__(self, *fields):
@@ -270,7 +263,7 @@ def hermitian_basis_ic_set(dim: int) -> Frame:
     codes[anti, low], codes[anti, high] = 2, 3
     level = ls[:, None]  # diag_l takes plus[l - 1] (code 3 + l) left of column l and minus[l - 1] (code 2 + d + l) at it
     codes[diag] = np.where(columns < level, 3 + level, np.where(columns == level, 2 + dim + level, 0))
-    rows = np.tile(columns.astype(_row_dtype(dim)), (len(codes), 1))
+    rows = np.tile(columns.astype(np.uint8), (len(codes), 1))
     for members in (sym, anti):
         rows[members, low], rows[members, high] = high, low
     return Frame(tuple(names), 1.0, values, lagrange, levels, codes, rows)
@@ -357,10 +350,9 @@ def _sample_frame(sys: PSystem, table: _FrameTable, shots: int) -> tuple[np.ndar
 def _frame_estimates(counts: np.ndarray, values: np.ndarray, ic: Frame, shots: int) -> np.ndarray:
     """The physical estimate of each trial, a ``(T, d, d)`` stack, from ``(T * k, m)`` counts of ``shots`` per row.
 
-    Trial t holds rows t*k to t*k + k - 1, one per observable of ``ic`` (or
-    of its lift to a larger space) with the outcome values of that row of
-    ``values``.  Each estimate is ``project_to_physical(linear_inversion(means, ic))``
-    of its trial's means, bit for bit.
+    Trial t holds rows t*k to t*k + k - 1, one per observable of ``ic``, with
+    the outcome values of that row of ``values``.  Each estimate is
+    ``project_to_physical(linear_inversion(means, ic))`` of its trial's means, bit for bit.
     """
     means = _frame_means(counts.reshape(-1, *values.shape), values, shots)
     return _projection_stack(_inversion_stack(means, ic))

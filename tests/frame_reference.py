@@ -1,11 +1,12 @@
 """Dense references for frames: every observable made from its name alone, and measured on its own.
 
-A frame's names say what each observable is: a Pauli label, a generalised
+A frame's names say what each observable is: a Pauli label, or a generalised
 Gell-Mann name (``symj_k``, ``antij_k``, ``diagl``, whose dense matrices
-``_gell_mann_family`` defines), or a side-A name with ``xI`` appended for its
-lift to A tensor I.  ``frame_matrices`` gives each observable's dense matrix,
-and ``frame_observables`` an object to measure it with, so a test can compare
-the library's whole-frame arrays with the dense definitions.
+``_gell_mann_family`` defines), with ``xI`` appended when it is side A's
+observable, measured as A tensor I.  ``frame_matrices`` gives each
+observable's dense matrix, and ``frame_observables`` an object to measure it
+with (for a side-A frame, its ``lift_local`` to the whole bipartite space), so
+a test can compare the library's whole-frame arrays with the dense definitions.
 
 A :class:`ReferencePauliString` holds one string's bit-flip mask, column
 phases and rows x ^ x_mask, built from ``hilbert.pauli_phases(label)``.  Its
@@ -16,7 +17,6 @@ the ``name``, ``dim``, ``eigenvalues`` and ``outcome_probabilities`` that
 """
 
 import functools
-import math
 
 import numpy as np
 
@@ -77,30 +77,28 @@ def _gell_mann_matrices(dim):
     return dict(_gell_mann_family(dim))
 
 
-def _by_name(ic, pauli, gell_mann, lift):
+def _by_name(ic, pauli, gell_mann, lift=None):
     """One reference per observable of ``ic``, in frame order, chosen by its name alone.
 
-    A frame of k observables acts on side A of dimension sqrt(k + 1), which
-    is the whole space unless the names carry the lift suffix ``xI``.
+    A name with the suffix ``xI`` is side A's observable: ``lift`` makes the
+    reference of A tensor I from that of side A.
     """
-    dim_a = math.isqrt(len(ic) + 1)
-    shape = (dim_a, ic.dim // dim_a)
 
     def reference(name):
         if name.endswith("xI"):
-            return lift(reference(name[:-2]), shape)
+            return lift(reference(name[:-2]))
         if set(name) <= set("IXYZ"):
             return pauli(name)
-        return gell_mann(name, _gell_mann_matrices(dim_a)[name])
+        return gell_mann(name, _gell_mann_matrices(ic.dim)[name])
 
     return [reference(name) for name in ic.names]
 
 
 def frame_matrices(ic):
-    """The dense matrix of every observable of a frame: a Pauli product, a Gell-Mann matrix, or its Kronecker product with I."""
-    return _by_name(ic, pauli_matrix, lambda name, matrix: matrix, lambda matrix, shape: np.kron(matrix, np.eye(shape[1])))
+    """The dense matrix of every observable of a frame: a Pauli product or a Gell-Mann matrix."""
+    return _by_name(ic, pauli_matrix, lambda name, matrix: matrix)
 
 
-def frame_observables(ic):
-    """Every observable of a frame, measured one by one: a reference string, a dense ``Observable``, or its ``lift_local``."""
-    return _by_name(ic, ReferencePauliString, Observable, lambda obs, shape: lift_local(LocalSetting("A", obs), shape))
+def frame_observables(ic, shape=None):
+    """Every observable of a frame, measured one by one: a reference string, a dense ``Observable``, or its ``lift_local`` to ``shape``."""
+    return _by_name(ic, ReferencePauliString, Observable, lambda obs: lift_local(LocalSetting("A", obs), shape))

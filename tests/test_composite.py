@@ -1,10 +1,11 @@
+import ast
 import itertools
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import _ZeroUniforms, philox_position, position
+from conftest import _ZeroUniforms, called_name, enclosing_function, parsed_sources, philox_position, position
 
 from pqt import composite, rng
 from pqt.composite import (
@@ -95,6 +96,56 @@ class TestLiftLocal:
     def test_bad_side(self):
         with pytest.raises(ValueError, match="side"):
             LocalSetting("C", Z)
+
+
+def first_basis_state(shape):
+    return StateVector(np.eye(int(np.prod(shape)))[0], shape)
+
+
+LOCAL_STATISTICS = {
+    "joint_distribution_local_passive": lambda state, a_obs, b_obs: joint_distribution_local_passive(state, a_obs, b_obs),
+    "local_passive_joint_sample": lambda state, a_obs, b_obs: local_passive_joint_sample(
+        PSystem(state, "passive", rng.stream(0, "local/refusals")), LocalSetting("A", a_obs), LocalSetting("B", b_obs), 10
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", LOCAL_STATISTICS)
+class TestLocalStatisticsRefuseAsLiftingDoes:
+    # A partial trace alone would accept a tripartite state; the local paths refuse it as lift_local does.
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+    def test_a_state_that_is_not_bipartite(self, entry, shape):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'expected a bipartite shape, got {shape}')}$"):
+            LOCAL_STATISTICS[entry](first_basis_state(shape), Z, Z)
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((3, 2), "observable dimension 2 does not match subsystem A (3)"),
+            ((2, 3), "observable dimension 2 does not match subsystem B (3)"),
+            ((3, 3), "observable dimension 2 does not match subsystem A (3)"),
+        ],
+    )
+    def test_an_observable_of_another_dimension_than_its_side(self, entry, shape, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LOCAL_STATISTICS[entry](first_basis_state(shape), Z, Z)
+
+
+def test_only_the_signalling_check_lifts_a_local_observable():
+    # Local statistics read the reduced states; the signalling check keeps its dense non-selective update.
+    places = [
+        (module, enclosing_function(call, parents))
+        for module, tree, parents in parsed_sources()
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and called_name(call) == "lift_local"
+    ]
+    assert sorted(set(places)) == [("composite.py", "signalling_check")]
+
+
+def test_reduced_reconstruction_refuses_a_tripartite_system():
+    sys = PSystem(first_basis_state((2, 2, 2)), "passive", rng.stream(0, "local/refusals"))
+    with pytest.raises(ValueError, match="^expected a bipartite system$"):
+        reconstruct_reduced_single_copy(sys, 10)
 
 
 class TestGlobalJointSample:
@@ -443,8 +494,8 @@ class TestEntanglementDetection:
             detect_entanglement_single_copy(sys, 100)
 
     def test_local_frame_is_built_once_per_shape(self, monkeypatch):
-        # The reduced-state frame and its lifts are immutable, so repeated
-        # trials reuse them instead of rebuilding per call.
+        # The reduced-state frame is immutable, so repeated
+        # trials reuse it instead of rebuilding per call.
         builds = []
         real = composite.hermitian_basis_ic_set
         monkeypatch.setattr(composite, "hermitian_basis_ic_set", lambda dim: builds.append(dim) or real(dim))

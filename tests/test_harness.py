@@ -29,6 +29,7 @@ from pqt.harness.runner import PROTOCOLS
 from pqt.hilbert import plus_state
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+PAULI_X_ENTRIES = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
 
 EXAMPLE = """
 {
@@ -116,6 +117,34 @@ class TestParseConfig:
         bad["sauce"] = 1
         with pytest.raises(ConfigError, match="unknown field"):
             parse_config(json.dumps(bad))
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            (
+                {"protocol": "function-recovery", "oracle": {"n": 2, "truth_table": [0, 1, 1, 0], "promis": "balanced"}},
+                "oracle.promis",
+            ),
+            (
+                {"protocol": "deutsch-jozsa", "oracle": {"n": 1, "truth_table": [0, 1], "promise": "balanced", "x": 1}},
+                "oracle.x",
+            ),
+            ({"protocol": "spectrum", "initial_state": "plus", "observables": [{"matrix": PAULI_X_ENTRIES, "nme": "X"}]},
+             "observables[0].nme"),
+            (
+                {"protocol": "simulate-collapse", "initial_state": "plus", "observables": ["pauli:Z"],
+                 "library": "eigenstates", "followup_observable": {"name": "X", "matrx": PAULI_X_ENTRIES}},
+                "followup_observable.matrx",
+            ),
+            ({"protocol": "reconstruct", "initial_state": "random-pure:1", "shape": [2, 2], "dimension": 3}, "dimension"),
+            ({"protocol": "reconstruct", "initial_state": "random-pure:1", "shape": [2, 2], "dimension": 4}, "dimension"),
+        ],
+    )
+    def test_a_field_that_would_be_dropped_is_refused(self, config, field):
+        # Each would otherwise validate and run without it: a misspelt promise, a name, or a contradicting dimension.
+        with pytest.raises(ConfigError) as caught:
+            parse_config(json.dumps({"name": "bad", **config}))
+        assert caught.value.field == field
 
     def test_round_trip_identity(self):
         first = parse_config(EXAMPLE)
@@ -693,6 +722,18 @@ class TestCLI:
             ({"protocol": "function-recovery", "oracle": {"n": 1, "truth_table": [0.7, 0]}}, "oracle.truth_table[0]"),
             ({"protocol": "function-recovery", "oracle": {"n": 1, "truth_table": [0, "1"]}}, "oracle.truth_table[1]"),
             ({"protocol": "function-recovery", "oracle": {"n": 1, "truth_table": [True, 0]}}, "oracle.truth_table[0]"),
+            (
+                {"protocol": "function-recovery", "oracle": {"n": 2, "truth_table": [0, 1, 1, 0], "promis": "balanced"}},
+                "oracle.promis",
+            ),
+            ({"protocol": "spectrum", "initial_state": "plus", "observables": [{"matrix": PAULI_X_ENTRIES, "nme": "typo"}]},
+             "observables[0].nme"),
+            (
+                {"protocol": "simulate-collapse", "initial_state": "plus", "observables": ["pauli:Z"],
+                 "library": "eigenstates", "followup_observable": {"matrix": PAULI_X_ENTRIES, "nme": "typo"}},
+                "followup_observable.nme",
+            ),
+            ({"protocol": "reconstruct", "initial_state": "random-pure:1", "shape": [2, 2], "dimension": 3}, "dimension"),
             (
                 {"protocol": "simulate-collapse", "initial_state": "bell:phi+", "observables": ["pauli:ZI"],
                  "library": "eigenstates"},

@@ -19,7 +19,7 @@ from pqt import measurement, protocols, rng
 from pqt.composite import LocalSetting, _local_ic_set, global_joint_sample, local_passive_joint_sample
 from pqt.harness import parse_config, run
 from pqt.harness import runner as runner_module
-from pqt.hilbert import PAULI_Z, StateVector, basis_state, random_pure_state, tensor
+from pqt.hilbert import PAULI_Z, StateVector, basis_state, partial_trace, random_pure_state, tensor
 from pqt.measurement import (
     ZERO_PROBABILITY,
     Observable,
@@ -230,11 +230,11 @@ class TestWhichOutcomeIsNamed:
         if frame == "pauli-2":
             ic, states = pauli_ic_set(2), (basis_state(4, 0), random_pure_state(4, rng.stream(0, "refusal/rows")))
         else:
-            _, ic = _local_ic_set((3, 2))
-            states = (random_pure_state(6, rng.stream(1, "refusal/rows"), (3, 2)),)
+            ic = _local_ic_set(3)  # side A's frame, named for the A tensor I it is measured as
+            states = (partial_trace(random_pure_state(6, rng.stream(1, "refusal/rows"), (3, 2)), 0),)
         table = _frame_table(ic, *states)
         readouts = table.readouts
-        observables = frame_observables(ic)
+        observables = frame_observables(ic, (3, 2))
         for r in range(2 * len(states) * len(ic)):
             obs = observables[r % len(ic)]
             assert readouts[r].name == obs.name

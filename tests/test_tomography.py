@@ -27,6 +27,7 @@ from pqt.hilbert import (
     basis_state,
     bell_state,
     maximally_mixed,
+    partial_trace,
     plus_state,
     random_density,
     random_hermitian,
@@ -46,7 +47,6 @@ from pqt.measurement import (
 from pqt.protocols import proper_vs_improper
 from pqt.tomography import (
     CONFIDENCE_Z,
-    Frame,
     _frame_table,
     _inversion_stack,
     _projection_stack,
@@ -100,13 +100,7 @@ def dense_matrices(ic):
     return list(matrices)
 
 
-GELL_MANN_FRAMES = {
-    **{f"gell-mann-{dim}": functools.partial(hermitian_basis_ic_set, dim) for dim in range(2, 10)},
-    "lifted-gell-mann-3x2": lambda: _local_ic_set((3, 2))[1],
-    "lifted-gell-mann-2x3": lambda: _local_ic_set((2, 3))[1],
-    # d = 64: an entry index rows * d reaches 63 * 64, past what the byte rows hold.
-    "lifted-gell-mann-8x8": lambda: _local_ic_set((8, 8))[1],
-}
+GELL_MANN_FRAMES = {f"gell-mann-{dim}": functools.partial(hermitian_basis_ic_set, dim) for dim in range(2, 10)}
 
 
 def dense_sum(means, ic):
@@ -127,7 +121,7 @@ class TestGellMannFramesEqualTheDenseDefinition:
     def test_arrays_are_the_dense_matrices(self, frame):
         ic = GELL_MANN_FRAMES[frame]()
         for matrix, expected in zip(dense_matrices(ic), frame_matrices(ic), strict=True):
-            np.testing.assert_array_equal(matrix, expected)  # a Kronecker product with I may sign its zeros
+            np.testing.assert_array_equal(matrix, expected)
 
     def test_born_rows_equal_the_dense_projector_probabilities(self, frame):
         ic = GELL_MANN_FRAMES[frame]()
@@ -303,48 +297,35 @@ def test_runs_leave_numpy_ma_unimported():
     assert child.stdout.split() == ["False"]
 
 
-def frame_bytes(*frames):
-    return sum(array.nbytes for ic in frames for array in (ic.values, ic.lagrange, ic.levels, ic.codes, ic.rows))
+def frame_bytes(ic):
+    return sum(array.nbytes for array in (ic.values, ic.lagrange, ic.levels, ic.codes, ic.rows))
 
 
-def test_gell_mann_and_lifted_frames_are_built_as_arrays(monkeypatch):
+def test_gell_mann_frames_are_built_as_arrays(monkeypatch):
     # As dense Observables, d = 63 would hold 3968 matrices of 63 x 63 (252 MB) before any projector.
     def refuse(*args, **kwargs):
         raise AssertionError("a frame build made a dense observable")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(Observable, "__init__", refuse)
-    monkeypatch.setattr(composite, "lift_local", refuse)
-    composite._local_ic_set.cache_clear()
     tracemalloc.start()
     try:
         ic = hermitian_basis_ic_set(63)
         _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        held, _ = tracemalloc.get_traced_memory()
-        side_a, lifted = composite._local_ic_set((8, 8))
-        lifted_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-        composite._local_ic_set.cache_clear()
     assert peak <= 1.5 * frame_bytes(ic)
-    assert lifted_peak <= 1.5 * frame_bytes(side_a, lifted)
 
 
-def test_a_lifted_frame_wider_than_a_byte_reconstructs_as_with_intp_rows(monkeypatch):
-    # d = 400: rows past 255 need a wider type than bytes, and the reduced state must not notice which.
-    ic, lifted = _local_ic_set((2, 200))
-    assert lifted.rows.dtype == np.uint16
-    wide_rows = (ic.rows.astype(np.intp)[:, :, None] * 200 + np.arange(200)).reshape(len(ic), -1)
-    reference = Frame(lifted.names, lifted.norm, lifted.values, lifted.lagrange, lifted.levels, lifted.codes, wide_rows)
-    np.testing.assert_array_equal(lifted.rows, reference.rows)
+def test_a_reduced_reconstruction_wider_than_a_byte_is_that_of_the_reduced_state():
+    # d = 400: past what byte rows could index, yet side A's frame is measured on the 2 x 2 reduced state.
     state = random_pure_state(400, rng.stream(0, "lifted/wide/state"), shape=(2, 200))
-    estimates = []
-    for frame in (lifted, reference):
-        monkeypatch.setattr(composite, "_local_ic_set", lambda shape, frame=frame: (ic, frame))
-        system = PSystem(state, "passive", rng.stream(0, "lifted/wide/draws"))
-        estimates.append(composite.reconstruct_reduced_single_copy(system, 200).matrix.tobytes())
-    assert estimates[0] == estimates[1]
+    expected_sys = PSystem(partial_trace(state, 0), "passive", rng.stream(0, "lifted/wide/draws"))
+    actual_sys = PSystem(state, "passive", rng.stream(0, "lifted/wide/draws"))
+    expected = reconstruct_single_copy(expected_sys, hermitian_basis_ic_set(2), 200).estimate
+    actual = composite.reconstruct_reduced_single_copy(actual_sys, 200)
+    assert actual.matrix.tobytes() == expected.matrix.tobytes()
+    assert position(actual_sys.rng) == position(expected_sys.rng)
 
 
 @pytest.mark.parametrize(
@@ -761,8 +742,9 @@ def reference_proper_vs_improper(trials, shots, gen, mixture=None, purification=
             ic = ic_set_for_dimension(state.dim)
             estimate = reference_frame_estimate(PSystem(state, "passive", gen), ic, frame_observables(ic), shots)
         else:
-            ic, lifted = _local_ic_set(purification.shape)
-            estimate = reference_frame_estimate(PSystem(purification, "passive", gen), ic, frame_observables(lifted), shots)
+            ic = _local_ic_set(purification.shape[0])
+            observables = frame_observables(ic, purification.shape)
+            estimate = reference_frame_estimate(PSystem(purification, "passive", gen), ic, observables, shots)
         purities.append(estimate.purity())
     return purities
 
@@ -824,15 +806,17 @@ class TestFrameSamplerMatchesReference:
 
     @pytest.mark.parametrize("shots", SHOTS)
     def test_lifted_qutrit_frame_of_a_reduced_reconstruction(self, shots):
-        # Side A of a 3x3 system: lifted Gell-Mann rows with three and with two outcomes.
+        # Side A of a 3x3 system: Gell-Mann rows with three and with two outcomes, as dense lifts to A tensor I.
         from pqt.composite import reconstruct_reduced_single_copy
 
         state = random_pure_state(9, rng.stream(shots, "eq/lifted/state"), (3, 3))
-        ic, lifted = _local_ic_set((3, 3))
-        assert {len(obs.eigenvalues) for obs in frame_observables(lifted)} == {2, 3}
+        ic = _local_ic_set(3)
+        lifted = frame_observables(ic, (3, 3))
+        assert {len(obs.eigenvalues) for obs in lifted} == {2, 3}
+        assert {obs.dim for obs in lifted} == {9}
         expected_sys = PSystem(state, "passive", rng.stream(shots, "eq/lifted"))
         actual_sys = PSystem(state, "passive", rng.stream(shots, "eq/lifted"))
-        expected = reference_frame_estimate(expected_sys, ic, frame_observables(lifted), shots)
+        expected = reference_frame_estimate(expected_sys, ic, lifted, shots)
         actual = reconstruct_reduced_single_copy(actual_sys, shots)
         assert actual.matrix.tobytes() == expected.matrix.tobytes()
         assert position(actual_sys.rng) == position(expected_sys.rng)
