@@ -43,20 +43,20 @@ from ..tomography import MAX_IC_DIMENSION
 SEED_LIMIT = 2**64
 COUNT_LIMIT = 10**9  # exclusive bound on shots, trials and follow-up shots
 
-# Protocol-specific optional fields accepted on top of the common ones.
-EXTRA_FIELDS = (
-    "source",
-    "action",
-    "candidates",
-    "mixture",
-    "purification",
-    "oracle",
-    "ensemble",
-    "followup_observable",
-    "library",
-    "unitary",
-    "followup_shots",
-)
+# Protocol-specific optional fields accepted on top of the common ones, each with the protocols that read it.
+EXTRA_FIELDS = {
+    "source": ("chsh",),
+    "action": ("signalling",),
+    "candidates": ("discriminate", "no-cloning"),
+    "mixture": ("proper-vs-improper",),
+    "purification": ("proper-vs-improper",),
+    "oracle": ("deutsch-jozsa", "function-recovery"),
+    "ensemble": ("joint-global",),
+    "followup_observable": ("simulate-collapse",),
+    "library": ("simulate-collapse",),
+    "unitary": ("no-cloning",),
+    "followup_shots": ("simulate-collapse",),
+}
 
 # Protocol extras that take one of a few JSON values (booleans are not numbers here).
 CHOICES = {
@@ -211,7 +211,10 @@ def parse_config(text: str) -> ExperimentConfig:
     extras = {k: raw[k] for k in raw if k not in _COMMON_FIELDS}
     for key in extras:
         if key not in EXTRA_FIELDS:
-            raise ConfigError(key, f"unknown field; protocol extras are {EXTRA_FIELDS}")
+            raise ConfigError(key, f"unknown field; protocol extras are {tuple(EXTRA_FIELDS)}")
+        if raw["protocol"] not in EXTRA_FIELDS[key]:
+            readers = ", ".join(map(repr, EXTRA_FIELDS[key]))
+            raise ConfigError(key, f"protocol {raw['protocol']!r} does not read this field (read by {readers})")
     if "followup_shots" in extras:
         extras["followup_shots"] = read_integer(extras["followup_shots"], "followup_shots", 1, COUNT_LIMIT)
     for key, choices in CHOICES.items():
@@ -268,7 +271,7 @@ def _resolve_inputs(
             _check_state_kind(protocol, kind, state)
         for i, (obs, target) in enumerate(zip(resolved, targets)):
             _check_observable_dimension(f"observables[{i}]", obs, state, target)
-        if protocol == "simulate-collapse" and followup is not None:
+        if followup is not None:
             _check_observable_dimension("followup_observable", followup, state, None)
 
     candidates = unitary = library = None
@@ -280,7 +283,7 @@ def _resolve_inputs(
     if protocol == "no-cloning":
         candidates = resolve_candidates(extras["candidates"], None, count=2)
         unitary = resolve_unitary(extras.get("unitary", "cnot"), candidates[0].dim)
-    if protocol == "simulate-collapse" and "library" in extras:
+    if "library" in extras:
         library = _eigenstate_library(resolved[0])
     return Inputs(
         state=state,

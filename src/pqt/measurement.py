@@ -27,9 +27,12 @@ only rows with an outcome of weight in (0, ``ZERO_PROBABILITY``] are checked.  A
 drawn pair of outcomes (``_PairReadout``) is refused on the first's probability,
 then on the second's given the first, not on their product.  A proper
 mixture's member draw, a preparation and no outcome, refuses nothing.
-The rows of a frame (see :mod:`pqt.tomography`) have no observable
-objects: ``_FrameReadouts`` makes a row's readout from the frame's names
-and outcome values only when a refusal names that row.
+A refusal names a table row by one rule: row r of a table drawn with
+``readouts`` is named by ``readouts[r % len(readouts)]``.  So one readout
+names every row of a block of trials, and a frame (see
+:mod:`pqt.tomography`), which makes the readout of its row r only when a
+refusal names it, names each of the blocks of its k rows that a table
+gathers state after state.
 """
 
 from __future__ import annotations
@@ -60,9 +63,9 @@ class Observable:
 
     __slots__ = ("name", "matrix", "decomposition")
 
-    def __init__(self, name: str, matrix: np.ndarray, degeneracy_tol: float = 1e-9):
+    def __init__(self, name: str, matrix: np.ndarray):
         self.name = name
-        self.decomposition = spectral_decompose(matrix, degeneracy_tol)
+        self.decomposition = spectral_decompose(matrix)
         self.matrix = np.array(matrix, dtype=complex)
         self.matrix.setflags(write=False)
         defect = np.abs(self.decomposition.reconstruct() - self.matrix).max()
@@ -142,7 +145,7 @@ def _cdf_index(table: _CdfTable, uniforms: np.ndarray, readouts, mode: str | Non
     ``uniforms`` holds as many draws for each row of ``table``, row after
     row; it is scaled in place (pass an array not read again) and the
     indices take its shape.  The input's shape alone picks the method.
-    A drawn impossible outcome is refused, naming ``readouts[row]`` and ``mode`` (None: no refusal).
+    A drawn impossible outcome is refused, naming row r by ``readouts[r % len(readouts)]`` and ``mode`` (None: no refusal).
     """
     rows, outcomes = table.probabilities.shape
     # The interior edges of each row, then its total: a scaled uniform stays below its total,
@@ -339,20 +342,6 @@ class _PairReadout(_Record):
     __slots__ = ("sides", "first", "second")
 
 
-class _FrameReadouts(_Record):
-    """The readouts of a frame's k Born rows, each made only when a refusal names it.
-
-    Row r names readout r % k, so a table that gathers blocks of the k rows,
-    state after state, names each row by its own observable.
-    """
-
-    __slots__ = ("names", "values")  # k names; (k, m) outcome values of each row, zero-padded past its own outcomes
-
-    def __getitem__(self, row: int) -> _Readout:
-        row %= len(self.names)
-        return _Readout(self.names[row], tuple(self.values[row].tolist()))
-
-
 def _require_possible(obs: Observable | _Readout, outcome_index: int, probability: float, mode: str) -> None:
     """Refuse an outcome of zero probability: neither update rule can follow it."""
     if probability <= ZERO_PROBABILITY:
@@ -366,13 +355,14 @@ def _refuse_drawn(readouts, rows, probabilities: np.ndarray, mode: str, outcomes
     """Refuse the least probable drawn outcome, the first among equals, of the first row that drew an impossible one.
 
     ``probabilities[i, j]`` is the probability of draw j in row ``rows[i]``, +inf for no draw,
-    and ``outcomes[i, j]`` (j by default) its outcome.
+    and ``outcomes[i, j]`` (j by default) its outcome.  Row r is named by ``readouts[r % len(readouts)]``.
     """
     offending = np.flatnonzero(probabilities.min(axis=1, initial=np.inf) <= ZERO_PROBABILITY)
     if offending.size:
         i = offending[0]
         j = int(np.argmin(probabilities[i]))
-        _require_possible(readouts[rows[i]], j if outcomes is None else int(outcomes[i, j]), probabilities[i, j], mode)
+        readout = readouts[rows[i] % len(readouts)]
+        _require_possible(readout, j if outcomes is None else int(outcomes[i, j]), probabilities[i, j], mode)
 
 
 def _sample_and_update(sys: PSystem, obs: Observable) -> int:

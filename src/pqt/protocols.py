@@ -39,11 +39,11 @@ from .measurement import (
     ZERO_PROBABILITY,
     InsufficientShotsError,
     Observable,
-    OutcomeDistribution,
     PSystem,
     _cdf_counts,
     _cdf_index,
     _cdf_table,
+    _CdfTable,
     _PairReadout,
     _Readout,
     born_distribution,
@@ -111,27 +111,23 @@ def oracle_unitary(spec: OracleSpec) -> UnitaryOperator:
     return UnitaryOperator._unchecked(matrix)  # a permutation matrix
 
 
-@functools.cache
-def _basis_index_observable(dim: int) -> Observable:
-    """Computational-basis readout: eigenvalue k on |k>."""
-    return Observable("basis-index", np.diag(np.arange(dim, dtype=float)).astype(complex))
-
-
-def _oracle_input_state(spec: OracleSpec) -> StateVector:
-    """The symmetric superposition sum_x |x, 0> / 2^(n/2)."""
-    return tensor(plus_state(spec.n), basis_state(2, 0, (2,)))
+def _post_oracle_state(spec: OracleSpec) -> StateVector:
+    """The oracle applied once to the symmetric superposition sum_x |x, 0> / 2^(n/2)."""
+    return evolve(tensor(plus_state(spec.n), basis_state(2, 0, (2,))), oracle_unitary(spec))
 
 
 @functools.lru_cache(maxsize=32)
-def _post_oracle_readout(spec: OracleSpec) -> tuple[Observable, OutcomeDistribution]:
-    """The computational-basis readout and its (immutable) Born distribution on the post-oracle state.
+def _post_oracle_readout(spec: OracleSpec) -> tuple[_Readout, _CdfTable]:
+    """The computational-basis readout (outcome k on |k>) and its checked Born row on the post-oracle state.
 
     Every fresh copy given one oracle call is in this state, so the
     distribution depends on the oracle alone and is computed once per oracle.
+    The basis projectors are diagonal, so outcome k has probability
+    conj(psi[k]) psi[k], with the bits of the dense projector's Born rule.
     """
-    readout = _basis_index_observable(2 ** (spec.n + 1))
-    final = evolve(_oracle_input_state(spec), oracle_unitary(spec))
-    return readout, born_distribution(readout, final)
+    amplitudes = _post_oracle_state(spec).amplitudes
+    readout = _Readout("basis-index", tuple(float(k) for k in range(len(amplitudes))))
+    return readout, _cdf_table((amplitudes.conj() * amplitudes).real[None])
 
 
 def function_recovery(
@@ -154,8 +150,7 @@ def function_recovery(
     report = ProtocolReport("function-recovery", mode)
 
     if mode == "passive":
-        final = evolve(_oracle_input_state(spec), oracle_unitary(spec))
-        sys = PSystem(final, "passive", rng)
+        sys = PSystem(_post_oracle_state(spec), "passive", rng)
         result = reconstruct_single_copy(sys, ic_set_for_dimension(sys.dim), shots)
         threshold = 0.25 / n_inputs
         recovered = []
@@ -186,10 +181,10 @@ def _quantum_recovery(spec: OracleSpec, rng: np.random.Generator, trials: int) -
     ``ORACLE_DRAW_BLOCK`` draws; a trial closes at the call that shows its
     last unseen input, and the next trial starts at the next draw.
     """
-    readout, dist = _post_oracle_readout(spec)
+    readout, table = _post_oracle_readout(spec)
     calls, seen = [0], {}
     while True:
-        for index in _cdf_index(dist.cdf, rng.random(ORACLE_DRAW_BLOCK), (readout,), "quantum").tolist():
+        for index in _cdf_index(table, rng.random(ORACLE_DRAW_BLOCK), (readout,), "quantum").tolist():
             calls[-1] += 1
             seen[index >> 1] = index & 1
             if len(seen) == 2**spec.n:
@@ -244,11 +239,7 @@ def deutsch_jozsa_verdict(
     return report
 
 
-def clone_via_reconstruction(
-    sys: PSystem,
-    shots: int,
-    clone_rng: np.random.Generator | None = None,
-) -> tuple[PSystem, ProtocolReport]:
+def clone_via_reconstruction(sys: PSystem, shots: int) -> tuple[PSystem, ProtocolReport]:
     """Copy an unknown p-state by reading it out and re-preparing it.
 
     No unitary clones unknown states, but the no-update rule lets the
@@ -258,7 +249,7 @@ def clone_via_reconstruction(
     if sys.mode != "passive":
         raise ValueError("cloning by reconstruction requires passive mode")
     result = reconstruct_single_copy(sys, ic_set_for_dimension(sys.dim), shots)
-    clone = PSystem(result.estimate, "passive", clone_rng if clone_rng is not None else sys.rng)
+    clone = PSystem(result.estimate, "passive", sys.rng)
     report = ProtocolReport(
         "clone",
         sys.mode,
@@ -271,14 +262,10 @@ def clone_via_reconstruction(
 class NoCloningReport(_Record):
     """Inner-product obstruction to unitarily cloning two test states."""
 
-    __slots__ = ("fidelity_first", "fidelity_second", "overlap", "obstruction", "clones_both")
+    __slots__ = ("fidelity_first", "fidelity_second", "obstruction", "clones_both")
 
 
-def no_cloning_check(
-    candidate: UnitaryOperator,
-    test_states: tuple[StateVector, StateVector],
-    ancilla: StateVector | None = None,
-) -> NoCloningReport:
+def no_cloning_check(candidate: UnitaryOperator, test_states: tuple[StateVector, StateVector]) -> NoCloningReport:
     """Verify that a unitary cannot clone two non-orthogonal states.
 
     For s = <psi|phi>, perfect cloning of both states would force
@@ -290,8 +277,7 @@ def no_cloning_check(
         raise ValueError("test states must share a dimension")
     if candidate.dim != psi.dim**2:
         raise ValueError("candidate must act on two copies of the state space")
-    if ancilla is None:
-        ancilla = basis_state(psi.dim, 0)
+    ancilla = basis_state(psi.dim, 0)
 
     def cloning_fidelity(state: StateVector) -> float:
         out = evolve(tensor(state, ancilla), candidate)
@@ -303,7 +289,7 @@ def no_cloning_check(
     overlap = complex(np.vdot(psi.amplitudes, phi.amplitudes))
     obstruction = abs(overlap - overlap**2)
     clones_both = f_psi >= 1.0 - CLONED_TOL and f_phi >= 1.0 - CLONED_TOL
-    return NoCloningReport(f_psi, f_phi, overlap, obstruction, clones_both)
+    return NoCloningReport(f_psi, f_phi, obstruction, clones_both)
 
 
 def purify(rho: DensityOperator) -> StateVector:
@@ -374,13 +360,13 @@ def proper_vs_improper(
         table = _frame_table(ic, average)
         drawn = np.zeros(trials, dtype=np.intp)
 
-    values, readouts = table.frame.values, table.readouts  # gathered row r names readout r % k
-    block = max(1, _TRIAL_BLOCK_ENTRIES // (values.size + ic.dim**2))
+    k = len(ic)
+    block = max(1, _TRIAL_BLOCK_ENTRIES // (ic.values.size + ic.dim**2))
     purities = np.empty(trials)
     for start in range(0, trials, block):
-        states = drawn[start : start + block]
-        counts = _cdf_counts(table.rows_of(states), rng, shots, readouts, "passive")
-        estimates = _frame_estimates(counts, values, ic, shots)
+        rows = (drawn[start : start + block, None] * k + np.arange(k)).ravel()  # each trial's k rows, trial after trial
+        counts = _cdf_counts(table.gather(rows), rng, shots, ic, "passive")  # gathered row r is named by ic[r % k]
+        estimates = _frame_estimates(counts, ic, shots)
         purities[start : start + block] = np.trace(estimates @ estimates, axis1=-2, axis2=-1).real
         del counts, estimates  # neither outlives its block
 
@@ -488,7 +474,7 @@ def teleportation_fidelities(inputs: np.ndarray, mode: str, rng: np.random.Gener
     conditional = _BELL_BRAS @ block
     raw = np.einsum("tkb,tkb->tk", conditional.conj(), conditional).real
     table = _cdf_table(raw)
-    _cdf_index(table, rng.random(rows), (_BELL_READOUT,) * rows, mode)
+    _cdf_index(table, rng.random(rows), (_BELL_READOUT,), mode)
     probabilities = table.probabilities
 
     possible = probabilities > ZERO_PROBABILITY

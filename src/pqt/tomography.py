@@ -46,7 +46,11 @@ frame's Born rows on each state are checked once into one CDF table (see
 counts of ``shots`` measurements in one multinomial draw, and each row's
 mean and spread are computed from its counts.  Neither time nor memory
 grows with ``shots``.  Rows for a block of trials are gathered from the
-checked table, never checked again.  The counts of a block of trials become
+checked table, never checked again.  A frame names its own rows: its row
+r is the readout ``frame[r]``, made only when a refusal names it, and
+under the sampler's rule (row r of a table is named by ``readouts[r %
+len(readouts)]``) the frame names each block of its k rows gathered state
+after state.  The counts of a block of trials become
 ``_frame_estimates``: a ``(T, d, d)`` stack of physical estimates, of which
 proper-vs-improper takes each slice's purity.
 
@@ -71,7 +75,7 @@ from .measurement import (
     _cdf_counts,
     _cdf_table,
     _CdfTable,
-    _FrameReadouts,
+    _Readout,
     born_distribution,
 )
 
@@ -115,6 +119,10 @@ class Frame(_Record):
 
     def __len__(self) -> int:
         return self.codes.shape[0]
+
+    def __getitem__(self, row: int) -> _Readout:
+        """What a refusal names of observable ``row``: its name and outcome values, zero-padded to the widest row."""
+        return _Readout(self.names[row], tuple(self.values[row].tolist()))
 
     def born_rows(self, state: State) -> np.ndarray:
         """The ``(k, m)`` Born probabilities c0 + c1 <O> + c2 <O^2> of every observable on ``state``, O(d) each.
@@ -201,7 +209,7 @@ class ReconstructionResult(_Record):
     """``raw_estimate`` has unit trace by construction (see linear_inversion); ``means`` and ``half_widths`` are
     (k,): the estimated expectation of each observable, in frame order, and its normal-approximation half-width."""
 
-    __slots__ = ("estimate", "raw_estimate", "shots_per_observable", "means", "half_widths")
+    __slots__ = ("estimate", "raw_estimate", "means", "half_widths")
 
 
 def pauli_ic_set(n_qubits: int) -> Frame:
@@ -294,37 +302,21 @@ def estimate_expectations(sys: PSystem, ic: Frame, shots: int) -> tuple[np.ndarr
     """
     if sys.mode != "passive":
         raise ValueError("single-copy estimation requires passive mode")
-    means, spreads = _sample_frame(sys, _frame_table(ic, sys.state), shots)
+    means, spreads = _sample_frame(sys, ic, shots)
     return means, CONFIDENCE_Z * spreads / np.sqrt(shots)
 
 
-class _FrameTable(_Record):
-    """The Born distributions of every observable of a frame on one or more states, one row each.
+def _frame_table(frame: Frame, *states: State) -> _CdfTable:
+    """Born probabilities of every observable of ``frame`` on each state in turn, checked once into one table.
 
-    The k rows of state s are rows s*k to s*k + k - 1 of ``cdf``.  A row with
-    fewer outcomes than the widest is padded with zero weight and value: the
+    The k rows of state s are rows s*k to s*k + k - 1.  A row with fewer
+    outcomes than the widest is padded with zero weight and value: the
     padding is never drawn, so it adds nothing to a row's sums.
     """
-
-    __slots__ = ("frame", "cdf")
-
-    @property
-    def readouts(self) -> _FrameReadouts:
-        """What a refusal names of each row of ``cdf`` or of rows gathered from it by ``rows_of``."""
-        return _FrameReadouts(self.frame.names, self.frame.values)
-
-    def rows_of(self, states: np.ndarray) -> _CdfTable:
-        """The k rows of each of ``states`` (indices of the table's states, repeats allowed), state after state."""
-        k = len(self.frame)
-        return self.cdf.gather((states[:, None] * k + np.arange(k)).ravel())
-
-
-def _frame_table(frame: Frame, *states: State) -> _FrameTable:
-    """Born probabilities of every observable of ``frame`` on each state in turn, checked once into one table."""
     for state in states:
         if frame.dim != state.dim:
             raise ValueError(f"dimension mismatch: observable {frame.dim}, state {state.dim}")
-    return _FrameTable(frame, _cdf_table(np.concatenate([frame.born_rows(state) for state in states])))
+    return _cdf_table(np.concatenate([frame.born_rows(state) for state in states]))
 
 
 def _frame_means(counts: np.ndarray, values: np.ndarray, shots: int) -> np.ndarray:
@@ -332,8 +324,8 @@ def _frame_means(counts: np.ndarray, values: np.ndarray, shots: int) -> np.ndarr
     return (counts * values).sum(axis=-1) / shots
 
 
-def _sample_frame(sys: PSystem, table: _FrameTable, shots: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and population standard deviation of ``shots`` passive draws of every row.
+def _sample_frame(sys: PSystem, ic: Frame, shots: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population standard deviation of ``shots`` passive draws of every observable of ``ic`` on the system.
 
     Rows are drawn and counted by ``_cdf_counts`` in frame order.  From the counts
     c_j of a row's values v_j, mean = sum_j c_j v_j / shots and spread =
@@ -341,20 +333,19 @@ def _sample_frame(sys: PSystem, table: _FrameTable, shots: int) -> tuple[np.ndar
     ``np.mean`` of the outcomes; other means and the spreads can differ from
     ``np.mean`` and ``np.std`` in the last bits, as their sums run in another order.
     """
-    values = table.frame.values
-    counts = _cdf_counts(table.cdf, sys.rng, shots, table.readouts, "passive")
-    means = _frame_means(counts, values, shots)
-    return means, np.sqrt((counts * (values - means[:, None]) ** 2).sum(axis=1) / shots)
+    counts = _cdf_counts(_frame_table(ic, sys.state), sys.rng, shots, ic, "passive")
+    means = _frame_means(counts, ic.values, shots)
+    return means, np.sqrt((counts * (ic.values - means[:, None]) ** 2).sum(axis=1) / shots)
 
 
-def _frame_estimates(counts: np.ndarray, values: np.ndarray, ic: Frame, shots: int) -> np.ndarray:
+def _frame_estimates(counts: np.ndarray, ic: Frame, shots: int) -> np.ndarray:
     """The physical estimate of each trial, a ``(T, d, d)`` stack, from ``(T * k, m)`` counts of ``shots`` per row.
 
     Trial t holds rows t*k to t*k + k - 1, one per observable of ``ic``, with
-    the outcome values of that row of ``values``.  Each estimate is
+    the outcome values of that row of ``ic.values``.  Each estimate is
     ``project_to_physical(linear_inversion(means, ic))`` of its trial's means, bit for bit.
     """
-    means = _frame_means(counts.reshape(-1, *values.shape), values, shots)
+    means = _frame_means(counts.reshape(-1, *ic.values.shape), ic.values, shots)
     return _projection_stack(_inversion_stack(means, ic))
 
 
@@ -417,7 +408,7 @@ def reconstruct_single_copy(sys: PSystem, ic: Frame, shots: int) -> Reconstructi
     """Full pipeline: estimate expectations, invert, restore physicality."""
     means, half_widths = estimate_expectations(sys, ic, shots)
     raw = linear_inversion(means, ic)
-    return ReconstructionResult(project_to_physical(raw), raw, shots, means, half_widths)
+    return ReconstructionResult(project_to_physical(raw), raw, means, half_widths)
 
 
 def discriminate(sys: PSystem, candidates: list[StateVector], ic: Frame, shots: int) -> int:

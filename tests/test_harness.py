@@ -494,6 +494,10 @@ NEAR_H_TENSOR_I = [[_H, 0, _H, 0], [0, _H, 0, _H], [_H, 0, -_H, 0], [0, _H, 0, -
 PROJECTOR_ON_0 = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]  # outcomes 0 and 1, not +-1
 
 
+SIMULATE_COLLAPSE = {"protocol": "simulate-collapse", "initial_state": "plus", "observables": ["pauli:Z"],
+                     "library": "eigenstates", "followup_observable": "pauli:X"}
+
+
 class TestCLI:
     def test_run_json(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -614,21 +618,51 @@ class TestCLI:
                 assert capsys.readouterr().err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "field, value",
+        "key, value, field",
         [
-            ("shots", "abc"),
-            ("trials", True),
-            ("trials", 2.7),
-            ("shape", ["x"]),
-            ("shape", [2, 2, 2, 2, 2, 2, 2]),
-            ("followup_shots", "abc"),
-            ("followup_shots", 2.7),
-            ("oracle", {"n": 2.5, "truth_table": [0, 1]}),
+            ("shots", "abc", "shots"),
+            ("trials", True, "trials"),
+            ("trials", 2.7, "trials"),
+            ("shape", ["x"], "shape[0]"),
+            ("shape", [2, 2, 2, 2, 2, 2, 2], "shape"),
         ],
     )
-    def test_malformed_field_is_named(self, tmp_path, capsys, field, value):
-        config = {"name": "r", "protocol": "reconstruct", "initial_state": "plus", "shots": 10, field: value}
+    def test_malformed_field_is_named(self, tmp_path, capsys, key, value, field):
+        config = {"name": "r", "protocol": "reconstruct", "initial_state": "plus", "shots": 10, key: value}
         self.assert_invalid(tmp_path, capsys, config, field)
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({**SIMULATE_COLLAPSE, "followup_shots": "abc"}, "followup_shots"),
+            ({**SIMULATE_COLLAPSE, "followup_shots": 2.7}, "followup_shots"),
+            ({"protocol": "function-recovery", "oracle": {"n": 2.5, "truth_table": [0, 1]}}, "oracle.n"),
+        ],
+    )
+    def test_malformed_extra_is_named_on_a_protocol_that_reads_it(self, tmp_path, capsys, config, field):
+        self.assert_invalid(tmp_path, capsys, {"name": "r", "shots": 10, **config}, field)
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"protocol": "chsh", "initial_state": "bell:phi+", "observables": ["pauli:Z", "pauli:X"] * 2,
+              "ensemble": True}, "ensemble"),
+            ({"protocol": "chsh", "initial_state": "bell:phi+", "observables": ["pauli:Z", "pauli:X"] * 2,
+              "oracle": {"n": 1, "truth_table": [0, 1]}}, "oracle"),
+            ({"protocol": "reconstruct", "initial_state": "plus", "mixture": [["basis:0", 0.5], ["plus", 0.5]]},
+             "mixture"),
+            ({"protocol": "reconstruct", "initial_state": "plus", "unitary": "cnot"}, "unitary"),
+            ({"protocol": "reconstruct", "initial_state": "plus", "candidates": ["basis:0", "plus"]}, "candidates"),
+            ({"protocol": "reconstruct", "initial_state": "plus", "source": "global"}, "source"),
+            ({"protocol": "reconstruct", "initial_state": "plus", "followup_observable": "pauli:XX"},
+             "followup_observable"),
+        ],
+    )
+    def test_an_extra_its_protocol_never_reads_is_refused(self, tmp_path, capsys, config, field):
+        config = {"name": "unread", "shots": 10, **config}
+        self.assert_invalid(tmp_path, capsys, config, field)
+        with pytest.raises(ConfigError, match=f"^config field '{field}': protocol '{config['protocol']}' does not read"):
+            parse_config(json.dumps(config))
 
     @pytest.mark.parametrize(
         "config, field",
@@ -790,7 +824,7 @@ class TestCLI:
                 warnings.simplefilter("error")
                 assert main([command, "--config", str(path)]) == 1
             err = capsys.readouterr().err
-            assert err.startswith("invalid:") and err.count("\n") == 1 and f"'{field}" in err
+            assert err.startswith(f"invalid: config field '{field}': ") and err.count("\n") == 1, err
 
     def test_negative_seed_flag_rejected(self, capsys):
         assert main(["run", "--config", str(CONFIG_DIR / "joint-global.json"), "--seed", "-5"]) == 1

@@ -148,6 +148,23 @@ class TestFunctionRecovery:
         assert OracleSpec(2, (1, 0, 0, 1)) != OracleSpec(2, (1, 0, 0, 1), "balanced")
         assert len({OracleSpec(1, (0, 1)), OracleSpec(1, (0, 1)), OracleSpec(1, (1, 0))}) == 2
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_post_oracle_readout_is_the_dense_basis_born_rule_bit_for_bit(self, n):
+        # The readout squares each amplitude, conj(psi[k]) psi[k], with the bits of a dense basis projector's Born rule.
+        from pqt import protocols
+
+        dim = 2 ** (n + 1)
+        basis = Observable("basis-index", np.diag(np.arange(dim, dtype=float)).astype(complex))
+        gen = rng.stream(n, "oracle/readout-bits")
+        for _ in range(50):
+            spec = OracleSpec(n, tuple(gen.integers(0, 2, 2**n).tolist()))
+            readout, table = protocols._post_oracle_readout(spec)
+            final = evolve(tensor(plus_state(n), basis_state(2, 0, (2,))), oracle_unitary(spec))
+            expected = born_distribution(basis, final)
+            assert (readout.name, readout.eigenvalues) == (basis.name, basis.eigenvalues)
+            assert table.probabilities.shape == (1, dim)
+            assert table.probabilities.tobytes() == expected.probabilities.tobytes()
+
     def test_tiny_shot_budget_reports_ambiguity(self):
         with pytest.raises(ValueError, match="insufficient shots"):
             function_recovery(OracleSpec(2, (0, 0, 1, 1)), "passive", rng.stream(0, "fr/ambig"), shots=2)

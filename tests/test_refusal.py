@@ -21,6 +21,7 @@ from pqt.harness import parse_config, run
 from pqt.harness import runner as runner_module
 from pqt.hilbert import PAULI_Z, StateVector, basis_state, partial_trace, random_pure_state, tensor
 from pqt.measurement import (
+    MODES,
     ZERO_PROBABILITY,
     Observable,
     PSystem,
@@ -214,32 +215,65 @@ class TestEveryDrawRefusesAnImpossibleOutcome:
         # outcome has no width in the CDF: no uniform, edges included, draws it.
         gen = rng.stream(n, "refusal/oracle")
         for _ in range(3):
-            readout, dist = _post_oracle_readout(OracleSpec(n, tuple(gen.integers(0, 2, 2**n).tolist())))
-            possible = dist.probabilities > 0.0
-            assert np.allclose(dist.probabilities[possible], 2.0**-n, rtol=1e-15, atol=0.0)
-            edges = np.cumsum(dist.probabilities)
+            readout, table = _post_oracle_readout(OracleSpec(n, tuple(gen.integers(0, 2, 2**n).tolist())))
+            probabilities = table.probabilities[0]
+            possible = probabilities > 0.0
+            assert np.allclose(probabilities[possible], 2.0**-n, rtol=1e-15, atol=0.0)
+            edges = np.cumsum(probabilities)
             uniforms = np.concatenate(([0.0], edges[:-1], np.nextafter(edges, 0.0))) / edges[-1]
-            drawn = _cdf_index(dist.cdf, np.clip(uniforms, 0.0, np.nextafter(1.0, 0.0)), (readout,), "quantum")
+            drawn = _cdf_index(table, np.clip(uniforms, 0.0, np.nextafter(1.0, 0.0)), (readout,), "quantum")
             assert possible[drawn].all()
+
+
+class DrawOneCellPerRow:
+    """Stands in for a generator whose multinomial draw puts all n draws of row i in column ``columns[i]``."""
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    def multinomial(self, n, pvals):
+        counts = np.zeros(pvals.shape, dtype=np.int64)
+        counts[np.arange(len(pvals)), self.columns] = n
+        return counts
 
 
 class TestWhichOutcomeIsNamed:
     @pytest.mark.parametrize("frame", ["pauli-2", "lifted-gell-mann"])
     def test_a_gathered_row_names_its_own_observable(self, frame):
-        # Blocks of a frame's k rows gathered state after state, as proper_vs_improper gathers them: row r names r % k.
+        # Blocks of a frame's k rows gathered state after state, as proper_vs_improper gathers them, and drawn with
+        # the frame as the readouts: the counting kernel names row r by observable r % k.
         if frame == "pauli-2":
-            ic, states = pauli_ic_set(2), (basis_state(4, 0), random_pure_state(4, rng.stream(0, "refusal/rows")))
+            ic = pauli_ic_set(2)
+            states = (random_pure_state(4, rng.stream(0, "refusal/rows")), tilted_pair())
+            shape = (2, 2)
         else:
             ic = _local_ic_set(3)  # side A's frame, named for the A tensor I it is measured as
-            states = (partial_trace(random_pure_state(6, rng.stream(1, "refusal/rows"), (3, 2)), 0),)
-        table = _frame_table(ic, *states)
-        readouts = table.readouts
-        observables = frame_observables(ic, (3, 2))
-        for r in range(2 * len(states) * len(ic)):
-            obs = observables[r % len(ic)]
-            assert readouts[r].name == obs.name
+            reduced = partial_trace(random_pure_state(6, rng.stream(1, "refusal/rows"), (3, 2)), 0)
+            states = (reduced, StateVector([np.sqrt(1.0 - WEIGHT), np.sqrt(WEIGHT), 0.0]))
+            shape = (3, 2)
+        k, observables = len(ic), frame_observables(ic, shape)
+        table = _frame_table(ic, *states).gather(np.arange(2 * k))  # the first state's block, then the second's
+        likeliest = np.argmax(table.probabilities, axis=1)
+        risky = (table.probabilities > 0.0) & (table.probabilities <= ZERO_PROBABILITY)
+        assert not risky[:k].any() and risky[k:].any()
+        for r, j in zip(*np.nonzero(risky)):
+            columns = likeliest.copy()
+            columns[r] = j  # the one impossible draw, in the second state's block
+            obs = observables[r % k]
+            value = float(ic.values[r % k, j])
             # Analytic outcome values and eigh's can differ in the last bit.
-            assert readouts[r].eigenvalues[: len(obs.eigenvalues)] == pytest.approx(obs.eigenvalues, rel=0, abs=1e-12)
+            assert value == pytest.approx(obs.eigenvalues[j], rel=0, abs=1e-12)
+            with pytest.raises(ValueError, match=f"^{re.escape(refusal(value, obs.name, 'passive'))}$"):
+                _cdf_counts(table, DrawOneCellPerRow(columns), 3, ic, "passive")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_teleportation_refusal_after_the_first_trial_names_the_bell_readout(self, mode, monkeypatch):
+        # Every Bell outcome has probability 1/4, so the computational basis of qubits 1-2 stands in for the Bell
+        # basis: input (sqrt(1e-13), sqrt(1 - 1e-13)) then gives outcome 0 a probability of 5e-14.
+        monkeypatch.setattr(protocols, "_BELL_BRAS", np.eye(4))
+        inputs = np.array([[1.0, 0.0], [1.0, 0.0], TILTED[::-1]])
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal(0.0, 'bell-basis-12', mode))}$"):
+            protocols.teleportation_fidelities(inputs, mode, _ZeroUniforms())
 
     @pytest.mark.parametrize(
         "weight, offending, named",
@@ -254,7 +288,7 @@ class TestWhichOutcomeIsNamed:
         state = tensor(StateVector([np.sqrt(1.0 - weight), np.sqrt(weight)]), basis_state(2, 0))
         ic = pauli_ic_set(2)
         table = _frame_table(ic, state)
-        drawn_first = table.cdf.probabilities[:, 0]  # a zero uniform draws -1 unless its weight is exactly 0
+        drawn_first = table.probabilities[:, 0]  # a zero uniform draws -1 unless its weight is exactly 0
         assert [name for name, p in zip(ic.names, drawn_first) if 0.0 < p <= ZERO_PROBABILITY] == offending
         with pytest.raises(ValueError, match=f"^{re.escape(refusal(-1.0, named, 'passive'))}$"):
             estimate_expectations(PSystem(state, "passive", _ZeroUniforms()), ic, 3)

@@ -213,7 +213,7 @@ class TestPauliMasks:
         for state in (random_pure_state(dim, g), random_density(dim, g), random_density(dim, g, rank=2)):
             table = _frame_table(ic, state)
             expected = np.stack([obs.outcome_probabilities(state) for obs in frame_observables(ic)])
-            assert table.cdf.probabilities.tobytes() == np.clip(expected, 0.0, None).tobytes()
+            assert table.probabilities.tobytes() == np.clip(expected, 0.0, None).tobytes()
             assert ic.values.tolist() == [[-1.0, 1.0]] * len(ic)
 
     def test_frame_born_rows_run_without_numpy2_vecdot(self, monkeypatch):
@@ -846,7 +846,7 @@ class TestFrameMoments:
         observables = frame_observables(ic)
         counts = reference_counts(expected_gen, observables, state, shots)
         expected = np.array([count_moments(c, obs.eigenvalues, shots) for c, obs in zip(counts, observables)])
-        means, spreads = _sample_frame(actual_sys, _frame_table(ic, state), shots)
+        means, spreads = _sample_frame(actual_sys, ic, shots)
         assert means.tobytes() == expected[:, 0].tobytes()
         assert spreads.tobytes() == expected[:, 1].tobytes()
         assert position(actual_sys.rng) == position(expected_gen)
