@@ -145,7 +145,8 @@ class ExperimentConfig(_Record):
     def __eq__(self, other) -> bool:
         return type(other) is ExperimentConfig and self._fields()[:-1] == other._fields()[:-1]
 
-    def to_json(self) -> str:
+    def payload(self) -> dict:
+        """A fresh dict of the raw values, the one ``to_json`` writes; nested values are the config's own."""
         payload = {
             "name": self.name,
             "protocol": self.protocol,
@@ -159,7 +160,10 @@ class ExperimentConfig(_Record):
         if self.shape is not None:
             payload["shape"] = list(self.shape)
         payload.update(self.extras)
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return payload
+
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), sort_keys=True, indent=2)
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -11,7 +11,6 @@ Identical (config, seed) pairs produce byte-identical serialized reports.
 
 from __future__ import annotations
 
-import json
 import time
 
 import numpy as np
@@ -307,7 +306,7 @@ def run(config: ExperimentConfig) -> Report:
     except KeyError:
         raise ConfigError("protocol", f"unknown protocol {config.protocol!r}") from None
     start = time.perf_counter()
-    report = Report(json.loads(config.to_json()), config.seed)
+    report = Report(config.payload(), config.seed)
     try:
         runner(config, report, _stream(config, config.protocol))
     except InsufficientShotsError as exc:

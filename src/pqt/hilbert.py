@@ -220,10 +220,10 @@ class SpectralDecomposition(_Record):
         return out
 
 
-def spectral_decompose(matrix: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> SpectralDecomposition:
+def spectral_decompose(matrix: np.ndarray) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix into distinct-outcome projectors.
 
-    Consecutive eigenvalues within ``degeneracy_tol`` of each other are
+    Consecutive eigenvalues within ``DEGENERACY_TOL`` of each other are
     merged into one outcome; the outcome value is the mean of the merged
     eigenvalues and the projector the sum of their eigenprojectors.
     """
@@ -239,7 +239,7 @@ def spectral_decompose(matrix: np.ndarray, degeneracy_tol: float = DEGENERACY_TO
     values, vectors = np.linalg.eigh(mat)
     groups: list[list[int]] = [[0]]
     for i in range(1, values.size):
-        if values[i] - values[groups[-1][-1]] <= degeneracy_tol:
+        if values[i] - values[groups[-1][-1]] <= DEGENERACY_TOL:
             groups[-1].append(i)
         else:
             groups.append([i])

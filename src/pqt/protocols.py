@@ -55,8 +55,8 @@ from .tomography import _frame_estimates, _frame_table, ic_set_for_dimension, re
 CLONED_TOL = 1e-9
 PURE_AVERAGE_TOL = 1e-9
 MAX_ORACLE_BITS = 5
-ORACLE_DRAW_BLOCK = 64  # uniforms quantum function recovery draws at once
-_TRIAL_BLOCK_ENTRIES = 2**18  # count and density entries proper_vs_improper holds per block of trials
+ORACLE_DRAW_BLOCK = 64  # quantum function recovery draws its uniforms in whole blocks of this many
+_TRIAL_BLOCK_ENTRIES = 2**18  # entries a block of trials holds (proper_vs_improper, and recovery's next occurrences)
 
 
 class OracleSpec(_Record):
@@ -177,21 +177,37 @@ def _quantum_recovery(spec: OracleSpec, rng: np.random.Generator, trials: int) -
     """Run ``trials`` quantum recoveries in turn on ``rng``; return each one's calls and the last truth table.
 
     Each call draws one readout of a fresh post-oracle copy, whose
-    distribution is computed once per oracle, in blocks of
-    ``ORACLE_DRAW_BLOCK`` draws; a trial closes at the call that shows its
-    last unseen input, and the next trial starts at the next draw.
+    distribution is computed once per oracle; a trial closes at the call
+    that shows its last unseen input, and the next trial starts at the next
+    draw.  The open trial's unseen inputs plus N = 2^n per trial after it
+    bound the calls still to come from below, so a round draws that many
+    calls' worth of whole ``ORACLE_DRAW_BLOCK`` blocks (at least one) and
+    never a block past the one in which the last trial closes.  A trial
+    begun at draw s closes at the latest next occurrence from s of any
+    input, read off a reversed running minimum; the walk takes one step per trial.
     """
     readout, table = _post_oracle_readout(spec)
-    calls, seen = [0], {}
+    n_inputs = 2**spec.n
+    calls, pending = [], np.empty(0, dtype=np.intp)  # pending: the open trial's draws so far
     while True:
-        for index in _cdf_index(table, rng.random(ORACLE_DRAW_BLOCK), (readout,), "quantum").tolist():
-            calls[-1] += 1
-            seen[index >> 1] = index & 1
-            if len(seen) == 2**spec.n:
-                if len(calls) == trials:
-                    return calls, tuple(seen[x] for x in range(len(seen)))
-                calls.append(0)
-                seen = {}
+        needed = (trials - len(calls)) * n_inputs - np.count_nonzero(np.bincount(pending >> 1))
+        needed = min(needed, _TRIAL_BLOCK_ENTRIES // n_inputs)  # bounds the next-occurrence table below
+        uniforms = rng.random(max(1, needed // ORACLE_DRAW_BLOCK) * ORACLE_DRAW_BLOCK)
+        drawn = np.concatenate((pending, _cdf_index(table, uniforms, (readout,), "quantum")))
+        # Row i, over the draws last to first: where input i next occurs at or after each (drawn.size: not this round).
+        backwards = np.arange(drawn.size)[::-1]
+        occurrences = np.where(np.arange(n_inputs)[:, None] == drawn[::-1] >> 1, backwards, drawn.size)
+        closes = np.minimum.accumulate(occurrences, axis=1, out=occurrences).max(axis=0)[::-1].tolist()
+        closes.append(drawn.size)  # no trial starts past the last draw
+        start = 0
+        while closes[start] < drawn.size:
+            calls.append(closes[start] - start + 1)
+            if len(calls) == trials:
+                trial, truth_table = drawn[start : closes[start] + 1], np.empty(n_inputs, dtype=np.intp)
+                truth_table[trial >> 1] = trial & 1
+                return calls, tuple(truth_table.tolist())
+            start = closes[start] + 1
+        pending = drawn[start:]
 
 
 def deutsch_jozsa_verdict(
@@ -466,12 +482,19 @@ def teleportation_fidelities(inputs: np.ndarray, mode: str, rng: np.random.Gener
     nothing collapses, so every branch keeps Bob's marginal of the
     unchanged block.  Each branch's fidelity is taken after its Pauli
     correction and weighted by its probability.
+
+    <bell_k| block and <psi| C_k are gathers, read off ``_BELL_BRAS`` and
+    ``_CORRECTIONS`` on each call: column b of the block is zero off rows b
+    and 2 + b, where a Bell bra has one nonzero entry, and a Pauli
+    correction is a signed permutation.  Each output entry is then its one
+    nonzero product; the matrix product adds only exact zeros to it.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    rows = len(inputs)
+    rows, bob = len(inputs), np.arange(2)
     block = (inputs[:, :, None, None] * _SHARED_PAIR).reshape(rows, 4, 2)
-    conditional = _BELL_BRAS @ block
+    alice = bob + 2 * np.argmax(_BELL_BRAS.reshape(4, 2, 2) != 0, axis=1)  # (k, b): the row c in {b, 2 + b} bra k reads
+    conditional = np.take_along_axis(_BELL_BRAS, alice, axis=1) * block[:, alice, bob]
     raw = np.einsum("tkb,tkb->tk", conditional.conj(), conditional).real
     table = _cdf_table(raw)
     _cdf_index(table, rng.random(rows), (_BELL_READOUT,), mode)
@@ -485,7 +508,8 @@ def teleportation_fidelities(inputs: np.ndarray, mode: str, rng: np.random.Gener
         branches = block[:, None, :, :]
     # <psi| C_k, then its overlap with each pure term of Bob's branch state: one
     # term after a collapse, and Alice's four rows of the block in passive mode.
-    corrected_bras = np.einsum("tc,kcb->tkb", inputs.conj(), _CORRECTIONS)
+    source = np.argmax(_CORRECTIONS != 0, axis=1)  # (k, b): the one input entry that column b of C_k reads
+    corrected_bras = inputs.conj()[:, source] * np.take_along_axis(_CORRECTIONS, source[:, None], axis=1)[:, 0]
     overlaps = branches @ corrected_bras[:, :, :, None]
     branch_fidelities = np.sum(np.abs(overlaps[..., 0]) ** 2, axis=2)
     return np.sum(np.where(possible, probabilities * branch_fidelities, 0.0), axis=1)

@@ -154,6 +154,11 @@ class TestParseConfig:
             config = parse_config(path.read_text())
             assert parse_config(config.to_json()) == config
 
+    def test_payload_is_the_written_config_read_back(self):
+        for path in sorted(CONFIG_DIR.glob("*.json")):
+            config = parse_config(path.read_text())
+            assert config.payload() == json.loads(config.to_json())
+
     def test_equality_compares_raw_values_and_ignores_inputs(self):
         first, second = parse_config(EXAMPLE), parse_config(EXAMPLE)
         assert first.inputs is not second.inputs and first.inputs.observables[0] is not second.inputs.observables[0]
@@ -175,6 +180,13 @@ class TestRun:
     def test_reports_are_byte_identical(self):
         config = parse_config(EXAMPLE)
         assert run(config).to_json() == run(config).to_json()
+
+    def test_reports_do_not_share_a_config_dict(self):
+        config = parse_config(EXAMPLE)
+        first, second = run(config), run(config)
+        assert first.config is not second.config
+        first.config["seed"] = 0
+        assert second.config["seed"] == config.payload()["seed"] == 42
 
     def test_seed_changes_report(self):
         config = parse_config(EXAMPLE)

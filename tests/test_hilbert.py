@@ -174,7 +174,7 @@ class TestSpectralDecompose:
     def test_near_degenerate_merge(self):
         # Two eigenvalues 1e-12 apart merge under a 1e-9 tolerance; the
         # merged projector must be idempotent with rank 2 (direct check).
-        dec = spectral_decompose(np.diag([2.0, 2.0 + 1e-12, 5.0]).astype(complex), degeneracy_tol=1e-9)
+        dec = spectral_decompose(np.diag([2.0, 2.0 + 1e-12, 5.0]).astype(complex))
         assert len(dec.eigenvalues) == 2
         assert dec.eigenvalues[0] == pytest.approx(2.0, abs=1e-11)
         assert dec.eigenvalues[1] == pytest.approx(5.0)

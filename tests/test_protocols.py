@@ -709,6 +709,93 @@ class TestCollapseLoopsMatchReference:
             assert abs(actual - reference_teleportation(state, mode, expected_gen)) <= 2e-15
             assert position(actual_gen) == position(expected_gen)
 
+    # Oracles for the multi-round cases, one per input width.
+    SEVERAL_ROUND_ORACLES = {
+        1: OracleSpec(1, (1, 0)),
+        3: RECOVERY_ORACLES[3],
+        5: OracleSpec(5, tuple(rng.stream(5, "eq/oracle/rounds/table").integers(0, 2, 32).tolist())),
+    }
+
+    @pytest.mark.parametrize("bits", [1, 3, 5])
+    @pytest.mark.parametrize("trials", [2, 200])
+    def test_quantum_function_recovery_in_several_rounds(self, bits, trials):
+        # A round draws several whole blocks at once; the stream still ends at the block in which the last trial closes.
+        spec, path = self.SEVERAL_ROUND_ORACLES[bits], f"eq/oracle/rounds/{bits}"
+        expected_gen, actual_gen = rng.stream(trials, path), rng.stream(trials, path)
+        if bits == 5 and trials == 200:
+            # The dense reference takes ~14 s here: replay the draw-by-draw walk, checked against it in the next test.
+            walks = draw_by_draw_recovery(spec, expected_gen, trials)
+        else:
+            walks = [reference_quantum_function_recovery(spec, expected_gen) for _ in range(trials)]
+        calls, table = protocols._quantum_recovery(spec, actual_gen, trials)
+        assert calls == [walk_calls for walk_calls, _ in walks]
+        assert table == walks[-1][1]
+        expected_gen = rng.stream(trials, path)
+        expected_gen.random(-(-sum(calls) // ORACLE_DRAW_BLOCK) * ORACLE_DRAW_BLOCK)
+        assert position(actual_gen) == position(expected_gen)
+
+    def test_the_draw_by_draw_walk_is_the_reference_walk(self):
+        spec = self.SEVERAL_ROUND_ORACLES[5]
+        expected_gen, actual_gen = rng.stream(0, "eq/oracle/rounds/walk"), rng.stream(0, "eq/oracle/rounds/walk")
+        walks = [reference_quantum_function_recovery(spec, expected_gen) for _ in range(3)]
+        assert draw_by_draw_recovery(spec, actual_gen, 3) == walks
+        assert position(actual_gen) == position(expected_gen)
+
+    @pytest.mark.parametrize("mode", ["quantum", "passive"])
+    def test_teleportation_fidelities_are_the_matrix_products_bit_for_bit(self, mode):
+        gen = rng.stream(3, "eq/tele/rows")
+        inputs = np.array([random_pure_state(2, gen).amplitudes for _ in range(600)])
+        inputs[:3] = [[0.0, 1.0], [1.0, 0.0], [0.0, 1j]]  # zero amplitudes, and a purely imaginary one
+        inputs[3:6, 1] = 1j * np.abs(inputs[3:6, 1])
+        expected_gen, actual_gen = rng.stream(3, "eq/tele/draws"), rng.stream(3, "eq/tele/draws")
+        expected = matrix_product_teleportation_fidelities(inputs, mode, expected_gen)
+        assert teleportation_fidelities(inputs, mode, actual_gen).tobytes() == expected.tobytes()
+        assert position(actual_gen) == position(expected_gen)
+
+    def test_each_bell_bra_and_correction_column_reads_one_entry(self):
+        # The premise of the gathers: column b of a block is zero off rows b and 2 + b, each Bell bra has at most
+        # one nonzero entry on those two rows, and each column of a Pauli correction at most one nonzero entry.
+        shared = protocols._SHARED_PAIR
+        assert shared[0, 1] == shared[1, 0] == 0.0
+        for k in range(4):
+            for b in range(2):
+                assert np.count_nonzero(protocols._BELL_BRAS[k, [b, 2 + b]]) <= 1
+                assert np.count_nonzero(protocols._CORRECTIONS[k, :, b]) <= 1
+
+
+def draw_by_draw_recovery(spec, gen, trials):
+    """Quantum recovery walked one draw at a time, whole ``ORACLE_DRAW_BLOCK`` blocks of uniforms at a time."""
+    readout, table = protocols._post_oracle_readout(spec)
+    walks, calls, seen = [], 0, {}
+    while True:
+        for index in measurement._cdf_index(table, gen.random(ORACLE_DRAW_BLOCK), (readout,), "quantum").tolist():
+            calls += 1
+            seen[index >> 1] = index & 1
+            if len(seen) == 2**spec.n:
+                walks.append((calls, tuple(seen[x] for x in range(2**spec.n))))
+                if len(walks) == trials:
+                    return walks
+                calls, seen = 0, {}
+
+
+def matrix_product_teleportation_fidelities(inputs, mode, gen):
+    """``teleportation_fidelities`` with <bell_k| block and <psi| C_k as a matrix product and an einsum."""
+    rows = len(inputs)
+    block = (inputs[:, :, None, None] * protocols._SHARED_PAIR).reshape(rows, 4, 2)
+    conditional = protocols._BELL_BRAS @ block
+    table = measurement._cdf_table(np.einsum("tkb,tkb->tk", conditional.conj(), conditional).real)
+    measurement._cdf_index(table, gen.random(rows), (protocols._BELL_READOUT,), mode)
+    probabilities = table.probabilities
+    possible = probabilities > measurement.ZERO_PROBABILITY
+    if mode == "quantum":
+        branches = (conditional / np.sqrt(np.where(possible, probabilities, 1.0))[:, :, None])[:, :, None, :]
+    else:
+        branches = block[:, None, :, :]
+    corrected_bras = np.einsum("tc,kcb->tkb", inputs.conj(), protocols._CORRECTIONS)
+    overlaps = branches @ corrected_bras[:, :, :, None]
+    branch_fidelities = np.sum(np.abs(overlaps[..., 0]) ** 2, axis=2)
+    return np.sum(np.where(possible, probabilities * branch_fidelities, 0.0), axis=1)
+
 
 def reference_run_teleportation(config):
     """The teleportation runner one trial at a time; returns the report and its protocol and input streams."""
