@@ -8,8 +8,9 @@ the product of the marginals; joint outcome probabilities
 Tr[(P_a tensor Q_b) rho] are only accessible to a single global device.
 Both devices are sampled the same way, from their analytic table: the
 counts of all shots over the row-major (a, b) grid are one multinomial
-draw.  The analytic tables also serve the no-signalling and
-local-indistinguishability checks, which are exact.
+draw, and CHSH's four tables are one draw of rows A1B1, A1B2, A2B1, A2B2.
+Kronecker products are ``hilbert._kron``.  The analytic tables also serve
+the no-signalling and local-indistinguishability checks, which are exact.
 """
 
 from __future__ import annotations
@@ -19,16 +20,8 @@ import itertools
 
 import numpy as np
 
-from .hilbert import DensityOperator, SpectralDecomposition, State, StateVector, _Record, partial_trace
-from .measurement import (
-    Observable,
-    PSystem,
-    _cdf_counts,
-    _cdf_table,
-    _PairReadout,
-    _Readout,
-    born_distribution,
-)
+from .hilbert import DensityOperator, SpectralDecomposition, State, StateVector, _kron, _Record, partial_trace
+from .measurement import Observable, PSystem, _cdf_counts, _cdf_table, _PairReadout, _Readout, born_distribution
 from .tomography import Frame, hermitian_basis_ic_set, reconstruct_single_copy
 
 PURITY_PRODUCT_THRESHOLD = 0.95
@@ -78,25 +71,27 @@ def lift_local(setting: LocalSetting, shape: tuple[int, int]) -> Observable:
     if setting.side == "A":
         if obs.dim != dim_a:
             raise ValueError(f"observable dimension {obs.dim} does not match subsystem A ({dim_a})")
-        projectors = tuple(np.kron(p, np.eye(dim_b)) for p in obs.projectors)
+        projectors = tuple(_kron(p, np.eye(dim_b)) for p in obs.projectors)
         name = f"{obs.name}xI"
     else:
         if obs.dim != dim_b:
             raise ValueError(f"observable dimension {obs.dim} does not match subsystem B ({dim_b})")
-        projectors = tuple(np.kron(np.eye(dim_a), p) for p in obs.projectors)
+        projectors = tuple(_kron(np.eye(dim_a), p) for p in obs.projectors)
         name = f"Ix{obs.name}"
     decomposition = SpectralDecomposition(obs.decomposition.eigenvalues, projectors)
     return Observable.from_decomposition(name, decomposition)
 
 
 def joint_distribution_global(state: State, a_obs: Observable, b_obs: Observable) -> np.ndarray:
-    """Analytic joint probabilities p(a, b) = Tr[(P_a tensor Q_b) rho]."""
+    """Analytic joint probabilities p(a, b) = Tr[(P_a tensor Q_b) rho], refused as ``_check_sides`` refuses.
+
+    All P_a tensor Q_b are one broadcast product; each cell keeps its own product, matmul and trace, so its bits.
+    """
+    _check_sides(state.shape, a_obs, b_obs)
     matrix = state.projector() if isinstance(state, StateVector) else state.matrix
-    probs = np.empty((len(a_obs.eigenvalues), len(b_obs.eigenvalues)))
-    for i, pa in enumerate(a_obs.projectors):
-        for j, qb in enumerate(b_obs.projectors):
-            probs[i, j] = np.trace(np.kron(pa, qb) @ matrix).real
-    return np.clip(probs, 0.0, None)
+    pa, qb = np.asarray(a_obs.projectors), np.asarray(b_obs.projectors)
+    lifted = (pa[:, None, :, None, :, None] * qb[None, :, None, :, None, :]).reshape(len(pa), len(qb), *matrix.shape)
+    return np.clip(np.trace(lifted @ matrix, axis1=-2, axis2=-1).real, 0.0, None)
 
 
 def joint_distribution_local_passive(state: State, a_obs: Observable, b_obs: Observable) -> np.ndarray:
@@ -109,19 +104,18 @@ def joint_distribution_local_passive(state: State, a_obs: Observable, b_obs: Obs
 
 
 def _local_marginals(state: State, a_obs: Observable, b_obs: Observable) -> tuple[np.ndarray, np.ndarray]:
-    """Born probabilities of ``a_obs`` on side A and ``b_obs`` on side B, from the two reduced states.
+    """Born probabilities of ``a_obs`` on side A and ``b_obs`` on side B, from the two reduced states."""
+    _check_sides(state.shape, a_obs, b_obs)
+    return tuple(born_distribution(obs, partial_trace(state, keep)).probabilities for keep, obs in enumerate((a_obs, b_obs)))
 
-    Refused as ``lift_local`` refuses the two sides: a state that is not
-    bipartite, or an observable of another dimension than its side.
-    """
-    shape = state.shape
+
+def _check_sides(shape: tuple[int, ...], a_obs: Observable, b_obs: Observable) -> None:
+    """Refuse, as ``lift_local`` does, a shape that is not bipartite or an observable of another dimension than its side."""
     if len(shape) != 2:
         raise ValueError(f"expected a bipartite shape, got {shape}")
-    sides = (a_obs, b_obs)
-    for side, obs, dim in zip("AB", sides, shape):
+    for side, obs, dim in zip("AB", (a_obs, b_obs), shape):
         if obs.dim != dim:
             raise ValueError(f"observable dimension {obs.dim} does not match subsystem {side} ({dim})")
-    return tuple(born_distribution(obs, partial_trace(state, keep)).probabilities for keep, obs in enumerate(sides))
 
 
 def global_joint_sample(
@@ -142,9 +136,7 @@ def global_joint_sample(
         raise ValueError("global joint sampling needs a bipartite system")
     if sys.mode == "quantum" and not ensemble:
         raise ValueError("ensemble required in quantum mode: a single copy collapses on the first shot")
-    probs = joint_distribution_global(sys.state, a_obs, b_obs)
-    cells = _Readout(f"{a_obs.name}x{b_obs.name}", tuple(itertools.product(a_obs.eigenvalues, b_obs.eigenvalues)))
-    return _joint_sample(sys, a_obs, b_obs, probs, shots, (cells,))
+    return _joint_samples(((a_obs, b_obs),), (_global_table(sys.state, a_obs, b_obs),), sys.rng, shots, sys.mode)[0]
 
 
 def local_passive_joint_sample(
@@ -168,22 +160,41 @@ def local_passive_joint_sample(
         )
     if a_setting.side != "A" or b_setting.side != "B":
         raise ValueError("expected one setting for side A and one for side B")
-    a_obs, b_obs = a_setting.observable, b_setting.observable
-    marg_a, marg_b = _local_marginals(sys.state, a_obs, b_obs)
+    setting = (a_setting.observable, b_setting.observable)
+    return _joint_samples((setting,), (_local_passive_table(sys.state, *setting),), sys.rng, shots, sys.mode)[0]
+
+
+def _global_table(state: State, a_obs: Observable, b_obs: Observable) -> tuple[np.ndarray, _Readout]:
+    """The joint table of one global device, and the readout naming its cells."""
+    cells = _Readout(f"{a_obs.name}x{b_obs.name}", tuple(itertools.product(a_obs.eigenvalues, b_obs.eigenvalues)))
+    return joint_distribution_global(state, a_obs, b_obs), cells
+
+
+def _local_passive_table(state: State, a_obs: Observable, b_obs: Observable) -> tuple[np.ndarray, _PairReadout]:
+    """The product of the two local marginals, and the ``_PairReadout`` of the two sides."""
+    marg_a, marg_b = _local_marginals(state, a_obs, b_obs)
     sides = (_Readout(f"{a_obs.name}xI", a_obs.eigenvalues), _Readout(f"Ix{b_obs.name}", b_obs.eigenvalues))
-    pair = _PairReadout(sides, marg_a, marg_b)
-    return _joint_sample(sys, a_obs, b_obs, np.outer(marg_a, marg_b), shots, pair)
+    return np.outer(marg_a, marg_b), _PairReadout(sides, marg_a, marg_b)
 
 
-def _joint_sample(
-    sys: PSystem, a_obs: Observable, b_obs: Observable, probs: np.ndarray, shots: int, readouts
-) -> JointFrequencyTable:
-    """Count ``shots`` draws from the joint table ``probs`` over the row-major (a, b) grid.
+def _joint_samples(settings, tables, rng: np.random.Generator, shots: int, mode: str) -> list[JointFrequencyTable]:
+    """Count ``shots`` draws from each setting's ``_global_table`` or ``_local_passive_table``, as one multinomial draw.
 
-    ``readouts`` names the cells (a global device) or is the ``_PairReadout`` of the two local sides.
+    A narrower table is padded with zero weight before its cells (a cell readout with ``None``): numpy's multinomial
+    draws a binomial for every column but the last unless its weight is zero, so each row draws as a call of its own.
     """
-    counts = _cdf_counts(_cdf_table(probs.reshape(1, -1)), sys.rng, shots, readouts, sys.mode)[0]
-    return JointFrequencyTable(a_obs.eigenvalues, b_obs.eigenvalues, counts.reshape(probs.shape), shots)
+    width = max(probs.size for probs, _ in tables)
+    rows, readouts = np.zeros((len(tables), width)), []
+    for row, (probs, readout) in zip(rows, tables):
+        row[width - probs.size :] = probs.ravel()
+        if not isinstance(readout, _PairReadout):  # a pair reads the last columns of its row
+            readout = _Readout(readout.name, (None,) * (width - probs.size) + readout.eigenvalues)
+        readouts.append(readout)
+    counts = _cdf_counts(_cdf_table(rows), rng, shots, readouts, mode)
+    return [
+        JointFrequencyTable(a_obs.eigenvalues, b_obs.eigenvalues, row[width - probs.size :].reshape(probs.shape), shots)
+        for (a_obs, b_obs), (probs, _), row in zip(settings, tables, counts)
+    ]
 
 
 def non_dichotomic(values) -> list[float]:
@@ -213,23 +224,17 @@ def chsh_value(
 
     ``source`` selects the sampling model: ``"global"`` draws from the
     joint outcome probabilities, ``"local-passive"`` from independent
-    local marginals.  Each correlator runs on a fresh passive system
-    sharing the provided stream.
+    local marginals.  The four passive tables, A1B1, A1B2, A2B1, A2B2,
+    are one draw from the provided stream, row after row, so each takes
+    the stretch of the stream a sampler call of its own would take.
     """
     if source not in CHSH_SOURCES:
         raise ValueError(f"unknown source {source!r}; expected one of {CHSH_SOURCES}")
-    a1, a2 = alice
-    b1, b2 = bob
-
-    def estimate(a_obs: Observable, b_obs: Observable) -> float:
-        sys = PSystem(state, "passive", rng)
-        if source == "global":
-            table = global_joint_sample(sys, a_obs, b_obs, shots)
-        else:
-            table = local_passive_joint_sample(sys, LocalSetting("A", a_obs), LocalSetting("B", b_obs), shots)
-        return correlator(table)
-
-    return estimate(a1, b1) + estimate(a1, b2) + estimate(a2, b1) - estimate(a2, b2)
+    settings = tuple(itertools.product(alice, bob))
+    table = _global_table if source == "global" else _local_passive_table
+    samples = _joint_samples(settings, [table(state, *setting) for setting in settings], rng, shots, "passive")
+    e11, e12, e21, e22 = (correlator(sample) for sample in samples)
+    return e11 + e12 + e21 - e22
 
 
 class EntanglementVerdict(_Record):

@@ -260,20 +260,27 @@ def tensor(a, b):
     concatenation of the operand shapes.
     """
     if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector._unchecked(np.kron(a.amplitudes, b.amplitudes), a.shape + b.shape)
+        return StateVector._unchecked(_kron(a.amplitudes, b.amplitudes), a.shape + b.shape)
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        return DensityOperator._unchecked(np.kron(a.matrix, b.matrix), a.shape + b.shape)
+        return DensityOperator._unchecked(_kron(a.matrix, b.matrix), a.shape + b.shape)
     if isinstance(a, UnitaryOperator) and isinstance(b, UnitaryOperator):
-        return UnitaryOperator._unchecked(np.kron(a.matrix, b.matrix))
+        return UnitaryOperator._unchecked(_kron(a.matrix, b.matrix))
     if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return np.kron(a, b)
+        return _kron(a, b)
     raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two vectors or two matrices as one broadcast multiply: the same products, so the same bits."""
+    if a.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def kron_all(*matrices: np.ndarray) -> np.ndarray:
     out = np.asarray(matrices[0], dtype=complex)
     for mat in matrices[1:]:
-        out = np.kron(out, mat)
+        out = _kron(out, mat)
     return out
 
 

@@ -173,8 +173,9 @@ def _cdf_counts(table: _CdfTable, rng: np.random.Generator, n: int, readouts, mo
     ``rng.multinomial`` call draws for every row, in row order, by sequential binomials.
     numpy leaves a row's rounding remainder on its last column; where that column has no
     weight (padding, or an impossible outcome), the remainder moves to the row's last
-    outcome of positive weight.  A drawn outcome is refused as ``_cdf_index`` refuses it,
-    or as a ``_PairReadout`` refuses its cell.  Fewer than one shot is refused before any draw.
+    outcome of positive weight.  A drawn outcome is refused as ``_cdf_index`` refuses it, or,
+    where ``readouts`` holds ``_PairReadout`` s, as the pair of row r refuses its cell, row after
+    row; a pair's cells are the last columns of its row.  Fewer than one shot is refused before any draw.
     """
     if n < 1:
         raise ValueError("need at least one shot")
@@ -183,12 +184,15 @@ def _cdf_counts(table: _CdfTable, rng: np.random.Generator, n: int, readouts, mo
     last = table.probabilities.shape[1] - 1 - np.argmax(table.probabilities[stray, ::-1] > 0.0, axis=1)
     counts[stray, last] += counts[stray, -1]
     counts[stray, -1] = 0
-    if isinstance(readouts, _PairReadout) and table.risky.any():
-        cells = counts.reshape(readouts.first.size, -1) > 0
-        first = np.where(cells.any(axis=1), readouts.first, np.inf)
-        second = np.where(cells, readouts.second, np.inf).min(axis=0)  # each drawn b's least p(b | a) over drawn a
-        _refuse_drawn(readouts.sides[:1], (0,), first[None], mode)
-        _refuse_drawn(readouts.sides[1:], (0,), second[None], mode)
+    if readouts is not None and table.risky.any() and isinstance(readouts[0], _PairReadout):
+        for row in np.flatnonzero(table.risky):
+            pair = readouts[row % len(readouts)]
+            size = pair.first.size * len(pair.sides[1].eigenvalues)
+            cells = counts[row, counts.shape[1] - size :].reshape(pair.first.size, -1) > 0
+            first = np.where(cells.any(axis=1), pair.first, np.inf)
+            second = np.where(cells, pair.second, np.inf).min(axis=0)  # each drawn b's least p(b | a) over drawn a
+            _refuse_drawn(pair.sides[:1], (0,), first[None], mode)
+            _refuse_drawn(pair.sides[1:], (0,), second[None], mode)
     elif readouts is not None and table.risky.any():
         drawn = np.where(counts[table.risky] > 0, table.probabilities[table.risky], np.inf)
         _refuse_drawn(readouts, np.flatnonzero(table.risky), drawn, mode)

@@ -23,6 +23,7 @@ from .hilbert import (
     State,
     StateVector,
     UnitaryOperator,
+    _kron,
     _Record,
     basis_state,
     bell_state,
@@ -315,7 +316,7 @@ def purify(rho: DensityOperator) -> StateVector:
     amps = np.zeros(dim * dim, dtype=complex)
     for i in range(dim):
         weight = max(float(values[i]), 0.0)
-        amps += np.sqrt(weight) * np.kron(vectors[:, i], np.eye(dim)[i])
+        amps += np.sqrt(weight) * _kron(vectors[:, i], np.eye(dim)[i])
     return StateVector.normalized(amps, (dim, dim))
 
 
@@ -570,5 +571,5 @@ def repeatability_experiment(
             ]
         )
     cells = (first[:, None] * second).reshape(1, -1)
-    counts = _cdf_counts(_cdf_table(cells), rng, trials, _PairReadout((obs, obs), first, second), mode)
+    counts = _cdf_counts(_cdf_table(cells), rng, trials, (_PairReadout((obs, obs), first, second),), mode)
     return int(np.trace(counts.reshape(first.size, -1))) / trials

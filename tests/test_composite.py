@@ -9,6 +9,7 @@ from conftest import _ZeroUniforms, called_name, enclosing_function, parsed_sour
 
 from pqt import composite, rng
 from pqt.composite import (
+    CHSH_SOURCES,
     JointFrequencyTable,
     LocalSetting,
     chsh_value,
@@ -23,6 +24,7 @@ from pqt.composite import (
     signalling_check,
 )
 from pqt.hilbert import (
+    DensityOperator,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -32,6 +34,7 @@ from pqt.hilbert import (
     maximally_mixed,
     partial_trace,
     plus_state,
+    random_density,
     random_hermitian,
     random_pure_state,
     tensor,
@@ -146,6 +149,76 @@ def test_reduced_reconstruction_refuses_a_tripartite_system():
     sys = PSystem(first_basis_state((2, 2, 2)), "passive", rng.stream(0, "local/refusals"))
     with pytest.raises(ValueError, match="^expected a bipartite system$"):
         reconstruct_reduced_single_copy(sys, 10)
+
+
+JOINT_DEVICES = {"global": joint_distribution_global, "local-passive": joint_distribution_local_passive}
+
+
+class TestBothDevicesRefuseTheSameSides:
+    def test_an_observable_of_another_dimension_than_its_side(self):
+        # A 6x6 kron of a qutrit A-observable and a qubit B-observable fits a 2x3 state: only the side check refuses it.
+        g = rng.stream(0, "sides/mismatch")
+        state = random_pure_state(6, g, (2, 3))
+        qutrit = Observable("H3", random_hermitian(3, g))
+        messages = []
+        for device in JOINT_DEVICES.values():
+            with pytest.raises(ValueError) as refused:
+                device(state, qutrit, Z)
+            messages.append(str(refused.value))
+        assert messages == ["observable dimension 3 does not match subsystem A (2)"] * 2
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+    def test_a_state_that_is_not_bipartite(self, shape):
+        for device in JOINT_DEVICES.values():
+            with pytest.raises(ValueError, match=f"^{re.escape(f'expected a bipartite shape, got {shape}')}$"):
+                device(first_basis_state(shape), Z, Z)
+
+
+def per_cell_joint(state, a_obs, b_obs):
+    """Tr[(P_a tensor Q_b) rho] one cell at a time, each with its own np.kron, matmul and trace."""
+    matrix = state.projector() if isinstance(state, StateVector) else state.matrix
+    probs = np.empty((len(a_obs.eigenvalues), len(b_obs.eigenvalues)))
+    for i, pa in enumerate(a_obs.projectors):
+        for j, qb in enumerate(b_obs.projectors):
+            probs[i, j] = np.trace(np.kron(pa, qb) @ matrix).real
+    return np.clip(probs, 0.0, None)
+
+
+def observable_with_values(name, values, gen):
+    """An observable with the given eigenvalues, a repeated one degenerate, in a random basis."""
+    basis = np.linalg.qr(random_hermitian(len(values), gen) + 1j * np.eye(len(values)))[0]
+    return Observable(name, basis @ np.diag(values) @ basis.conj().T)
+
+
+def with_levels(name, dim, levels, gen):
+    """An observable on ``dim`` with ``levels`` distinct eigenvalues."""
+    return observable_with_values(name, [-0.5, 0.5, 1.5][:levels] + [levels - 1.5] * (dim - levels), gen)
+
+
+class TestStackedGlobalTable:
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_equals_the_per_cell_loop_byte_for_byte(self, shape):
+        g = rng.stream(0, f"joint/stacked/{shape}")
+        dim = int(np.prod(shape))
+        sparse = random_pure_state(dim, g, shape).amplitudes.copy()
+        sparse[::2] = 0.0  # zero amplitudes
+        states = [
+            random_pure_state(dim, g, shape),
+            StateVector.normalized(sparse, shape),
+            first_basis_state(shape),
+            DensityOperator(random_density(dim, g).matrix, shape),
+            DensityOperator(random_density(dim, g, rank=1).matrix, shape),
+            maximally_mixed(dim, shape),
+        ]
+        a_list = [with_levels("A", shape[0], k, g) for k in range(1, shape[0] + 1)]
+        b_list = [with_levels("B", shape[1], k, g) for k in range(1, shape[1] + 1)]
+        a_list += [Z] if shape[0] == 2 else []
+        for state in states:
+            for a_obs in a_list:
+                for b_obs in b_list:
+                    actual, expected = joint_distribution_global(state, a_obs, b_obs), per_cell_joint(state, a_obs, b_obs)
+                    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+                    assert actual.tobytes() == expected.tobytes()
 
 
 class TestGlobalJointSample:
@@ -367,6 +440,48 @@ class TestJointSamplingIsOneMultinomialDraw:
         expected = estimate(Z, b1) + estimate(Z, b2) + estimate(X, b1) - estimate(X, b2)
         assert chsh_value(state, (Z, X), (b1, b2), "local-passive", shots, actual_gen) == expected
         assert position(actual_gen) == position(expected_gen)
+
+
+def four_sampler_calls_chsh(state, alice, bob, source, shots, gen):
+    """CHSH from four sampler calls, each on a fresh passive system sharing ``gen``, in the order A1B1, A1B2, A2B1, A2B2."""
+
+    def estimate(a_obs, b_obs):
+        sys = PSystem(state, "passive", gen)
+        if source == "global":
+            return correlator(global_joint_sample(sys, a_obs, b_obs, shots))
+        return correlator(local_passive_joint_sample(sys, LocalSetting("A", a_obs), LocalSetting("B", b_obs), shots))
+
+    (a1, a2), (b1, b2) = alice, bob
+    return estimate(a1, b1) + estimate(a1, b2) + estimate(a2, b1) - estimate(a2, b2)
+
+
+class TestCHSHIsOneDrawOfFourRows:
+    @pytest.mark.parametrize("source", CHSH_SOURCES)
+    @pytest.mark.parametrize(
+        "shape, minus",
+        [
+            ((2, 2), (1, 1, 1, 1)),
+            ((2, 2), (0, 1, 1, 1)),  # A1 has one eigenvalue: rows A1B1 and A1B2 are padded
+            ((2, 2), (1, 2, 1, 0)),  # A2 and B2 have one each: rows of 4, 2, 2 and 1 cells
+            ((3, 2), (1, 2, 1, 1)),
+            ((2, 3), (1, 0, 3, 2)),
+        ],
+    )
+    @pytest.mark.parametrize("shots", [1, 7, 10**6 + 3])
+    def test_equals_four_sampler_calls(self, source, shape, minus, shots):
+        g = rng.stream(shots, f"chsh/rows/{shape}/{minus}")
+        state = random_pure_state(int(np.prod(shape)), g, shape)
+        dims = (shape[0], shape[0], shape[1], shape[1])
+        # Eigenvalue -1 of multiplicity k and +1 on the rest: one eigenvalue when k is 0 or the dimension.
+        names = ("A1", "A2", "B1", "B2")
+        a1, a2, b1, b2 = (observable_with_values(n, [-1.0] * k + [1.0] * (d - k), g) for n, d, k in zip(names, dims, minus))
+        for skip in range(4):
+            expected_gen, actual_gen = rng.stream(skip, "chsh/rows/draws"), rng.stream(skip, "chsh/rows/draws")
+            expected_gen.random(skip)
+            actual_gen.random(skip)
+            expected = four_sampler_calls_chsh(state, (a1, a2), (b1, b2), source, shots, expected_gen)
+            assert chsh_value(state, (a1, a2), (b1, b2), source, shots, actual_gen) == expected
+            assert position(actual_gen) == position(expected_gen)
 
 
 class TestFlatMemory:

@@ -19,10 +19,12 @@ from pqt.hilbert import (
     PAULI_Z,
     StateVector,
     UnitaryOperator,
+    _kron,
     basis_state,
     bell_state,
     evolve,
     fidelity,
+    kron_all,
     maximally_mixed,
     partial_trace,
     pauli_matrix,
@@ -157,6 +159,71 @@ class TestTensor:
     def test_mixed_kinds_rejected(self):
         with pytest.raises(TypeError):
             tensor(basis_state(2, 0), maximally_mixed(2))
+
+
+def same_bytes(actual, expected):
+    return actual.dtype == expected.dtype and actual.shape == expected.shape and actual.tobytes() == expected.tobytes()
+
+
+class TestKron:
+    # _kron takes np.kron's products as one broadcast multiply: the same operand pairs under the same ufunc.
+
+    @staticmethod
+    def signed_zeros(array):
+        """Zeros of both signs: every third entry scaled by -0.0, every fourth complex one -0.0 - 0.0j, every fifth +0.0."""
+        flat = array.reshape(-1).copy()
+        flat[::3] *= -0.0
+        if np.iscomplexobj(flat):
+            flat[1::4] = complex(-0.0, -0.0)
+        flat[::5] = 0.0
+        return flat.reshape(array.shape)
+
+    def test_vectors(self):
+        g = rng.stream(0, "kron/vectors")
+        for da, db in [(1, 1), (2, 3), (3, 2), (4, 4), (8, 5)]:
+            a = g.normal(size=da) + 1j * g.normal(size=da)
+            b = g.normal(size=db) + 1j * g.normal(size=db)
+            for pair in [(a, b), (self.signed_zeros(a), b), (a.real, b), (a, self.signed_zeros(b).real)]:
+                assert same_bytes(_kron(*pair), np.kron(*pair))
+
+    @pytest.mark.parametrize("da", range(2, 9))
+    def test_square_matrices(self, da):
+        g = rng.stream(da, "kron/matrices")
+        for db in range(2, 9):
+            a = g.normal(size=(da, da)) + 1j * g.normal(size=(da, da))
+            b = g.normal(size=(db, db)) + 1j * g.normal(size=(db, db))
+            cases = [(a, b), (a.real, b), (a, b.real), (a, np.eye(db)), (np.eye(da), b), (self.signed_zeros(a), b)]
+            cases += [(a, self.signed_zeros(b)), (self.signed_zeros(a).real, self.signed_zeros(b))]
+            for pair in cases:
+                assert same_bytes(_kron(*pair), np.kron(*pair))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_kron_all_of_hadamards(self, n):
+        expected = np.asarray(HADAMARD, dtype=complex)
+        for _ in range(n - 1):
+            expected = np.kron(expected, HADAMARD)
+        assert same_bytes(kron_all(*([HADAMARD] * n)), expected)
+
+    def test_tensor_of_every_kind(self):
+        g = rng.stream(1, "kron/tensor")
+        psi, phi = random_pure_state(2, g), random_pure_state(3, g)
+        rho, sigma = random_density(2, g), random_density(3, g)
+        assert same_bytes(tensor(psi, phi).amplitudes, np.kron(psi.amplitudes, phi.amplitudes))
+        assert same_bytes(tensor(rho, sigma).matrix, np.kron(rho.matrix, sigma.matrix))
+        h = UnitaryOperator(HADAMARD)
+        assert same_bytes(tensor(h, h).matrix, np.kron(h.matrix, h.matrix))
+        assert same_bytes(tensor(rho.matrix, np.eye(3)), np.kron(rho.matrix, np.eye(3)))
+
+
+def test_no_module_calls_np_kron():
+    # Every Kronecker product goes through hilbert._kron, which skips np.kron's per-call axis bookkeeping.
+    places = [
+        (module, enclosing_function(node, parents))
+        for module, tree, parents in parsed_sources()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "kron"
+    ]
+    assert places == []
 
 
 class TestSpectralDecompose:

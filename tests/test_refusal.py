@@ -16,10 +16,10 @@ from conftest import _ZeroUniforms, called_name, enclosing_function, parsed_sour
 from frame_reference import frame_observables
 
 from pqt import measurement, protocols, rng
-from pqt.composite import LocalSetting, _local_ic_set, global_joint_sample, local_passive_joint_sample
+from pqt.composite import LocalSetting, _local_ic_set, chsh_value, global_joint_sample, local_passive_joint_sample
 from pqt.harness import parse_config, run
 from pqt.harness import runner as runner_module
-from pqt.hilbert import PAULI_Z, StateVector, basis_state, partial_trace, random_pure_state, tensor
+from pqt.hilbert import PAULI_X, PAULI_Z, StateVector, basis_state, partial_trace, random_pure_state, tensor
 from pqt.measurement import (
     MODES,
     ZERO_PROBABILITY,
@@ -292,6 +292,19 @@ class TestWhichOutcomeIsNamed:
         assert [name for name, p in zip(ic.names, drawn_first) if 0.0 < p <= ZERO_PROBABILITY] == offending
         with pytest.raises(ValueError, match=f"^{re.escape(refusal(-1.0, named, 'passive'))}$"):
             estimate_expectations(PSystem(state, "passive", _ZeroUniforms()), ic, 3)
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [("global", refusal((-1.0, -1.0), "A2xB1", "passive")), ("local-passive", refusal(-1.0, "A2xI", "passive"))],
+    )
+    def test_a_chsh_refusal_in_the_third_setting_names_that_setting(self, source, message):
+        # Both qubits tilted, so Z = -1 has probability 1e-13 on each side.  The four rows A1B1, A1B2, A2B1, A2B2
+        # draw the cells (-1, +1), (-1, -1), (-1, -1) and (+1, -1): only the third, Z x Z, draws an impossible one.
+        # The global device names that cell of its A2xB1 readout; a local pair refuses side A before side B.
+        a1, a2 = Observable("A1", PAULI_X), Observable("A2", PAULI_Z)
+        b1, b2 = Observable("B1", PAULI_Z), Observable("B2", PAULI_X)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            chsh_value(tensor(tilted(), tilted()), (a1, a2), (b1, b2), source, 3, DrawOneCellPerRow([1, 0, 0, 2]))
 
     def test_least_probable_drawn_outcome_of_a_row(self):
         # Outcome 0 (2e-13) is drawn first, outcome 2 (1e-13) second: the less probable one is named.

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pqt
-from pqt import composite, rng, tomography
+from pqt import composite, hilbert, rng, tomography
 from pqt.harness import parse_config, run
 from pqt.hilbert import (
     DensityOperator,
@@ -242,8 +242,10 @@ class TestPauliMasks:
     def test_six_qubit_run_stores_no_dense_string(self, monkeypatch):
         # 4095 dense 64x64 strings with two projectors each would take ~0.8 GB.
         kron_calls = []
-        real_kron = np.kron
+        real_kron, real_hilbert_kron = np.kron, hilbert._kron
         monkeypatch.setattr(np, "kron", lambda *args: kron_calls.append(args) or real_kron(*args))
+        for module in [m for name, m in sys.modules.items() if name.startswith("pqt") and hasattr(m, "_kron")]:
+            monkeypatch.setattr(module, "_kron", lambda *args: kron_calls.append(args) or real_hilbert_kron(*args))
         tomography.ic_set_for_dimension.cache_clear()
         config = {"name": "r6", "protocol": "reconstruct", "shape": [2] * 6, "initial_state": "random-pure:1", "shots": 10}
         tracemalloc.start()
