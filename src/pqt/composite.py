@@ -22,7 +22,7 @@ import numpy as np
 
 from .hilbert import DensityOperator, SpectralDecomposition, State, StateVector, _kron, _Record, partial_trace
 from .measurement import Observable, PSystem, _cdf_counts, _cdf_table, _PairReadout, _Readout, born_distribution
-from .tomography import Frame, hermitian_basis_ic_set, reconstruct_single_copy
+from .tomography import ColumnFrame, hermitian_basis_ic_set, reconstruct_single_copy
 
 PURITY_PRODUCT_THRESHOLD = 0.95
 PURITY_ENTANGLED_THRESHOLD = 0.90
@@ -100,13 +100,19 @@ def joint_distribution_local_passive(state: State, a_obs: Observable, b_obs: Obs
     Passive measurements do not correlate the sides, so the table is the
     product of the two local marginals.
     """
-    return np.outer(*_local_marginals(state, a_obs, b_obs))
+    (marg_a,), (marg_b,) = _local_marginals(state, (a_obs,), (b_obs,))
+    return np.outer(marg_a, marg_b)
 
 
-def _local_marginals(state: State, a_obs: Observable, b_obs: Observable) -> tuple[np.ndarray, np.ndarray]:
-    """Born probabilities of ``a_obs`` on side A and ``b_obs`` on side B, from the two reduced states."""
-    _check_sides(state.shape, a_obs, b_obs)
-    return tuple(born_distribution(obs, partial_trace(state, keep)).probabilities for keep, obs in enumerate((a_obs, b_obs)))
+def _local_marginals(state: State, alice: tuple, bob: tuple) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Born probabilities of each of ``alice`` on side A and each of ``bob`` on side B, each side's reduced state taken once.
+
+    Every pairing (a, b), in ``itertools.product`` order, is first refused as ``_check_sides`` refuses.
+    """
+    for a_obs, b_obs in itertools.product(alice, bob):
+        _check_sides(state.shape, a_obs, b_obs)
+    sides = ((alice, partial_trace(state, 0)), (bob, partial_trace(state, 1)))
+    return tuple([born_distribution(obs, reduced).probabilities for obs in side] for side, reduced in sides)
 
 
 def _check_sides(shape: tuple[int, ...], a_obs: Observable, b_obs: Observable) -> None:
@@ -160,8 +166,10 @@ def local_passive_joint_sample(
         )
     if a_setting.side != "A" or b_setting.side != "B":
         raise ValueError("expected one setting for side A and one for side B")
-    setting = (a_setting.observable, b_setting.observable)
-    return _joint_samples((setting,), (_local_passive_table(sys.state, *setting),), sys.rng, shots, sys.mode)[0]
+    a_obs, b_obs = a_setting.observable, b_setting.observable
+    (marg_a,), (marg_b,) = _local_marginals(sys.state, (a_obs,), (b_obs,))
+    table = _local_passive_table((a_obs, marg_a), (b_obs, marg_b))
+    return _joint_samples(((a_obs, b_obs),), (table,), sys.rng, shots, sys.mode)[0]
 
 
 def _global_table(state: State, a_obs: Observable, b_obs: Observable) -> tuple[np.ndarray, _Readout]:
@@ -170,9 +178,9 @@ def _global_table(state: State, a_obs: Observable, b_obs: Observable) -> tuple[n
     return joint_distribution_global(state, a_obs, b_obs), cells
 
 
-def _local_passive_table(state: State, a_obs: Observable, b_obs: Observable) -> tuple[np.ndarray, _PairReadout]:
-    """The product of the two local marginals, and the ``_PairReadout`` of the two sides."""
-    marg_a, marg_b = _local_marginals(state, a_obs, b_obs)
+def _local_passive_table(a_side: tuple, b_side: tuple) -> tuple[np.ndarray, _PairReadout]:
+    """The product of two local marginals, and the ``_PairReadout`` of the two sides: each side is (observable, marginal)."""
+    (a_obs, marg_a), (b_obs, marg_b) = a_side, b_side
     sides = (_Readout(f"{a_obs.name}xI", a_obs.eigenvalues), _Readout(f"Ix{b_obs.name}", b_obs.eigenvalues))
     return np.outer(marg_a, marg_b), _PairReadout(sides, marg_a, marg_b)
 
@@ -231,8 +239,12 @@ def chsh_value(
     if source not in CHSH_SOURCES:
         raise ValueError(f"unknown source {source!r}; expected one of {CHSH_SOURCES}")
     settings = tuple(itertools.product(alice, bob))
-    table = _global_table if source == "global" else _local_passive_table
-    samples = _joint_samples(settings, [table(state, *setting) for setting in settings], rng, shots, "passive")
+    if source == "global":
+        tables = [_global_table(state, *setting) for setting in settings]
+    else:
+        marg_a, marg_b = _local_marginals(state, alice, bob)  # each side reduced once, each marginal taken once
+        tables = [_local_passive_table(*pair) for pair in itertools.product(zip(alice, marg_a), zip(bob, marg_b))]
+    samples = _joint_samples(settings, tables, rng, shots, "passive")
     e11, e12, e21, e22 = (correlator(sample) for sample in samples)
     return e11 + e12 + e21 - e22
 
@@ -259,10 +271,10 @@ def reconstruct_reduced_single_copy(sys: PSystem, shots: int) -> DensityOperator
 
 
 @functools.lru_cache(maxsize=8)
-def _local_ic_set(dim_a: int) -> Frame:
+def _local_ic_set(dim_a: int) -> ColumnFrame:
     """The Gell-Mann frame of side A, each name suffixed ``xI`` for the A tensor I it is measured as; built once per dimension."""
     ic = hermitian_basis_ic_set(dim_a)
-    return Frame(tuple(f"{name}xI" for name in ic.names), ic.norm, ic.values, ic.lagrange, ic.levels, ic.codes, ic.rows)
+    return ColumnFrame(tuple(f"{name}xI" for name in ic.names), ic.norm, ic.values, ic.lagrange, ic.levels, ic.codes, ic.rows)
 
 
 def detect_entanglement_single_copy(sys: PSystem, shots: int) -> EntanglementVerdict:

@@ -441,31 +441,6 @@ def pauli_phases(label: str) -> tuple[int, np.ndarray]:
     return x_mask, _I_POWERS[label.count("Y") % 4] * np.where(odd, -1.0, 1.0)
 
 
-def pauli_frame_phases(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bit-flip masks and column phases of every non-identity Pauli string on n qubits, in label order.
-
-    Row k - 1 is the string whose letters are the base-4 digits of k
-    (I, X, Y, Z = 0..3, first letter most significant), as
-    ``itertools.product("IXYZ", repeat=n)`` lists them.  The phases come as
-    ``(levels, codes)``: phase[x] = levels[codes[x]], with the ``(k, d)``
-    byte codes 2 (#Y mod 4) + popcount(x & z_mask) mod 2 into the eight
-    products i^(#Y) (+1 or -1), taken as :func:`pauli_phases` takes them, so
-    ``levels[codes]`` equals each label's phases bit for bit, signed zeros
-    included.
-    """
-    index = np.arange(1, 4**n_qubits)
-    digits = (index[:, None] >> (2 * np.arange(n_qubits - 1, -1, -1))) & 3
-    weights = 1 << np.arange(n_qubits - 1, -1, -1)
-    x_masks = ((digits == 1) | (digits == 2)) @ weights
-    z_masks = (digits >= 2) @ weights
-    y_counts = np.count_nonzero(digits == 2, axis=1)
-    levels = (np.asarray(_I_POWERS)[:, None] * np.array([1.0, -1.0])).ravel()
-    # Masks are below 2^6, so the (k, d) fold runs on bytes and leaves the codes in place.
-    codes = _odd_parity(np.arange(2**n_qubits, dtype=np.uint8) & z_masks[:, None].astype(np.uint8), n_qubits)
-    codes |= (2 * (y_counts % 4)).astype(np.uint8)[:, None]
-    return x_masks, levels, codes
-
-
 def pauli_matrix(label: str) -> np.ndarray:
     """Tensor product of single-qubit Paulis, e.g. ``"ZX"`` -> Z tensor X."""
     x_mask, phase = pauli_phases(label)

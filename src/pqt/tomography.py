@@ -15,30 +15,35 @@ The Pauli strings and the generalised Gell-Mann matrices have this
 property by construction (Bertlmann & Krammer, J. Phys. A 41, 235303,
 2008); the tests check it once instead of every build.
 
-Every frame is one :class:`Frame`: ``(k, d)`` arrays of phase codes and
-rows, O|x> = phase[x] |rows[x]> with phase[x] = levels[codes[x]], one
-observable per row, with the ``(k, m)`` outcome ``values`` and ``names``.
-A Pauli string and a generalised Gell-Mann matrix both have at most one
-nonzero per column, so no observable has an object, a dense matrix or a
-projector of its own.  Each has at most three outcomes, so the projector
-onto each is a Lagrange polynomial in O, c0 + c1 O + c2 O^2, and its Born
-probability is c0 + c1 <O> + c2 <O^2>: one array expression per block of
-observables, O(d) each, since O^2 is diagonal with entries |phase[x]|^2.  Linear
-inversion adds term k to the d entries (rows[k, x], x) with one
-unbuffered ``np.add.at`` per block, so every entry takes its terms in frame
-order, with the bits of the dense sum.  Inversion adds to a stack of matrices at once, one per row
-of a ``(T, k)`` array of means, and a single reconstruction is a stack of
-one.  :func:`ic_set_for_dimension` returns one shared, immutable frame per
+Every frame is a :class:`Frame`: one observable per row, with the
+``(k, m)`` outcome ``values`` and ``names``, and no observable has an
+object, a dense matrix or a projector of its own.  Each has at most three
+outcomes, so the projector onto each is a Lagrange polynomial in O,
+c0 + c1 O + c2 O^2, and its Born probability is c0 + c1 <O> + c2 <O^2>.
+The factory that builds a frame picks its kernel for <O> and for the
+inversion terms:
+
+- A :class:`PauliFrame` (power-of-two dimension): the strings that share
+  an x-mask differ only by Walsh signs, so every <S> on a state is read
+  off one unnormalised Walsh-Hadamard transform of a d x d array, and the
+  terms of a linear inversion are one transform back (Hantzko, Binkowski
+  & Gupta, arXiv:2310.13421): n butterfly passes over d^2 entries,
+  O(d^2 log d), from a d x d plan.
+- A :class:`ColumnFrame` (the generalised Gell-Mann basis): ``(k, d)`` byte
+  arrays of phase codes and rows, O|x> = phase[x] |rows[x]>, as a
+  Gell-Mann matrix has at most one nonzero per column.  <O> is O(d) per
+  observable, and inversion adds every term with one unbuffered
+  ``np.add.at`` per block of observables, in frame order.
+
+Gell-Mann Born rows and inversions have the bits of the dense
+observable-by-observable definitions; Pauli ones sum in butterfly order
+and agree with them within 4 n eps (n qubits, eps the float64 epsilon).
+Inversion adds to a stack of matrices at once, one per row of a ``(T, k)``
+array of means, each row by the same operations as alone, so a single
+reconstruction is a stack of one, bit for bit.
+:func:`ic_set_for_dimension` returns one shared, immutable frame per
 dimension.  Estimates come back as ``(k,)`` arrays of means and
 half-widths aligned with ``names``.
-
-The phases take few values: the eight products i^y (+1 or -1) in a Pauli
-frame, 2d + 2 in a Gell-Mann frame.  So each is a byte code into the
-frame's ``levels``, and rows are bytes, as d <= 64: the 6-qubit Pauli
-frame holds 0.52 MB of codes and rows, not 6.3 MB of complex phases and
-``intp`` rows.  Every phase is the same complex number looked up from the
-table, so Born rows and inversions keep their bits.  Entry indices are
-computed in ``intp``, never in the bytes that rows are kept in.
 
 Every observable of a frame is sampled by one row-wise sampler: the
 frame's Born rows on each state are checked once into one CDF table (see
@@ -67,7 +72,7 @@ import itertools
 
 import numpy as np
 
-from .hilbert import DensityOperator, State, StateVector, _Record, fidelity, pauli_frame_phases
+from .hilbert import _I_POWERS, DensityOperator, State, StateVector, _Record, fidelity
 from .measurement import (
     InsufficientShotsError,
     Observable,
@@ -81,21 +86,117 @@ from .measurement import (
 
 CONFIDENCE_Z = 1.96
 MAX_IC_DIMENSION = 64
-# Entries each temporary of Frame.born_rows and Frame.add_terms holds at most: 64 KiB as complex.  At 2**14 a
-# 6-qubit reconstruction peaked 0.7 MB higher in RSS and ran no faster (numpy 2.4.6, glibc malloc).
+# Entries each temporary of ColumnFrame.born_rows and ColumnFrame.add_terms holds at most: 64 KiB as complex.  At 2**14 a
+# column frame of 4095 observables on d = 64 peaked 0.7 MB higher in RSS and ran no faster (numpy 2.4.6, glibc malloc).
 _BORN_BLOCK_ENTRIES = 2**12
 
 
 class Frame(_Record):
-    """Traceless observables with at most one nonzero per column, one per row of ``(k, d)`` arrays: O|x> = phase[x] |rows[x]>.
+    """Traceless observables, one per row, with ``names``, ``norm``, outcome ``values`` and projector ``lagrange``.
+
+    Each observable has at most three outcomes, so each outcome's projector
+    is a Lagrange polynomial in O: P_j = c0 + c1 O + c2 O^2, with
+    (c0, c1, c2) the ``lagrange`` entries of its row and column.  A subclass
+    names these four slots first, then the arrays its kernel reads, and
+    gives ``dim``, ``born_rows`` and ``add_terms``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        _Record.__init__(self, *fields)
+        for array in fields[2:]:  # every array, read-only: a frame is shared by every run that asks for it
+            array.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, row: int) -> _Readout:
+        """What a refusal names of observable ``row``: its name and outcome values, zero-padded to the widest row."""
+        return _Readout(self.names[row], tuple(self.values[row].tolist()))
+
+
+class PauliFrame(Frame):
+    """The non-identity Pauli strings on n qubits, with norm d = 2^n and outcomes -1 and +1, served by a Walsh-Hadamard plan.
+
+    The string S_{m,z} with x-mask m and z-mask z maps |x> to
+    i^popcount(m & z) (-1)^popcount(x & z) |x ^ m>.  Its row of the frame
+    reads entry (z, m) of a d x d grid, flat index ``order`` = z * d + m,
+    with the power of i in ``powers``; ``flips`` is the d x d table x ^ m.
+    """
+
+    __slots__ = (
+        "names",
+        "norm",
+        "values",  # (k, 2): -1 and +1 in every row
+        "lagrange",  # (3, k, 2): P_-+ = (1 -/+ S) / 2, the same in every row
+        "order",  # (k,) intp: z * d + m of each string, in frame order
+        "powers",  # (k,) complex: i^popcount(m & z) of each string, in frame order
+        "flips",  # (d, d) intp: x ^ m at (x, m)
+    )
+
+    @property
+    def dim(self) -> int:
+        return self.flips.shape[0]
+
+    def born_rows(self, state: State) -> np.ndarray:
+        """The ``(k, 2)`` Born probabilities (1 -/+ <S>)/2 of every string on ``state``, from one transform: O(d^2 log d).
+
+        <S_{m,z}> is i^popcount(m & z) times entry (z, m) of the transform
+        over x of W[x, m]: conj(psi[x ^ m]) psi[x] on a state vector, and
+        rho[x, x ^ m] on a density operator.
+        """
+        if isinstance(state, StateVector):
+            terms = state.amplitudes.conj().take(self.flips) * state.amplitudes[:, None]
+        else:
+            terms = np.take_along_axis(state.matrix, self.flips, axis=1)
+        expectations = (_walsh_hadamard(terms).take(self.order) * self.powers).real
+        c0, c1 = self.lagrange[:2, 0]  # the same in every row
+        rows = np.multiply.outer(c1, expectations)  # (2, k): each outcome a contiguous run, not k runs of 2
+        rows += c0[:, None]
+        return rows.T
+
+    def add_terms(self, out: np.ndarray, means: np.ndarray) -> None:
+        """Add sum_k means[..., k] * S_k / norm to each matrix of the C-contiguous ``(..., d, d)`` stack ``out``, in place.
+
+        The strings with x-mask m add to the entries (x ^ m, x) the transform
+        over z of i^popcount(m & z) means[..., (m, z)] / norm: one transform
+        of a d x d grid per matrix, each by the operations it takes alone.
+        """
+        d = self.dim
+        grids = np.zeros((means.size // len(self), d * d), dtype=complex)
+        grids[:, self.order] = means.reshape(len(grids), -1) * (self.powers / self.norm)  # norm is a power of two: exact
+        terms = _walsh_hadamard(grids.reshape(-1, d, d))
+        stack = out.reshape(terms.shape)
+        stack += terms[:, np.arange(d), self.flips]  # entry (r, c) takes (x, m) = (c, c ^ r)
+
+
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """The unnormalised Walsh-Hadamard transform over axis -2 of the C-contiguous ``(..., d, c)`` array ``a``, in place.
+
+    Row z becomes sum_x (-1)^popcount(x & z) a[..., x, :], by one butterfly
+    pass per bit: rows x + h and x for each x with bit h clear become their
+    sum and difference.  The c columns ride along as one contiguous run, and
+    every matrix of the stack takes the operations it takes alone.  Returns ``a``.
+    """
+    half = 1
+    while half < a.shape[-2]:
+        pairs = a.reshape(-1, 2, half * a.shape[-1])
+        low, high = pairs[:, 0], pairs[:, 1]
+        total = low + high
+        np.subtract(low, high, out=high)
+        low[...] = total
+        half *= 2
+    return a
+
+
+class ColumnFrame(Frame):
+    """Observables with at most one nonzero per column, one per row of ``(k, d)`` arrays: O|x> = phase[x] |rows[x]>.
 
     The phases take few distinct values, so a frame holds them as ``levels``
     and byte ``codes``, phase[x] = levels[codes[x]]; ``rows`` holds bytes, and
     every entry index is computed in ``intp``.
-    A column with no nonzero has phase 0 and row x.  Each observable has at
-    most three outcomes, so each outcome's projector is a Lagrange polynomial
-    in O: P_j = c0 + c1 O + c2 O^2, with (c0, c1, c2) the ``lagrange``
-    entries of its row and column.
+    A column with no nonzero has phase 0 and row x.
     """
 
     __slots__ = (
@@ -108,21 +209,9 @@ class Frame(_Record):
         "rows",  # (k, d) uint8: row of each column's nonzero
     )
 
-    def __init__(self, *fields):
-        _Record.__init__(self, *fields)
-        for array in fields[2:]:  # every array, read-only: a frame is shared by every run that asks for it
-            array.setflags(write=False)
-
     @property
     def dim(self) -> int:
         return self.codes.shape[1]
-
-    def __len__(self) -> int:
-        return self.codes.shape[0]
-
-    def __getitem__(self, row: int) -> _Readout:
-        """What a refusal names of observable ``row``: its name and outcome values, zero-padded to the widest row."""
-        return _Readout(self.names[row], tuple(self.values[row].tolist()))
 
     def born_rows(self, state: State) -> np.ndarray:
         """The ``(k, m)`` Born probabilities c0 + c1 <O> + c2 <O^2> of every observable on ``state``, O(d) each.
@@ -212,26 +301,38 @@ class ReconstructionResult(_Record):
     __slots__ = ("estimate", "raw_estimate", "means", "half_widths")
 
 
-def pauli_ic_set(n_qubits: int) -> Frame:
-    """All non-identity Pauli strings on n qubits, with norm 2^n: S|x> = phase[x] |x ^ x_mask>.
+def pauli_ic_set(n_qubits: int) -> PauliFrame:
+    """All non-identity Pauli strings on n qubits, with norm 2^n, in label order.
 
-    The masks and phase codes of every string are built as whole arrays; no
-    string has an object, a dense matrix or a projector of its own.  Every
-    string has outcomes -1 and +1, with Born probabilities (1 -/+ <S>)/2.
+    Row k - 1 is the string whose letters are the base-4 digits of k
+    (I, X, Y, Z = 0..3, first letter most significant), as
+    ``itertools.product("IXYZ", repeat=n)`` lists them.  X and Y set a bit
+    of its x-mask and Y and Z a bit of its z-mask (Aaronson & Gottesman,
+    quant-ph/0406196), so its power of i counts its Ys.  The plan is built
+    as whole arrays; no string has an object, a dense matrix or a projector
+    of its own.  Every string has outcomes -1 and +1, with Born
+    probabilities (1 -/+ <S>)/2.
     """
     if not 1 <= n_qubits <= 6:
         raise ValueError("supported range is 1..6 qubits")
-    labels = [""]
-    for _ in range(n_qubits):
-        labels = [label + letter for label in labels for letter in ("I", "X", "Y", "Z")]
-    x_masks, levels, codes = pauli_frame_phases(n_qubits)
-    rows = np.arange(codes.shape[1], dtype=np.uint8) ^ x_masks.astype(np.uint8)[:, None]
-    values = np.broadcast_to([-1.0, 1.0], (len(x_masks), 2))
+    names = tuple(map("".join, itertools.islice(itertools.product("IXYZ", repeat=n_qubits), 1, None)))
+    dim = 2**n_qubits
+    index = np.arange(1, dim * dim, dtype=np.uint16)  # below 2^12: the loop's temporaries take 8 KB each
+    x_masks = z_masks = y_counts = 0
+    for shift in range(2 * n_qubits - 2, -1, -2):
+        digit = (index >> shift) & 3
+        z_bit = digit >> 1
+        x_masks = 2 * x_masks + ((digit ^ z_bit) & 1)
+        z_masks = 2 * z_masks + z_bit
+        y_counts = y_counts + (digit == 2)
+    columns = np.arange(dim)
+    values = np.broadcast_to([-1.0, 1.0], (len(index), 2))
     lagrange = np.broadcast_to(_lagrange(values[:1], np.array([2])), (3, *values.shape))
-    return Frame(tuple(labels[1:]), float(2**n_qubits), values, lagrange, levels, codes, rows)
+    order, powers = np.add(z_masks * dim, x_masks, dtype=np.intp), np.array(_I_POWERS).take(y_counts % 4)
+    return PauliFrame(names, float(dim), values, lagrange, order, powers, columns ^ columns[:, None])
 
 
-def hermitian_basis_ic_set(dim: int) -> Frame:
+def hermitian_basis_ic_set(dim: int) -> ColumnFrame:
     """Generalised Gell-Mann basis for arbitrary dimension, with norm 1.
 
     Orthonormality under the trace inner product gives
@@ -274,7 +375,7 @@ def hermitian_basis_ic_set(dim: int) -> Frame:
     rows = np.tile(columns.astype(np.uint8), (len(codes), 1))
     for members in (sym, anti):
         rows[members, low], rows[members, high] = high, low
-    return Frame(tuple(names), 1.0, values, lagrange, levels, codes, rows)
+    return ColumnFrame(tuple(names), 1.0, values, lagrange, levels, codes, rows)
 
 
 @functools.lru_cache(maxsize=8)

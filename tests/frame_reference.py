@@ -14,6 +14,12 @@ expectation is one ``np.vdot`` (state vector) or ``np.sum`` (density
 operator) over them, and its Born probabilities are (1 -/+ <S>)/2.  It has
 the ``name``, ``dim``, ``eigenvalues`` and ``outcome_probabilities`` that
 ``born_distribution`` and ``repeated_measure`` read.
+
+``column_pauli_frame(n)`` is the Pauli frame as a ``ColumnFrame``: the
+``(k, d)`` byte codes and rows every string had before Pauli frames ran a
+Walsh-Hadamard transform, so its ``born_rows`` is the block loop of O(d)
+products and its ``add_terms`` the unbuffered ``np.add.at`` per block, the
+references that ``PauliFrame``'s transforms are checked against.
 """
 
 import functools
@@ -21,8 +27,9 @@ import functools
 import numpy as np
 
 from pqt.composite import LocalSetting, lift_local
-from pqt.hilbert import StateVector, pauli_matrix, pauli_phases
+from pqt.hilbert import _I_POWERS, StateVector, _odd_parity, pauli_matrix, pauli_phases
 from pqt.measurement import Observable
+from pqt.tomography import ColumnFrame, pauli_ic_set
 
 
 class ReferencePauliString:
@@ -102,3 +109,37 @@ def frame_matrices(ic):
 def frame_observables(ic, shape=None):
     """Every observable of a frame, measured one by one: a reference string, a dense ``Observable``, or its ``lift_local`` to ``shape``."""
     return _by_name(ic, ReferencePauliString, Observable, lambda obs: lift_local(LocalSetting("A", obs), shape))
+
+
+def pauli_frame_phases(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bit-flip masks and column phases of every non-identity Pauli string on n qubits, in label order.
+
+    Row k - 1 is the string whose letters are the base-4 digits of k
+    (I, X, Y, Z = 0..3, first letter most significant), as
+    ``itertools.product("IXYZ", repeat=n)`` lists them.  The phases come as
+    ``(levels, codes)``: phase[x] = levels[codes[x]], with the ``(k, d)``
+    byte codes 2 (#Y mod 4) + popcount(x & z_mask) mod 2 into the eight
+    products i^(#Y) (+1 or -1), taken as ``pauli_phases`` takes them, so
+    ``levels[codes]`` equals each label's phases bit for bit, signed zeros
+    included.
+    """
+    index = np.arange(1, 4**n_qubits)
+    digits = (index[:, None] >> (2 * np.arange(n_qubits - 1, -1, -1))) & 3
+    weights = 1 << np.arange(n_qubits - 1, -1, -1)
+    x_masks = ((digits == 1) | (digits == 2)) @ weights
+    z_masks = (digits >= 2) @ weights
+    y_counts = np.count_nonzero(digits == 2, axis=1)
+    levels = (np.asarray(_I_POWERS)[:, None] * np.array([1.0, -1.0])).ravel()
+    # Masks are below 2^6, so the (k, d) fold runs on bytes and leaves the codes in place.
+    codes = _odd_parity(np.arange(2**n_qubits, dtype=np.uint8) & z_masks[:, None].astype(np.uint8), n_qubits)
+    codes |= (2 * (y_counts % 4)).astype(np.uint8)[:, None]
+    return x_masks, levels, codes
+
+
+@functools.cache
+def column_pauli_frame(n_qubits):
+    """The Pauli frame on n qubits as a ``ColumnFrame``: rows x ^ x_mask and phase codes, one ``(k, d)`` row per string."""
+    ic = pauli_ic_set(n_qubits)
+    x_masks, levels, codes = pauli_frame_phases(n_qubits)
+    rows = np.arange(ic.dim, dtype=np.uint8) ^ x_masks.astype(np.uint8)[:, None]
+    return ColumnFrame(ic.names, ic.norm, ic.values, ic.lagrange, levels, codes, rows)

@@ -483,6 +483,17 @@ class TestCHSHIsOneDrawOfFourRows:
             assert chsh_value(state, (a1, a2), (b1, b2), source, shots, actual_gen) == expected
             assert position(actual_gen) == position(expected_gen)
 
+    def test_local_passive_reduces_each_side_once_and_takes_each_marginal_once(self, monkeypatch):
+        calls = []
+        for name in ("partial_trace", "born_distribution"):
+            real = getattr(composite, name)
+            monkeypatch.setattr(composite, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        g = rng.stream(0, "chsh/local/calls")
+        state = random_pure_state(4, g, (2, 2))
+        alice, bob = (Z, X), tuple(observable_with_values(name, [-1.0, 1.0], g) for name in ("B1", "B2"))
+        chsh_value(state, alice, bob, "local-passive", 100, g)
+        assert sorted(calls) == ["born_distribution"] * 4 + ["partial_trace"] * 2
+
 
 class TestFlatMemory:
     @pytest.mark.parametrize("sampler", ["local-passive", "global"])

@@ -181,7 +181,7 @@ class TestFunctionRecovery:
             run(parse_config(json.dumps(config)))
         assert str(caught.value) == (
             "config field 'shots': insufficient shots: ambiguous decode for input 5 "
-            "(weights (0.01465207367840951, 0.02599259836492773))"
+            "(weights (0.01465207367840951, 0.025992598364927684))"
         )
 
     def test_quantum_mean_calls_near_coupon_collector(self):
