@@ -5,6 +5,10 @@ presets (``"bell:phi+"``, ``"pauli:ZX"``) or explicitly: states as a
 list of ``[re, im]`` amplitude pairs (renormalized on input), matrices
 row-major with ``[re, im]`` entries (must be Hermitian within 1e-8).
 
+This module reads what protocols share: common fields, shape, state and
+observables.  Each record in ``runner.PROTOCOLS`` says what its protocol
+reads of them and which extras, and owns the checks only it needs.
+
 Validation failures raise :class:`ConfigError`, which names the
 offending field and the violated constraint.
 """
@@ -12,14 +16,12 @@ offending field and the violated constraint.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import math
 
 import numpy as np
 
 from .. import rng
-from ..composite import CHSH_SOURCES, SIGNALLING_ACTIONS, non_dichotomic
 from ..hilbert import (
     PAULI_X,
     PAULI_Y,
@@ -31,40 +33,15 @@ from ..hilbert import (
     basis_state,
     bell_state,
     maximally_mixed,
-    partial_trace,
     pauli_matrix,
     plus_state,
     random_pure_state,
 )
-from ..measurement import MODES, PROBABILITY_SUM_TOL, Observable
-from ..protocols import MAX_ORACLE_BITS, PURE_AVERAGE_TOL, OracleSpec
+from ..measurement import MODES, Observable
 from ..tomography import MAX_IC_DIMENSION
 
 SEED_LIMIT = 2**64
 COUNT_LIMIT = 10**9  # exclusive bound on shots, trials and follow-up shots
-
-# Protocol-specific optional fields accepted on top of the common ones, each with the protocols that read it.
-EXTRA_FIELDS = {
-    "source": ("chsh",),
-    "action": ("signalling",),
-    "candidates": ("discriminate", "no-cloning"),
-    "mixture": ("proper-vs-improper",),
-    "purification": ("proper-vs-improper",),
-    "oracle": ("deutsch-jozsa", "function-recovery"),
-    "ensemble": ("joint-global",),
-    "followup_observable": ("simulate-collapse",),
-    "library": ("simulate-collapse",),
-    "unitary": ("no-cloning",),
-    "followup_shots": ("simulate-collapse",),
-}
-
-# Protocol extras that take one of a few JSON values (booleans are not numbers here).
-CHOICES = {
-    "source": CHSH_SOURCES,
-    "action": SIGNALLING_ACTIONS,
-    "ensemble": (True, False),
-    "library": ("eigenstates",),
-}
 
 _COMMON_FIELDS = (
     "name",
@@ -78,9 +55,6 @@ _COMMON_FIELDS = (
     "trials",
     "seed",
 )
-
-_CNOT = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
-
 
 class ConfigError(ValueError):
     """A configuration field violated a constraint."""
@@ -122,7 +96,7 @@ class Inputs(_Record):
         purification: State | None = None,
         candidates: tuple[StateVector, ...] | None = None,
         unitary: UnitaryOperator | None = None,
-        oracle: OracleSpec | None = None,
+        oracle=None,  # a protocols.OracleSpec
         library: dict[int, StateVector] | None = None,
         source: str = "global",
         action: str = "none",
@@ -175,7 +149,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("<document>", "expected a JSON object")
 
-    from .runner import PROTOCOLS  # late import: runner imports this module
+    from .runner import EXTRA_FIELDS, PROTOCOLS  # late import: runner imports this module
 
     for key in ("name", "protocol"):
         if key not in raw:
@@ -215,15 +189,15 @@ def parse_config(text: str) -> ExperimentConfig:
     extras = {k: raw[k] for k in raw if k not in _COMMON_FIELDS}
     for key in extras:
         if key not in EXTRA_FIELDS:
-            raise ConfigError(key, f"unknown field; protocol extras are {tuple(EXTRA_FIELDS)}")
-        if raw["protocol"] not in EXTRA_FIELDS[key]:
-            readers = ", ".join(map(repr, EXTRA_FIELDS[key]))
+            raise ConfigError(key, f"unknown field; protocol extras are {EXTRA_FIELDS}")
+        if key not in spec.extras:
+            readers = ", ".join(repr(name) for name in sorted(PROTOCOLS) if key in PROTOCOLS[name][1].extras)
             raise ConfigError(key, f"protocol {raw['protocol']!r} does not read this field (read by {readers})")
-    if "followup_shots" in extras:
-        extras["followup_shots"] = read_integer(extras["followup_shots"], "followup_shots", 1, COUNT_LIMIT)
-    for key, choices in CHOICES.items():
-        if key in extras and not any(type(extras[key]) is type(c) and extras[key] == c for c in choices):
-            raise ConfigError(key, f"must be one of {json.dumps(choices)}, got {json.dumps(extras[key])}")
+    for key, allowed in spec.extras.items():  # in the record's order; a boolean matches no number
+        if allowed is int and key in extras:
+            extras[key] = read_integer(extras[key], key, 1, COUNT_LIMIT)
+        elif allowed and key in extras and not any(type(extras[key]) is type(c) and extras[key] == c for c in allowed):
+            raise ConfigError(key, f"must be one of {json.dumps(allowed)}, got {json.dumps(extras[key])}")
     inputs = _resolve_inputs(raw["protocol"], spec, shape, raw.get("initial_state"), observables, extras, shots)
 
     fields = (raw["name"], raw["protocol"], mode, shape, raw.get("initial_state"), observables, shots, trials, seed)
@@ -243,72 +217,37 @@ def check_mode(protocol: str, spec, mode, fields: dict) -> None:
 def _resolve_inputs(
     protocol: str, spec, shape: tuple[int, ...] | None, initial_state, observables: list, extras: dict, shots: int
 ) -> Inputs:
-    """Resolve every input of a config once, refusing any that its protocol's runner could not use."""
+    """Resolve every input of a config once, refusing any that its protocol's runner could not use or never reads."""
     for key in spec.requires:
         if key not in extras:
             raise ConfigError(key, f"protocol {protocol!r} requires this field")
-    if protocol == "proper-vs-improper" and ("mixture" in extras) == ("purification" in extras):
-        raise ConfigError("mixture", f"protocol {protocol!r} needs exactly one of 'mixture' and 'purification'")
-
     resolved = tuple(resolve_observable(obs, f"observables[{i}]") for i, obs in enumerate(observables))
-    targets, kind = spec.observables, spec.state
-    if protocol == "signalling" and extras.get("action", "none") == "none":
-        targets = (1,)  # only B's marginal is compared
-    if protocol == "simulate-collapse" and "library" not in extras:
-        kind = "bipartite"  # the replacement comes from a global reconstruction
+    targets, kind, condition = spec.reads(spec, extras, resolved) if spec.reads else (spec.observables, spec.state, "")
     if len(resolved) < len(targets):
         raise ConfigError("observables", f"protocol {protocol!r} needs {len(targets)} observable(s), got {len(resolved)}")
-    if protocol == "chsh":
-        for i, obs in enumerate(resolved[: len(targets)]):
-            offending = non_dichotomic(obs.eigenvalues)
-            if offending:
-                raise ConfigError(f"observables[{i}]", f"a CHSH correlator needs +-1 outcomes, got {offending[0]!r}")
+    if len(resolved) > len(targets):
+        field = f"observables[{len(targets)}]"
+        raise ConfigError(field, f"protocol {protocol!r} reads {len(targets)} observable(s), got {len(resolved)}")
     if kind is not None and spec.state_required and initial_state is None:
         raise ConfigError("initial_state", f"protocol {protocol!r} requires an initial state")
-    followup = None
-    if "followup_observable" in extras:
-        followup = resolve_observable(extras["followup_observable"], "followup_observable")
     state = None
     if initial_state is not None:
+        if kind is None:
+            raise ConfigError("initial_state", f"protocol {protocol!r} does not read this field")
         state = resolve_state(initial_state, shape, field="initial_state")
-        if kind is not None:
-            _check_state_kind(protocol, kind, state)
+        _check_state_kind(protocol, kind, condition, state)
         for i, (obs, target) in enumerate(zip(resolved, targets)):
             _check_observable_dimension(f"observables[{i}]", obs, state, target)
-        if followup is not None:
-            _check_observable_dimension("followup_observable", followup, state, None)
-
-    candidates = unitary = library = None
-    if protocol == "discriminate":
-        candidates = resolve_candidates(extras["candidates"], shape, dim=state.dim)
-        for i, j in itertools.combinations(range(len(candidates)), 2):
-            if candidates[i].ray_equal(candidates[j]):
-                raise ConfigError(f"candidates[{j}]", f"is ray-equal to candidates[{i}]; candidates must be distinct")
-    if protocol == "no-cloning":
-        candidates = resolve_candidates(extras["candidates"], None, count=2)
-        unitary = resolve_unitary(extras.get("unitary", "cnot"), candidates[0].dim)
-    if "library" in extras:
-        library = _eigenstate_library(resolved[0])
-    return Inputs(
-        state=state,
-        observables=resolved,
-        followup=followup,
-        mixture=resolve_mixture(extras["mixture"]) if "mixture" in extras else None,
-        purification=resolve_purification(extras["purification"], shape) if "purification" in extras else None,
-        candidates=candidates,
-        unitary=unitary,
-        oracle=resolve_oracle(extras["oracle"], protocol == "deutsch-jozsa") if "oracle" in extras else None,
-        library=library,
-        followup_shots=extras.get("followup_shots", shots),
-        **{key: extras[key] for key in ("source", "action", "ensemble") if key in extras},
-    )
+    # A count or a choice reaches the runner as given, unless the protocol's own inputs replace it.
+    fields = {"followup_shots": shots, **{key: value for key, value in extras.items() if spec.extras[key]}}
+    fields.update(spec.inputs(extras, shape, state, resolved) if spec.inputs else {})
+    return Inputs(state, resolved, **fields)
 
 
-def _check_state_kind(protocol: str, kind: str, state: State) -> None:
+def _check_state_kind(protocol: str, kind: str, condition: str, state: State) -> None:
     if kind in ("bipartite", "pure bipartite") and len(state.shape) != 2:
-        reason = " without an eigenstate 'library'" if protocol == "simulate-collapse" else ""
         raise ConfigError(
-            "shape", f"protocol {protocol!r}{reason} needs a bipartite state (two subsystem dimensions), got {state.shape}"
+            "shape", f"protocol {protocol!r}{condition} needs a bipartite state (two subsystem dimensions), got {state.shape}"
         )
     if kind.startswith("pure") and not isinstance(state, StateVector):
         raise ConfigError("initial_state", f"protocol {protocol!r} needs a pure state")
@@ -392,114 +331,6 @@ def _preset_integer(spec: str, field: str) -> int:
         return int(spec.split(":", 1)[1])
     except ValueError:
         raise ConfigError(field, f"preset {spec!r} needs an integer after the colon") from None
-
-
-def resolve_mixture(entries, field: str = "mixture") -> tuple[tuple[StateVector, float], ...]:
-    """Turn ``[[state, weight], ...]`` into pure states of one dimension with weights summing to 1."""
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError(field, "must be a non-empty list of [state, weight] pairs")
-    mixture = []
-    for i, entry in enumerate(entries):
-        name = f"{field}[{i}]"
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ConfigError(name, "must be a [state, weight] pair")
-        spec, weight = entry
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)) or not 0.0 <= weight <= 1.0:
-            raise ConfigError(name, f"weight must be a number in [0, 1], got {weight!r}")
-        state = resolve_state(spec, None, field=name)
-        if not isinstance(state, StateVector):
-            raise ConfigError(name, "mixture members must be pure states")
-        if mixture and state.dim != mixture[0][0].dim:
-            raise ConfigError(name, f"dimension {state.dim} differs from the first member's {mixture[0][0].dim}")
-        mixture.append((state, float(weight)))
-    total = math.fsum(weight for _, weight in mixture)
-    if not abs(total - 1.0) <= PROBABILITY_SUM_TOL:
-        raise ConfigError(field, f"weights sum to {total!r}, expected 1")
-    average = sum(weight * state.projector() for state, weight in mixture)
-    if np.trace(average @ average).real >= 1.0 - PURE_AVERAGE_TOL:
-        raise ConfigError(field, "the average state is pure: the presentations are indistinguishable")
-    return tuple(mixture)
-
-
-def resolve_purification(spec, shape: tuple[int, ...] | None, field: str = "purification") -> State:
-    """Turn a purification spec into a bipartite state whose subsystem A is mixed."""
-    state = resolve_state(spec, shape, field=field)
-    if len(state.shape) != 2:
-        raise ConfigError(field, f"must be a bipartite state, got shape {state.shape}")
-    if partial_trace(state, keep=0).purity() >= 1.0 - PURE_AVERAGE_TOL:
-        raise ConfigError(field, "the reduced state is pure: the presentations are indistinguishable")
-    return state
-
-
-def resolve_candidates(
-    specs, shape: tuple[int, ...] | None, dim: int | None = None, count: int | None = None
-) -> tuple[StateVector, ...]:
-    """Turn ``candidates`` into ``count`` (default: two or more) pure states of dimension ``dim`` (default: the first's)."""
-    expected = f"exactly {count}" if count else "at least two"
-    if not isinstance(specs, list) or len(specs) < 2 or count not in (None, len(specs)):
-        raise ConfigError("candidates", f"need {expected} states")
-    states = []
-    for i, spec in enumerate(specs):
-        field = f"candidates[{i}]"
-        state = resolve_state(spec, shape, field=field)
-        if not isinstance(state, StateVector):
-            raise ConfigError(field, "candidates must be pure states")
-        dim = dim or state.dim
-        if state.dim != dim:
-            raise ConfigError(field, f"dimension {state.dim} differs from the expected {dim}")
-        states.append(state)
-    return tuple(states)
-
-
-def resolve_oracle(spec, promise_required: bool = False) -> OracleSpec:
-    """Turn ``{"n": ..., "truth_table": [bits], "promise": ...}`` into an OracleSpec."""
-    if not isinstance(spec, dict) or "n" not in spec or "truth_table" not in spec:
-        raise ConfigError("oracle", "expected an object with 'n' and 'truth_table'")
-    refuse_unknown_keys(spec, ("n", "truth_table", "promise"), "oracle")
-    n = spec["n"] = read_integer(spec["n"], "oracle.n", 1, MAX_ORACLE_BITS + 1)
-    table = spec["truth_table"]
-    if not isinstance(table, list) or len(table) != 2**n:
-        raise ConfigError("oracle.truth_table", f"must be a list of {2**n} bits for n = {n}, got {table!r}")
-    bits = tuple(read_integer(b, f"oracle.truth_table[{i}]", 0, 2) for i, b in enumerate(table))
-    if promise_required and spec.get("promise") is None:
-        raise ConfigError("oracle.promise", "the promise must be declared: 'constant' or 'balanced'")
-    try:
-        return OracleSpec(n, bits, spec.get("promise"))
-    except ValueError as exc:  # every other check passed: the promise is unknown or contradicts the table
-        raise ConfigError("oracle.promise", str(exc)) from exc
-
-
-def _eigenstate_library(obs: Observable) -> dict[int, StateVector]:
-    """The eigenstate that replaces the system after each outcome of a non-degenerate observable."""
-    library = {}
-    for index, projector in enumerate(obs.projectors):
-        values, vectors = np.linalg.eigh(projector)
-        if int(round(values.sum())) != 1:
-            raise ConfigError("library", "eigenstate library needs a non-degenerate observable")
-        library[index] = StateVector.normalized(vectors[:, -1])
-    return library
-
-
-def resolve_unitary(spec, dim: int, field: str = "unitary") -> UnitaryOperator:
-    """Turn ``"cnot"`` or a row-major matrix of ``[re, im]`` pairs into a unitary on two copies of C^dim."""
-    if spec == "cnot":
-        if dim != 2:
-            raise ConfigError(field, "the 'cnot' preset needs qubit test states")
-        return UnitaryOperator(np.array(_CNOT, dtype=complex))
-    try:
-        matrix = np.array([[complex(re, im) for re, im in row] for row in spec])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(field, f"must be 'cnot' or matrix rows of [re, im] pairs ({exc})") from exc
-    side = dim * dim
-    if matrix.shape != (side, side):
-        raise ConfigError(field, f"must be {side} x {side}, acting on two copies of the test states; got shape {matrix.shape}")
-    if not np.isfinite(matrix).all():
-        raise ConfigError(field, "matrix entries must be finite")
-    with _checked_arithmetic(field):
-        try:
-            return UnitaryOperator(matrix)
-        except ValueError as exc:
-            raise ConfigError(field, str(exc)) from exc
 
 
 def _bloch_observable(spec: str, field: str) -> Observable:

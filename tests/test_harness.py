@@ -458,6 +458,9 @@ class _Unreadable:
     __getattr__ = __getitem__ = __contains__ = __iter__ = __len__ = __bool__ = _refuse
 
 
+RESOLVED_KINDS = ("state", "observable", "mixture", "purification", "candidates", "oracle", "unitary")
+
+
 def test_run_resolves_no_input(monkeypatch):
     configs = [parse_config(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))]
     expected = [run(config).to_json() for config in configs]
@@ -473,9 +476,18 @@ def test_run_resolves_no_input(monkeypatch):
 
         return wrapped
 
-    for name in [name for name in vars(config_module) if name.startswith("resolve_")]:
-        monkeypatch.setattr(config_module, name, refuse)
-        monkeypatch.setattr(runner_module, name, refuse, raising=False)
+    # Every resolver, patched in each module that defines one or imports it.
+    modules = (config_module, runner_module)
+    resolvers = {
+        name
+        for module in modules
+        for name, value in vars(module).items()
+        if name.startswith("resolve_") and getattr(value, "__module__", None) == module.__name__
+    }
+    assert resolvers == {f"resolve_{kind}" for kind in RESOLVED_KINDS}
+    for module in modules:
+        for name in resolvers & set(vars(module)):
+            monkeypatch.setattr(module, name, refuse)
     for protocol, (runner, spec) in list(PROTOCOLS.items()):
         monkeypatch.setitem(PROTOCOLS, protocol, (without_extras(runner), spec))
     assert [run(config).to_json() for config in configs] == expected
@@ -505,6 +517,25 @@ _H = 0.70710678118
 NEAR_H_TENSOR_I = [[_H, 0, _H, 0], [0, _H, 0, _H], [_H, 0, -_H, 0], [0, _H, 0, -_H]]
 PROJECTOR_ON_0 = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]  # outcomes 0 and 1, not +-1
 
+
+LIST_PROTOCOLS = """\
+chsh                 passive, quantum            CHSH value from global or local-passive sampling
+clone                passive                     copy an unknown state by single-copy readout
+deutsch-jozsa        passive, quantum            constant-vs-balanced verdict, one oracle call
+discriminate         passive                     identify which candidate state a single copy is in
+entanglement         passive                     product-vs-entangled from local measurements on one copy
+function-recovery    passive, quantum            recover a full truth table from the post-oracle state
+joint-global         passive, quantum (ensemble) joint outcome table from one global device
+joint-local          passive                     joint outcome table from independent local passive devices
+no-cloning           passive, quantum            inner-product obstruction to unitary cloning
+proper-vs-improper   passive                     tell a classical ensemble from an entangled marginal
+reconstruct          passive                     single-copy state reconstruction
+repeatability        passive, quantum            agreement rate of immediate repeated measurements
+signalling           passive, quantum            B-side marginal with and without an A-side action
+simulate-collapse    passive                     make passive measurements look collapsed by swapping
+spectrum             passive                     recover an observable's spectrum by repetition
+teleportation        passive, quantum            teleportation fidelity under either update rule
+"""
 
 SIMULATE_COLLAPSE = {"protocol": "simulate-collapse", "initial_state": "plus", "observables": ["pauli:Z"],
                      "library": "eigenstates", "followup_observable": "pauli:X"}
@@ -858,8 +889,8 @@ class TestCLI:
 
     def test_list_protocols(self, capsys):
         assert main(["list-protocols"]) == 0
-        out = capsys.readouterr().out
-        assert set(name for name, _ in list_protocols()) <= set(out.split())
+        assert capsys.readouterr().out == LIST_PROTOCOLS
+        assert [name for name, _ in list_protocols()] == sorted(PROTOCOLS)
 
 
 # One field of a shipped config is replaced by a small JSON value: the
@@ -875,6 +906,13 @@ FUZZ_FIELDS = (
     "initial_state",
     "observables[0]",
     "mixture[0]",
+    "candidates[0]",
+    "unitary",
+    "source",
+    "action",
+    "ensemble",
+    "library",
+    "followup_observable",
 )
 FUZZ_PRESETS = (
     "plus",
@@ -920,7 +958,7 @@ def _refuse_constant(name):
     raise AssertionError(f"report contains {name}")
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(config=st.sampled_from(SHIPPED_CONFIGS), field=st.sampled_from(FUZZ_FIELDS), value=json_values)
 def test_mutated_config_is_refused_or_reports_finite_values(config, field, value):
     try:

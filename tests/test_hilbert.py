@@ -446,11 +446,12 @@ class TestDerivedValuesAreNotCheckedAgain:
 
 
 VALUE_TYPES = {"StateVector", "DensityOperator", "UnitaryOperator"}
-# Where data enters: the presets and the config resolvers.  Everything else derives and wraps with _unchecked.
+# Where data enters: the presets and the config resolvers (no-cloning's unitary is resolved next to its record).
+# Everything else derives and wraps with _unchecked.
 ENTRY_POINTS = {
     *(("hilbert.py", preset) for preset in ("basis_state", "plus_state", "bell_state", "maximally_mixed")),
     ("harness/config.py", "resolve_state"),
-    ("harness/config.py", "resolve_unitary"),
+    ("harness/runner.py", "resolve_unitary"),
 }
 
 
