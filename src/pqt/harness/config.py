@@ -174,8 +174,8 @@ def parse_config(text: str) -> ExperimentConfig:
         shape = tuple(read_integer(d, f"shape[{i}]", 2) for i, d in enumerate(entries))
     elif "dimension" in raw:
         shape = (read_integer(raw["dimension"], "dimension", 2),)
+    field = "shape" if "shape" in raw else "dimension"
     if shape is not None and math.prod(shape) > MAX_IC_DIMENSION:
-        field = "shape" if "shape" in raw else "dimension"
         raise ConfigError(field, f"state dimension {math.prod(shape)} is outside the supported range 2..{MAX_IC_DIMENSION}")
 
     shots = read_integer(raw.get("shots", 10_000), "shots", 1, COUNT_LIMIT)
@@ -199,6 +199,8 @@ def parse_config(text: str) -> ExperimentConfig:
         elif allowed and key in extras and not any(type(extras[key]) is type(c) and extras[key] == c for c in allowed):
             raise ConfigError(key, f"must be one of {json.dumps(allowed)}, got {json.dumps(extras[key])}")
     inputs = _resolve_inputs(raw["protocol"], spec, shape, raw.get("initial_state"), observables, extras, shots)
+    if shape is not None and inputs.state is None and inputs.purification is None:  # the only states a shape shapes
+        raise ConfigError(field, f"protocol {raw['protocol']!r} does not read this field: no state here takes a shape")
 
     fields = (raw["name"], raw["protocol"], mode, shape, raw.get("initial_state"), observables, shots, trials, seed)
     return ExperimentConfig(*fields, extras, inputs)

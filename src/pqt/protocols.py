@@ -51,7 +51,7 @@ from .measurement import (
     collapse_update,
     measure,
 )
-from .tomography import _frame_estimates, _frame_table, ic_set_for_dimension, reconstruct_single_copy
+from .tomography import _frame_purities, _frame_table, ic_set_for_dimension, reconstruct_single_copy
 
 CLONED_TOL = 1e-9
 PURE_AVERAGE_TOL = 1e-9
@@ -339,7 +339,8 @@ def proper_vs_improper(
     Trials run together, a block at a time.  Every member is drawn first,
     one uniform per trial; then one multinomial draw counts the frame rows
     of every trial in the block, in trial order, and the block's estimates
-    are inverted and projected as one ``(T, d, d)`` stack.  The block size
+    are inverted as one ``(T, d, d)`` stack, of which each purity is read off
+    the projected spectrum: one batched ``eigvalsh``.  The block size
     bounds memory and never changes the stream: a multinomial draw takes
     its rows in order.
     """
@@ -383,9 +384,8 @@ def proper_vs_improper(
     for start in range(0, trials, block):
         rows = (drawn[start : start + block, None] * k + np.arange(k)).ravel()  # each trial's k rows, trial after trial
         counts = _cdf_counts(table.gather(rows), rng, shots, ic, "passive")  # gathered row r is named by ic[r % k]
-        estimates = _frame_estimates(counts, ic, shots)
-        purities[start : start + block] = np.trace(estimates @ estimates, axis1=-2, axis2=-1).real
-        del counts, estimates  # neither outlives its block
+        purities[start : start + block] = _frame_purities(counts, ic, shots)
+        del counts  # it does not outlive its block
 
     report = ProtocolReport("proper-vs-improper", "passive")
     report.purities = purities

@@ -55,14 +55,14 @@ checked table, never checked again.  A frame names its own rows: its row
 r is the readout ``frame[r]``, made only when a refusal names it, and
 under the sampler's rule (row r of a table is named by ``readouts[r %
 len(readouts)]``) the frame names each block of its k rows gathered state
-after state.  The counts of a block of trials become
-``_frame_estimates``: a ``(T, d, d)`` stack of physical estimates, of which
-proper-vs-improper takes each slice's purity.
+after state.  The counts of a block of trials become ``_frame_purities``,
+proper-vs-improper's purity of each trial's physical estimate.
 
 Statistical noise can push the raw estimate outside the state set, so a
-Euclidean projection onto the probability simplex of its spectrum
-restores physicality.  The projection, too, takes a ``(T, d, d)`` stack:
-one batched ``eigh`` and a simplex search over every spectrum at once.
+Euclidean projection onto the probability simplex of its spectrum restores
+physicality: a ``(T, d, d)`` stack takes one batched ``eigh`` and one simplex
+search over every spectrum.  A purity needs only the projected spectrum p,
+sum_i p_i^2, so ``_frame_purities`` takes ``eigvalsh`` and builds no estimate.
 """
 
 from __future__ import annotations
@@ -439,15 +439,11 @@ def _sample_frame(sys: PSystem, ic: Frame, shots: int) -> tuple[np.ndarray, np.n
     return means, np.sqrt((counts * (ic.values - means[:, None]) ** 2).sum(axis=1) / shots)
 
 
-def _frame_estimates(counts: np.ndarray, ic: Frame, shots: int) -> np.ndarray:
-    """The physical estimate of each trial, a ``(T, d, d)`` stack, from ``(T * k, m)`` counts of ``shots`` per row.
-
-    Trial t holds rows t*k to t*k + k - 1, one per observable of ``ic``, with
-    the outcome values of that row of ``ic.values``.  Each estimate is
-    ``project_to_physical(linear_inversion(means, ic))`` of its trial's means, bit for bit.
-    """
+def _frame_purities(counts: np.ndarray, ic: Frame, shots: int) -> np.ndarray:
+    """``_projected_purities`` of each trial's linear inversion, a ``(T,)`` array, from ``(T * k, m)`` counts of
+    ``shots`` per row: trial t holds rows t*k to t*k + k - 1, one per observable of ``ic``, with that row's values."""
     means = _frame_means(counts.reshape(-1, *ic.values.shape), ic.values, shots)
-    return _projection_stack(_inversion_stack(means, ic))
+    return _projected_purities(_inversion_stack(means, ic))
 
 
 def _inversion_stack(means: np.ndarray, ic: Frame) -> np.ndarray:
@@ -470,14 +466,9 @@ def linear_inversion(means, ic: Frame) -> np.ndarray:
     return _inversion_stack(means, ic)
 
 
-def _projection_stack(matrices: np.ndarray) -> np.ndarray:
-    """The closest density operator in Frobenius norm to each matrix of a ``(..., d, d)`` stack.
-
-    Eigendecompose, project each spectrum onto the probability simplex
-    (sort descending, keep the largest k with u_k + (1 - sum_{i<=k} u_i)/k > 0,
-    shift and clip), and rebuild with the original eigenvectors.  The first
-    matrix with a non-finite entry, or with a trace further than 0.1 from 1, raises.
-    """
+def _checked_hermitian(matrices: np.ndarray) -> np.ndarray:
+    """The Hermitian part of each matrix of a ``(..., d, d)`` stack; the first with a non-finite entry, or with a
+    trace further than 0.1 from 1, raises."""
     mats = np.asarray(matrices, dtype=complex)
     if not np.isfinite(mats).all():
         raise ValueError("density operator entries are not finite")
@@ -486,15 +477,31 @@ def _projection_stack(matrices: np.ndarray) -> np.ndarray:
     far = np.abs(traces - 1.0) > 0.1
     if far.any():
         raise ValueError(f"trace {float(traces[far].flat[0])!r} is too far from 1 to project")
+    return mats
 
-    values, vectors = np.linalg.eigh(mats)
-    descending = values[..., ::-1]  # eigh sorts ascending
+
+def _simplex(values: np.ndarray) -> np.ndarray:
+    """Each ascending spectrum of a ``(..., d)`` array projected onto the probability simplex: sort descending, keep
+    the largest k with u_k + (1 - sum_{i<=k} u_i)/k > 0, shift by (1 - sum_{i<=k} u_i)/k and clip at 0."""
+    descending = values[..., ::-1]
     cumulative = np.cumsum(descending, axis=-1)
     kept = descending + (1.0 - cumulative) / np.arange(1, descending.shape[-1] + 1) > 0.0
     k = descending.shape[-1] - np.argmax(kept[..., ::-1], axis=-1)[..., None]  # the largest k that is kept
     shift = (1.0 - np.take_along_axis(cumulative, k - 1, axis=-1)) / k
-    projected = np.clip(values + shift, 0.0, None)
-    return (vectors * projected[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
+    return np.clip(values + shift, 0.0, None)
+
+
+def _projection_stack(matrices: np.ndarray) -> np.ndarray:
+    """The closest density operator in Frobenius norm to each matrix of a ``(..., d, d)`` stack: its checked Hermitian
+    part's spectrum, projected by ``_simplex``, rebuilt with the original eigenvectors."""
+    values, vectors = np.linalg.eigh(_checked_hermitian(matrices))  # ascending, as _simplex takes them
+    return (vectors * _simplex(values)[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
+
+
+def _projected_purities(matrices: np.ndarray) -> np.ndarray:
+    """Tr(P^2) of each ``P = _projection_stack(matrices)``: the projection moves only the spectrum, so sum_i p_i^2."""
+    projected = _simplex(np.linalg.eigvalsh(_checked_hermitian(matrices)))
+    return (projected**2).sum(axis=-1)
 
 
 def project_to_physical(matrix: np.ndarray) -> DensityOperator:

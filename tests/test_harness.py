@@ -710,6 +710,24 @@ class TestCLI:
     @pytest.mark.parametrize(
         "config, field",
         [
+            ({"protocol": "deutsch-jozsa", "oracle": {"n": 1, "truth_table": [0, 1], "promise": "balanced"},
+              "dimension": 7}, "dimension"),
+            ({"protocol": "no-cloning", "candidates": ["basis:0", "plus"], "shape": [3, 5]}, "shape"),
+            ({"protocol": "function-recovery", "oracle": {"n": 1, "truth_table": [0, 1]}, "shape": [2, 2]}, "shape"),
+            ({"protocol": "proper-vs-improper", "mixture": [["basis:0", 0.5], ["plus", 0.5]], "shape": [5]}, "shape"),
+            ({"protocol": "teleportation", "shape": [2]}, "shape"),
+        ],
+    )
+    def test_a_shape_that_shapes_no_state_is_refused(self, tmp_path, capsys, config, field):
+        # The shape would be echoed into the report and read by nothing: no state of the config takes it.
+        config = {"name": "unread", "shots": 10, **config}
+        self.assert_invalid(tmp_path, capsys, config, field)
+        with pytest.raises(ConfigError, match=f"^config field '{field}': protocol '{config['protocol']}' does not read"):
+            parse_config(json.dumps(config))
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
             ({"protocol": "reconstruct", "initial_state": "basis:foo"}, "initial_state"),
             ({"protocol": "reconstruct", "initial_state": "random-pure:abc"}, "initial_state"),
             ({"protocol": "reconstruct", "initial_state": [[float("nan"), 0], [1, 0]]}, "initial_state"),

@@ -312,6 +312,14 @@ class TestProperVsImproper:
         assert report.verdicts["mean_purity"] == pytest.approx(0.75, abs=0.05)
         assert all(entry["verdict"] == "improper" for entry in report.log)
 
+    @pytest.mark.parametrize("presentation", ["mixture", "purification"])
+    def test_purities_take_no_eigenvectors(self, presentation, monkeypatch):
+        # Each purity is read off the projected spectrum: no eigh, so no estimate is rebuilt from eigenvectors.
+        kwargs = {"mixture": self.MIXTURE} if presentation == "mixture" else {"purification": purify(self.average())}
+        monkeypatch.setattr(np.linalg, "eigh", lambda *_: pytest.fail("proper_vs_improper called eigh"))
+        report = proper_vs_improper(20, 300, rng.stream(6, f"pvi/spectra/{presentation}"), **kwargs)
+        assert 0.0 < report.purities.min() and report.purities.max() <= 1.0
+
     def test_pure_average_rejected(self):
         with pytest.raises(ValueError, match="indistinguishable"):
             proper_vs_improper(5, 100, rng.stream(0, "pvi"), mixture=[(basis_state(2, 0), 1.0)])

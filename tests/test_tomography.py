@@ -49,6 +49,7 @@ from pqt.tomography import (
     CONFIDENCE_Z,
     _frame_table,
     _inversion_stack,
+    _projected_purities,
     _projection_stack,
     _sample_frame,
     estimate_expectations,
@@ -581,6 +582,42 @@ class TestProjectToPhysical:
         with pytest.raises(ValueError, match=r"^trace 2\.5 is too far from 1 to project$"):
             _projection_stack(stack)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_purities_are_those_of_the_projected_stack(self, dim):
+        g = rng.stream(dim, "proj/purities")
+        matrices = []
+        for trial in range(30):
+            matrix = random_density(dim, g).matrix + (0.01, 0.3, 3.0)[trial % 3] * random_hermitian(dim, g)
+            matrices.append(matrix + (1.0 - np.trace(matrix).real) / dim * np.eye(dim))
+        stack = np.array(matrices)
+        assert (np.linalg.eigvalsh(stack).min(axis=-1) < 0.0).sum() >= len(matrices) // 3  # spectra that need clipping
+        projected = _projection_stack(stack)
+        dense = np.trace(projected @ projected, axis1=-2, axis2=-1).real
+        np.testing.assert_allclose(_projected_purities(stack), dense, rtol=0.0, atol=32 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_a_stack_that_projects_to_pure_states_has_purity_exactly_one(self, dim):
+        # a |psi><psi| - b (I - |psi><psi|) with a - b (d - 1) = 1 keeps one value: it becomes u + (1 - u), exactly 1.
+        g = rng.stream(dim, "proj/pure")
+        stack = []
+        for b in (0.01, 0.05, 0.1):
+            projector = random_pure_state(dim, g).projector()
+            stack.append((1.0 + b * dim) * projector - b * np.eye(dim))
+        assert _projected_purities(np.array(stack)).tolist() == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_purities_refuse_non_finite_input_before_any_arithmetic(self, entry, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda _: pytest.fail("a non-finite matrix reached eigvalsh"))
+        stack = np.array([np.eye(2) / 2] * 3, dtype=complex)
+        stack[1, 0, 1] = entry
+        with pytest.raises(ValueError, match="^density operator entries are not finite$"):
+            _projected_purities(stack)
+
+    def test_purities_name_the_first_matrix_far_from_unit_trace(self):
+        stack = np.array([np.eye(2) / 2, np.diag([2.0, 0.5]), np.diag([3.0, 0.5])]).astype(complex)
+        with pytest.raises(ValueError, match=r"^trace 2\.5 is too far from 1 to project$"):
+            _projected_purities(stack)
+
     def test_closest_in_frobenius_norm_spot_check(self):
         # Grid search over qubit density matrices cannot beat the projection.
         g = rng.stream(8, "proj/grid")
@@ -796,28 +833,43 @@ def reference_estimates(sys, observables, shots):
     return estimates
 
 
+def reference_frame_inversion(sys, ic, observables, shots):
+    return linear_inversion([mean for _, mean, _ in reference_estimates(sys, observables, shots)], ic)
+
+
 def reference_frame_estimate(sys, ic, observables, shots):
-    means = [mean for _, mean, _ in reference_estimates(sys, observables, shots)]
-    return project_to_physical(linear_inversion(means, ic))
+    return project_to_physical(reference_frame_inversion(sys, ic, observables, shots))
 
 
 def reference_proper_vs_improper(trials, shots, gen, mixture=None, purification=None):
-    """Per-trial frame estimates; a mixture's members are all drawn first, one uniform per trial."""
+    """Per-trial linear inversions; a mixture's members are all drawn first, one uniform per trial."""
     if mixture is not None:
         weights = np.array([w for _, w in mixture], dtype=float)
         members = _cdf_index(_cdf_table(weights[None]), gen.random(trials), None, None).tolist()
-    purities = []
+    inversions = []
     for trial in range(trials):
         if mixture is not None:
             state = mixture[members[trial]][0]
             ic = ic_set_for_dimension(state.dim)
-            estimate = reference_frame_estimate(PSystem(state, "passive", gen), ic, frame_observables(ic), shots)
+            raw = reference_frame_inversion(PSystem(state, "passive", gen), ic, frame_observables(ic), shots)
         else:
             ic = _local_ic_set(purification.shape[0])
             observables = frame_observables(ic, purification.shape)
-            estimate = reference_frame_estimate(PSystem(purification, "passive", gen), ic, observables, shots)
-        purities.append(estimate.purity())
-    return purities
+            raw = reference_frame_inversion(PSystem(purification, "passive", gen), ic, observables, shots)
+        inversions.append(raw)
+    return inversions
+
+
+def reference_projected_purity(matrix):
+    """Sum of p_i^2 over the simplex projection p of the spectrum of ``matrix``'s Hermitian part, one sum at a time."""
+    values = np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0)  # ascending
+    total = kept_total = 0.0
+    for i, u in enumerate(values[::-1].tolist(), start=1):
+        total += u
+        if u + (1.0 - total) / i > 0.0:  # the largest such i is the number of values kept
+            kept, kept_total = i, total
+    projected = np.clip(values + (1.0 - kept_total) / kept, 0.0, None)
+    return float((projected**2).sum())
 
 
 FRAMES = {
@@ -899,10 +951,14 @@ class TestFrameSamplerMatchesReference:
         else:
             kwargs = {"purification": random_pure_state(6, rng.stream(1, "eq/purification"), (3, 2))}
         expected_gen, actual_gen = rng.stream(3, "eq/pvi"), rng.stream(3, "eq/pvi")
-        expected = reference_proper_vs_improper(40, 500, expected_gen, **kwargs)
+        inversions = reference_proper_vs_improper(40, 500, expected_gen, **kwargs)
         report = proper_vs_improper(40, 500, actual_gen, **kwargs)
-        assert [entry["purity"] for entry in report.log] == expected
+        purities = [entry["purity"] for entry in report.log]
+        assert purities == [reference_projected_purity(raw) for raw in inversions]
         assert position(actual_gen) == position(expected_gen)
+        # The dense Tr(P^2) of each projected estimate sums other products: equal within a few eps, not bit for bit.
+        dense = [project_to_physical(raw).purity() for raw in inversions]
+        np.testing.assert_allclose(purities, dense, rtol=0.0, atol=1e-14)
 
 
 class TestFrameMoments:
