@@ -1,10 +1,11 @@
 """Interleaved parent/change pairs of one benchmark workload, summarised per end-to-end metric.
 
-    python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload protocol-loops --seed 5 --pairs 10 [--seconds 36]
+    python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload protocol-loops --seed 5 --pairs 10
 
-Each pair runs ``bench/run.py --workload W --seed S --seconds T --trace 0``
-once in each checkout, the parent first in even pairs and the change first in
-odd ones, so that the host's drift in speed falls on both sides alike.  Each
+Each pair runs ``bench/run.py --workload W --seed S --trace 0`` once in each
+checkout, for the run length ``bench/run.py`` takes by default, the parent
+first in even pairs and the change first in odd ones, so that the host's drift
+in speed falls on both sides alike.  Each
 run is read for its end-to-end metrics (the JSON last line) and for the median
 of each ``per pass ... as measured`` line (the wall times before host scaling).
 The script then prints, per metric, each side's median and quartiles over the
@@ -64,9 +65,8 @@ def summarize(parent: list[dict], change: list[dict]) -> list[str]:
     return lines
 
 
-def run_bench(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
-    command += ["--seconds", str(seconds), "--trace", "0"]
+def run_bench(checkout: str, workload: str, seed: int) -> dict:
+    command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     proc = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
@@ -81,20 +81,19 @@ def main() -> None:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=36.0)
     args = parser.parse_args()
     runs = {args.parent: [], args.change: []}
     for pair in range(args.pairs):
         order = (args.parent, args.change) if pair % 2 == 0 else (args.change, args.parent)
         for checkout in order:
-            runs[checkout].append(run_bench(checkout, args.workload, args.seed, args.seconds))
+            runs[checkout].append(run_bench(checkout, args.workload, args.seed))
         before, after = runs[args.parent][-1]["metrics"]["run_s"], runs[args.change][-1]["metrics"]["run_s"]
         print(f"pair {pair + 1}: run_s parent {before:.6g}  change {after:.6g}", flush=True)
     for side, checkout in (("parent", args.parent), ("change", args.change)):
         bad = [i + 1 for i, run in enumerate(runs[checkout]) if not run["correct"] or run["failed"]]
         if bad:
             print(f"{side}: pairs {bad} were not correct or had failed operations")
-    print(f"workload {args.workload}  seed {args.seed}  pairs {args.pairs}  seconds {args.seconds:g}")
+    print(f"workload {args.workload}  seed {args.seed}  pairs {args.pairs}")
     for line in summarize(runs[args.parent], runs[args.change]):
         print(line)
 
