@@ -21,7 +21,16 @@ import itertools
 import numpy as np
 
 from .hilbert import DensityOperator, SpectralDecomposition, State, StateVector, _kron, _Record, partial_trace
-from .measurement import Observable, PSystem, _cdf_counts, _cdf_table, _PairReadout, _Readout, born_distribution
+from .measurement import (
+    Observable,
+    PSystem,
+    _basis_weights,
+    _cdf_counts,
+    _cdf_table,
+    _PairReadout,
+    _Readout,
+    born_distribution,
+)
 from .tomography import ColumnFrame, hermitian_basis_ic_set, reconstruct_single_copy
 
 PURITY_PRODUCT_THRESHOLD = 0.95
@@ -60,38 +69,41 @@ class JointFrequencyTable(_Record):
 def lift_local(setting: LocalSetting, shape: tuple[int, int]) -> Observable:
     """Embed a subsystem observable into the bipartite space.
 
-    The degenerate outcome structure is inherited: every projector
-    becomes P_r tensor I (side A) or I tensor P_r (side B), with the
-    subsystem eigenvalues unchanged.
+    The outcome structure is inherited: the eigenvectors V become
+    V tensor I (side A) or I tensor V (side B, its columns regrouped so
+    that each outcome's stay adjacent), with the subsystem eigenvalues
+    unchanged.
     """
     if len(shape) != 2:
         raise ValueError(f"expected a bipartite shape, got {shape}")
     dim_a, dim_b = shape
     obs = setting.observable
+    local = obs.decomposition
     if setting.side == "A":
         if obs.dim != dim_a:
             raise ValueError(f"observable dimension {obs.dim} does not match subsystem A ({dim_a})")
-        projectors = tuple(_kron(p, np.eye(dim_b)) for p in obs.projectors)
+        vectors, copies = _kron(local.vectors, np.eye(dim_b)), dim_b
         name = f"{obs.name}xI"
     else:
         if obs.dim != dim_b:
             raise ValueError(f"observable dimension {obs.dim} does not match subsystem B ({dim_b})")
-        projectors = tuple(_kron(np.eye(dim_a), p) for p in obs.projectors)
+        vectors, copies = _kron(np.eye(dim_a), local.vectors), dim_a  # column i * dim_b + j is e_i tensor v_j
+        vectors = vectors.reshape(-1, dim_a, dim_b).transpose(0, 2, 1).reshape(vectors.shape)  # now j * dim_a + i
         name = f"Ix{obs.name}"
-    decomposition = SpectralDecomposition(obs.decomposition.eigenvalues, projectors)
-    return Observable.from_decomposition(name, decomposition)
+    bounds = tuple(copies * bound for bound in local.bounds)
+    return Observable.from_decomposition(name, SpectralDecomposition(local.eigenvalues, vectors, bounds))
 
 
 def joint_distribution_global(state: State, a_obs: Observable, b_obs: Observable) -> np.ndarray:
     """Analytic joint probabilities p(a, b) = Tr[(P_a tensor Q_b) rho], refused as ``_check_sides`` refuses.
 
-    All P_a tensor Q_b are one broadcast product; each cell keeps its own product, matmul and trace, so its bits.
+    The state's weight on each column of the product eigenbasis V_A tensor V_B, summed over the columns of each (a, b).
     """
     _check_sides(state.shape, a_obs, b_obs)
-    matrix = state.projector() if isinstance(state, StateVector) else state.matrix
-    pa, qb = np.asarray(a_obs.projectors), np.asarray(b_obs.projectors)
-    lifted = (pa[:, None, :, None, :, None] * qb[None, :, None, :, None, :]).reshape(len(pa), len(qb), *matrix.shape)
-    return np.clip(np.trace(lifted @ matrix, axis1=-2, axis2=-1).real, 0.0, None)
+    side_a, side_b = a_obs.decomposition, b_obs.decomposition
+    weights = _basis_weights(_kron(side_a.vectors, side_b.vectors), state).reshape(state.shape)
+    cells = np.add.reduceat(np.add.reduceat(weights, side_a.bounds[:-1], axis=0), side_b.bounds[:-1], axis=1)
+    return np.clip(cells, 0.0, None)
 
 
 def joint_distribution_local_passive(state: State, a_obs: Observable, b_obs: Observable) -> np.ndarray:
@@ -332,9 +344,8 @@ def signalling_check(
     else:
         lifted_a = lift_local(LocalSetting("A", a_obs), shape)
         matrix = state.projector() if isinstance(state, StateVector) else state.matrix
-        updated = np.zeros_like(matrix)
-        for projector in lifted_a.projectors:
-            updated = updated + projector @ matrix @ projector
+        blocks = (lifted_a.decomposition.block(r) for r in range(len(lifted_a.eigenvalues)))
+        updated = sum(block @ (block.conj().T @ matrix @ block) @ block.conj().T for block in blocks)  # P_r rho P_r
         with_action = born_distribution(lifted_b, DensityOperator._unchecked(updated, shape))  # a state
 
     tv = 0.5 * float(np.abs(without.probabilities - with_action.probabilities).sum())

@@ -368,6 +368,8 @@ def resolve_observable(spec, field: str = "observables[0]") -> Observable:
         refuse_unknown_keys(spec, ("name", "matrix"), field)
         if "matrix" not in spec:
             raise ConfigError(field, "explicit observable needs a 'matrix' entry")
+        if isinstance(spec["matrix"], list) and len(spec["matrix"]) > MAX_IC_DIMENSION:
+            raise ConfigError(field, f"explicit observable has {len(spec['matrix'])} rows, more than {MAX_IC_DIMENSION}")
         try:
             matrix = np.array([[complex(re, im) for re, im in row] for row in spec["matrix"]])
         except (TypeError, ValueError, OverflowError) as exc:

@@ -199,13 +199,9 @@ def resolve_oracle(spec, promise_required: bool = False) -> OracleSpec:
 
 def _eigenstate_library(obs: Observable) -> dict[int, StateVector]:
     """The eigenstate that replaces the system after each outcome of a non-degenerate observable."""
-    library = {}
-    for index, projector in enumerate(obs.projectors):
-        values, vectors = np.linalg.eigh(projector)
-        if int(round(values.sum())) != 1:
-            raise ConfigError("library", "eigenstate library needs a non-degenerate observable")
-        library[index] = StateVector.normalized(vectors[:, -1])
-    return library
+    if len(obs.eigenvalues) != obs.dim:
+        raise ConfigError("library", "eigenstate library needs a non-degenerate observable")
+    return {index: StateVector.normalized(column) for index, column in enumerate(obs.decomposition.vectors.T)}
 
 
 def resolve_unitary(spec, dim: int, field: str = "unitary") -> UnitaryOperator:

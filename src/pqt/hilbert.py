@@ -199,33 +199,36 @@ class UnitaryOperator(_Value):
 
 
 class SpectralDecomposition(_Record):
-    """Distinct eigenvalues of a Hermitian matrix with their projectors.
+    """Distinct eigenvalues of a Hermitian matrix, with an orthonormal eigenbasis grouped by outcome.
 
-    Eigenvalues are sorted ascending; eigenvalues closer than the
-    degeneracy tolerance are merged into a single outcome whose projector
-    is the sum over the merged eigenspaces.
+    ``eigenvalues`` holds the k outcome values, ascending; ``vectors`` is a
+    d x d matrix V of orthonormal columns (read-only), and ``bounds`` the k + 1
+    column offsets 0 = b_0 < ... < b_k = d, so outcome r owns the columns
+    V_r = ``vectors[:, bounds[r]:bounds[r + 1]]`` and its projector is
+    P_r = V_r V_r^dag, which is never formed.
     """
 
-    __slots__ = ("eigenvalues", "projectors")
+    __slots__ = ("eigenvalues", "vectors", "bounds")
 
-    def __init__(self, eigenvalues: tuple[float, ...], projectors: tuple[np.ndarray, ...]):
-        self.eigenvalues = eigenvalues
-        self.projectors = tuple(_freeze(p) for p in projectors)
+    def __init__(self, eigenvalues: tuple[float, ...], vectors: np.ndarray, bounds: tuple[int, ...]):
+        _Record.__init__(self, eigenvalues, _freeze(vectors), bounds)
+
+    def block(self, index: int) -> np.ndarray:
+        """V_r, the eigenvectors of outcome ``index`` as columns."""
+        return self.vectors[:, self.bounds[index] : self.bounds[index + 1]]
 
     def reconstruct(self) -> np.ndarray:
-        """Sum_r a_r P_r."""
-        out = np.zeros_like(self.projectors[0])
-        for value, proj in zip(self.eigenvalues, self.projectors):
-            out = out + value * proj
-        return out
+        """V diag(a) V^dag, each column weighted by its outcome's value: sum_r a_r P_r."""
+        values = np.repeat(self.eigenvalues, np.diff(self.bounds))
+        return (self.vectors * values) @ self.vectors.conj().T
 
 
 def spectral_decompose(matrix: np.ndarray) -> SpectralDecomposition:
-    """Eigendecompose a Hermitian matrix into distinct-outcome projectors.
+    """Eigendecompose a Hermitian matrix into distinct outcomes and ``eigh``'s eigenvectors.
 
     Consecutive eigenvalues within ``DEGENERACY_TOL`` of each other are
-    merged into one outcome; the outcome value is the mean of the merged
-    eigenvalues and the projector the sum of their eigenprojectors.
+    merged into one outcome, whose value is the mean of the merged
+    eigenvalues and whose columns are their eigenvectors.
     """
     mat = np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -237,20 +240,9 @@ def spectral_decompose(matrix: np.ndarray) -> SpectralDecomposition:
         raise ValueError("matrix is not Hermitian")
 
     values, vectors = np.linalg.eigh(mat)
-    groups: list[list[int]] = [[0]]
-    for i in range(1, values.size):
-        if values[i] - values[groups[-1][-1]] <= DEGENERACY_TOL:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-
-    eigenvalues = []
-    projectors = []
-    for group in groups:
-        eigenvalues.append(float(values[group].mean()))
-        block = vectors[:, group]
-        projectors.append(block @ block.conj().T)
-    return SpectralDecomposition(tuple(eigenvalues), tuple(projectors))
+    bounds = (0, *(np.flatnonzero(np.diff(values) > DEGENERACY_TOL) + 1).tolist(), values.size)
+    eigenvalues = tuple(float(values[a:b].mean()) if b > a + 1 else float(values[a]) for a, b in zip(bounds, bounds[1:]))
+    return SpectralDecomposition(eigenvalues, vectors, bounds)
 
 
 def tensor(a, b):

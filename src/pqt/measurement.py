@@ -59,16 +59,14 @@ class InsufficientShotsError(ValueError):
 
 
 class Observable:
-    """A named Hermitian matrix with its cached spectral decomposition."""
+    """A named Hermitian matrix, kept as its spectral decomposition: outcome values and ``eigh``'s eigenvectors."""
 
-    __slots__ = ("name", "matrix", "decomposition")
+    __slots__ = ("name", "decomposition")
 
     def __init__(self, name: str, matrix: np.ndarray):
         self.name = name
         self.decomposition = spectral_decompose(matrix)
-        self.matrix = np.array(matrix, dtype=complex)
-        self.matrix.setflags(write=False)
-        defect = np.abs(self.decomposition.reconstruct() - self.matrix).max()
+        defect = np.abs(self.decomposition.reconstruct() - matrix).max()
         if defect > RECONSTRUCTION_TOL:
             raise ValueError(f"decomposition does not reconstruct {name!r} (defect {defect:.3e})")
 
@@ -76,34 +74,36 @@ class Observable:
     def from_decomposition(cls, name: str, decomposition: SpectralDecomposition) -> "Observable":
         """Build an observable from an already-known outcome structure.
 
-        Used for lifted local observables, whose degenerate projectors
+        Used for lifted local observables, whose degenerate outcomes
         P_r tensor I should be inherited exactly rather than recomputed.
         """
         obs = cls.__new__(cls)
         obs.name = name
         obs.decomposition = decomposition
-        obs.matrix = decomposition.reconstruct()
-        obs.matrix.setflags(write=False)
         return obs
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.decomposition.vectors.shape[0]
 
     @property
     def eigenvalues(self) -> tuple[float, ...]:
         return self.decomposition.eigenvalues
 
-    @property
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        return self.decomposition.projectors
-
     def outcome_probabilities(self, state: State) -> np.ndarray:
-        """Born probability of each outcome, in eigenvalue order."""
-        return np.asarray([_outcome_probability(state, proj) for proj in self.projectors])
+        """Born probability of each outcome, in eigenvalue order: the basis weights summed per outcome."""
+        return np.add.reduceat(_basis_weights(self.decomposition.vectors, state), self.decomposition.bounds[:-1])
 
     def __repr__(self) -> str:
         return f"Observable({self.name!r}, dim={self.dim})"
+
+
+def _basis_weights(vectors: np.ndarray, state: State) -> np.ndarray:
+    """The weight of ``state`` on each orthonormal column v_j of ``vectors``: |<v_j|psi>|^2, or <v_j|rho|v_j>."""
+    if isinstance(state, StateVector):
+        overlaps = state.amplitudes.conj() @ vectors  # <psi|v_j>
+        return (overlaps.conj() * overlaps).real
+    return (vectors.conj() * (state.matrix @ vectors)).sum(axis=0).real
 
 
 class _CdfTable(_Record):
@@ -288,30 +288,25 @@ def born_distribution(obs: Observable, state: State) -> OutcomeDistribution:
     return OutcomeDistribution(obs.eigenvalues, obs.outcome_probabilities(state))
 
 
-def _outcome_probability(state: State, projector: np.ndarray) -> float:
-    if isinstance(state, StateVector):
-        return float(np.vdot(state.amplitudes, projector @ state.amplitudes).real)
-    return float(np.trace(projector @ state.matrix).real)
-
-
 def collapse_update(state: State, obs: Observable, outcome_index: int) -> State:
     """Project onto the observed outcome (the textbook collapse rule).
 
-    psi -> P_r psi / |P_r psi|, rho -> P_r rho P_r / Tr(P_r rho P_r).
+    psi -> P_r psi / |P_r psi|, rho -> P_r rho P_r / Tr(P_r rho P_r), with
+    P_r = V_r V_r^dag applied as V_r (V_r^dag x), never formed.
     Applying it twice with the same outcome is a no-op.
     """
-    projector = obs.projectors[outcome_index]
+    block = obs.decomposition.block(outcome_index)
     if isinstance(state, StateVector):
-        projected = projector @ state.amplitudes
-        probability = float(np.vdot(state.amplitudes, projected).real)
+        coefficients = state.amplitudes @ block.conj()  # V_r^dag psi
+        probability = float(np.vdot(coefficients, coefficients).real)
     else:
-        probability = _outcome_probability(state, projector)
+        inner = block.conj().T @ state.matrix @ block  # V_r^dag rho V_r
+        probability = float(np.trace(inner).real)
     _require_possible(obs, outcome_index, probability, "quantum")
     # Normalised by its own probability, the projection is a state again: no re-validation.
     if isinstance(state, StateVector):
-        return StateVector._unchecked(projected / np.sqrt(probability), state.shape)
-    updated = projector @ state.matrix @ projector / probability
-    return DensityOperator._unchecked(updated, state.shape)
+        return StateVector._unchecked(block @ coefficients / np.sqrt(probability), state.shape)
+    return DensityOperator._unchecked(block @ inner @ block.conj().T / probability, state.shape)
 
 
 def passive_update(state: State, obs: Observable, outcome_index: int) -> State:

@@ -123,8 +123,8 @@ def _post_oracle_readout(spec: OracleSpec) -> tuple[_Readout, _CdfTable]:
 
     Every fresh copy given one oracle call is in this state, so the
     distribution depends on the oracle alone and is computed once per oracle.
-    The basis projectors are diagonal, so outcome k has probability
-    conj(psi[k]) psi[k], with the bits of the dense projector's Born rule.
+    The basis observable's eigenvectors are the unit vectors, so outcome k
+    has probability conj(psi[k]) psi[k], with the bits of its Born rule.
     """
     amplitudes = _post_oracle_state(spec).amplitudes
     readout = _Readout("basis-index", tuple(float(k) for k in range(len(amplitudes))))
@@ -443,7 +443,8 @@ def simulate_qt_with_pqt(
         result = reconstruct_single_copy(sys, ic_set_for_dimension(sys.dim), tomography_shots)
         _, vectors = np.linalg.eigh(result.estimate.matrix)
         estimate_vector = StateVector.normalized(vectors[:, -1], sys.state.shape)
-        projected = obs.projectors[outcome_index] @ estimate_vector.amplitudes
+        block = obs.decomposition.block(outcome_index)
+        projected = block @ (estimate_vector.amplitudes @ block.conj())  # V_r (V_r^dag psi)
         norm = float(np.linalg.norm(projected))
         if norm**2 <= 1e-12:
             raise ValueError("reconstruction failure: the observed outcome has no weight in the estimate")

@@ -30,6 +30,7 @@ from pqt.hilbert import (
     pauli_matrix,
     plus_state,
     random_density,
+    random_hermitian,
     random_pure_state,
     spectral_decompose,
     tensor,
@@ -226,28 +227,41 @@ def test_no_module_calls_np_kron():
     assert places == []
 
 
+def assert_orthonormal_columns(vectors):
+    np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(vectors.shape[1]), atol=1e-12)
+
+
 class TestSpectralDecompose:
     def test_pauli_z(self):
         dec = spectral_decompose(PAULI_Z)
         assert dec.eigenvalues == (-1.0, 1.0)
-        np.testing.assert_allclose(dec.projectors[0], basis_state(2, 1).projector(), atol=1e-12)
-        np.testing.assert_allclose(dec.projectors[1], basis_state(2, 0).projector(), atol=1e-12)
+        assert dec.bounds == (0, 1, 2)
+        assert fidelity(StateVector(dec.block(0)[:, 0]), basis_state(2, 1)) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(StateVector(dec.block(1)[:, 0]), basis_state(2, 0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_merges_to_one_outcome(self):
         dec = spectral_decompose(np.eye(2, dtype=complex))
         assert dec.eigenvalues == (1.0,)
-        np.testing.assert_allclose(dec.projectors[0], np.eye(2), atol=1e-12)
+        assert dec.bounds == (0, 2)
+        assert_orthonormal_columns(dec.block(0))
 
     def test_near_degenerate_merge(self):
-        # Two eigenvalues 1e-12 apart merge under a 1e-9 tolerance; the
-        # merged projector must be idempotent with rank 2 (direct check).
+        # Two eigenvalues 1e-12 apart merge under a 1e-9 tolerance into one outcome of rank 2: two orthonormal
+        # columns spanning the first two basis vectors.
         dec = spectral_decompose(np.diag([2.0, 2.0 + 1e-12, 5.0]).astype(complex))
         assert len(dec.eigenvalues) == 2
         assert dec.eigenvalues[0] == pytest.approx(2.0, abs=1e-11)
         assert dec.eigenvalues[1] == pytest.approx(5.0)
-        merged = dec.projectors[0]
-        np.testing.assert_allclose(merged @ merged, merged, atol=1e-10)
-        assert np.trace(merged).real == pytest.approx(2.0, abs=1e-10)
+        assert dec.bounds == (0, 2, 3)
+        merged = dec.block(0)
+        assert merged.shape == (3, 2)
+        assert_orthonormal_columns(merged)
+        np.testing.assert_allclose(merged[2], 0.0, atol=1e-12)
+
+    def test_vectors_are_frozen(self):
+        dec = spectral_decompose(PAULI_Z)
+        with pytest.raises(ValueError, match="read-only"):
+            dec.vectors[0, 0] = 2.0
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
@@ -258,21 +272,27 @@ class TestSpectralDecompose:
         with pytest.raises(ValueError, match="not finite"):
             spectral_decompose(np.array([[bad, 0.0], [0.0, 1.0]]))
 
-    def test_projector_algebra_on_random_matrices(self):
-        # Completeness, orthogonality and reconstruction for random inputs.
+    def test_eigenbasis_on_random_matrices(self):
+        # Orthonormal columns, bounds that partition 0..d, and V diag(a) V^dag reconstructing the input,
+        # for random inputs with distinct eigenvalues and with a repeated one.
         for seed in range(10):
             g = rng.stream(seed, "spectral")
             dim = int(g.integers(2, 9))
-            matrix = np.asarray(g.normal(size=(dim, dim)) + 1j * g.normal(size=(dim, dim)))
-            matrix = (matrix + matrix.conj().T) / 2
+            matrix = random_hermitian(dim, g)
+            if seed % 2:
+                basis = np.linalg.qr(matrix)[0]
+                matrix = (basis * np.repeat([-1.0, 2.0], [1, dim - 1])) @ basis.conj().T
             dec = spectral_decompose(matrix)
-            total = sum(dec.projectors)
-            np.testing.assert_allclose(total, np.eye(dim), atol=1e-10)
-            for i, p in enumerate(dec.projectors):
-                np.testing.assert_allclose(p @ p, p, atol=1e-10)
-                for q in dec.projectors[i + 1 :]:
-                    np.testing.assert_allclose(p @ q, 0, atol=1e-10)
+            assert_orthonormal_columns(dec.vectors)
+            assert dec.vectors.shape == (dim, dim)
+            assert dec.bounds[0] == 0 and dec.bounds[-1] == dim
+            assert all(a < b for a, b in zip(dec.bounds, dec.bounds[1:]))
+            assert len(dec.eigenvalues) == (2 if seed % 2 else dim)
+            assert len(dec.bounds) == len(dec.eigenvalues) + 1
             np.testing.assert_allclose(dec.reconstruct(), matrix, atol=1e-9)
+            for r, value in enumerate(dec.eigenvalues):
+                block = dec.block(r)
+                np.testing.assert_allclose(matrix @ block, value * block, atol=1e-9)
 
 
 class TestPartialTrace:

@@ -2,8 +2,8 @@
 
 Each corpus case is a config with one fault, and its expected value is the refusal's field and its whole
 message.  They cover each protocol's own input rules, each extra field's "does not read" refusal, each
-choice refusal, a missing required extra and each mode refusal, through ``parse_config`` and through the
-CLI's ``--mode`` flag.  A common field that the protocol never reads is refused too.
+choice refusal, a missing required extra, each mode refusal and the three 64-dimension caps, through
+``parse_config`` and through the CLI.  A common field that the protocol never reads is refused too.
 """
 
 import ast
@@ -56,8 +56,29 @@ READERS = {
 }
 ONE_OF = "protocol 'proper-vs-improper' needs exactly one of 'mixture' and 'purification'"
 
+# The three 64-dimension caps, each refused before the work its input would cost (an eigendecomposition of a
+# 300 x 300 observable took 0.75 s before its cap).
+CAPS = {
+    "cap/explicit-state": (
+        {"protocol": "repeatability", "initial_state": [[1, 0]] * 65, "observables": ["pauli:Z"]},
+        "initial_state",
+        "explicit state has 65 amplitudes, more than 64",
+    ),
+    "cap/shape": (
+        {**RECONSTRUCT_PLUS, "shape": [2] * 7},
+        "shape",
+        "state dimension 128 is outside the supported range 2..64",
+    ),
+    "cap/explicit-observable": (
+        {"protocol": "spectrum", "initial_state": "plus", "observables": [{"matrix": [[[0, 0]] * 65] * 65}]},
+        "observables[0]",
+        "explicit observable has 65 rows, more than 64",
+    ),
+}
+
 # id: (config fields, refused field, message after "config field '<field>': ").
 CORPUS = {
+    **CAPS,
     # The protocols' own rules.
     "proper-vs-improper/neither": ({"protocol": "proper-vs-improper"}, "mixture", ONE_OF),
     "proper-vs-improper/both": (
@@ -286,6 +307,15 @@ def test_a_common_field_the_protocol_never_reads_is_refused(tmp_path, capsys, ca
     assert refusal(fields) == (field, f"config field {field!r}: {message}")
     path = tmp_path / "unread.json"
     path.write_text(json.dumps({"name": "unread", **fields}))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"invalid: config field {field!r}: {message}\n"
+
+
+@pytest.mark.parametrize("case", CAPS)
+def test_a_dimension_cap_exits_1_from_validate(tmp_path, capsys, case):
+    fields, field, message = CAPS[case]
+    path = tmp_path / "too-large.json"
+    path.write_text(json.dumps({"name": "too-large", **fields}))
     assert main(["validate", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"invalid: config field {field!r}: {message}\n"
 
