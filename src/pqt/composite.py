@@ -31,7 +31,7 @@ from .measurement import (
     _Readout,
     born_distribution,
 )
-from .tomography import ColumnFrame, hermitian_basis_ic_set, reconstruct_single_copy
+from .tomography import GellMannFrame, hermitian_basis_ic_set, reconstruct_single_copy
 
 PURITY_PRODUCT_THRESHOLD = 0.95
 PURITY_ENTANGLED_THRESHOLD = 0.90
@@ -283,10 +283,11 @@ def reconstruct_reduced_single_copy(sys: PSystem, shots: int) -> DensityOperator
 
 
 @functools.lru_cache(maxsize=8)
-def _local_ic_set(dim_a: int) -> ColumnFrame:
-    """The Gell-Mann frame of side A, each name suffixed ``xI`` for the A tensor I it is measured as; built once per dimension."""
+def _local_ic_set(dim_a: int) -> GellMannFrame:
+    """The Gell-Mann frame of side A, each name suffixed ``xI`` for the A tensor I it is measured as, on the same plan;
+    built once per dimension."""
     ic = hermitian_basis_ic_set(dim_a)
-    return ColumnFrame(tuple(f"{name}xI" for name in ic.names), ic.norm, ic.values, ic.lagrange, ic.levels, ic.codes, ic.rows)
+    return GellMannFrame(tuple(f"{name}xI" for name in ic.names), *ic._fields()[1:])
 
 
 def detect_entanglement_single_copy(sys: PSystem, shots: int) -> EntanglementVerdict:

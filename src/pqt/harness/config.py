@@ -356,6 +356,9 @@ def resolve_observable(spec, field: str = "observables[0]") -> Observable:
     if isinstance(spec, str):
         if spec.startswith("pauli:"):
             label = spec.split(":", 1)[1]
+            letters = MAX_IC_DIMENSION.bit_length() - 1  # a string on n qubits is a 2^n x 2^n matrix
+            if len(label) > letters:
+                raise ConfigError(field, f"pauli label has {len(label)} letters, more than {letters}")
             try:
                 return Observable(label, pauli_matrix(label))
             except ValueError as exc:

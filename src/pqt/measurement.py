@@ -67,7 +67,7 @@ class Observable:
         self.name = name
         self.decomposition = spectral_decompose(matrix)
         defect = np.abs(self.decomposition.reconstruct() - matrix).max()
-        if defect > RECONSTRUCTION_TOL:
+        if defect > RECONSTRUCTION_TOL * max(1.0, np.abs(matrix).max()):  # relative to the largest entry past 1
             raise ValueError(f"decomposition does not reconstruct {name!r} (defect {defect:.3e})")
 
     @classmethod

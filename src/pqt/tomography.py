@@ -29,15 +29,18 @@ inversion terms:
   terms of a linear inversion are one transform back (Hantzko, Binkowski
   & Gupta, arXiv:2310.13421): n butterfly passes over d^2 entries,
   O(d^2 log d), from a d x d plan.
-- A :class:`ColumnFrame` (the generalised Gell-Mann basis): ``(k, d)`` byte
-  arrays of phase codes and rows, O|x> = phase[x] |rows[x]>, as a
-  Gell-Mann matrix has at most one nonzero per column.  <O> is O(d) per
-  observable, and inversion adds every term with one unbuffered
-  ``np.add.at`` per block of observables, in frame order.
+- A :class:`GellMannFrame` (the generalised Gell-Mann basis): each
+  observable reads at most two entries of rho (Bertlmann & Krammer), so a
+  plan of the ``(low, high)`` index arrays of the pairs and the ``(d - 1,
+  d)`` weight block of the diag rows gives every <O> from those entries and
+  the populations, O(d^2) in all, and inversion scatters each pair's means
+  into its two entries and adds the diag block to the diagonal.
 
-Gell-Mann Born rows and inversions have the bits of the dense
-observable-by-observable definitions; Pauli ones sum in butterfly order
-and agree with them within 4 n eps (n qubits, eps the float64 epsilon).
+A Gell-Mann inversion has the bits of the dense observable-by-observable
+sum, and Gell-Mann Born rows agree with the dense definitions within 2 d eps
+(d the dimension, eps the float64 epsilon), as the plan sums entries and
+populations in another order.  Pauli inversions and Born rows sum in
+butterfly order and agree with the dense definitions within 4 n eps (n qubits).
 Inversion adds to a stack of matrices at once, one per row of a ``(T, k)``
 array of means, each row by the same operations as alone, so a single
 reconstruction is a stack of one, bit for bit.
@@ -86,9 +89,8 @@ from .measurement import (
 
 CONFIDENCE_Z = 1.96
 MAX_IC_DIMENSION = 64
-# Entries each temporary of ColumnFrame.born_rows and ColumnFrame.add_terms holds at most: 64 KiB as complex.  At 2**14 a
-# column frame of 4095 observables on d = 64 peaked 0.7 MB higher in RSS and ran no faster (numpy 2.4.6, glibc malloc).
-_BORN_BLOCK_ENTRIES = 2**12
+_HALF_ROOT = 1.0 / np.sqrt(2.0)  # the nonzero entries of sym and anti, up to i
+_HALF_SQUARE = _HALF_ROOT**2  # their squared magnitudes: 0.4999999999999999, not 0.5
 
 
 class Frame(_Record):
@@ -190,13 +192,13 @@ def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class ColumnFrame(Frame):
-    """Observables with at most one nonzero per column, one per row of ``(k, d)`` arrays: O|x> = phase[x] |rows[x]>.
+class GellMannFrame(Frame):
+    """The generalised Gell-Mann basis in dimension d, with norm 1, served by an entry plan.
 
-    The phases take few distinct values, so a frame holds them as ``levels``
-    and byte ``codes``, phase[x] = levels[codes[x]]; ``rows`` holds bytes, and
-    every entry index is computed in ``intp``.
-    A column with no nonzero has phase 0 and row x.
+    Rows 2p and 2p + 1 are sym and anti of the pair (j, k) = (``low[p]``,
+    ``high[p]``), and read only rho[j, k] and rho[k, j]; the last d - 1 rows
+    are diag_l, l = 1..d-1, and read only the populations, weighted by row
+    l - 1 of ``weights``: 1/sqrt(l(l+1)) left of column l, -l/sqrt(l(l+1)) at it.
     """
 
     __slots__ = (
@@ -204,70 +206,67 @@ class ColumnFrame(Frame):
         "norm",
         "values",  # (k, m) outcome values, ascending, each row zero-padded to the widest
         "lagrange",  # (3, k, m) coefficients of each outcome's projector, zero on padding
-        "levels",  # (n,) complex: the values the column phases take
-        "codes",  # (k, d) uint8: phase[x] = levels[codes[x]], one observable per row
-        "rows",  # (k, d) uint8: row of each column's nonzero
+        "low",  # (d(d-1)/2,) intp: j of each pair, in frame order
+        "high",  # (d(d-1)/2,) intp: k > j of each pair, in frame order
+        "weights",  # (d - 1, d) float: diag_l's diagonal in row l - 1
     )
 
     @property
     def dim(self) -> int:
-        return self.codes.shape[1]
+        return self.weights.shape[1]
 
     def born_rows(self, state: State) -> np.ndarray:
-        """The ``(k, m)`` Born probabilities c0 + c1 <O> + c2 <O^2> of every observable on ``state``, O(d) each.
+        """The ``(k, m)`` Born probabilities c0 + c1 <O> + c2 <O^2> of every observable on ``state``: O(d^2) in all.
 
-        <O> = sum_x conj(psi[rows[x]]) phase[x] psi[x] on a state vector, a
-        stack of (1, d) @ (d, 1) products with the bits of ``np.vdot``, and
-        sum_x phase[x] rho[x, rows[x]] on a density operator, with the bits of
-        ``np.sum`` of each observable's d terms.  O^2 is diagonal with entries
-        |phase[x]|^2, so <O^2> weighs the populations |psi[x]|^2 (or rho[x, x]);
-        it is taken only when ``values`` has three columns.  Observables are taken
-        a block at a time, so that no temporary holds more than
-        ``_BORN_BLOCK_ENTRIES`` entries.
+        <sym_jk> and <anti_jk> are the real and imaginary parts of
+        (rho[k, j] + conj(rho[j, k])) / sqrt(2), each entry scaled before the
+        sum, and 2 psi[k] conj(psi[j]) / sqrt(2) on a state vector.  O^2 is
+        diagonal: |1/sqrt(2)|^2 at j and k for a pair, and the squared weights
+        for diag_l.  <diag_l> and <diag_l^2> are products of the weight block
+        with the populations |psi[x]|^2 (or rho[x, x]); the squares are taken
+        only when ``values`` has three columns.
         """
-        squares, vector = self.values.shape[1] > 2, isinstance(state, StateVector)
-        if squares:
-            populations = np.abs(state.amplitudes) ** 2 if vector else state.matrix.diagonal().real
-        if vector:
-            conj = state.amplitudes.conj()
+        pairs = 2 * len(self.low)
+        if isinstance(state, StateVector):
+            amplitudes = state.amplitudes
+            populations = np.abs(amplitudes) ** 2
+            entries = amplitudes[self.high] * amplitudes[self.low].conj() * (2.0 * _HALF_ROOT)
         else:
-            entries = state.matrix.ravel()
-            firsts = np.arange(0, entries.size, self.dim)  # entry x * d + rows[x] is rho[x, rows[x]]
+            scaled = state.matrix * _HALF_ROOT
+            populations = state.matrix.diagonal().real
+            entries = (scaled + scaled.T.conj())[self.high, self.low]
         moments = np.empty((2, len(self), 1))  # <O> and, for three outcomes, <O^2>
-        step = max(1, _BORN_BLOCK_ENTRIES // self.dim)
-        for start in range(0, len(self), step):
-            rows, phase = self.rows[start : start + step], self.levels.take(self.codes[start : start + step])
-            if vector:
-                block = (conj.take(rows)[:, None, :] @ (phase * state.amplitudes)[:, :, None])[:, 0, 0]
-            else:
-                block = (phase * entries.take(firsts + rows)).sum(axis=1)
-            moments[0, start : start + step, 0] = block.real
-            if squares:
-                moments[1, start : start + step, 0] = np.abs(phase) ** 2 @ populations
-        c0, c1, c2 = self.lagrange
-        out = c0 + c1 * moments[0]
-        return out + c2 * moments[1] if squares else out
+        moments[0, :pairs, 0] = entries.view(float)  # sym and anti of each pair, in frame order
+        moments[0, pairs:, 0] = self.weights @ populations
+        out = self.lagrange[0] + self.lagrange[1] * moments[0]
+        if self.values.shape[1] == 2:
+            return out
+        weighted = _HALF_SQUARE * populations
+        moments[1, :pairs:2, 0] = moments[1, 1:pairs:2, 0] = weighted[self.low] + weighted[self.high]
+        moments[1, pairs:, 0] = np.square(self.weights) @ populations
+        return out + self.lagrange[2] * moments[1]
 
     def add_terms(self, out: np.ndarray, means: np.ndarray) -> None:
         """Add sum_k means[..., k] * O_k / norm to each matrix of the C-contiguous ``(..., d, d)`` stack ``out``, in place.
 
-        Term k adds means[..., k] * phase[k, x] / norm to entry (rows[k, x], x),
-        with phase / norm looked up from levels / norm.  ``np.add.at`` is
-        unbuffered and adds in index order, so every entry takes its terms in
-        frame order, with the bits of the observable-by-observable dense sum.
-        Observables are added a block at a time, so that no temporary holds
-        more than ``_BORN_BLOCK_ENTRIES`` entries per matrix.
+        A pair's two means over sqrt(2) are the real and imaginary parts of its
+        term at (k, j), and their conjugate is its term at (j, k): one stack of
+        these is added to ``out``.  The diag terms add to the real diagonal with
+        one unbuffered ``np.add.at`` in frame order.  Each entry takes the terms
+        of the observables that reach it in frame order, with the bits of the
+        observable-by-observable dense sum, and every matrix of the stack takes
+        the operations it takes alone.
         """
-        k, d = self.codes.shape
-        flat, means = out.reshape(-1), means.reshape(-1, k)
-        firsts = np.arange(0, flat.size, d * d)[:, None, None] + np.arange(d)  # entry (0, x) of each matrix
-        scaled = self.levels / self.norm
-        step = max(1, _BORN_BLOCK_ENTRIES // (len(means) * d))
-        for start in range(0, k, step):
-            block = slice(start, start + step)
-            entries = firsts + np.multiply(self.rows[block], d, dtype=np.intp)
-            terms = means[:, block, None] * scaled.take(self.codes[block])
-            np.add.at(flat, entries.ravel(), terms.ravel())  # one-dimensional: numpy's fast path
+        d, pairs = self.dim, 2 * len(self.low)
+        entries = (means[..., :pairs] * _HALF_ROOT).view(complex)  # norm is 1: (sym + i anti) / sqrt(2) per pair
+        scattered = np.zeros_like(out)
+        scattered[..., self.high, self.low] = entries
+        scattered[..., self.low, self.high] = entries.conj()
+        out += scattered
+        terms = means[..., pairs:, None] * self.weights  # (..., d - 1, d): diag_l's terms in row l - 1
+        reals = out.reshape(-1).view(float)
+        columns = np.arange((d - 1) * d) % d  # x of each term, level after level; 2 (d + 1) x is the real part of (x, x)
+        np.add.at(reals, (np.arange(0, reals.size, 2 * d * d)[:, None] + 2 * (d + 1) * columns).ravel(), terms.ravel())
 
 
 def _lagrange(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -332,7 +331,7 @@ def pauli_ic_set(n_qubits: int) -> PauliFrame:
     return PauliFrame(names, float(dim), values, lagrange, order, powers, columns ^ columns[:, None])
 
 
-def hermitian_basis_ic_set(dim: int) -> ColumnFrame:
+def hermitian_basis_ic_set(dim: int) -> GellMannFrame:
     """Generalised Gell-Mann basis for arbitrary dimension, with norm 1.
 
     Orthonormality under the trace inner product gives
@@ -340,42 +339,32 @@ def hermitian_basis_ic_set(dim: int) -> ColumnFrame:
     sym_jk = (|j><k| + |k><j|)/sqrt(2) and anti_jk = i(|k><j| - |j><k|)/sqrt(2),
     with outcomes -1/sqrt(2), 0 (for d >= 3) and 1/sqrt(2); then for each level
     l, diag_l = (sum_{x<l} |x><x| - l |l><l|)/sqrt(l(l+1)), with outcomes
-    -l/sqrt(l(l+1)), 0 (for l < d - 1) and 1/sqrt(l(l+1)).  Every matrix has at
-    most one nonzero per column, so the frame is built as arrays, with no
-    dense matrix and no eigendecomposition.  Its 2d + 2 phase levels are 0,
-    1/sqrt(2), +-i/sqrt(2), then 1/sqrt(l(l+1)) and -l/sqrt(l(l+1)) for each l.
+    -l/sqrt(l(l+1)), 0 (for l < d - 1) and 1/sqrt(l(l+1)).  The frame is built
+    as its entry plan, with no dense matrix and no eigendecomposition.  Every
+    pair has the outcomes of the first, so the projector coefficients are
+    computed for d distinct rows, the pairs' and each diag_l's, and taken into
+    frame order.
     """
     if not 2 <= dim <= MAX_IC_DIMENSION:
         raise ValueError(f"supported range is dimension 2..{MAX_IC_DIMENSION}")
     high, low = np.tril_indices(dim, -1)
-    pairs, columns = np.arange(len(high)), np.arange(dim)
-    sym, anti, diag = 2 * pairs, 2 * pairs + 1, 2 * len(high) + columns[:-1]
-    ls = columns[1:]
-    scale = np.sqrt(ls * (ls + 1))
-    plus, minus = np.stack((np.ones(dim - 1), -ls.astype(float))).astype(complex) / scale
+    columns, ls = np.arange(dim), np.arange(1, dim)
+    # Divided as complex, as the dense matrices are: each numerator times 1/sqrt(l(l+1)).
+    plus, minus = (np.stack((np.ones(dim - 1), -ls.astype(float))).astype(complex) / np.sqrt(ls * (ls + 1))).real
 
-    names = [name for j, k in zip(low.tolist(), high.tolist()) for name in (f"sym{j}_{k}", f"anti{j}_{k}")]
+    digits = list(map(str, range(dim)))  # names joined from these take ~0.6 of the time of f-strings
+    pairs = (digits[j] + "_" + digits[k] for j, k in zip(low.tolist(), high.tolist()))
+    names = [kind + pair for pair in pairs for kind in ("sym", "anti")]
     names += [f"diag{level}" for level in range(1, dim)]
 
-    # The projector coefficients before the (k, d) arrays: their temporaries are the largest of the build.
-    width = min(dim, 3)
-    sizes = np.full(dim**2 - 1, width)
-    sizes[diag[-1]] = 2  # diag_{d-1} has no zero outcome
-    values = np.zeros((len(sizes), width))
-    values[:, 0], values[np.arange(len(sizes)), sizes - 1] = -1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)
-    values[diag, 0], values[diag, sizes[diag] - 1] = minus.real, plus.real
-    lagrange = _lagrange(values, sizes)
-
-    levels = np.concatenate(([0.0, 1.0 / np.sqrt(2.0), 1.0j / np.sqrt(2.0), -1.0j / np.sqrt(2.0)], plus, minus))
-    codes = np.zeros((len(sizes), dim), dtype=np.uint8)
-    codes[sym, low] = codes[sym, high] = 1
-    codes[anti, low], codes[anti, high] = 2, 3
-    level = ls[:, None]  # diag_l takes plus[l - 1] (code 3 + l) left of column l and minus[l - 1] (code 2 + d + l) at it
-    codes[diag] = np.where(columns < level, 3 + level, np.where(columns == level, 2 + dim + level, 0))
-    rows = np.tile(columns.astype(np.uint8), (len(codes), 1))
-    for members in (sym, anti):
-        rows[members, low], rows[members, high] = high, low
-    return ColumnFrame(tuple(names), 1.0, values, lagrange, levels, codes, rows)
+    sizes = np.full(dim, min(dim, 3))  # the pairs' row, then diag_1 .. diag_{d-1}
+    sizes[-1] = 2  # diag_{d-1} has no zero outcome
+    distinct = np.zeros((dim, sizes[0]))
+    distinct[0, 0], distinct[0, -1] = -_HALF_ROOT, _HALF_ROOT
+    distinct[1:, 0], distinct[ls, sizes[1:] - 1] = minus, plus
+    shared = np.concatenate((np.zeros(2 * len(low), dtype=np.intp), ls))  # each observable's row of ``distinct``
+    weights = np.where(columns < ls[:, None], plus[:, None], np.where(columns == ls[:, None], minus[:, None], 0.0))
+    return GellMannFrame(tuple(names), 1.0, distinct[shared], _lagrange(distinct, sizes)[:, shared], low, high, weights)
 
 
 @functools.lru_cache(maxsize=8)

@@ -15,11 +15,16 @@ operator) over them, and its Born probabilities are (1 -/+ <S>)/2.  It has
 the ``name``, ``dim``, ``eigenvalues`` and ``outcome_probabilities`` that
 ``born_distribution`` and ``repeated_measure`` read.
 
-``column_pauli_frame(n)`` is the Pauli frame as a ``ColumnFrame``: the
-``(k, d)`` byte codes and rows every string had before Pauli frames ran a
-Walsh-Hadamard transform, so its ``born_rows`` is the block loop of O(d)
-products and its ``add_terms`` the unbuffered ``np.add.at`` per block, the
-references that ``PauliFrame``'s transforms are checked against.
+A :class:`ColumnFrame` is the column kernel both frame families ran before
+they had plans of their own: an observable with at most one nonzero per
+column, O|x> = phase[x] |rows[x]>, held as ``(k, d)`` byte arrays, with Born
+rows from a block loop of O(d) products and inversion by one unbuffered
+``np.add.at`` per block.  It is the reference for both kernels of the library.
+``column_pauli_frame(n)`` is the Pauli frame as a ``ColumnFrame``, the
+reference that ``PauliFrame``'s transforms are checked against within 4 n eps;
+``column_gell_mann_frame(ic)`` is a Gell-Mann frame as one, the reference that
+``GellMannFrame``'s entry plan is checked against: inversion bit for bit, Born
+rows within 2 d eps.
 """
 
 import functools
@@ -27,9 +32,113 @@ import functools
 import numpy as np
 
 from pqt.composite import LocalSetting, lift_local
-from pqt.hilbert import _I_POWERS, StateVector, _odd_parity, pauli_matrix, pauli_phases
+from pqt.hilbert import _I_POWERS, State, StateVector, _odd_parity, pauli_matrix, pauli_phases
 from pqt.measurement import Observable
-from pqt.tomography import ColumnFrame, pauli_ic_set
+from pqt.tomography import Frame, pauli_ic_set
+
+# Entries each temporary of ColumnFrame.born_rows and ColumnFrame.add_terms holds at most: 64 KiB as complex.  At 2**14 a
+# column frame of 4095 observables on d = 64 peaked 0.7 MB higher in RSS and ran no faster (numpy 2.4.6, glibc malloc).
+_BORN_BLOCK_ENTRIES = 2**12
+
+
+class ColumnFrame(Frame):
+    """Observables with at most one nonzero per column, one per row of ``(k, d)`` arrays: O|x> = phase[x] |rows[x]>.
+
+    The phases take few distinct values, so a frame holds them as ``levels``
+    and byte ``codes``, phase[x] = levels[codes[x]]; ``rows`` holds bytes, and
+    every entry index is computed in ``intp``.
+    A column with no nonzero has phase 0 and row x.
+    """
+
+    __slots__ = (
+        "names",
+        "norm",
+        "values",  # (k, m) outcome values, ascending, each row zero-padded to the widest
+        "lagrange",  # (3, k, m) coefficients of each outcome's projector, zero on padding
+        "levels",  # (n,) complex: the values the column phases take
+        "codes",  # (k, d) uint8: phase[x] = levels[codes[x]], one observable per row
+        "rows",  # (k, d) uint8: row of each column's nonzero
+    )
+
+    @property
+    def dim(self) -> int:
+        return self.codes.shape[1]
+
+    def born_rows(self, state: State) -> np.ndarray:
+        """The ``(k, m)`` Born probabilities c0 + c1 <O> + c2 <O^2> of every observable on ``state``, O(d) each.
+
+        <O> = sum_x conj(psi[rows[x]]) phase[x] psi[x] on a state vector, a
+        stack of (1, d) @ (d, 1) products with the bits of ``np.vdot``, and
+        sum_x phase[x] rho[x, rows[x]] on a density operator, with the bits of
+        ``np.sum`` of each observable's d terms.  O^2 is diagonal with entries
+        |phase[x]|^2, so <O^2> weighs the populations |psi[x]|^2 (or rho[x, x]);
+        it is taken only when ``values`` has three columns.  Observables are taken
+        a block at a time, so that no temporary holds more than
+        ``_BORN_BLOCK_ENTRIES`` entries.
+        """
+        squares, vector = self.values.shape[1] > 2, isinstance(state, StateVector)
+        if squares:
+            populations = np.abs(state.amplitudes) ** 2 if vector else state.matrix.diagonal().real
+        if vector:
+            conj = state.amplitudes.conj()
+        else:
+            entries = state.matrix.ravel()
+            firsts = np.arange(0, entries.size, self.dim)  # entry x * d + rows[x] is rho[x, rows[x]]
+        moments = np.empty((2, len(self), 1))  # <O> and, for three outcomes, <O^2>
+        step = max(1, _BORN_BLOCK_ENTRIES // self.dim)
+        for start in range(0, len(self), step):
+            rows, phase = self.rows[start : start + step], self.levels.take(self.codes[start : start + step])
+            if vector:
+                block = (conj.take(rows)[:, None, :] @ (phase * state.amplitudes)[:, :, None])[:, 0, 0]
+            else:
+                block = (phase * entries.take(firsts + rows)).sum(axis=1)
+            moments[0, start : start + step, 0] = block.real
+            if squares:
+                moments[1, start : start + step, 0] = np.abs(phase) ** 2 @ populations
+        c0, c1, c2 = self.lagrange
+        out = c0 + c1 * moments[0]
+        return out + c2 * moments[1] if squares else out
+
+    def add_terms(self, out: np.ndarray, means: np.ndarray) -> None:
+        """Add sum_k means[..., k] * O_k / norm to each matrix of the C-contiguous ``(..., d, d)`` stack ``out``, in place.
+
+        Term k adds means[..., k] * phase[k, x] / norm to entry (rows[k, x], x),
+        with phase / norm looked up from levels / norm.  ``np.add.at`` is
+        unbuffered and adds in index order, so every entry takes its terms in
+        frame order, with the bits of the observable-by-observable dense sum.
+        Observables are added a block at a time, so that no temporary holds
+        more than ``_BORN_BLOCK_ENTRIES`` entries per matrix.
+        """
+        k, d = self.codes.shape
+        flat, means = out.reshape(-1), means.reshape(-1, k)
+        firsts = np.arange(0, flat.size, d * d)[:, None, None] + np.arange(d)  # entry (0, x) of each matrix
+        scaled = self.levels / self.norm
+        step = max(1, _BORN_BLOCK_ENTRIES // (len(means) * d))
+        for start in range(0, k, step):
+            block = slice(start, start + step)
+            entries = firsts + np.multiply(self.rows[block], d, dtype=np.intp)
+            terms = means[:, block, None] * scaled.take(self.codes[block])
+            np.add.at(flat, entries.ravel(), terms.ravel())  # one-dimensional: numpy's fast path
+
+
+def column_gell_mann_frame(ic):
+    """A Gell-Mann frame (or side A's, named ``xI``) as a ``ColumnFrame``: its names, values and projector coefficients,
+    with the phase codes and rows of each matrix.  Its 2d + 2 phase levels are 0, 1/sqrt(2), +-i/sqrt(2), then
+    1/sqrt(l(l+1)) and -l/sqrt(l(l+1)) for each level l, as each diag row's ``weights`` hold them."""
+    dim, low, high = ic.dim, ic.low, ic.high
+    pairs, columns, ls = np.arange(len(high)), np.arange(dim), np.arange(1, dim)
+    sym, anti, diag = 2 * pairs, 2 * pairs + 1, 2 * len(high) + columns[:-1]
+    plus, minus = ic.weights[ls - 1, 0], ic.weights[ls - 1, ls]
+    levels = np.concatenate(([0.0, 1.0 / np.sqrt(2.0), 1.0j / np.sqrt(2.0), -1.0j / np.sqrt(2.0)], plus, minus))
+    codes = np.zeros((len(ic), dim), dtype=np.uint8)
+    codes[sym, low] = codes[sym, high] = 1
+    codes[anti, low], codes[anti, high] = 2, 3
+    level = ls[:, None]  # diag_l takes plus[l - 1] (code 3 + l) left of column l and minus[l - 1] (code 2 + d + l) at it
+    codes[diag] = np.where(columns < level, 3 + level, np.where(columns == level, 2 + dim + level, 0))
+    rows = np.tile(columns.astype(np.uint8), (len(codes), 1))
+    for members in (sym, anti):
+        rows[members, low], rows[members, high] = high, low
+    return ColumnFrame(ic.names, ic.norm, ic.values, ic.lagrange, levels, codes, rows)
 
 
 class ReferencePauliString:

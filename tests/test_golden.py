@@ -56,13 +56,18 @@ PROTOCOL_LOOPS_SEED_1 = {
 }
 
 
-# sha256 of reports on generalised Gell-Mann frames at seed 1, at dimensions 5 and 3.
+# sha256 of reports on generalised Gell-Mann frames at seed 1: at dimensions 5
+# and 3, at 63 (the largest frame, 3968 rows) and 7 x 9 = 63 as a bipartite
+# shape, and side A's lifted qutrit frame of a [3, 3] entanglement check.
 # Neither the goldens nor the benchmark reach such a frame outside the lifted
 # qutrit side of protocol-loops' [3, 3] purification.
 GELL_MANN_SEED_1 = {
     "reconstruct-d5-mixed": "7c2e56db799d2c3d538f8d9c5b45647b926640af6e69443cab4deb1b188e4bcd",
     "discriminate-qutrit": "4624c39e9ee2fd7e27f0496bee07468933af43e0f98f7a47960a360b9d59422b",
     "clone-qutrit": "5e9cdb6515070c23b46ae55a04d4053c0a9d6aeaf4b05ffa89d346e67399275a",
+    "reconstruct-d63-pure": "2ec39011fd3383082d4819f7b4c2961f32df31214fd8a8af1fed58a029b9220d",
+    "reconstruct-7x9": "077c0b4b894054ffd3312e5bc7edb64335023a2d83d93fa8e2d1da07437ab08f",
+    "entanglement-3x3": "464067921c16f2be84ae2ae948a27821b799eaa658d470039aa7eb83cd64f886",
 }
 GELL_MANN_CONFIGS = [
     {
@@ -90,6 +95,33 @@ GELL_MANN_CONFIGS = [
         "mode": "passive",
         "dimension": 3,
         "initial_state": "random-pure:2",
+        "shots": 1000,
+        "seed": 1,
+    },
+    {
+        "name": "reconstruct-d63-pure",
+        "protocol": "reconstruct",
+        "mode": "passive",
+        "dimension": 63,
+        "initial_state": "random-pure:3",
+        "shots": 1000,
+        "seed": 1,
+    },
+    {
+        "name": "reconstruct-7x9",
+        "protocol": "reconstruct",
+        "mode": "passive",
+        "shape": [7, 9],
+        "initial_state": "random-pure:4",
+        "shots": 1000,
+        "seed": 1,
+    },
+    {
+        "name": "entanglement-3x3",
+        "protocol": "entanglement",
+        "mode": "passive",
+        "shape": [3, 3],
+        "initial_state": "random-pure:5",
         "shots": 1000,
         "seed": 1,
     },

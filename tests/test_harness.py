@@ -112,6 +112,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="Hermitian"):
             parse_config(json.dumps(bad))
 
+    def test_an_explicit_observable_with_entries_near_1e7_parses(self):
+        # eigh reconstructs it within ~5e-9, a relative 2e-16 of its largest entry; an absolute 1e-9 refused it.
+        entries = [[[1.3e7, 0], [2.1e7, 0.7e7]], [[2.1e7, -0.7e7], [-0.9e7, 0]]]
+        observables = [{"name": "H", "matrix": entries}]
+        config = {"name": "big", "protocol": "spectrum", "initial_state": "plus", "observables": observables}
+        obs = parse_config(json.dumps(config)).inputs.observables[0]
+        matrix = np.array([[complex(re, im) for re, im in row] for row in entries])
+        np.testing.assert_allclose(obs.eigenvalues, np.linalg.eigvalsh(matrix), rtol=1e-12, atol=0)
+
     def test_unknown_extra_field_rejected(self):
         bad = json.loads(EXAMPLE)
         bad["sauce"] = 1

@@ -69,6 +69,17 @@ class TestObservable:
         with pytest.raises(ValueError, match="not Hermitian"):
             Observable("bad", np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_a_large_matrix_is_checked_relative_to_its_largest_entry(self):
+        # eigh reconstructs this one within ~2e-9 of entries near 1e6; an absolute 1e-9 refused it.
+        matrix = random_hermitian(8, rng.stream(0, "observable/scaled")) * 1e6
+        obs = Observable("H", matrix)
+        np.testing.assert_allclose(obs.eigenvalues, np.linalg.eigvalsh(matrix), rtol=1e-12, atol=0)
+
+    def test_a_chain_of_merged_eigenvalues_is_still_refused(self):
+        # Gaps within DEGENERACY_TOL merge the four eigenvalues into one outcome at their mean, 1.35e-9 from either end.
+        with pytest.raises(ValueError, match=r"^decomposition does not reconstruct 'chain' \(defect 1\.350e-09\)$"):
+            Observable("chain", np.diag([0.0, 0.9e-9, 1.8e-9, 2.7e-9]))
+
     def test_holds_no_dense_matrix_or_projectors(self):
         assert Observable.__slots__ == ("name", "decomposition")
         assert not hasattr(Z, "projectors") and not hasattr(Z, "matrix")

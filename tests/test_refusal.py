@@ -3,7 +3,8 @@
 Both modes keep the Born rule, so a drawn outcome of probability <= ZERO_PROBABILITY is an
 error in both.  These tests walk every entry point that draws, through the library and
 through ``run``, pin which outcome the message names, and check that no module outside
-``pqt.measurement`` applies the rule by hand.
+``pqt.measurement`` applies the rule by hand.  An input whose cost alone would exhaust a run,
+a ``pauli:`` label past the 64-dimension cap, is refused before anything is built.
 """
 
 import ast
@@ -17,6 +18,7 @@ from frame_reference import frame_observables
 
 from pqt import measurement, protocols, rng
 from pqt.composite import LocalSetting, _local_ic_set, chsh_value, global_joint_sample, local_passive_joint_sample
+from pqt.harness import config as config_module
 from pqt.harness import parse_config, run
 from pqt.harness import runner as runner_module
 from pqt.hilbert import PAULI_X, PAULI_Z, StateVector, basis_state, partial_trace, random_pure_state, tensor
@@ -392,3 +394,18 @@ class TestTheRuleLivesInTheSampler:
         }
         assert "_refuse_drawn" in kernels["_cdf_index"]
         assert "_refuse_drawn" in kernels["_cdf_counts"]
+
+
+@pytest.mark.parametrize("letters", [7, 40])
+def test_a_pauli_label_past_six_letters_is_refused_before_its_matrix_is_built(letters, monkeypatch):
+    # Seven letters make a 128 x 128 matrix, forty a 2^40 x 2^40 one; the cap of 64 dimensions allows six.
+    def refuse(label):
+        raise AssertionError(f"built the matrix of a {len(label)}-letter label")
+
+    monkeypatch.setattr(config_module, "pauli_matrix", refuse)
+    label = "pauli:" + "Z" * letters
+    fields = {"name": "wide", "protocol": "spectrum", "initial_state": "plus", "observables": [label]}
+    with pytest.raises(config_module.ConfigError) as caught:
+        parse_config(json.dumps(fields))
+    assert caught.value.field == "observables[0]"
+    assert str(caught.value) == f"config field 'observables[0]': pauli label has {letters} letters, more than 6"

@@ -1,16 +1,25 @@
+import ast
 import functools
+import inspect
 import itertools
 import json
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import _ZeroUniforms, position
-from frame_reference import ReferencePauliString, column_pauli_frame, frame_matrices, frame_observables
+from frame_reference import (
+    ReferencePauliString,
+    column_gell_mann_frame,
+    column_pauli_frame,
+    frame_matrices,
+    frame_observables,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,6 +68,7 @@ from pqt.tomography import (
     ic_set_for_dimension,
     linear_inversion,
     pauli_ic_set,
+    GellMannFrame,
     PauliFrame,
     project_to_physical,
     reconstruct_single_copy,
@@ -99,7 +109,9 @@ def dense_matrices(ic):
     """The dense matrix of every observable of a frame, in frame order, from its own arrays.
 
     A ``PauliFrame`` string at grid entry z * d + m is i^popcount(m & z) (-1)^popcount(x & z) at (x ^ m, x), with its
-    power of i from ``powers`` and its rows from ``flips``; a ``ColumnFrame`` row is phase ``levels[codes]`` at (rows, x).
+    power of i from ``powers`` and its rows from ``flips``.  A ``GellMannFrame`` pair (j, k) = (``low``, ``high``)
+    is sym, 1/sqrt(2) at (k, j) and (j, k), then anti, i/sqrt(2) at (k, j) and -i/sqrt(2) at (j, k); diag_l is row
+    l - 1 of ``weights`` on the diagonal.
     """
     matrices = np.zeros((len(ic), ic.dim, ic.dim), dtype=complex)
     strings, columns = np.arange(len(ic))[:, None], np.arange(ic.dim)
@@ -108,7 +120,11 @@ def dense_matrices(ic):
         signs = np.where(hilbert._odd_parity(columns & z_masks[:, None], ic.dim.bit_length() - 1), -1.0, 1.0)
         matrices[strings, ic.flips[x_masks], columns] = ic.powers[:, None] * signs
     else:
-        matrices[strings, ic.rows, columns] = ic.levels[ic.codes]
+        sym = 2 * np.arange(len(ic.low))
+        matrices[sym, ic.high, ic.low] = matrices[sym, ic.low, ic.high] = 1.0 / np.sqrt(2.0)
+        matrices[sym + 1, ic.high, ic.low] = 1.0j / np.sqrt(2.0)
+        matrices[sym + 1, ic.low, ic.high] = -1.0j / np.sqrt(2.0)
+        matrices[2 * len(ic.low) :, columns, columns] = ic.weights
     return list(matrices)
 
 
@@ -144,8 +160,52 @@ class TestGellMannFramesEqualTheDenseDefinition:
             assert not values[len(obs.eigenvalues) :].any()
         for state in self.states(ic):
             for row, obs in zip(ic.born_rows(state), observables, strict=True):
-                np.testing.assert_allclose(row[: len(obs.eigenvalues)], obs.outcome_probabilities(state), rtol=0, atol=1e-14)
+                expected = obs.outcome_probabilities(state)
+                np.testing.assert_allclose(row[: len(expected)], expected, rtol=0, atol=gell_mann_tolerance(ic.dim))
                 assert not row[len(obs.eigenvalues) :].any()
+
+
+def gell_mann_tolerance(dim):
+    """How far a Gell-Mann frame's Born rows may lie from the dense definitions: 2 d eps, set by the float64 epsilon."""
+    return 2 * dim * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("dim", [3, 5, 6, 7, 48, 63])
+class TestGellMannPlan:
+    """A Gell-Mann frame's entry plan against the column kernel it replaced: inversion and projector coefficients
+    bit for bit, Born rows within 2 d eps."""
+
+    def test_born_rows_equal_the_column_kernel(self, dim):
+        ic, g = hermitian_basis_ic_set(dim), rng.stream(dim, "gell-mann/plan/born")
+        reference = column_gell_mann_frame(ic)
+        for state in (random_pure_state(dim, g), random_density(dim, g), random_density(dim, g, rank=2)):
+            rows = ic.born_rows(state)
+            assert rows.shape == ic.values.shape
+            np.testing.assert_allclose(rows, reference.born_rows(state), rtol=0, atol=gell_mann_tolerance(dim))
+
+    def test_projector_coefficients_are_those_of_every_row(self, dim):
+        # Taken from the d distinct rows into frame order: _lagrange on the whole table gives the same bits.
+        ic = hermitian_basis_ic_set(dim)
+        sizes = np.full(len(ic), ic.values.shape[1])
+        sizes[-1] = 2  # diag_{d-1} has no zero outcome
+        assert ic.lagrange.tobytes() == tomography._lagrange(np.ascontiguousarray(ic.values), sizes).tobytes()
+
+    def test_inversion_is_the_column_kernel_bit_for_bit(self, dim):
+        # Exact zeros of either sign too: every entry takes the column kernel's additions, signed zeros included.
+        ic = hermitian_basis_ic_set(dim)
+        means = rng.stream(dim, "gell-mann/plan/inversion").uniform(-1.0, 1.0, size=(3, len(ic)))
+        means[1, ::3], means[2, ::5] = 0.0, -0.0
+        expected = _inversion_stack(means, column_gell_mann_frame(ic))
+        assert _inversion_stack(means, ic).tobytes() == expected.tobytes()
+        for row, matrix in zip(means, expected, strict=True):
+            assert linear_inversion(row.tolist(), ic).tobytes() == matrix.tobytes()
+
+
+@pytest.mark.parametrize("method", ["born_rows", "add_terms"])
+def test_gell_mann_kernels_run_no_python_loop(method):
+    tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(GellMannFrame, method))))
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
+    assert not [type(node).__name__ for node in ast.walk(tree) if isinstance(node, loops)]
 
 
 def walsh_tolerance(n_qubits):
@@ -370,7 +430,9 @@ def test_runs_leave_numpy_ma_unimported():
 
 
 def frame_bytes(ic):
-    return sum(array.nbytes for array in (ic.values, ic.lagrange, ic.levels, ic.codes, ic.rows))
+    """What a frame holds: its arrays, and its names as a tuple of strings."""
+    names = sys.getsizeof(ic.names) + sum(map(sys.getsizeof, ic.names))
+    return names + sum(array.nbytes for array in ic._fields() if isinstance(array, np.ndarray))
 
 
 def test_gell_mann_frames_are_built_as_arrays(monkeypatch):
@@ -386,7 +448,10 @@ def test_gell_mann_frames_are_built_as_arrays(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * frame_bytes(ic)
+    # The plan is two (d(d-1)/2,) index arrays and a (d - 1, d) block: beyond what the frame holds, the build
+    # allocates less than half of a (k, d) byte table, the smallest per-observable row array.
+    assert {array.shape for array in (ic.low, ic.high, ic.weights)} == {(63 * 31,), (62, 63)}
+    assert peak - frame_bytes(ic) < len(ic) * ic.dim // 2
 
 
 def test_a_reduced_reconstruction_wider_than_a_byte_is_that_of_the_reduced_state():
